@@ -282,6 +282,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    saved_data_dir = os.environ.get("K3MOONSHINE_DATA")
     if args.data_dir:
         os.environ["K3MOONSHINE_DATA"] = args.data_dir
     try:
@@ -292,6 +293,12 @@ def main(argv=None) -> int:
     except KeyError as exc:
         print(f"usage error: unknown key {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        # --data-dir applies to this command only
+        if saved_data_dir is None:
+            os.environ.pop("K3MOONSHINE_DATA", None)
+        else:
+            os.environ["K3MOONSHINE_DATA"] = saved_data_dir
     if report is not None:
         emit(report, args.format)
     return status

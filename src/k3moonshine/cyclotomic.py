@@ -312,6 +312,9 @@ class CyclotomicNumber:
     def is_zero(self) -> bool:
         return not any(self.c)
 
+    def __bool__(self) -> bool:
+        return not self.is_zero()
+
     def is_rational(self) -> bool:
         return not any(self.c[1:])
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .cyclotomic import CyclotomicNumber, zeta
 from .qpoly import RationalFunction, cyclotomic_poly, reconstruct_rational
@@ -201,15 +202,9 @@ def weighted_equivariant_genus(label: str, trunc24: int) -> TruncatedSeries:
         raise ValueError("weighted form applies to nontrivial classes")
     total = TruncatedSeries.zero(trunc24)
     for a in range(1, n):
-        if _gcd(a, n) == 1:
+        if gcd(a, n) == 1:
             total = total + _fixed_point_term(n, a, trunc24)
     return (total * UNIT_SUM_WEIGHTS[n]).as_rational()
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # -- decomposition against the weak Jacobi basis ------------------------------

@@ -198,10 +198,6 @@ def _class_matrices(g, data: ConjugacyData) -> list:
     return mats
 
 
-def _mat_vec(m, v, p):
-    return [sum(mi * vi for mi, vi in zip(row, v)) % p for row in m]
-
-
 def _charpoly_roots(mat, p):
     """Roots in GF(p) of det(mat - x I): interpolate, then Horner-scan."""
     k = len(mat)

@@ -327,9 +327,8 @@ def read_fg_file(path=None) -> dict:
     if not lines or lines[0] != "version 1":
         raise ValueError(f"unsupported f_g data file version in {path}")
     for line in lines[1:]:
-        if True:
-            parts = line.split()
-            label, e, level, source = parts[0], int(parts[1]), int(parts[2]), parts[3]
-            coeffs = tuple(Fraction(x) for x in parts[4:])
-            out[label] = FgRecord(label, e, level, source, coeffs)
+        parts = line.split()
+        label, e, level, source = parts[0], int(parts[1]), int(parts[2]), parts[3]
+        coeffs = tuple(Fraction(x) for x in parts[4:])
+        out[label] = FgRecord(label, e, level, source, coeffs)
     return out

@@ -111,19 +111,9 @@ def weak_jacobi_phi(weight: int, trunc24: int) -> TruncatedSeries:
     total = TruncatedSeries.zero(trunc24)
     for kind in (2, 3, 4):
         num = jacobi_theta(kind, t) ** 2
-        if kind == 2:
-            num = _halve_y_to_int(num)
         den = theta_null(kind, t) ** 2
-        total = total + (num * den.invert()).truncate(trunc24)
+        total = total + num.divide_exact(den).truncate(trunc24)
     return (total * 4).as_rational()
-
-
-def _halve_y_to_int(s: TruncatedSeries) -> TruncatedSeries:
-    # theta2^2 has integral y-exponents; renormalize stray zero coefficients
-    for (_q, y2, _z) in s.terms:
-        if y2 % 2:
-            raise DomainError("expected integral y-exponents")
-    return s
 
 
 def euler_specialization(s: TruncatedSeries) -> TruncatedSeries:

@@ -43,7 +43,6 @@ __all__ = [
     "symmetric_power_crosscheck",
     "ramond_basis_character",
     "twining_to_symtraces",
-    "sigma_series",
 ]
 
 _ONE = Fraction(1)
@@ -334,18 +333,14 @@ def decompose_into_n4(s: TruncatedSeries, sector: str = "NS") -> N4Multiplicitie
 
 # -- the elliptic-genus decomposition ------------------------------------------
 
-def ramond_basis_character(N: int, trunc24: int,
-                           closed: bool = True) -> TruncatedSeries:
+def ramond_basis_character(N: int, trunc24: int) -> TruncatedSeries:
     """The Ramond-sector character ch_{M_N} graded to pair with the genus.
 
     This is the spectral flow of ch_{V_N} with fermion-number signs
     (y -> -y before flowing); the convention is pinned by the identity
     elliptic_genus = sum_n chi(X, S^n T) * ch_{M_n}.
     """
-    ns = ch_vn_h_form(N, trunc24) if closed else None
-    if ns is None:
-        raise ValueError("extraction route not wired here; use closed form")
-    return ns.substitute_y_sign().spectral_flow(+1)
+    return ch_vn_h_form(N, trunc24).substitute_y_sign().spectral_flow(+1)
 
 
 @dataclass(frozen=True)
@@ -564,12 +559,4 @@ def symtraces_via_columns(twining: TruncatedSeries, tmax: int,
         if n not in coeffs:
             raise NotInSpanError(f"c_{n} not determined by {n_cols} columns")
         out.append(coeffs[n])
-    return out
-
-
-def sigma_series(nmax: int, genus: TruncatedSeries) -> list[Fraction]:
-    """Coefficients A_0..A_nmax of the mock-modular graded dimension
-    Sigma(q) = q^(-1/8)(-2 + sum_(n>=1) A_n q^n)."""
-    dec = genus_A_coefficients(nmax, genus)
-    out = list(dec.A)
     return out

@@ -44,12 +44,6 @@ class NotInSpanError(ArithmeticError):
         self.q24 = q24
 
 
-def _is_zero_coeff(c) -> bool:
-    if isinstance(c, CyclotomicNumber):
-        return c.is_zero()
-    return not c
-
-
 class TruncatedSeries:
     __slots__ = ("terms", "trunc24")
 
@@ -58,7 +52,7 @@ class TruncatedSeries:
             self.terms = terms
         else:
             self.terms = {k: v for k, v in terms.items()
-                          if k[0] < trunc24 and not _is_zero_coeff(v)}
+                          if k[0] < trunc24 and v}
         self.trunc24 = trunc24
 
     # -- constructors -------------------------------------------------------
@@ -76,7 +70,7 @@ class TruncatedSeries:
                  trunc24: int = INF24) -> "TruncatedSeries":
         if isinstance(value, int):
             value = Fraction(value)
-        if _is_zero_coeff(value) or q24 >= trunc24:
+        if not value or q24 >= trunc24:
             return TruncatedSeries.zero(trunc24)
         return TruncatedSeries({(q24, y2, z): value}, trunc24, _clean=True)
 
@@ -109,18 +103,6 @@ class TruncatedSeries:
     def q_support(self) -> list[int]:
         return sorted({k[0] for k in self.terms})
 
-    def y2_bounds(self):
-        if not self.terms:
-            return (0, 0)
-        ys = [k[1] for k in self.terms]
-        return (min(ys), max(ys))
-
-    def z_bounds(self):
-        if not self.terms:
-            return (0, 0)
-        zs = [k[2] for k in self.terms]
-        return (min(zs), max(zs))
-
     # -- ring operations -------------------------------------------------------
 
     def __add__(self, other):
@@ -135,7 +117,7 @@ class TruncatedSeries:
                 continue
             if k in out:
                 s = out[k] + v
-                if _is_zero_coeff(s):
+                if not s:
                     del out[k]
                 else:
                     out[k] = s
@@ -162,7 +144,7 @@ class TruncatedSeries:
     def scale(self, value) -> "TruncatedSeries":
         if isinstance(value, int):
             value = Fraction(value)
-        if _is_zero_coeff(value):
+        if not value:
             return TruncatedSeries.zero(self.trunc24)
         return TruncatedSeries({k: v * value for k, v in self.terms.items()},
                                self.trunc24, _clean=True)
@@ -191,11 +173,11 @@ class TruncatedSeries:
                         prod = ca * cb
                         if key in out:
                             s = out[key] + prod
-                            if _is_zero_coeff(s):
+                            if not s:
                                 del out[key]
                             else:
                                 out[key] = s
-                        elif not _is_zero_coeff(prod):
+                        elif prod:
                             out[key] = prod
         return TruncatedSeries(out, trunc, _clean=True)
 
@@ -228,65 +210,64 @@ class TruncatedSeries:
             return self.truncate(min(self.trunc24, trunc24 + 2 * m)).invert()
         if self.trunc24 >= INF24:
             raise ValueError("specify trunc24 when inverting an exact series")
-        lead = self.q_slice(m)
-        if len(lead) != 1:
+        if len(self.q_slice(m)) != 1:
             raise NotInSpanError(
                 "leading q-slice is not a monomial; use divide_exact", q24=m)
-        (y2, z), c = next(iter(lead.items()))
-        cinv = c.inverse() if isinstance(c, CyclotomicNumber) else 1 / c
-        lead_inv = TruncatedSeries.monomial(cinv, -m, -y2, -z)
-        u = lead_inv * self - TruncatedSeries.const(Fraction(1))
-        if u.is_zero():
-            return TruncatedSeries(lead_inv.terms, self.trunc24 - 2 * m,
-                                   _clean=True)
-        gap = u.min_q24
-        # Horner evaluation of (1+u)^{-1} = 1 - u + u^2 - ...
-        depth = max(0, (u.trunc24 - 1) // gap + 1)
-        r = TruncatedSeries.const(Fraction(1), u.trunc24)
-        for _ in range(depth):
-            r = TruncatedSeries.const(Fraction(1), u.trunc24) - u * r
-        return lead_inv * r
+        return TruncatedSeries.const(Fraction(1)).divide_exact(self)
 
     def divide_exact(self, divisor: "TruncatedSeries") -> "TruncatedSeries":
-        """Long division by a series with z-free leading q-slice.
+        """Long division by a series whose leading q-slice has one z-power.
 
-        Requires the division to be exact slice by slice; raises
-        NotInSpanError (with the offending q-order) otherwise.
+        The quotient is built slice by slice: the lowest remainder slice
+        is divided by the divisor's leading slice, and that quotient slice
+        times each later divisor slice is subtracted from the later
+        remainder slices.  Requires the division to be exact slice by
+        slice; raises NotInSpanError (with the offending q-order)
+        otherwise.  A zero numerator divides to the zero series.
         """
         if divisor.is_zero():
             raise ZeroDivisionError("division by zero series")
-        dmin = divisor.min_q24
-        dlead = divisor.q_slice(dmin)
-        if any(z for (_, z) in dlead):
-            raise NotInSpanError("divisor leading slice must be z-free", q24=dmin)
+        (dmin, dlead), *dtail = _grouped(divisor)
+        if len({z for (_, z), _ in dlead}) != 1:
+            raise NotInSpanError(
+                "divisor leading slice must have a single z-power", q24=dmin)
         nmin = self.min_q24 if not self.is_zero() else self.trunc24
         trunc = min(self.trunc24, divisor.trunc24 + nmin - dmin) - dmin
         if trunc >= INF24 // 2:
             raise ValueError("specify finite truncations before dividing")
-        if len(dlead) == 1:
-            return self * divisor.invert(trunc24=trunc - nmin)
-        rem = TruncatedSeries({k: v for k, v in self.terms.items()},
-                              min(self.trunc24, trunc + dmin), _clean=True)
+        rem: dict = {}
+        for (e, y2, z), c in self.terms.items():
+            if e - dmin < trunc:
+                rem.setdefault(e, {})[(y2, z)] = c
         out: dict = {}
-        lead_poly = {y2: c for (y2, _), c in dlead.items()}
-        while not rem.is_zero() and rem.min_q24 - dmin < trunc:
-            e = rem.min_q24
-            slice_ = rem.q_slice(e)
-            q_slice = _laurent_divide(slice_, lead_poly, e)
-            piece = TruncatedSeries(
-                {(e - dmin, y2, z): c for (y2, z), c in q_slice.items()},
-                INF24, _clean=True)
-            for k, v in piece.terms.items():
-                out[k] = v
-            rem = rem - piece * divisor
+        while rem:
+            e = min(rem)
+            quotient = _laurent_divide(rem.pop(e), dlead, e)
+            qe = e - dmin
+            for (y2, z), c in quotient.items():
+                out[(qe, y2, z)] = c
+            for d24, dslice in dtail:
+                if qe + d24 - dmin >= trunc:
+                    break
+                target = rem.setdefault(qe + d24, {})
+                for (qy, qz), qc in quotient.items():
+                    for (dy, dz), dc in dslice:
+                        key = (qy + dy, qz + dz)
+                        acc = target.get(key, _ZERO) - qc * dc
+                        if acc:
+                            target[key] = acc
+                        else:
+                            del target[key]
+                if not target:
+                    del rem[qe + d24]
         return TruncatedSeries(out, trunc, _clean=True)
 
     # -- substitutions ----------------------------------------------------------
 
     def substitute_q_shift(self, s24_per_y2: int, extra_q24: int = 0,
                            extra_y2: int = 0, *, y2_bound=None,
-                           settle24: int = 0, min_trunc24=None,
-                           sign_by_y=None) -> "TruncatedSeries":
+                           settle24: int = 0,
+                           min_trunc24=None) -> "TruncatedSeries":
         """Map each term y^m q^e -> y^(m + extra/2) q^(e + s*m + extra_q).
 
         ``s24_per_y2`` is the q-shift (in 24th units) per unit of the
@@ -296,8 +277,7 @@ class TruncatedSeries:
         for ALL terms of the mathematical series (defaults to the linear
         envelope 4 + (q24-min)/12, the index<=2 theta envelope), together
         with ``settle24``, a point beyond which the shifted exponent is
-        nondecreasing in q24.  ``sign_by_y`` optionally multiplies each
-        coefficient by sign_by_y(y2).
+        nondecreasing in q24.
         """
         if self.is_zero():
             return TruncatedSeries.zero(
@@ -329,14 +309,10 @@ class TruncatedSeries:
             nq = q24 + s24_per_y2 * y2 + extra_q24
             if nq >= trunc:
                 continue
-            if sign_by_y is not None:
-                c = c * sign_by_y(y2)
-                if _is_zero_coeff(c):
-                    continue
             key = (nq, y2 + extra_y2, z)
             if key in out:
                 s = out[key] + c
-                if _is_zero_coeff(s):
+                if not s:
                     del out[key]
                 else:
                     out[key] = s
@@ -344,13 +320,12 @@ class TruncatedSeries:
                 out[key] = c
         return TruncatedSeries(out, trunc, _clean=True)
 
-    def spectral_flow(self, direction: int = 1, *, min_trunc24=None,
-                      y2_bound=None, settle24: int = 0) -> "TruncatedSeries":
+    def spectral_flow(self, direction: int = 1, *,
+                      min_trunc24=None) -> "TruncatedSeries":
         """NS <-> Ramond flow: ch(y;q) -> q^(1/4) y^(dir) ch(y q^(dir/2); q)."""
         if direction not in (1, -1):
             raise ValueError("direction must be +1 or -1")
         return self.substitute_q_shift(6 * direction, 6, 2 * direction,
-                                       y2_bound=y2_bound, settle24=settle24,
                                        min_trunc24=min_trunc24)
 
     def substitute_y_value(self, value) -> "TruncatedSeries":
@@ -367,7 +342,7 @@ class TruncatedSeries:
             piece = c * factor
             key = (q24, 0, z)
             acc = out.get(key, _ZERO) + piece
-            if _is_zero_coeff(acc):
+            if not acc:
                 out.pop(key, None)
             else:
                 out[key] = acc
@@ -382,7 +357,7 @@ class TruncatedSeries:
             m = y2 // 2
             factor = root ** m if m >= 0 else root.inverse() ** (-m)
             nc = c * factor
-            if not _is_zero_coeff(nc):
+            if nc:
                 out[(q24, y2, z)] = nc
         return TruncatedSeries(out, self.trunc24, _clean=True)
 
@@ -401,7 +376,7 @@ class TruncatedSeries:
             factor = Fraction(value) ** z
             key = (q24, y2, 0)
             acc = out.get(key, _ZERO) + c * factor
-            if _is_zero_coeff(acc):
+            if not acc:
                 out.pop(key, None)
             else:
                 out[key] = acc
@@ -439,10 +414,6 @@ class TruncatedSeries:
                 out[k] = c
         return TruncatedSeries(out, self.trunc24, _clean=True)
 
-    def map_coefficients(self, fn) -> "TruncatedSeries":
-        return TruncatedSeries({k: fn(v) for k, v in self.terms.items()},
-                               self.trunc24)
-
     def truncate(self, trunc24: int) -> "TruncatedSeries":
         if trunc24 > self.trunc24:
             raise InsufficientPrecisionError(
@@ -460,7 +431,7 @@ class TruncatedSeries:
         b = {k: v for k, v in other.terms.items() if k[0] < t}
         if set(a) != set(b):
             return False
-        return all(_is_zero_coeff(a[k] - b[k]) for k in a)
+        return not any(a[k] - b[k] for k in a)
 
     __hash__ = None
 
@@ -508,19 +479,19 @@ def _grouped(s: TruncatedSeries):
     return sorted(groups.items())
 
 
-def _laurent_divide(numer: dict, denom: dict, q24: int) -> dict:
-    """Exact division of Laurent polys; numer keyed (y2, z), denom by y2."""
+def _laurent_divide(numer: dict, denom: list, q24: int) -> dict:
+    """Exact division of Laurent polys keyed (y2, z); all denom z agree."""
     out: dict = {}
-    dmin = min(denom)
-    dmax = max(denom)
-    dlead = denom[dmax]
-    dlead_inv = dlead.inverse() if isinstance(dlead, CyclotomicNumber) else 1 / dlead
-    # split the numerator by z-stratum; the denominator is z-free
+    dy = {y2: c for (y2, _), c in denom}
+    dz = denom[0][0][1]
+    dmin = min(dy)
+    dmax = max(dy)
+    dlead_inv = 1 / dy[dmax]
+    # split the numerator by z-stratum; the denominator is one z-power
     strata: dict = {}
     for (y2, z), c in numer.items():
         strata.setdefault(z, {})[y2] = c
-    for z, poly in strata.items():
-        work = dict(poly)
+    for z, work in strata.items():
         while work:
             top = max(work)
             low = min(work)
@@ -530,11 +501,11 @@ def _laurent_divide(numer: dict, denom: dict, q24: int) -> dict:
                     q24=q24)
             shift = top - dmax
             coeff = work[top] * dlead_inv
-            out[(shift, z)] = coeff
-            for y2, d in denom.items():
+            out[(shift, z - dz)] = coeff
+            for y2, d in dy.items():
                 key = y2 + shift
                 acc = work.get(key, _ZERO) - coeff * d
-                if _is_zero_coeff(acc):
+                if not acc:
                     work.pop(key, None)
                 else:
                     work[key] = acc
@@ -559,7 +530,7 @@ def geometric_factor(coeff, q24: int, y2: int, z: int, trunc24: int,
     # multiplicity of the k-th power for (1-x)^-power is C(k+power-1, power-1)
     while k * q24 < trunc24:
         val = c_pow * comb(k + power - 1, power - 1)
-        if not _is_zero_coeff(val):
+        if val:
             terms[(k * q24, k * y2, k * z)] = val
         k += 1
         c_pow = c_pow * coeff
@@ -570,17 +541,9 @@ def binomial_factor(coeff, q24: int, y2: int, z: int,
                     trunc24: int = INF24) -> TruncatedSeries:
     """(1 + coeff * q^(q24/24) y^(y2/2) z^z) as an exact series."""
     terms = {(0, 0, 0): Fraction(1)}
-    if not _is_zero_coeff(coeff) and q24 < trunc24:
+    if coeff and q24 < trunc24:
         terms[(q24, y2, z)] = Fraction(coeff) if isinstance(coeff, int) else coeff
     return TruncatedSeries(terms, trunc24, _clean=True)
-
-
-def prune_y_window(s: TruncatedSeries, y2_lo: int, y2_hi: int) -> TruncatedSeries:
-    """Drop terms outside a y-window (use only when the window is known
-    to contain every exponent consumed downstream)."""
-    return TruncatedSeries(
-        {k: v for k, v in s.terms.items() if y2_lo <= k[1] <= y2_hi},
-        s.trunc24, _clean=True)
 
 
 def prune_z_window(s: TruncatedSeries, z_lo: int, z_hi: int) -> TruncatedSeries:

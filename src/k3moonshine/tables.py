@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 from .chartab import (
     CharacterTable, CharacterEntry, ClassEntry, TableFormatError,
@@ -247,22 +247,42 @@ def _load(fname: str, validate: bool = True) -> CharacterTable:
     return CharacterTable.loads_unchecked(text)
 
 
-@lru_cache(maxsize=None)
+def _cached_per_directory(load):
+    """Memoize ``load`` on the data directory as well as its arguments.
+
+    The directory is resolved on every call, so a changed
+    ``K3MOONSHINE_DATA`` is never served tables read from another
+    directory.  The wrapper keeps ``lru_cache``'s ``cache_info`` and
+    ``cache_clear``.
+    """
+    cached = lru_cache(maxsize=None)(
+        lambda directory, *args: load(*args))
+
+    @wraps(load)
+    def wrapper(*args):
+        return cached(os.path.abspath(data_dir()), *args)
+
+    wrapper.cache_info = cached.cache_info
+    wrapper.cache_clear = cached.cache_clear
+    return wrapper
+
+
+@_cached_per_directory
 def load_m23() -> CharacterTable:
     return _load("m23.tbl")
 
 
-@lru_cache(maxsize=None)
+@_cached_per_directory
 def load_m24() -> CharacterTable:
     return _load("m24.tbl")
 
 
-@lru_cache(maxsize=None)
+@_cached_per_directory
 def load_mukai(index: int) -> CharacterTable:
     return _load(f"mukai_{index:02d}.tbl")
 
 
-@lru_cache(maxsize=None)
+@_cached_per_directory
 def load_co0_restricted() -> CharacterTable:
     return validate_co0_restricted(
         _load("co0_restricted.tbl", validate=False))

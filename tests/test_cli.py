@@ -1,6 +1,9 @@
 import io
 import json
 
+import pytest
+
+from k3moonshine.acceptance import TABLE3_ATYPICAL, TABLE3_ROWS
 from k3moonshine.cli import main, emit
 
 
@@ -56,6 +59,28 @@ def test_n4_decompose_row0():
     assert "-2" in out
 
 
+@pytest.mark.parametrize("q_order", [1, 2, 3])
+@pytest.mark.parametrize("n", range(11))
+def test_n4_decompose_table3(n, q_order):
+    # N > q_order + 3: ch_{V_N} vanishes below the truncation
+    status, out = run(["--format", "json", "n4-decompose", "--n", str(n),
+                       "--q-order", str(q_order)])
+    assert status == 0
+    doc = json.loads(out)
+    assert doc["rows"] == [[str(v) for v in TABLE3_ROWS[n][:q_order]]]
+    assert doc["atypical"] == str(TABLE3_ATYPICAL[n])
+
+
+def test_data_dir_applies_to_one_command(tmp_path):
+    from k3moonshine import tables
+    before = tables.data_dir()
+    codes = [run(["lattice-check"])[0],
+             run(["--data-dir", str(tmp_path), "lattice-check"])[0],
+             run(["lattice-check"])[0]]
+    assert codes == [0, 3, 0]
+    assert tables.data_dir() == before
+
+
 def test_moonshine_verify():
     status, out = run(["moonshine-verify", "--class", "3A", "--q-order", "4"])
     assert status == 0
@@ -78,7 +103,6 @@ def test_emit_empty_report():
 
 
 def test_malformed_fixture_is_data_error(tmp_path):
-    # a fresh process: the fixture loaders cache per process
     import os
     import shutil
     import subprocess

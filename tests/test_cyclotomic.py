@@ -32,6 +32,12 @@ def test_inverse():
         CyclotomicNumber.from_rational(7, 0).inverse()
 
 
+def test_truth_value_is_nonzero():
+    assert not (1 + zeta(3) + zeta(3, 2))
+    assert zeta(5)
+    assert not CyclotomicNumber.from_rational(7, 0)
+
+
 def test_mixed_conductor_embedding():
     # zeta_2 = -1 inside conductor 6 arithmetic
     z2 = zeta(2)

@@ -2,8 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from k3moonshine.cyclotomic import zeta
+from k3moonshine.cyclotomic import CyclotomicNumber, zeta
 from k3moonshine.series import (
     INF24,
     InsufficientPrecisionError,
@@ -155,3 +156,113 @@ def test_equality_up_to_min_truncation():
     assert b == a
     c = (1 + q(1, 2)).truncate(2 * 24)
     assert a != c
+
+
+# -- differential tests of the exact-division route ---------------------------
+
+DIVISION = settings(max_examples=60, deadline=None, derandomize=True,
+                    database=None)
+
+
+@st.composite
+def coefficients(draw, cyclotomic):
+    """A nonzero rational, or a nonzero element of Q(zeta_3)."""
+    def rational():
+        return Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 3)))
+    if cyclotomic:
+        c = CyclotomicNumber(3, [rational(), rational()])
+    else:
+        c = rational()
+    return c if c else Fraction(1)
+
+
+@st.composite
+def exact_series(draw, cyclotomic, lo24=-24):
+    """An exactly known Laurent polynomial with a few terms."""
+    terms = {}
+    for _ in range(draw(st.integers(1, 5))):
+        key = (lo24 + 12 * draw(st.integers(0, 6)),
+               draw(st.integers(-3, 3)), draw(st.integers(-1, 1)))
+        terms[key] = draw(coefficients(cyclotomic))
+    return T(terms, INF24)
+
+
+@st.composite
+def divisors(draw, cyclotomic, monomial_lead=None):
+    """An exact divisor whose leading q-slice has one z-power: a monomial,
+    or a monomial times y - 2 + 1/y; the leading order may be negative."""
+    m = 12 * draw(st.integers(-2, 2))
+    y2, z = draw(st.integers(-2, 2)), draw(st.integers(-1, 1))
+    c = draw(coefficients(cyclotomic))
+    if monomial_lead is None:
+        monomial_lead = draw(st.booleans())
+    if monomial_lead:
+        lead = {(m, y2, z): c}
+    else:
+        lead = {(m, y2 + 2, z): c, (m, y2, z): -2 * c, (m, y2 - 2, z): c}
+    tail = draw(exact_series(cyclotomic, lo24=m + 12))
+    return T(lead, INF24) + tail
+
+
+def _quotient_trunc(num, den):
+    nmin = num.trunc24 if num.is_zero() else num.min_q24
+    return min(num.trunc24, den.trunc24 + nmin - den.min_q24) - den.min_q24
+
+
+@DIVISION
+@given(data=st.data(), cyclotomic=st.booleans(),
+       tn=st.integers(-2, 10), td=st.integers(1, 8),
+       dn=st.integers(0, 4), dd=st.integers(0, 4))
+def test_divide_exact_differential(data, cyclotomic, tn, td, dn, dd):
+    a = data.draw(exact_series(cyclotomic))
+    b = data.draw(divisors(cyclotomic))
+    top = a * b
+    quotients = []
+    for n24, d24 in ((12 * tn, b.min_q24 + 12 * td),
+                     (12 * (tn + dn), b.min_q24 + 12 * (td + dd))):
+        num, den = top.truncate(n24), b.truncate(d24)
+        quo = num.divide_exact(den)
+        assert quo.trunc24 == _quotient_trunc(num, den)
+        # sound: the exact quotient a agrees below the claimed truncation
+        assert quo == a
+        quotients.append(quo)
+    # truncation oracle: more precision agrees below the smaller trunc24
+    assert quotients[0] == quotients[1]
+
+
+@DIVISION
+@given(data=st.data(), cyclotomic=st.booleans(), tn=st.integers(-4, 8),
+       td=st.integers(1, 8))
+def test_zero_numerator_divides_to_zero(data, cyclotomic, tn, td):
+    b = data.draw(divisors(cyclotomic))
+    den = b.truncate(b.min_q24 + 12 * td)
+    quo = T.zero(12 * tn).divide_exact(den)
+    assert quo.is_zero()
+    assert quo.trunc24 == 12 * tn - den.min_q24
+
+
+@DIVISION
+@given(data=st.data(), cyclotomic=st.booleans(), td=st.integers(1, 8),
+       dd=st.integers(0, 4))
+def test_invert_differential(data, cyclotomic, td, dd):
+    b = data.draw(divisors(cyclotomic, monomial_lead=True))
+    m = b.min_q24
+    inverses = []
+    for d24 in (m + 12 * td, m + 12 * (td + dd)):
+        s = b.truncate(d24)
+        inv = s.invert()
+        assert inv.trunc24 == s.trunc24 - 2 * m
+        assert s * inv == 1
+        inverses.append(inv)
+    assert inverses[0] == inverses[1]
+
+
+def test_invert_requires_monomial_lead():
+    d = T({(0, 2, 0): Fraction(1), (0, 0, 0): Fraction(-2),
+           (0, -2, 0): Fraction(1)}, 5 * 24)
+    with pytest.raises(NotInSpanError):
+        d.invert()
+    with pytest.raises(ZeroDivisionError):
+        T.zero(24).invert()
+    with pytest.raises(ValueError):
+        (1 + q(1)).invert()
