@@ -285,13 +285,14 @@ def run_acceptance(q_order: int = 6, t_order: int = 21, stream=None) -> bool:
     stream = stream or sys.stdout
     overall = True
     for name, fn in CHECKS:
-        t0 = time.time()
+        t0 = time.perf_counter()
         try:
             ok, detail = fn(q_order=q_order, t_order=t_order)
         except Exception as exc:  # pragma: no cover - reported, not hidden
             ok, detail = False, f"exception: {exc!r}"
+        elapsed = time.perf_counter() - t0
         overall &= ok
         status = "PASS" if ok else "FAIL"
-        stream.write(f"[{status}] criterion {name} ({time.time()-t0:.1f}s)"
+        stream.write(f"[{status}] criterion {name} ({elapsed:.1f}s)"
                      f"{'' if ok else ' -- ' + str(detail)}\n")
     return overall

@@ -14,6 +14,7 @@ import sys
 from fractions import Fraction
 
 from .chartab import TableFormatError
+from .genus import SYMPLECTIC_CLASSES
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -229,6 +230,20 @@ def cmd_verify_all(args):
     return None, (EXIT_OK if ok else EXIT_MISMATCH)
 
 
+def _positive(text: str) -> int:
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
+def _nonnegative(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="k3moonshine",
@@ -248,31 +263,34 @@ def build_parser() -> argparse.ArgumentParser:
         return sp
 
     add("ellgenus", cmd_ellgenus,
-        **{"--q-order": dict(type=int, default=6, dest="q_order")})
+        **{"--q-order": dict(type=_positive, default=6, dest="q_order")})
     sp = add("equivariant", cmd_equivariant,
-             **{"--q-order": dict(type=int, default=4, dest="q_order")})
-    sp.add_argument("--class", dest="cls", required=True)
+             **{"--q-order": dict(type=_positive, default=4, dest="q_order")})
+    sp.add_argument("--class", dest="cls", required=True,
+                    choices=SYMPLECTIC_CLASSES)
     sp = add("symt", cmd_symt,
-             **{"--terms": dict(type=int, default=8)})
-    sp.add_argument("--class", dest="cls", required=True)
+             **{"--terms": dict(type=_positive, default=8)})
+    sp.add_argument("--class", dest="cls", required=True,
+                    choices=SYMPLECTIC_CLASSES)
     sp.add_argument("--rational", action="store_true")
     add("n4-decompose", cmd_n4_decompose,
-        **{"--n": dict(type=int, default=0),
-           "--q-order": dict(type=int, default=6, dest="q_order"),
+        **{"--n": dict(type=_nonnegative, default=0),
+           "--q-order": dict(type=_positive, default=6, dest="q_order"),
            "--sector": dict(choices=("NS", "R"), default="NS")})
     add("genus-decompose", cmd_genus_decompose,
-        **{"--q-order": dict(type=int, default=5, dest="q_order")})
+        **{"--q-order": dict(type=_positive, default=5, dest="q_order")})
     add("lattice-check", cmd_lattice_check)
     add("m23-table", cmd_m23_table,
-        **{"--t-order": dict(type=int, default=21, dest="t_order")})
+        **{"--t-order": dict(type=_positive, default=21, dest="t_order")})
     sp = add("moonshine-verify", cmd_moonshine_verify,
-             **{"--q-order": dict(type=int, default=5, dest="q_order")})
-    sp.add_argument("--class", dest="cls", required=True)
+             **{"--q-order": dict(type=_positive, default=5, dest="q_order")})
+    sp.add_argument("--class", dest="cls", required=True,
+                    choices=SYMPLECTIC_CLASSES)
     add("audit-integrality", cmd_audit_integrality,
-        **{"--t-order": dict(type=int, default=6, dest="t_order")})
+        **{"--t-order": dict(type=_positive, default=6, dest="t_order")})
     add("verify-all", cmd_verify_all,
-        **{"--q-order": dict(type=int, default=6, dest="q_order"),
-           "--t-order": dict(type=int, default=21, dest="t_order")})
+        **{"--q-order": dict(type=_positive, default=6, dest="q_order"),
+           "--t-order": dict(type=_positive, default=21, dest="t_order")})
     return p
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .series import TruncatedSeries, binomial_factor
 from .modforms import weak_jacobi_phi, eta_power
@@ -170,14 +171,22 @@ def k_layer_trace(n: int, label: str) -> Fraction:
 
 
 def sigma_coefficients(nmax: int = 5) -> list:
-    """Graded dimensions A_0..A_nmax of the moonshine module."""
+    """Graded dimensions A_0..A_nmax of the moonshine module.
+
+    Memoized per process on ``nmax``; every call returns a fresh list.
+    """
+    return list(_sigma_coefficients(nmax))
+
+
+@lru_cache(maxsize=None)
+def _sigma_coefficients(nmax: int) -> tuple:
     genus = elliptic_genus((2 * nmax + 4) * 24)
     dec = genus_A_coefficients(nmax, genus)
     for n in range(1, min(nmax, 5) + 1):
         if dec.A[n] != _K_DIMS[n]:
             raise ArithmeticError(
                 f"graded dimension A_{n} = {dec.A[n]} != {_K_DIMS[n]}")
-    return dec.A
+    return tuple(dec.A)
 
 
 # -- assembling f_g ---------------------------------------------------------------

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .series import (
     NotInSpanError, TruncatedSeries, binomial_factor, geometric_factor,
@@ -133,6 +134,7 @@ def g_series(N: int, trunc24: int) -> TruncatedSeries:
     return (pref * g_sum(N, trunc24 + 3)).truncate(trunc24)
 
 
+@lru_cache(maxsize=None)
 def h_series(N: int, trunc24: int) -> TruncatedSeries:
     """The Fourier coefficient h_N(q), a pure q-series.
 
@@ -140,6 +142,7 @@ def h_series(N: int, trunc24: int) -> TruncatedSeries:
     (-1)^(r+s+1) q^(r|m| + s|M-m| + (sgn(m) r + sgn(m-M) s)^2/2 - M/2)
     with M = N - 1, divided by eta^3.  The enumeration window doubles as a
     self-check: widening it must not change any kept coefficient.
+    Memoized per process on the exact arguments (the series is read-only).
     """
     M = N - 1
     body = _h_triple_sum(M, trunc24 + 3)
@@ -147,44 +150,36 @@ def h_series(N: int, trunc24: int) -> TruncatedSeries:
 
 
 def _h_triple_sum(M: int, trunc24: int) -> TruncatedSeries:
-    # Exponent E = r|m| + s|M-m| + (sgn(m) r + sgn(m-M) s)^2/2 - M/2 with
-    # the cross term >= 0, so r|m| + s|M-m| - M/2 < bound prunes all loops.
-    terms: dict = {}
-    bound = Fraction(trunc24, 24)
-    half_M = Fraction(M, 2)
-    width = int(2 * (bound + Fraction(abs(M), 2))) + 4
+    # On the doubled odd indices m2 = 2m, rr = 2r, ss = 2s the exponent is
+    # 24 E = 6 rr |m2| + 6 ss |2M - m2| + 3 (sg rr + tg ss)^2 - 12 M, an
+    # integer by construction, so every term lies on the (1/24) grid.  The
+    # cross term is >= 0, so 6 rr |m2| + 6 ss |2M - m2| - 12 M < trunc24
+    # prunes all loops.
+    acc: dict = {}
+    width = trunc24 // 12 + abs(M) + 4
     m2_lo = 2 * min(0, M) - width
     if m2_lo % 2 == 0:
         m2_lo -= 1
     m2_hi = 2 * max(0, M) + width
     for m2 in range(m2_lo, m2_hi + 1, 2):
-        m = Fraction(m2, 2)
-        am, bm = abs(m), abs(M - m)
-        if (am + bm) / 2 - half_M >= bound:
-            continue
-        sg = 1 if m > 0 else -1
-        tg = 1 if m > M else -1
+        am, bm = 6 * abs(m2), 6 * abs(2 * M - m2)
+        sg = 1 if m2 > 0 else -1
+        tg = 1 if m2 > 2 * M else -1
         rr = 1
-        while Fraction(rr, 2) * am + bm / 2 - half_M < bound:
-            r = Fraction(rr, 2)
+        while rr * am + bm - 12 * M < trunc24:
+            base = rr * am - 12 * M
             ss = 1
-            while r * am + Fraction(ss, 2) * bm - half_M < bound:
-                s = Fraction(ss, 2)
-                expo = r * am + s * bm + (sg * r + tg * s) ** 2 / 2 - half_M
-                if expo < bound:
-                    q24 = 24 * expo
-                    if q24.denominator != 1:
-                        raise ArithmeticError("exponent off the (1/24) grid")
-                    rs = (rr + ss) // 2
-                    sign = 1 if rs % 2 else -1
-                    key = (int(q24), 0, 0)
-                    acc = terms.get(key, Fraction(0)) + sign
-                    if acc:
-                        terms[key] = acc
+            while base + ss * bm < trunc24:
+                q24 = base + ss * bm + 3 * (sg * rr + tg * ss) ** 2
+                if q24 < trunc24:
+                    c = acc.get(q24, 0) + (1 if (rr + ss) // 2 % 2 else -1)
+                    if c:
+                        acc[q24] = c
                     else:
-                        terms.pop(key, None)
+                        del acc[q24]
                 ss += 2
             rr += 2
+    terms = {(q24, 0, 0): Fraction(c) for q24, c in acc.items()}
     return TruncatedSeries(terms, trunc24, _clean=True)
 
 
@@ -292,6 +287,13 @@ class N4Multiplicities:
         return [self.multiplicity(Fraction(1, 4) + k) for k in columns]
 
 
+@lru_cache(maxsize=None)
+def _theta_and_polar_quotient(t: int) -> tuple:
+    """theta3 and polar_part / theta3 at t + 12, per input truncation t."""
+    theta = jacobi_theta(3, t + 12)
+    return theta, polar_part(t + 12).divide_exact(theta)
+
+
 def decompose_into_n4(s: TruncatedSeries, sector: str = "NS") -> N4Multiplicities:
     """Solve s = a * atypical + sum_h mult(h) ch_h, exactly to truncation.
 
@@ -306,10 +308,9 @@ def decompose_into_n4(s: TruncatedSeries, sector: str = "NS") -> N4Multiplicitie
     if sector != "NS":
         raise ValueError("sector must be 'NS' or 'R'")
     t = s.trunc24
-    theta = jacobi_theta(3, t + 12)
+    theta, p_over_theta = _theta_and_polar_quotient(t)
     u = (s * eta_power(3, t + 12)).divide_exact(theta)
     h_full = u.divide_exact(theta)
-    p_over_theta = polar_part(t + 12).divide_exact(theta)
     a = None
     for (q24, y2, z), c in sorted(h_full.terms.items()):
         if y2 or z:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
+from types import MappingProxyType
 
 from .cyclotomic import CyclotomicNumber, DomainError
 
@@ -45,14 +46,21 @@ class NotInSpanError(ArithmeticError):
 
 
 class TruncatedSeries:
+    """Exact coefficients up to a truncation order ``trunc24``.
+
+    ``terms`` maps (q24, y2, z) to a nonzero coefficient.  It is a
+    read-only view, so a series can be shared (memoized builders hand the
+    same series to every caller) without aliasing bugs.  With ``_clean``
+    the caller hands over a dict it built for this series and no longer
+    touches.
+    """
+
     __slots__ = ("terms", "trunc24")
 
     def __init__(self, terms: dict, trunc24: int, *, _clean: bool = False):
-        if _clean:
-            self.terms = terms
-        else:
-            self.terms = {k: v for k, v in terms.items()
-                          if k[0] < trunc24 and v}
+        if not _clean:
+            terms = {k: v for k, v in terms.items() if k[0] < trunc24 and v}
+        self.terms = MappingProxyType(terms)
         self.trunc24 = trunc24
 
     # -- constructors -------------------------------------------------------

@@ -47,6 +47,33 @@ def test_unknown_subcommand_usage_error():
     assert status == 2
 
 
+BAD_INPUT = [
+    (["ellgenus", "--q-order", "0"], "--q-order"),
+    (["equivariant", "--class", "2A", "--q-order", "0"], "--q-order"),
+    (["equivariant", "--class", "9Z"], "--class"),
+    (["symt", "--class", "2A", "--terms", "0"], "--terms"),
+    (["symt", "--class", "11A"], "--class"),
+    (["n4-decompose", "--q-order", "0"], "--q-order"),
+    (["n4-decompose", "--n", "-4", "--q-order", "2"], "--n"),
+    (["genus-decompose", "--q-order", "-1"], "--q-order"),
+    (["m23-table", "--t-order", "-1"], "--t-order"),
+    (["moonshine-verify", "--class", "3A", "--q-order", "0"], "--q-order"),
+    (["moonshine-verify", "--class", "4A-M24"], "--class"),
+    (["audit-integrality", "--t-order", "0"], "--t-order"),
+    (["verify-all", "--q-order", "0"], "--q-order"),
+    (["verify-all", "--t-order", "0"], "--t-order"),
+]
+
+
+@pytest.mark.parametrize("argv,flag", BAD_INPUT,
+                         ids=[" ".join(argv) for argv, _ in BAD_INPUT])
+def test_bad_input_is_usage_error(argv, flag, capsys):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"error: argument {flag}:" in err
+
+
 def test_genus_decompose():
     status, out = run(["genus-decompose", "--q-order", "3"])
     assert status == 0

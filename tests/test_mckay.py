@@ -27,6 +27,13 @@ def test_sigma_prefix():
     assert sigma_coefficients(5) == [-2, 90, 462, 1540, 4554, 11592]
 
 
+def test_sigma_coefficients_returns_a_fresh_list():
+    first = sigma_coefficients(5)
+    first[0] = 99
+    first.append(0)
+    assert sigma_coefficients(5) == [-2, 90, 462, 1540, 4554, 11592]
+
+
 def test_k_layer_traces_at_identity():
     assert k_layer_trace(1, "1A") == 90
     assert k_layer_trace(4, "1A") == 4554

@@ -115,6 +115,71 @@ def test_h_truncation_stability():
         assert a == b, n
 
 
+def _h_triple_sum_fraction(M, trunc24):
+    """The triple sum of h_N on Fraction indices: the oracle for the
+    integer-index route in n4char."""
+    terms = {}
+    bound = Fraction(trunc24, 24)
+    half_M = Fraction(M, 2)
+    width = int(2 * (bound + Fraction(abs(M), 2))) + 4
+    m2_lo = 2 * min(0, M) - width
+    if m2_lo % 2 == 0:
+        m2_lo -= 1
+    m2_hi = 2 * max(0, M) + width
+    for m2 in range(m2_lo, m2_hi + 1, 2):
+        m = Fraction(m2, 2)
+        am, bm = abs(m), abs(M - m)
+        if (am + bm) / 2 - half_M >= bound:
+            continue
+        sg = 1 if m > 0 else -1
+        tg = 1 if m > M else -1
+        rr = 1
+        while Fraction(rr, 2) * am + bm / 2 - half_M < bound:
+            r = Fraction(rr, 2)
+            ss = 1
+            while r * am + Fraction(ss, 2) * bm - half_M < bound:
+                s = Fraction(ss, 2)
+                expo = r * am + s * bm + (sg * r + tg * s) ** 2 / 2 - half_M
+                if expo < bound:
+                    q24 = 24 * expo
+                    assert q24.denominator == 1
+                    rs = (rr + ss) // 2
+                    sign = 1 if rs % 2 else -1
+                    key = (int(q24), 0, 0)
+                    acc = terms.get(key, Fraction(0)) + sign
+                    if acc:
+                        terms[key] = acc
+                    else:
+                        terms.pop(key, None)
+                ss += 2
+            rr += 2
+    return TruncatedSeries(terms, trunc24, _clean=True)
+
+
+@pytest.mark.parametrize("trunc24", [3 * 24 + 3, 13 * 24 + 9, 31 * 24 + 9])
+def test_h_triple_sum_matches_fraction_oracle(trunc24):
+    from k3moonshine.n4char import _h_triple_sum
+    for M in range(-1, 27):
+        got = _h_triple_sum(M, trunc24)
+        want = _h_triple_sum_fraction(M, trunc24)
+        assert got.trunc24 == want.trunc24
+        # same terms in the same order, so every downstream product
+        # iterates them alike
+        assert list(got.terms.items()) == list(want.terms.items()), M
+        assert all(type(c) is Fraction for c in got.terms.values())
+
+
+def test_h_series_is_memoized_and_read_only():
+    first = h_series(2, T3)
+    hits = h_series.cache_info().hits
+    assert h_series(2, T3) is first
+    assert h_series.cache_info().hits == hits + 1
+    with pytest.raises(TypeError):
+        first.terms[(0, 0, 0)] = Fraction(1)
+    with pytest.raises(TypeError):
+        del first.terms[first.q_support()[0], 0, 0]
+
+
 def test_atypical_relation():
     # ch_(1/4) = 2 ch_(1/4,0) + ch_(1/4,1) with nonnegative leading term
     t = T3

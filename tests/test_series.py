@@ -158,6 +158,19 @@ def test_equality_up_to_min_truncation():
     assert a != c
 
 
+def test_terms_are_read_only():
+    source = {(0, 0, 0): Fraction(1), (24, 2, 0): Fraction(3)}
+    s = T(source, 2 * 24)
+    source[(0, 0, 0)] = Fraction(5)        # the series copied its input
+    assert s.coeff(0) == 1
+    for series in (s, s * s, s.truncate(24), -s):
+        with pytest.raises(TypeError):
+            series.terms[(0, 0, 0)] = Fraction(2)
+        with pytest.raises(TypeError):
+            del series.terms[(0, 0, 0)]
+    assert len(s.terms) == 2 and s.terms.get((24, 2, 0)) == 3
+
+
 # -- differential tests of the exact-division route ---------------------------
 
 DIVISION = settings(max_examples=60, deadline=None, derandomize=True,
