@@ -137,11 +137,16 @@ def check_3_elliptic_genus(q_order: int = 6, **_) -> tuple:
 
 
 def check_4_theorem_split(q_order: int = 6, **_) -> tuple:
+    from .mckay import f_from_traces
     for label in SYMPLECTIC_CLASSES[1:]:
         s = equivariant_elliptic_genus(label, q_order * 24)
-        a, _h = jacobi_split(s)
+        a, h = jacobi_split(s)
         if a != Fraction(fixed_point_count(label), 12):
             return False, f"{label}: a = {a}"
+        # cross-check: the split f_g against the module-layer traces
+        for n, c in enumerate(f_from_traces(label)):
+            if 24 * n < h.trunc24 and h.coeff(n) != c:
+                return False, f"{label}: split f_g and trace f_g differ at q^{n}"
     for label in SYMPLECTIC_CLASSES[1:]:
         lhs = equivariant_elliptic_genus(label, 4 * 24)
         rhs = weighted_equivariant_genus(label, 4 * 24)
@@ -178,41 +183,38 @@ def check_6_table3(**_) -> tuple:
 
 
 def check_7_genus_decomposition(**_) -> tuple:
-    genus = elliptic_genus(8 * 24)
-    dec = genus_A_coefficients(4, genus)
+    from .mckay import sigma_coefficients
+    dec = genus_A_coefficients(5, elliptic_genus(8 * 24))
     if dec.atypical != 24 or dec.A[0] != -2 or dec.A[1] != 90:
         return False, f"anchors: {dec.atypical}, {dec.A[:2]}"
-    report = symmetric_power_crosscheck(4, genus)
+    # cross-check: the module-layer dimensions behind f_from_traces
+    layers = sigma_coefficients()
+    if dec.A != layers:
+        return False, (f"A_n = {', '.join(map(str, dec.A))}, module layers "
+                       f"{', '.join(map(str, layers))}")
+    report = symmetric_power_crosscheck(dec)
     if not all(ok for (_, _, ok) in report.values()):
         return False, f"bundle crosscheck {report}"
     return True, "24 / A_n anchors and Clebsch-Gordan crosscheck"
 
 
 def check_8_lattices(**_) -> tuple:
-    from .tables import (load_m23, load_m24, load_mukai, load_co0_restricted,
-                         SYMPLECTIC_M23_LABELS, SYMPLECTIC_M24_LABELS)
-    from .replattice import (restricted_lattice, mukai_lattice_N,
-                             sufficiency_scan)
-    from .lattice import IntegerLattice, snf_quotient
-    tables = [load_mukai(i) for i in range(1, 12)]
-    N, lattices = mukai_lattice_N(tables)
-    if str(snf_quotient(N, IntegerLattice.full(8))) != "2 x 4 x 24 x 40320":
+    from .tables import fixture_lattice_report
+    from .replattice import sufficiency_scan
+    rep = fixture_lattice_report()
+    if str(rep.M_over_N) != "2 x 4 x 24 x 40320":
         return False, "M/N"
-    for i, lat in enumerate(lattices):
-        if str(snf_quotient(N, lat)) != NI_OVER_N[i]:
+    for i, quotient in enumerate(rep.Ni_over_N):
+        if str(quotient) != NI_OVER_N[i]:
             return False, f"N_{i+1}/N"
-    K = restricted_lattice(load_m24(), SYMPLECTIC_M24_LABELS)
-    if K != N:
+    if not rep.K_equals_N:
         return False, "K != N"
-    Kp = restricted_lattice(load_m23(), SYMPLECTIC_M23_LABELS)
-    if Kp != N:
+    if not rep.Kp_equals_N:
         return False, "K' != N"
-    four, triples = sufficiency_scan(lattices, N)
+    four, triples = sufficiency_scan(list(rep.N_i), rep.N)
     if not all(four.values()) or triples:
         return False, "sufficiency scan"
-    co0 = load_co0_restricted()
-    Kdp = restricted_lattice(co0, [c.label for c in co0.classes])
-    idx = Kdp.index_in(N)
+    idx = rep.Kdp_index_in_N
     if idx != 2:
         return False, (f"[N : K''] = {idx}, not 2: the restricted "
                        "lambda-ring of the 24-dim representation already "

@@ -2,7 +2,8 @@
 
 Deterministic, exact output: every rational is serialized as "a/b" (or a
 bare integer), never as a float.  Exit codes: 0 success, 1 verification
-mismatch, 2 usage error, 3 data error.
+mismatch, 2 usage error, 3 data error, 4 internal error (the traceback goes
+to stderr and nothing to stdout).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_DATA = 3
+EXIT_INTERNAL = 4
 
 
 def _fmt(x) -> str:
@@ -143,13 +145,9 @@ def cmd_genus_decompose(args):
 
 
 def cmd_lattice_check(args):
-    from .tables import (load_m23, load_m24, load_mukai, load_co0_restricted,
-                         SYMPLECTIC_M23_LABELS, SYMPLECTIC_M24_LABELS)
-    from .replattice import build_lattice_report, sufficiency_scan
-    tables = [load_mukai(i) for i in range(1, 12)]
-    rep = build_lattice_report(tables, load_m24(), load_m23(),
-                               load_co0_restricted(),
-                               SYMPLECTIC_M24_LABELS, SYMPLECTIC_M23_LABELS)
+    from .tables import fixture_lattice_report
+    from .replattice import sufficiency_scan
+    rep = fixture_lattice_report()
     rows = [[f"N_{i+1}/N", str(q)] for i, q in enumerate(rep.Ni_over_N)]
     four, triples = sufficiency_scan(list(rep.N_i), rep.N)
     ok = (rep.K_equals_N and rep.Kp_equals_N
@@ -308,9 +306,12 @@ def main(argv=None) -> int:
     except (FileNotFoundError, TableFormatError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except KeyError as exc:
-        print(f"usage error: unknown key {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except Exception:
+        # a crash must not read as a verification mismatch; traceback is
+        # imported here so that it adds nothing to the CLI's start-up
+        import traceback
+        traceback.print_exc(file=sys.stderr)
+        return EXIT_INTERNAL
     finally:
         # --data-dir applies to this command only
         if saved_data_dir is None:

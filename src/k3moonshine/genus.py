@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 from .cyclotomic import CyclotomicNumber, zeta
@@ -180,8 +181,12 @@ def _fixed_point_term(n: int, a: int, trunc24: int) -> TruncatedSeries:
     return s
 
 
+@lru_cache(maxsize=None)
 def equivariant_elliptic_genus(label: str, trunc24: int) -> TruncatedSeries:
-    """chi_{-y}(g; q, LX) from the fixed-point formula over Table-1 data."""
+    """chi_{-y}(g; q, LX) from the fixed-point formula over Table-1 data.
+
+    Memoized per process on the exact arguments (the series is read-only).
+    """
     n = CLASS_ORDER[label]
     if n == 1:
         return elliptic_genus(trunc24)

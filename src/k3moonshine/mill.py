@@ -178,8 +178,7 @@ def _mul(f, g):
     return tuple(a * b for a, b in zip(f, g))
 
 
-def mill_rational_table(name: str, max_exterior: int = 12,
-                        max_rounds: int = 8):
+def mill_rational_table(name: str):
     """All Galois-orbit-summed irreducible characters of M23 or M24.
 
     Returns (data, rows) with rows a list of (values, norm) sorted by
@@ -210,8 +209,10 @@ def mill_rational_table(name: str, max_exterior: int = 12,
         found.append(tuple(int(x) for x in r))
         norms.append(Fraction(nrm))
 
-    pool = list(_exterior_powers(data, perm, max_exterior)[1:])
-    for _ in range(max_rounds):
+    # the pool: exterior powers 1..12 of the permutation character;
+    # at most 8 rounds of absorbing remainders
+    pool = list(_exterior_powers(data, perm, 12)[1:])
+    for _ in range(8):
         if _complete(data, found, norms):
             break
         # phase 1: absorb every norm-1 remainder reachable from the pool
@@ -324,7 +325,7 @@ def _gram_schmidt(data, basis):
     return star, mu, B
 
 
-def _lll(data, basis, delta=Fraction(3, 4)):
+def _lll(data, basis):
     basis = [list(b) for b in basis]
     n = len(basis)
     if n <= 1:
@@ -339,7 +340,7 @@ def _lll(data, basis, delta=Fraction(3, 4)):
             if q:
                 basis[k] = [a - q * b for a, b in zip(basis[k], basis[j])]
         star, mu, B = _gram_schmidt(data, basis)
-        if B[k] >= (delta - mu[k][k - 1] ** 2) * B[k - 1]:
+        if B[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * B[k - 1]:
             k += 1
         else:
             basis[k], basis[k - 1] = basis[k - 1], basis[k]
@@ -347,8 +348,8 @@ def _lll(data, basis, delta=Fraction(3, 4)):
     return basis
 
 
-def _short_vectors(data, basis, norm_bound=2):
-    """All lattice vectors of norm <= norm_bound (up to sign), Fincke-Pohst."""
+def _short_vectors(data, basis):
+    """All lattice vectors of norm <= 2 (up to sign), Fincke-Pohst."""
     n = len(basis)
     star, mu, B = _gram_schmidt(data, basis)
     out = []
@@ -384,7 +385,7 @@ def _short_vectors(data, basis, norm_bound=2):
             x += 1
         coeffs[i] = 0
 
-    rec(n - 1, Fraction(norm_bound))
+    rec(n - 1, Fraction(2))
     # deduplicate up to sign
     seen = set()
     uniq = []
@@ -396,13 +397,13 @@ def _short_vectors(data, basis, norm_bound=2):
     return uniq
 
 
-def _lattice_reduce(data, vecs, max_iter=400):
+def _lattice_reduce(data, vecs):
     """Short vectors (norm <= 2) of the lattice spanned by ``vecs``."""
     basis = _row_reduce_integer_basis(vecs)
     if not basis:
         return []
     reduced = _lll(data, basis)
-    return _short_vectors(data, reduced, norm_bound=2)
+    return _short_vectors(data, reduced)
 
 
 def _sweep_residues(data, residues, found, norms, pool=()) -> bool:
@@ -459,7 +460,7 @@ def _complete_by_complement(data, found, norms, pool):
     kern = integer_kernel(transposed)
     if not kern:
         return
-    short = _short_vectors(data, _lll(data, kern), norm_bound=2)
+    short = _short_vectors(data, _lll(data, kern))
     for target_norm in (1, 2):
         for v in short:
             if _inner(data, v, v) != target_norm:

@@ -17,7 +17,6 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
 
 from .cyclotomic import CyclotomicNumber, DomainError, zeta
 from .series import INF24, TruncatedSeries, binomial_factor
@@ -186,11 +185,3 @@ def _coeff_complex(c) -> complex:
         w = cmath.exp(2j * cmath.pi / c.n)
         return sum(float(x) * w ** k for k, x in enumerate(c.c))
     return complex(Fraction(c))
-
-
-def theta3_shift_invariance_window(trunc24: int):
-    """Envelope data for the index-1/2 elliptic shift y -> y q of theta3."""
-    def bound(q24: int) -> int:
-        return 2 * isqrt(max(q24, 0) // 12) + 2
-
-    return bound, max(48, trunc24 // 2)

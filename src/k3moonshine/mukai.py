@@ -250,7 +250,7 @@ def build_group(index: int):
     return _BUILDERS[index]()
 
 
-def mukai_table(index: int, validate_spectrum: bool = True) -> RationalTable:
+def mukai_table(index: int) -> RationalTable:
     """Rational character table of Mukai group no. ``index``, validated."""
     spec = MUKAI_GROUPS[index - 1]
     g = build_group(index)
@@ -258,9 +258,8 @@ def mukai_table(index: int, validate_spectrum: bool = True) -> RationalTable:
     if len(data.elements) != spec.order:
         raise RuntimeError(
             f"{spec.name}: order {len(data.elements)} != {spec.order}")
-    if validate_spectrum:
-        spectrum = tuple(sorted(set(data.orders)))
-        if spectrum != spec.element_orders:
-            raise RuntimeError(
-                f"{spec.name}: element orders {spectrum} != {spec.element_orders}")
+    spectrum = tuple(sorted(set(data.orders)))
+    if spectrum != spec.element_orders:
+        raise RuntimeError(
+            f"{spec.name}: element orders {spectrum} != {spec.element_orders}")
     return rational_character_table(g, data)

@@ -140,9 +140,8 @@ def h_series(N: int, trunc24: int) -> TruncatedSeries:
 
     Triple sum over m, r, s in Z + 1/2 with r, s > 0 of
     (-1)^(r+s+1) q^(r|m| + s|M-m| + (sgn(m) r + sgn(m-M) s)^2/2 - M/2)
-    with M = N - 1, divided by eta^3.  The enumeration window doubles as a
-    self-check: widening it must not change any kept coefficient.
-    Memoized per process on the exact arguments (the series is read-only).
+    with M = N - 1, divided by eta^3.  Memoized per process on the exact
+    arguments (the series is read-only).
     """
     M = N - 1
     body = _h_triple_sum(M, trunc24 + 3)
@@ -373,13 +372,10 @@ A_COEFFICIENT_BUNDLES = {
 }
 
 
-def symmetric_power_crosscheck(nmax: int, genus: TruncatedSeries) -> dict:
-    """Check A_n = -chi(X, bundle combination) for n <= nmax (max 4)."""
-    if nmax > 4:
-        raise ValueError("bundle combinations are tabulated for n <= 4 only")
-    dec = genus_A_coefficients(nmax, genus)
+def symmetric_power_crosscheck(dec: GenusDecomposition) -> dict:
+    """Check A_n = -chi(X, bundle combination) for the tabulated n <= 4."""
     report = {}
-    for n in range(nmax + 1):
+    for n in range(min(len(dec.A), len(A_COEFFICIENT_BUNDLES))):
         combo = A_COEFFICIENT_BUNDLES[n]
         expected = -sum(mult * chi_sym_power(k) for k, mult in combo.items())
         report[n] = (dec.A[n], Fraction(expected), dec.A[n] == expected)

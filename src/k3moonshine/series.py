@@ -273,28 +273,26 @@ class TruncatedSeries:
     # -- substitutions ----------------------------------------------------------
 
     def substitute_q_shift(self, s24_per_y2: int, extra_q24: int = 0,
-                           extra_y2: int = 0, *, y2_bound=None,
-                           settle24: int = 0,
+                           extra_y2: int = 0, *,
                            min_trunc24=None) -> "TruncatedSeries":
         """Map each term y^m q^e -> y^(m + extra/2) q^(e + s*m + extra_q).
 
         ``s24_per_y2`` is the q-shift (in 24th units) per unit of the
         doubled y-grading, so y -> y q^(1/2) is s24_per_y2=6 with
         extra_q24=6, extra_y2=2.  The guaranteed truncation of the result
-        is computed from ``y2_bound``: a callable q24 -> max |y2| valid
-        for ALL terms of the mathematical series (defaults to the linear
-        envelope 4 + (q24-min)/12, the index<=2 theta envelope), together
-        with ``settle24``, a point beyond which the shifted exponent is
-        nondecreasing in q24.
+        assumes that every term of the mathematical series obeys the linear
+        envelope |y2| <= 4 + (q24 - min)/24 (in 24th units of q from the
+        lowest stored order; this covers the index <= 2 theta series), so
+        past the truncation the shifted exponent is nondecreasing in q24.
         """
         if self.is_zero():
             return TruncatedSeries.zero(
                 self.trunc24 if self.trunc24 >= INF24 else self.trunc24 + extra_q24)
         m0 = self.min_q24
-        if y2_bound is None:
-            def y2_bound(q24, _m0=m0):
-                return 4 + max(0, q24 - _m0) // 24
-            settle24 = m0
+
+        def y2_bound(q24):
+            return 4 + max(0, q24 - m0) // 24
+
         if self.trunc24 < INF24:
             # stored terms must respect the envelope, otherwise the tail
             # extrapolation would be unsound
@@ -307,7 +305,7 @@ class TruncatedSeries:
             trunc = INF24
         else:
             lo = self.trunc24
-            hi = max(lo, settle24) + 1
+            hi = max(lo, m0) + 1
             trunc = min(q24 - abs(s24_per_y2) * y2_bound(q24) + extra_q24
                         for q24 in range(lo, hi + 1))
         if min_trunc24 is not None and trunc < min_trunc24:

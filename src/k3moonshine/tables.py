@@ -23,8 +23,8 @@ from .lattice import hnf_basis
 
 __all__ = [
     "data_dir", "load_m23", "load_m24", "load_mukai", "load_co0_restricted",
-    "validate_co0_restricted", "generate_all", "SYMPLECTIC_M24_LABELS",
-    "SYMPLECTIC_M23_LABELS", "CO0_ORDER",
+    "validate_co0_restricted", "fixture_lattice_report", "generate_all",
+    "SYMPLECTIC_M24_LABELS", "SYMPLECTIC_M23_LABELS", "CO0_ORDER",
 ]
 
 SYMPLECTIC_M24_LABELS = ("1A", "2A", "3A", "4B", "5A", "6A", "7AB", "8A")
@@ -104,13 +104,13 @@ def leech_power_traces() -> dict:
     return out
 
 
-def co0_restricted_rows(max_exterior: int = 24) -> list:
+def co0_restricted_rows() -> list:
     """Restrictions of exterior powers of the Leech representation (and
     their pointwise products) at the eight symplectic classes."""
     traces = leech_power_traces()
     k = len(CO0_CLASS_LABELS)
     lams = [[1] * k]
-    for deg in range(1, max_exterior + 1):
+    for deg in range(1, 25):     # Lambda^1..Lambda^24 of the 24-dim rep
         row = []
         for i, lab in enumerate(CO0_CLASS_LABELS):
             chain = traces[lab]
@@ -286,3 +286,15 @@ def load_mukai(index: int) -> CharacterTable:
 def load_co0_restricted() -> CharacterTable:
     return validate_co0_restricted(
         _load("co0_restricted.tbl", validate=False))
+
+
+def fixture_lattice_report():
+    """``replattice.build_lattice_report`` over the committed fixtures.
+
+    The one route to the lattice suite for ``lattice-check`` and acceptance
+    criterion 8.
+    """
+    from .replattice import build_lattice_report
+    return build_lattice_report(
+        [load_mukai(i) for i in range(1, 12)], load_m24(), load_m23(),
+        load_co0_restricted(), SYMPLECTIC_M24_LABELS, SYMPLECTIC_M23_LABELS)

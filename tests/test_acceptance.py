@@ -54,6 +54,29 @@ def test_criterion_7_genus_decomposition():
     _check(acc.check_7_genus_decomposition)
 
 
+def test_criterion_4_catches_a_wrong_trace_coefficient(monkeypatch):
+    from k3moonshine import mckay
+    traces = mckay.f_from_traces
+
+    def perturbed(label):
+        out = traces(label)
+        if label == "5A":
+            out[3] += 1
+        return out
+
+    monkeypatch.setattr(mckay, "f_from_traces", perturbed)
+    assert acc.check_4_theorem_split(q_order=6) == (
+        False, "5A: split f_g and trace f_g differ at q^3")
+
+
+def test_criterion_7_catches_a_wrong_module_layer(monkeypatch):
+    from k3moonshine import mckay
+    monkeypatch.setitem(mckay._K_LAYERS, 5, (5795, 2))
+    assert acc.check_7_genus_decomposition() == (
+        False, "A_n = -2, 90, 462, 1540, 4554, 11592, "
+        "module layers -2, 90, 462, 1540, 4554, 11590")
+
+
 def test_criterion_8_lattice_suite_without_conway_index():
     from k3moonshine.tables import (load_m23, load_m24, load_mukai,
                                     SYMPLECTIC_M23_LABELS,

@@ -114,6 +114,33 @@ def test_moonshine_verify():
     assert "True" in out
 
 
+def test_moonshine_verify_reports_a_split_trace_disagreement(monkeypatch):
+    # f_g from traces that disagree with the fixed-point split: a mismatch
+    # (exit 1), not a crash
+    from k3moonshine import mckay
+    traces = mckay.f_from_traces
+    monkeypatch.setattr(mckay, "f_from_traces",
+                        lambda label: [2 * c for c in traces(label)])
+    status, out = run(["moonshine-verify", "--class", "3A", "--q-order", "4"])
+    assert status == 1
+    assert "agree: False" in out
+
+
+@pytest.mark.parametrize("exc", [KeyError("2A"), RuntimeError("boom")],
+                         ids=["KeyError", "RuntimeError"])
+def test_internal_error_exit_code(exc, monkeypatch, capsys):
+    from k3moonshine import cli
+
+    def crash(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_ellgenus", crash)
+    assert main(["ellgenus", "--q-order", "1"]) == cli.EXIT_INTERNAL == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "Traceback" in err and type(exc).__name__ in err
+
+
 def test_csv_format():
     status, out = run(["--format", "csv", "symt", "--class", "3A",
                        "--terms", "4"])

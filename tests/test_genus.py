@@ -105,6 +105,13 @@ def test_equivariant_euler_equals_fixed_point_count():
         assert e.coeff(1) == 0 and e.coeff(2) == 0
 
 
+def test_equivariant_genus_is_memoized():
+    first = equivariant_elliptic_genus("3A", 2 * 24)
+    hits = equivariant_elliptic_genus.cache_info().hits
+    assert equivariant_elliptic_genus("3A", 2 * 24) is first
+    assert equivariant_elliptic_genus.cache_info().hits == hits + 1
+
+
 def test_weighted_form_matches_fixed_point_formula():
     for label in ("2A", "5A", "7AB", "8A"):
         a = equivariant_elliptic_genus(label, 3 * 24)
@@ -159,5 +166,6 @@ def test_corrupted_fixed_point_data_detected(monkeypatch):
     broken = dict(genus_mod.FIXED_POINT_EIGENVALUES)
     broken[5] = ((1, 2), (2, 1))   # drops one eigenvalue pair: sum stays
     monkeypatch.setattr(genus_mod, "FIXED_POINT_EIGENVALUES", broken)
+    genus_mod.equivariant_elliptic_genus.cache_clear()
     with pytest.raises(ArithmeticError):
         genus_mod.equivariant_elliptic_genus("5A", 2 * 24)

@@ -1,3 +1,4 @@
+import os
 from fractions import Fraction
 
 import pytest
@@ -24,14 +25,14 @@ def test_euler_values():
 
 
 def test_sigma_prefix():
-    assert sigma_coefficients(5) == [-2, 90, 462, 1540, 4554, 11592]
+    assert sigma_coefficients() == [-2, 90, 462, 1540, 4554, 11592]
 
 
 def test_sigma_coefficients_returns_a_fresh_list():
-    first = sigma_coefficients(5)
+    first = sigma_coefficients()
     first[0] = 99
     first.append(0)
-    assert sigma_coefficients(5) == [-2, 90, 462, 1540, 4554, 11592]
+    assert sigma_coefficients() == [-2, 90, 462, 1540, 4554, 11592]
 
 
 def test_k_layer_traces_at_identity():
@@ -118,6 +119,15 @@ def test_fg_file_roundtrip(tmp_path):
     assert recs["2A"].source == "fixed-point-split"
     assert recs["23AB"].source == "trace-fit"
     assert recs["23AB"].level == CLASS_LEVEL["23AB"]
+
+
+def test_fg_file_reproduces_the_shipped_file(tmp_path):
+    import k3moonshine
+    shipped = os.path.join(os.path.dirname(k3moonshine.__file__), "data",
+                           "fg_series.txt")
+    path = write_fg_file(tmp_path / "fg_series.txt")
+    with open(path, "rb") as got, open(shipped, "rb") as want:
+        assert got.read() == want.read()
 
 
 def test_shipped_fg_file_loads():

@@ -8,7 +8,7 @@ from k3moonshine.cyclotomic import DomainError, zeta
 from k3moonshine.series import TruncatedSeries, binomial_factor, geometric_factor
 from k3moonshine.modforms import (
     ComplexApprox, dedekind_eta, eta_power, euler_specialization, jacobi_theta,
-    numeric_eval, phi_function, theta3_shift_invariance_window, theta_null,
+    numeric_eval, phi_function, theta_null,
     weak_jacobi_phi,
 )
 
@@ -104,8 +104,7 @@ def test_theta3_elliptic_shift_invariance():
     # y -> y q combined with multiplication by y q^(1/2) fixes theta3
     t = 40 * 24
     th3 = jacobi_theta(3, t)
-    bound, settle = theta3_shift_invariance_window(t)
-    shifted = th3.substitute_q_shift(12, 12, 2, y2_bound=bound, settle24=settle)
+    shifted = th3.substitute_q_shift(12, 12, 2)
     assert shifted.trunc24 >= 8 * 24
     assert shifted == th3.truncate(shifted.trunc24)
 

@@ -255,7 +255,7 @@ def test_genus_decomposition_anchors():
 
 def test_symmetric_power_crosscheck():
     genus = elliptic_genus(7 * 24)
-    report = symmetric_power_crosscheck(4, genus)
+    report = symmetric_power_crosscheck(genus_A_coefficients(4, genus))
     assert all(ok for (_, _, ok) in report.values())
 
 
