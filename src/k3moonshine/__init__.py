@@ -22,6 +22,7 @@ from .genus import (
 from .n4char import (
     ch_vn_closed, ch_vn_extract, decompose_into_n4, g_series,
     genus_A_coefficients, h_series, polar_part, twining_to_symtraces,
+    twining_truncation,
 )
 from .chartab import CharacterTable
 
@@ -40,6 +41,6 @@ __all__ = [
     "verify_moonshine_class",
     "ch_vn_closed", "ch_vn_extract", "decompose_into_n4", "g_series",
     "genus_A_coefficients", "h_series", "polar_part", "twining_to_symtraces",
-    "CharacterTable",
+    "twining_truncation", "CharacterTable",
     "__version__",
 ]

@@ -3,7 +3,7 @@
 Deterministic, exact output: every rational is serialized as "a/b" (or a
 bare integer), never as a float.  Exit codes: 0 success, 1 verification
 mismatch, 2 usage error, 3 data error, 4 internal error (the traceback goes
-to stderr and nothing to stdout).
+to stderr, and nothing to stdout but the criterion lines of verify-all).
 """
 
 from __future__ import annotations
@@ -202,15 +202,12 @@ def cmd_moonshine_verify(args):
 
 def cmd_audit_integrality(args):
     from .mckay import twining_genus
-    from .n4char import twining_to_symtraces, ramond_basis_character
+    from .n4char import twining_to_symtraces, twining_truncation
     from .replattice import first_nonintegral
-    t = (args.t_order + 2) * 24
-    basis = [ramond_basis_character(n, t + 48) for n in range(args.t_order + 2)]
-    horizon = min(b.trunc24 for b in basis) - 24
+    t = twining_truncation(args.t_order)
     rows = []
     for label in ("11A", "14AB", "15AB", "23AB"):
-        tw = twining_genus(label, horizon)
-        cs = twining_to_symtraces(tw, args.t_order, basis=basis)
+        cs = twining_to_symtraces(twining_genus(label, t), args.t_order)
         hit = first_nonintegral(cs)
         rows.append([label,
                      "none" if hit is None else f"t^{hit[0]}",

@@ -7,6 +7,11 @@ computes the Fourier parts h_N and the polar part of g_1, decomposes
 characters into typical/atypical N=4 pieces, and inverts the elliptic-genus
 decomposition to recover symmetric-power traces from twining genera.
 
+The inverse problem has one route, in N=4 multiplicity space: the twining
+is decomposed once, and the traces solve a triangular system against the
+closed-form multiplicities of ch_{V_N} (Table 3's rows).  The Ramond
+characters ch_{M_N} are built only as a reconstruction oracle for tests.
+
 Sector bookkeeping: NS characters carry q-exponents in -1/4 + (1/2)Z; the
 flow ch_M(y;q) = q^(1/4) y ch_V(y q^(1/2); q) maps them to the Ramond
 sector.  The elliptic genus pairs with the *signed* flow (fermion-number
@@ -21,8 +26,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .series import (
-    NotInSpanError, TruncatedSeries, binomial_factor, geometric_factor,
-    prune_z_window,
+    InsufficientPrecisionError, NotInSpanError, TruncatedSeries,
+    binomial_factor, geometric_factor, prune_z_window,
 )
 from .modforms import eta_power, jacobi_theta
 from .genus import chi_sym_power
@@ -43,10 +48,12 @@ __all__ = [
     "genus_A_coefficients",
     "symmetric_power_crosscheck",
     "ramond_basis_character",
+    "twining_truncation",
     "twining_to_symtraces",
 ]
 
 _ONE = Fraction(1)
+_ZERO = Fraction(0)
 
 
 # -- the free-field character and isotypic extraction ------------------------
@@ -246,13 +253,18 @@ def _atypical_coefficient(N: int) -> int:
     return {0: -2, 1: 1}.get(N, 0)
 
 
+def _typical_combo(N: int, trunc24: int) -> TruncatedSeries:
+    """h_N - 2 h_(N+1) + 2 h_(N+3) - h_(N+4): the typical multiplicities of
+    ch_{V_N}, the one at weight h on q^(h - 3/8)."""
+    return (h_series(N, trunc24) - h_series(N + 1, trunc24) * 2
+            + h_series(N + 3, trunc24) * 2 - h_series(N + 4, trunc24))
+
+
 def ch_vn_h_form(N: int, trunc24: int) -> TruncatedSeries:
     """ch_{V_N} assembled from the Fourier parts h_N and the polar part."""
     t = trunc24 + 6
     typ = jacobi_theta(3, t) ** 2 * eta_power(-3, t)
-    combo = (h_series(N, t) - h_series(N + 1, t) * 2
-             + h_series(N + 3, t) * 2 - h_series(N + 4, t))
-    out = (typ * combo).truncate(trunc24)
+    out = (typ * _typical_combo(N, t)).truncate(trunc24)
     a = _atypical_coefficient(N)
     if a:
         out = out + atypical_ns(trunc24) * a
@@ -276,10 +288,9 @@ class N4Multiplicities:
     def multiplicity(self, h) -> Fraction:
         h = Fraction(h)
         if 24 * (h - Fraction(3, 8)) >= self.horizon24:
-            from .series import InsufficientPrecisionError
             raise InsufficientPrecisionError(
                 f"weight {h} beyond the computed horizon")
-        return self.typical.get(h, Fraction(0))
+        return self.typical.get(h, _ZERO)
 
     def table_row(self, columns) -> list:
         """Multiplicities at h = 1/4 + k for the requested integer columns."""
@@ -288,18 +299,23 @@ class N4Multiplicities:
 
 @lru_cache(maxsize=None)
 def _theta_and_polar_quotient(t: int) -> tuple:
-    """theta3 and polar_part / theta3 at t + 12, per input truncation t."""
+    """theta3, polar_part / theta3 at t + 12 and the quotient's first
+    y-dependent key, per input truncation t."""
     theta = jacobi_theta(3, t + 12)
-    return theta, polar_part(t + 12).divide_exact(theta)
+    quotient = polar_part(t + 12).divide_exact(theta)
+    lead = min((k for k in quotient.terms if k[1] or k[2]), default=None)
+    return theta, quotient, lead
 
 
 def decompose_into_n4(s: TruncatedSeries, sector: str = "NS") -> N4Multiplicities:
     """Solve s = a * atypical + sum_h mult(h) ch_h, exactly to truncation.
 
     The atypical coefficient is determined by requiring the typical
-    quotient (s - a*atypical) * eta^3 / theta^2 to be y-independent.
-    Ramond-sector input is flowed back to NS (the multiplicities agree
-    sector-wise) and the result is reconstruction-checked.
+    quotient (s - a*atypical) * eta^3 / theta^2 to be y-independent; it is
+    read at the polar quotient's first y-dependent term, so an input that
+    ends before that term raises InsufficientPrecisionError.  Ramond-sector
+    input is flowed back to NS (the multiplicities agree sector-wise) and
+    the result is reconstruction-checked.
     """
     if sector == "R":
         ns = s.spectral_flow(-1)
@@ -307,18 +323,13 @@ def decompose_into_n4(s: TruncatedSeries, sector: str = "NS") -> N4Multiplicitie
     if sector != "NS":
         raise ValueError("sector must be 'NS' or 'R'")
     t = s.trunc24
-    theta, p_over_theta = _theta_and_polar_quotient(t)
+    theta, p_over_theta, lead = _theta_and_polar_quotient(t)
     u = (s * eta_power(3, t + 12)).divide_exact(theta)
     h_full = u.divide_exact(theta)
-    a = None
-    for (q24, y2, z), c in sorted(h_full.terms.items()):
-        if y2 or z:
-            cp = p_over_theta.terms.get((q24, y2, z))
-            if cp:
-                a = c / cp
-                break
-    if a is None:
-        a = Fraction(0)
+    if lead is None or lead[0] >= h_full.trunc24:
+        raise InsufficientPrecisionError(
+            "input ends before the atypical coefficient can be read")
+    a = h_full.terms.get(lead, _ZERO) / p_over_theta.terms[lead]
     h = h_full - p_over_theta * a
     bad = [k for k in h.terms if k[1] or k[2]]
     if bad:
@@ -338,7 +349,8 @@ def ramond_basis_character(N: int, trunc24: int) -> TruncatedSeries:
 
     This is the spectral flow of ch_{V_N} with fermion-number signs
     (y -> -y before flowing); the convention is pinned by the identity
-    elliptic_genus = sum_n chi(X, S^n T) * ch_{M_n}.
+    elliptic_genus = sum_n chi(X, S^n T) * ch_{M_n}, which the tests use to
+    check ``twining_to_symtraces`` by reconstruction.
     """
     return ch_vn_h_form(N, trunc24).substitute_y_sign().spectral_flow(+1)
 
@@ -384,176 +396,61 @@ def symmetric_power_crosscheck(dec: GenusDecomposition) -> dict:
 
 # -- recovering symmetric-power traces from twinings ---------------------------
 
+def twining_truncation(tmax: int) -> int:
+    """The smallest twining truncation (a multiple of 24) that
+    ``twining_to_symtraces(twining, tmax)`` can solve from.
+
+    The solve reads the NS decomposition up to column tmax - 1 (q24 =
+    24 tmax - 27) and, for c_1, up to the massless block's first
+    y-dependent term (q24 = 9).  A Ramond twining known below T = 24 m
+    decomposes below 18 m - 15: the flow back loses 6 (4 + m) - 6 to the
+    y-envelope of ``substitute_q_shift``, and the eta^3 / theta3^2
+    quotient gains 3.
+    """
+    last = max(24 * tmax - 27, 9)
+    return 24 * -(-(last + 16) // 18)
+
+
+def _typical_row(N: int, ncols: int) -> list:
+    """Row N of Table 3: the typical multiplicities of ch_{V_N} at
+    h = 1/4 + k for k < ncols, read from the closed form."""
+    combo = _typical_combo(N, 24 * ncols)
+    return [combo.terms.get((24 * k - 3, 0, 0), _ZERO) for k in range(ncols)]
+
+
 def twining_to_symtraces(twining: TruncatedSeries, tmax: int,
-                         basis: list | None = None,
-                         fix_c1=None) -> list[Fraction]:
-    """Solve twining = sum_n c_n ch_{M_n} for c_n = chi(g; X, S^n T).
+                         c1=None) -> list[Fraction]:
+    """Solve twining = sum_(n <= tmax) c_n ch_{M_n} for c_n = chi(g; X, S^n T).
 
-    Unknowns are resolved greedily by the leading q-order of the basis
-    characters, solving the full y-slice system at each order exactly and
-    verifying the final residual.  Integrality of the output is *not*
-    assumed.  ``fix_c1`` pins c_1 externally and removes the massless
-    block equation (the paper's recursion needs chi(g; X, T) as an input
-    when only typical columns are matched).
+    The twining is flowed back to NS and decomposed into N=4 characters
+    once; leftover y-dependence raises NotInSpanError there.  The
+    multiplicity system is triangular: row n of Table 3 leads at column
+    n - 1 for n >= 2, and row 1, the only row besides row 0 with a massless
+    block, leads at column 3.  So c_0 comes from column 0, c_1 from the
+    massless equation and c_(k+1) from column k.  ``c1`` pins c_1 instead
+    and drops the massless equation: the typical columns alone leave a
+    one-parameter family.  Integrality is not assumed.  The twining must
+    reach ``twining_truncation(tmax)``; below that this raises
+    InsufficientPrecisionError.
     """
-    trunc24 = twining.trunc24
-    if basis is None:
-        basis = [ramond_basis_character(n, trunc24 + 24)
-                 for n in range(tmax + 2)]
-    if len(basis) < tmax + 2:
-        raise ValueError("basis must extend one character past tmax "
-                         "(it delimits the verification horizon)")
-    residual = twining
+    dec = decompose_into_n4(twining.spectral_flow(-1).substitute_y_sign())
+    rows = [_typical_row(n, max(tmax, 1)) for n in range(tmax + 1)]
     coeffs: dict[int, Fraction] = {}
-    if fix_c1 is not None:
-        coeffs[1] = Fraction(fix_c1)
-        residual = residual - basis[1] * coeffs[1]
-    unsolved = [n for n in range(tmax + 1) if n not in coeffs]
-    marker = basis[tmax + 1]
-    horizon = min([trunc24]
-                  + [b.trunc24 for b in basis[:tmax + 2]]
-                  + [marker.min_q24 if marker.min_q24 is not None
-                     else marker.trunc24])
-    while unsolved:
-        lead = {n: basis[n].min_q24 for n in unsolved}
-        if any(v is None for v in lead.values()):
-            raise NotInSpanError("basis character vanishes identically")
-        e = min(lead.values())
-        if e >= horizon:
-            raise NotInSpanError(
-                "basis leading orders exceed the computed horizon", q24=e)
-        block = [n for n in unsolved if lead[n] == e]
-        rows: dict[tuple, dict] = {}
-        for n in block:
-            for (q24, y2, z), c in basis[n].terms.items():
-                if q24 == e:
-                    rows.setdefault((y2, z), {})[n] = c
-        rhs = {}
-        for (q24, y2, z), c in residual.terms.items():
-            if q24 == e:
-                rhs[(y2, z)] = c
-        sol = _solve_block(rows, rhs, block, e)
-        for n, c in sol.items():
-            coeffs[n] = c
-            if c:
-                residual = residual - basis[n] * c
-            unsolved.remove(n)
-        # residual must now vanish at order e
-        if any(q24 == e for (q24, _, _) in residual.terms):
-            raise NotInSpanError("twining not in the character span", q24=e)
-    if not residual.is_zero() and residual.min_q24 < horizon:
-        raise NotInSpanError("nonzero residual after solving",
-                             q24=residual.min_q24)
+
+    def solve_column(k):
+        unknown = [n for n in range(tmax + 1) if rows[n][k] and n not in coeffs]
+        if len(unknown) != 1:
+            raise NotInSpanError(f"column {k} has unknowns {unknown}",
+                                 q24=24 * k - 3)
+        known = sum(c * rows[n][k] for n, c in coeffs.items())
+        n = unknown[0]
+        coeffs[n] = (dec.multiplicity(Fraction(1, 4) + k) - known) / rows[n][k]
+
+    solve_column(0)
+    if tmax >= 1:
+        coeffs[1] = Fraction(c1) if c1 is not None else (
+            (dec.atypical - _atypical_coefficient(0) * coeffs[0])
+            / _atypical_coefficient(1))
+    for k in range(1, tmax):
+        solve_column(k)
     return [coeffs[n] for n in range(tmax + 1)]
-
-
-def _solve_block(rows: dict, rhs: dict, block: list, e: int) -> dict:
-    """Exact solve of the y-slice system at one q-order; must be unique."""
-    keys = sorted(set(rows) | set(rhs))
-    mat = [[rows.get(k, {}).get(n, Fraction(0)) for n in block] for k in keys]
-    vec = [rhs.get(k, Fraction(0)) for k in keys]
-    ncols = len(block)
-    # Gaussian elimination over Q with consistency check
-    rank = 0
-    pivots = []
-    for col in range(ncols):
-        piv = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        vec[rank], vec[piv] = vec[piv], vec[rank]
-        inv = 1 / mat[rank][col]
-        mat[rank] = [x * inv for x in mat[rank]]
-        vec[rank] = vec[rank] * inv
-        for i in range(len(mat)):
-            if i != rank and mat[i][col]:
-                f = mat[i][col]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[rank])]
-                vec[i] = vec[i] - f * vec[rank]
-        pivots.append(col)
-        rank += 1
-    if rank < ncols:
-        raise NotInSpanError(
-            f"ambiguous block at q24={e}: columns {block}", q24=e)
-    for i in range(rank, len(mat)):
-        if vec[i]:
-            raise NotInSpanError("inconsistent slice system", q24=e)
-    out = {}
-    for r, col in enumerate(pivots):
-        out[block[col]] = vec[r]
-    return out
-
-
-def symtraces_via_columns(twining: TruncatedSeries, tmax: int,
-                          c1=None) -> list[Fraction]:
-    """Recover c_n = chi(g; X, S^n T) from typical-column data alone.
-
-    This is the recursion that needs chi(g; X, T) as an input: the
-    column system leaves c_1 undetermined (it first appears tied to c_4),
-    and the massless-column equation normally closes it.  With ``c1``
-    supplied that equation is dropped, exposing the one-parameter family
-    used in the non-integrality analysis.
-    """
-    ns = twining.spectral_flow(-1).substitute_y_sign()
-    target = decompose_into_n4(ns, "NS")
-    rows = []
-    for n in range(tmax + 1):
-        dec = decompose_into_n4(ch_vn_h_form(n, ns.trunc24 + 12), "NS")
-        rows.append(dec)
-    horizon = min([target.horizon24] + [r.horizon24 for r in rows])
-    n_cols = horizon // 24 + (1 if horizon % 24 else 0)
-    # row V_N enters first at column N-1, so columns past tmax-1 would pull
-    # in characters beyond the supplied range
-    n_cols = max(0, min(n_cols, tmax))
-    coeffs: dict[int, Fraction] = {}
-    if c1 is not None:
-        coeffs[1] = Fraction(c1)
-    else:
-        pass  # closed below by the massless equation
-    for k in range(n_cols):
-        h = Fraction(1, 4) + k
-        rhs = target.multiplicity(h)
-        unknowns = []
-        acc = Fraction(0)
-        for n in range(tmax + 1):
-            m = rows[n].multiplicity(h)
-            if not m:
-                continue
-            if n in coeffs:
-                acc += coeffs[n] * m
-            else:
-                unknowns.append((n, m))
-        if c1 is None and 1 not in coeffs and any(n == 1 for n, _ in unknowns):
-            # close c_1 with the massless-column equation first
-            a_rhs = target.atypical
-            a_acc = Fraction(0)
-            a_unknown = []
-            for n in range(tmax + 1):
-                a = rows[n].atypical
-                if not a:
-                    continue
-                if n in coeffs:
-                    a_acc += coeffs[n] * a
-                else:
-                    a_unknown.append((n, a))
-            if len(a_unknown) == 1 and a_unknown[0][0] == 1:
-                coeffs[1] = (a_rhs - a_acc) / a_unknown[0][1]
-                unknowns = [(n, m) for n, m in unknowns if n != 1]
-                acc += coeffs[1] * rows[1].multiplicity(h)
-            else:
-                raise NotInSpanError("massless equation does not close c_1")
-        if len(unknowns) > 1:
-            raise NotInSpanError(
-                f"column {k} introduces several unknowns: "
-                f"{[n for n, _ in unknowns]}", q24=24 * k)
-        if unknowns:
-            n, m = unknowns[0]
-            coeffs[n] = (rhs - acc) / m
-        elif acc != rhs:
-            raise NotInSpanError(f"column {k} inconsistent", q24=24 * k)
-    out = []
-    for n in range(tmax + 1):
-        if n not in coeffs:
-            raise NotInSpanError(f"c_{n} not determined by {n_cols} columns")
-        out.append(coeffs[n])
-    return out

@@ -49,10 +49,10 @@ class TruncatedSeries:
     """Exact coefficients up to a truncation order ``trunc24``.
 
     ``terms`` maps (q24, y2, z) to a nonzero coefficient.  It is a
-    read-only view, so a series can be shared (memoized builders hand the
-    same series to every caller) without aliasing bugs.  With ``_clean``
-    the caller hands over a dict it built for this series and no longer
-    touches.
+    read-only view and neither attribute can be reassigned, so a series
+    can be shared (memoized builders hand the same series to every caller)
+    without aliasing bugs.  With ``_clean`` the caller hands over a dict it
+    built for this series and no longer touches.
     """
 
     __slots__ = ("terms", "trunc24")
@@ -60,8 +60,14 @@ class TruncatedSeries:
     def __init__(self, terms: dict, trunc24: int, *, _clean: bool = False):
         if not _clean:
             terms = {k: v for k, v in terms.items() if k[0] < trunc24 and v}
-        self.terms = MappingProxyType(terms)
-        self.trunc24 = trunc24
+        object.__setattr__(self, "terms", MappingProxyType(terms))
+        object.__setattr__(self, "trunc24", trunc24)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"TruncatedSeries is read-only: cannot set {name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"TruncatedSeries is read-only: cannot delete {name}")
 
     # -- constructors -------------------------------------------------------
 

@@ -141,6 +141,42 @@ def test_internal_error_exit_code(exc, monkeypatch, capsys):
     assert "Traceback" in err and type(exc).__name__ in err
 
 
+def test_verify_all_reports_a_crashed_criterion(monkeypatch, capsys):
+    # a raising criterion is an internal error (exit 4), printed as [ERROR],
+    # and the criteria after it still run
+    from k3moonshine import acceptance, cli
+
+    def crash(**_):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(acceptance, "CHECKS", (
+        ("1 passes", lambda **_: (True, "fine")),
+        ("2 crashes", crash),
+        ("3 fails", lambda **_: (False, "wrong")),
+    ))
+    assert main(["verify-all"]) == cli.EXIT_INTERNAL
+    out, err = capsys.readouterr()
+    lines = [ln.split(" (")[0] + ln.split(")", 1)[1]
+             for ln in out.splitlines()]
+    assert lines == [
+        "[PASS] criterion 1 passes",
+        "[ERROR] criterion 2 crashes -- exception: RuntimeError('boom')",
+        "[FAIL] criterion 3 fails -- wrong",
+    ]
+    assert "Traceback" in err and "RuntimeError: boom" in err
+
+
+@pytest.mark.parametrize("t_order", ["1", "6"])
+def test_audit_integrality_matches_the_cli_goldens(t_order):
+    import os
+    goldens = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                           "goldens", "cli.json")
+    with open(goldens) as fh:
+        want = json.load(fh)[f"audit-integrality --t-order {t_order}"]
+    status, out = run(["audit-integrality", "--t-order", t_order])
+    assert (status, out) == (want["exit"], want["stdout"])
+
+
 def test_csv_format():
     status, out = run(["--format", "csv", "symt", "--class", "3A",
                        "--terms", "4"])

@@ -10,9 +10,7 @@ from k3moonshine.mckay import (
     f_series, k_layer_trace, m2_basis, read_fg_file, sigma_coefficients,
     twining_genus, write_fg_file,
 )
-from k3moonshine.n4char import (
-    ramond_basis_character, symtraces_via_columns, twining_to_symtraces,
-)
+from k3moonshine.n4char import twining_to_symtraces, twining_truncation
 from k3moonshine.replattice import first_nonintegral
 
 
@@ -87,7 +85,6 @@ def test_twining_equals_equivariant_genus():
 
 
 def test_audit_first_nonintegral():
-    basis = [ramond_basis_character(n, 9 * 24) for n in range(8)]
     expected = {
         "11A": (4, Fraction(-2, 3)),
         "14AB": (4, Fraction(-5, 3)),
@@ -95,15 +92,15 @@ def test_audit_first_nonintegral():
         "23AB": (4, Fraction(-7, 3)),
     }
     for label, want in expected.items():
-        tw = twining_genus(label, 7 * 24)
-        cs = twining_to_symtraces(tw, 6, basis=basis[:8])
+        tw = twining_genus(label, twining_truncation(6))
+        cs = twining_to_symtraces(tw, 6)
         assert first_nonintegral(cs) == want, label
 
 
 def test_alpha_family_for_15ab():
     tw = twining_genus("15AB", 8 * 24)
     for a in (0, 3, 7):
-        cs = symtraces_via_columns(tw, 5, c1=Fraction(a))
+        cs = twining_to_symtraces(tw, 5, c1=Fraction(a))
         assert cs[3] == Fraction(-1, 2)
         assert cs[4] == Fraction(-2 * a, 3)
         assert cs[5] == Fraction(-(3 + 4 * a), 12)
@@ -139,8 +136,6 @@ def test_geometric_twining_recovers_symt_series_deeper():
     # the moonshine-side twining reproduces the fixed-point traces well past
     # the fit window (independent sides of the comparison theorem)
     from k3moonshine.genus import chi_symt_series
-    basis = [ramond_basis_character(n, 12 * 24) for n in range(9)]
-    horizon = min(b.trunc24 for b in basis) - 24
-    tw = twining_genus("7AB", horizon)
-    cs = twining_to_symtraces(tw, 7, basis=basis)
+    tw = twining_genus("7AB", twining_truncation(7))
+    cs = twining_to_symtraces(tw, 7)
     assert cs == chi_symt_series("7AB", 8)

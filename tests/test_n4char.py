@@ -13,7 +13,7 @@ from k3moonshine.n4char import (
     atypical_ns, ch_v_product, ch_vn_closed, ch_vn_extract, ch_vn_h_form,
     decompose_into_n4, g_series, genus_A_coefficients, h_series,
     n4_character, polar_part, ramond_basis_character,
-    symmetric_power_crosscheck, twining_to_symtraces,
+    symmetric_power_crosscheck, twining_to_symtraces, twining_truncation,
 )
 
 T3 = 3 * 24
@@ -267,17 +267,61 @@ def test_twining_solve_identity_class():
 
 def test_twining_solve_equivariant():
     t = 6 * 24
-    basis = [ramond_basis_character(n, t + 48) for n in range(6)]
     for label in ("2A", "8A"):
         tw = equivariant_elliptic_genus(label, t)
-        cs = twining_to_symtraces(tw, 4, basis=basis)
+        cs = twining_to_symtraces(tw, 4)
         assert cs == chi_symt_series(label, 5), label
 
 
 def test_twining_solve_with_pinned_c1():
     genus = elliptic_genus(6 * 24)
-    cs = twining_to_symtraces(genus, 4, fix_c1=Fraction(-20))
+    cs = twining_to_symtraces(genus, 4, c1=Fraction(-20))
     assert cs == [chi_sym_power(n) for n in range(5)]
+
+
+def test_twining_solve_reconstructs_the_twining():
+    # oracle: the Ramond characters ch_{M_n} the solve never builds;
+    # sum c_n ch_{M_n} must equal the twining below the order where
+    # ch_{M_(tmax+1)} starts
+    from k3moonshine.mckay import twining_genus
+    tmax = 5
+    t = twining_truncation(tmax)
+    basis = [ramond_basis_character(n, t + 48) for n in range(tmax + 2)]
+    marker = basis[tmax + 1].min_q24
+    twinings = {"1A": elliptic_genus(t),
+                "2A": equivariant_elliptic_genus("2A", t),
+                "7AB": equivariant_elliptic_genus("7AB", t),
+                "11A": twining_genus("11A", t),
+                "2B": twining_genus("2B", t)}
+    for label, tw in twinings.items():
+        cs = twining_to_symtraces(tw, tmax)
+        rebuilt = sum((b * c for b, c in zip(basis, cs)),
+                      TruncatedSeries.zero())
+        residual = rebuilt - tw
+        assert marker < residual.trunc24, label
+        assert residual.truncate(marker).is_zero(), label
+
+
+@pytest.mark.parametrize("tmax", [1, 2, 6, 21])
+def test_twining_truncation_is_the_smallest_that_solves(tmax):
+    from k3moonshine.mckay import twining_genus
+    t = twining_truncation(tmax)
+    assert t % 24 == 0
+    want = twining_to_symtraces(twining_genus("11A", t + 24), tmax)
+    assert twining_to_symtraces(twining_genus("11A", t), tmax) == want
+    with pytest.raises(InsufficientPrecisionError):
+        twining_to_symtraces(twining_genus("11A", t - 24), tmax)
+
+
+def test_decompose_needs_the_first_massless_term():
+    # the atypical coefficient is read at q24 = 9; an input that ends there
+    # must not decompose with atypical 0
+    assert decompose_into_n4(ch_vn_h_form(0, 10)).atypical == -2
+    with pytest.raises(InsufficientPrecisionError):
+        decompose_into_n4(ch_vn_h_form(0, 6))
+    assert genus_A_coefficients(0, elliptic_genus(2 * 24)).atypical == 24
+    with pytest.raises(InsufficientPrecisionError):
+        genus_A_coefficients(0, elliptic_genus(24))
 
 
 def test_flowed_vacuum_ground_states():

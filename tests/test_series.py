@@ -171,6 +171,21 @@ def test_terms_are_read_only():
     assert len(s.terms) == 2 and s.terms.get((24, 2, 0)) == 3
 
 
+def test_attributes_cannot_be_reassigned():
+    # a memoized series is shared by every caller, so neither slot may be
+    # rebound or deleted after construction
+    from k3moonshine.n4char import h_series
+    s = h_series(2, 2 * 24)
+    terms = dict(s.terms)
+    for name, value in (("trunc24", 0), ("terms", {})):
+        with pytest.raises(AttributeError):
+            setattr(s, name, value)
+        with pytest.raises(AttributeError):
+            delattr(s, name)
+    again = h_series(2, 2 * 24)
+    assert again.trunc24 == 2 * 24 and dict(again.terms) == terms
+
+
 # -- differential tests of the exact-division route ---------------------------
 
 DIVISION = settings(max_examples=60, deadline=None, derandomize=True,
