@@ -95,14 +95,17 @@ def _exact_div(num: list[int], den: list[int]) -> list[int]:
 
 @lru_cache(maxsize=None)
 def _power_reduction(n: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Reduction of zeta^k for k = 0..2*phi(n)-2 to power-basis vectors."""
+    """Power-basis vectors of zeta^k for k = 0..max(2*phi(n)-2, n-1).
+
+    Covers every product of two basis vectors and every n-th root of unity.
+    """
     phi = euler_phi(n)
     poly = _cyclotomic_coeffs(n)
     rows: list[tuple[Fraction, ...]] = []
     cur = [_ZERO] * phi
     cur[0] = _ONE
     rows.append(tuple(cur))
-    for _ in range(max(2 * phi - 2, phi)):
+    for _ in range(max(2 * phi - 2, n - 1)):
         nxt = [_ZERO] + cur[:-1]
         top = cur[-1]
         if top:
@@ -112,6 +115,13 @@ def _power_reduction(n: int) -> tuple[tuple[Fraction, ...], ...]:
         cur = nxt
         rows.append(tuple(cur))
     return tuple(rows)
+
+
+@lru_cache(maxsize=None)
+def _galois_rows(n: int, a: int) -> tuple[tuple[Fraction, ...], ...]:
+    """The map zeta -> zeta^a on the power basis: row k is sigma_a(zeta^k)."""
+    rows = _power_reduction(n)
+    return tuple(rows[k * a % n] for k in range(euler_phi(n)))
 
 
 @lru_cache(maxsize=None)
@@ -160,24 +170,13 @@ class CyclotomicNumber:
             c = [_ZERO] * phi
             c[k] = _ONE
             return CyclotomicNumber(n, c)
-        # reduce zeta^k by repeated use of the reduction table
-        acc = CyclotomicNumber.zeta_power(n, phi - 1)
-        for _ in range(k - (phi - 1)):
-            acc = acc._mul_zeta()
-        return acc
+        return CyclotomicNumber(n, _power_reduction(n)[k])
 
-    def _mul_zeta(self) -> "CyclotomicNumber":
-        rows = _power_reduction(self.n)
-        phi = len(self.c)
-        out = [_ZERO] * phi
-        for i, ci in enumerate(self.c):
-            if not ci:
-                continue
-            row = rows[i + 1]
-            for j in range(phi):
-                if row[j]:
-                    out[j] += ci * row[j]
-        return CyclotomicNumber(self.n, out)
+    @staticmethod
+    def from_root_counts(n: int, counts) -> "CyclotomicNumber":
+        """sum_k counts[k] * zeta_n^k for integer counts, k = 0..n-1."""
+        return CyclotomicNumber(n, _combine(_power_reduction(n), counts,
+                                            euler_phi(n)))
 
     # -- coercion ----------------------------------------------------------
 
@@ -327,11 +326,8 @@ class CyclotomicNumber:
         """Apply the automorphism zeta -> zeta^a, gcd(a, n) = 1."""
         if gcd(a, self.n) != 1:
             raise DomainError(f"{a} is not a unit modulo {self.n}")
-        out = CyclotomicNumber.from_rational(self.n, 0)
-        for k, ck in enumerate(self.c):
-            if ck:
-                out = out + CyclotomicNumber.zeta_power(self.n, (k * a) % self.n) * ck
-        return out
+        rows = _galois_rows(self.n, a % self.n)
+        return CyclotomicNumber(self.n, _combine(rows, self.c, len(self.c)))
 
     def trace(self) -> Fraction:
         """Trace to Q (sum of all Galois conjugates)."""
@@ -359,6 +355,17 @@ class CyclotomicNumber:
             return f"Cyclo({self.c[0]})"
         parts = [f"{c}*z{self.n}^{k}" for k, c in enumerate(self.c) if c]
         return "Cyclo(" + " + ".join(parts) + ")"
+
+
+def _combine(rows, weights, phi: int) -> list:
+    """sum_k weights[k] * rows[k] as a coordinate list of length phi."""
+    out = [_ZERO] * phi
+    for w, row in zip(weights, rows):
+        if w:
+            for j, r in enumerate(row):
+                if r:
+                    out[j] += w * r
+    return out
 
 
 def zeta(n: int, k: int = 1) -> CyclotomicNumber:

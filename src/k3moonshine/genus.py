@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 
 from .cyclotomic import CyclotomicNumber, zeta
 from .qpoly import RationalFunction, cyclotomic_poly, reconstruct_rational
@@ -93,17 +92,16 @@ def chi_symt_series(label: str, terms: int) -> list[Fraction]:
     out = []
     pieces = []
     for a, mult in FIXED_POINT_EIGENVALUES[n]:
-        lam = zeta(n, a)
-        lam_inv = zeta(n, n - a)
-        dinv = ((1 - lam) * (1 - lam_inv)).inverse()
-        pieces.append((lam, lam_inv, dinv * mult))
+        dinv = ((1 - zeta(n, a)) * (1 - zeta(n, n - a))).inverse()
+        pieces.append((a, dinv * mult))
     for k in range(terms):
-        total = CyclotomicNumber.from_rational(1, 0)
-        for lam, lam_inv, weight in pieces:
-            s = CyclotomicNumber.from_rational(lam.n, 0)
+        total = CyclotomicNumber.from_rational(n, 0)
+        for a, weight in pieces:
+            # sum_i lam^(2i - k) with lam = zeta_n^a, as counts of n-th roots
+            counts = [0] * n
             for i in range(k + 1):
-                s = s + lam ** (2 * i - k)
-            total = total + (weight * s)
+                counts[a * (2 * i - k) % n] += 1
+            total = total + weight * CyclotomicNumber.from_root_counts(n, counts)
         out.append(total.rational_value())
     return out
 
@@ -162,37 +160,66 @@ def elliptic_genus(trunc24: int) -> TruncatedSeries:
     return _chi_functional(s)
 
 
-def _fixed_point_term(n: int, a: int, trunc24: int) -> TruncatedSeries:
-    """One fixed point with eigenvalues (zeta_n^a, zeta_n^-a), chi_{-y} form."""
-    lam = zeta(n, a)
-    lam_inv = zeta(n, n - a)
-    dinv = ((1 - lam) * (1 - lam_inv)).inverse()
-    s = TruncatedSeries.monomial(dinv, 0, -2, 0, trunc24)
-    s = s * (TruncatedSeries.const(Fraction(1))
-             - TruncatedSeries.monomial(lam + lam_inv, 0, 2, 0)
-             + TruncatedSeries.monomial(Fraction(1), 0, 4, 0))
-    k = 1
-    while 24 * k < trunc24:
-        for lam_f, y2 in ((lam, 2), (lam_inv, -2), (lam_inv, 2), (lam, -2)):
-            s = s * binomial_factor(-lam_f, 24 * k, y2, 0)
-        s = s * geometric_factor(lam, 24 * k, 0, 0, trunc24, power=2)
-        s = s * geometric_factor(lam_inv, 24 * k, 0, 0, trunc24, power=2)
-        k += 1
-    return s
+@lru_cache(maxsize=None)
+def _fixed_point_term(n: int, trunc24: int) -> TruncatedSeries:
+    """One fixed point with eigenvalues (zeta_n, zeta_n^-1), chi_{-y} form.
+
+    The holomorphic Lefschetz term -theta1(z+u) theta1(z-u) / theta1(u)^2
+    with e(u) = lam = zeta_n.  The numerator is the lacunary double sum
+        S = sum_{m,m'} (-1)^(m+m') lam^(m-m') y^(m+m'+1)
+            q^(((m+1/2)^2 + (m'+1/2)^2)/2),
+    and S at y = 1 is theta1(u)^2, so the term is one exact division.
+    Both sums lead at q^(1/4), so building them below trunc24 + 6 gives
+    the quotient exactly below trunc24.  The eigenvalue pair of zeta_n^a
+    contributes the Galois conjugate sigma_a of this term.  Memoized per
+    process on the exact arguments (the series is read-only).
+    """
+    top = trunc24 + 6
+    j_max = 1                      # j = 2m + 1 runs over odd integers
+    while 3 * (j_max + 2) ** 2 + 3 < top:
+        j_max += 2
+    odd = range(-j_max, j_max + 1, 2)
+    num: dict = {}
+    den: dict = {}
+    for j in odd:
+        for jj in odd:
+            q24 = 3 * (j * j + jj * jj)
+            if q24 >= top:
+                continue
+            sign = 1 if (j + jj) % 4 == 2 else -1      # (-1)^(m+m')
+            e = (j - jj) // 2 % n                      # lam^(m-m')
+            num.setdefault((q24, j + jj), [0] * n)[e] += sign
+            den.setdefault(q24, [0] * n)[e] += sign
+    numerator = TruncatedSeries(
+        {(q24, y2, 0): CyclotomicNumber.from_root_counts(n, c)
+         for (q24, y2), c in num.items()}, top)
+    theta1_u_sq = TruncatedSeries(
+        {(q24, 0, 0): CyclotomicNumber.from_root_counts(n, c)
+         for q24, c in den.items()}, top)
+    return numerator.divide_exact(theta1_u_sq)
+
+
+def _galois_conjugate(s: TruncatedSeries, a: int) -> TruncatedSeries:
+    """Apply zeta -> zeta^a to every coefficient of a cyclotomic series."""
+    return TruncatedSeries({k: c.galois(a) for k, c in s.terms.items()},
+                           s.trunc24, _clean=True)
 
 
 @lru_cache(maxsize=None)
 def equivariant_elliptic_genus(label: str, trunc24: int) -> TruncatedSeries:
     """chi_{-y}(g; q, LX) from the fixed-point formula over Table-1 data.
 
-    Memoized per process on the exact arguments (the series is read-only).
+    Sums mult * sigma_a(term) over the Table-1 eigenvalue pairs, where
+    term is the memoized fixed-point term of zeta_n.  Memoized per process
+    on the exact arguments (the series is read-only).
     """
     n = CLASS_ORDER[label]
     if n == 1:
         return elliptic_genus(trunc24)
+    term = _fixed_point_term(n, trunc24)
     total = TruncatedSeries.zero(trunc24)
     for a, mult in FIXED_POINT_EIGENVALUES[n]:
-        total = total + _fixed_point_term(n, a, trunc24) * mult
+        total = total + _galois_conjugate(term, a) * mult
     try:
         return total.as_rational()
     except Exception as exc:  # pragma: no cover - corrupted data guard
@@ -201,15 +228,17 @@ def equivariant_elliptic_genus(label: str, trunc24: int) -> TruncatedSeries:
 
 
 def weighted_equivariant_genus(label: str, trunc24: int) -> TruncatedSeries:
-    """The m(N)-weighted sum over all units of Z/N (shifted-phi quotients)."""
+    """The m(N)-weighted sum over all units of Z/N (shifted-phi quotients).
+
+    The sum of sigma_a(term) over all units a is the field trace, taken
+    coefficient by coefficient.
+    """
     n = CLASS_ORDER[label]
     if n == 1:
         raise ValueError("weighted form applies to nontrivial classes")
-    total = TruncatedSeries.zero(trunc24)
-    for a in range(1, n):
-        if gcd(a, n) == 1:
-            total = total + _fixed_point_term(n, a, trunc24)
-    return (total * UNIT_SUM_WEIGHTS[n]).as_rational()
+    term = _fixed_point_term(n, trunc24)
+    traces = {key: c.trace() for key, c in term.terms.items()}
+    return TruncatedSeries(traces, term.trunc24) * UNIT_SUM_WEIGHTS[n]
 
 
 # -- decomposition against the weak Jacobi basis ------------------------------

@@ -146,11 +146,10 @@ def euler_character_value(label: str) -> int:
     raise KeyError(label)
 
 
-def _orbit_row(degree: int, orbit: int):
-    table = load_m24()
+def _orbit_row(table, degree: int, orbit: int):
     for ch in table.characters:
         if ch.degree == degree and ch.orbit_size == orbit:
-            return table, ch
+            return ch
     raise KeyError(f"no M24 row of degree {degree} with orbit {orbit}")
 
 
@@ -162,9 +161,9 @@ def k_layer_trace(n: int, label: str) -> Fraction:
     table = load_m24()
     col = table.class_index(M24_LABEL.get(label, label))
     if copies == 2 and degree in (45, 231, 770):
-        _t, ch = _orbit_row(degree, 2)       # conjugate pair, orbit sum
+        ch = _orbit_row(table, degree, 2)    # conjugate pair, orbit sum
         return Fraction(ch.values[col])
-    _t, ch = _orbit_row(degree, 1)           # rational constituent, 2 copies
+    ch = _orbit_row(table, degree, 1)        # rational constituent, 2 copies
     return Fraction(2) * ch.values[col]
 
 

@@ -16,9 +16,12 @@ relations and the degree sum.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
+from types import MappingProxyType
 
 __all__ = [
     "GroupClassData", "M23_CLASSES", "M24_CLASSES",
@@ -96,12 +99,12 @@ _M24_RAW = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class GroupClassData:
     name: str
     order: int
-    classes: list          # list of ClassInfo
-    type_index: dict       # cycle type -> class position
+    classes: tuple         # tuple of ClassInfo
+    type_index: Mapping    # read-only: cycle type -> class position
 
     def power_class(self, idx: int, k: int) -> int:
         """Rational class of g^k given the class of g (from cycle types)."""
@@ -113,7 +116,12 @@ class GroupClassData:
         return self.type_index[key]
 
 
+@lru_cache(maxsize=None)
 def class_data(name: str) -> GroupClassData:
+    """The checked class data of M23 or M24.
+
+    Memoized per process on the group name; the result is immutable.
+    """
     raw, order = {"M23": (_M23_RAW, M23_ORDER), "M24": (_M24_RAW, M24_ORDER)}[name]
     classes = []
     total = 0
@@ -132,7 +140,8 @@ def class_data(name: str) -> GroupClassData:
         if c.cycle_type in type_index:
             raise ValueError(f"{name}: duplicate cycle type {c.cycle_type}")
         type_index[c.cycle_type] = i
-    data = GroupClassData(name, order, classes, type_index)
+    data = GroupClassData(name, order, tuple(classes),
+                          MappingProxyType(type_index))
     for i in range(len(classes)):          # power maps must close
         for k in range(2, classes[i].order):
             data.power_class(i, k)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .cyclotomic import CyclotomicNumber, DomainError, zeta
 from .series import INF24, TruncatedSeries, binomial_factor
@@ -99,8 +100,12 @@ def phi_function(trunc24: int) -> TruncatedSeries:
     return jacobi_theta(1, trunc24 + 3) * eta_power(-3, trunc24 + 3)
 
 
+@lru_cache(maxsize=None)
 def weak_jacobi_phi(weight: int, trunc24: int) -> TruncatedSeries:
-    """The weak Jacobi forms phi_{0,1} (weight=0) and phi_{-2,1} (weight=-2)."""
+    """The weak Jacobi forms phi_{0,1} (weight=0) and phi_{-2,1} (weight=-2).
+
+    Memoized per process on the exact arguments (the series is read-only).
+    """
     if weight == -2:
         sq = jacobi_theta(1, trunc24 + 6) ** 2
         return (sq * eta_power(-6, trunc24 + 6)).truncate(trunc24).as_rational()

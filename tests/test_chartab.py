@@ -86,6 +86,18 @@ def test_m23_class_data_consistency():
         == data.type_index[((1, 3), (2, 2), (4, 4))]
 
 
+def test_class_data_is_memoized_and_immutable():
+    import dataclasses
+    data = class_data("M24")
+    assert class_data("M24") is data
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        data.classes = ()
+    with pytest.raises(AttributeError):
+        data.classes.append(data.classes[0])
+    with pytest.raises(TypeError):
+        data.type_index[((1, 24),)] = 1
+
+
 def test_mill_m23_matches_fixture():
     # regenerating the table reproduces the shipped fixture
     data, rows = mill_rational_table("M23")

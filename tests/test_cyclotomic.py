@@ -1,6 +1,8 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from k3moonshine.cyclotomic import (
     CyclotomicNumber, DomainError, euler_phi, moebius, zeta,
@@ -60,6 +62,44 @@ def test_trace_of_orbit_sum_is_integer():
     assert zeta(7).trace() == Fraction(-1)
     # trace of a rational r in Q(zeta_n) is phi(n) * r
     assert CyclotomicNumber.from_rational(7, Fraction(1, 2)).trace() == Fraction(3)
+
+
+def _galois_by_zeta_powers(x, a):
+    """The defining sum sigma_a(x) = sum_k c_k zeta^(k a), as an oracle.
+
+    zeta^(k a) comes from repeated multiplication, not from the reduction
+    table that galois and zeta_power read.
+    """
+    out = CyclotomicNumber.from_rational(x.n, 0)
+    for k, ck in enumerate(x.c):
+        if ck:
+            out = out + zeta(x.n) ** (k * a % x.n) * ck
+    return out
+
+
+@st.composite
+def field_elements(draw, n):
+    coords = [Fraction(draw(st.integers(-5, 5)), draw(st.integers(1, 4)))
+              for _ in range(euler_phi(n))]
+    return CyclotomicNumber(n, coords)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), n=st.sampled_from((3, 4, 5, 7, 8, 12)))
+def test_galois_differential(data, n):
+    x = data.draw(field_elements(n))
+    units = [a for a in range(1, n) if gcd(a, n) == 1]
+    a = data.draw(st.sampled_from(units))
+    b = data.draw(st.sampled_from(units))
+    assert x.galois(a) == _galois_by_zeta_powers(x, a)
+    assert x.galois(a + 3 * n) == x.galois(a)
+    assert x.galois(b).galois(a) == x.galois(a * b % n)
+    orbit = [x.galois(u) for u in units]
+    assert sum(orbit, CyclotomicNumber.from_rational(n, 0)) == x.trace()
+    counts = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    assert CyclotomicNumber.from_root_counts(n, counts) == sum(
+        (zeta(n) ** k * c for k, c in enumerate(counts)),
+        CyclotomicNumber.from_rational(n, 0))
 
 
 def test_galois_action():

@@ -1,17 +1,59 @@
 from fractions import Fraction
+from functools import lru_cache
+from math import gcd
 
 import pytest
 
+from k3moonshine.cyclotomic import zeta
 from k3moonshine.qpoly import Poly, RationalFunction, cyclotomic_poly
-from k3moonshine.series import NotInSpanError, TruncatedSeries
+from k3moonshine.series import (
+    NotInSpanError, TruncatedSeries, binomial_factor, geometric_factor,
+)
 from k3moonshine.modforms import euler_specialization, weak_jacobi_phi
 from k3moonshine.genus import (
-    SYMPLECTIC_CLASSES, chi_sym_power, chi_symt_series, elliptic_genus,
-    equivariant_elliptic_genus, fixed_point_count, jacobi_split,
-    rational_form, verify_moonshine_class, weighted_equivariant_genus,
+    CLASS_ORDER, FIXED_POINT_EIGENVALUES, SYMPLECTIC_CLASSES, UNIT_SUM_WEIGHTS,
+    _fixed_point_term, _galois_conjugate, chi_sym_power, chi_symt_series,
+    elliptic_genus, equivariant_elliptic_genus, fixed_point_count,
+    jacobi_split, rational_form, verify_moonshine_class,
+    weighted_equivariant_genus,
 )
 
 T5 = 5 * 24
+
+
+@lru_cache(maxsize=None)
+def product_fixed_point_term(n, a, trunc24):
+    """Oracle: the fixed point of (zeta_n^a, zeta_n^-a) as the product
+
+        y^-1 (1 - lam y)(1 - y / lam) / ((1 - lam)(1 - 1/lam))
+        * prod_k (1 - lam y q^k)(1 - q^k / (lam y))(1 - y q^k / lam)
+                 (1 - lam q^k / y) / ((1 - lam q^k)^2 (1 - q^k / lam)^2),
+
+    multiplied out factor by factor in Q(zeta_n); the y-free factors are
+    collected in their own q-series first.
+    """
+    lam = zeta(n, a)
+    lam_inv = zeta(n, n - a)
+    dinv = ((1 - lam) * (1 - lam_inv)).inverse()
+    num = (TruncatedSeries.monomial(Fraction(1), 0, -2, 0, trunc24)
+           * binomial_factor(-lam, 0, 2, 0) * binomial_factor(-lam_inv, 0, 2, 0))
+    den = TruncatedSeries.const(dinv, trunc24)
+    k = 1
+    while 24 * k < trunc24:
+        for lam_f, y2 in ((lam, 2), (lam_inv, -2), (lam_inv, 2), (lam, -2)):
+            num = num * binomial_factor(-lam_f, 24 * k, y2, 0)
+        for root in (lam, lam_inv):
+            den = den * geometric_factor(root, 24 * k, 0, 0, trunc24, power=2)
+        k += 1
+    return num * den
+
+
+def _units(n):
+    return [a for a in range(1, n) if gcd(a, n) == 1]
+
+
+def _same(s, t):
+    return s.trunc24 == t.trunc24 and dict(s.terms) == dict(t.terms)
 
 
 def test_chi_sym_power_values():
@@ -117,6 +159,41 @@ def test_weighted_form_matches_fixed_point_formula():
         a = equivariant_elliptic_genus(label, 3 * 24)
         b = weighted_equivariant_genus(label, 3 * 24)
         assert a == b, label
+
+
+@pytest.mark.parametrize("n", sorted(FIXED_POINT_EIGENVALUES))
+def test_fixed_point_term_matches_product_oracle(n):
+    for t in (24, 2 * 24, 4 * 24, 6 * 24, 12 * 24):
+        term = _fixed_point_term(n, t)
+        for a in _units(n):
+            assert _same(_galois_conjugate(term, a),
+                         product_fixed_point_term(n, a, t)), (a, t)
+
+
+@pytest.mark.parametrize("t", (4 * 24, 6 * 24))
+def test_public_genera_match_product_sums(t):
+    for label in SYMPLECTIC_CLASSES[1:]:
+        n = CLASS_ORDER[label]
+        table1 = TruncatedSeries.zero(t)
+        for a, mult in FIXED_POINT_EIGENVALUES[n]:
+            table1 = table1 + product_fixed_point_term(n, a, t) * mult
+        assert _same(equivariant_elliptic_genus(label, t),
+                     table1.as_rational()), label
+        units = TruncatedSeries.zero(t)
+        for a in _units(n):
+            units = units + product_fixed_point_term(n, a, t)
+        assert _same(weighted_equivariant_genus(label, t),
+                     (units * UNIT_SUM_WEIGHTS[n]).as_rational()), label
+
+
+@pytest.mark.parametrize("t", (24, 5 * 24, 8 * 24))
+def test_fixed_point_term_truncation_is_sound(t):
+    # the term built with one more q-order agrees below the stated trunc24
+    for n in FIXED_POINT_EIGENVALUES:
+        term = _fixed_point_term(n, t)
+        assert term.trunc24 == t
+        assert dict(_fixed_point_term(n, t + 24).truncate(t).terms) == \
+            dict(term.terms), n
 
 
 def test_jacobi_split_of_genus():

@@ -89,6 +89,20 @@ def test_phi_01_normalization():
         assert e.coeff(k) == 0
 
 
+def test_weak_jacobi_phi_is_memoized_and_read_only():
+    first = weak_jacobi_phi(-2, 3 * 24)
+    hits = weak_jacobi_phi.cache_info().hits
+    assert weak_jacobi_phi(-2, 3 * 24) is first
+    assert weak_jacobi_phi.cache_info().hits == hits + 1
+    # a smaller truncation is its own entry, not a view of the larger one
+    smaller = weak_jacobi_phi(-2, 2 * 24)
+    assert smaller is not first and smaller.trunc24 == 2 * 24
+    with pytest.raises(TypeError):
+        first.terms[(0, 0, 0)] = Fraction(1)
+    with pytest.raises(TypeError):
+        del first.terms[(0, 2, 0)]
+
+
 def test_phi_m21_normalization():
     phi = weak_jacobi_phi(-2, 4 * 24)
     assert phi.coeff(0, y=1) == -1
