@@ -227,16 +227,9 @@ def check_8_lattices(**_) -> tuple:
 
 def check_9_table2(t_order: int = 21, **_) -> tuple:
     from .tables import load_m23
-    from .replattice import (chosen_rational_form, decompose_family,
-                             expand_to_irreducible_columns, m_chi_rational)
+    from .replattice import m23_table2, m_chi_rational
     m23 = load_m23()
-    forms = {lab: rational_form(lab) for lab in SYMPLECTIC_CLASSES}
-    for lab in ("11AB", "14AB", "15AB", "23AB"):
-        forms[lab] = chosen_rational_form(lab)
-    family = {lab: [-c for c in rf.expand(t_order)]
-              for lab, rf in forms.items()}
-    dec = decompose_family(m23, family)
-    cols = expand_to_irreducible_columns(m23, dec)
+    forms, cols = m23_table2(m23, t_order)
     for n in range(min(t_order, 21)):
         row = tuple(int(cols[j][n]) for j in range(17))
         if row != TABLE2_ROWS[n]:

@@ -45,9 +45,6 @@ class CharacterEntry:
     degree: int
     values: tuple
 
-    def value_at(self, index: int) -> Fraction:
-        return self.values[index]
-
 
 @dataclass
 class CharacterTable:

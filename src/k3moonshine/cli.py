@@ -167,17 +167,8 @@ def cmd_lattice_check(args):
 
 def cmd_m23_table(args):
     from .tables import load_m23
-    from .genus import rational_form, SYMPLECTIC_CLASSES
-    from .replattice import (chosen_rational_form, decompose_family,
-                             expand_to_irreducible_columns)
-    m23 = load_m23()
-    forms = {lab: rational_form(lab) for lab in SYMPLECTIC_CLASSES}
-    for lab in ("11AB", "14AB", "15AB", "23AB"):
-        forms[lab] = chosen_rational_form(lab)
-    family = {lab: [-c for c in rf.expand(args.t_order)]
-              for lab, rf in forms.items()}
-    dec = decompose_family(m23, family)
-    cols = expand_to_irreducible_columns(m23, dec)
+    from .replattice import m23_table2
+    _, cols = m23_table2(load_m23(), args.t_order)
     rows = [[n] + [_fmt(cols[j][n]) for j in range(len(cols))]
             for n in range(args.t_order)]
     nonint = any(Fraction(c).denominator != 1 for col in cols for c in col)

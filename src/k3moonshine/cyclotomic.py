@@ -178,20 +178,6 @@ class CyclotomicNumber:
         return CyclotomicNumber(n, _combine(_power_reduction(n), counts,
                                             euler_phi(n)))
 
-    # -- coercion ----------------------------------------------------------
-
-    @staticmethod
-    def _lift(value, n: int) -> "CyclotomicNumber":
-        if isinstance(value, CyclotomicNumber):
-            if value.n == n:
-                return value
-            lcm = value.n * n // gcd(value.n, n)
-            if lcm > COMPOSITUM_CAP:
-                raise DomainError(
-                    f"compositum conductor {lcm} above cap {COMPOSITUM_CAP}")
-            return value.embed(lcm)
-        return CyclotomicNumber.from_rational(n, value)
-
     def embed(self, m: int) -> "CyclotomicNumber":
         """Embed into Q(zeta_m); m must be a multiple of the conductor."""
         if m == self.n:

@@ -5,8 +5,9 @@ The rational classes of both groups are uniquely labeled by cycle type
 permutation character can be evaluated exactly from combinatorial data:
 psi^k needs only the cycle type of g^k.  Every irreducible appears in
 some tensor power of the faithful permutation character, so iterating
-exterior powers, products, and exact Gram reduction over the rational
-class functions recovers the full Galois-orbit-summed table.
+exterior powers and products, and reducing the lattice of integral class
+functions under the integer form sum |C_i| f_i g_i (integral LLL and
+Fincke-Pohst), recovers the full Galois-orbit-summed table.
 
 The class data (cycle types, centralizer orders) is standard published
 group data; it is cross-checked on load: sizes sum to the group order,
@@ -20,12 +21,14 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, isqrt
 from types import MappingProxyType
+
+from .lattice import hermite_normal_form, integer_kernel
 
 __all__ = [
     "GroupClassData", "M23_CLASSES", "M24_CLASSES",
-    "class_data", "mill_rational_table",
+    "class_data", "exterior_powers", "mill_rational_table",
 ]
 
 
@@ -106,6 +109,11 @@ class GroupClassData:
     classes: tuple         # tuple of ClassInfo
     type_index: Mapping    # read-only: cycle type -> class position
 
+    @property
+    def permutation_character(self) -> tuple:
+        """Fixed points of each class on the 23 resp. 24 points."""
+        return tuple(dict(c.cycle_type).get(1, 0) for c in self.classes)
+
     def power_class(self, idx: int, k: int) -> int:
         """Rational class of g^k given the class of g (from cycle types)."""
         powered: dict = {}
@@ -149,36 +157,35 @@ def class_data(name: str) -> GroupClassData:
 
 
 # -- the mill --------------------------------------------------------------------
+#
+# Class functions are integer tuples over the rational classes, paired by
+# the integer form <f, g> = sum |C_i| f_i g_i, which is |G| times the
+# character inner product.  An orbit-sum row of norm n has <chi, chi> = n|G|.
 
-def _inner(data: GroupClassData, f, g) -> Fraction:
-    acc = 0
-    for c, a, b in zip(data.classes, f, g):
-        acc += c.size * a * b
-    return Fraction(acc, data.order)
+_ROUNDS = 8
+
+
+def _form(w, f, g) -> int:
+    return sum(c * a * b for c, a, b in zip(w, f, g))
 
 
 def _adams(data: GroupClassData, f, k: int):
     return tuple(f[data.power_class(i, k)] for i in range(len(f)))
 
 
-def _exterior_powers(data: GroupClassData, f, kmax: int):
+def exterior_powers(data: GroupClassData, f, kmax: int):
     """lambda^0..lambda^kmax of a character via Newton's identities."""
     lams = [tuple([1] * len(f))]
     psis = [None] + [_adams(data, f, k) for k in range(1, kmax + 1)]
     for k in range(1, kmax + 1):
-        acc = [Fraction(0)] * len(f)
-        for j in range(1, k + 1):
-            sign = 1 if j % 2 else -1
-            pj = psis[j]
-            lkj = lams[k - j]
-            for i in range(len(f)):
-                acc[i] += sign * pj[i] * lkj[i]
         vals = []
-        for x in acc:
-            q = x / k
-            if q.denominator != 1:
+        for i in range(len(f)):
+            acc = sum((1 if j % 2 else -1) * psis[j][i] * lams[k - j][i]
+                      for j in range(1, k + 1))
+            q, r = divmod(acc, k)
+            if r:
                 raise ArithmeticError("exterior power is not integral")
-            vals.append(q.numerator)
+            vals.append(q)
         lams.append(tuple(vals))
     return lams
 
@@ -187,327 +194,208 @@ def _mul(f, g):
     return tuple(a * b for a, b in zip(f, g))
 
 
+def _lll(w, rows):
+    """Integral LLL reduction (delta = 3/4) of independent integer rows
+    under the form sum w_i x_i y_i with positive integer weights w.
+
+    Cohen, *A Course in Computational Algebraic Number Theory*, Alg. 2.6.7:
+    the Gram-Schmidt data is kept as integers and updated incrementally.
+    Returns (basis, d, lam), 1-indexed as in Cohen: d[i] is the Gram
+    determinant of basis[:i] (d[0] = 1) and lam[k][j] = d[j] * mu_kj.
+    """
+    n = len(rows)
+    b = [None] + [tuple(r) for r in rows]
+    d = [1] + [0] * n
+    lam = [[0] * (n + 1) for _ in range(n + 1)]
+
+    def redi(k, l):
+        if 2 * abs(lam[k][l]) > d[l]:
+            q = (2 * lam[k][l] + d[l]) // (2 * d[l])
+            b[k] = tuple(x - q * y for x, y in zip(b[k], b[l]))
+            lam[k][l] -= q * d[l]
+            for i in range(1, l):
+                lam[k][i] -= q * lam[l][i]
+
+    def swapi(k, kmax):
+        b[k], b[k - 1] = b[k - 1], b[k]
+        for j in range(1, k - 1):
+            lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+        m = lam[k][k - 1]
+        big = (d[k - 2] * d[k] + m * m) // d[k - 1]
+        for i in range(k + 1, kmax + 1):
+            t = lam[i][k]
+            lam[i][k] = (d[k] * lam[i][k - 1] - m * t) // d[k - 1]
+            lam[i][k - 1] = (big * t + m * lam[i][k]) // d[k]
+        d[k - 1] = big
+
+    k, kmax = 1, 0
+    while k <= n:
+        if k > kmax:                   # incremental Gram-Schmidt of b[k]
+            kmax = k
+            for j in range(1, k + 1):
+                u = _form(w, b[k], b[j])
+                for i in range(1, j):
+                    u = (d[i] * u - lam[k][i] * lam[j][i]) // d[i - 1]
+                if j < k:
+                    lam[k][j] = u
+                elif u == 0:
+                    raise ValueError("LLL rows are linearly dependent")
+                else:
+                    d[k] = u
+        if k == 1:
+            k = 2
+            continue
+        redi(k, k - 1)
+        if 4 * d[k] * d[k - 2] < 3 * d[k - 1] ** 2 - 4 * lam[k][k - 1] ** 2:
+            swapi(k, kmax)
+            k = max(2, k - 1)
+        else:
+            for l in range(k - 2, 0, -1):
+                redi(k, l)
+            k += 1
+    return b[1:], d, lam
+
+
+def _short_vectors(w, rows, bound: int):
+    """Every nonzero v in the span of the independent integer ``rows``
+    with sum w_i v_i^2 <= bound, one of each pair +-v.
+
+    Fincke-Pohst enumeration (Math. Comp. 44, 1985) over the integral LLL
+    data.  The level-i Gram-Schmidt term is (d_i x_i + c)^2 / (d_i d_{i-1})
+    with c an integer, so one isqrt gives the exact range of x_i; the first
+    nonzero coordinate from the top is taken positive.
+    """
+    basis, d, lam = _lll(w, rows)
+    n = len(basis)
+    x = [0] * (n + 1)
+    out = []
+
+    def rec(i, rem, top):
+        if i == 0:
+            if not top:
+                out.append(tuple(sum(x[j] * basis[j - 1][c]
+                                     for j in range(1, n + 1))
+                                 for c in range(len(w))))
+            return
+        c = sum(lam[j][i] * x[j] for j in range(i + 1, n + 1))
+        scaled = rem * d[i] * d[i - 1]
+        s = isqrt(scaled.numerator // scaled.denominator)
+        lo = 0 if top else -((s + c) // d[i])
+        for xi in range(lo, (s - c) // d[i] + 1):
+            x[i] = xi
+            t = d[i] * xi + c
+            rec(i - 1, rem - Fraction(t * t, d[i] * d[i - 1]), top and not xi)
+        x[i] = 0
+
+    rec(n, Fraction(bound), True)
+    return out
+
+
 def mill_rational_table(name: str):
     """All Galois-orbit-summed irreducible characters of M23 or M24.
 
     Returns (data, rows) with rows a list of (values, norm) sorted by
     constituent degree; norm 1 marks a rational irreducible, norm 2 a
-    summed conjugate pair.  Norm-1 remainders are exhausted before any
-    norm-2 candidate is accepted, and a norm-2 candidate must pair
-    evenly with the whole pool (true orbit sums do; accidental sums of
-    two rational irreducibles generally do not).  The final table is
-    validated by orthogonality and the degree relation.
+    summed conjugate pair.
+
+    One loop, at most ``_ROUNDS`` rounds.  Each round reduces the pool
+    (exterior powers of the permutation character, then products, Adams
+    twists and symmetric/exterior squares of the rows found) against the
+    rows found, sweeps the norm <= 2 vectors of the lattice the residues
+    span through one acceptance predicate, norm 1 before norm 2, and
+    enriches the pool.  After a sweep that adds nothing while the
+    residues already span the orthogonal complement of the found rows,
+    the next sweep runs on the complement's integer points instead.  The
+    final table is validated by orthogonality and the degree relation.
     """
     data = class_data(name)
-    k = len(data.classes)
-    perm = tuple(dict(c.cycle_type).get(1, 0) for c in data.classes)
+    w = tuple(c.size for c in data.classes)
+    k = len(w)
+    perm = data.permutation_character
     found: list = [tuple([1] * k)]
-    norms: list = [Fraction(1)]
+    norms: list = [1]
 
     def reduce_vec(f):
-        f = list(Fraction(x) for x in f)
         for chi, n in zip(found, norms):
-            m = _inner(data, f, chi) / n
-            if m.denominator != 1:
+            m, r = divmod(_form(w, f, chi), n * data.order)
+            if r:
                 raise ArithmeticError("non-integral multiplicity in the mill")
             if m:
-                f = [a - m * b for a, b in zip(f, chi)]
-        return tuple(f)
+                f = tuple(a - m * b for a, b in zip(f, chi))
+        return f
 
-    def accept(r, nrm):
-        found.append(tuple(int(x) for x in r))
-        norms.append(Fraction(nrm))
+    def admissible(v, norm):
+        """``v`` with positive degree if it passes every test a Galois-orbit
+        sum of ``norm`` complex irreducibles passes, else None.
 
-    # the pool: exterior powers 1..12 of the permutation character;
-    # at most 8 rounds of absorbing remainders
-    pool = list(_exterior_powers(data, perm, 12)[1:])
-    for _ in range(8):
-        if _complete(data, found, norms):
+        Such a row has <v, v> = norm|G|, positive degree (even for a
+        pair), is orthogonal to the rows found, pairs with every rational
+        character of the pool to a multiple of norm|G| (conjugates occur
+        equally often) and has v(g)^2 = v(g^2) mod 2 (the difference is
+        2 Lambda^2 v).
+        """
+        if v[0] < 0:
+            v = tuple(-a for a in v)
+        if (_form(w, v, v) != norm * data.order or v[0] == 0 or v[0] % norm
+                or any(_form(w, v, chi) for chi in found)
+                or any((a * a - b) % 2 for a, b in zip(v, _adams(data, v, 2)))
+                or any(_form(w, f, v) % (norm * data.order) for f in pool)):
+            return None
+        return v
+
+    pool = dict.fromkeys(exterior_powers(data, perm, 12)[1:])
+    on_complement = False
+    for _ in range(_ROUNDS):
+        if on_complement:
+            basis = integer_kernel([[s * chi[i] for chi in found]
+                                    for i, s in enumerate(w)])
+        else:
+            basis = hermite_normal_form(
+                [r for r in map(reduce_vec, pool) if any(r)])
+        short = _short_vectors(w, basis, 2 * data.order)
+        n_found = len(found)
+        for norm in (1, 2):
+            for v in short:
+                v = admissible(v, norm)
+                if v:
+                    found.append(v)
+                    norms.append(norm)
+        if len(found) == k:
             break
-        # phase 1: absorb every norm-1 remainder reachable from the pool
-        progress = True
-        while progress:
-            progress = False
-            for f in pool:
-                r = reduce_vec(f)
-                if any(r) and _inner(data, r, r) == 1:
-                    if r[0] < 0:
-                        r = tuple(-x for x in r)
-                    accept(r, 1)
-                    progress = True
-        if _complete(data, found, norms):
-            break
-        # phase 2: norm-2 remainders that pair evenly with the whole pool
-        candidates = []
-        for f in pool:
-            r = reduce_vec(f)
-            if any(r) and _inner(data, r, r) == 2 and r not in candidates:
-                candidates.append(r)
-        accepted_any = False
-        for r in candidates:
-            if r[0] < 0:
-                r = tuple(-x for x in r)
-            if r[0] <= 0 or r[0] % 2:
-                continue
-            if any(Fraction(x).denominator != 1 for x in r):
-                continue
-            if any(_inner(data, f, r) % 2 for f in pool):
-                continue
-            if any(_inner(data, r, chi) for chi in found):
-                continue
-            accept(r, 2)
-            accepted_any = True
-        # phase 3: enrich the pool: products, Adams twists, and the
-        # symmetric/exterior squares (the splitting lever)
-        snapshot = [f for f, n in zip(found, norms)]
-        def push(v):
-            v = tuple(v)
-            if v not in pool:
-                pool.append(v)
-        for a in snapshot:
-            for b in snapshot:
-                push(_mul(a, b))
-            push(_mul(a, perm))
-            psi2 = _adams(data, a, 2)
-            sq = _mul(a, a)
-            push(tuple((x - y) // 2 for x, y in zip(sq, psi2)))   # Lambda^2
-            push(tuple((x + y) // 2 for x, y in zip(sq, psi2)))   # S^2
+        on_complement = len(found) == n_found and len(basis) == k - n_found
+        for i, a in enumerate(found):
+            for b in found[i:]:
+                pool[_mul(a, b)] = None
+            pool[_mul(a, perm)] = None
+            sq, psi2 = _mul(a, a), _adams(data, a, 2)     # Lambda^2, S^2
+            pool[tuple((x - y) // 2 for x, y in zip(sq, psi2))] = None
+            pool[tuple((x + y) // 2 for x, y in zip(sq, psi2))] = None
             for kk in (3, 5, 7):
-                push(_adams(data, a, kk))
-        residues = []
-        for f in pool:
-            r = reduce_vec(f)
-            if any(r):
-                residues.append(tuple(int(x) for x in r))
-        for r in residues[:40]:
-            psi2 = _adams(data, r, 2)
-            sq = _mul(r, r)
-            push(tuple((x - y) // 2 for x, y in zip(sq, psi2)))
-            push(tuple((x + y) // 2 for x, y in zip(sq, psi2)))
-        if len(pool) > 900:
-            pool = pool[:900]
-        if not accepted_any and not _complete(data, found, norms):
-            _sweep_residues(data, residues, found, norms, pool)
-    if not _complete(data, found, norms):
-        # last resort: small integer combinations of leftover residues
-        residues = []
-        for f in pool:
-            r = reduce_vec(f)
-            if any(r):
-                residues.append(r)
-        _sweep_residues(data, residues, found, norms, pool)
-    if not _complete(data, found, norms):
-        _complete_by_complement(data, found, norms, pool)
-    if not _complete(data, found, norms):
+                pool[_adams(data, a, kk)] = None
+    else:
         raise RuntimeError(f"mill did not complete the {name} table")
     rows = sorted(zip(found, norms),
-                  key=lambda fn: (Fraction(fn[0][0], fn[1]), fn[1], fn[0]))
-    _validate(data, rows)
-    return data, [(tuple(int(x) for x in f), int(n)) for f, n in rows]
+                  key=lambda fn: (fn[0][0] // fn[1], fn[1], fn[0]))
+    _validate(data, w, rows)
+    return data, rows
 
 
-def _complete(data, found, norms) -> bool:
-    if len(found) != len(data.classes):
-        return False
-    total = sum(Fraction(f[0] * f[0], n) for f, n in zip(found, norms))
-    return total == data.order
-
-
-def _row_reduce_integer_basis(vecs):
-    """Integer row-span basis of the given integer vectors (row HNF)."""
-    from .lattice import hermite_normal_form
-    rows = [list(int(x) for x in v) for v in vecs]
-    return [tuple(r) for r in hermite_normal_form(rows)]
-
-
-def _gram_schmidt(data, basis):
-    n = len(basis)
-    star, mu, B = [], [[Fraction(0)] * n for _ in range(n)], []
-    for i in range(n):
-        v = [Fraction(x) for x in basis[i]]
-        for j in range(i):
-            if B[j]:
-                mu[i][j] = _inner(data, basis[i], star[j]) / B[j]
-                v = [a - mu[i][j] * b for a, b in zip(v, star[j])]
-        star.append(v)
-        B.append(_inner(data, v, v))
-    return star, mu, B
-
-
-def _lll(data, basis):
-    basis = [list(b) for b in basis]
-    n = len(basis)
-    if n <= 1:
-        return basis
-    k = 1
-    guard = 0
-    while k < n and guard < 5000:
-        guard += 1
-        star, mu, B = _gram_schmidt(data, basis)
-        for j in range(k - 1, -1, -1):
-            q = round(mu[k][j])
-            if q:
-                basis[k] = [a - q * b for a, b in zip(basis[k], basis[j])]
-        star, mu, B = _gram_schmidt(data, basis)
-        if B[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * B[k - 1]:
-            k += 1
-        else:
-            basis[k], basis[k - 1] = basis[k - 1], basis[k]
-            k = max(k - 1, 1)
-    return basis
-
-
-def _short_vectors(data, basis):
-    """All lattice vectors of norm <= 2 (up to sign), Fincke-Pohst."""
-    n = len(basis)
-    star, mu, B = _gram_schmidt(data, basis)
-    out = []
-    coeffs = [0] * n
-
-    def rec(i, remaining):
-        if i < 0:
-            v = [0] * len(basis[0])
-            for c, b in zip(coeffs, basis):
-                if c:
-                    v = [a + c * x for a, x in zip(v, b)]
-            if any(v):
-                out.append(tuple(v))
-            return
-        if B[i] == 0:
-            return
-        center = sum(mu[j][i] * coeffs[j] for j in range(i + 1, n))
-        # |x + center|^2 * B[i] <= remaining
-        import math
-        lim = remaining / B[i]
-        # integer x with (x + center)^2 <= lim
-        from math import isqrt
-        num = lim
-        bound = Fraction(isqrt(int(num * 10 ** 8)) + 1, 10 ** 4)
-        x = int(-center - bound) - 1
-        while Fraction(x) + center < -bound:
-            x += 1
-        while Fraction(x) + center <= bound:
-            used = (Fraction(x) + center) ** 2 * B[i]
-            if used <= remaining:
-                coeffs[i] = x
-                rec(i - 1, remaining - used)
-            x += 1
-        coeffs[i] = 0
-
-    rec(n - 1, Fraction(2))
-    # deduplicate up to sign
-    seen = set()
-    uniq = []
-    for v in out:
-        key = v if v >= tuple(-x for x in v) else tuple(-x for x in v)
-        if key not in seen:
-            seen.add(key)
-            uniq.append(key)
-    return uniq
-
-
-def _lattice_reduce(data, vecs):
-    """Short vectors (norm <= 2) of the lattice spanned by ``vecs``."""
-    basis = _row_reduce_integer_basis(vecs)
-    if not basis:
-        return []
-    reduced = _lll(data, basis)
-    return _short_vectors(data, reduced)
-
-
-def _sweep_residues(data, residues, found, norms, pool=()) -> bool:
-    """Extract short vectors from the residue lattice and accept them.
-
-    Norm-1 vectors (rational irreducibles) are taken first; a norm-2
-    vector is accepted only if it pairs evenly with every pool character
-    (true conjugate-pair sums do; sums or differences of two rational
-    irreducibles are rejected by parity against some pool element).
-    """
-    vecs = [tuple(int(x) for x in r) for r in residues if any(r)]
-    if not vecs:
-        return False
-    short = _lattice_reduce(data, vecs)
-    added = False
-    for target_norm in (1, 2):
-        for v in short:
-            if _inner(data, v, v) != target_norm:
-                continue
-            if v[0] < 0:
-                v = tuple(-x for x in v)
-            if v[0] <= 0:
-                continue
-            if any(_inner(data, v, chi) for chi in found):
-                continue
-            if target_norm == 2:
-                if v[0] % 2:
-                    continue
-                if any(_inner(data, f, v) % 2 for f in pool):
-                    continue
-            found.append(v)
-            norms.append(Fraction(target_norm))
-            added = True
-    return added
-
-
-def _complete_by_complement(data, found, norms, pool):
-    """Solve for the missing orbit-sum rows inside the integer orthogonal
-    complement of the found characters.
-
-    The complement lattice (integer class vectors pairing to zero with
-    every found character) contains the missing rows; its norm-1 vectors
-    with positive integral degree are rational irreducibles and its
-    admissible norm-2 vectors are conjugate-pair sums (fractional mixtures
-    are excluded because their degrees are non-integral).
-    """
-    from .lattice import integer_kernel
-    k = len(data.classes)
-    cond = []
-    for chi in found:
-        cond.append([data.classes[c].size * chi[c] for c in range(k)])
-    # right kernel of the condition matrix = left kernel of its transpose
-    transposed = [[cond[i][j] for i in range(len(cond))] for j in range(k)]
-    kern = integer_kernel(transposed)
-    if not kern:
-        return
-    short = _short_vectors(data, _lll(data, kern))
-    for target_norm in (1, 2):
-        for v in short:
-            if _inner(data, v, v) != target_norm:
-                continue
-            if v[0] < 0:
-                v = tuple(-x for x in v)
-            if v[0] <= 0:
-                continue
-            if any(_inner(data, v, chi) for chi in found):
-                continue
-            if target_norm == 2:
-                if v[0] % 2:
-                    continue
-                if any(_inner(data, f, v) % 2 for f in pool):
-                    continue
-            else:
-                if any(_inner(data, f, v).denominator != 1 for f in pool):
-                    continue
-            # lambda-ring integrality: v(g) = v(g^2) mod 2 for characters
-            psi2 = _adams(data, v, 2)
-            if any((a - b) % 2 for a, b in zip(_mul(v, v), psi2)):
-                continue
-            found.append(tuple(int(x) for x in v))
-            norms.append(Fraction(target_norm))
-
-
-def _validate(data: GroupClassData, rows):
-    k = len(data.classes)
+def _validate(data: GroupClassData, w, rows):
     for i, (fi, ni) in enumerate(rows):
         for j, (fj, nj) in enumerate(rows):
-            got = _inner(data, fi, fj)
-            want = ni if i == j else 0
+            got = _form(w, fi, fj)
+            want = ni * data.order if i == j else 0
             if got != want:
                 raise ArithmeticError(
                     f"orthogonality failure at rows {i},{j}: {got} != {want}")
     # column relation at the identity: sum over constituents of deg^2 = |G|
-    total = sum(Fraction(f[0] ** 2, n) for f, n in rows)
+    total = 0
+    for f, n in rows:
+        deg, r = divmod(f[0], n)
+        if r:
+            raise ArithmeticError(f"degree {f[0]} of a norm-{n} row")
+        total += n * deg * deg
     if total != data.order:
         raise ArithmeticError("degree sum does not match the group order")
-    if len(rows) != k:
+    if len(rows) != len(data.classes):
         raise ArithmeticError("wrong number of rational irreducibles")

@@ -142,9 +142,6 @@ class ComplexApprox:
     value: complex
     error: float
 
-    def close_to(self, other: complex, slack: float = 0.0) -> bool:
-        return abs(self.value - other) <= self.error + slack
-
 
 def numeric_eval(s: TruncatedSeries, tau: complex, u: complex = 0.0,
                  v: complex = 0.0) -> ComplexApprox:

@@ -32,6 +32,7 @@ __all__ = [
     "solve_virtual_m24",
     "decompose_family",
     "expand_to_irreducible_columns",
+    "m23_table2",
     "m_chi_rational",
     "alpha_basis_check",
     "first_nonintegral",
@@ -203,9 +204,10 @@ def decompose_family(table: CharacterTable, family: dict):
     ``family`` maps class labels to coefficient lists (series in t); the
     result maps each character name to its multiplicity series (per
     constituent: the orbit-sum inner product divided by the orbit size).
-    Raises if any multiplicity is non-integral at some order? No -- the
-    caller inspects integrality; generalized rational characters can have
-    fractional multiplicities only through non-character input.
+    Multiplicities are exact Fractions and are returned even when
+    non-integral; callers inspect integrality (a fractional one means the
+    family is not a series of characters).  Raises KeyError if the family
+    misses a class of the table.
     """
     n_terms = min(len(v) for v in family.values())
     series = []
@@ -232,6 +234,25 @@ def expand_to_irreducible_columns(table: CharacterTable, per_orbit: dict):
         for _ in range(ch.orbit_size):
             columns.append(per_orbit[ch.name])
     return columns
+
+
+def m23_table2(table: CharacterTable, t_order: int) -> tuple:
+    """Table 2: -chi(X, S_t T) decomposed into the irreducibles of ``table``.
+
+    Returns (forms, columns).  ``forms`` maps each class label to r_g(t):
+    the fitted equivariant form on the symplectic classes and the shipped
+    closed form on 11AB, 14AB, 15AB and 23AB.  ``columns`` holds the
+    t^0..t^(t_order - 1) multiplicities, one column per complex
+    irreducible.
+    """
+    from .genus import SYMPLECTIC_CLASSES, rational_form
+    forms = {lab: rational_form(lab) for lab in SYMPLECTIC_CLASSES}
+    for lab in CHOSEN_FORM_NUMERATORS:
+        forms[lab] = chosen_rational_form(lab)
+    family = {lab: [-c for c in rf.expand(t_order)]
+              for lab, rf in forms.items()}
+    return forms, expand_to_irreducible_columns(
+        table, decompose_family(table, family))
 
 
 def m_chi_rational(table: CharacterTable, forms: dict):

@@ -17,7 +17,7 @@ from functools import lru_cache, wraps
 from .chartab import (
     CharacterTable, CharacterEntry, ClassEntry, TableFormatError,
 )
-from .mill import class_data, mill_rational_table
+from .mill import class_data, exterior_powers, mill_rational_table
 from .mukai import MUKAI_GROUPS, mukai_table
 from .lattice import hnf_basis
 
@@ -83,48 +83,20 @@ def _mukai_to_table(index: int) -> CharacterTable:
     return table.validate()
 
 
-def leech_power_traces() -> dict:
-    """Traces of g^j on the 24-dim representation for the eight classes.
+def co0_restricted_rows() -> list:
+    """Restrictions of exterior powers of the Leech representation (and
+    their pointwise products) at the eight symplectic classes.
 
     The symplectic classes embed through the coordinate-permutation copy
-    of M24 in Aut(Leech), so the trace of g^j is the fixed-point count of
-    the corresponding M24 power class.
+    of M24 in Aut(Leech), so Lambda^0..Lambda^24 of the 24-dim
+    representation restrict to those of the M24 permutation character.
     """
     m24 = class_data("M24")
     idx = {c.label: i for i, c in enumerate(m24.classes)}
-    cols = [idx[l] for l in SYMPLECTIC_M24_LABELS]
-    out = {}
-    for lab, col in zip(CO0_CLASS_LABELS, cols):
-        order = m24.classes[col].order
-        chain = []
-        for j in range(1, order + 1):
-            pc = m24.power_class(col, j)
-            chain.append(dict(m24.classes[pc].cycle_type).get(1, 0))
-        out[lab] = chain
-    return out
-
-
-def co0_restricted_rows() -> list:
-    """Restrictions of exterior powers of the Leech representation (and
-    their pointwise products) at the eight symplectic classes."""
-    traces = leech_power_traces()
-    k = len(CO0_CLASS_LABELS)
-    lams = [[1] * k]
-    for deg in range(1, 25):     # Lambda^1..Lambda^24 of the 24-dim rep
-        row = []
-        for i, lab in enumerate(CO0_CLASS_LABELS):
-            chain = traces[lab]
-            order = len(chain)
-            acc = Fraction(0)
-            for j in range(1, deg + 1):
-                sign = 1 if j % 2 else -1
-                psi = chain[(j - 1) % order]
-                acc += sign * psi * lams[deg - j][i]
-            row.append(acc / deg)
-        if any(x.denominator != 1 for x in row):
-            raise ArithmeticError("non-integral exterior power")
-        lams.append([int(x) for x in row])
-    rows = [tuple(r) for r in lams]
+    cols = [idx[lab] for lab in SYMPLECTIC_M24_LABELS]
+    k = len(cols)
+    rows = [tuple(lam[c] for c in cols)
+            for lam in exterior_powers(m24, m24.permutation_character, 24)]
     # close under pointwise products, keeping a small generating set
     lattice = hnf_basis([list(r) for r in rows], ambient=k)
     gens = list(rows)
@@ -163,9 +135,9 @@ def validate_co0_restricted(table: CharacterTable) -> CharacterTable:
     applies: the eight class labels and element orders; rows 0..24 are the
     exterior powers of the 24-dim representation, checked against
     det(1 + tP) over the cycle types of the matching M24 classes (a route
-    independent of the Newton-identity recurrence in
-    ``co0_restricted_rows``); every later row is the pointwise product of
-    two earlier rows.
+    independent of the Newton-identity recurrence that
+    ``co0_restricted_rows`` shares with the mill); every later row is the
+    pointwise product of two earlier rows.
     """
     m24 = class_data("M24")
     by_label = {c.label: c for c in m24.classes}

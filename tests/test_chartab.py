@@ -2,12 +2,15 @@ import os
 
 import pytest
 
+from k3moonshine import tables
 from k3moonshine.chartab import CharacterTable, TableFormatError
 from k3moonshine.mill import class_data, mill_rational_table
 from k3moonshine.tables import (
-    load_co0_restricted, load_m23, load_m24, load_mukai,
+    _mill_to_table, load_co0_restricted, load_m23, load_m24, load_mukai,
     validate_co0_restricted,
 )
+
+COMMITTED = os.path.join(os.path.dirname(tables.__file__), "data")
 
 
 def test_m23_fixture_shape():
@@ -106,3 +109,11 @@ def test_mill_m23_matches_fixture():
     for (values, norm), ch in zip(rows, t.characters):
         assert norm == ch.orbit_size
         assert list(values) == [int(v) for v in ch.values]
+    with open(os.path.join(COMMITTED, "m23.tbl")) as fh:
+        assert _mill_to_table("M23").dumps() == fh.read()
+
+
+def test_mill_m24_matches_fixture():
+    # the M24 table the lattice criteria read is regenerated byte for byte
+    with open(os.path.join(COMMITTED, "m24.tbl")) as fh:
+        assert _mill_to_table("M24").dumps() == fh.read()

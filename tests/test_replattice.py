@@ -7,9 +7,8 @@ from k3moonshine.genus import rational_form, SYMPLECTIC_CLASSES
 from k3moonshine.qpoly import Poly, RationalFunction, cyclotomic_poly
 from k3moonshine.replattice import (
     ALPHA_ROWS, alpha_basis_check, chosen_rational_form, decompose_family,
-    expand_to_irreducible_columns, first_nonintegral, m_chi_rational,
-    mukai_lattice_N, order_lattice, restricted_lattice, solve_virtual_m24,
-    sufficiency_scan,
+    first_nonintegral, m23_table2, m_chi_rational, mukai_lattice_N,
+    order_lattice, restricted_lattice, solve_virtual_m24, sufficiency_scan,
 )
 from k3moonshine.tables import (
     SYMPLECTIC_M23_LABELS, SYMPLECTIC_M24_LABELS, load_co0_restricted,
@@ -114,12 +113,7 @@ def test_decompose_family_orthogonality():
 
 
 def test_table2_row0_and_row4():
-    m23 = load_m23()
-    forms = {lab: rational_form(lab) for lab in SYMPLECTIC_CLASSES}
-    for lab in ("11AB", "14AB", "15AB", "23AB"):
-        forms[lab] = chosen_rational_form(lab)
-    family = {lab: [-c for c in rf.expand(5)] for lab, rf in forms.items()}
-    cols = expand_to_irreducible_columns(m23, decompose_family(m23, family))
+    _, cols = m23_table2(load_m23(), 5)
     assert [int(cols[j][0]) for j in range(17)] == \
         [-2] + [0] * 16
     assert [int(cols[j][4]) for j in range(17)] == \
