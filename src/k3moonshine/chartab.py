@@ -12,16 +12,21 @@ The file format is line-oriented text with exact rationals:
     ...
     end
 
-Values are integers or "a/b" strings; a rationalized table stores one row
-per Galois orbit of complex irreducibles (values are the orbit sums).
-Round-trips are bit-exact.  Loading validates the class-size sum and the
-row orthogonality relations.
+Values are integers or "a/b" strings.  A full table stores one row per
+Galois orbit of complex irreducibles (values are the orbit sums, so they
+are integers) and one column per rational class.  Round-trips are
+bit-exact.  ``CharacterTable.validate`` is the one full-table check; both
+builders (``groups.rational_character_table`` and
+``mill.mill_rational_table``) and ``CharacterTable.loads`` run it.
+Restricted slices are parsed with ``loads_unchecked`` and checked by
+their own rules.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
 __all__ = ["CharacterTable", "TableFormatError"]
 
@@ -52,7 +57,6 @@ class CharacterTable:
     order: int
     classes: list = field(default_factory=list)
     characters: list = field(default_factory=list)
-    rationalized: bool = True
 
     # -- access -----------------------------------------------------------
 
@@ -67,39 +71,60 @@ class CharacterTable:
         """Number of complex irreducibles (orbit sizes summed)."""
         return sum(ch.orbit_size for ch in self.characters)
 
-    def inner(self, f, g) -> Fraction:
-        acc = Fraction(0)
-        for c, a, b in zip(self.classes, f, g):
-            acc += Fraction(c.size) * a * b
-        return acc / self.order
-
     # -- validation ---------------------------------------------------------
 
     def validate(self):
-        if sum(c.size for c in self.classes) != self.order:
+        """Check the full table and return it; raise ``TableFormatError``.
+
+        Works in the integer form sum |C_i| a_i b_i, which is |G| times the
+        character inner product: class sizes sum to |G|, the table is square
+        with integral values, each row's value at the identity (the class
+        of element order 1) is orbit_size * degree, rows satisfy
+        sum |C_i| a_i b_i = orbit_size * |G| * delta, and
+        sum orbit_size * degree^2 = |G|.
+        """
+        name = self.group
+        total = sum(c.size for c in self.classes)
+        if total != self.order:
             raise TableFormatError(
-                f"{self.group}: class sizes sum to "
-                f"{sum(c.size for c in self.classes)}, not {self.order}")
+                f"{name}: class sizes sum to {total}, not {self.order}")
+        k = len(self.classes)
         for ch in self.characters:
-            if len(ch.values) != len(self.classes):
-                raise TableFormatError(f"{self.group}: ragged row {ch.name}")
-            if self.rationalized and any(
-                    Fraction(v).denominator != 1 for v in ch.values):
+            if len(ch.values) != k:
+                raise TableFormatError(f"{name}: ragged row {ch.name}")
+        if len(self.characters) != k:
+            raise TableFormatError(
+                f"{name}: {len(self.characters)} rows for {k} classes, "
+                f"not square")
+        for ch in self.characters:
+            if any(v.denominator != 1 for v in ch.values):
                 raise TableFormatError(
-                    f"{self.group}: non-integral value in rationalized row "
-                    f"{ch.name}")
-        for i, a in enumerate(self.characters):
-            for j, b in enumerate(self.characters):
-                got = self.inner(a.values, b.values)
-                want = a.orbit_size if i == j else 0
+                    f"{name}: non-integral value in row {ch.name}")
+        rows = [[int(v) for v in ch.values] for ch in self.characters]
+        ones = [i for i, c in enumerate(self.classes) if c.order == 1]
+        if len(ones) != 1:
+            raise TableFormatError(
+                f"{name}: {len(ones)} classes of element order 1")
+        for ch, row in zip(self.characters, rows):
+            if row[ones[0]] != ch.orbit_size * ch.degree:
+                raise TableFormatError(
+                    f"{name}: row {ch.name} has value {row[ones[0]]} at the "
+                    f"identity, not orbit size {ch.orbit_size} times degree "
+                    f"{ch.degree}")
+        sizes = [c.size for c in self.classes]
+        for i, (a, row) in enumerate(zip(self.characters, rows)):
+            weighted = [s * x for s, x in zip(sizes, row)]
+            for b, other in zip(self.characters[i:], rows[i:]):
+                got = sum(map(mul, weighted, other))
+                want = a.orbit_size * self.order if b is a else 0
                 if got != want:
                     raise TableFormatError(
-                        f"{self.group}: orthogonality fails at "
-                        f"({a.name},{b.name}): {got} != {want}")
+                        f"{name}: orthogonality fails at ({a.name},{b.name}): "
+                        f"sum |C| a b = {got}, not {want}")
         degtotal = sum(ch.orbit_size * ch.degree ** 2 for ch in self.characters)
-        if self.characters and degtotal != self.order:
+        if degtotal != self.order:
             raise TableFormatError(
-                f"{self.group}: degree sum {degtotal} != order")
+                f"{name}: degree sum {degtotal} != order")
         return self
 
     # -- serialization -----------------------------------------------------

@@ -4,8 +4,9 @@ Groups are given by generators (permutations as tuples, or matrices as
 tuples-of-tuples over GF(p) / over Z) and enumerated by closure; this is
 meant for groups of order a few thousand at most.  Character tables are
 computed by Dixon's method (class-matrix eigenvectors over GF(p) with
-p = 1 mod exp(G)) and returned in Galois-orbit-summed (rational) form:
-all values are integers, one character per rational class.
+p = 1 mod exp(G)) and returned as a validated ``chartab.CharacterTable``
+in Galois-orbit-summed (rational) form: all values are integers, one
+character per rational class.
 """
 
 from __future__ import annotations
@@ -14,10 +15,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
+from .chartab import CharacterEntry, CharacterTable, ClassEntry
+
 __all__ = [
     "PermGroup",
     "MatrixGroup",
-    "RationalTable",
     "rational_character_table",
 ]
 
@@ -364,49 +366,14 @@ def _solve_over_rows(rows, targets, p):
     return out
 
 
-@dataclass
-class RationalTable:
-    """Rationalized character table data.
+def rational_character_table(name: str, g,
+                             data: ConjugacyData | None = None) -> CharacterTable:
+    """The validated rational character table of ``g``, titled ``name``.
 
-    ``values[o][r]`` is the (integer) value of the o-th orbit-sum
-    character at the r-th rational class; ``orbit_sizes[o]`` counts the
-    complex irreducibles summed; ``degrees[o]`` is the degree of a single
-    constituent.
+    A rational class of element order o is labeled "o-k", k counting the
+    classes of order o so far; the n-th row, in the order the eigenspaces
+    come out, is named ``chi<n>``.
     """
-
-    group_order: int
-    class_orders: list
-    class_sizes: list       # total size of each rational class
-    class_count: list       # number of complex classes merged
-    values: list
-    orbit_sizes: list
-    degrees: list
-
-    def validate(self):
-        total = sum(self.class_sizes)
-        if total != self.group_order:
-            raise ValueError("class sizes do not sum to the group order")
-        k = len(self.values)
-        if k != len(self.class_orders):
-            raise ValueError("table is not square in the rational sense")
-        for o in range(k):
-            for o2 in range(k):
-                acc = Fraction(0)
-                for r in range(k):
-                    acc += Fraction(self.class_sizes[r]
-                                    * self.values[o][r] * self.values[o2][r])
-                acc /= self.group_order
-                want = self.orbit_sizes[o] if o == o2 else 0
-                if acc != want:
-                    raise ValueError(
-                        f"row orthogonality fails at ({o},{o2}): {acc}")
-        if sum(self.orbit_sizes[o] * self.degrees[o] ** 2
-               for o in range(k)) != self.group_order:
-            raise ValueError("degrees do not sum to the group order")
-        return True
-
-
-def rational_character_table(g, data: ConjugacyData | None = None) -> RationalTable:
     if data is None:
         data = conjugacy_classes(g)
     k = len(data.classes)
@@ -475,33 +442,24 @@ def rational_character_table(g, data: ConjugacyData | None = None) -> RationalTa
             cls_assigned[j] = True
         rational_classes.append(sorted(merged))
     half = p // 2
-    values = []
-    orbit_sizes = []
-    degrees = []
-    for orbit in orbit_of:
+    classes = []
+    seen: dict = {}
+    for rc in rational_classes:
+        o = data.orders[rc[0]]
+        seen[o] = seen.get(o, 0) + 1
+        classes.append(ClassEntry(f"{o}-{seen[o]}", o,
+                                  sum(data.sizes[j] for j in rc), len(rc)))
+    chars = []
+    for n, orbit in enumerate(orbit_of, 1):
         deg_mod = sum(degs[i] for i in orbit) % p
         deg = deg_mod if deg_mod <= half else deg_mod - p
-        if deg % len(orbit):
-            raise RuntimeError("orbit degree not divisible by orbit size")
-        degrees.append(deg // len(orbit))
-        orbit_sizes.append(len(orbit))
-        row = []
+        values = []
         for rc in rational_classes:
-            j = rc[0]
-            val = sum(rows[i][j] for i in orbit) % p
-            row.append(val if val <= half else val - p)
-        values.append(row)
-    table = RationalTable(
-        group_order=order,
-        class_orders=[data.orders[rc[0]] for rc in rational_classes],
-        class_sizes=[sum(data.sizes[j] for j in rc) for rc in rational_classes],
-        class_count=[len(rc) for rc in rational_classes],
-        values=values,
-        orbit_sizes=orbit_sizes,
-        degrees=degrees,
-    )
-    table.validate()
-    return table
+            val = sum(rows[i][rc[0]] for i in orbit) % p
+            values.append(Fraction(val if val <= half else val - p))
+        chars.append(CharacterEntry(f"chi{n}", len(orbit), deg // len(orbit),
+                                    tuple(values)))
+    return CharacterTable(name, order, classes, chars).validate()
 
 
 def _sqrt_lift(x_sq: int, p: int, bound: int) -> int:

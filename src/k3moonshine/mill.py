@@ -10,9 +10,9 @@ functions under the integer form sum |C_i| f_i g_i (integral LLL and
 Fincke-Pohst), recovers the full Galois-orbit-summed table.
 
 The class data (cycle types, centralizer orders) is standard published
-group data; it is cross-checked on load: sizes sum to the group order,
-power maps close, and the milled table passes both orthogonality
-relations and the degree sum.
+group data; it is cross-checked on load: sizes sum to the group order
+and power maps close.  The milled table is returned as a
+``chartab.CharacterTable`` and checked by its one validator.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from functools import lru_cache
 from math import gcd, isqrt
 from types import MappingProxyType
 
+from .chartab import CharacterEntry, CharacterTable, ClassEntry
 from .lattice import hermite_normal_form, integer_kernel
 
 __all__ = [
@@ -291,12 +292,13 @@ def _short_vectors(w, rows, bound: int):
     return out
 
 
-def mill_rational_table(name: str):
+def mill_rational_table(name: str) -> CharacterTable:
     """All Galois-orbit-summed irreducible characters of M23 or M24.
 
-    Returns (data, rows) with rows a list of (values, norm) sorted by
-    constituent degree; norm 1 marks a rational irreducible, norm 2 a
-    summed conjugate pair.
+    Returns the validated ``CharacterTable`` with rows sorted by
+    constituent degree: orbit size 1 marks a rational irreducible, named
+    ``chi<pos>``, and orbit size 2 a summed conjugate pair, named
+    ``chi<pos>_<pos+1>``, where pos counts the complex irreducibles.
 
     One loop, at most ``_ROUNDS`` rounds.  Each round reduces the pool
     (exterior powers of the permutation character, then products, Adams
@@ -306,7 +308,7 @@ def mill_rational_table(name: str):
     enriches the pool.  After a sweep that adds nothing while the
     residues already span the orthogonal complement of the found rows,
     the next sweep runs on the complement's integer points instead.  The
-    final table is validated by orthogonality and the degree relation.
+    table is checked once, by ``CharacterTable.validate``.
     """
     data = class_data(name)
     w = tuple(c.size for c in data.classes)
@@ -376,26 +378,13 @@ def mill_rational_table(name: str):
         raise RuntimeError(f"mill did not complete the {name} table")
     rows = sorted(zip(found, norms),
                   key=lambda fn: (fn[0][0] // fn[1], fn[1], fn[0]))
-    _validate(data, w, rows)
-    return data, rows
-
-
-def _validate(data: GroupClassData, w, rows):
-    for i, (fi, ni) in enumerate(rows):
-        for j, (fj, nj) in enumerate(rows):
-            got = _form(w, fi, fj)
-            want = ni * data.order if i == j else 0
-            if got != want:
-                raise ArithmeticError(
-                    f"orthogonality failure at rows {i},{j}: {got} != {want}")
-    # column relation at the identity: sum over constituents of deg^2 = |G|
-    total = 0
-    for f, n in rows:
-        deg, r = divmod(f[0], n)
-        if r:
-            raise ArithmeticError(f"degree {f[0]} of a norm-{n} row")
-        total += n * deg * deg
-    if total != data.order:
-        raise ArithmeticError("degree sum does not match the group order")
-    if len(rows) != len(data.classes):
-        raise ArithmeticError("wrong number of rational irreducibles")
+    classes = [ClassEntry(c.label, c.order, c.size, c.merged)
+               for c in data.classes]
+    chars = []
+    pos = 1
+    for values, norm in rows:
+        row_name = "chi" + "_".join(str(pos + j) for j in range(norm))
+        chars.append(CharacterEntry(row_name, norm, values[0] // norm,
+                                    tuple(Fraction(v) for v in values)))
+        pos += norm
+    return CharacterTable(name, data.order, classes, chars).validate()

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .chartab import CharacterTable
 from .groups import (
     MatrixGroup, PermGroup, conjugacy_classes, element_order,
-    enumerate_group, rational_character_table, RationalTable,
+    enumerate_group, rational_character_table,
 )
 
 __all__ = ["MUKAI_GROUPS", "MukaiGroupSpec", "build_group", "mukai_table"]
@@ -250,7 +251,7 @@ def build_group(index: int):
     return _BUILDERS[index]()
 
 
-def mukai_table(index: int) -> RationalTable:
+def mukai_table(index: int) -> CharacterTable:
     """Rational character table of Mukai group no. ``index``, validated."""
     spec = MUKAI_GROUPS[index - 1]
     g = build_group(index)
@@ -262,4 +263,4 @@ def mukai_table(index: int) -> RationalTable:
     if spectrum != spec.element_orders:
         raise RuntimeError(
             f"{spec.name}: element orders {spectrum} != {spec.element_orders}")
-    return rational_character_table(g, data)
+    return rational_character_table(spec.name, g, data)

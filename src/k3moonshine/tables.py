@@ -5,7 +5,11 @@ from the Dixon engine over explicit group models, the M23/M24 tables from
 the permutation-character mill, and the Co0 fixture lists restrictions of
 explicit virtual characters of Aut(Leech) (the lambda-ring of the 24-
 dimensional representation, evaluated through power-trace data) at the
-eight symplectic classes.  Every fixture revalidates on load.
+eight symplectic classes.  Both full-table builders return a
+``CharacterTable`` that ``CharacterTable.validate`` has checked, and
+``generate_all`` writes it as it is.  Every fixture revalidates on load:
+the full tables through the same validator, the Co0 slice through
+``validate_co0_restricted``.
 """
 
 from __future__ import annotations
@@ -44,43 +48,6 @@ def data_dir() -> str:
 
 def _path(name: str) -> str:
     return os.path.join(data_dir(), name)
-
-
-def _mill_to_table(name: str) -> CharacterTable:
-    data, rows = mill_rational_table(name)
-    classes = [ClassEntry(c.label, c.order, c.size, c.merged)
-               for c in data.classes]
-    chars = []
-    pos = 1
-    for values, norm in rows:
-        deg = values[0] // norm
-        if norm == 1:
-            name_i = f"chi{pos}"
-        else:
-            name_i = "chi" + "_".join(str(pos + j) for j in range(norm))
-        pos += norm
-        chars.append(CharacterEntry(name_i, norm, deg,
-                                    tuple(Fraction(v) for v in values)))
-    return CharacterTable(name, data.order, classes, chars).validate()
-
-
-def _mukai_to_table(index: int) -> CharacterTable:
-    spec = MUKAI_GROUPS[index - 1]
-    t = mukai_table(index)
-    classes = []
-    seen: dict = {}
-    for i, order in enumerate(t.class_orders):
-        seen[order] = seen.get(order, 0) + 1
-        label = f"{order}-{seen[order]}"
-        classes.append(ClassEntry(label, order, t.class_sizes[i],
-                                  t.class_count[i]))
-    chars = []
-    for o, (values, orbit, deg) in enumerate(
-            zip(t.values, t.orbit_sizes, t.degrees)):
-        chars.append(CharacterEntry(f"chi{o + 1}", orbit, deg,
-                                    tuple(Fraction(v) for v in values)))
-    table = CharacterTable(spec.name, t.group_order, classes, chars)
-    return table.validate()
 
 
 def co0_restricted_rows() -> list:
@@ -182,13 +149,13 @@ def _co0_to_table() -> CharacterTable:
 
 
 _FIXTURES = {
-    "m23.tbl": lambda: _mill_to_table("M23"),
-    "m24.tbl": lambda: _mill_to_table("M24"),
+    "m23.tbl": lambda: mill_rational_table("M23"),
+    "m24.tbl": lambda: mill_rational_table("M24"),
     "co0_restricted.tbl": _co0_to_table,
 }
 for _spec in MUKAI_GROUPS:
     _FIXTURES[f"mukai_{_spec.index:02d}.tbl"] = (
-        lambda i=_spec.index: _mukai_to_table(i))
+        lambda i=_spec.index: mukai_table(i))
 
 
 def generate_all(directory=None, force=False):

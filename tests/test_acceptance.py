@@ -16,8 +16,6 @@ published number; it does not claim that this lattice is the paper's K''.
 ``check_8_lattices`` still reports the published 2 as not reproduced.
 """
 
-import pytest
-
 from k3moonshine import acceptance as acc
 
 

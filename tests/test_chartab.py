@@ -6,7 +6,7 @@ from k3moonshine import tables
 from k3moonshine.chartab import CharacterTable, TableFormatError
 from k3moonshine.mill import class_data, mill_rational_table
 from k3moonshine.tables import (
-    _mill_to_table, load_co0_restricted, load_m23, load_m24, load_mukai,
+    load_co0_restricted, load_m23, load_m24, load_mukai,
     validate_co0_restricted,
 )
 
@@ -46,24 +46,64 @@ def test_roundtrip_bitexact(tmp_path):
     assert again.dumps() == t.dumps()
 
 
-def test_bad_class_sizes_rejected():
-    t = load_mukai(10)
-    text = t.dumps().replace(f"order {t.order}", f"order {t.order + 8}")
-    with pytest.raises(TableFormatError):
-        CharacterTable.loads(text)
+def _edit_rows(text, edit):
+    """``text`` with its char lines split into fields, edited in place by
+    ``edit`` (a dict row name -> fields; a row set to None is dropped) and
+    the characters count kept in step."""
+    lines = text.splitlines()
+    rows = {ln.split()[1]: ln.split() for ln in lines if ln.startswith("char ")}
+    edit(rows)
+    kept = [r for r in rows.values() if r is not None]
+    head = [ln for ln in lines if not ln.startswith(("char ", "characters ",
+                                                     "end"))]
+    return "\n".join(head + [f"characters {len(kept)}"]
+                     + [" ".join(r) for r in kept] + ["end"]) + "\n"
 
 
-def test_orthogonality_enforced_on_load():
-    t = load_mukai(10)
-    lines = t.dumps().splitlines()
-    for i, ln in enumerate(lines):
-        if ln.startswith("char chi2 "):
-            parts = ln.split()
-            parts[-1] = str(int(parts[-1]) + 1)
-            lines[i] = " ".join(parts)
-            break
-    with pytest.raises(TableFormatError):
-        CharacterTable.loads("\n".join(lines) + "\n")
+def _bump(rows):
+    rows["chi2"][-1] = str(int(rows["chi2"][-1]) + 1)
+
+
+def _make_non_integral(rows):
+    rows["chi2"][-1] = "1/2"
+
+
+def _drop(rows):
+    rows["chi2"] = None
+
+
+def _swap_degrees(rows):
+    # chi2 (degree 23) and chi7 (degree 252) of M24 trade degree fields;
+    # the degree sum is unchanged, so only the identity column shows it
+    rows["chi2"][3], rows["chi7"][3] = rows["chi7"][3], rows["chi2"][3]
+
+
+CORRUPTIONS = {
+    "class-sizes": ("mukai_10.tbl",
+                    lambda text: text.replace("order 72", "order 80"),
+                    "class sizes sum"),
+    "orthogonality": ("mukai_10.tbl", lambda text: _edit_rows(text, _bump),
+                      "orthogonality fails"),
+    "non-square": ("mukai_10.tbl", lambda text: _edit_rows(text, _drop),
+                   "not square"),
+    "non-integral": ("mukai_10.tbl",
+                     lambda text: _edit_rows(text, _make_non_integral),
+                     "non-integral"),
+    "swapped-degree": ("m24.tbl", lambda text: _edit_rows(text, _swap_degrees),
+                       "at the identity"),
+}
+
+
+@pytest.mark.parametrize("corruption", CORRUPTIONS)
+def test_corrupt_table_rejected(corruption):
+    fname, corrupt, reason = CORRUPTIONS[corruption]
+    with open(os.path.join(COMMITTED, fname)) as fh:
+        text = fh.read()
+    assert _edit_rows(text, lambda rows: None) == text
+    bad = corrupt(text)
+    assert bad != text
+    with pytest.raises(TableFormatError, match=reason):
+        CharacterTable.loads(bad)
 
 
 def test_co0_validation_on_load():
@@ -102,18 +142,17 @@ def test_class_data_is_memoized_and_immutable():
 
 
 def test_mill_m23_matches_fixture():
-    # regenerating the table reproduces the shipped fixture
-    data, rows = mill_rational_table("M23")
+    # regenerating the table reproduces the shipped fixture's rows
+    milled = mill_rational_table("M23")
     t = load_m23()
-    assert len(rows) == len(t.characters)
-    for (values, norm), ch in zip(rows, t.characters):
-        assert norm == ch.orbit_size
-        assert list(values) == [int(v) for v in ch.values]
-    with open(os.path.join(COMMITTED, "m23.tbl")) as fh:
-        assert _mill_to_table("M23").dumps() == fh.read()
+    assert len(milled.characters) == len(t.characters)
+    for got, ch in zip(milled.characters, t.characters):
+        assert got.orbit_size == ch.orbit_size
+        assert [int(v) for v in got.values] == [int(v) for v in ch.values]
 
 
-def test_mill_m24_matches_fixture():
-    # the M24 table the lattice criteria read is regenerated byte for byte
-    with open(os.path.join(COMMITTED, "m24.tbl")) as fh:
-        assert _mill_to_table("M24").dumps() == fh.read()
+@pytest.mark.parametrize("fname", tables._FIXTURES)
+def test_fixture_matches_builder(fname):
+    # every committed fixture is what its builder writes, byte for byte
+    with open(os.path.join(COMMITTED, fname)) as fh:
+        assert tables._FIXTURES[fname]().dumps() == fh.read()

@@ -1,33 +1,33 @@
 import pytest
 
 from k3moonshine.groups import (
-    MatrixGroup, PermGroup, conjugacy_classes, enumerate_group,
-    rational_character_table,
+    MatrixGroup, PermGroup, conjugacy_classes, rational_character_table,
 )
 from k3moonshine.mukai import MUKAI_GROUPS, build_group, mukai_table
 
 
 def test_s3_table():
     s3 = PermGroup(3, [(1, 0, 2), (1, 2, 0)])
-    t = rational_character_table(s3)
-    assert t.group_order == 6
-    assert sorted(t.degrees) == [1, 1, 2]
+    t = rational_character_table("S3", s3)
+    assert t.order == 6
+    assert sorted(ch.degree for ch in t.characters) == [1, 1, 2]
     t.validate()
 
 
 def test_q8_table():
     q8 = MatrixGroup(2, [((0, -1), (1, 0)), ((1, 1), (1, -1))], p=3)
-    t = rational_character_table(q8)
-    assert t.group_order == 8
-    assert sorted(zip(t.degrees, t.orbit_sizes)) == \
+    t = rational_character_table("Q8", q8)
+    assert t.order == 8
+    assert sorted((ch.degree, ch.orbit_size) for ch in t.characters) == \
         [(1, 1)] * 4 + [(2, 1)]
 
 
 def test_a4_rationalization():
     a4 = PermGroup(4, [(1, 0, 3, 2), (1, 2, 0, 3)])
-    t = rational_character_table(a4)
+    t = rational_character_table("A4", a4)
     # omega and its conjugate merge into one orbit-sum of norm 2
-    assert sorted(zip(t.degrees, t.orbit_sizes)) == [(1, 1), (1, 2), (3, 1)]
+    assert sorted((ch.degree, ch.orbit_size) for ch in t.characters) == \
+        [(1, 1), (1, 2), (3, 1)]
 
 
 def test_perm_group_inverse():
@@ -54,7 +54,7 @@ def test_mukai_table_orthogonality():
     # the Dixon output passes its own validation (done inside) and the
     # class count equals the rational-irreducible count
     t = mukai_table(1)
-    assert len(t.values) == len(t.class_orders)
-    assert t.group_order == 168
+    assert len(t.characters) == len(t.classes)
+    assert t.order == 168
     # L2(7): element orders 1-4, 7 with the 7s merged rationally
-    assert t.class_count[t.class_orders.index(7)] == 2
+    assert next(c.merged for c in t.classes if c.order == 7) == 2

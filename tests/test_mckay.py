@@ -1,9 +1,7 @@
 import os
 from fractions import Fraction
 
-import pytest
-
-from k3moonshine.genus import equivariant_elliptic_genus, jacobi_split
+from k3moonshine.genus import equivariant_elliptic_genus
 from k3moonshine.mckay import (
     CLASS_LEVEL, GEOMETRIC_CLASSES, MOONSHINE_CLASSES, cusp_form,
     eisenstein_difference, euler_character_value, f_from_traces, f_geometric,

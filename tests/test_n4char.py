@@ -4,7 +4,6 @@ import pytest
 
 from k3moonshine.series import (
     InsufficientPrecisionError, NotInSpanError, TruncatedSeries,
-    geometric_factor,
 )
 from k3moonshine.modforms import eta_power, jacobi_theta
 from k3moonshine.genus import chi_sym_power, chi_symt_series, \
