@@ -14,10 +14,10 @@ import time
 from fractions import Fraction
 
 from .qpoly import Poly, RationalFunction, cyclotomic_poly
-from .modforms import euler_specialization, jacobi_theta, weak_jacobi_phi
+from .modforms import euler_specialization, jacobi_theta
 from .genus import (
-    SYMPLECTIC_CLASSES, chi_symt_series, elliptic_genus,
-    equivariant_elliptic_genus, fixed_point_count, jacobi_split,
+    SYMPLECTIC_CLASSES, chern_root_elliptic_genus, chi_symt_series,
+    elliptic_genus, equivariant_elliptic_genus, fixed_point_count, jacobi_split,
     rational_form, weighted_equivariant_genus,
 )
 from .n4char import (
@@ -124,8 +124,9 @@ def check_2_rational_forms(**_) -> tuple:
 
 def check_3_elliptic_genus(q_order: int = 6, **_) -> tuple:
     t = q_order * 24
-    genus = elliptic_genus(t)
-    if genus != weak_jacobi_phi(0, t) * 2:
+    # cross-check: the Chern-root product against 2 phi_{0,1}
+    genus = chern_root_elliptic_genus(t)
+    if genus != elliptic_genus(t):
         return False, "genus != 2 phi_{0,1}"
     e = euler_specialization(genus)
     if e.coeff(0) != 24 or any(e.coeff(k) for k in range(1, q_order)):

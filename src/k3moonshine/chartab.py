@@ -24,7 +24,7 @@ their own rules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
@@ -51,12 +51,19 @@ class CharacterEntry:
     values: tuple
 
 
-@dataclass
+@dataclass(frozen=True)
 class CharacterTable:
+    """A validated or restricted table; frozen, so a memoized load is safe
+    to share (``classes`` and ``characters`` are stored as tuples)."""
+
     group: str
     order: int
-    classes: list = field(default_factory=list)
-    characters: list = field(default_factory=list)
+    classes: tuple = ()
+    characters: tuple = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "classes", tuple(self.classes))
+        object.__setattr__(self, "characters", tuple(self.characters))
 
     # -- access -----------------------------------------------------------
 
@@ -163,20 +170,23 @@ class CharacterTable:
             return ln[len(prefix):].strip()
 
         group = expect("group ")
-        order = int(expect("order "))
-        n_classes = int(expect("classes "))
+        order = _parse(expect("order "), int)
+        n_classes = _parse(expect("classes "), int)
         classes = []
         for _ in range(n_classes):
             parts = expect("class ").split()
             if len(parts) != 4:
                 raise TableFormatError(f"malformed class line: {parts}")
-            classes.append(ClassEntry(parts[0], int(parts[1]),
-                                      int(parts[2]), int(parts[3])))
-        n_chars = int(expect("characters "))
+            classes.append(ClassEntry(parts[0], *(_parse(x, int)
+                                                  for x in parts[1:])))
+        n_chars = _parse(expect("characters "), int)
         chars = []
         for _ in range(n_chars):
             parts = expect("char ").split()
-            name, orbit, degree = parts[0], int(parts[1]), int(parts[2])
+            if len(parts) < 3:
+                raise TableFormatError(f"malformed char line: {parts}")
+            name = parts[0]
+            orbit, degree = (_parse(x, int) for x in parts[1:3])
             values = tuple(_parse(v) for v in parts[3:])
             if len(values) != n_classes:
                 raise TableFormatError(f"row {name} has {len(values)} values")
@@ -200,5 +210,10 @@ def _fmt(v) -> str:
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
-def _parse(s: str) -> Fraction:
-    return Fraction(s)
+def _parse(s: str, kind=Fraction):
+    """``kind(s)``; a malformed field is a ``TableFormatError``."""
+    try:
+        return kind(s)
+    except (ValueError, ZeroDivisionError):
+        raise TableFormatError(f"malformed {kind.__name__} field {s!r}") \
+            from None

@@ -3,6 +3,8 @@
 Elements are represented by their coordinates in the power basis
 1, zeta, ..., zeta^(phi(n)-1) of Q(zeta_n), i.e. as residues modulo the
 n-th cyclotomic polynomial.  Coordinates are ``fractions.Fraction``.
+Phi_n and the polynomial arithmetic of ``inverse`` come from
+``qpoly``; this module keeps no polynomial code of its own.
 
 Mixed-conductor arithmetic embeds both operands into Q(zeta_lcm); the
 compositum conductor is capped to keep accidental blow-ups loud.
@@ -13,6 +15,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+
+from .qpoly import Poly, cyclotomic_poly
 
 __all__ = [
     "CyclotomicNumber",
@@ -62,45 +66,13 @@ def moebius(n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _cyclotomic_coeffs(n: int) -> tuple[int, ...]:
-    """Integer coefficients (ascending) of the n-th cyclotomic polynomial."""
-    if n == 1:
-        return (-1, 1)
-    # Phi_n = (x^n - 1) / prod_{d | n, d < n} Phi_d, by exact division.
-    num = [-1] + [0] * (n - 1) + [1]
-    for d in range(1, n):
-        if n % d == 0:
-            den = _cyclotomic_coeffs(d)
-            num = _exact_div(num, list(den))
-    return tuple(num)
-
-
-def _exact_div(num: list[int], den: list[int]) -> list[int]:
-    # Exact division of integer polynomials, den monic up to sign.
-    num = num[:]
-    out = [0] * (len(num) - len(den) + 1)
-    lead = den[-1]
-    for i in range(len(out) - 1, -1, -1):
-        c = num[i + len(den) - 1]
-        q, r = divmod(c, lead)
-        if r:
-            raise ArithmeticError("non-exact cyclotomic division")
-        out[i] = q
-        for j, dj in enumerate(den):
-            num[i + j] -= q * dj
-    if any(num):
-        raise ArithmeticError("non-exact cyclotomic division")
-    return out
-
-
-@lru_cache(maxsize=None)
 def _power_reduction(n: int) -> tuple[tuple[Fraction, ...], ...]:
     """Power-basis vectors of zeta^k for k = 0..max(2*phi(n)-2, n-1).
 
     Covers every product of two basis vectors and every n-th root of unity.
     """
     phi = euler_phi(n)
-    poly = _cyclotomic_coeffs(n)
+    poly = cyclotomic_poly(n).c
     rows: list[tuple[Fraction, ...]] = []
     cur = [_ZERO] * phi
     cur[0] = _ONE
@@ -251,23 +223,18 @@ class CyclotomicNumber:
         """Multiplicative inverse by the extended Euclidean algorithm."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic number")
-        phi = len(self.c)
-        mod = [Fraction(x) for x in _cyclotomic_coeffs(self.n)]
-        a = list(self.c)
+        mod = cyclotomic_poly(self.n)
         # extended gcd of a and Phi_n in Q[x]
-        r0, r1 = mod, _trim(a)
-        s0, s1 = [_ZERO], [_ONE]
-        while _degree(r1) > 0:
-            q, r = _poly_divmod(r0, r1)
+        r0, r1 = mod, Poly(self.c)
+        s0, s1 = Poly(), Poly.const(1)
+        while r1.degree > 0:
+            q, r = r0.divmod(r1)
             r0, r1 = r1, r
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        if _degree(r1) != 0:
+            s0, s1 = s1, s0 - q * s1
+        if r1.degree != 0:
             raise ZeroDivisionError("element not invertible modulo Phi_n")
-        inv_lead = 1 / r1[0]
-        s1 = [x * inv_lead for x in s1]
-        _, rem = _poly_divmod(s1, mod)
-        rem = rem + [_ZERO] * (phi - len(rem))
-        return CyclotomicNumber(self.n, rem[:phi])
+        inv = (s1 * (1 / r1[0])) % mod
+        return CyclotomicNumber(self.n, [inv[k] for k in range(len(self.c))])
 
     def __pow__(self, n: int) -> "CyclotomicNumber":
         if n < 0:
@@ -357,54 +324,3 @@ def _combine(rows, weights, phi: int) -> list:
 def zeta(n: int, k: int = 1) -> CyclotomicNumber:
     """The root of unity zeta_n^k as an exact cyclotomic number."""
     return CyclotomicNumber.zeta_power(n, k)
-
-
-# -- small Fraction-polynomial helpers (dense, ascending) --------------------
-
-def _trim(p: list[Fraction]) -> list[Fraction]:
-    while p and not p[-1]:
-        p.pop()
-    return p or [_ZERO]
-
-
-def _degree(p: list[Fraction]) -> int:
-    p = _trim(list(p))
-    if p == [_ZERO]:
-        return -1
-    return len(p) - 1
-
-
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    out = [(a[i] if i < len(a) else _ZERO) - (b[i] if i < len(b) else _ZERO)
-           for i in range(n)]
-    return _trim(out)
-
-
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j, y in enumerate(b):
-            if y:
-                out[i + j] += x * y
-    return _trim(out)
-
-
-def _poly_divmod(a: list[Fraction], b: list[Fraction]):
-    a = list(a)
-    b = _trim(list(b))
-    if b == [_ZERO]:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [_ZERO] * max(1, len(a) - len(b) + 1)
-    while _degree(a) >= _degree(b):
-        shift = _degree(a) - _degree(b)
-        coeff = a[_degree(a)] / b[_degree(b)]
-        q[shift] += coeff
-        for j in range(len(b)):
-            a[shift + j] -= coeff * b[j]
-        _trim(a)
-        if a == [_ZERO]:
-            break
-    return _trim(q), _trim(a)

@@ -6,7 +6,9 @@ graded moonshine module -- 45+45b, 231+231b, 770+770b, 2 x 2277 and
 2 x 5796 -- evaluated through the derived rational M24 table.  The series
 is then extended through a classical basis of weight-2 forms for
 Gamma_0(level) (Eisenstein differences and eta-product cusp forms), with
-the surplus low-order coefficients acting as consistency checks.
+the surplus low-order coefficients acting as consistency checks.  The
+factors eta(a tau) of the cusp forms are ``modforms.eta_scaled``, the
+pentagonal series, which this module re-exports as ``eta_scaled``.
 
 Two cross-checks pin the layer data, and each runs once, in the
 acceptance battery rather than here: criterion 7 checks the layer
@@ -24,12 +26,9 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .series import TruncatedSeries, binomial_factor
-from .modforms import weak_jacobi_phi, eta_power
-from .genus import (
-    elliptic_genus, equivariant_elliptic_genus, jacobi_split,
-    fixed_point_count,
-)
+from .series import TruncatedSeries
+from .modforms import eta_power, eta_scaled, weak_jacobi_phi
+from .genus import equivariant_elliptic_genus, fixed_point_count, jacobi_split
 from .mill import class_data
 from .tables import load_m24, data_dir
 
@@ -76,16 +75,6 @@ def eisenstein_difference(d: int, trunc24: int) -> TruncatedSeries:
             terms[(24 * n, 0, 0)] = Fraction(c)
         n += 1
     return TruncatedSeries(terms, trunc24)
-
-
-def eta_scaled(a: int, trunc24: int) -> TruncatedSeries:
-    """eta(a tau) = q^(a/24) prod (1 - q^(a n)) on the (1/24) grid."""
-    s = TruncatedSeries.monomial(Fraction(1), q24=a, trunc24=trunc24)
-    n = 1
-    while a + 24 * a * n < trunc24 + 24 * a:
-        s = s * binomial_factor(Fraction(-1), 24 * a * n, 0, 0)
-        n += 1
-    return s.truncate(trunc24)
 
 
 _CUSP_ETA_PRODUCTS = {
@@ -202,9 +191,7 @@ def f_from_traces(label: str) -> list:
 
 def f_geometric(label: str, trunc24: int) -> TruncatedSeries:
     """f_g for a geometric class from the fixed-point genus split."""
-    s = equivariant_elliptic_genus(label, trunc24) if label != "1A" \
-        else elliptic_genus(trunc24)
-    a, h = jacobi_split(s)
+    a, h = jacobi_split(equivariant_elliptic_genus(label, trunc24))
     if a != Fraction(fixed_point_count(label), 12):
         raise ArithmeticError(f"{label}: split constant {a} != e/12")
     return h

@@ -1,5 +1,10 @@
 """Dedekind eta, Jacobi theta functions, and the index-1 weak Jacobi forms.
 
+Every block is built from its lacunary series: eta(a tau) from Euler's
+pentagonal theorem (``eta_scaled``, the one eta builder; eta powers are
+products and inverses of it), theta_1..theta_4 from their theta sums, and
+phi_{0,1}, phi_{-2,1} as theta quotients.
+
 Conventions (the single source of truth for signs):
   * theta3(y;q) = sum_n y^n q^(n^2/2), theta4 with (-1)^n,
     theta2 = sum over n in Z+1/2, theta1 = -i * sum (-1)^(n-1/2) ... so that
@@ -20,10 +25,11 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .cyclotomic import CyclotomicNumber, DomainError, zeta
-from .series import INF24, TruncatedSeries, binomial_factor
+from .series import INF24, TruncatedSeries
 
 __all__ = [
     "dedekind_eta",
+    "eta_scaled",
     "eta_power",
     "jacobi_theta",
     "theta_null",
@@ -35,16 +41,27 @@ __all__ = [
 ]
 
 
+def eta_scaled(a: int, trunc24: int) -> TruncatedSeries:
+    """eta(a tau) by Euler's pentagonal theorem, on the (1/24) grid.
+
+    eta(a tau) = sum_m (-1)^m q^(a (6m - 1)^2 / 24): O(sqrt(trunc24 / a))
+    terms, in increasing q-order.  The one eta builder; every eta power
+    and eta product is assembled from it.
+    """
+    terms = {}
+    j = 1                        # j = |6m - 1| runs over 1, 5, 7, 11, 13, ...
+    while a * j * j < trunc24:
+        # (-1)^m is +1 for j = +-1 mod 12 and -1 for j = +-5 mod 12
+        terms[(a * j * j, 0, 0)] = Fraction(1 if j % 12 in (1, 11) else -1)
+        j += 4 if j % 6 == 1 else 2
+    return TruncatedSeries(terms, trunc24, _clean=True)
+
+
 def dedekind_eta(trunc24: int) -> TruncatedSeries:
-    """eta(q) = q^(1/24) prod_(n>=1) (1 - q^n), truncated."""
+    """eta(q) = q^(1/24) prod_(n>=1) (1 - q^n): ``eta_scaled`` at a = 1."""
     if trunc24 <= 1:
         raise ValueError("truncation must exceed the leading exponent 1/24")
-    s = TruncatedSeries.monomial(Fraction(1), q24=1, trunc24=trunc24)
-    n = 1
-    while 1 + 24 * n < trunc24:
-        s = s * binomial_factor(Fraction(-1), 24 * n, 0, 0)
-        n += 1
-    return s
+    return eta_scaled(1, trunc24)
 
 
 def eta_power(power: int, trunc24: int) -> TruncatedSeries:

@@ -2,14 +2,15 @@
 
 Used for the symmetric-power generating series chi(X, S_t T), the
 per-class rational forms r_g(t) with cyclotomic-polynomial denominators,
-and the multiplicity functions m_chi(t).
+and the multiplicity functions m_chi(t).  ``Poly`` is the package's one
+polynomial type: ``cyclotomic_poly`` builds Phi_n by exact ``Poly``
+division, and ``CyclotomicNumber.inverse`` runs its extended Euclid on it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-from .cyclotomic import _cyclotomic_coeffs
+from functools import lru_cache
 
 __all__ = ["Poly", "RationalFunction", "cyclotomic_poly", "PoleAtZeroError"]
 
@@ -149,6 +150,19 @@ class Poly:
             if x:
                 parts.append(f"{x}" if k == 0 else f"{x}*t^{k}")
         return "Poly(" + " + ".join(parts) + ")"
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic_coeffs(n: int) -> tuple[int, ...]:
+    """Integer coefficients (ascending) of Phi_n, cached per process.
+
+    Phi_n = (t^n - 1) / prod_{d | n, d < n} Phi_d, by exact division.
+    """
+    p = Poly.monomial(1, n) - 1
+    for d in range(1, n):
+        if n % d == 0:
+            p = p // Poly(_cyclotomic_coeffs(d))
+    return tuple(int(c) for c in p.c)
 
 
 def cyclotomic_poly(n: int) -> Poly:

@@ -78,7 +78,33 @@ def _swap_degrees(rows):
     rows["chi2"][3], rows["chi7"][3] = rows["chi7"][3], rows["chi2"][3]
 
 
+def _set_value(value):
+    def edit(rows):
+        rows["chi2"][-1] = value
+    return edit
+
+
+def _truncate_chi1(rows):
+    rows["chi1"] = rows["chi1"][:3]
+
+
 CORRUPTIONS = {
+    "order-field": ("mukai_01.tbl",
+                    lambda text: text.replace("order 168", "order 168x"),
+                    "malformed int field '168x'"),
+    "class-field": ("mukai_01.tbl",
+                    lambda text: text.replace("class 3-1 3 56 1",
+                                              "class 3-1 x 56 1"),
+                    "malformed int field 'x'"),
+    "value-field": ("mukai_01.tbl",
+                    lambda text: _edit_rows(text, _set_value("abc")),
+                    "malformed Fraction field 'abc'"),
+    "zero-denominator": ("mukai_01.tbl",
+                         lambda text: _edit_rows(text, _set_value("1/0")),
+                         "malformed Fraction field '1/0'"),
+    "short-char-line": ("mukai_01.tbl",
+                        lambda text: _edit_rows(text, _truncate_chi1),
+                        "malformed char line"),
     "class-sizes": ("mukai_10.tbl",
                     lambda text: text.replace("order 72", "order 80"),
                     "class sizes sum"),
@@ -139,6 +165,20 @@ def test_class_data_is_memoized_and_immutable():
         data.classes.append(data.classes[0])
     with pytest.raises(TypeError):
         data.type_index[((1, 24),)] = 1
+
+
+def test_loaded_table_is_memoized_and_immutable():
+    import dataclasses
+    table = load_m24()
+    assert load_m24() is table
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        table.order = 1
+    with pytest.raises(AttributeError):
+        table.characters.pop()
+    with pytest.raises(AttributeError):
+        table.classes.append(table.classes[0])
+    assert load_m24() is table
+    assert len(table.characters) == 21 and table.order == 244823040
 
 
 def test_mill_m23_matches_fixture():

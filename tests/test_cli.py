@@ -1,5 +1,6 @@
 import io
 import json
+import os
 
 import pytest
 
@@ -166,15 +167,27 @@ def test_verify_all_reports_a_crashed_criterion(monkeypatch, capsys):
     assert "Traceback" in err and "RuntimeError: boom" in err
 
 
+CLI_GOLDENS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                           "goldens", "cli.json")
+
+
 @pytest.mark.parametrize("t_order", ["1", "6"])
 def test_audit_integrality_matches_the_cli_goldens(t_order):
-    import os
-    goldens = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
-                           "goldens", "cli.json")
-    with open(goldens) as fh:
+    with open(CLI_GOLDENS) as fh:
         want = json.load(fh)[f"audit-integrality --t-order {t_order}"]
     status, out = run(["audit-integrality", "--t-order", t_order])
     assert (status, out) == (want["exit"], want["stdout"])
+
+
+def test_whole_cli_grid_matches_the_goldens():
+    # every recorded request, in one process: memoized builders shared
+    # across requests must serve the same bytes as a fresh process
+    with open(CLI_GOLDENS) as fh:
+        goldens = json.load(fh)
+    assert len(goldens) >= 120
+    wrong = [request for request, want in goldens.items()
+             if run(request.split(" ")) != (want["exit"], want["stdout"])]
+    assert wrong == []
 
 
 def test_csv_format():
@@ -192,8 +205,21 @@ def test_emit_empty_report():
     assert buf.getvalue().startswith("empty")
 
 
+def test_malformed_fixture_field_is_data_error(tmp_path, capsys):
+    from k3moonshine import tables
+    for name in os.listdir(tables.data_dir()):
+        if name.endswith(".tbl"):
+            text = open(os.path.join(tables.data_dir(), name)).read()
+            if name == "mukai_01.tbl":
+                text = text.replace("order 168\n", "order 168x\n")
+            (tmp_path / name).write_text(text)
+    assert main(["--data-dir", str(tmp_path), "lattice-check"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "data error" in err and "168x" in err
+
+
 def test_malformed_fixture_is_data_error(tmp_path):
-    import os
     import shutil
     import subprocess
     import sys

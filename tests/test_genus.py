@@ -12,8 +12,8 @@ from k3moonshine.series import (
 from k3moonshine.modforms import euler_specialization, weak_jacobi_phi
 from k3moonshine.genus import (
     CLASS_ORDER, FIXED_POINT_EIGENVALUES, SYMPLECTIC_CLASSES, UNIT_SUM_WEIGHTS,
-    _fixed_point_term, _galois_conjugate, chi_sym_power, chi_symt_series,
-    elliptic_genus, equivariant_elliptic_genus, fixed_point_count,
+    _fixed_point_term, _galois_conjugate, chern_root_elliptic_genus,
+    chi_sym_power, chi_symt_series, elliptic_genus, equivariant_elliptic_genus, fixed_point_count,
     jacobi_split, rational_form, verify_moonshine_class,
     weighted_equivariant_genus,
 )
@@ -122,8 +122,11 @@ def test_elliptic_genus_euler_constant_24():
 
 
 def test_elliptic_genus_equals_twice_phi01():
-    eg = elliptic_genus(T5)
-    assert eg == weak_jacobi_phi(0, T5) * 2
+    # the theta-built 2 phi_{0,1} against the Chern-root product oracle:
+    # same terms and the same trunc24, up to the genus-decompose default
+    for q_order in (1, 5, 6, 8, 16):
+        t = q_order * 24
+        assert _same(elliptic_genus(t), chern_root_elliptic_genus(t)), q_order
 
 
 def test_equivariant_2a():

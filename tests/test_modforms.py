@@ -7,7 +7,7 @@ import pytest
 from k3moonshine.cyclotomic import DomainError, zeta
 from k3moonshine.series import TruncatedSeries, binomial_factor, geometric_factor
 from k3moonshine.modforms import (
-    ComplexApprox, dedekind_eta, eta_power, euler_specialization, jacobi_theta,
+    ComplexApprox, dedekind_eta, eta_power, eta_scaled, euler_specialization, jacobi_theta,
     numeric_eval, phi_function, theta_null,
     weak_jacobi_phi,
 )
@@ -21,6 +21,26 @@ def test_eta_leading_coefficients():
     assert eta.coeff(Fraction(25, 24)) == -1
     assert eta.coeff(Fraction(49, 24)) == -1  # pentagonal: 1 - q - q^2 + q^5 + ...
     assert eta.coeff(Fraction(121, 24)) == 1
+
+
+def product_eta(a, trunc24):
+    """Oracle: eta(a tau) = q^(a/24) prod (1 - q^(a n)), factor by factor."""
+    s = TruncatedSeries.monomial(Fraction(1), q24=a, trunc24=trunc24)
+    n = 1
+    while a + 24 * a * n < trunc24:
+        s = s * binomial_factor(Fraction(-1), 24 * a * n, 0, 0)
+        n += 1
+    return s
+
+
+@pytest.mark.parametrize("a", [1, 2, 3, 5, 7, 11, 14, 15, 23])
+def test_pentagonal_eta_matches_the_product(a):
+    for trunc24 in (1, 2, a, a + 1, 24, 25 * a, 25 * a + 1, 5 * 24,
+                    13 * 24 + 7, 40 * 24):
+        got, want = eta_scaled(a, trunc24), product_eta(a, trunc24)
+        assert got.trunc24 == want.trunc24 == trunc24
+        assert dict(got.terms) == dict(want.terms), trunc24
+    assert eta_scaled(1, 30 * 24).terms == dedekind_eta(30 * 24).terms
 
 
 def test_eta_cubed():
