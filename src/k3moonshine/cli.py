@@ -3,7 +3,8 @@
 Deterministic, exact output: every rational is serialized as "a/b" (or a
 bare integer), never as a float.  Exit codes: 0 success, 1 verification
 mismatch, 2 usage error, 3 data error, 4 internal error (the traceback goes
-to stderr, and nothing to stdout but the criterion lines of verify-all).
+to stderr, and nothing to stdout but verify-all's criterion lines or, with
+``--format json``, its one JSON object).
 """
 
 from __future__ import annotations
@@ -210,9 +211,20 @@ def cmd_audit_integrality(args):
 
 
 def cmd_verify_all(args):
-    from .acceptance import run_acceptance
-    ok = run_acceptance(q_order=args.q_order, t_order=args.t_order,
-                        stream=sys.stdout)
+    from .acceptance import raise_first_error, run_acceptance, run_criteria
+    if args.format != "json":
+        ok = run_acceptance(q_order=args.q_order, t_order=args.t_order,
+                            stream=sys.stdout)
+        return None, (EXIT_OK if ok else EXIT_MISMATCH)
+    results = list(run_criteria(args.q_order, args.t_order))
+    ok = all(r.ok for r in results)
+    # emitted before a criterion's exception is re-raised (exit 4), so
+    # stdout is one JSON document either way
+    emit({"criteria": [{"criterion": r.criterion, "status": r.status,
+                        "ok": r.ok, "detail": r.detail,
+                        "seconds": round(r.seconds, 3)} for r in results],
+          "ok": ok}, "json")
+    raise_first_error(results)
     return None, (EXIT_OK if ok else EXIT_MISMATCH)
 
 

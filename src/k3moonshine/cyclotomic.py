@@ -3,8 +3,8 @@
 Elements are represented by their coordinates in the power basis
 1, zeta, ..., zeta^(phi(n)-1) of Q(zeta_n), i.e. as residues modulo the
 n-th cyclotomic polynomial.  Coordinates are ``fractions.Fraction``.
-Phi_n and the polynomial arithmetic of ``inverse`` come from
-``qpoly``; this module keeps no polynomial code of its own.
+Phi_n, Euler's phi and the polynomial arithmetic of ``inverse`` come
+from ``qpoly``; this module keeps no polynomial code of its own.
 
 Mixed-conductor arithmetic embeds both operands into Q(zeta_lcm); the
 compositum conductor is capped to keep accidental blow-ups loud.
@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .qpoly import Poly, cyclotomic_poly
+from .qpoly import Poly, cyclotomic_poly, euler_phi
 
 __all__ = [
     "CyclotomicNumber",
@@ -34,21 +34,6 @@ _ONE = Fraction(1)
 
 class DomainError(ValueError):
     """Incompatible coefficient domains (e.g. compositum above the cap)."""
-
-
-def euler_phi(n: int) -> int:
-    result, m, p = 1, n, 2
-    while p * p <= m:
-        if m % p == 0:
-            result *= p - 1
-            m //= p
-            while m % p == 0:
-                result *= p
-                m //= p
-        p += 1
-    if m > 1:
-        result *= m - 1
-    return result
 
 
 def moebius(n: int) -> int:

@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .cyclotomic import CyclotomicNumber, zeta
-from .qpoly import RationalFunction, cyclotomic_poly, reconstruct_rational
+from .qpoly import RationalFunction, cyclotomic_product, reconstruct_rational
 from .series import (
     NotInSpanError, TruncatedSeries, binomial_factor, geometric_factor,
 )
@@ -110,21 +110,23 @@ def chi_symt_series(label: str, terms: int) -> list[Fraction]:
     return out
 
 
+# Exponent maps {d: e} of the cyclotomic denominators prod Phi_d^e.
 RATIONAL_FORM_DENOMINATORS = {
-    "1A": cyclotomic_poly(1) ** 4,
-    "2A": cyclotomic_poly(2) ** 2,
-    "3A": cyclotomic_poly(3),
-    "4A": cyclotomic_poly(4),
-    "5A": cyclotomic_poly(5),
-    "6A": cyclotomic_poly(6),
-    "7AB": cyclotomic_poly(7),
-    "8A": cyclotomic_poly(8),
+    "1A": {1: 4},
+    "2A": {2: 2},
+    "3A": {3: 1},
+    "4A": {4: 1},
+    "5A": {5: 1},
+    "6A": {6: 1},
+    "7AB": {7: 1},
+    "8A": {8: 1},
 }
 
 
 def rational_form(label: str) -> RationalFunction:
     """Fit chi(g; X, S_t T) to its cyclotomic-denominator closed form."""
-    den = RATIONAL_FORM_DENOMINATORS[label]
+    exps = RATIONAL_FORM_DENOMINATORS[label]
+    den = cyclotomic_product(exps)
     series = chi_symt_series(label, 2 * den.degree + 4)
     fit = reconstruct_rational(series, den)
     if fit is None:
@@ -132,7 +134,7 @@ def rational_form(label: str) -> RationalFunction:
     num, palindromic = fit
     if label != "1A" and not palindromic:
         raise ArithmeticError(f"numerator for {label} is not palindromic")
-    return RationalFunction(num, den)
+    return RationalFunction(num, exps)
 
 
 # -- elliptic genus -----------------------------------------------------------

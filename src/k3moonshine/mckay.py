@@ -14,8 +14,8 @@ Two cross-checks pin the layer data, and each runs once, in the
 acceptance battery rather than here: criterion 7 checks the layer
 dimensions against the N=4 decomposition of the K3 elliptic genus, and
 criterion 4 checks that for the seven nontrivial geometric classes the
-Jacobi-form split of the fixed-point genus (``f_geometric``) gives the
-same coefficients.
+Jacobi-form split of the fixed-point genus (``genus.jacobi_split``) gives
+the same coefficients.
 
 The exchange format is a small text file of exact rationals.
 """
@@ -28,14 +28,13 @@ from fractions import Fraction
 
 from .series import TruncatedSeries
 from .modforms import eta_power, eta_scaled, weak_jacobi_phi
-from .genus import equivariant_elliptic_genus, fixed_point_count, jacobi_split
 from .mill import class_data
 from .tables import load_m24, data_dir
 
 __all__ = [
     "eisenstein_difference", "eta_scaled", "cusp_form", "m2_basis",
     "euler_character_value", "k_layer_trace", "sigma_coefficients",
-    "f_from_traces", "f_geometric", "fit_in_m2", "f_series",
+    "f_from_traces", "fit_in_m2", "f_series",
     "twining_genus", "FgRecord", "write_fg_file", "read_fg_file",
     "MOONSHINE_CLASSES", "GEOMETRIC_CLASSES", "CLASS_LEVEL",
 ]
@@ -187,14 +186,6 @@ def f_from_traces(label: str) -> list:
             acc += diff[j] * eta3.coeff(Fraction(1, 8) + (n - j))
         out.append(acc)
     return out
-
-
-def f_geometric(label: str, trunc24: int) -> TruncatedSeries:
-    """f_g for a geometric class from the fixed-point genus split."""
-    a, h = jacobi_split(equivariant_elliptic_genus(label, trunc24))
-    if a != Fraction(fixed_point_count(label), 12):
-        raise ArithmeticError(f"{label}: split constant {a} != e/12")
-    return h
 
 
 def fit_in_m2(prefix: list, level: int, trunc24: int) -> TruncatedSeries:

@@ -1,18 +1,42 @@
 """Dense univariate polynomials over Q and rational functions in t.
 
 Used for the symmetric-power generating series chi(X, S_t T), the
-per-class rational forms r_g(t) with cyclotomic-polynomial denominators,
-and the multiplicity functions m_chi(t).  ``Poly`` is the package's one
-polynomial type: ``cyclotomic_poly`` builds Phi_n by exact ``Poly``
-division, and ``CyclotomicNumber.inverse`` runs its extended Euclid on it.
+per-class rational forms r_g(t) and the multiplicity functions m_chi(t).
+``Poly`` is the package's one polynomial type (Fraction coefficients);
+``CyclotomicNumber.inverse`` runs its extended Euclid on it.
+
+Every r_g(t) is a Molien-type series whose denominator is a product of
+cyclotomic polynomials, and ``RationalFunction`` supports only such
+denominators.  It stores c * N(t) / prod_d Phi_d(t)^e_d as three fields:
+one rational content c, a primitive integer numerator N with positive
+leading coefficient, and the exponent map {d: e_d}.  Distinct Phi_d are
+coprime, so no gcd is ever needed: a sum lifts both numerators to the
+exponent-wise maximum of the two maps with int x int products, and every
+result is reduced by exact trial division of N by each Phi_d in its map.
+The form is canonical, so ``==`` compares fields, and the pole order at
+t = 1 is the exponent of Phi_1.  ``num`` (Fraction coefficients) and
+``den`` (monic) read it back as a reduced quotient of ``Poly``.
+
+The constructor takes the denominator as an exponent map, or as a
+``Poly`` (or rational) that it factors once: its integer coefficients are
+trial-divided by the Phi_d with phi(d) at most the degree left, smallest
+d first, until the rest is 1.  A denominator divisible by t raises
+``PoleAtZeroError``; any other non-cyclotomic factor raises ``ValueError``.
+Phi_d comes from ``_cyclotomic_coeffs``, built by exact integer division
+and cached per process, and only for the d a denominator can contain.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
-__all__ = ["Poly", "RationalFunction", "cyclotomic_poly", "PoleAtZeroError"]
+__all__ = [
+    "Poly", "RationalFunction", "cyclotomic_poly", "cyclotomic_product",
+    "euler_phi", "linear_combinations", "PoleAtZeroError",
+]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -121,14 +145,6 @@ class Poly:
     def __mod__(self, other):
         return self.divmod(other)[1]
 
-    def gcd(self, other: "Poly") -> "Poly":
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        if a.is_zero():
-            return a
-        return a * (1 / a.c[-1])  # monic
-
     def eval(self, x) -> Fraction:
         acc = _ZERO
         for coeff in reversed(self.c):
@@ -152,17 +168,64 @@ class Poly:
         return "Poly(" + " + ".join(parts) + ")"
 
 
+def euler_phi(n: int) -> int:
+    result, m, p = 1, n, 2
+    while p * p <= m:
+        if m % p == 0:
+            result *= p - 1
+            m //= p
+            while m % p == 0:
+                result *= p
+                m //= p
+        p += 1
+    if m > 1:
+        result *= m - 1
+    return result
+
+
+def _int_mul(a, b) -> list[int]:
+    """Product of two integer coefficient lists (ascending)."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] += x * y
+    return out
+
+
+def _int_divexact(a, b):
+    """Quotient a / b of integer coefficient lists, or None if b does not
+    divide a.  ``b`` must be monic, so every quotient is integral."""
+    db = len(b) - 1
+    rem = list(a)
+    n = len(rem) - db
+    if n <= 0:
+        return None if any(rem) else []
+    q = [0] * n
+    lower = [(j, y) for j, y in enumerate(b[:-1]) if y]
+    for shift in range(n - 1, -1, -1):
+        c = rem[shift + db]
+        if c:
+            q[shift] = c
+            for j, y in lower:
+                rem[shift + j] -= c * y
+    return None if any(rem[:db]) else q
+
+
 @lru_cache(maxsize=None)
 def _cyclotomic_coeffs(n: int) -> tuple[int, ...]:
     """Integer coefficients (ascending) of Phi_n, cached per process.
 
     Phi_n = (t^n - 1) / prod_{d | n, d < n} Phi_d, by exact division.
     """
-    p = Poly.monomial(1, n) - 1
+    p = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
-            p = p // Poly(_cyclotomic_coeffs(d))
-    return tuple(int(c) for c in p.c)
+            p = _int_divexact(p, _cyclotomic_coeffs(d))
+    return tuple(p)
 
 
 def cyclotomic_poly(n: int) -> Poly:
@@ -172,30 +235,121 @@ def cyclotomic_poly(n: int) -> Poly:
     return Poly(_cyclotomic_coeffs(n))
 
 
+def _product_coeffs(exps) -> list[int]:
+    """Integer coefficients of prod Phi_d^e over the (d, e) pairs."""
+    out = [1]
+    for d, e in exps:
+        for _ in range(e):
+            out = _int_mul(out, _cyclotomic_coeffs(d))
+    return out
+
+
+def cyclotomic_product(exps) -> Poly:
+    """prod_d Phi_d(t)^e for the exponent map ``exps`` = {d: e}."""
+    return Poly(_product_coeffs(exps.items()))
+
+
+def _primitive(coeffs) -> tuple[Fraction, list[int]]:
+    """Split rational coefficients as content * a primitive integer list
+    with positive leading coefficient; zero gives (0, [])."""
+    coeffs = [Fraction(c) for c in coeffs]
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    if not coeffs:
+        return _ZERO, []
+    scale = lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (scale // c.denominator) for c in coeffs]
+    g = gcd(*ints) if ints[-1] > 0 else -gcd(*ints)
+    return Fraction(g, scale), [x // g for x in ints]
+
+
+def _factor(coeffs) -> tuple[Fraction, dict]:
+    """Split a denominator as content * prod Phi_d^e.
+
+    Trial division by Phi_d with phi(d) <= the degree left, smallest d
+    first, until the rest is 1; phi(d) >= sqrt(d/2) bounds the search.
+    """
+    content, rest = _primitive(coeffs)
+    if not rest:
+        raise ZeroDivisionError("zero denominator")
+    if not rest[0]:
+        raise PoleAtZeroError("denominator vanishes at t = 0")
+    exps: dict = {}
+    d = 0
+    while len(rest) > 1:
+        d += 1
+        left = len(rest) - 1
+        if d > 2 * left * left:
+            raise ValueError(f"denominator {Poly(coeffs)!r} is not a product "
+                             "of cyclotomic polynomials")
+        if euler_phi(d) > left:
+            continue
+        phi = _cyclotomic_coeffs(d)
+        while (q := _int_divexact(rest, phi)) is not None:
+            rest = q
+            exps[d] = exps.get(d, 0) + 1
+    return content, exps
+
+
+def _canonical(content, coeffs, exps) -> tuple:
+    """Lowest terms of content * coeffs(t) / prod Phi_d^e.
+
+    ``coeffs`` are rationals and ``exps`` maps d to e.  Returns the
+    content, the primitive integer numerator with positive leading
+    coefficient, and the sorted (d, e) pairs left after exact trial
+    division by each Phi_d; distinct Phi_d are coprime, so no gcd is needed.
+    """
+    scale, coeffs = _primitive(coeffs)
+    if not scale or not content:
+        return _ZERO, (), ()
+    kept = []
+    for d in sorted(exps):
+        e = exps[d]
+        phi = _cyclotomic_coeffs(d)
+        while e and (q := _int_divexact(coeffs, phi)) is not None:
+            coeffs, e = q, e - 1
+        if e:
+            kept.append((d, e))
+    return content * scale, tuple(coeffs), tuple(kept)
+
+
 class RationalFunction:
-    """Quotient of polynomials in t, reduced, with monic denominator."""
+    """c * N(t) / prod_d Phi_d(t)^e_d in lowest terms (see the module
+    docstring); ``num`` and ``den`` read it as a reduced quotient with
+    monic denominator."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ("_c", "_n", "_e")
 
-    def __init__(self, num, den=Poly.const(1)):
-        num = num if isinstance(num, Poly) else Poly.const(num)
-        den = den if isinstance(den, Poly) else Poly.const(den)
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        g = num.gcd(den)
-        if not g.is_zero() and g.degree > 0:
-            num = num // g
-            den = den // g
-        lead = den.c[-1]
-        if lead != 1:
-            num = num * (1 / lead)
-            den = den * (1 / lead)
-        self.num = num
-        self.den = den
+    def __init__(self, num, den=1):
+        """``den`` is an exponent map {d: e} or a ``Poly``/rational that
+        must factor into cyclotomic polynomials."""
+        if isinstance(den, Mapping):
+            if any(d < 1 or e < 0 for d, e in den.items()):
+                raise ValueError(f"bad cyclotomic exponent map {den!r}")
+            den_c, exps = _ONE, den
+        else:
+            den_c, exps = _factor(den.c if isinstance(den, Poly) else (den,))
+        self._c, self._n, self._e = _canonical(
+            1 / den_c, num.c if isinstance(num, Poly) else (num,), exps)
+
+    @classmethod
+    def _of(cls, content, numerator, exps) -> "RationalFunction":
+        """From canonical fields, without checks."""
+        self = object.__new__(cls)
+        self._c, self._n, self._e = content, numerator, exps
+        return self
+
+    @property
+    def num(self) -> Poly:
+        return Poly([self._c * x for x in self._n])
+
+    @property
+    def den(self) -> Poly:
+        return Poly(_product_coeffs(self._e))
 
     def __eq__(self, other):
         if isinstance(other, RationalFunction):
-            return self.num == other.num and self.den == other.den
+            return (self._c, self._n, self._e) == (other._c, other._n, other._e)
         if isinstance(other, (int, Fraction, Poly)):
             return self == RationalFunction(other)
         return NotImplemented
@@ -205,13 +359,12 @@ class RationalFunction:
 
     def __add__(self, other):
         other = other if isinstance(other, RationalFunction) else RationalFunction(other)
-        return RationalFunction(self.num * other.den + other.num * self.den,
-                                self.den * other.den)
+        return linear_combinations((self, other), ((1, 1),))[0]
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalFunction(-self.num, self.den)
+        return RationalFunction._of(-self._c, self._n, self._e)
 
     def __sub__(self, other):
         other = other if isinstance(other, RationalFunction) else RationalFunction(other)
@@ -222,45 +375,87 @@ class RationalFunction:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return RationalFunction(self.num * other, self.den)
+            if not other:
+                return RationalFunction(0)
+            return RationalFunction._of(self._c * other, self._n, self._e)
         other = other if isinstance(other, RationalFunction) else RationalFunction(other)
-        return RationalFunction(self.num * other.num, self.den * other.den)
+        exps = dict(self._e)
+        for d, e in other._e:
+            exps[d] = exps.get(d, 0) + e
+        return RationalFunction._of(*_canonical(
+            self._c * other._c, _int_mul(self._n, other._n), exps))
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        other = other if isinstance(other, RationalFunction) else RationalFunction(other)
-        return RationalFunction(self.num * other.den, self.den * other.num)
-
     def expand(self, terms: int) -> list[Fraction]:
         """Power-series coefficients at t=0, length ``terms``."""
-        if self.den.eval(0) == 0:
-            raise PoleAtZeroError("denominator vanishes at t = 0")
-        d0 = self.den[0]
+        den = _product_coeffs(self._e)
+        d0 = den[0]  # +-1: Phi_1(0) = -1 and Phi_d(0) = 1 for d > 1
+        num = self._n
         out = []
         for k in range(terms):
-            acc = self.num[k]
-            for j in range(1, min(k, self.den.degree) + 1):
-                acc -= self.den[j] * out[k - j]
-            out.append(acc / d0)
-        return out
+            acc = num[k] if k < len(num) else 0
+            for j in range(1, min(k, len(den) - 1) + 1):
+                acc -= den[j] * out[k - j]
+            out.append(acc * d0)
+        return [self._c * x for x in out]
 
     def pole_coefficient(self, at: Fraction, order: int) -> Fraction:
         """Coefficient of 1/(t-at)^order in the partial-fraction expansion.
 
         Requires (t-at)^order to divide the denominator exactly and the
-        remaining denominator to be nonzero at the point.
+        remaining denominator to be nonzero at the point.  The only
+        rational roots of a cyclotomic product are t = 1 (Phi_1) and
+        t = -1 (Phi_2), so the order is read off the exponent map.
         """
-        factor = Poly([-Fraction(at), 1]) ** order
-        q, r = self.den.divmod(factor)
-        if not r.is_zero():
+        x = Fraction(at)
+        d = {1: 1, -1: 2}.get(x)
+        exps = dict(self._e)
+        if order > exps.get(d, 0):
             raise ValueError(f"(t - {at})^{order} does not divide denominator")
-        if q.eval(at) == 0:
+        if order < exps.get(d, 0):
             raise ValueError("pole order higher than requested")
-        return self.num.eval(at) / q.eval(at)
+        rest = _ONE
+        for dd, e in self._e:
+            if dd != d:
+                rest *= cyclotomic_poly(dd).eval(x) ** e
+        return self._c * Poly(self._n).eval(x) / rest
 
     def __repr__(self):
         return f"RationalFunction({self.num!r}, {self.den!r})"
+
+
+def linear_combinations(forms, rows) -> list[RationalFunction]:
+    """[sum_i row[i] * forms[i] for row in rows], over one denominator.
+
+    The forms are lifted once to the exponent-wise maximum of their maps
+    (int x int products with the missing Phi_d powers); each row then
+    costs one integer weighted sum and one trial-division reduction.
+    """
+    forms = list(forms)
+    common: dict = {}
+    for f in forms:
+        for d, e in f._e:
+            common[d] = max(common.get(d, 0), e)
+    lifted = []
+    for f in forms:
+        own = dict(f._e)
+        lifted.append(_int_mul(f._n, _product_coeffs(
+            (d, e - own.get(d, 0)) for d, e in common.items())))
+    width = max(map(len, lifted), default=0)
+    out = []
+    for row in rows:
+        scales = [Fraction(w) * f._c for w, f in zip(row, forms)]
+        scale = lcm(*(s.denominator for s in scales))
+        acc = [0] * width
+        for s, coeffs in zip(scales, lifted):
+            k = s.numerator * (scale // s.denominator)
+            if k:
+                for i, x in enumerate(coeffs):
+                    acc[i] += k * x
+        out.append(RationalFunction._of(*_canonical(
+            Fraction(1, scale), acc, common)))
+    return out
 
 
 def reconstruct_rational(series: list[Fraction], den: Poly):

@@ -19,10 +19,9 @@ from .lattice import (
     AbelianQuotient, IntegerLattice, hnf_basis, integer_kernel, snf_quotient,
     solve_in_lattice, SolveResult,
 )
-from .qpoly import Poly, RationalFunction
+from .qpoly import Poly, RationalFunction, euler_phi, linear_combinations
 
 __all__ = [
-    "ALPHA_ROWS",
     "CHOSEN_FORM_NUMERATORS",
     "chosen_rational_form",
     "restricted_lattice",
@@ -34,7 +33,6 @@ __all__ = [
     "expand_to_irreducible_columns",
     "m23_table2",
     "m_chi_rational",
-    "alpha_basis_check",
     "first_nonintegral",
     "LatticeReport",
     "build_lattice_report",
@@ -58,14 +56,13 @@ CHOSEN_FORM_NUMERATORS = {
 def chosen_rational_form(label: str) -> RationalFunction:
     """The shipped closed form r_label for 11AB/14AB/15AB/23AB, verified
     palindromic of degree phi(order) - 2 with integral expansion."""
-    from .qpoly import cyclotomic_poly
     order = int("".join(ch for ch in label if ch.isdigit()))
     num = Poly(CHOSEN_FORM_NUMERATORS[label])
-    den = cyclotomic_poly(order)
-    if not num.is_palindromic() or num.degree != den.degree - 2:
+    phi = euler_phi(order)
+    if not num.is_palindromic() or num.degree != phi - 2:
         raise ValueError(f"{label}: numerator fails the shape constraints")
-    r = RationalFunction(num, den)
-    if any(c.denominator != 1 for c in r.expand(3 * den.degree)):
+    r = RationalFunction(num, {order: 1})
+    if any(c.denominator != 1 for c in r.expand(3 * phi)):
         raise ValueError(f"{label}: expansion is not integral")
     return r
 
@@ -258,58 +255,17 @@ def m23_table2(table: CharacterTable, t_order: int) -> tuple:
 def m_chi_rational(table: CharacterTable, forms: dict):
     """Multiplicity rational functions m_chi(t) per orbit row.
 
-    ``forms`` maps class labels to RationalFunction r_g(t).  Also reports
-    the order-4 partial-fraction coefficient at t = 1 of each m_chi.
+    ``forms`` maps class labels to RationalFunction r_g(t); each m_chi is
+    sum_g |C_g| chi(g) r_g / (|G| orbit_size), one linear combination over
+    the forms' common cyclotomic denominator.  Also reports the order-4
+    partial-fraction coefficient at t = 1 of each m_chi.
     """
-    out = {}
-    for ch in table.characters:
-        acc = RationalFunction(Poly([0]))
-        for idx, c in enumerate(table.classes):
-            w = Fraction(c.size) * ch.values[idx]
-            acc = acc + forms[c.label] * (w / table.order / ch.orbit_size)
-        pole = acc.pole_coefficient(Fraction(1), 4)
-        out[ch.name] = (acc, pole)
-    return out
-
-
-# Virtual M23-modules vanishing on the eight symplectic orders: the
-# coefficient rows over the seventeen complex irreducibles.
-ALPHA_ROWS = (
-    (2, 0, 2, 2, -2, 0, 0, 0, 0, 0, 0, -1, -1, 0, 0, 2, 0),
-    (2, -2, 1, 1, 2, 0, 0, 0, -2, 0, 0, 0, 0, -1, -1, -2, 2),
-    (2, -2, 0, 0, 0, 2, -1, -1, 2, 0, 0, 2, 2, 0, 0, 0, -2),
-    (2, -2, -2, -2, 0, 2, 2, 2, 0, -1, -1, -2, -2, 2, 2, 0, 0),
-)
-
-
-def alpha_basis_check(table: CharacterTable, alpha_rows, labels) -> list:
-    """Verify integer combinations vanish on the classes in ``labels``.
-
-    ``alpha_rows`` are per-irreducible coefficient rows (constituent
-    columns in table order); paired constituents must carry equal
-    coefficients, which this check enforces.
-    """
-    cols = [table.class_index(l) for l in labels]
-    reports = []
-    for row in alpha_rows:
-        coeffs = []
-        pos = 0
-        for ch in table.characters:
-            vals = set(row[pos:pos + ch.orbit_size])
-            if len(vals) != 1:
-                raise ValueError(
-                    "paired irreducibles carry unequal coefficients")
-            coeffs.append(row[pos])
-            pos += ch.orbit_size
-        if pos != len(row):
-            raise ValueError("alpha row has wrong length")
-        values = []
-        for c in cols:
-            acc = sum(co * ch.values[c]
-                      for co, ch in zip(coeffs, table.characters))
-            values.append(acc)
-        reports.append(all(v == 0 for v in values))
-    return reports
+    weights = [[Fraction(c.size) * ch.values[idx] / table.order / ch.orbit_size
+                for idx, c in enumerate(table.classes)]
+               for ch in table.characters]
+    sums = linear_combinations([forms[c.label] for c in table.classes], weights)
+    return {ch.name: (m, m.pole_coefficient(Fraction(1), 4))
+            for ch, m in zip(table.characters, sums)}
 
 
 def first_nonintegral(series) -> tuple | None:

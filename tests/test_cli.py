@@ -167,6 +167,57 @@ def test_verify_all_reports_a_crashed_criterion(monkeypatch, capsys):
     assert "Traceback" in err and "RuntimeError: boom" in err
 
 
+def test_verify_all_json_reports_a_crashed_criterion(monkeypatch, capsys):
+    # on an ERROR stdout is still one JSON document, and the exit code is 4
+    from k3moonshine import acceptance, cli
+
+    def crash(**_):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(acceptance, "CHECKS", (
+        ("1 passes", lambda **_: (True, "fine")),
+        ("2 crashes", crash),
+        ("3 fails", lambda **_: (False, "wrong")),
+    ))
+    assert main(["--format", "json", "verify-all"]) == cli.EXIT_INTERNAL
+    out, err = capsys.readouterr()
+    doc = json.loads(out)
+    assert doc["ok"] is False
+    assert [(c["criterion"], c["status"], c["ok"], c["detail"])
+            for c in doc["criteria"]] == [
+        ("1 passes", "PASS", True, "fine"),
+        ("2 crashes", "ERROR", False, "exception: RuntimeError('boom')"),
+        ("3 fails", "FAIL", False, "wrong"),
+    ]
+    assert "Traceback" in err and "RuntimeError: boom" in err
+
+
+def test_verify_all_json_and_text():
+    # criterion 8 is the only FAIL ([N : K''] = 1 against the published 2),
+    # so both formats exit 1; the text lines carry the same verdicts
+    status, out = run(["--format", "json", "verify-all"])
+    assert status == 1
+    doc = json.loads(out)
+    assert set(doc) == {"criteria", "ok"} and doc["ok"] is False
+    crit = doc["criteria"]
+    assert [c["criterion"].split()[0] for c in crit] == \
+        [str(n) for n in range(1, 11)]
+    for c in crit:
+        assert set(c) == {"criterion", "status", "ok", "detail", "seconds"}
+        assert c["status"] == ("PASS" if c["ok"] else "FAIL")
+        assert c["seconds"] >= 0
+    assert [(c["criterion"], c["status"]) for c in crit if not c["ok"]] == \
+        [("8 lattice suite", "FAIL")]
+    assert crit[7]["detail"].startswith("[N : K''] = 1, not 2")
+    status, text = run(["verify-all"])
+    assert status == 1
+    lines = [ln.split(" (")[0] + ln.split(")", 1)[1]
+             for ln in text.splitlines()]
+    assert lines == [
+        f"[{c['status']}] criterion {c['criterion']}"
+        + ("" if c["ok"] else " -- " + c["detail"]) for c in crit]
+
+
 CLI_GOLDENS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
                            "goldens", "cli.json")
 

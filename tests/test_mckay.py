@@ -1,12 +1,14 @@
 import os
 from fractions import Fraction
 
-from k3moonshine.genus import equivariant_elliptic_genus
+from k3moonshine.genus import (
+    equivariant_elliptic_genus, fixed_point_count, jacobi_split,
+)
 from k3moonshine.mckay import (
     CLASS_LEVEL, GEOMETRIC_CLASSES, MOONSHINE_CLASSES, cusp_form,
-    eisenstein_difference, euler_character_value, f_from_traces, f_geometric,
-    f_series, k_layer_trace, m2_basis, read_fg_file, sigma_coefficients,
-    twining_genus, write_fg_file,
+    eisenstein_difference, euler_character_value, f_from_traces, f_series,
+    k_layer_trace, m2_basis, read_fg_file, sigma_coefficients, twining_genus,
+    write_fg_file,
 )
 from k3moonshine.n4char import twining_to_symtraces, twining_truncation
 from k3moonshine.replattice import first_nonintegral
@@ -56,6 +58,14 @@ def test_m2_basis_dimensions():
             23: 3}
     for level, d in dims.items():
         assert len(m2_basis(level, 3 * 24)) == d, level
+
+
+def f_geometric(label: str, trunc24: int):
+    """f_g for a geometric class from the fixed-point genus split."""
+    a, h = jacobi_split(equivariant_elliptic_genus(label, trunc24))
+    if a != Fraction(fixed_point_count(label), 12):
+        raise ArithmeticError(f"{label}: split constant {a} != e/12")
+    return h
 
 
 def test_split_and_trace_routes_agree():

@@ -1,10 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from gcd_oracle import GcdRationalFunction, poly_gcd
 from k3moonshine.qpoly import (
     Poly, PoleAtZeroError, RationalFunction, cyclotomic_poly,
-    reconstruct_rational,
+    cyclotomic_product, reconstruct_rational,
 )
 
 
@@ -27,7 +29,7 @@ def test_poly_divmod_gcd():
     b = Poly([1, 1])
     q, r = a.divmod(b)
     assert q * b + r == a
-    g = (Poly([1, 1]) * Poly([2, 1])).gcd(Poly([1, 1]) * Poly([3, 1]))
+    g = poly_gcd(Poly([1, 1]) * Poly([2, 1]), Poly([1, 1]) * Poly([3, 1]))
     assert g == Poly([1, 1])
 
 
@@ -78,3 +80,88 @@ def test_pole_coefficient():
     f = RationalFunction(Poly([5]), Poly([-1, 1]) ** 4) + \
         RationalFunction(Poly([1]), Poly([-1, 1]))
     assert f.pole_coefficient(Fraction(1), 4) == 5
+
+
+def test_polynomial_denominator_is_factored_into_cyclotomics():
+    # 2(1 - t)(1 + t + t^2) = -2 Phi_1 Phi_3: content and sign move to num
+    den = Poly([1, -1]) * cyclotomic_poly(3) * 2
+    r = RationalFunction(Poly([3]), den)
+    assert r == RationalFunction(Poly([Fraction(-3, 2)]), {1: 1, 3: 1})
+    assert r.den == cyclotomic_poly(1) * cyclotomic_poly(3)
+    assert r.num == Poly([Fraction(-3, 2)])
+
+
+@pytest.mark.parametrize("den", [Poly([2, 1]), Poly([1, 2]),
+                                 Poly([1, 0, 1, 1]), cyclotomic_poly(5) * Poly([1, 3])])
+def test_non_cyclotomic_denominator_is_rejected(den):
+    with pytest.raises(ValueError):
+        RationalFunction(Poly([1]), den)
+
+
+def test_zero_is_reduced_to_denominator_one():
+    z = RationalFunction(Poly([0]), {7: 2})
+    assert (z.num, z.den) == (Poly([]), Poly([1]))
+    r = RationalFunction(Poly([1, 2]), {3: 1})
+    assert r - r == z == 0
+
+
+# -- the exponent-map route against the gcd route ------------------------------
+
+DIFFERENTIAL = settings(max_examples=60, deadline=None, derandomize=True)
+
+FRACTIONS = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+
+
+@st.composite
+def rational_pairs(draw):
+    """A RationalFunction and its gcd-route twin: a Phi-product
+    denominator (d <= 24, exponents <= 4, degree <= 32, which bounds the
+    oracle's Euclid) over a Fraction numerator that
+    shares a random part of it, so that reduction has work to do."""
+    exps = draw(st.dictionaries(st.integers(1, 24), st.integers(1, 4),
+                                max_size=3)
+                .filter(lambda e: cyclotomic_product(e).degree <= 32))
+    shared = {d: draw(st.integers(0, e)) for d, e in exps.items()}
+    base = Poly(draw(st.lists(FRACTIONS, max_size=6)))
+    num = base * cyclotomic_product(shared)
+    den = cyclotomic_product(exps)
+    return RationalFunction(num, exps), GcdRationalFunction(num, den)
+
+
+def pole_order_at_one(den: Poly) -> int:
+    order = 0
+    while den.eval(1) == 0:
+        den = den // cyclotomic_poly(1)
+        order += 1
+    return order
+
+
+def assert_same(new, old):
+    assert (new.num, new.den) == (old.num, old.den)
+    assert hash(new) == hash((old.num, old.den))
+    assert new.expand(12) == old.expand(12)
+    e1 = pole_order_at_one(old.den)
+    assert new.pole_coefficient(Fraction(1), e1) == \
+        old.pole_coefficient(Fraction(1), e1)
+
+
+@DIFFERENTIAL
+@given(a=rational_pairs())
+def test_construction_matches_gcd_route(a):
+    assert_same(*a)
+    new, old = a
+    assert RationalFunction(old.num, old.den) == new
+
+
+@DIFFERENTIAL
+@given(a=rational_pairs(), b=rational_pairs())
+def test_sum_and_difference_match_gcd_route(a, b):
+    assert_same(a[0] + b[0], a[1] + b[1])
+    assert_same(a[0] - b[0], a[1] - b[1])
+
+
+@DIFFERENTIAL
+@given(a=rational_pairs(), k=FRACTIONS)
+def test_scalar_multiple_matches_gcd_route(a, k):
+    assert_same(a[0] * k, a[1] * k)
+    assert_same(k * a[0], a[1] * k)

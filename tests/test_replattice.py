@@ -2,11 +2,13 @@ from fractions import Fraction
 
 import pytest
 
+from gcd_oracle import m_chi_by_gcd
+from k3moonshine.chartab import CharacterTable
 from k3moonshine.lattice import IntegerLattice, snf_quotient
 from k3moonshine.genus import rational_form, SYMPLECTIC_CLASSES
 from k3moonshine.qpoly import Poly, RationalFunction, cyclotomic_poly
 from k3moonshine.replattice import (
-    ALPHA_ROWS, alpha_basis_check, chosen_rational_form, decompose_family,
+    chosen_rational_form, decompose_family,
     first_nonintegral, m23_table2, m_chi_rational, mukai_lattice_N,
     order_lattice, restricted_lattice, solve_virtual_m24, sufficiency_scan,
 )
@@ -166,6 +168,61 @@ def test_m_chi_matches_series_decomposition():
     dec = decompose_family(m23, family)
     for name, (m, _pole) in out.items():
         assert m.expand(9) == dec[name]
+
+
+def test_m_chi_rational_matches_the_gcd_route():
+    # row by row, the one-pass sum over the common cyclotomic denominator
+    # against the class-by-class gcd-reduced sum
+    m23 = load_m23()
+    forms = {lab: rational_form(lab) for lab in SYMPLECTIC_CLASSES}
+    for lab in ("11AB", "14AB", "15AB", "23AB"):
+        forms[lab] = chosen_rational_form(lab)
+    out = m_chi_rational(m23, forms)
+    want = m_chi_by_gcd(m23, forms)
+    assert len(out) == len(want) == 12
+    for ch in m23.characters:
+        (m, pole), (w, wpole) = out[ch.name], want[ch.name]
+        assert (m.num, m.den, pole) == (w.num, w.den, wpole), ch.name
+
+
+# Virtual M23-modules vanishing on the eight symplectic orders: the
+# coefficient rows over the seventeen complex irreducibles.
+ALPHA_ROWS = (
+    (2, 0, 2, 2, -2, 0, 0, 0, 0, 0, 0, -1, -1, 0, 0, 2, 0),
+    (2, -2, 1, 1, 2, 0, 0, 0, -2, 0, 0, 0, 0, -1, -1, -2, 2),
+    (2, -2, 0, 0, 0, 2, -1, -1, 2, 0, 0, 2, 2, 0, 0, 0, -2),
+    (2, -2, -2, -2, 0, 2, 2, 2, 0, -1, -1, -2, -2, 2, 2, 0, 0),
+)
+
+
+def alpha_basis_check(table: CharacterTable, alpha_rows, labels) -> list:
+    """Verify integer combinations vanish on the classes in ``labels``.
+
+    ``alpha_rows`` are per-irreducible coefficient rows (constituent
+    columns in table order); paired constituents must carry equal
+    coefficients, which this check enforces.
+    """
+    cols = [table.class_index(l) for l in labels]
+    reports = []
+    for row in alpha_rows:
+        coeffs = []
+        pos = 0
+        for ch in table.characters:
+            vals = set(row[pos:pos + ch.orbit_size])
+            if len(vals) != 1:
+                raise ValueError(
+                    "paired irreducibles carry unequal coefficients")
+            coeffs.append(row[pos])
+            pos += ch.orbit_size
+        if pos != len(row):
+            raise ValueError("alpha row has wrong length")
+        values = []
+        for c in cols:
+            acc = sum(co * ch.values[c]
+                      for co, ch in zip(coeffs, table.characters))
+            values.append(acc)
+        reports.append(all(v == 0 for v in values))
+    return reports
 
 
 def test_alpha_rows_vanish():
