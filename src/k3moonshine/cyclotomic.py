@@ -2,9 +2,12 @@
 
 Elements are represented by their coordinates in the power basis
 1, zeta, ..., zeta^(phi(n)-1) of Q(zeta_n), i.e. as residues modulo the
-n-th cyclotomic polynomial.  Coordinates are ``fractions.Fraction``.
-Phi_n, Euler's phi and the polynomial arithmetic of ``inverse`` come
-from ``qpoly``; this module keeps no polynomial code of its own.
+n-th cyclotomic polynomial.  A coordinate is a Python ``int`` exactly
+when it is integral and a ``fractions.Fraction`` otherwise
+(``canonical_rational``; a float raises ``TypeError``), so arithmetic on
+integral elements, the usual case, runs on ints.  Phi_n, Euler's phi and
+the polynomial arithmetic of ``inverse`` come from ``qpoly``; this module
+keeps no polynomial code of its own.
 
 Mixed-conductor arithmetic embeds both operands into Q(zeta_lcm); the
 compositum conductor is capped to keep accidental blow-ups loud.
@@ -15,6 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from numbers import Rational
 
 from .qpoly import Poly, cyclotomic_poly, euler_phi
 
@@ -24,16 +28,29 @@ __all__ = [
     "zeta",
     "euler_phi",
     "moebius",
+    "canonical_rational",
 ]
 
 COMPOSITUM_CAP = 9240
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 
 class DomainError(ValueError):
     """Incompatible coefficient domains (e.g. compositum above the cap)."""
+
+
+def canonical_rational(x):
+    """The exact rational ``x`` as an ``int`` when integral, else a Fraction.
+
+    Raises TypeError for anything that is not an exact rational, floats
+    included, so an inexact value fails loudly instead of rounding.
+    """
+    if type(x) is int:
+        return x
+    if type(x) is Fraction:
+        return x.numerator if x.denominator == 1 else x
+    if isinstance(x, Rational):
+        return canonical_rational(Fraction(x))
+    raise TypeError(f"exact rational expected, got {type(x).__name__} {x!r}")
 
 
 def moebius(n: int) -> int:
@@ -51,19 +68,20 @@ def moebius(n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _power_reduction(n: int) -> tuple[tuple[Fraction, ...], ...]:
+def _power_reduction(n: int) -> tuple[tuple[int, ...], ...]:
     """Power-basis vectors of zeta^k for k = 0..max(2*phi(n)-2, n-1).
 
     Covers every product of two basis vectors and every n-th root of unity.
+    Phi_n is monic with integer coefficients, so every row is integral.
     """
     phi = euler_phi(n)
-    poly = cyclotomic_poly(n).c
-    rows: list[tuple[Fraction, ...]] = []
-    cur = [_ZERO] * phi
-    cur[0] = _ONE
+    poly = [x.numerator for x in cyclotomic_poly(n).c]
+    rows: list[tuple[int, ...]] = []
+    cur = [0] * phi
+    cur[0] = 1
     rows.append(tuple(cur))
     for _ in range(max(2 * phi - 2, n - 1)):
-        nxt = [_ZERO] + cur[:-1]
+        nxt = [0] + cur[:-1]
         top = cur[-1]
         if top:
             # zeta^phi = -(poly[0] + ... + poly[phi-1] zeta^{phi-1})
@@ -75,23 +93,24 @@ def _power_reduction(n: int) -> tuple[tuple[Fraction, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def _galois_rows(n: int, a: int) -> tuple[tuple[Fraction, ...], ...]:
+def _galois_rows(n: int, a: int) -> tuple[tuple[int, ...], ...]:
     """The map zeta -> zeta^a on the power basis: row k is sigma_a(zeta^k)."""
     rows = _power_reduction(n)
     return tuple(rows[k * a % n] for k in range(euler_phi(n)))
 
 
 @lru_cache(maxsize=None)
-def _zeta_traces(n: int) -> tuple[Fraction, ...]:
-    """Trace of zeta_n^k over Q for k = 0..phi(n)-1."""
+def _zeta_traces(n: int) -> tuple[int, ...]:
+    """Trace of zeta_n^k over Q for k = 0..phi(n)-1.
+
+    zeta_n^k has order d = n / gcd(n, k), and its trace is
+    mu(d) * phi(n) / phi(d), an integer since phi(d) divides phi(n).
+    """
     phi = euler_phi(n)
     out = []
     for k in range(phi):
-        if n == 1:
-            out.append(Fraction(1))
-            continue
         d = n // gcd(n, k)
-        out.append(Fraction(moebius(d) * phi, euler_phi(d)))
+        out.append(moebius(d) * phi // euler_phi(d))
     return tuple(out)
 
 
@@ -108,15 +127,14 @@ class CyclotomicNumber:
         if len(c) != phi:
             raise DomainError(f"expected {phi} coordinates for conductor {n}")
         self.n = n
-        self.c = tuple(Fraction(x) for x in c)
+        self.c = tuple(map(canonical_rational, c))
 
     # -- constructors -----------------------------------------------------
 
     @staticmethod
     def from_rational(n: int, value) -> "CyclotomicNumber":
-        phi = euler_phi(n)
-        c = [_ZERO] * phi
-        c[0] = Fraction(value)
+        c = [0] * euler_phi(n)
+        c[0] = value
         return CyclotomicNumber(n, c)
 
     @staticmethod
@@ -124,8 +142,8 @@ class CyclotomicNumber:
         phi = euler_phi(n)
         k %= n
         if k < phi:
-            c = [_ZERO] * phi
-            c[k] = _ONE
+            c = [0] * phi
+            c[k] = 1
             return CyclotomicNumber(n, c)
         return CyclotomicNumber(n, _power_reduction(n)[k])
 
@@ -181,8 +199,7 @@ class CyclotomicNumber:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-            return CyclotomicNumber(self.n, [x * f for x in self.c])
+            return CyclotomicNumber(self.n, [x * other for x in self.c])
         return self._binary(other, CyclotomicNumber._mul_same)
 
     __rmul__ = __mul__
@@ -190,7 +207,7 @@ class CyclotomicNumber:
     def _mul_same(self, other: "CyclotomicNumber") -> "CyclotomicNumber":
         phi = len(self.c)
         rows = _power_reduction(self.n)
-        out = [_ZERO] * phi
+        out = [0] * phi
         for i, a in enumerate(self.c):
             if not a:
                 continue
@@ -255,7 +272,7 @@ class CyclotomicNumber:
     def is_rational(self) -> bool:
         return not any(self.c[1:])
 
-    def rational_value(self) -> Fraction:
+    def rational_value(self):
         if not self.is_rational():
             raise DomainError(f"{self!r} is not rational")
         return self.c[0]
@@ -267,10 +284,11 @@ class CyclotomicNumber:
         rows = _galois_rows(self.n, a % self.n)
         return CyclotomicNumber(self.n, _combine(rows, self.c, len(self.c)))
 
-    def trace(self) -> Fraction:
-        """Trace to Q (sum of all Galois conjugates)."""
+    def trace(self):
+        """Trace to Q (sum of all Galois conjugates), in canonical form."""
         traces = _zeta_traces(self.n)
-        return sum((ck * tk for ck, tk in zip(self.c, traces)), _ZERO)
+        return canonical_rational(
+            sum(ck * tk for ck, tk in zip(self.c, traces)))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -297,7 +315,7 @@ class CyclotomicNumber:
 
 def _combine(rows, weights, phi: int) -> list:
     """sum_k weights[k] * rows[k] as a coordinate list of length phi."""
-    out = [_ZERO] * phi
+    out = [0] * phi
     for w, row in zip(weights, rows):
         if w:
             for j, r in enumerate(row):

@@ -23,7 +23,8 @@ from functools import lru_cache
 from .cyclotomic import CyclotomicNumber, zeta
 from .qpoly import RationalFunction, cyclotomic_product, reconstruct_rational
 from .series import (
-    NotInSpanError, TruncatedSeries, binomial_factor, geometric_factor,
+    NotInSpanError, TruncatedSeries, binomial_factor, exact_quotient,
+    geometric_factor,
 )
 from .modforms import euler_specialization, weak_jacobi_phi
 
@@ -66,8 +67,7 @@ FIXED_POINT_EIGENVALUES = {
 # Lemma-style weights m(N) turning the sum over all units of Z/N into the
 # Table-1 fixed-point multiset.
 UNIT_SUM_WEIGHTS = {
-    2: Fraction(8), 3: Fraction(3), 4: Fraction(2), 5: Fraction(1),
-    6: Fraction(1), 7: Fraction(1, 2), 8: Fraction(1, 2),
+    2: 8, 3: 3, 4: 2, 5: 1, 6: 1, 7: Fraction(1, 2), 8: Fraction(1, 2),
 }
 
 
@@ -92,7 +92,7 @@ def chi_symt_series(label: str, terms: int) -> list[Fraction]:
     """Equivariant chi(g; X, S_t T) as a t-series for a nontrivial class."""
     n = CLASS_ORDER[label]
     if n == 1:
-        return [Fraction(chi_sym_power(k)) for k in range(terms)]
+        return [chi_sym_power(k) for k in range(terms)]
     out = []
     pieces = []
     for a, mult in FIXED_POINT_EIGENVALUES[n]:
@@ -154,21 +154,20 @@ def chern_root_elliptic_genus(trunc24: int) -> TruncatedSeries:
     compares it with ``elliptic_genus``, is its one caller outside the
     tests.
     """
-    one = Fraction(1)
-    s = TruncatedSeries.monomial(one, 0, -2, 0, trunc24)      # prefactor 1/y
-    s = s * binomial_factor(-one, 0, 2, 1) * binomial_factor(-one, 0, 2, -1)
+    s = TruncatedSeries.monomial(1, 0, -2, 0, trunc24)        # prefactor 1/y
+    s = s * binomial_factor(-1, 0, 2, 1) * binomial_factor(-1, 0, 2, -1)
     n = 1
     while 24 * n < trunc24:
         for y2 in (2, -2):
             for zz in (1, -1):
-                s = s * binomial_factor(-one, 24 * n, y2, zz)
+                s = s * binomial_factor(-1, 24 * n, y2, zz)
         for zz in (1, -1):
-            s = s * geometric_factor(one, 24 * n, 0, zz, trunc24, power=2)
+            s = s * geometric_factor(1, 24 * n, 0, zz, trunc24, power=2)
         n += 1
     out: dict = {}
     for (q24, y2, z), c in s.terms.items():
         key = (q24, y2, 0)
-        out[key] = out.get(key, Fraction(0)) + c * (2 - 12 * z * z)
+        out[key] = out.get(key, 0) + c * (2 - 12 * z * z)
     return TruncatedSeries(out, s.trunc24)
 
 
@@ -263,7 +262,7 @@ def jacobi_split(s: TruncatedSeries):
     is determined order by order and the residual must vanish exactly.
     """
     if s.is_zero():
-        return Fraction(0), s
+        return 0, s
     lo = s.min_q24
     y2s = {y2 for (q24, y2, _z) in s.terms if q24 == lo}
     if any(abs(y2) > 2 for y2 in y2s):
@@ -271,9 +270,9 @@ def jacobi_split(s: TruncatedSeries):
     e = euler_specialization(s)
     support = e.q_support()
     if not support:
-        a = Fraction(0)
+        a = 0
     elif support == [0]:
-        a = e.terms[(0, 0, 0)] / 12
+        a = exact_quotient(e.terms[(0, 0, 0)], 12)
     else:
         raise NotInSpanError(
             "Euler specialization is not constant",
@@ -310,9 +309,8 @@ def verify_moonshine_class(label: str, f_g: TruncatedSeries,
                            trunc24: int) -> MoonshineReport:
     """Compare the fixed-point genus with e(g)/12 phi_{0,1} + f_g phi_{-2,1}."""
     lhs = equivariant_elliptic_genus(label, trunc24)
-    e = Fraction(fixed_point_count(label))
-    rhs = weak_jacobi_phi(0, trunc24) * (e / 12) + \
-        f_g * weak_jacobi_phi(-2, trunc24)
+    a = exact_quotient(fixed_point_count(label), 12)
+    rhs = weak_jacobi_phi(0, trunc24) * a + f_g * weak_jacobi_phi(-2, trunc24)
     t = min(lhs.trunc24, rhs.trunc24)
     diff = lhs - rhs
     if diff.is_zero():

@@ -26,7 +26,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .series import TruncatedSeries
+from .series import TruncatedSeries, exact_quotient
 from .modforms import eta_power, eta_scaled, weak_jacobi_phi
 from .mill import class_data
 from .tables import load_m24, data_dir
@@ -66,12 +66,12 @@ def _sigma1(n: int) -> int:
 
 def eisenstein_difference(d: int, trunc24: int) -> TruncatedSeries:
     """B_d = d E_2(d tau) - E_2(tau), a weight-2 form for Gamma_0(d)."""
-    terms = {(0, 0, 0): Fraction(d - 1)}
+    terms = {(0, 0, 0): d - 1}
     n = 1
     while 24 * n < trunc24:
         c = 24 * (_sigma1(n) - (d * _sigma1(n // d) if n % d == 0 else 0))
         if c:
-            terms[(24 * n, 0, 0)] = Fraction(c)
+            terms[(24 * n, 0, 0)] = c
         n += 1
     return TruncatedSeries(terms, trunc24)
 
@@ -88,7 +88,7 @@ def cusp_form(level: int, trunc24: int) -> TruncatedSeries:
     """The eta-product newform of weight 2 for Gamma_0(level)."""
     if level not in _CUSP_ETA_PRODUCTS:
         raise ValueError(f"no eta-product cusp form stored for level {level}")
-    s = TruncatedSeries.const(Fraction(1), trunc24)
+    s = TruncatedSeries.const(1, trunc24)
     for a, power in _CUSP_ETA_PRODUCTS[level]:
         for _ in range(power):
             s = s * eta_scaled(a, trunc24)
@@ -101,7 +101,7 @@ def _hecke_t2(f: TruncatedSeries, trunc24: int) -> TruncatedSeries:
     n = 0
     while 24 * n < trunc24:
         a2n = f.coeff(2 * n)
-        ahalf = f.coeff(n // 2) if n % 2 == 0 and n > 0 else Fraction(0)
+        ahalf = f.coeff(n // 2) if n % 2 == 0 and n > 0 else 0
         val = a2n + 2 * ahalf
         if val:
             out[(24 * n, 0, 0)] = val
@@ -226,7 +226,7 @@ def _solve_square(mat, vec):
             return None
         mat[col], mat[piv] = mat[piv], mat[col]
         vec[col], vec[piv] = vec[piv], vec[col]
-        inv = 1 / mat[col][col]
+        inv = exact_quotient(1, mat[col][col])
         mat[col] = [x * inv for x in mat[col]]
         vec[col] = vec[col] * inv
         for i in range(n):
@@ -246,10 +246,10 @@ def f_series(label: str, trunc24: int) -> TruncatedSeries:
 
 def twining_genus(label: str, trunc24: int) -> TruncatedSeries:
     """e(g)/12 phi_{0,1} + f_g phi_{-2,1} for any supported class."""
-    e = Fraction(euler_character_value(label))
+    e = exact_quotient(euler_character_value(label), 12)
     phi0 = weak_jacobi_phi(0, trunc24)
     phim2 = weak_jacobi_phi(-2, trunc24)
-    return phi0 * (e / 12) + f_series(label, trunc24) * phim2
+    return phi0 * e + f_series(label, trunc24) * phim2
 
 
 # -- the data file -----------------------------------------------------------------

@@ -19,13 +19,10 @@ Conventions (the single source of truth for signs):
 
 from __future__ import annotations
 
-import cmath
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
-from .cyclotomic import CyclotomicNumber, DomainError, zeta
-from .series import INF24, TruncatedSeries
+from .cyclotomic import zeta
+from .series import TruncatedSeries
 
 __all__ = [
     "dedekind_eta",
@@ -33,11 +30,8 @@ __all__ = [
     "eta_power",
     "jacobi_theta",
     "theta_null",
-    "phi_function",
     "weak_jacobi_phi",
     "euler_specialization",
-    "ComplexApprox",
-    "numeric_eval",
 ]
 
 
@@ -52,7 +46,7 @@ def eta_scaled(a: int, trunc24: int) -> TruncatedSeries:
     j = 1                        # j = |6m - 1| runs over 1, 5, 7, 11, 13, ...
     while a * j * j < trunc24:
         # (-1)^m is +1 for j = +-1 mod 12 and -1 for j = +-5 mod 12
-        terms[(a * j * j, 0, 0)] = Fraction(1 if j % 12 in (1, 11) else -1)
+        terms[(a * j * j, 0, 0)] = 1 if j % 12 in (1, 11) else -1
         j += 4 if j % 6 == 1 else 2
     return TruncatedSeries(terms, trunc24, _clean=True)
 
@@ -67,7 +61,7 @@ def dedekind_eta(trunc24: int) -> TruncatedSeries:
 def eta_power(power: int, trunc24: int) -> TruncatedSeries:
     """eta(q)^power for any integer power (negative powers invert)."""
     if power == 0:
-        return TruncatedSeries.const(Fraction(1), trunc24)
+        return TruncatedSeries.const(1, trunc24)
     if power > 0:
         return (dedekind_eta(trunc24) ** power).truncate(trunc24)
     k = -power
@@ -84,8 +78,8 @@ def jacobi_theta(kind: int, trunc24: int) -> TruncatedSeries:
         n = 0
         while 12 * n * n < trunc24:
             for s in ((n,) if n == 0 else (n, -n)):
-                c = Fraction(-1 if (kind == 4 and n % 2) else 1)
-                terms[(12 * n * n, 2 * s, 0)] = c
+                sign = -1 if (kind == 4 and n % 2) else 1
+                terms[(12 * n * n, 2 * s, 0)] = sign
             n += 1
     else:
         k = 0
@@ -93,7 +87,7 @@ def jacobi_theta(kind: int, trunc24: int) -> TruncatedSeries:
             for m in (k, -k - 1):  # n = m + 1/2 runs over +-(k+1/2)
                 q24 = 3 * (2 * k + 1) ** 2
                 if kind == 2:
-                    terms[(q24, 2 * m + 1, 0)] = Fraction(1)
+                    terms[(q24, 2 * m + 1, 0)] = 1
                 else:
                     # theta1 = -i sum (-1)^m y^(m+1/2) q^((m+1/2)^2/2)
                     sign = -1 if m % 2 else 1
@@ -108,13 +102,8 @@ def theta_null(kind: int, trunc24: int) -> TruncatedSeries:
     out = {}
     for (q24, _y2, _z), c in th.terms.items():
         key = (q24, 0, 0)
-        out[key] = out.get(key, Fraction(0)) + c
+        out[key] = out.get(key, 0) + c
     return TruncatedSeries(out, trunc24)
-
-
-def phi_function(trunc24: int) -> TruncatedSeries:
-    """phi = theta1/eta^3; coefficients are purely imaginary in Q(i)."""
-    return jacobi_theta(1, trunc24 + 3) * eta_power(-3, trunc24 + 3)
 
 
 @lru_cache(maxsize=None)
@@ -147,60 +136,5 @@ def euler_specialization(s: TruncatedSeries) -> TruncatedSeries:
     out = {}
     for (q24, _y2, z), c in s.terms.items():
         key = (q24, 0, z)
-        acc = out.get(key, Fraction(0)) + c
-        out[key] = acc
+        out[key] = out.get(key, 0) + c
     return TruncatedSeries(out, s.trunc24)
-
-
-@dataclass(frozen=True)
-class ComplexApprox:
-    """A numeric value with a crude geometric tail estimate attached."""
-
-    value: complex
-    error: float
-
-
-def numeric_eval(s: TruncatedSeries, tau: complex, u: complex = 0.0,
-                 v: complex = 0.0) -> ComplexApprox:
-    """Evaluate at q = e^(2 pi i tau), y = e^(2 pi i u), z = e^(2 pi i v).
-
-    The error field bounds the truncation tail under the assumption of
-    geometric domination beyond the truncation order, with the ratio
-    estimated from the computed slices; it is meant for spot checks of
-    transformation laws, never for exact assertions.
-    """
-    if tau.imag <= 0:
-        raise DomainError("tau must lie in the upper half-plane")
-    q1 = cmath.exp(2j * cmath.pi * tau / 24)   # q^(1/24)
-    y1 = cmath.exp(1j * cmath.pi * u)          # y^(1/2)
-    z1 = cmath.exp(2j * cmath.pi * v)
-    total = 0j
-    slice_abs: dict[int, float] = {}
-    for (q24, y2, z), c in s.terms.items():
-        cv = _coeff_complex(c)
-        term = cv * q1 ** q24 * y1 ** y2 * z1 ** z
-        total += term
-        slice_abs[q24] = slice_abs.get(q24, 0.0) + abs(cv) * abs(y1) ** y2 * abs(z1) ** z
-    if s.trunc24 >= INF24:
-        return ComplexApprox(total, 0.0)
-    r = abs(q1)
-    if not slice_abs:
-        return ComplexApprox(total, (r ** s.trunc24) / max(1e-12, 1 - r))
-    orders = sorted(slice_abs)
-    growth = 1.0
-    for a, b in zip(orders, orders[1:]):
-        if slice_abs[a] > 0 and slice_abs[b] > slice_abs[a]:
-            growth = max(growth, (slice_abs[b] / slice_abs[a]) ** (1.0 / (b - a)))
-    rho = growth * r
-    amp = max(slice_abs.values())
-    if rho >= 1.0:
-        return ComplexApprox(total, float("inf"))
-    tail = amp * growth ** (s.trunc24 - orders[0]) * (r ** s.trunc24) / (1 - rho)
-    return ComplexApprox(total, tail)
-
-
-def _coeff_complex(c) -> complex:
-    if isinstance(c, CyclotomicNumber):
-        w = cmath.exp(2j * cmath.pi / c.n)
-        return sum(float(x) * w ** k for k, x in enumerate(c.c))
-    return complex(Fraction(c))

@@ -25,9 +25,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from .cyclotomic import canonical_rational
 from .series import (
     InsufficientPrecisionError, NotInSpanError, TruncatedSeries,
-    binomial_factor, geometric_factor, prune_z_window,
+    binomial_factor, exact_quotient, geometric_factor, prune_z_window,
 )
 from .modforms import eta_power, jacobi_theta
 from .genus import chi_sym_power
@@ -52,9 +53,6 @@ __all__ = [
     "twining_to_symtraces",
 ]
 
-_ONE = Fraction(1)
-_ZERO = Fraction(0)
-
 
 # -- the free-field character and isotypic extraction ------------------------
 
@@ -65,18 +63,18 @@ def ch_v_product(trunc24: int, zmax: int) -> TruncatedSeries:
     |z| <= zmax by the truncation order is dropped.
     """
     pad = zmax + 2 * (trunc24 // 24 + 2)
-    s = TruncatedSeries.monomial(_ONE, -6, 0, 0, trunc24)
+    s = TruncatedSeries.monomial(1, -6, 0, 0, trunc24)
     level = 1
     while 12 * (2 * level - 1) < trunc24 + 6:
         q24 = 12 * (2 * level - 1)  # q^(level - 1/2)
         for zz, y2 in ((1, 2), (1, -2), (-1, 2), (-1, -2)):
-            s = s * binomial_factor(_ONE, q24, y2, zz)
+            s = s * binomial_factor(1, q24, y2, zz)
         s = prune_z_window(s, -pad, pad)
         level += 1
     n = 1
     while 24 * n < trunc24 + 6:
         for zz in (1, -1):
-            s = s * geometric_factor(_ONE, 24 * n, 0, zz, trunc24 + 6, power=2)
+            s = s * geometric_factor(1, 24 * n, 0, zz, trunc24 + 6, power=2)
         s = prune_z_window(s, -pad, pad)
         n += 1
     return s
@@ -105,9 +103,9 @@ def _inverse_fermion_factor(exp2: int, y2: int, trunc24: int) -> TruncatedSeries
     if exp2 == 0:
         raise ValueError("exponent must be nonzero")
     if exp2 > 0:
-        return geometric_factor(-_ONE, 12 * exp2, y2, 0, trunc24)
-    flip = geometric_factor(-_ONE, -12 * exp2, -y2, 0, trunc24)
-    pref = TruncatedSeries.monomial(_ONE, -12 * exp2, -y2, 0)
+        return geometric_factor(-1, 12 * exp2, y2, 0, trunc24)
+    flip = geometric_factor(-1, -12 * exp2, -y2, 0, trunc24)
+    pref = TruncatedSeries.monomial(1, -12 * exp2, -y2, 0)
     return pref * flip
 
 
@@ -185,7 +183,7 @@ def _h_triple_sum(M: int, trunc24: int) -> TruncatedSeries:
                         del acc[q24]
                 ss += 2
             rr += 2
-    terms = {(q24, 0, 0): Fraction(c) for q24, c in acc.items()}
+    terms = {(q24, 0, 0): c for q24, c in acc.items()}
     return TruncatedSeries(terms, trunc24, _clean=True)
 
 
@@ -204,7 +202,7 @@ def polar_part(trunc24: int) -> TruncatedSeries:
         base = alpha * (alpha + 1) / 2
         if a2 > 1 and 24 * base >= trunc24:
             break
-        pref = TruncatedSeries.monomial(_ONE, int(24 * base), a2 + 1, 0)
+        pref = TruncatedSeries.monomial(1, int(24 * base), a2 + 1, 0)
         total = total + pref * _inverse_fermion_factor(a2, 2, trunc24 + 24)
         a2 += 2
     a2 = -1
@@ -213,7 +211,7 @@ def polar_part(trunc24: int) -> TruncatedSeries:
         base = alpha * (alpha - 1) / 2  # alpha(alpha+1)/2 - alpha, rewritten
         if 24 * base >= trunc24:
             break
-        pref = TruncatedSeries.monomial(_ONE, int(24 * base), a2 - 1, 0)
+        pref = TruncatedSeries.monomial(1, int(24 * base), a2 - 1, 0)
         total = total + pref * _inverse_fermion_factor(-a2, -2, trunc24 + 24)
         a2 -= 2
     return total.truncate(trunc24)
@@ -237,7 +235,7 @@ def n4_character(h, sector: str, trunc24: int) -> TruncatedSeries:
     kind = {"NS": 3, "R": 2}[sector]
     th = jacobi_theta(kind, trunc24 + 6 - shift) ** 2
     body = th * eta_power(-3, trunc24 + 6 - shift)
-    return (TruncatedSeries.monomial(_ONE, shift, 0, 0) * body).truncate(trunc24)
+    return (TruncatedSeries.monomial(1, shift, 0, 0) * body).truncate(trunc24)
 
 
 def ch_vn_closed(N: int, trunc24: int) -> TruncatedSeries:
@@ -290,7 +288,7 @@ class N4Multiplicities:
         if 24 * (h - Fraction(3, 8)) >= self.horizon24:
             raise InsufficientPrecisionError(
                 f"weight {h} beyond the computed horizon")
-        return self.typical.get(h, _ZERO)
+        return self.typical.get(h, 0)
 
     def table_row(self, columns) -> list:
         """Multiplicities at h = 1/4 + k for the requested integer columns."""
@@ -329,7 +327,7 @@ def decompose_into_n4(s: TruncatedSeries, sector: str = "NS") -> N4Multiplicitie
     if lead is None or lead[0] >= h_full.trunc24:
         raise InsufficientPrecisionError(
             "input ends before the atypical coefficient can be read")
-    a = h_full.terms.get(lead, _ZERO) / p_over_theta.terms[lead]
+    a = exact_quotient(h_full.terms.get(lead, 0), p_over_theta.terms[lead])
     h = h_full - p_over_theta * a
     bad = [k for k in h.terms if k[1] or k[2]]
     if bad:
@@ -390,7 +388,7 @@ def symmetric_power_crosscheck(dec: GenusDecomposition) -> dict:
     for n in range(min(len(dec.A), len(A_COEFFICIENT_BUNDLES))):
         combo = A_COEFFICIENT_BUNDLES[n]
         expected = -sum(mult * chi_sym_power(k) for k, mult in combo.items())
-        report[n] = (dec.A[n], Fraction(expected), dec.A[n] == expected)
+        report[n] = (dec.A[n], expected, dec.A[n] == expected)
     return report
 
 
@@ -415,7 +413,7 @@ def _typical_row(N: int, ncols: int) -> list:
     """Row N of Table 3: the typical multiplicities of ch_{V_N} at
     h = 1/4 + k for k < ncols, read from the closed form."""
     combo = _typical_combo(N, 24 * ncols)
-    return [combo.terms.get((24 * k - 3, 0, 0), _ZERO) for k in range(ncols)]
+    return [combo.terms.get((24 * k - 3, 0, 0), 0) for k in range(ncols)]
 
 
 def twining_to_symtraces(twining: TruncatedSeries, tmax: int,
@@ -444,13 +442,17 @@ def twining_to_symtraces(twining: TruncatedSeries, tmax: int,
                                  q24=24 * k - 3)
         known = sum(c * rows[n][k] for n, c in coeffs.items())
         n = unknown[0]
-        coeffs[n] = (dec.multiplicity(Fraction(1, 4) + k) - known) / rows[n][k]
+        mult = dec.multiplicity(Fraction(1, 4) + k)
+        coeffs[n] = exact_quotient(mult - known, rows[n][k])
 
     solve_column(0)
     if tmax >= 1:
-        coeffs[1] = Fraction(c1) if c1 is not None else (
-            (dec.atypical - _atypical_coefficient(0) * coeffs[0])
-            / _atypical_coefficient(1))
+        if c1 is not None:
+            coeffs[1] = canonical_rational(c1)
+        else:
+            coeffs[1] = exact_quotient(
+                dec.atypical - _atypical_coefficient(0) * coeffs[0],
+                _atypical_coefficient(1))
     for k in range(1, tmax):
         solve_column(k)
     return [coeffs[n] for n in range(tmax + 1)]

@@ -6,10 +6,19 @@ The grading is (q, y, z) with
     doubled grading keeps theta_1/theta_2 half-powers integral),
   * z-exponents in Z.
 
-Coefficients are ``fractions.Fraction`` or ``CyclotomicNumber``;
-rationals embed into any cyclotomic field on demand.  Every series
-carries a truncation order: all stored q-exponents are strictly below
-it, and arithmetic propagates the guaranteed-valid truncation.
+Coefficients are exact and stored in one canonical form: a rational
+coefficient is a Python ``int`` exactly when its denominator is 1 and a
+``fractions.Fraction`` otherwise, and an irrational one is a
+``CyclotomicNumber`` (whose coordinates follow the same rule).  The
+constructor enforces the form in one pass over the values and raises
+``TypeError`` on anything inexact, floats included.  So the kernels below
+have one code path: Python's numeric tower runs them on ints for the
+integral series the paper computes, and on Fractions or cyclotomic
+numbers only where those occur.  Every division of coefficients goes
+through ``exact_quotient``, which never returns a float.  Rationals embed
+into any cyclotomic field on demand.  Every series carries a truncation
+order: all stored q-exponents are strictly below it, and arithmetic
+propagates the guaranteed-valid truncation.
 """
 
 from __future__ import annotations
@@ -18,19 +27,18 @@ from fractions import Fraction
 from math import comb
 from types import MappingProxyType
 
-from .cyclotomic import CyclotomicNumber, DomainError
+from .cyclotomic import CyclotomicNumber, DomainError, canonical_rational
 
 __all__ = [
     "TruncatedSeries",
     "InsufficientPrecisionError",
     "NotInSpanError",
     "INF24",
+    "exact_quotient",
 ]
 
 # Sentinel truncation for exactly-known series (constants, monomials).
 INF24 = 1 << 62
-
-_ZERO = Fraction(0)
 
 
 class InsufficientPrecisionError(ArithmeticError):
@@ -51,8 +59,9 @@ class TruncatedSeries:
     ``terms`` maps (q24, y2, z) to a nonzero coefficient.  It is a
     read-only view and neither attribute can be reassigned, so a series
     can be shared (memoized builders hand the same series to every caller)
-    without aliasing bugs.  With ``_clean`` the caller hands over a dict it
-    built for this series and no longer touches.
+    without aliasing bugs.  With ``_clean`` the caller hands over a dict of
+    nonzero terms below ``trunc24`` that it built for this series and no
+    longer touches; its values are brought to canonical form in place.
     """
 
     __slots__ = ("terms", "trunc24")
@@ -60,6 +69,9 @@ class TruncatedSeries:
     def __init__(self, terms: dict, trunc24: int, *, _clean: bool = False):
         if not _clean:
             terms = {k: v for k, v in terms.items() if k[0] < trunc24 and v}
+        for k, v in terms.items():
+            if type(v) is not int:
+                terms[k] = _canonical(v)
         object.__setattr__(self, "terms", MappingProxyType(terms))
         object.__setattr__(self, "trunc24", trunc24)
 
@@ -82,8 +94,6 @@ class TruncatedSeries:
     @staticmethod
     def monomial(value, q24: int = 0, y2: int = 0, z: int = 0,
                  trunc24: int = INF24) -> "TruncatedSeries":
-        if isinstance(value, int):
-            value = Fraction(value)
         if not value or q24 >= trunc24:
             return TruncatedSeries.zero(trunc24)
         return TruncatedSeries({(q24, y2, z): value}, trunc24, _clean=True)
@@ -105,7 +115,7 @@ class TruncatedSeries:
         if q24 >= self.trunc24:
             raise InsufficientPrecisionError(
                 f"coefficient at q24={q24} beyond truncation {self.trunc24}")
-        return self.terms.get((q24, y2, z), _ZERO)
+        return self.terms.get((q24, y2, z), 0)
 
     def q_slice(self, q24: int) -> dict:
         """All (y2, z) -> coeff at the given q-exponent (in 24th units)."""
@@ -156,8 +166,6 @@ class TruncatedSeries:
         return (-self) + other
 
     def scale(self, value) -> "TruncatedSeries":
-        if isinstance(value, int):
-            value = Fraction(value)
         if not value:
             return TruncatedSeries.zero(self.trunc24)
         return TruncatedSeries({k: v * value for k, v in self.terms.items()},
@@ -200,7 +208,7 @@ class TruncatedSeries:
     def __pow__(self, n: int) -> "TruncatedSeries":
         if n < 0:
             return self.invert() ** (-n)
-        out = TruncatedSeries.const(Fraction(1), self.trunc24 if n == 0 else INF24)
+        out = TruncatedSeries.const(1, self.trunc24 if n == 0 else INF24)
         base = self
         while n:
             if n & 1:
@@ -227,7 +235,7 @@ class TruncatedSeries:
         if len(self.q_slice(m)) != 1:
             raise NotInSpanError(
                 "leading q-slice is not a monomial; use divide_exact", q24=m)
-        return TruncatedSeries.const(Fraction(1)).divide_exact(self)
+        return TruncatedSeries.const(1).divide_exact(self)
 
     def divide_exact(self, divisor: "TruncatedSeries") -> "TruncatedSeries":
         """Long division by a series whose leading q-slice has one z-power.
@@ -267,7 +275,7 @@ class TruncatedSeries:
                 for (qy, qz), qc in quotient.items():
                     for (dy, dz), dc in dslice:
                         key = (qy + dy, qz + dz)
-                        acc = target.get(key, _ZERO) - qc * dc
+                        acc = target.get(key, 0) - qc * dc
                         if acc:
                             target[key] = acc
                         else:
@@ -288,8 +296,12 @@ class TruncatedSeries:
         extra_q24=6, extra_y2=2.  The guaranteed truncation of the result
         assumes that every term of the mathematical series obeys the linear
         envelope |y2| <= 4 + (q24 - min)/24 (in 24th units of q from the
-        lowest stored order; this covers the index <= 2 theta series), so
-        past the truncation the shifted exponent is nondecreasing in q24.
+        lowest stored order; this covers the index <= 2 theta series).  The
+        bound steps up by one at each q24 = min + 24 k, so on the unknown
+        tail q24 >= trunc24 the lowest shifted exponent lies at trunc24 or
+        at the first step past it, and with |s24_per_y2| <= 24 it never
+        falls after that; a larger shift has no guaranteed truncation and
+        raises ValueError.
         """
         if self.is_zero():
             return TruncatedSeries.zero(
@@ -310,10 +322,13 @@ class TruncatedSeries:
         if self.trunc24 >= INF24:
             trunc = INF24
         else:
+            if abs(s24_per_y2) > 24:
+                raise ValueError("a q-shift above 24 per unit of y2 leaves "
+                                 "no guaranteed truncation")
             lo = self.trunc24
-            hi = max(lo, m0) + 1
+            step = lo + (m0 - lo) % 24
             trunc = min(q24 - abs(s24_per_y2) * y2_bound(q24) + extra_q24
-                        for q24 in range(lo, hi + 1))
+                        for q24 in (lo, step))
         if min_trunc24 is not None and trunc < min_trunc24:
             raise InsufficientPrecisionError(
                 f"guaranteed truncation {trunc} below requested {min_trunc24}")
@@ -347,13 +362,9 @@ class TruncatedSeries:
             if y2 % 2:
                 raise DomainError("cannot specialize half-integral y-power")
             m = y2 // 2
-            if isinstance(value, CyclotomicNumber):
-                factor = value ** m if m >= 0 else value.inverse() ** (-m)
-            else:
-                factor = Fraction(value) ** m
-            piece = c * factor
+            factor = value ** m if m >= 0 else exact_quotient(1, value ** -m)
             key = (q24, 0, z)
-            acc = out.get(key, _ZERO) + piece
+            acc = out.get(key, 0) + c * factor
             if not acc:
                 out.pop(key, None)
             else:
@@ -385,9 +396,9 @@ class TruncatedSeries:
     def substitute_z_value(self, value) -> "TruncatedSeries":
         out: dict = {}
         for (q24, y2, z), c in self.terms.items():
-            factor = Fraction(value) ** z
+            factor = value ** z if z >= 0 else exact_quotient(1, value ** -z)
             key = (q24, y2, 0)
-            acc = out.get(key, _ZERO) + c * factor
+            acc = out.get(key, 0) + c * factor
             if not acc:
                 out.pop(key, None)
             else:
@@ -417,7 +428,7 @@ class TruncatedSeries:
         return all(z == 0 for (_, _, z) in self.terms)
 
     def as_rational(self) -> "TruncatedSeries":
-        """Force all coefficients to Fraction; error on irrational values."""
+        """Force all coefficients to rationals; error on irrational values."""
         out = {}
         for k, c in self.terms.items():
             if isinstance(c, CyclotomicNumber):
@@ -466,6 +477,26 @@ class TruncatedSeries:
         return " + ".join(parts) + more + tail
 
 
+def _canonical(v):
+    """A coefficient in canonical form (see the module docstring)."""
+    if type(v) is CyclotomicNumber:
+        return v
+    return canonical_rational(v)
+
+
+def exact_quotient(a, b):
+    """a / b exactly, in canonical form; never a float.
+
+    One int divided by another is an ``int`` when the division is even and
+    a ``Fraction`` when it is not; any other operands divide by their own
+    ``/`` (Fraction or cyclotomic arithmetic).
+    """
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return _canonical(a / b)
+
+
 def _to_units(x, scale: int, name: str) -> int:
     f = Fraction(x) * scale
     if f.denominator != 1:
@@ -498,7 +529,7 @@ def _laurent_divide(numer: dict, denom: list, q24: int) -> dict:
     dz = denom[0][0][1]
     dmin = min(dy)
     dmax = max(dy)
-    dlead_inv = 1 / dy[dmax]
+    dlead_inv = exact_quotient(1, dy[dmax])
     # split the numerator by z-stratum; the denominator is one z-power
     strata: dict = {}
     for (y2, z), c in numer.items():
@@ -516,7 +547,7 @@ def _laurent_divide(numer: dict, denom: list, q24: int) -> dict:
             out[(shift, z - dz)] = coeff
             for y2, d in dy.items():
                 key = y2 + shift
-                acc = work.get(key, _ZERO) - coeff * d
+                acc = work.get(key, 0) - coeff * d
                 if not acc:
                     work.pop(key, None)
                 else:
@@ -534,9 +565,7 @@ def geometric_factor(coeff, q24: int, y2: int, z: int, trunc24: int,
         raise ValueError("geometric expansion needs a positive q-exponent")
     if trunc24 >= INF24:
         raise ValueError("geometric expansion needs a finite truncation")
-    if isinstance(coeff, int):
-        coeff = Fraction(coeff)
-    terms: dict = {(0, 0, 0): Fraction(1)}
+    terms: dict = {(0, 0, 0): 1}
     k = 1
     c_pow = coeff
     # multiplicity of the k-th power for (1-x)^-power is C(k+power-1, power-1)
@@ -552,9 +581,9 @@ def geometric_factor(coeff, q24: int, y2: int, z: int, trunc24: int,
 def binomial_factor(coeff, q24: int, y2: int, z: int,
                     trunc24: int = INF24) -> TruncatedSeries:
     """(1 + coeff * q^(q24/24) y^(y2/2) z^z) as an exact series."""
-    terms = {(0, 0, 0): Fraction(1)}
+    terms = {(0, 0, 0): 1}
     if coeff and q24 < trunc24:
-        terms[(q24, y2, z)] = Fraction(coeff) if isinstance(coeff, int) else coeff
+        terms[(q24, y2, z)] = coeff
     return TruncatedSeries(terms, trunc24, _clean=True)
 
 

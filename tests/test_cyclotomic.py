@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 from k3moonshine.cyclotomic import (
     CyclotomicNumber, DomainError, euler_phi, moebius, zeta,
 )
+from k3moonshine.qpoly import Poly, cyclotomic_poly
+from canonical import is_canonical
 
 
 def test_phi_and_moebius():
@@ -32,6 +34,16 @@ def test_inverse():
     assert one_minus * one_minus.inverse() == 1
     with pytest.raises(ZeroDivisionError):
         CyclotomicNumber.from_rational(7, 0).inverse()
+
+
+def test_float_coordinate_is_rejected():
+    # a float must fail loudly, never round its way into a verdict
+    with pytest.raises(TypeError):
+        CyclotomicNumber(3, [0.5, 1])
+    with pytest.raises(TypeError):
+        zeta(3) * 0.5
+    assert CyclotomicNumber(3, [Fraction(4, 2), 1]).c == (2, 1)
+    assert type(CyclotomicNumber(3, [Fraction(4, 2), 1]).c[0]) is int
 
 
 def test_truth_value_is_nonzero():
@@ -100,6 +112,70 @@ def test_galois_differential(data, n):
     assert CyclotomicNumber.from_root_counts(n, counts) == sum(
         (zeta(n) ** k * c for k, c in enumerate(counts)),
         CyclotomicNumber.from_rational(n, 0))
+
+
+# -- int coordinates against a Fraction-coordinate reference ------------------
+
+def _ref_reduce(coeffs, n):
+    """Fraction coordinates of sum_k coeffs[k] zeta^k, by division by Phi_n."""
+    r = Poly(coeffs) % cyclotomic_poly(n)
+    return [r[k] for k in range(euler_phi(n))]
+
+
+def _ref_mul(a, b, n):
+    return _ref_reduce((Poly(a) * Poly(b)).c, n)
+
+
+def _ref_galois(a, u, n):
+    acc = [Fraction(0)] * n
+    for k, c in enumerate(a):
+        acc[k * u % n] += c
+    return _ref_reduce(acc, n)
+
+
+def _ref_inverse(a, n):
+    """Solve x * y = 1 by Gauss-Jordan elimination on the matrix of
+    multiplication by x, whose column j is x * zeta^j."""
+    phi = euler_phi(n)
+    cols = [_ref_mul(a, [Fraction(int(i == j)) for i in range(phi)], n)
+            for j in range(phi)]
+    rows = [[cols[j][i] for j in range(phi)] + [Fraction(int(i == 0))]
+            for i in range(phi)]
+    for col in range(phi):
+        piv = next(i for i in range(col, phi) if rows[i][col])
+        rows[col], rows[piv] = rows[piv], rows[col]
+        rows[col] = [x / rows[col][col] for x in rows[col]]
+        for i in range(phi):
+            if i != col and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[col])]
+    return [row[-1] for row in rows]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), n=st.sampled_from((3, 4, 5, 7, 8, 12)))
+def test_int_coordinates_match_fraction_reference(data, n):
+    phi = euler_phi(n)
+    ints = st.lists(st.integers(-5, 5), min_size=phi, max_size=phi)
+    a, b = data.draw(ints), data.draw(ints)
+    x, y = CyclotomicNumber(n, a), CyclotomicNumber(n, b)
+    fa, fb = [Fraction(c) for c in a], [Fraction(c) for c in b]
+    assert all(type(c) is int for c in x.c)
+    prod = x._mul_same(y)
+    assert list(prod.c) == _ref_mul(fa, fb, n)
+    assert all(type(c) is int for c in prod.c)
+    units = [u for u in range(1, n) if gcd(u, n) == 1]
+    u = data.draw(st.sampled_from(units))
+    conj = x.galois(u)
+    assert list(conj.c) == _ref_galois(fa, u, n)
+    assert all(type(c) is int for c in conj.c)
+    orbit = [sum(cs) for cs in zip(*(_ref_galois(fa, v, n) for v in units))]
+    assert orbit[1:] == [0] * (phi - 1)
+    assert x.trace() == orbit[0] and type(x.trace()) is int
+    if x:
+        inv = x.inverse()
+        assert list(inv.c) == _ref_inverse(fa, n)
+        assert all(map(is_canonical, inv.c))
 
 
 def test_galois_action():

@@ -7,10 +7,10 @@ import pytest
 from k3moonshine.cyclotomic import DomainError, zeta
 from k3moonshine.series import TruncatedSeries, binomial_factor, geometric_factor
 from k3moonshine.modforms import (
-    ComplexApprox, dedekind_eta, eta_power, eta_scaled, euler_specialization, jacobi_theta,
-    numeric_eval, phi_function, theta_null,
-    weak_jacobi_phi,
+    dedekind_eta, eta_power, eta_scaled, euler_specialization, jacobi_theta,
+    theta_null, weak_jacobi_phi,
 )
+from numeric import ComplexApprox, numeric_eval, phi_function
 
 T6 = 6 * 24
 

@@ -11,8 +11,10 @@ from k3moonshine.series import (
     NotInSpanError,
     TruncatedSeries,
     binomial_factor,
+    exact_quotient,
     geometric_factor,
 )
+from canonical import all_canonical
 
 T = TruncatedSeries
 
@@ -186,49 +188,99 @@ def test_attributes_cannot_be_reassigned():
     assert again.trunc24 == 2 * 24 and dict(again.terms) == terms
 
 
+# -- the canonical coefficient form ------------------------------------------
+
+def test_coefficients_are_canonical():
+    # an integral Fraction is stored as an int, a proper one as a Fraction
+    s = T({(0, 0, 0): Fraction(6, 3), (24, 0, 0): Fraction(1, 2)}, 2 * 24)
+    assert type(s.coeff(0)) is int and s.coeff(0) == 2
+    assert s.coeff(1) == Fraction(1, 2)
+    half = s.scale(Fraction(1, 2))
+    assert type(half.coeff(0)) is int and all_canonical(half)
+    assert all_canonical(s * s) and type((s * s).coeff(1)) is int
+    # int / int division leaves a Fraction only where it is not even
+    inv = (2 - q(1)).invert(trunc24=4 * 24)
+    assert [inv.coeff(k) for k in range(4)] == [
+        Fraction(1, 2), Fraction(1, 4), Fraction(1, 8), Fraction(1, 16)]
+    assert all_canonical(inv)
+    assert all_canonical(((2 - q(1)) * (3 + q(2))).truncate(5 * 24)
+                         .divide_exact((2 - q(1)).truncate(5 * 24)))
+
+
+def test_exact_quotient():
+    assert exact_quotient(6, 3) == 2 and type(exact_quotient(6, 3)) is int
+    assert exact_quotient(-7, 2) == Fraction(-7, 2)
+    assert type(exact_quotient(Fraction(4), Fraction(1, 2))) is int
+    assert exact_quotient(zeta(3), 2) == zeta(3) * Fraction(1, 2)
+    with pytest.raises(ZeroDivisionError):
+        exact_quotient(1, 0)
+    with pytest.raises(TypeError):
+        exact_quotient(1, 2.0)
+
+
+def test_float_coefficient_is_rejected():
+    # a float must fail loudly, never round its way into a verdict
+    with pytest.raises(TypeError):
+        T({(0, 0, 0): 0.5}, 2 * 24)
+    with pytest.raises(TypeError):
+        T.monomial(1.5, q24=24)
+    with pytest.raises(TypeError):
+        geometric_factor(0.5, 24, 0, 0, 3 * 24)
+    with pytest.raises(TypeError):
+        T.const(1, 2 * 24) * 0.5
+
+
 # -- differential tests of the exact-division route ---------------------------
 
-DIVISION = settings(max_examples=60, deadline=None, derandomize=True,
+DIVISION = settings(max_examples=90, deadline=None, derandomize=True,
                     database=None)
+
+DOMAINS = ("int", "rational", "cyclotomic")
 
 
 @st.composite
-def coefficients(draw, cyclotomic):
-    """A nonzero rational, or a nonzero element of Q(zeta_3)."""
+def coefficients(draw, domain):
+    """A nonzero int, a nonzero rational, or a nonzero element of Q(zeta_3).
+
+    The ints include divisor leading coefficients other than +-1, so
+    exact division runs int / int into Fractions.
+    """
     def rational():
         return Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 3)))
-    if cyclotomic:
+    if domain == "int":
+        c = draw(st.integers(-4, 4))
+    elif domain == "cyclotomic":
         c = CyclotomicNumber(3, [rational(), rational()])
     else:
         c = rational()
-    return c if c else Fraction(1)
+    return c if c else 1
 
 
 @st.composite
-def exact_series(draw, cyclotomic, lo24=-24):
+def exact_series(draw, domain, lo24=-24):
     """An exactly known Laurent polynomial with a few terms."""
     terms = {}
     for _ in range(draw(st.integers(1, 5))):
         key = (lo24 + 12 * draw(st.integers(0, 6)),
                draw(st.integers(-3, 3)), draw(st.integers(-1, 1)))
-        terms[key] = draw(coefficients(cyclotomic))
+        terms[key] = draw(coefficients(domain))
     return T(terms, INF24)
 
 
 @st.composite
-def divisors(draw, cyclotomic, monomial_lead=None):
+def divisors(draw, domain, monomial_lead=None):
     """An exact divisor whose leading q-slice has one z-power: a monomial,
     or a monomial times y - 2 + 1/y; the leading order may be negative."""
     m = 12 * draw(st.integers(-2, 2))
     y2, z = draw(st.integers(-2, 2)), draw(st.integers(-1, 1))
-    c = draw(coefficients(cyclotomic))
+    c = draw(coefficients(domain))
     if monomial_lead is None:
         monomial_lead = draw(st.booleans())
     if monomial_lead:
         lead = {(m, y2, z): c}
     else:
         lead = {(m, y2 + 2, z): c, (m, y2, z): -2 * c, (m, y2 - 2, z): c}
-    tail = draw(exact_series(cyclotomic, lo24=m + 12))
+    tail = draw(exact_series(domain, lo24=m + 12))
     return T(lead, INF24) + tail
 
 
@@ -238,12 +290,12 @@ def _quotient_trunc(num, den):
 
 
 @DIVISION
-@given(data=st.data(), cyclotomic=st.booleans(),
+@given(data=st.data(), domain=st.sampled_from(DOMAINS),
        tn=st.integers(-2, 10), td=st.integers(1, 8),
        dn=st.integers(0, 4), dd=st.integers(0, 4))
-def test_divide_exact_differential(data, cyclotomic, tn, td, dn, dd):
-    a = data.draw(exact_series(cyclotomic))
-    b = data.draw(divisors(cyclotomic))
+def test_divide_exact_differential(data, domain, tn, td, dn, dd):
+    a = data.draw(exact_series(domain))
+    b = data.draw(divisors(domain))
     top = a * b
     quotients = []
     for n24, d24 in ((12 * tn, b.min_q24 + 12 * td),
@@ -253,16 +305,17 @@ def test_divide_exact_differential(data, cyclotomic, tn, td, dn, dd):
         assert quo.trunc24 == _quotient_trunc(num, den)
         # sound: the exact quotient a agrees below the claimed truncation
         assert quo == a
+        assert all_canonical(quo)
         quotients.append(quo)
     # truncation oracle: more precision agrees below the smaller trunc24
     assert quotients[0] == quotients[1]
 
 
 @DIVISION
-@given(data=st.data(), cyclotomic=st.booleans(), tn=st.integers(-4, 8),
-       td=st.integers(1, 8))
-def test_zero_numerator_divides_to_zero(data, cyclotomic, tn, td):
-    b = data.draw(divisors(cyclotomic))
+@given(data=st.data(), domain=st.sampled_from(DOMAINS),
+       tn=st.integers(-4, 8), td=st.integers(1, 8))
+def test_zero_numerator_divides_to_zero(data, domain, tn, td):
+    b = data.draw(divisors(domain))
     den = b.truncate(b.min_q24 + 12 * td)
     quo = T.zero(12 * tn).divide_exact(den)
     assert quo.is_zero()
@@ -270,10 +323,10 @@ def test_zero_numerator_divides_to_zero(data, cyclotomic, tn, td):
 
 
 @DIVISION
-@given(data=st.data(), cyclotomic=st.booleans(), td=st.integers(1, 8),
-       dd=st.integers(0, 4))
-def test_invert_differential(data, cyclotomic, td, dd):
-    b = data.draw(divisors(cyclotomic, monomial_lead=True))
+@given(data=st.data(), domain=st.sampled_from(DOMAINS),
+       td=st.integers(1, 8), dd=st.integers(0, 4))
+def test_invert_differential(data, domain, td, dd):
+    b = data.draw(divisors(domain, monomial_lead=True))
     m = b.min_q24
     inverses = []
     for d24 in (m + 12 * td, m + 12 * (td + dd)):
@@ -281,6 +334,7 @@ def test_invert_differential(data, cyclotomic, td, dd):
         inv = s.invert()
         assert inv.trunc24 == s.trunc24 - 2 * m
         assert s * inv == 1
+        assert all_canonical(inv)
         inverses.append(inv)
     assert inverses[0] == inverses[1]
 
@@ -294,3 +348,84 @@ def test_invert_requires_monomial_lead():
         T.zero(24).invert()
     with pytest.raises(ValueError):
         (1 + q(1)).invert()
+
+
+# -- differential tests of the substitution truncations -----------------------
+
+SHIFTS = settings(max_examples=80, deadline=None, derandomize=True,
+                  database=None)
+
+
+def _y2_bound(q24, m0):
+    """The envelope substitute_q_shift assumes: |y2| <= 4 + (q24 - min)/24."""
+    return 4 + max(0, q24 - m0) // 24
+
+
+@st.composite
+def enveloped_series(draw, t24):
+    """An exactly known series that obeys the y-envelope, led by a term at
+    its minimum m0 < t24, with terms at the envelope's edge at the
+    truncation t24 and where the envelope next widens: those reach lowest
+    after a q-shift."""
+    m0 = t24 - draw(st.integers(1, 72))
+    terms = {(m0, draw(st.integers(-4, 4)), 0): draw(st.integers(1, 3))}
+    for _ in range(draw(st.integers(0, 12))):
+        q24 = m0 + draw(st.integers(0, t24 - m0 + 60))
+        b = _y2_bound(q24, m0)
+        terms[(q24, draw(st.integers(-b, b)), draw(st.integers(-1, 1)))] = \
+            draw(st.sampled_from((-3, -2, -1, 1, 2, 3)))
+    step = t24 + (m0 - t24) % 24          # where the envelope next widens
+    for q24 in (t24, step, t24 + draw(st.integers(1, 30))):
+        b = _y2_bound(q24, m0)
+        for y2 in (b, -b):
+            terms[(q24, y2, 0)] = draw(st.integers(1, 3))
+    return T(terms, INF24)
+
+
+@SHIFTS
+@given(data=st.data(), t24=st.integers(-24, 96), d24=st.integers(1, 48),
+       s24=st.sampled_from((-24, -12, -6, 6, 12, 24)),
+       extra_q24=st.integers(-12, 12),
+       extra_y2=st.integers(-2, 2))
+def test_substitute_q_shift_truncation_is_sound(data, t24, d24, s24,
+                                               extra_q24, extra_y2):
+    exact = data.draw(enveloped_series(t24))
+    image = exact.substitute_q_shift(s24, extra_q24, extra_y2)
+    shifted = [exact.truncate(t).substitute_q_shift(s24, extra_q24, extra_y2)
+               for t in (t24, t24 + d24)]
+    for got in shifted:
+        # sound: the image of the exact series agrees below the claim
+        assert got == image
+    # truncation oracle: T + delta agrees with T below the smaller claim
+    assert shifted[1].trunc24 >= shifted[0].trunc24
+    assert shifted[0] == shifted[1]
+
+
+@SHIFTS
+@given(data=st.data(), t24=st.integers(-24, 96), d24=st.integers(1, 48),
+       direction=st.sampled_from((1, -1)))
+def test_spectral_flow_truncation_is_sound(data, t24, d24, direction):
+    exact = data.draw(enveloped_series(t24))
+    image = exact.spectral_flow(direction)
+    flowed = [exact.truncate(t).spectral_flow(direction)
+              for t in (t24, t24 + d24)]
+    for got in flowed:
+        assert got == image
+    assert flowed[0] == flowed[1]
+
+
+def test_q_shift_edge_term_sits_at_the_claimed_truncation():
+    # Known below t24 = 46 with the lowest term at 0: the envelope steps up
+    # to |y2| <= 6 at q24 = 48, two orders past the truncation, and the
+    # edge term q^2 y^-3 there flows to q^(18/24).  That is the claimed
+    # truncation exactly; reading the bound at t24 alone would claim 22.
+    t24 = 46
+    edge_term = (48, -_y2_bound(48, 0), 0)
+    exact = T({(0, 0, 0): 1, edge_term: 1}, INF24)
+    shifted = exact.truncate(t24).spectral_flow(+1)
+    image = exact.spectral_flow(+1)
+    assert shifted.trunc24 == 18
+    assert image.terms[(18, edge_term[1] + 2, 0)] == 1
+    assert shifted == image
+    with pytest.raises(ValueError):
+        exact.truncate(t24).substitute_q_shift(30)
