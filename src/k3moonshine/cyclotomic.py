@@ -5,7 +5,10 @@ Elements are represented by their coordinates in the power basis
 n-th cyclotomic polynomial.  A coordinate is a Python ``int`` exactly
 when it is integral and a ``fractions.Fraction`` otherwise
 (``canonical_rational``; a float raises ``TypeError``), so arithmetic on
-integral elements, the usual case, runs on ints.  Phi_n, Euler's phi and
+integral elements, the usual case, runs on ints.  A product of elements
+with Fraction coordinates runs on ints too: each operand is brought over
+one common denominator, and each output coordinate is divided once by the
+product of the two (``exact_quotient``).  Phi_n, Euler's phi and
 the polynomial arithmetic of ``inverse`` come from ``qpoly``; this module
 keeps no polynomial code of its own.
 
@@ -17,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from numbers import Rational
 
 from .qpoly import Poly, cyclotomic_poly, euler_phi
@@ -29,6 +32,7 @@ __all__ = [
     "euler_phi",
     "moebius",
     "canonical_rational",
+    "exact_quotient",
 ]
 
 COMPOSITUM_CAP = 9240
@@ -51,6 +55,20 @@ def canonical_rational(x):
     if isinstance(x, Rational):
         return canonical_rational(Fraction(x))
     raise TypeError(f"exact rational expected, got {type(x).__name__} {x!r}")
+
+
+def exact_quotient(a, b):
+    """a / b exactly, in canonical form; never a float.
+
+    One int divided by another is an ``int`` when the division is even and
+    a ``Fraction`` when it is not; any other operands divide by their own
+    ``/`` (Fraction or cyclotomic arithmetic).
+    """
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    q = a / b
+    return q if type(q) is CyclotomicNumber else canonical_rational(q)
 
 
 def moebius(n: int) -> int:
@@ -205,20 +223,32 @@ class CyclotomicNumber:
     __rmul__ = __mul__
 
     def _mul_same(self, other: "CyclotomicNumber") -> "CyclotomicNumber":
-        phi = len(self.c)
+        """Product over one conductor, on ints.
+
+        Each operand's coordinates are brought over one common denominator,
+        the phi^2 products run on the integer numerators, and each output
+        coordinate is divided once by the product of the two denominators
+        (both are 1 for integral operands).
+        """
+        a, da = _over_common_denominator(self.c)
+        b, db = _over_common_denominator(other.c)
+        phi = len(a)
         rows = _power_reduction(self.n)
         out = [0] * phi
-        for i, a in enumerate(self.c):
-            if not a:
+        for i, x in enumerate(a):
+            if not x:
                 continue
-            for j, b in enumerate(other.c):
-                if not b:
+            for j, y in enumerate(b):
+                if not y:
                     continue
-                ab = a * b
+                xy = x * y
                 row = rows[i + j]
                 for k in range(phi):
                     if row[k]:
-                        out[k] += ab * row[k]
+                        out[k] += xy * row[k]
+        d = da * db
+        if d != 1:
+            out = [exact_quotient(v, d) for v in out]
         return CyclotomicNumber(self.n, out)
 
     def inverse(self) -> "CyclotomicNumber":
@@ -311,6 +341,19 @@ class CyclotomicNumber:
             return f"Cyclo({self.c[0]})"
         parts = [f"{c}*z{self.n}^{k}" for k, c in enumerate(self.c) if c]
         return "Cyclo(" + " + ".join(parts) + ")"
+
+
+def _over_common_denominator(coords) -> tuple[list, int]:
+    """(numerators, d): the coordinates as ints over their least common
+    denominator d (the coordinates themselves when all are ints)."""
+    d = 1
+    for x in coords:
+        if type(x) is not int:
+            d = lcm(d, x.denominator)
+    if d == 1:
+        return coords, 1
+    return [x * d if type(x) is int else x.numerator * (d // x.denominator)
+            for x in coords], d
 
 
 def _combine(rows, weights, phi: int) -> list:

@@ -15,6 +15,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .chartab import CharacterTable
+from .cyclotomic import canonical_rational
 from .lattice import (
     AbelianQuotient, IntegerLattice, hnf_basis, integer_kernel, snf_quotient,
     solve_in_lattice, SolveResult,
@@ -168,21 +169,26 @@ def build_lattice_report(mukai_tables, m24_table, m23_table, co0_table,
 
 
 def sufficiency_scan(lattices, N: IntegerLattice):
-    """Check which subfamilies of the eleven N_i already cut out N."""
-    def intersect_all(idxs):
-        acc = IntegerLattice.full(8)
-        for i in idxs:
-            acc = acc.intersect(lattices[i])
-        return acc
+    """Check which subfamilies of the eleven N_i already cut out N.
 
+    Returns (four_ok, triples_reaching): for the quadruples {1, j, 5, 6}
+    with j = 2, 3, 4 (1-based group numbers) whether their intersection is
+    N, and every triple (1-based, increasing) whose intersection is N.
+    Each pair N_i & N_j (i < j below the last index) is intersected once,
+    and every triple i < j < k as (N_i & N_j) & N_k, so one pair is alive
+    at a time; a quadruple is the intersection of two pairs.
+    """
+    triples_reaching = []
+    for i, j in combinations(range(len(lattices) - 1), 2):
+        pair = lattices[i].intersect(lattices[j])
+        for k in range(j + 1, len(lattices)):
+            if pair.intersect(lattices[k]) == N:
+                triples_reaching.append((i + 1, j + 1, k + 1))
+    pair_56 = lattices[4].intersect(lattices[5])
     four_ok = {}
     for j in (1, 2, 3):  # groups no. 2, 3, 4 (0-based 1..3)
-        idxs = [0, 4, 5, j]
-        four_ok[tuple(sorted(i + 1 for i in idxs))] = intersect_all(idxs) == N
-    triples_reaching = []
-    for idxs in combinations(range(len(lattices)), 3):
-        if intersect_all(idxs) == N:
-            triples_reaching.append(tuple(i + 1 for i in idxs))
+        meet = lattices[0].intersect(lattices[j]).intersect(pair_56)
+        four_ok[(1, j + 1, 5, 6)] = meet == N
     return four_ok, triples_reaching
 
 
@@ -203,24 +209,27 @@ def decompose_family(table: CharacterTable, family: dict):
     constituent: the orbit-sum inner product divided by the orbit size).
     Multiplicities are exact Fractions and are returned even when
     non-integral; callers inspect integrality (a fractional one means the
-    family is not a series of characters).  Raises KeyError if the family
-    misses a class of the table.
+    family is not a series of characters).  Each sum of |C| chi(g) coef
+    runs on ints where the coefficients are integral and is divided once
+    by |G| * orbit_size.  Raises KeyError if the family misses a class of
+    the table.
     """
     n_terms = min(len(v) for v in family.values())
     series = []
-    for idx, c in enumerate(table.classes):
+    for c in table.classes:
         if c.label not in family:
             raise KeyError(f"family missing class {c.label}")
-        series.append(family[c.label])
+        series.append(
+            [canonical_rational(x) for x in family[c.label][:n_terms]])
     out = {}
     for ch in table.characters:
-        coeffs = []
-        for t in range(n_terms):
-            acc = Fraction(0)
-            for idx, c in enumerate(table.classes):
-                acc += Fraction(c.size) * ch.values[idx] * Fraction(series[idx][t])
-            coeffs.append(acc / table.order / ch.orbit_size)
-        out[ch.name] = coeffs
+        weights = [canonical_rational(c.size * v)
+                   for c, v in zip(table.classes, ch.values)]
+        denom = table.order * ch.orbit_size
+        out[ch.name] = [
+            Fraction(sum(w * coeffs[t] for w, coeffs in zip(weights, series)),
+                     denom)
+            for t in range(n_terms)]
     return out
 
 

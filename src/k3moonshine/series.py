@@ -15,10 +15,13 @@ constructor enforces the form in one pass over the values and raises
 have one code path: Python's numeric tower runs them on ints for the
 integral series the paper computes, and on Fractions or cyclotomic
 numbers only where those occur.  Every division of coefficients goes
-through ``exact_quotient``, which never returns a float.  Rationals embed
-into any cyclotomic field on demand.  Every series carries a truncation
-order: all stored q-exponents are strictly below it, and arithmetic
-propagates the guaranteed-valid truncation.
+through ``exact_quotient``, which never returns a float.  Exact division
+runs its slice recurrence on a monic divisor (a lead c other than +-1 is
+divided out of the divisor and applied once to the quotient), so an
+integral divisor with a non-unit lead keeps the remainders integral.
+Rationals embed into any cyclotomic field on demand.  Every series
+carries a truncation order: all stored q-exponents are strictly below
+it, and arithmetic propagates the guaranteed-valid truncation.
 """
 
 from __future__ import annotations
@@ -27,7 +30,9 @@ from fractions import Fraction
 from math import comb
 from types import MappingProxyType
 
-from .cyclotomic import CyclotomicNumber, DomainError, canonical_rational
+from .cyclotomic import (
+    CyclotomicNumber, DomainError, canonical_rational, exact_quotient,
+)
 
 __all__ = [
     "TruncatedSeries",
@@ -243,9 +248,15 @@ class TruncatedSeries:
         The quotient is built slice by slice: the lowest remainder slice
         is divided by the divisor's leading slice, and that quotient slice
         times each later divisor slice is subtracted from the later
-        remainder slices.  Requires the division to be exact slice by
-        slice; raises NotInSpanError (with the offending q-order)
-        otherwise.  A zero numerator divides to the zero series.
+        remainder slices.  The recurrence runs on a monic divisor: when
+        the lead c (the top-y coefficient of the leading slice) is not
+        +-1, the series is divided by divisor * c^-1 and the quotient is
+        scaled once by c^-1.  So an integral divisor with a non-unit lead,
+        such as theta_1(u)^2 over Q(zeta_n) or theta_2(0)^2, keeps the
+        remainders integral instead of running them in Fractions.
+        Requires the division to be exact slice by slice; raises
+        NotInSpanError (with the offending q-order) otherwise.  A zero
+        numerator divides to the zero series.
         """
         if divisor.is_zero():
             raise ZeroDivisionError("division by zero series")
@@ -253,6 +264,11 @@ class TruncatedSeries:
         if len({z for (_, z), _ in dlead}) != 1:
             raise NotInSpanError(
                 "divisor leading slice must have a single z-power", q24=dmin)
+        inv = None
+        lead = max(dlead, key=lambda term: term[0])[1]
+        if lead != 1 and lead != -1:
+            inv = exact_quotient(1, lead)
+            (dmin, dlead), *dtail = _grouped(divisor.scale(inv))
         nmin = self.min_q24 if not self.is_zero() else self.trunc24
         trunc = min(self.trunc24, divisor.trunc24 + nmin - dmin) - dmin
         if trunc >= INF24 // 2:
@@ -282,6 +298,9 @@ class TruncatedSeries:
                             del target[key]
                 if not target:
                     del rem[qe + d24]
+        if inv is not None:
+            for key, c in out.items():
+                out[key] = c * inv
         return TruncatedSeries(out, trunc, _clean=True)
 
     # -- substitutions ----------------------------------------------------------
@@ -484,19 +503,6 @@ def _canonical(v):
     return canonical_rational(v)
 
 
-def exact_quotient(a, b):
-    """a / b exactly, in canonical form; never a float.
-
-    One int divided by another is an ``int`` when the division is even and
-    a ``Fraction`` when it is not; any other operands divide by their own
-    ``/`` (Fraction or cyclotomic arithmetic).
-    """
-    if type(a) is int and type(b) is int:
-        q, r = divmod(a, b)
-        return Fraction(a, b) if r else q
-    return _canonical(a / b)
-
-
 def _to_units(x, scale: int, name: str) -> int:
     f = Fraction(x) * scale
     if f.denominator != 1:
@@ -523,13 +529,18 @@ def _grouped(s: TruncatedSeries):
 
 
 def _laurent_divide(numer: dict, denom: list, q24: int) -> dict:
-    """Exact division of Laurent polys keyed (y2, z); all denom z agree."""
+    """Exact division of Laurent polys keyed (y2, z); all denom z agree.
+
+    The denominator's top-y coefficient is +-1 (``divide_exact`` makes the
+    divisor monic), so each quotient coefficient is a remainder
+    coefficient or its negative, with no division.
+    """
     out: dict = {}
     dy = {y2: c for (y2, _), c in denom}
     dz = denom[0][0][1]
     dmin = min(dy)
     dmax = max(dy)
-    dlead_inv = exact_quotient(1, dy[dmax])
+    negate = dy[dmax] != 1
     # split the numerator by z-stratum; the denominator is one z-power
     strata: dict = {}
     for (y2, z), c in numer.items():
@@ -543,7 +554,7 @@ def _laurent_divide(numer: dict, denom: list, q24: int) -> dict:
                     f"q-slice at q24={q24} not divisible by leading slice",
                     q24=q24)
             shift = top - dmax
-            coeff = work[top] * dlead_inv
+            coeff = -work[top] if negate else work[top]
             out[(shift, z - dz)] = coeff
             for y2, d in dy.items():
                 key = y2 + shift

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -260,7 +261,7 @@ def test_malformed_fixture_field_is_data_error(tmp_path, capsys):
     from k3moonshine import tables
     for name in os.listdir(tables.data_dir()):
         if name.endswith(".tbl"):
-            text = open(os.path.join(tables.data_dir(), name)).read()
+            text = Path(tables.data_dir(), name).read_text()
             if name == "mukai_01.tbl":
                 text = text.replace("order 168\n", "order 168x\n")
             (tmp_path / name).write_text(text)

@@ -178,6 +178,30 @@ def test_int_coordinates_match_fraction_reference(data, n):
         assert all(map(is_canonical, inv.c))
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), n=st.sampled_from((3, 4, 5, 7, 8, 12)))
+def test_common_denominator_product_matches_fraction_reference(data, n):
+    # mixed denominators on both sides: one common denominator per operand,
+    # int products, one division per output coordinate
+    x, y = data.draw(field_elements(n)), data.draw(field_elements(n))
+    prod = x._mul_same(y)
+    assert list(prod.c) == _ref_mul(list(x.c), list(y.c), n)
+    assert all(map(is_canonical, prod.c))
+    assert y._mul_same(x).c == prod.c
+    # u / c times c * v is the integral u * v, returned with int coordinates
+    phi = euler_phi(n)
+    ints = st.lists(st.integers(-4, 4), min_size=phi, max_size=phi)
+    u = CyclotomicNumber(n, data.draw(ints))
+    v = CyclotomicNumber(n, data.draw(ints))
+    k = data.draw(st.sampled_from([k for k in range(1, n) if gcd(k, n) == 1]))
+    c = (2 - zeta(n, k) - zeta(n, -k)) * data.draw(st.integers(1, 6))
+    left, right = u._mul_same(c.inverse()), c._mul_same(v)
+    whole = left._mul_same(right)
+    assert list(whole.c) == _ref_mul(list(left.c), list(right.c), n)
+    assert whole == u._mul_same(v)
+    assert all(type(a) is int for a in whole.c)
+
+
 def test_galois_action():
     x = zeta(5) + 2 * zeta(5, 2)
     y = x.galois(2)

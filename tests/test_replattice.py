@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -65,6 +66,68 @@ def test_sufficiency(lattice_N):
     assert triples == []
 
 
+def _scan_from_scratch(lattices, N):
+    """sufficiency_scan's answer with every subfamily intersected afresh."""
+    def intersect_all(idxs):
+        acc = IntegerLattice.full(8)
+        for i in idxs:
+            acc = acc.intersect(lattices[i])
+        return acc
+
+    four_ok = {}
+    for j in (1, 2, 3):
+        idxs = [0, 4, 5, j]
+        four_ok[tuple(sorted(i + 1 for i in idxs))] = intersect_all(idxs) == N
+    triples = [tuple(i + 1 for i in idxs)
+               for idxs in combinations(range(len(lattices)), 3)
+               if intersect_all(idxs) == N]
+    return four_ok, triples
+
+
+def test_sufficiency_scan_matches_from_scratch_oracle(lattice_N):
+    N, lattices = lattice_N
+    assert sufficiency_scan(lattices, N) == _scan_from_scratch(lattices, N)
+
+
+# A full-rank family in Z^8: lattice a is {x : x_i = 0 mod m_i} for its
+# conditions {i: m_i}, moved by one unimodular map so that no basis is
+# diagonal.  An intersection imposes the lcm of the moduli per coordinate,
+# so the family cuts out N exactly when its conditions cover every one
+# of N's.
+SYNTHETIC_CONDITIONS = (
+    {0: 4, 1: 3},
+    {5: 2, 6: 2, 7: 3},
+    {0: 2, 5: 2, 6: 2, 7: 3},
+    {5: 2, 6: 2},
+    {2: 2, 3: 5},
+    {4: 3},
+    {0: 4, 1: 3, 2: 2, 3: 5, 4: 3},
+    {3: 5, 7: 3},
+)
+
+
+def _congruence_lattice(conditions):
+    mix = [[1 if j == i else (i + j) % 3 if j > i else 0 for j in range(8)]
+           for i in range(8)]
+    return IntegerLattice(8, [[conditions.get(i, 1) * x for x in mix[i]]
+                              for i in range(8)])
+
+
+def test_sufficiency_scan_on_a_family_with_reaching_triples():
+    lattices = [_congruence_lattice(c) for c in SYNTHETIC_CONDITIONS]
+    N = _congruence_lattice(
+        {0: 4, 1: 3, 2: 2, 3: 5, 4: 3, 5: 2, 6: 2, 7: 3})
+    four, triples = sufficiency_scan(lattices, N)
+    assert (four, triples) == _scan_from_scratch(lattices, N)
+    # {1, 2, 5, 6} and {1, 3, 5, 6} reach N; {1, 4, 5, 6} misses x_7 mod 3
+    assert four == {(1, 2, 5, 6): True, (1, 3, 5, 6): True,
+                    (1, 4, 5, 6): False}
+    # a triple reaches N exactly when it holds group 7 and covers x_5, x_6,
+    # x_7 by group 2, group 3, or groups 4 and 8 together
+    assert triples == [t for t in combinations(range(1, 9), 3)
+                       if 7 in t and (2 in t or 3 in t or {4, 8} <= set(t))]
+
+
 def test_co0_lattice_contained_in_N(lattice_N):
     N, _ = lattice_N
     co0 = load_co0_restricted()
@@ -112,6 +175,38 @@ def test_decompose_family_orthogonality():
     dec = decompose_family(m23, fam)
     assert dec["chi1"] == [1]
     assert all(v == [0] for name, v in dec.items() if name != "chi1")
+
+
+def _decompose_by_fractions(table, family):
+    """decompose_family's answer with three Fraction products per class."""
+    n_terms = min(len(v) for v in family.values())
+    out = {}
+    for ch in table.characters:
+        coeffs = []
+        for t in range(n_terms):
+            acc = Fraction(0)
+            for idx, c in enumerate(table.classes):
+                acc += (Fraction(c.size) * ch.values[idx]
+                        * Fraction(family[c.label][t]))
+            coeffs.append(acc / table.order / ch.orbit_size)
+        out[ch.name] = coeffs
+    return out
+
+
+def test_decompose_family_matches_fraction_oracle():
+    m23 = load_m23()
+    forms = {lab: rational_form(lab) for lab in SYMPLECTIC_CLASSES}
+    for lab in ("11AB", "14AB", "15AB", "23AB"):
+        forms[lab] = chosen_rational_form(lab)
+    integral = {lab: [-c for c in rf.expand(12)] for lab, rf in forms.items()}
+    # a family with proper fractions, and lists of unequal length
+    mixed = {lab: [Fraction(k + 1, 1 + len(lab) % 3) * c for k, c in
+                   enumerate(series)] + [0] * (len(lab) % 2)
+             for lab, series in integral.items()}
+    for family in (integral, mixed):
+        got = decompose_family(m23, family)
+        assert got == _decompose_by_fractions(m23, family)
+        assert all(type(c) is Fraction for v in got.values() for c in v)
 
 
 def test_table2_row0_and_row4():

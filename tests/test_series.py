@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from k3moonshine.cyclotomic import CyclotomicNumber, zeta
+from k3moonshine.cyclotomic import CyclotomicNumber, euler_phi, zeta
+from k3moonshine.modforms import jacobi_theta, theta_null
 from k3moonshine.series import (
     INF24,
     InsufficientPrecisionError,
@@ -15,6 +17,7 @@ from k3moonshine.series import (
     geometric_factor,
 )
 from canonical import all_canonical
+from division_oracle import divide_by_slices
 
 T = TruncatedSeries
 
@@ -348,6 +351,81 @@ def test_invert_requires_monomial_lead():
         T.zero(24).invert()
     with pytest.raises(ValueError):
         (1 + q(1)).invert()
+
+
+# -- monic normalisation: divisors with a non-unit lead ------------------------
+
+NON_UNIT_CONDUCTORS = (3, 4, 5, 7, 8)
+
+
+@st.composite
+def integral_cyclotomic(draw, n):
+    """A nonzero element of Z[zeta_n] with small coordinates."""
+    c = CyclotomicNumber(n, [draw(st.integers(-3, 3))
+                             for _ in range(euler_phi(n))])
+    return c if c else CyclotomicNumber.from_rational(n, 1)
+
+
+@st.composite
+def integral_series(draw, n, lo24):
+    """An exact series over Z[zeta_n] with a few terms from q^(lo24/24) up."""
+    terms = {}
+    for _ in range(draw(st.integers(1, 4))):
+        key = (lo24 + 12 * draw(st.integers(0, 5)),
+               draw(st.integers(-3, 3)), draw(st.integers(-1, 1)))
+        terms[key] = draw(integral_cyclotomic(n))
+    return T(terms, INF24)
+
+
+@st.composite
+def non_unit_divisors(draw, n):
+    """(c, D') with c = 2 - zeta^k - zeta^-k, a non-unit of Z[zeta_n], and
+    D' an exact integral divisor whose leading q-slice is a monomial or a
+    monomial times y - 2 + 1/y, as in theta_1(u)^2 = c q^(1/4) (...)."""
+    k = draw(st.sampled_from([k for k in range(1, n) if gcd(k, n) == 1]))
+    c = 2 - zeta(n, k) - zeta(n, -k)
+    m = 12 * draw(st.integers(-2, 2))
+    y2, z = draw(st.integers(-2, 2)), draw(st.integers(-1, 1))
+    lc = draw(integral_cyclotomic(n))
+    if draw(st.booleans()):
+        lead = {(m, y2, z): lc}
+    else:
+        lead = {(m, y2 + 2, z): lc, (m, y2, z): -2 * lc, (m, y2 - 2, z): lc}
+    return c, T(lead, INF24) + draw(integral_series(n, m + 12))
+
+
+@DIVISION
+@given(data=st.data(), n=st.sampled_from(NON_UNIT_CONDUCTORS),
+       tn=st.integers(-2, 10), td=st.integers(1, 8), integral=st.booleans())
+def test_divide_exact_by_non_unit_lead_matches_slice_recurrence(
+        data, n, tn, td, integral):
+    c, d = data.draw(non_unit_divisors(n))
+    a = data.draw(integral_series(n, -24))
+    divisor = d * c
+    # the exact quotient is a itself, or a / c with Fraction coordinates
+    top = a * divisor if integral else a * d
+    num = top.truncate(12 * tn)
+    den = divisor.truncate(divisor.min_q24 + 12 * td)
+    quo = num.divide_exact(den)
+    ref = divide_by_slices(num, den)
+    assert quo.trunc24 == ref.trunc24 == _quotient_trunc(num, den)
+    assert quo.terms.keys() == ref.terms.keys()
+    assert all(quo.terms[k] == ref.terms[k] for k in quo.terms)
+    assert all_canonical(quo)
+    assert quo == (a if integral else a * c.inverse())
+
+
+def test_theta2_null_square_division_matches_slice_recurrence():
+    # theta_2(0)^2 leads with 4: the division in weak_jacobi_phi(0)
+    t = 8 * 24
+    num = jacobi_theta(2, t) ** 2
+    den = theta_null(2, t) ** 2
+    assert den.terms[(6, 0, 0)] == 4
+    quo = num.divide_exact(den)
+    ref = divide_by_slices(num, den)
+    assert quo.trunc24 == ref.trunc24
+    assert dict(quo.terms) == dict(ref.terms)
+    assert all_canonical(quo)
 
 
 # -- differential tests of the substitution truncations -----------------------
