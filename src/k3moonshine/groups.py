@@ -1,12 +1,22 @@
 """Small finite groups: enumeration, conjugacy data, rational character tables.
 
 Groups are given by generators (permutations as tuples, or matrices as
-tuples-of-tuples over GF(p) / over Z) and enumerated by closure; this is
-meant for groups of order a few thousand at most.  Character tables are
-computed by Dixon's method (class-matrix eigenvectors over GF(p) with
-p = 1 mod exp(G)) and returned as a validated ``chartab.CharacterTable``
-in Galois-orbit-summed (rational) form: all values are integers, one
-character per rational class.
+tuples-of-tuples over GF(p) / over Z); this is meant for groups of order a
+few thousand at most.  All group arithmetic runs on permutation images:
+products, inverses and conjugates compose image tuples with
+``operator.itemgetter``, and a matrix group acts through its permutations
+of the finite orbit of the standard basis vectors, which span the space,
+so the action is faithful.
+Elements are still enumerated, sorted and given class representatives in
+their own representation.
+
+Character tables are computed by Dixon's method (common eigenvectors of the
+class matrices over GF(p) with p = 1 mod exp(G)).  A class matrix is built
+only when the splitting reaches it, and the eigenvalues are the roots of
+the characteristic polynomial, found as gcd(f, x^p - x) and split by gcds
+with (x + a)^((p-1)/2) - 1 (Cantor-Zassenhaus).  The result is a validated
+``chartab.CharacterTable`` in Galois-orbit-summed (rational) form: all
+values are integers, one character per rational class.
 """
 
 from __future__ import annotations
@@ -14,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
+from operator import itemgetter, mul as _mul
 
 from .chartab import CharacterEntry, CharacterTable, ClassEntry
 
@@ -23,8 +34,15 @@ __all__ = [
     "rational_character_table",
 ]
 
+_MAX_ORDER = 200000
+
 
 # -- group containers ----------------------------------------------------------
+#
+# Each container exposes its permutation action to the algorithms below:
+# ``perm_generators``, ``as_perm`` (element -> image tuple) and ``from_perm``
+# (image tuple -> element).  Image tuples compose as ``mul`` does: apply the
+# right factor first, so x s is ``_right_mul(s)(x)``.
 
 class PermGroup:
     """Permutation group on range(n); elements are image tuples."""
@@ -35,87 +53,137 @@ class PermGroup:
         for g in self.generators:
             if sorted(g) != list(range(degree)):
                 raise ValueError("generator is not a permutation")
+        self.perm_generators = self.generators
 
     def identity(self):
         return tuple(range(self.degree))
 
     def mul(self, a, b):
         # apply b first, then a
-        return tuple(a[b[i]] for i in range(self.degree))
+        return _right_mul(b)(a)
 
     def inv(self, a):
-        out = [0] * self.degree
-        for i, ai in enumerate(a):
-            out[ai] = i
-        return tuple(out)
+        return _perm_inv(a)
+
+    def as_perm(self, x):
+        return x
+
+    def from_perm(self, perm):
+        return perm
 
 
 class MatrixGroup:
-    """Matrix group with entries in GF(p) (p prime) or exact integers (p=0)."""
+    """Matrix group with entries in GF(p) (p prime) or exact integers (p=0).
+
+    The group acts on the orbit of the standard basis vectors by v -> m v.
+    A generator that does not permute that orbit is singular and raises
+    ``ValueError``; an orbit past the enumeration limit raises
+    ``RuntimeError``.
+    """
 
     def __init__(self, dim: int, generators, p: int = 0):
         self.dim = dim
         self.p = p
         self.generators = [self._norm(g) for g in generators]
+        orbit = list(self.identity())       # e_j is row j of the identity
+        index = {v: j for j, v in enumerate(orbit)}
+        images = [[] for _ in self.generators]
+        for v in orbit:                     # the orbit grows as it is walked
+            for m, img in zip(self.generators, images):
+                w = self._apply(m, v)
+                if w not in index:
+                    if len(orbit) >= _MAX_ORDER:
+                        raise RuntimeError("group too large for enumeration")
+                    index[w] = len(orbit)
+                    orbit.append(w)
+                img.append(index[w])
+        self.perm_generators = [tuple(img) for img in images]
+        if any(len(set(s)) != len(s) for s in self.perm_generators):
+            raise ValueError("generator is not invertible")
+        self._orbit = orbit
+        self._index = index
 
     def _norm(self, m):
         if self.p:
             return tuple(tuple(x % self.p for x in row) for row in m)
         return tuple(tuple(int(x) for x in row) for row in m)
 
+    def _apply(self, m, v):
+        if self.p:
+            return tuple(sum(map(_mul, row, v)) % self.p for row in m)
+        return tuple(sum(map(_mul, row, v)) for row in m)
+
     def identity(self):
         return tuple(tuple(1 if i == j else 0 for j in range(self.dim))
                      for i in range(self.dim))
 
     def mul(self, a, b):
-        n = self.dim
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                s = sum(a[i][k] * b[k][j] for k in range(n))
-                row.append(s % self.p if self.p else s)
-            out.append(tuple(row))
-        return tuple(out)
+        cols = tuple(zip(*b))
+        return tuple(self._apply(cols, row) for row in a)
 
     def inv(self, a):
-        # a^(order-1); fine for the small groups handled here
-        ident = self.identity()
-        if a == ident:
-            return ident
-        prev, cur = a, self.mul(a, a)
-        while cur != ident:
-            prev, cur = cur, self.mul(cur, a)
-        return prev
+        return self.from_perm(_perm_inv(self.as_perm(a)))
+
+    def as_perm(self, m):
+        """The permutation that ``m`` induces on the basis-vector orbit."""
+        index = self._index
+        images = tuple(index.get(self._apply(m, v)) for v in self._orbit)
+        if None in images or len(set(images)) != len(images):
+            raise ValueError("matrix does not permute the basis-vector orbit")
+        return images
+
+    def from_perm(self, perm):
+        """The matrix whose column j is the image of e_j."""
+        return tuple(zip(*(self._orbit[perm[j]] for j in range(self.dim))))
+
+
+def _right_mul(s):
+    """The map x -> x s on image tuples, as one C-level call."""
+    if len(s) > 1:
+        return itemgetter(*s)
+    # one index makes itemgetter return a bare item; s is the identity here
+    return tuple
+
+
+def _perm_inv(a):
+    return tuple(sorted(range(len(a)), key=a.__getitem__))
+
+
+def _powers(x) -> list:
+    """[x^0, x^1, ..., x^(o-1)] for a permutation x of order o."""
+    out = [tuple(range(len(x)))]
+    times_x = _right_mul(x)
+    acc = x
+    while acc != out[0]:
+        out.append(acc)
+        acc = times_x(acc)
+    return out
+
+
+def _closure(g) -> set:
+    """Permutation images of all elements, by closure over the generators."""
+    ident = g.as_perm(g.identity())
+    gens = [_right_mul(s) for s in g.perm_generators]
+    seen = {ident}
+    todo = [ident]
+    for x in todo:                          # grows as it is walked
+        for times_s in gens:
+            y = times_s(x)
+            if y not in seen:
+                seen.add(y)
+                todo.append(y)
+        if len(seen) > _MAX_ORDER:
+            raise RuntimeError("group too large for enumeration")
+    return seen
 
 
 def enumerate_group(g) -> list:
-    """All elements by breadth-first closure over the generators."""
-    ident = g.identity()
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for s in g.generators:
-                y = g.mul(x, s)
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-        if len(seen) > 200000:
-            raise RuntimeError("group too large for enumeration")
-    return sorted(seen)
+    """All elements, sorted."""
+    return sorted(map(g.from_perm, _closure(g)))
 
 
 def element_order(g, x) -> int:
-    ident = g.identity()
-    acc = x
-    n = 1
-    while acc != ident:
-        acc = g.mul(acc, x)
-        n += 1
-    return n
+    return len(_powers(g.as_perm(x)))
 
 
 @dataclass
@@ -126,35 +194,38 @@ class ConjugacyData:
     reps: list
     orders: list
     sizes: list
+    perm_of: dict        # element -> its permutation image
 
 
 def conjugacy_classes(g) -> ConjugacyData:
-    elements = enumerate_group(g)
-    inv = {x: g.inv(x) for x in elements}
-    class_of: dict = {}
+    """Classes in the order of their least elements, each represented by it."""
+    perm_of = {g.from_perm(x): x for x in _closure(g)}
+    elements = sorted(perm_of)
+    conj = [(s, _right_mul(_perm_inv(s))) for s in g.perm_generators]
+    perm_class: dict = {}
     classes = []
+    reps = []
     for x in elements:
-        if x in class_of:
+        px = perm_of[x]
+        if px in perm_class:
             continue
-        orbit = {x}
-        frontier = [x]
-        while frontier:
-            nxt = []
-            for y in frontier:
-                for s in g.generators:
-                    z = g.mul(g.mul(s, y), inv[s])
-                    if z not in orbit:
-                        orbit.add(z)
-                        nxt.append(z)
-            frontier = nxt
         idx = len(classes)
-        classes.append(frozenset(orbit))
-        for y in orbit:
-            class_of[y] = idx
-    reps = [min(c) for c in classes]
-    orders = [element_order(g, r) for r in reps]
+        perm_class[px] = idx
+        orbit = [px]
+        for y in orbit:                     # grows as it is walked
+            times_y = _right_mul(y)
+            for s, times_s_inv in conj:
+                z = times_s_inv(times_y(s))            # s y s^-1
+                if z not in perm_class:
+                    perm_class[z] = idx
+                    orbit.append(z)
+        classes.append(frozenset(map(g.from_perm, orbit)))
+        reps.append(x)
+    class_of = {x: perm_class[perm_of[x]] for x in elements}
+    orders = [len(_powers(perm_of[r])) for r in reps]
     sizes = [len(c) for c in classes]
-    return ConjugacyData(elements, classes, class_of, reps, orders, sizes)
+    return ConjugacyData(elements, classes, class_of, reps, orders, sizes,
+                         perm_of)
 
 
 # -- Dixon's algorithm over GF(p) ----------------------------------------------
@@ -169,103 +240,168 @@ def _is_prime(n: int) -> bool:
 
 
 def _dixon_prime(order: int, exponent: int) -> int:
+    # 1 % exponent, not 1: every p is 0 mod 1, so the trivial group needs it
     p = exponent + 1
-    while p < 4 * order + 1 or not _is_prime(p) or p % exponent != 1:
+    while (p < 4 * order + 1 or not _is_prime(p)
+           or p % exponent != 1 % exponent):
         p += exponent
     return p
 
 
-def _power_map(g, data: ConjugacyData, k: int) -> list[int]:
-    out = []
-    for r in data.reps:
-        acc = g.identity()
-        for _ in range(k % element_order(g, r) if k else 0):
-            acc = g.mul(acc, r)
-        out.append(data.class_of[acc])
-    return out
+def _class_matrices(data: ConjugacyData, perm_class: dict, inv_class: list):
+    """Class matrices in class order, each built when it is asked for.
 
-
-def _class_matrices(g, data: ConjugacyData) -> list:
+    Entry [l][j] of matrix i counts the a in class i with a^-1 r_j in class
+    l; the inverses a^-1 are the elements of the inverse class.
+    """
     k = len(data.classes)
-    inv_reps = {}
-    mats = []
+    times_reps = [_right_mul(data.perm_of[r]) for r in data.reps]
     for i in range(k):
         mat = [[0] * k for _ in range(k)]
-        for a in data.classes[i]:
-            a_inv = g.inv(a)
-            for kk, rep in enumerate(data.reps):
-                b = g.mul(a_inv, rep)
-                mat[data.class_of[b]][kk] += 1
-        mats.append(mat)
-    return mats
+        for a in data.classes[inv_class[i]]:
+            a = data.perm_of[a]
+            for j, times_r in enumerate(times_reps):
+                mat[perm_class[times_r(a)]][j] += 1
+        yield mat
 
 
 def _charpoly_roots(mat, p):
-    """Roots in GF(p) of det(mat - x I): interpolate, then Horner-scan."""
-    k = len(mat)
-    xs = list(range(k + 1))
-    ys = []
-    for x in xs:
-        a = [row[:] for row in mat]
-        for i in range(k):
-            a[i][i] = (a[i][i] - x) % p
-        ys.append(_det_mod(a, p))
-    coeffs = _interpolate_mod(xs, ys, p)
-    roots = []
-    for x in range(p):
-        acc = 0
-        for c in reversed(coeffs):
-            acc = (acc * x + c) % p
-        if acc == 0:
-            roots.append(x)
-    return roots
+    """Sorted distinct roots in GF(p) of det(x I - mat)."""
+    return _roots_mod(_charpoly_mod(mat, p), p)
 
 
-def _interpolate_mod(xs, ys, p):
-    """Coefficients (ascending) of the unique polynomial through the points."""
-    n = len(xs)
-    coeffs = [0] * n
-    for i in range(n):
-        # Lagrange basis polynomial for node i
-        num = [1]
-        den = 1
-        for j in range(n):
-            if j == i:
-                continue
-            num = _polymul_mod(num, [(-xs[j]) % p, 1], p)
-            den = den * (xs[i] - xs[j]) % p
-        scale = ys[i] * pow(den, p - 2, p) % p
-        for d, c in enumerate(num):
-            coeffs[d] = (coeffs[d] + scale * c) % p
-    return coeffs
+def _charpoly_mod(mat, p):
+    """det(x I - mat) over GF(p), ascending coefficients: reduce to upper
+    Hessenberg form by similarity, then expand along the subdiagonal
+    (Cohen, A Course in Computational Algebraic Number Theory, Alg. 2.2.9)."""
+    n = len(mat)
+    h = [[x % p for x in row] for row in mat]
+    for m in range(1, n - 1):
+        piv = next((i for i in range(m, n) if h[i][m - 1]), None)
+        if piv is None:
+            continue
+        if piv != m:
+            h[m], h[piv] = h[piv], h[m]
+            for row in h:
+                row[m], row[piv] = row[piv], row[m]
+        inv = pow(h[m][m - 1], p - 2, p)
+        for i in range(m + 1, n):
+            u = h[i][m - 1] * inv % p
+            if u:
+                # row_i -= u row_m, then column_m += u column_i
+                h[i] = [(x - u * y) % p for x, y in zip(h[i], h[m])]
+                for row in h:
+                    row[m] = (row[m] + u * row[i]) % p
+    # polys[m] = characteristic polynomial of the leading m x m block
+    polys = [[1]]
+    for m in range(n):
+        prev = polys[m]
+        new = [0] + prev
+        for d, c in enumerate(prev):
+            new[d] = (new[d] - h[m][m] * c) % p
+        t = 1
+        for i in range(m - 1, -1, -1):
+            t = t * h[i + 1][i] % p
+            c = h[i][m] * t % p
+            if c:
+                for d, q in enumerate(polys[i]):
+                    new[d] = (new[d] - c * q) % p
+        polys.append(new)
+    return polys[n]
 
 
-def _polymul_mod(a, b, p):
+# -- polynomials over GF(p): ascending coefficients, no trailing zeros ------
+
+def _trim(a):
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _monic(a, p):
+    inv = pow(a[-1], p - 2, p)
+    return [c * inv % p for c in a]
+
+
+def _poly_divmod(a, m, p):
+    """Quotient and remainder of a by the monic m."""
+    r = list(a)
+    d = len(m) - 1
+    q = [0] * max(len(r) - d, 0)
+    for i in range(len(r) - 1, d - 1, -1):
+        c = r[i]
+        if c:
+            q[i - d] = c
+            for j in range(d + 1):
+                r[i - d + j] = (r[i - d + j] - c * m[j]) % p
+    return q, _trim(r[:d])
+
+
+def _poly_mulmod(a, b, m, p):
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
+                out[i + j] += x * y
+    return _poly_divmod([c % p for c in out], m, p)[1]
+
+
+def _linear_powmod(a, e, m, p):
+    """(x + a)^e modulo the monic m, by left-to-right squaring."""
+    out = [1]
+    for bit in bin(e)[2:]:
+        out = _poly_mulmod(out, out, m, p)
+        if bit == "1" and out:
+            shifted = [0] + out
+            for i, c in enumerate(out):
+                shifted[i] = (shifted[i] + a * c) % p
+            out = _poly_divmod(shifted, m, p)[1]
     return out
 
 
-def _det_mod(a, p):
-    n = len(a)
-    det = 1
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] % p), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        inv = pow(a[col][col], p - 2, p)
-        det = det * a[col][col] % p
-        for r in range(col + 1, n):
-            f = a[r][col] * inv % p
-            if f:
-                a[r] = [(x - f * y) % p for x, y in zip(a[r], a[col])]
-    return det % p
+def _poly_sub(a, b, p):
+    n = max(len(a), len(b))
+    a = a + [0] * (n - len(a))
+    b = b + [0] * (n - len(b))
+    return _trim([(x - y) % p for x, y in zip(a, b)])
+
+
+def _poly_gcd(a, b, p):
+    """Monic gcd of a and b."""
+    while b:
+        b = _monic(b, p)
+        a, b = b, _poly_divmod(a, b, p)[1]
+    return _monic(a, p) if a else a
+
+
+def _roots_mod(f, p):
+    """Sorted distinct roots in GF(p), p an odd prime, of the nonzero f.
+
+    g = gcd(f, x^p - x) is the product of the distinct linear factors of f;
+    gcd(h, (x + a)^((p-1)/2) - 1) splits a factor h by whether r + a is a
+    nonzero square at each root r, for a = 0, 1, ... until it splits
+    (Cantor and Zassenhaus, Math. Comp. 36, 1981).
+    """
+    f = _monic(_trim([c % p for c in f]), p)
+    if len(f) < 2:
+        return []
+    x = [0, 1]
+    todo = [_poly_gcd(f, _poly_sub(_linear_powmod(0, p, f, p), x, p), p)]
+    roots = []
+    a = 0
+    while todo:
+        h = todo.pop()
+        if len(h) == 2:
+            roots.append(-h[0] % p)
+        elif len(h) > 2:
+            w = _poly_sub(_linear_powmod(a, (p - 1) // 2, h, p), [1], p)
+            s = _poly_gcd(h, w, p)
+            a += 1
+            if 1 < len(s) < len(h):
+                todo += [s, _poly_divmod(h, s, p)[0]]
+            else:
+                todo.append(h)
+    return sorted(roots)
 
 
 def _nullspace_mod(a, p):
@@ -308,7 +444,7 @@ def _split_space(space, mat, p):
     coords = _solve_over_rows(space, images, p)
     sub = coords
     out = []
-    for lam in _charpoly_roots([row[:] for row in sub], p):
+    for lam in _charpoly_roots(sub, p):
         # left eigenvectors: c . sub = lam c, i.e. (sub^T - lam) c = 0
         shifted = [[(sub[j][i] - (lam if i == j else 0)) % p
                     for j in range(len(sub))] for i in range(len(sub))]
@@ -326,8 +462,7 @@ def _split_space(space, mat, p):
 
 def _mat_vec_t(m, v, p):
     # v is a row vector of omega-values; class matrices act as (M v)_j
-    k = len(m)
-    return [sum(m[j][kk] * v[kk] for kk in range(k)) % p for j in range(k)]
+    return [sum(map(_mul, row, v)) % p for row in m]
 
 
 def _solve_over_rows(rows, targets, p):
@@ -382,20 +517,19 @@ def rational_character_table(name: str, g,
     for o in data.orders:
         exponent = exponent * o // gcd(exponent, o)
     p = _dixon_prime(order, exponent)
-    mats = _class_matrices(g, data)
+    perm_class = {data.perm_of[x]: i for x, i in data.class_of.items()}
+    rep_powers = [_powers(data.perm_of[r]) for r in data.reps]
+    # the last power of a representative is its inverse
+    inv_class = [perm_class[pw[-1]] for pw in rep_powers]
     # common eigenvectors of the class matrices
+    mats = _class_matrices(data, perm_class, inv_class)
     spaces = [[[1 if i == j else 0 for j in range(k)] for i in range(k)]]
-    for mat in mats:
-        if all(len(s) == 1 for s in spaces):
-            break
-        new_spaces = []
-        for s in spaces:
-            new_spaces.extend(_split_space(s, mat, p))
-        spaces = new_spaces
-    if not all(len(s) == 1 for s in spaces):
-        raise RuntimeError("class matrices did not split the center")
+    while any(len(s) > 1 for s in spaces):
+        mat = next(mats, None)
+        if mat is None:
+            raise RuntimeError("class matrices did not split the center")
+        spaces = [part for s in spaces for part in _split_space(s, mat, p)]
     # normalize each eigenvector to character values mod p
-    inv_class = [data.class_of[g.inv(r)] for r in data.reps]
     chars_mod_p = []
     for s in spaces:
         v = s[0]
@@ -411,7 +545,7 @@ def rational_character_table(name: str, g,
                for i in range(k)]
         chars_mod_p.append((chi1, row))
     # Galois orbits via power maps
-    pow_maps = {a: _power_map(g, data, a)
+    pow_maps = {a: [perm_class[pw[a % len(pw)]] for pw in rep_powers]
                 for a in range(1, exponent) if gcd(a, exponent) == 1}
     rows = [row for _, row in chars_mod_p]
     degs = [d for d, _ in chars_mod_p]

@@ -1,30 +1,52 @@
-import pytest
+from math import lcm
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from dixon_oracle import (
+    charpoly_roots_by_scan, conjugacy_by_mul, roots_by_scan,
+)
 from k3moonshine.groups import (
-    MatrixGroup, PermGroup, conjugacy_classes, rational_character_table,
+    MatrixGroup, PermGroup, _charpoly_roots, _dixon_prime, _roots_mod,
+    conjugacy_classes, enumerate_group, rational_character_table,
 )
 from k3moonshine.mukai import MUKAI_GROUPS, build_group, mukai_table
 
+# the primes the Mukai tables are computed over
+DIXON_PRIMES = sorted({_dixon_prime(s.order, lcm(*s.element_orders))
+                       for s in MUKAI_GROUPS})
+ORACLE = settings(max_examples=60, deadline=None, derandomize=True,
+                  database=None)
+
+
+def _s3():
+    return PermGroup(3, [(1, 0, 2), (1, 2, 0)])
+
+
+def _q8():
+    return MatrixGroup(2, [((0, -1), (1, 0)), ((1, 1), (1, -1))], p=3)
+
+
+def _a4():
+    return PermGroup(4, [(1, 0, 3, 2), (1, 2, 0, 3)])
+
 
 def test_s3_table():
-    s3 = PermGroup(3, [(1, 0, 2), (1, 2, 0)])
-    t = rational_character_table("S3", s3)
+    t = rational_character_table("S3", _s3())
     assert t.order == 6
     assert sorted(ch.degree for ch in t.characters) == [1, 1, 2]
     t.validate()
 
 
 def test_q8_table():
-    q8 = MatrixGroup(2, [((0, -1), (1, 0)), ((1, 1), (1, -1))], p=3)
-    t = rational_character_table("Q8", q8)
+    t = rational_character_table("Q8", _q8())
     assert t.order == 8
     assert sorted((ch.degree, ch.orbit_size) for ch in t.characters) == \
         [(1, 1)] * 4 + [(2, 1)]
 
 
 def test_a4_rationalization():
-    a4 = PermGroup(4, [(1, 0, 3, 2), (1, 2, 0, 3)])
-    t = rational_character_table("A4", a4)
+    t = rational_character_table("A4", _a4())
     # omega and its conjugate merge into one orbit-sum of norm 2
     assert sorted((ch.degree, ch.orbit_size) for ch in t.characters) == \
         [(1, 1), (1, 2), (3, 1)]
@@ -58,3 +80,92 @@ def test_mukai_table_orthogonality():
     assert t.order == 168
     # L2(7): element orders 1-4, 7 with the 7s merged rationally
     assert next(c.merged for c in t.classes if c.order == 7) == 2
+
+
+@pytest.mark.parametrize("g", [PermGroup(1, [(0,)]), PermGroup(3, []),
+                               MatrixGroup(2, [], p=7)],
+                         ids=["S1", "no-generators", "trivial-matrix"])
+def test_trivial_group_table(g):
+    # exponent 1: every prime is 1 mod 1, so the Dixon prime search ends
+    t = rational_character_table("1", g)
+    assert t.order == 1
+    assert [(c.label, c.size) for c in t.classes] == [("1-1", 1)]
+    assert [(ch.degree, ch.values) for ch in t.characters] == [(1, (1,))]
+
+
+def test_singular_matrix_generator_rejected():
+    with pytest.raises(ValueError):
+        MatrixGroup(2, [((1, 0), (0, 0))], p=5)
+    with pytest.raises(ValueError):
+        MatrixGroup(2, [((1, 1), (0, 1)), ((2, 4), (1, 2))], p=5)
+    with pytest.raises(ValueError):
+        MatrixGroup(2, [((0, 1), (0, 0))], p=0)
+
+
+def test_matrix_group_rejects_foreign_matrix():
+    g = MatrixGroup(2, [((1, 1), (0, 1))], p=5)
+    with pytest.raises(ValueError):
+        g.inv(((0, 1), (1, 0)))
+
+
+@ORACLE
+@given(st.sampled_from(DIXON_PRIMES),
+       st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(1, 3)),
+                max_size=8),
+       st.integers(1, 10 ** 6), st.booleans())
+def test_roots_match_scan(p, factors, lead, with_quadratic):
+    """Distinct roots of lead * prod (x - r)^m, optionally times an
+    irreducible quadratic x^2 - c, equal the Horner scan's."""
+    f = [lead % p or 1]
+    for r, m in factors:
+        for _ in range(m):
+            f = [(a - r * b) % p for a, b in zip([0] + f, f + [0])]
+    if with_quadratic:
+        c = next(c for c in range(2, p) if pow(c, (p - 1) // 2, p) == p - 1)
+        f = [(a - c * b) % p for a, b in zip([0, 0] + f, f + [0, 0])]
+    assert _roots_mod(f, p) == roots_by_scan(f, p)
+
+
+@ORACLE
+@given(st.sampled_from(DIXON_PRIMES), st.integers(1, 6), st.data())
+def test_charpoly_roots_match_scan(p, k, data):
+    small = st.integers(-3, 3)
+    entry = st.one_of(small, st.integers(0, p - 1))
+    mat = [[data.draw(entry) for _ in range(k)] for _ in range(k)]
+    if data.draw(st.booleans()):
+        # upper triangular: the eigenvalues are the diagonal
+        mat = [[x if j >= i else 0 for j, x in enumerate(row)]
+               for i, row in enumerate(mat)]
+    assert _charpoly_roots(mat, p) == charpoly_roots_by_scan(mat, p)
+
+
+ORACLE_GROUPS = ([(s.name, lambda i=s.index: build_group(i))
+                  for s in MUKAI_GROUPS]
+                 + [("S3", _s3), ("Q8", _q8), ("A4", _a4)])
+
+
+@pytest.mark.parametrize("build", [b for _, b in ORACLE_GROUPS],
+                         ids=[n for n, _ in ORACLE_GROUPS])
+def test_conjugacy_matches_oracle(build):
+    g = build()
+    data = conjugacy_classes(g)
+    want = conjugacy_by_mul(g)
+    assert data.elements == want["elements"]
+    assert data.classes == want["classes"]
+    assert data.class_of == want["class_of"]
+    assert data.reps == want["reps"]
+    assert data.orders == want["orders"]
+    assert data.sizes == want["sizes"]
+
+
+@pytest.mark.parametrize("index", [7, 11], ids=["T192", "T48"])
+def test_permutation_image_is_faithful(index):
+    g = build_group(index)
+    elements = enumerate_group(g)
+    perms = [g.as_perm(x) for x in elements]
+    assert len(set(perms)) == len(elements)
+    assert [g.from_perm(q) for q in perms] == elements
+    for b in g.generators + elements[::5]:
+        pb = g.as_perm(b)
+        for a, pa in zip(elements, perms):
+            assert g.as_perm(g.mul(a, b)) == tuple(pa[i] for i in pb)
