@@ -24,9 +24,10 @@ their own rules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
+
+from .records import Record, set_field
 
 __all__ = ["CharacterTable", "TableFormatError"]
 
@@ -35,35 +36,38 @@ class TableFormatError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ClassEntry:
-    label: str
-    order: int
-    size: int
-    merged: int = 1
+class ClassEntry(Record):
+    __slots__ = ("label", "order", "size", "merged")
+
+    def __init__(self, label: str, order: int, size: int, merged: int = 1):
+        set_field(self, "label", label)
+        set_field(self, "order", order)
+        set_field(self, "size", size)
+        set_field(self, "merged", merged)
 
 
-@dataclass(frozen=True)
-class CharacterEntry:
-    name: str
-    orbit_size: int
-    degree: int
-    values: tuple
+class CharacterEntry(Record):
+    __slots__ = ("name", "orbit_size", "degree", "values")
+
+    def __init__(self, name: str, orbit_size: int, degree: int,
+                 values: tuple):
+        set_field(self, "name", name)
+        set_field(self, "orbit_size", orbit_size)
+        set_field(self, "degree", degree)
+        set_field(self, "values", values)
 
 
-@dataclass(frozen=True)
-class CharacterTable:
+class CharacterTable(Record):
     """A validated or restricted table; frozen, so a memoized load is safe
     to share (``classes`` and ``characters`` are stored as tuples)."""
 
-    group: str
-    order: int
-    classes: tuple = ()
-    characters: tuple = ()
+    __slots__ = ("group", "order", "classes", "characters")
 
-    def __post_init__(self):
-        object.__setattr__(self, "classes", tuple(self.classes))
-        object.__setattr__(self, "characters", tuple(self.characters))
+    def __init__(self, group: str, order: int, classes=(), characters=()):
+        set_field(self, "group", group)
+        set_field(self, "order", order)
+        set_field(self, "classes", tuple(classes))
+        set_field(self, "characters", tuple(characters))
 
     # -- access -----------------------------------------------------------
 

@@ -10,7 +10,6 @@ to stderr, and nothing to stdout but verify-all's criterion lines or, with
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from fractions import Fraction
@@ -35,6 +34,7 @@ def emit(report: dict, fmt: str, stream=None) -> None:
     """Serialize a report with stable field ordering."""
     stream = stream or sys.stdout
     if fmt == "json":
+        import json  # here, so that it adds nothing to the CLI's start-up
         json.dump(report, stream, indent=1, sort_keys=False)
         stream.write("\n")
         return

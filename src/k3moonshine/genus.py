@@ -16,12 +16,12 @@ this convention (the chi_y bookkeeping calls the same point y = -1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .cyclotomic import CyclotomicNumber, zeta
 from .qpoly import RationalFunction, cyclotomic_product, reconstruct_rational
+from .records import Record, set_field
 from .series import (
     NotInSpanError, TruncatedSeries, binomial_factor, exact_quotient,
     geometric_factor,
@@ -291,12 +291,15 @@ def jacobi_split(s: TruncatedSeries):
     return a, h
 
 
-@dataclass(frozen=True)
-class MoonshineReport:
-    label: str
-    ok: bool
-    first_mismatch_q24: int | None
-    checked_trunc24: int
+class MoonshineReport(Record):
+    __slots__ = ("label", "ok", "first_mismatch_q24", "checked_trunc24")
+
+    def __init__(self, label: str, ok: bool, first_mismatch_q24: int | None,
+                 checked_trunc24: int):
+        set_field(self, "label", label)
+        set_field(self, "ok", ok)
+        set_field(self, "first_mismatch_q24", first_mismatch_q24)
+        set_field(self, "checked_trunc24", checked_trunc24)
 
     def __str__(self):
         if self.ok:

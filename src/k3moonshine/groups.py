@@ -21,12 +21,12 @@ values are integers, one character per rational class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 from operator import itemgetter, mul as _mul
 
 from .chartab import CharacterEntry, CharacterTable, ClassEntry
+from .lattice import IntegerLattice
 
 __all__ = [
     "PermGroup",
@@ -77,14 +77,19 @@ class MatrixGroup:
 
     The group acts on the orbit of the standard basis vectors by v -> m v.
     A generator that does not permute that orbit is singular and raises
-    ``ValueError``; an orbit past the enumeration limit raises
-    ``RuntimeError``.
+    ``ValueError``, and so does, before the orbit is walked, an integer
+    generator whose determinant is not +-1 (its rows span less than Z^dim),
+    which lies in no finite group; an orbit past the enumeration limit
+    raises ``RuntimeError``.
     """
 
     def __init__(self, dim: int, generators, p: int = 0):
         self.dim = dim
         self.p = p
         self.generators = [self._norm(g) for g in generators]
+        if not p and any(IntegerLattice(dim, m) != IntegerLattice.full(dim)
+                         for m in self.generators):
+            raise ValueError("integer generator of determinant other than +-1")
         orbit = list(self.identity())       # e_j is row j of the identity
         index = {v: j for j, v in enumerate(orbit)}
         images = [[] for _ in self.generators]
@@ -186,15 +191,19 @@ def element_order(g, x) -> int:
     return len(_powers(g.as_perm(x)))
 
 
-@dataclass
 class ConjugacyData:
-    elements: list
-    classes: list        # list of frozensets
-    class_of: dict       # element -> class index
-    reps: list
-    orders: list
-    sizes: list
-    perm_of: dict        # element -> its permutation image
+    __slots__ = ("elements", "classes", "class_of", "reps", "orders",
+                 "sizes", "perm_of")
+
+    def __init__(self, elements: list, classes: list, class_of: dict,
+                 reps: list, orders: list, sizes: list, perm_of: dict):
+        self.elements = elements
+        self.classes = classes      # list of frozensets
+        self.class_of = class_of    # element -> class index
+        self.reps = reps
+        self.orders = orders
+        self.sizes = sizes
+        self.perm_of = perm_of      # element -> its permutation image
 
 
 def conjugacy_classes(g) -> ConjugacyData:

@@ -7,8 +7,9 @@ lattice equality is representation equality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+
+from .records import Record, set_field
 
 __all__ = [
     "IntegerLattice",
@@ -181,12 +182,15 @@ def smith_normal_form(matrix):
     return [d for d in factors if d != 0]
 
 
-@dataclass(frozen=True)
-class AbelianQuotient:
+class AbelianQuotient(Record):
     """Finite abelian quotient, invariant factors with 1s omitted."""
 
-    factors: tuple
-    rank_deficit: int = 0  # number of infinite cyclic factors
+    __slots__ = ("factors", "rank_deficit")
+
+    def __init__(self, factors: tuple, rank_deficit: int = 0):
+        set_field(self, "factors", factors)
+        # number of infinite cyclic factors
+        set_field(self, "rank_deficit", rank_deficit)
 
     @property
     def order(self):
@@ -203,12 +207,14 @@ class AbelianQuotient:
         return " x ".join(parts) if parts else "1"
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(Record):
     """Outcome of expressing a vector over lattice generators."""
 
-    coords: tuple | None
-    certificate: str | None
+    __slots__ = ("coords", "certificate")
+
+    def __init__(self, coords: tuple | None, certificate: str | None):
+        set_field(self, "coords", coords)
+        set_field(self, "certificate", certificate)
 
     @property
     def solved(self):
@@ -236,6 +242,14 @@ class IntegerLattice:
     @property
     def rank(self) -> int:
         return len(self.basis)
+
+    @property
+    def determinant(self) -> int:
+        """Product of the HNF pivots: [Z^n : self] when of full rank."""
+        out = 1
+        for row in self.basis:
+            out *= row[next(j for j, x in enumerate(row) if x)]
+        return out
 
     def __eq__(self, other):
         return (isinstance(other, IntegerLattice)
@@ -284,13 +298,7 @@ class IntegerLattice:
             raise ValueError("not a sublattice")
         if self.rank < sup.rank:
             return None
-        det_sub = 1
-        for row in self.basis:
-            det_sub *= row[next(j for j, x in enumerate(row) if x)]
-        det_sup = 1
-        for row in sup.basis:
-            det_sup *= row[next(j for j, x in enumerate(row) if x)]
-        return det_sub // det_sup
+        return self.determinant // sup.determinant
 
     def __repr__(self):
         return f"IntegerLattice(ambient={self.ambient}, rank={self.rank})"

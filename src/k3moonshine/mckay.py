@@ -23,13 +23,13 @@ The exchange format is a small text file of exact rationals.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .series import TruncatedSeries, exact_quotient
 from .modforms import eta_power, eta_scaled, weak_jacobi_phi
 from .mill import class_data
 from .tables import load_m24, data_dir
+from .records import Record, set_field
 
 __all__ = [
     "eisenstein_difference", "eta_scaled", "cusp_form", "m2_basis",
@@ -254,13 +254,16 @@ def twining_genus(label: str, trunc24: int) -> TruncatedSeries:
 
 # -- the data file -----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FgRecord:
-    label: str
-    euler: int
-    level: int
-    source: str
-    coefficients: tuple
+class FgRecord(Record):
+    __slots__ = ("label", "euler", "level", "source", "coefficients")
+
+    def __init__(self, label: str, euler: int, level: int, source: str,
+                 coefficients: tuple):
+        set_field(self, "label", label)
+        set_field(self, "euler", euler)
+        set_field(self, "level", level)
+        set_field(self, "source", source)
+        set_field(self, "coefficients", coefficients)
 
 
 def write_fg_file(path=None, trunc24: int = 25 * 24) -> str:

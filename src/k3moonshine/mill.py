@@ -18,7 +18,6 @@ and power maps close.  The milled table is returned as a
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
@@ -26,6 +25,7 @@ from types import MappingProxyType
 
 from .chartab import CharacterEntry, CharacterTable, ClassEntry
 from .lattice import hermite_normal_form, integer_kernel
+from .records import Record, set_field
 
 __all__ = [
     "GroupClassData", "M23_CLASSES", "M24_CLASSES",
@@ -33,19 +33,25 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ClassInfo:
-    label: str
-    order: int
-    cycle_type: tuple      # sorted (length, count) pairs
-    centralizer: int       # centralizer order of a single element
-    merged: int            # number of complex classes in the rational class
+class ClassInfo(Record):
+    __slots__ = ("label", "order", "cycle_type", "centralizer", "merged",
+                 "group_order")
+
+    def __init__(self, label: str, order: int, cycle_type: tuple,
+                 centralizer: int, merged: int, group_order: int = 0):
+        set_field(self, "label", label)
+        set_field(self, "order", order)
+        # sorted (length, count) pairs
+        set_field(self, "cycle_type", cycle_type)
+        # centralizer order of a single element
+        set_field(self, "centralizer", centralizer)
+        # number of complex classes in the rational class
+        set_field(self, "merged", merged)
+        set_field(self, "group_order", group_order)
 
     @property
     def size(self) -> int:
         return self.merged * (self.group_order // self.centralizer)
-
-    group_order: int = 0
 
 
 def _ct(spec: str) -> tuple:
@@ -103,12 +109,16 @@ _M24_RAW = [
 ]
 
 
-@dataclass(frozen=True)
-class GroupClassData:
-    name: str
-    order: int
-    classes: tuple         # tuple of ClassInfo
-    type_index: Mapping    # read-only: cycle type -> class position
+class GroupClassData(Record):
+    __slots__ = ("name", "order", "classes", "type_index")
+
+    def __init__(self, name: str, order: int, classes: tuple,
+                 type_index: Mapping):
+        set_field(self, "name", name)
+        set_field(self, "order", order)
+        set_field(self, "classes", classes)  # tuple of ClassInfo
+        # read-only: cycle type -> class position
+        set_field(self, "type_index", type_index)
 
     @property
     def permutation_character(self) -> tuple:

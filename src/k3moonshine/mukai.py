@@ -8,23 +8,25 @@ spectrum before its rational character table is computed.  The table data
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .chartab import CharacterTable
 from .groups import (
     MatrixGroup, PermGroup, conjugacy_classes, element_order,
     enumerate_group, rational_character_table,
 )
+from .records import Record, set_field
 
 __all__ = ["MUKAI_GROUPS", "MukaiGroupSpec", "build_group", "mukai_table"]
 
 
-@dataclass(frozen=True)
-class MukaiGroupSpec:
-    index: int          # position 1..11 in the published list
-    name: str
-    order: int
-    element_orders: tuple
+class MukaiGroupSpec(Record):
+    __slots__ = ("index", "name", "order", "element_orders")
+
+    def __init__(self, index: int, name: str, order: int,
+                 element_orders: tuple):
+        set_field(self, "index", index)  # position 1..11 in the published list
+        set_field(self, "name", name)
+        set_field(self, "order", order)
+        set_field(self, "element_orders", element_orders)
 
 
 MUKAI_GROUPS = (

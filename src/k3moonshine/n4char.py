@@ -21,7 +21,6 @@ A_0 = -2 and atypical multiplicity 24 and frozen in the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -32,6 +31,7 @@ from .series import (
 )
 from .modforms import eta_power, jacobi_theta
 from .genus import chi_sym_power
+from .records import Record, set_field
 
 __all__ = [
     "ch_v_product",
@@ -271,17 +271,19 @@ def ch_vn_h_form(N: int, trunc24: int) -> TruncatedSeries:
 
 # -- decomposition into N=4 characters ----------------------------------------
 
-@dataclass(frozen=True)
-class N4Multiplicities:
+class N4Multiplicities(Record):
     """Atypical coefficient and typical multiplicities keyed by weight h.
 
     ``horizon24``: multiplicities at weights h with 24(h - 3/8) at or
     beyond it are outside the computed window and must not be read.
     """
 
-    atypical: Fraction
-    typical: dict  # Fraction h -> Fraction multiplicity
-    horizon24: int
+    __slots__ = ("atypical", "typical", "horizon24")
+
+    def __init__(self, atypical: Fraction, typical: dict, horizon24: int):
+        set_field(self, "atypical", atypical)
+        set_field(self, "typical", typical)  # Fraction h -> multiplicity
+        set_field(self, "horizon24", horizon24)
 
     def multiplicity(self, h) -> Fraction:
         h = Fraction(h)
@@ -353,10 +355,12 @@ def ramond_basis_character(N: int, trunc24: int) -> TruncatedSeries:
     return ch_vn_h_form(N, trunc24).substitute_y_sign().spectral_flow(+1)
 
 
-@dataclass(frozen=True)
-class GenusDecomposition:
-    atypical: Fraction
-    A: list
+class GenusDecomposition(Record):
+    __slots__ = ("atypical", "A")
+
+    def __init__(self, atypical: Fraction, A: list):
+        set_field(self, "atypical", atypical)
+        set_field(self, "A", A)
 
 
 def genus_A_coefficients(nmax: int, genus: TruncatedSeries) -> GenusDecomposition:

@@ -10,7 +10,6 @@ families over the rationalized M23 table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -21,6 +20,7 @@ from .lattice import (
     solve_in_lattice, SolveResult,
 )
 from .qpoly import Poly, RationalFunction, euler_phi, linear_combinations
+from .records import Record, set_field
 
 __all__ = [
     "CHOSEN_FORM_NUMERATORS",
@@ -136,20 +136,27 @@ def mukai_lattice_N(tables) -> tuple:
     return n, lattices
 
 
-@dataclass(frozen=True)
-class LatticeReport:
+class LatticeReport(Record):
     """Bases, invariant factors, and verdicts for the whole lattice suite."""
 
-    K: IntegerLattice
-    K_prime: IntegerLattice
-    K_dprime: IntegerLattice
-    N: IntegerLattice
-    N_i: tuple
-    M_over_N: AbelianQuotient
-    Ni_over_N: tuple
-    K_equals_N: bool
-    Kp_equals_N: bool
-    Kdp_index_in_N: int | None
+    __slots__ = ("K", "K_prime", "K_dprime", "N", "N_i", "M_over_N",
+                 "Ni_over_N", "K_equals_N", "Kp_equals_N", "Kdp_index_in_N")
+
+    def __init__(self, K: IntegerLattice, K_prime: IntegerLattice,
+                 K_dprime: IntegerLattice, N: IntegerLattice, N_i: tuple,
+                 M_over_N: AbelianQuotient, Ni_over_N: tuple,
+                 K_equals_N: bool, Kp_equals_N: bool,
+                 Kdp_index_in_N: int | None):
+        set_field(self, "K", K)
+        set_field(self, "K_prime", K_prime)
+        set_field(self, "K_dprime", K_dprime)
+        set_field(self, "N", N)
+        set_field(self, "N_i", N_i)
+        set_field(self, "M_over_N", M_over_N)
+        set_field(self, "Ni_over_N", Ni_over_N)
+        set_field(self, "K_equals_N", K_equals_N)
+        set_field(self, "Kp_equals_N", Kp_equals_N)
+        set_field(self, "Kdp_index_in_N", Kdp_index_in_N)
 
 
 def build_lattice_report(mukai_tables, m24_table, m23_table, co0_table,
@@ -174,21 +181,38 @@ def sufficiency_scan(lattices, N: IntegerLattice):
     Returns (four_ok, triples_reaching): for the quadruples {1, j, 5, 6}
     with j = 2, 3, 4 (1-based group numbers) whether their intersection is
     N, and every triple (1-based, increasing) whose intersection is N.
-    Each pair N_i & N_j (i < j below the last index) is intersected once,
-    and every triple i < j < k as (N_i & N_j) & N_k, so one pair is alive
-    at a time; a quadruple is the intersection of two pairs.
+
+    N must be of full rank and lie in every N_i (``ValueError``
+    otherwise).  Each pair P = N_i & N_j (i < j below the last index) is
+    intersected once; a family P, Q then cuts out N iff
+    det(P + Q) det(N) = det(P) det(Q), with det the product of HNF pivots,
+    since det(P & Q) det(P + Q) = det(P) det(Q) for full-rank P, Q and N
+    lies in P & Q.  So a triple costs one HNF of stacked bases, P + N_k,
+    and a quadruple {1, j, 5, 6} one of (N_1 & N_j) + (N_5 & N_6).
     """
-    triples_reaching = []
-    for i, j in combinations(range(len(lattices) - 1), 2):
-        pair = lattices[i].intersect(lattices[j])
-        for k in range(j + 1, len(lattices)):
-            if pair.intersect(lattices[k]) == N:
-                triples_reaching.append((i + 1, j + 1, k + 1))
-    pair_56 = lattices[4].intersect(lattices[5])
-    four_ok = {}
-    for j in (1, 2, 3):  # groups no. 2, 3, 4 (0-based 1..3)
-        meet = lattices[0].intersect(lattices[j]).intersect(pair_56)
-        four_ok[(1, j + 1, 5, 6)] = meet == N
+    if N.rank != N.ambient:
+        raise ValueError("N is not of full rank")
+    if not all(lat.contains_lattice(N) for lat in lattices):
+        raise ValueError("N does not lie in every lattice of the family")
+    det_n = N.determinant
+
+    def with_det(lat: IntegerLattice) -> tuple:
+        return lat, lat.determinant
+
+    def reaches(a: tuple, b: tuple) -> bool:
+        total = IntegerLattice(N.ambient, a[0].basis + b[0].basis)
+        return total.determinant * det_n == a[1] * b[1]
+
+    members = [with_det(lat) for lat in lattices]
+    pairs = {(i, j): with_det(lattices[i].intersect(lattices[j]))
+             for i, j in combinations(range(len(lattices) - 1), 2)}
+    triples_reaching = [
+        (i + 1, j + 1, k + 1) for (i, j), pair in pairs.items()
+        for k in range(j + 1, len(lattices)) if reaches(pair, members[k])]
+    # in ``pairs`` unless the family has fewer than seven lattices
+    pair_56 = pairs.get((4, 5)) or with_det(lattices[4].intersect(lattices[5]))
+    four_ok = {(1, j + 1, 5, 6): reaches(pairs[0, j], pair_56)
+               for j in (1, 2, 3)}  # groups no. 2, 3, 4 (0-based 1..3)
     return four_ok, triples_reaching
 
 

@@ -64,20 +64,22 @@ def co0_restricted_rows() -> list:
     k = len(cols)
     rows = [tuple(lam[c] for c in cols)
             for lam in exterior_powers(m24, m24.permutation_character, 24)]
-    # close under pointwise products, keeping a small generating set
+    # close under pointwise products, keeping a small generating set: each
+    # round tests every unordered pair that has a generator added in the
+    # round before (all of them in the first round) once
     lattice = hnf_basis([list(r) for r in rows], ambient=k)
     gens = list(rows)
-    grown = True
-    while grown:
-        grown = False
-        for a in list(gens):
-            for b in list(gens):
-                p = tuple(x * y for x, y in zip(a, b))
+    fresh = 0
+    while fresh < len(gens):
+        end = len(gens)
+        for i in range(end):
+            for j in range(max(i, fresh), end):
+                p = tuple(x * y for x, y in zip(gens[i], gens[j]))
                 if not lattice.contains(p):
                     gens.append(p)
                     lattice = hnf_basis(
                         [list(r) for r in lattice.basis] + [list(p)], ambient=k)
-                    grown = True
+        fresh = end
     return gens
 
 

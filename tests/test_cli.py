@@ -291,3 +291,18 @@ def test_malformed_fixture_is_data_error(tmp_path):
         capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 3
     assert "exterior power 3" in proc.stderr
+
+
+def test_cold_start_imports_no_dataclasses_inspect_or_json():
+    import subprocess
+    import sys
+    import k3moonshine
+    src = os.path.dirname(os.path.dirname(k3moonshine.__file__))
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import k3moonshine.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'json'} "
+            "& set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code, src],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

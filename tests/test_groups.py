@@ -169,3 +169,23 @@ def test_permutation_image_is_faithful(index):
         pb = g.as_perm(b)
         for a, pa in zip(elements, perms):
             assert g.as_perm(g.mul(a, b)) == tuple(pa[i] for i in pb)
+
+
+def test_non_unimodular_integer_generator_rejected_promptly():
+    import signal
+
+    def timed_out(signum, frame):
+        raise TimeoutError("MatrixGroup did not fail within 10 s")
+
+    previous = signal.signal(signal.SIGALRM, timed_out)
+    signal.alarm(10)
+    try:
+        # det 2: an orbit walk would double e_1 until the enumeration limit
+        with pytest.raises(ValueError, match="determinant"):
+            MatrixGroup(2, [((2, 0), (0, 1))], p=0)
+        # det 1 but of infinite order: the walk stops at the limit
+        with pytest.raises(RuntimeError, match="too large"):
+            MatrixGroup(2, [((1, 1), (0, 1))], p=0)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

@@ -128,6 +128,17 @@ def test_sufficiency_scan_on_a_family_with_reaching_triples():
                        if 7 in t and (2 in t or 3 in t or {4, 8} <= set(t))]
 
 
+def test_sufficiency_scan_rejects_an_unfit_N():
+    lattices = [_congruence_lattice(c) for c in SYNTHETIC_CONDITIONS]
+    N = _congruence_lattice(
+        {0: 4, 1: 3, 2: 2, 3: 5, 4: 3, 5: 2, 6: 2, 7: 3})
+    # the index test needs N of full rank and inside every lattice
+    with pytest.raises(ValueError, match="full rank"):
+        sufficiency_scan(lattices, IntegerLattice(8, N.basis[:7]))
+    with pytest.raises(ValueError, match="every lattice"):
+        sufficiency_scan(lattices, IntegerLattice.full(8))
+
+
 def test_co0_lattice_contained_in_N(lattice_N):
     N, _ = lattice_N
     co0 = load_co0_restricted()
