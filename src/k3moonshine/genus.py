@@ -123,8 +123,12 @@ RATIONAL_FORM_DENOMINATORS = {
 }
 
 
+@lru_cache(maxsize=None)
 def rational_form(label: str) -> RationalFunction:
-    """Fit chi(g; X, S_t T) to its cyclotomic-denominator closed form."""
+    """Fit chi(g; X, S_t T) to its cyclotomic-denominator closed form.
+
+    Memoized per process on the label (the result is read-only).
+    """
     exps = RATIONAL_FORM_DENOMINATORS[label]
     den = cyclotomic_product(exps)
     series = chi_symt_series(label, 2 * den.degree + 4)

@@ -22,11 +22,12 @@ values are integers, one character per rational class.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from operator import itemgetter, mul as _mul
 
 from .chartab import CharacterEntry, CharacterTable, ClassEntry
-from .lattice import IntegerLattice
+from .lattice import IntegerLattice, nullspace_mod
+from .qpoly import euler_phi
 
 __all__ = [
     "PermGroup",
@@ -79,17 +80,27 @@ class MatrixGroup:
     A generator that does not permute that orbit is singular and raises
     ``ValueError``, and so does, before the orbit is walked, an integer
     generator whose determinant is not +-1 (its rows span less than Z^dim),
-    which lies in no finite group; an orbit past the enumeration limit
-    raises ``RuntimeError``.
+    which lies in no finite group.  An integer generator of infinite order
+    raises ``RuntimeError`` before the walk too: its powers miss the
+    identity up to ``_max_finite_order(dim)``.  An orbit past the
+    enumeration limit raises ``RuntimeError``.
     """
 
     def __init__(self, dim: int, generators, p: int = 0):
         self.dim = dim
         self.p = p
         self.generators = [self._norm(g) for g in generators]
-        if not p and any(IntegerLattice(dim, m) != IntegerLattice.full(dim)
-                         for m in self.generators):
-            raise ValueError("integer generator of determinant other than +-1")
+        if not p:
+            if any(IntegerLattice(dim, m) != IntegerLattice.full(dim)
+                   for m in self.generators):
+                raise ValueError(
+                    "integer generator of determinant other than +-1")
+            bound = _max_finite_order(dim)
+            if any(not self._has_order_at_most(m, bound)
+                   for m in self.generators):
+                raise RuntimeError(
+                    "integer generator of infinite order: group too large "
+                    "for enumeration")
         orbit = list(self.identity())       # e_j is row j of the identity
         index = {v: j for j, v in enumerate(orbit)}
         images = [[] for _ in self.generators]
@@ -107,6 +118,15 @@ class MatrixGroup:
             raise ValueError("generator is not invertible")
         self._orbit = orbit
         self._index = index
+
+    def _has_order_at_most(self, m, bound: int) -> bool:
+        ident = self.identity()
+        power = m
+        for _ in range(bound):
+            if power == ident:
+                return True
+            power = self.mul(power, m)
+        return False
 
     def _norm(self, m):
         if self.p:
@@ -140,6 +160,24 @@ class MatrixGroup:
     def from_perm(self, perm):
         """The matrix whose column j is the image of e_j."""
         return tuple(zip(*(self._orbit[perm[j]] for j in range(self.dim))))
+
+
+def _max_finite_order(n: int) -> int:
+    """The largest order of a finite-order element of GL_n(Z) is at most
+    the largest lcm of a set of m >= 2 with sum phi(m) <= n.
+
+    Such an element is diagonalizable with roots of unity as eigenvalues,
+    so its minimal polynomial is a product of distinct cyclotomic
+    polynomials Phi_m, of total degree at most n, and its order is the
+    lcm of the m.  A 0/1 knapsack over the m (phi(m) >= sqrt(m / 2), so
+    m <= 2 n^2) keeps every reachable lcm per degree.
+    """
+    reach = [{1} for _ in range(n + 1)]     # reach[b]: lcms of degree <= b
+    for m in range(2, 2 * n * n + 1):
+        deg = euler_phi(m)
+        for b in range(n, deg - 1, -1):
+            reach[b] |= {lcm(x, m) for x in reach[b - deg]}
+    return max(reach[n])
 
 
 def _right_mul(s):
@@ -413,36 +451,6 @@ def _roots_mod(f, p):
     return sorted(roots)
 
 
-def _nullspace_mod(a, p):
-    n_rows = len(a)
-    n_cols = len(a[0])
-    a = [row[:] for row in a]
-    pivots = []
-    r = 0
-    for c in range(n_cols):
-        piv = next((i for i in range(r, n_rows) if a[i][c] % p), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = pow(a[r][c], p - 2, p)
-        a[r] = [x * inv % p for x in a[r]]
-        for i in range(n_rows):
-            if i != r and a[i][c] % p:
-                f = a[i][c]
-                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(n_cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [0] * n_cols
-        v[fc] = 1
-        for row_i, pc in enumerate(pivots):
-            v[pc] = (-a[row_i][fc]) % p
-        basis.append(v)
-    return basis
-
-
 def _split_space(space, mat, p):
     """Refine a subspace (rows spanning it) by eigenspaces of mat."""
     if len(space) <= 1:
@@ -457,7 +465,7 @@ def _split_space(space, mat, p):
         # left eigenvectors: c . sub = lam c, i.e. (sub^T - lam) c = 0
         shifted = [[(sub[j][i] - (lam if i == j else 0)) % p
                     for j in range(len(sub))] for i in range(len(sub))]
-        for v in _nullspace_mod(shifted, p):
+        for v in nullspace_mod(shifted, p):
             w = [0] * len(space[0])
             for c, row in zip(v, space):
                 if c:

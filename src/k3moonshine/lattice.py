@@ -7,6 +7,7 @@ lattice equality is representation equality.
 
 from __future__ import annotations
 
+from itertools import product
 from math import gcd
 
 from .records import Record, set_field
@@ -18,6 +19,7 @@ __all__ = [
     "hermite_normal_form",
     "smith_normal_form",
     "integer_kernel",
+    "nullspace_mod",
     "hnf_basis",
     "snf_quotient",
     "solve_in_lattice",
@@ -112,6 +114,49 @@ def integer_kernel(rows):
     hnf, u = hermite_normal_form(rows, track=True)
     rank = len(hnf)
     return [u[i] for i in range(rank, len(rows))]
+
+
+def nullspace_mod(a, p):
+    """Basis of {v : a v = 0 mod p} for a prime p, as lists over [0, p)."""
+    n_rows = len(a)
+    n_cols = len(a[0])
+    a = [list(row) for row in a]
+    pivots = []
+    r = 0
+    for c in range(n_cols):
+        piv = next((i for i in range(r, n_rows) if a[i][c] % p), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = pow(a[r][c], p - 2, p)
+        a[r] = [x * inv % p for x in a[r]]
+        for i in range(n_rows):
+            if i != r and a[i][c] % p:
+                f = a[i][c]
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+    free = [c for c in range(n_cols) if c not in pivots]
+    basis = []
+    for fc in free:
+        v = [0] * n_cols
+        v[fc] = 1
+        for row_i, pc in enumerate(pivots):
+            v[pc] = (-a[row_i][fc]) % p
+        basis.append(v)
+    return basis
+
+
+def _prime_divisors(n: int) -> list:
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return out + [n] if n > 1 else out
 
 
 def smith_normal_form(matrix):
@@ -291,6 +336,33 @@ class IntegerLattice:
                     vec = [a + c * b for a, b in zip(vec, row)]
             vecs.append(vec)
         return IntegerLattice(self.ambient, vecs)
+
+    def prime_order_points(self) -> list:
+        """One x in Z^n per F_p-line of (Z^n / self)[p], for each prime p
+        dividing [Z^n : self], as integer vectors.
+
+        For the basis M, (Z^n / self)[p] is {c M / p : c M = 0 mod p}, the
+        left kernel of M mod p; c runs over one vector per line of that
+        kernel (first nonzero coordinate 1).  Requires full rank.
+        """
+        if self.rank != self.ambient:
+            raise ValueError("lattice is not of full rank")
+        primes = set()
+        for row in self.basis:             # HNF pivots are positive
+            primes.update(_prime_divisors(next(x for x in row if x)))
+        columns = list(zip(*self.basis))
+        points = []
+        for p in sorted(primes):
+            kernel = nullspace_mod(columns, p)
+            for lead in range(len(kernel)):
+                for tail in product(range(p), repeat=len(kernel) - lead - 1):
+                    c = kernel[lead]
+                    for a, v in zip(tail, kernel[lead + 1:]):
+                        c = [x + a * y for x, y in zip(c, v)]
+                    points.append([
+                        sum(ci * mi for ci, mi in zip(c, col)) // p
+                        for col in columns])
+        return points
 
     def index_in(self, sup: "IntegerLattice"):
         """[sup : self]; None when infinite (rank drop)."""

@@ -12,9 +12,14 @@ Conventions (the single source of truth for signs):
         -i (y^(1/2) - y^(-1/2)) prod (1-y q^n)(1-y^(-1) q^n)(1-q^n)^(-2)
     coefficientwise (the factor -i is carried exactly in Q(i)).
   * phi_m21 := (theta1/eta^3)^2, with q^0 part -(y - 2 + 1/y); it vanishes
-    at the Euler point y=1.
+    at the Euler point y=1.  It is built as -S^2 eta^-6 with S = i theta1,
+    the theta1 sum without its factor -i, which has integer coefficients,
+    so no product runs over Q(i).
   * phi_01 is the standard weight-0 index-1 form, q^0 part y + 10 + 1/y,
     value 12 at the Euler point; twice phi_01 is the K3 elliptic genus.
+    It is built as sum_k theta_k^2 * 4 theta_k(0)^-2 over k = 2, 3, 4: each
+    theta constant is inverted once as a pure q-series, and
+    4 theta_k(0)^-2 is integral.
 """
 
 from __future__ import annotations
@@ -58,8 +63,12 @@ def dedekind_eta(trunc24: int) -> TruncatedSeries:
     return eta_scaled(1, trunc24)
 
 
+@lru_cache(maxsize=None)
 def eta_power(power: int, trunc24: int) -> TruncatedSeries:
-    """eta(q)^power for any integer power (negative powers invert)."""
+    """eta(q)^power for any integer power (negative powers invert).
+
+    Memoized per process on the exact arguments (the series is read-only).
+    """
     if power == 0:
         return TruncatedSeries.const(1, trunc24)
     if power > 0:
@@ -73,26 +82,30 @@ def jacobi_theta(kind: int, trunc24: int) -> TruncatedSeries:
     """The classical theta_1..theta_4 as (y, q) series."""
     if kind not in (1, 2, 3, 4):
         raise ValueError("theta kind must be 1..4")
+    if kind == 1:
+        return _half_integral_theta(True, trunc24) * zeta(4, 3)  # -i S
+    if kind == 2:
+        return _half_integral_theta(False, trunc24)
     terms = {}
-    if kind in (3, 4):
-        n = 0
-        while 12 * n * n < trunc24:
-            for s in ((n,) if n == 0 else (n, -n)):
-                sign = -1 if (kind == 4 and n % 2) else 1
-                terms[(12 * n * n, 2 * s, 0)] = sign
-            n += 1
-    else:
-        k = 0
-        while 3 * (2 * k + 1) ** 2 < trunc24:
-            for m in (k, -k - 1):  # n = m + 1/2 runs over +-(k+1/2)
-                q24 = 3 * (2 * k + 1) ** 2
-                if kind == 2:
-                    terms[(q24, 2 * m + 1, 0)] = 1
-                else:
-                    # theta1 = -i sum (-1)^m y^(m+1/2) q^((m+1/2)^2/2)
-                    sign = -1 if m % 2 else 1
-                    terms[(q24, 2 * m + 1, 0)] = zeta(4, 3) * sign
-            k += 1
+    n = 0
+    while 12 * n * n < trunc24:
+        for s in ((n,) if n == 0 else (n, -n)):
+            sign = -1 if (kind == 4 and n % 2) else 1
+            terms[(12 * n * n, 2 * s, 0)] = sign
+        n += 1
+    return TruncatedSeries(terms, trunc24, _clean=True)
+
+
+def _half_integral_theta(alternating: bool, trunc24: int) -> TruncatedSeries:
+    """sum over n = m + 1/2 of s y^n q^(n^2/2): theta2 (s = 1), or
+    S = i theta1 (s = (-1)^m), both with integer coefficients."""
+    terms = {}
+    k = 0
+    while 3 * (2 * k + 1) ** 2 < trunc24:
+        q24 = 3 * (2 * k + 1) ** 2
+        for m in (k, -k - 1):  # n = m + 1/2 runs over +-(k+1/2)
+            terms[(q24, 2 * m + 1, 0)] = -1 if alternating and m % 2 else 1
+        k += 1
     return TruncatedSeries(terms, trunc24, _clean=True)
 
 
@@ -110,20 +123,22 @@ def theta_null(kind: int, trunc24: int) -> TruncatedSeries:
 def weak_jacobi_phi(weight: int, trunc24: int) -> TruncatedSeries:
     """The weak Jacobi forms phi_{0,1} (weight=0) and phi_{-2,1} (weight=-2).
 
-    Memoized per process on the exact arguments (the series is read-only).
+    Both run on integer coefficients (see the module docstring).
+    theta1^2 and theta2(0)^2 lead at q^(1/4), so the blocks are built
+    below trunc24 + 6.  Memoized per process on the exact arguments (the
+    series is read-only).
     """
+    t = trunc24 + 6
     if weight == -2:
-        sq = jacobi_theta(1, trunc24 + 6) ** 2
-        return (sq * eta_power(-6, trunc24 + 6)).truncate(trunc24).as_rational()
+        sq = _half_integral_theta(True, t) ** 2
+        return (-(sq * eta_power(-6, t))).truncate(trunc24)
     if weight != 0:
         raise ValueError("weight must be 0 or -2")
-    t = trunc24 + 12
     total = TruncatedSeries.zero(trunc24)
     for kind in (2, 3, 4):
-        num = jacobi_theta(kind, t) ** 2
-        den = theta_null(kind, t) ** 2
-        total = total + num.divide_exact(den).truncate(trunc24)
-    return (total * 4).as_rational()
+        inverse = (theta_null(kind, t) ** 2).invert() * 4
+        total = total + (jacobi_theta(kind, t) ** 2 * inverse).truncate(trunc24)
+    return total
 
 
 def euler_specialization(s: TruncatedSeries) -> TruncatedSeries:

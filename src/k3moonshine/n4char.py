@@ -109,8 +109,12 @@ def _inverse_fermion_factor(exp2: int, y2: int, trunc24: int) -> TruncatedSeries
     return pref * flip
 
 
+@lru_cache(maxsize=None)
 def g_sum(N: int, trunc24: int) -> TruncatedSeries:
-    """sum_m 1/((1 + y q^(m-1/2)) (1 + y^(-1) q^(N-m-1/2)))."""
+    """sum_m 1/((1 + y q^(m-1/2)) (1 + y^(-1) q^(N-m-1/2))).
+
+    Memoized per process on the exact arguments (the series is read-only).
+    """
     total = TruncatedSeries.zero(trunc24)
     m = 0
     # walk outward from the band [0, N] until minimal degrees pass trunc
@@ -413,11 +417,13 @@ def twining_truncation(tmax: int) -> int:
     return 24 * -(-(last + 16) // 18)
 
 
-def _typical_row(N: int, ncols: int) -> list:
+@lru_cache(maxsize=None)
+def _typical_row(N: int, ncols: int) -> tuple:
     """Row N of Table 3: the typical multiplicities of ch_{V_N} at
-    h = 1/4 + k for k < ncols, read from the closed form."""
+    h = 1/4 + k for k < ncols, read from the closed form.  Memoized per
+    process on the exact arguments."""
     combo = _typical_combo(N, 24 * ncols)
-    return [combo.terms.get((24 * k - 3, 0, 0), 0) for k in range(ncols)]
+    return tuple(combo.terms.get((24 * k - 3, 0, 0), 0) for k in range(ncols))
 
 
 def twining_to_symtraces(twining: TruncatedSeries, tmax: int,

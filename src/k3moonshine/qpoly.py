@@ -316,7 +316,8 @@ def _canonical(content, coeffs, exps) -> tuple:
 class RationalFunction:
     """c * N(t) / prod_d Phi_d(t)^e_d in lowest terms (see the module
     docstring); ``num`` and ``den`` read it as a reduced quotient with
-    monic denominator."""
+    monic denominator.  Read-only, as ``TruncatedSeries`` is, so one
+    instance can be shared (``genus.rational_form`` memoizes its result)."""
 
     __slots__ = ("_c", "_n", "_e")
 
@@ -329,15 +330,27 @@ class RationalFunction:
             den_c, exps = _ONE, den
         else:
             den_c, exps = _factor(den.c if isinstance(den, Poly) else (den,))
-        self._c, self._n, self._e = _canonical(
-            1 / den_c, num.c if isinstance(num, Poly) else (num,), exps)
+        self._set(*_canonical(
+            1 / den_c, num.c if isinstance(num, Poly) else (num,), exps))
 
     @classmethod
     def _of(cls, content, numerator, exps) -> "RationalFunction":
         """From canonical fields, without checks."""
         self = object.__new__(cls)
-        self._c, self._n, self._e = content, numerator, exps
+        self._set(content, numerator, exps)
         return self
+
+    def _set(self, content, numerator: tuple, exps: tuple) -> None:
+        object.__setattr__(self, "_c", content)
+        object.__setattr__(self, "_n", numerator)
+        object.__setattr__(self, "_e", exps)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"RationalFunction is read-only: cannot set {name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(
+            f"RationalFunction is read-only: cannot delete {name}")
 
     @property
     def num(self) -> Poly:

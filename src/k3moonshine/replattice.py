@@ -183,35 +183,30 @@ def sufficiency_scan(lattices, N: IntegerLattice):
     N, and every triple (1-based, increasing) whose intersection is N.
 
     N must be of full rank and lie in every N_i (``ValueError``
-    otherwise).  Each pair P = N_i & N_j (i < j below the last index) is
-    intersected once; a family P, Q then cuts out N iff
-    det(P + Q) det(N) = det(P) det(Q), with det the product of HNF pivots,
-    since det(P & Q) det(P + Q) = det(P) det(Q) for full-rank P, Q and N
-    lies in P & Q.  So a triple costs one HNF of stacked bases, P + N_k,
-    and a quadruple {1, j, 5, 6} one of (N_1 & N_j) + (N_5 & N_6).
+    otherwise).  The question lives in the finite group Z^8 / N: a family
+    cuts out N iff its intersection is trivial modulo N.  A nontrivial
+    subgroup has an element of prime order p, and with it the whole
+    F_p-line through that element.  So each point of
+    ``N.prime_order_points()`` (one per line of (Z^8 / N)[p]) is tagged
+    with the bitmask of the N_i that contain it, and a family cuts out N
+    iff no tag contains all of the family's bits.
     """
     if N.rank != N.ambient:
         raise ValueError("N is not of full rank")
     if not all(lat.contains_lattice(N) for lat in lattices):
         raise ValueError("N does not lie in every lattice of the family")
-    det_n = N.determinant
+    tags = [sum(1 << i for i, lat in enumerate(lattices) if lat.contains(x))
+            for x in N.prime_order_points()]
 
-    def with_det(lat: IntegerLattice) -> tuple:
-        return lat, lat.determinant
+    def reaches(idxs) -> bool:
+        bits = sum(1 << i for i in idxs)
+        return not any(tag & bits == bits for tag in tags)
 
-    def reaches(a: tuple, b: tuple) -> bool:
-        total = IntegerLattice(N.ambient, a[0].basis + b[0].basis)
-        return total.determinant * det_n == a[1] * b[1]
-
-    members = [with_det(lat) for lat in lattices]
-    pairs = {(i, j): with_det(lattices[i].intersect(lattices[j]))
-             for i, j in combinations(range(len(lattices) - 1), 2)}
     triples_reaching = [
-        (i + 1, j + 1, k + 1) for (i, j), pair in pairs.items()
-        for k in range(j + 1, len(lattices)) if reaches(pair, members[k])]
-    # in ``pairs`` unless the family has fewer than seven lattices
-    pair_56 = pairs.get((4, 5)) or with_det(lattices[4].intersect(lattices[5]))
-    four_ok = {(1, j + 1, 5, 6): reaches(pairs[0, j], pair_56)
+        (i + 1, j + 1, k + 1)
+        for i, j, k in combinations(range(len(lattices)), 3)
+        if reaches((i, j, k))]
+    four_ok = {(1, j + 1, 5, 6): reaches((0, j, 4, 5))
                for j in (1, 2, 3)}  # groups no. 2, 3, 4 (0-based 1..3)
     return four_ok, triples_reaching
 

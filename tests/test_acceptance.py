@@ -40,6 +40,14 @@ def test_criterion_4_split_and_weighted_form():
     _check(acc.check_4_theorem_split, q_order=6)
 
 
+def test_criteria_3_and_4_below_q4():
+    # the equivariant genera are still read at q^4, and the detail names
+    # the q-order the genus was checked to
+    assert acc.check_3_elliptic_genus(q_order=1) == \
+        (True, "to q^1 and all classes")
+    _check(acc.check_4_theorem_split, q_order=1)
+
+
 def test_criterion_5_appell_lerch_engine():
     _check(acc.check_5_appell_lerch)
 

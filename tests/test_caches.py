@@ -1,0 +1,69 @@
+"""Every ``lru_cache``d builder in the package serves one shared, read-only
+object: a repeat call returns the same object, and that object refuses
+attribute assignment, so no caller can change what later callers get."""
+
+import importlib
+import pkgutil
+
+import pytest
+
+import k3moonshine
+
+# One small argument tuple per memoized builder; a builder missing here
+# fails ``test_every_cached_builder_is_listed``.
+SAMPLE_ARGS = {
+    "cyclotomic._power_reduction": (5,),
+    "cyclotomic._galois_rows": (5, 2),
+    "cyclotomic._zeta_traces": (5,),
+    "qpoly._cyclotomic_coeffs": (6,),
+    "modforms.eta_power": (-3, 48),
+    "modforms.weak_jacobi_phi": (0, 48),
+    "genus.rational_form": ("5A",),
+    "genus._fixed_point_term": (3, 48),
+    "genus.equivariant_elliptic_genus": ("3A", 48),
+    "n4char.g_sum": (1, 48),
+    "n4char.h_series": (2, 48),
+    "n4char._theta_and_polar_quotient": (48,),
+    "n4char._typical_row": (2, 3),
+    "mill.class_data": ("M23",),
+    "tables.load_m23": (),
+    "tables.load_m24": (),
+    "tables.load_mukai": (1,),
+    "tables.load_co0_restricted": (),
+}
+
+
+def _cached_builders() -> dict:
+    found = {}
+    for info in pkgutil.iter_modules(k3moonshine.__path__):
+        module = importlib.import_module(f"k3moonshine.{info.name}")
+        for name, obj in vars(module).items():
+            if (callable(obj) and hasattr(obj, "cache_info")
+                    and obj.__module__ == module.__name__):
+                found[f"{info.name}.{name}"] = obj
+    return found
+
+
+def _assert_read_only(obj):
+    if isinstance(obj, tuple):
+        for item in obj:
+            _assert_read_only(item)
+    names = {"cache_probe"}
+    for cls in type(obj).__mro__:
+        slots = getattr(cls, "__slots__", ())
+        names.update((slots,) if isinstance(slots, str) else slots)
+    for name in sorted(names):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, None)
+
+
+def test_every_cached_builder_is_listed():
+    assert sorted(_cached_builders()) == sorted(SAMPLE_ARGS)
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLE_ARGS))
+def test_cached_builder_serves_one_read_only_object(name):
+    builder = _cached_builders()[name]
+    first = builder(*SAMPLE_ARGS[name])
+    assert builder(*SAMPLE_ARGS[name]) is first
+    _assert_read_only(first)

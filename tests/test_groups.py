@@ -7,8 +7,9 @@ from dixon_oracle import (
     charpoly_roots_by_scan, conjugacy_by_mul, roots_by_scan,
 )
 from k3moonshine.groups import (
-    MatrixGroup, PermGroup, _charpoly_roots, _dixon_prime, _roots_mod,
-    conjugacy_classes, enumerate_group, rational_character_table,
+    MatrixGroup, PermGroup, _charpoly_roots, _dixon_prime, _max_finite_order,
+    _roots_mod, conjugacy_classes, element_order, enumerate_group,
+    rational_character_table,
 )
 from k3moonshine.mukai import MUKAI_GROUPS, build_group, mukai_table
 
@@ -183,9 +184,23 @@ def test_non_unimodular_integer_generator_rejected_promptly():
         # det 2: an orbit walk would double e_1 until the enumeration limit
         with pytest.raises(ValueError, match="determinant"):
             MatrixGroup(2, [((2, 0), (0, 1))], p=0)
-        # det 1 but of infinite order: the walk stops at the limit
-        with pytest.raises(RuntimeError, match="too large"):
-            MatrixGroup(2, [((1, 1), (0, 1))], p=0)
+        # det 1 but of infinite order, with linearly and with exponentially
+        # growing entries: no power up to the order bound is the identity
+        for gen in (((1, 1), (0, 1)), ((2, 1), (1, 1))):
+            with pytest.raises(RuntimeError, match="too large"):
+                MatrixGroup(2, [gen], p=0)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def test_max_finite_order_of_gl_n_z():
+    # the largest lcm of a set of m >= 2 with sum phi(m) <= n (OEIS A005417)
+    assert [_max_finite_order(n) for n in range(1, 11)] == \
+        [2, 6, 6, 12, 12, 30, 30, 60, 60, 120]
+    # the integral model of T192 passes the bound check, and its element
+    # orders stay within the bound
+    g = build_group(7)
+    assert g.p == 0
+    assert max(element_order(g, x) for x in enumerate_group(g)) <= \
+        _max_finite_order(g.dim)

@@ -123,6 +123,34 @@ def test_weak_jacobi_phi_is_memoized_and_read_only():
         del first.terms[(0, 2, 0)]
 
 
+def _phi_by_division(weight, trunc24):
+    """The weak Jacobi forms on their former routes: theta1^2 over Q(i)
+    times eta^-6, and three long divisions theta_k^2 / theta_k(0)^2."""
+    if weight == -2:
+        sq = jacobi_theta(1, trunc24 + 6) ** 2
+        return (sq * eta_power(-6, trunc24 + 6)).truncate(trunc24).as_rational()
+    t = trunc24 + 12
+    total = TruncatedSeries.zero(trunc24)
+    for kind in (2, 3, 4):
+        num = jacobi_theta(kind, t) ** 2
+        den = theta_null(kind, t) ** 2
+        total = total + num.divide_exact(den).truncate(trunc24)
+    return total * 4
+
+
+@pytest.mark.parametrize("weight", (0, -2))
+@pytest.mark.parametrize("t", (144, 192, 648))
+def test_weak_jacobi_phi_truncation_is_sound(weight, t):
+    # T against T + 24: the stated truncation is sound, and the integral
+    # routes agree term by term with the division routes
+    phi = weak_jacobi_phi(weight, t)
+    assert phi.trunc24 == t
+    assert dict(weak_jacobi_phi(weight, t + 24).truncate(t).terms) == \
+        dict(phi.terms)
+    assert dict(_phi_by_division(weight, t).terms) == dict(phi.terms)
+    assert all(type(c) is int for c in phi.terms.values())
+
+
 def test_phi_m21_normalization():
     phi = weak_jacobi_phi(-2, 4 * 24)
     assert phi.coeff(0, y=1) == -1

@@ -2,6 +2,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gcd_oracle import m_chi_by_gcd
 from k3moonshine.chartab import CharacterTable
@@ -126,6 +127,34 @@ def test_sufficiency_scan_on_a_family_with_reaching_triples():
     # x_7 by group 2, group 3, or groups 4 and 8 together
     assert triples == [t for t in combinations(range(1, 9), 3)
                        if 7 in t and (2 in t or 3 in t or {4, 8} <= set(t))]
+
+
+def _divisors(m):
+    return [d for d in range(1, m + 1) if m % d == 0]
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_sufficiency_scan_matches_the_oracle_on_random_families(data):
+    # N imposes x_i = 0 mod n_i; two moduli share a prime p, so Z^8 / N has
+    # p-rank >= 2, and one carries a prime q >= 5
+    p = data.draw(st.sampled_from((2, 3)))
+    q = data.draw(st.sampled_from((5, 7)))
+    n = data.draw(st.lists(st.sampled_from((1, 2, 3, 4, 6)),
+                           min_size=8, max_size=8))
+    n[0] *= p
+    n[1] *= p
+    n[2] *= q
+    # each member imposes a divisor of n_i, often n_i itself, so that some
+    # subfamilies cut out N and others fall short
+    family = [
+        {i: m if data.draw(st.booleans())
+         else data.draw(st.sampled_from(_divisors(m)))
+         for i, m in enumerate(n)}
+        for _ in range(data.draw(st.integers(6, 8)))]
+    lattices = [_congruence_lattice(c) for c in family]
+    N = _congruence_lattice(dict(enumerate(n)))
+    assert sufficiency_scan(lattices, N) == _scan_from_scratch(lattices, N)
 
 
 def test_sufficiency_scan_rejects_an_unfit_N():
