@@ -239,7 +239,8 @@ def check_9_table2(t_order: int = 21, **_) -> tuple:
     from .replattice import m23_table2, m_chi_rational
     m23 = load_m23()
     forms, cols = m23_table2(m23, t_order)
-    for n in range(min(t_order, 21)):
+    rows = min(t_order, 21)
+    for n in range(rows):
         row = tuple(int(cols[j][n]) for j in range(17))
         if row != TABLE2_ROWS[n]:
             return False, f"row {n}: {row}"
@@ -251,7 +252,8 @@ def check_9_table2(t_order: int = 21, **_) -> tuple:
         return False, f"m_chi1 pole {pole1}"
     if not all(pole < 0 for _, pole in mchi.values()):
         return False, "c_chi signs"
-    return True, "rows 0..20 and the multiplicity functions"
+    checked = f"rows 0..{rows - 1}" if rows > 1 else "row 0"
+    return True, f"{checked} and the multiplicity functions"
 
 
 def check_10_audit(**_) -> tuple:

@@ -118,6 +118,21 @@ def _galois_rows(n: int, a: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
+def _galois_sum_rows(n: int, weights: tuple) -> tuple[tuple[int, ...], ...]:
+    """The map sum_(a, w) w * sigma_a on the power basis, for integer
+    weights w: row k is the image of zeta^k, an integer matrix."""
+    phi = euler_phi(n)
+    out = [[0] * phi for _ in range(phi)]
+    for a, w in weights:
+        if gcd(a, n) != 1:
+            raise DomainError(f"{a} is not a unit modulo {n}")
+        for row, image in zip(out, _galois_rows(n, a % n)):
+            for j, x in enumerate(image):
+                row[j] += w * x
+    return tuple(map(tuple, out))
+
+
+@lru_cache(maxsize=None)
 def _zeta_traces(n: int) -> tuple[int, ...]:
     """Trace of zeta_n^k over Q for k = 0..phi(n)-1.
 
@@ -309,9 +324,13 @@ class CyclotomicNumber:
 
     def galois(self, a: int) -> "CyclotomicNumber":
         """Apply the automorphism zeta -> zeta^a, gcd(a, n) = 1."""
-        if gcd(a, self.n) != 1:
-            raise DomainError(f"{a} is not a unit modulo {self.n}")
-        rows = _galois_rows(self.n, a % self.n)
+        return self.galois_sum(((a, 1),))
+
+    def galois_sum(self, weights: tuple) -> "CyclotomicNumber":
+        """sum w * sigma_a(self) over the pairs (a, w) of ``weights``, a
+        tuple of units a modulo n with integer weights w: one product with
+        the memoized integer matrix of the whole sum."""
+        rows = _galois_sum_rows(self.n, weights)
         return CyclotomicNumber(self.n, _combine(rows, self.c, len(self.c)))
 
     def trace(self):

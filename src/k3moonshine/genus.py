@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .cyclotomic import CyclotomicNumber, zeta
+from .cyclotomic import CyclotomicNumber, DomainError, zeta
 from .qpoly import RationalFunction, cyclotomic_product, reconstruct_rational
 from .records import Record, set_field
 from .series import (
@@ -93,20 +93,18 @@ def chi_symt_series(label: str, terms: int) -> list[Fraction]:
     n = CLASS_ORDER[label]
     if n == 1:
         return [chi_sym_power(k) for k in range(terms)]
+    # the pair of zeta_n^a contributes sigma_a of the zeta_n term, so each
+    # coefficient is one Table-1 Galois sum of that term
+    pairs = FIXED_POINT_EIGENVALUES[n]
+    dinv = ((1 - zeta(n, 1)) * (1 - zeta(n, n - 1))).inverse()
     out = []
-    pieces = []
-    for a, mult in FIXED_POINT_EIGENVALUES[n]:
-        dinv = ((1 - zeta(n, a)) * (1 - zeta(n, n - a))).inverse()
-        pieces.append((a, dinv * mult))
     for k in range(terms):
-        total = CyclotomicNumber.from_rational(n, 0)
-        for a, weight in pieces:
-            # sum_i lam^(2i - k) with lam = zeta_n^a, as counts of n-th roots
-            counts = [0] * n
-            for i in range(k + 1):
-                counts[a * (2 * i - k) % n] += 1
-            total = total + weight * CyclotomicNumber.from_root_counts(n, counts)
-        out.append(total.rational_value())
+        # sum_i zeta_n^(2i - k), as counts of n-th roots
+        counts = [0] * n
+        for i in range(k + 1):
+            counts[(2 * i - k) % n] += 1
+        term = dinv * CyclotomicNumber.from_root_counts(n, counts)
+        out.append(term.galois_sum(pairs).rational_value())
     return out
 
 
@@ -214,32 +212,31 @@ def _fixed_point_term(n: int, trunc24: int) -> TruncatedSeries:
     return numerator.divide_exact(theta1_u_sq)
 
 
-def _galois_conjugate(s: TruncatedSeries, a: int) -> TruncatedSeries:
-    """Apply zeta -> zeta^a to every coefficient of a cyclotomic series."""
-    return TruncatedSeries({k: c.galois(a) for k, c in s.terms.items()},
-                           s.trunc24, _clean=True)
-
-
 @lru_cache(maxsize=None)
 def equivariant_elliptic_genus(label: str, trunc24: int) -> TruncatedSeries:
     """chi_{-y}(g; q, LX) from the fixed-point formula over Table-1 data.
 
     Sums mult * sigma_a(term) over the Table-1 eigenvalue pairs, where
-    term is the memoized fixed-point term of zeta_n.  Memoized per process
-    on the exact arguments (the series is read-only).
+    term is the memoized fixed-point term of zeta_n: each coefficient goes
+    once through the integer matrix of the whole sum, and every
+    non-rational coordinate of the result must vanish.  Memoized per
+    process on the exact arguments (the series is read-only).
     """
     n = CLASS_ORDER[label]
     if n == 1:
         return elliptic_genus(trunc24)
     term = _fixed_point_term(n, trunc24)
-    total = TruncatedSeries.zero(trunc24)
-    for a, mult in FIXED_POINT_EIGENVALUES[n]:
-        total = total + _galois_conjugate(term, a) * mult
+    pairs = FIXED_POINT_EIGENVALUES[n]
+    out = {}
     try:
-        return total.as_rational()
-    except Exception as exc:  # pragma: no cover - corrupted data guard
+        for key, c in term.terms.items():
+            value = c.galois_sum(pairs).rational_value()
+            if value:
+                out[key] = value
+    except DomainError as exc:  # pragma: no cover - corrupted data guard
         raise ArithmeticError(
             f"fixed-point sum for {label} is not rational: {exc}") from exc
+    return TruncatedSeries(out, trunc24, _clean=True)
 
 
 def weighted_equivariant_genus(label: str, trunc24: int) -> TruncatedSeries:
@@ -262,8 +259,11 @@ def jacobi_split(s: TruncatedSeries):
     """Write s = a * phi_{0,1} + h(q) * phi_{-2,1}.
 
     ``a`` is read off the Euler specialization (value/12, the paper's
-    "y = -1" anchor) and must be consistent at every computed order; ``h``
-    is determined order by order and the residual must vanish exactly.
+    "y = -1" anchor) and must be consistent at every computed order.  ``h``
+    is y-free, so it is the quotient of the y^0 columns of s - a phi_{0,1}
+    and phi_{-2,1}; the reconstruction must then match s exactly, and the
+    first order where it does not is the first order where s leaves the
+    span.
     """
     if s.is_zero():
         return 0, s
@@ -284,14 +284,17 @@ def jacobi_split(s: TruncatedSeries):
     phi0 = weak_jacobi_phi(0, s.trunc24)
     phim2 = weak_jacobi_phi(-2, s.trunc24)
     rem = s - phi0 * a
-    h = rem.divide_exact(phim2)
-    if not h.is_y_free() or not h.is_z_free():
-        bad = min(q24 for (q24, y2, z) in h.terms if y2 or z)
-        raise NotInSpanError("split quotient depends on y", q24=bad)
+    # rem / phi_{-2,1} is known below this order
+    known = min(rem.trunc24, phim2.trunc24
+                + (rem.min_q24 if rem.terms else rem.trunc24))
+    column = rem.y_coefficient(0).z_coefficient(0)
+    h = column.divide_exact(phim2.y_coefficient(0)).truncate(known)
     # exact reconstruction up to the guaranteed truncation
     recon = phi0 * a + h * phim2
-    if recon != s.truncate(min(recon.trunc24, s.trunc24)):
-        raise NotInSpanError("reconstruction mismatch", q24=None)
+    residual = s.truncate(min(recon.trunc24, s.trunc24)) - recon
+    if residual.terms:
+        raise NotInSpanError("series is not a phi_{0,1} + h(q) phi_{-2,1}",
+                             q24=residual.min_q24)
     return a, h
 
 

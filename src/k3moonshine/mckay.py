@@ -245,11 +245,15 @@ def f_series(label: str, trunc24: int) -> TruncatedSeries:
 
 
 def twining_genus(label: str, trunc24: int) -> TruncatedSeries:
-    """e(g)/12 phi_{0,1} + f_g phi_{-2,1} for any supported class."""
+    """e(g)/12 phi_{0,1} + f_g phi_{-2,1} for any supported class.
+
+    phi_{0,1} is built only for a class with fixed points (e(g) != 0).
+    """
     e = exact_quotient(euler_character_value(label), 12)
-    phi0 = weak_jacobi_phi(0, trunc24)
-    phim2 = weak_jacobi_phi(-2, trunc24)
-    return phi0 * e + f_series(label, trunc24) * phim2
+    split = f_series(label, trunc24) * weak_jacobi_phi(-2, trunc24)
+    if not e:
+        return split
+    return weak_jacobi_phi(0, trunc24) * e + split
 
 
 # -- the data file -----------------------------------------------------------------

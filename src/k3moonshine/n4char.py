@@ -262,11 +262,17 @@ def _typical_combo(N: int, trunc24: int) -> TruncatedSeries:
             + h_series(N + 3, trunc24) * 2 - h_series(N + 4, trunc24))
 
 
+@lru_cache(maxsize=None)
+def _typical_prefactor(trunc24: int) -> TruncatedSeries:
+    """theta3^2 / eta^3, the shape of every typical NS character.
+    Memoized per process on the truncation (the series is read-only)."""
+    return jacobi_theta(3, trunc24) ** 2 * eta_power(-3, trunc24)
+
+
 def ch_vn_h_form(N: int, trunc24: int) -> TruncatedSeries:
     """ch_{V_N} assembled from the Fourier parts h_N and the polar part."""
     t = trunc24 + 6
-    typ = jacobi_theta(3, t) ** 2 * eta_power(-3, t)
-    out = (typ * _typical_combo(N, t)).truncate(trunc24)
+    out = (_typical_prefactor(t) * _typical_combo(N, t)).truncate(trunc24)
     a = _atypical_coefficient(N)
     if a:
         out = out + atypical_ns(trunc24) * a
@@ -302,22 +308,31 @@ class N4Multiplicities(Record):
 
 
 @lru_cache(maxsize=None)
-def _theta_and_polar_quotient(t: int) -> tuple:
-    """theta3, polar_part / theta3 at t + 12 and the quotient's first
-    y-dependent key, per input truncation t."""
-    theta = jacobi_theta(3, t + 12)
-    quotient = polar_part(t + 12).divide_exact(theta)
-    lead = min((k for k in quotient.terms if k[1] or k[2]), default=None)
-    return theta, quotient, lead
+def _theta_and_polar(t: int) -> tuple:
+    """theta3 and the polar part at t + 12, per input truncation t."""
+    return jacobi_theta(3, t + 12), polar_part(t + 12)
+
+
+@lru_cache(maxsize=None)
+def _polar_lead() -> tuple:
+    """The first y-dependent key of polar_part / theta3, (9, -2, 0), and
+    its coefficient: constants of the quotient, read below q^1."""
+    quotient = polar_part(24).divide_exact(jacobi_theta(3, 24))
+    lead = min(k for k in quotient.terms if k[1] or k[2])
+    return lead, quotient.terms[lead]
 
 
 def decompose_into_n4(s: TruncatedSeries, sector: str = "NS") -> N4Multiplicities:
     """Solve s = a * atypical + sum_h mult(h) ch_h, exactly to truncation.
 
-    The atypical coefficient is determined by requiring the typical
-    quotient (s - a*atypical) * eta^3 / theta^2 to be y-independent; it is
-    read at the polar quotient's first y-dependent term, so an input that
-    ends before that term raises InsufficientPrecisionError.  Ramond-sector
+    With u = s * eta^3 / theta3, the typical quotient
+    h = (u - a * polar) / theta3 must be y-independent.  ``a`` is read at
+    the first y-dependent term of polar / theta3, from u / theta3 cut just
+    past it, so an input that ends before that term raises
+    InsufficientPrecisionError.  theta3 = 1 + O(q^(1/2)) has y^0 column 1,
+    so h is the y^0 column of u - a * polar, and u - a * polar - theta3 * h
+    must vanish: its lowest term is the lowest y-dependent term of the
+    quotient, which raises NotInSpanError at that order.  Ramond-sector
     input is flowed back to NS (the multiplicities agree sector-wise) and
     the result is reconstruction-checked.
     """
@@ -327,18 +342,21 @@ def decompose_into_n4(s: TruncatedSeries, sector: str = "NS") -> N4Multiplicitie
     if sector != "NS":
         raise ValueError("sector must be 'NS' or 'R'")
     t = s.trunc24
-    theta, p_over_theta, lead = _theta_and_polar_quotient(t)
+    theta, polar = _theta_and_polar(t)
+    lead, lead_coeff = _polar_lead()
     u = (s * eta_power(3, t + 12)).divide_exact(theta)
-    h_full = u.divide_exact(theta)
-    if lead is None or lead[0] >= h_full.trunc24:
+    # theta3 = 1 + O(q^(1/2)) is known past u's truncation, so u / theta3,
+    # and with it h, is known as far as u
+    if lead[0] >= u.trunc24:
         raise InsufficientPrecisionError(
             "input ends before the atypical coefficient can be read")
-    a = exact_quotient(h_full.terms.get(lead, 0), p_over_theta.terms[lead])
-    h = h_full - p_over_theta * a
-    bad = [k for k in h.terms if k[1] or k[2]]
-    if bad:
-        raise NotInSpanError("input is not in the N=4 span",
-                             q24=min(k[0] for k in bad))
+    head = u.truncate(lead[0] + 1).divide_exact(theta)
+    a = exact_quotient(head.terms.get(lead, 0), lead_coeff)
+    rest = u - polar * a
+    h = rest.y_coefficient(0).z_coefficient(0)
+    off = rest - theta * h
+    if off.terms:
+        raise NotInSpanError("input is not in the N=4 span", q24=off.min_q24)
     typical = {}
     for (q24, _y2, _z), c in h.terms.items():
         weight = Fraction(q24, 24) + Fraction(3, 8)

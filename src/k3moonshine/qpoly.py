@@ -146,10 +146,7 @@ class Poly:
         return self.divmod(other)[1]
 
     def eval(self, x) -> Fraction:
-        acc = _ZERO
-        for coeff in reversed(self.c):
-            acc = acc * x + coeff
-        return acc
+        return _ZERO + _horner(self.c, x)
 
     def is_palindromic(self) -> bool:
         return not self.is_zero() and self.c == tuple(reversed(self.c))
@@ -213,6 +210,14 @@ def _int_divexact(a, b):
             for j, y in lower:
                 rem[shift + j] -= c * y
     return None if any(rem[:db]) else q
+
+
+def _horner(coeffs, x):
+    """The polynomial with ascending ``coeffs`` at x, exactly."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
 
 
 @lru_cache(maxsize=None)
@@ -419,20 +424,23 @@ class RationalFunction:
         Requires (t-at)^order to divide the denominator exactly and the
         remaining denominator to be nonzero at the point.  The only
         rational roots of a cyclotomic product are t = 1 (Phi_1) and
-        t = -1 (Phi_2), so the order is read off the exponent map.
+        t = -1 (Phi_2), so the order is read off the exponent map.  The
+        integer polynomials are evaluated by Horner's rule, on ints when
+        ``at`` is an integer.
         """
         x = Fraction(at)
+        x = x.numerator if x.denominator == 1 else x
         d = {1: 1, -1: 2}.get(x)
         exps = dict(self._e)
         if order > exps.get(d, 0):
             raise ValueError(f"(t - {at})^{order} does not divide denominator")
         if order < exps.get(d, 0):
             raise ValueError("pole order higher than requested")
-        rest = _ONE
+        rest = 1
         for dd, e in self._e:
             if dd != d:
-                rest *= cyclotomic_poly(dd).eval(x) ** e
-        return self._c * Poly(self._n).eval(x) / rest
+                rest *= _horner(_cyclotomic_coeffs(dd), x) ** e
+        return self._c * Fraction(_horner(self._n, x), rest)
 
     def __repr__(self):
         return f"RationalFunction({self.num!r}, {self.den!r})"

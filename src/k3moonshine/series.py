@@ -429,6 +429,12 @@ class TruncatedSeries:
             {(q24, y2, 0): c for (q24, y2, zz), c in self.terms.items() if zz == z},
             self.trunc24, _clean=True)
 
+    def y_coefficient(self, y2: int) -> "TruncatedSeries":
+        """The coefficient of y^(y2/2), a series in q and z."""
+        return TruncatedSeries(
+            {(q24, 0, z): c for (q24, yy, z), c in self.terms.items() if yy == y2},
+            self.trunc24, _clean=True)
+
     def y_mirror(self) -> "TruncatedSeries":
         """Substitute y -> 1/y."""
         return TruncatedSeries(

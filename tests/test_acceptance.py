@@ -16,6 +16,14 @@ published number; it does not claim that this lattice is the paper's K''.
 ``check_8_lattices`` still reports the published 2 as not reproduced.
 """
 
+import json
+import os
+import random
+import subprocess
+import sys
+
+import pytest
+
 from k3moonshine import acceptance as acc
 
 
@@ -155,6 +163,13 @@ def test_criterion_9_multiplicity_table():
     _check(acc.check_9_table2, t_order=21)
 
 
+@pytest.mark.parametrize("t_order, rows", [(1, "row 0"), (21, "rows 0..20"),
+                                           (30, "rows 0..20")])
+def test_criterion_9_detail_names_the_rows_checked(t_order, rows):
+    assert acc.check_9_table2(t_order=t_order) == \
+        (True, f"{rows} and the multiplicity functions")
+
+
 def test_criterion_10_integrality_audit():
     _check(acc.check_10_audit)
 
@@ -168,3 +183,43 @@ def test_criterion_11_property_suites():
     props.test_triple_product_identity()
     props.test_spectral_flow_roundtrip_random()
     props.test_y_independence_residuals_on_character_span()
+
+
+_ORDER_SCRIPT = """
+import json, random, sys
+from k3moonshine import acceptance
+checks = list(acceptance.CHECKS)
+order = sys.argv[1]
+if order == "reversed":
+    checks.reverse()
+elif order == "shuffled":
+    random.Random(17).shuffle(checks)
+out = {}
+for name, fn in checks:
+    ok, detail = fn(q_order=6, t_order=21)
+    out[name] = [bool(ok), str(detail)]
+print(json.dumps(out, sort_keys=True))
+"""
+
+
+def test_criteria_do_not_depend_on_their_order():
+    # the memoized builders are shared between criteria; each order starts
+    # from a fresh process, so every cache starts empty
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    verdicts = {}
+    for order in ("default", "reversed", "shuffled"):
+        run = subprocess.run([sys.executable, "-c", _ORDER_SCRIPT, order],
+                             capture_output=True, text=True, env=env,
+                             timeout=300)
+        assert run.returncode == 0, run.stderr
+        verdicts[order] = json.loads(run.stdout)
+    assert verdicts["default"] == verdicts["reversed"] == verdicts["shuffled"]
+    assert len(verdicts["default"]) == len(acc.CHECKS)
+    shuffled = list(acc.CHECKS)
+    random.Random(17).shuffle(shuffled)
+    assert shuffled not in (list(acc.CHECKS), list(acc.CHECKS)[::-1])
+    failing = [name for name, (ok, _) in verdicts["default"].items() if not ok]
+    assert failing == ["8 lattice suite"]

@@ -14,6 +14,7 @@ import k3moonshine
 SAMPLE_ARGS = {
     "cyclotomic._power_reduction": (5,),
     "cyclotomic._galois_rows": (5, 2),
+    "cyclotomic._galois_sum_rows": (5, ((1, 2), (2, 2))),
     "cyclotomic._zeta_traces": (5,),
     "qpoly._cyclotomic_coeffs": (6,),
     "modforms.eta_power": (-3, 48),
@@ -23,7 +24,9 @@ SAMPLE_ARGS = {
     "genus.equivariant_elliptic_genus": ("3A", 48),
     "n4char.g_sum": (1, 48),
     "n4char.h_series": (2, 48),
-    "n4char._theta_and_polar_quotient": (48,),
+    "n4char._theta_and_polar": (48,),
+    "n4char._polar_lead": (),
+    "n4char._typical_prefactor": (48,),
     "n4char._typical_row": (2, 3),
     "mill.class_data": ("M23",),
     "tables.load_m23": (),

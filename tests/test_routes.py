@@ -1,0 +1,273 @@
+"""The one-column, one-matrix routes against their full-division oracles.
+
+``route_oracle`` keeps the routes the library replaced.  Every comparison
+here is exact: the same multiplicities, horizons, series and truncations,
+and on inputs outside the span the same exception type at the same q24.
+One split test pins the case where the routes differ: with two defects,
+the column route reports the earlier one.
+The truncation tests check that a result at T equals the result at
+T + 24 cut to T.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from k3moonshine.genus import (
+    SYMPLECTIC_CLASSES, chi_symt_series, elliptic_genus,
+    equivariant_elliptic_genus, jacobi_split,
+)
+from k3moonshine.mckay import (
+    GEOMETRIC_CLASSES, MOONSHINE_CLASSES, euler_character_value, f_series,
+    twining_genus,
+)
+from k3moonshine.modforms import weak_jacobi_phi
+from k3moonshine.n4char import (
+    ch_vn_h_form, decompose_into_n4, twining_truncation,
+)
+from k3moonshine.qpoly import Poly, RationalFunction
+from k3moonshine.series import (
+    InsufficientPrecisionError, NotInSpanError, TruncatedSeries,
+    exact_quotient,
+)
+from route_oracle import (
+    chi_symt_per_pair, decompose_two_divisions, jacobi_split_by_division,
+    pole_coefficient_in_fractions, table1_sum,
+)
+
+TWININGS = GEOMETRIC_CLASSES + MOONSHINE_CLASSES
+
+
+def _outcome(fn, *args):
+    """The result, or the exception type and q24 (None if it has none)."""
+    try:
+        return fn(*args)
+    except (NotInSpanError, InsufficientPrecisionError) as exc:
+        return type(exc), getattr(exc, "q24", None)
+
+
+def _same_series(a, b):
+    assert a.trunc24 == b.trunc24
+    assert dict(a.terms) == dict(b.terms)
+    assert [type(c) for c in a.terms.values()] == \
+        [type(b.terms[k]) for k in a.terms]
+
+
+def _ns_twining(label, t):
+    return twining_genus(label, t).spectral_flow(-1).substitute_y_sign()
+
+
+# -- the N=4 decomposition -----------------------------------------------------
+
+@pytest.mark.parametrize("n", range(11))
+def test_decompose_matches_two_divisions_on_table3(n):
+    s = ch_vn_h_form(n, 13 * 24)
+    dec = decompose_into_n4(s)
+    assert dec == decompose_two_divisions(s)
+    assert type(dec.atypical) is type(decompose_two_divisions(s).atypical)
+
+
+@pytest.mark.parametrize("t", (2 * 24, 8 * 24, 20 * 24))
+def test_decompose_matches_two_divisions_on_the_genus(t):
+    ns = elliptic_genus(t).spectral_flow(-1).substitute_y_sign()
+    assert decompose_into_n4(ns) == decompose_two_divisions(ns)
+
+
+@pytest.mark.parametrize("tmax", (6, 20))
+@pytest.mark.parametrize("label", TWININGS)
+def test_decompose_matches_two_divisions_on_the_twinings(label, tmax):
+    ns = _ns_twining(label, twining_truncation(tmax))
+    assert decompose_into_n4(ns) == decompose_two_divisions(ns)
+
+
+@pytest.mark.parametrize("n", (0, 1, 2, 5))
+def test_decompose_matches_two_divisions_in_the_ramond_sector(n):
+    r = ch_vn_h_form(n, 9 * 24).spectral_flow(+1)
+    assert decompose_into_n4(r, "R") == decompose_two_divisions(r, "R")
+
+
+@pytest.mark.parametrize("t", range(0, 31))
+def test_decompose_matches_two_divisions_at_the_precision_boundary(t):
+    # ch_vn_h_form(0, 6) ends before the massless term at q24 = 9
+    for n in (0, 1):
+        s = ch_vn_h_form(n, t)
+        assert _outcome(decompose_into_n4, s) == \
+            _outcome(decompose_two_divisions, s)
+    with pytest.raises(InsufficientPrecisionError):
+        decompose_into_n4(ch_vn_h_form(0, 6))
+
+
+PERTURBATIONS = (
+    (42, 2, 0), (66, -2, 0), (90, 4, 0), (18, 0, 1), (114, -4, 0),
+    (9, -2, 0), (42, 0, 0), (-6, 2, 0), (-30, 0, 0), (-30, 2, 0),
+)
+
+
+@pytest.mark.parametrize("key", PERTURBATIONS)
+@pytest.mark.parametrize("n", (0, 1, 3))
+def test_decompose_matches_two_divisions_off_the_span(n, key):
+    t = 7 * 24
+    s = ch_vn_h_form(n, t) + TruncatedSeries({key: 3}, t)
+    got = _outcome(decompose_into_n4, s)
+    assert got == _outcome(decompose_two_divisions, s)
+    if key[1] or key[2]:
+        # a y-dependent term leaves the span at its own order, read on
+        # the typical quotient's grid (eta^3 adds q^(1/8))
+        assert got == (NotInSpanError, key[0] + 3)
+
+
+# -- the Jacobi-form split -------------------------------------------------------
+
+def _split_inputs():
+    out = [elliptic_genus(6 * 24), weak_jacobi_phi(-2, 6 * 24)]
+    for label in SYMPLECTIC_CLASSES[1:]:
+        out.append(equivariant_elliptic_genus(label, 6 * 24))
+    for label in MOONSHINE_CLASSES:
+        out.append(twining_genus(label, 5 * 24))
+    return out
+
+
+def test_jacobi_split_matches_the_bivariate_division():
+    for s in _split_inputs():
+        a, h = jacobi_split(s)
+        a0, h0 = jacobi_split_by_division(s)
+        assert a == a0 and type(a) is type(a0)
+        _same_series(h, h0)
+
+
+def _poly(t, q24, coeffs):
+    """One q-order of a perturbation: coeffs maps y2 to a coefficient."""
+    return TruncatedSeries({(q24, y2, 0): c for y2, c in coeffs.items()}, t)
+
+
+SPLIT_PERTURBATIONS = (
+    {2: 1},                    # Euler value changes
+    {0: 5},                    # Euler value changes
+    {2: 1, 0: -1},             # y - 1: an indivisible slice
+    {-2: 1, 0: -1},            # 1/y - 1: an indivisible slice
+    {4: 1, 2: -2, 0: 1},       # (y - 1)^2: a y-dependent quotient
+    {2: 1, 0: -2, -2: 1},      # phi_{-2,1}'s lead: stays in the span
+    {1: 1, -1: -1},            # half-integral y-powers
+)
+
+
+@pytest.mark.parametrize("coeffs", SPLIT_PERTURBATIONS)
+@pytest.mark.parametrize("q24", (-24, 24, 72))
+def test_jacobi_split_matches_the_bivariate_division_off_the_span(q24, coeffs):
+    t = 5 * 24
+    s = equivariant_elliptic_genus("3A", t) + _poly(t, q24, coeffs)
+    got = _outcome(jacobi_split, s)
+    want = _outcome(jacobi_split_by_division, s)
+    if isinstance(want, tuple) and isinstance(want[0], type):
+        assert got == want
+    else:
+        assert got[0] == want[0]
+        _same_series(got[1], want[1])
+
+
+def test_jacobi_split_reports_the_first_order_off_the_span():
+    # A y-dependent quotient at q^1 and an indivisible slice at q^3: the
+    # bivariate division only raised at the indivisible slice; the column
+    # route reports the first order at which the input leaves the span.
+    t = 5 * 24
+    s = (equivariant_elliptic_genus("3A", t)
+         + _poly(t, 24, {4: 1, 2: -2, 0: 1}) + _poly(t, 72, {2: 1, 0: -1}))
+    assert _outcome(jacobi_split_by_division, s) == (NotInSpanError, 72)
+    assert _outcome(jacobi_split, s) == (NotInSpanError, 24)
+
+
+# -- the Table-1 Galois sums ---------------------------------------------------
+
+@pytest.mark.parametrize("label", SYMPLECTIC_CLASSES[1:])
+def test_equivariant_genus_matches_the_per_pair_sum(label):
+    for t in (24, 4 * 24, 6 * 24, 9 * 24):
+        _same_series(equivariant_elliptic_genus(label, t), table1_sum(label, t))
+
+
+@pytest.mark.parametrize("label", SYMPLECTIC_CLASSES)
+def test_chi_symt_series_matches_the_per_pair_sum(label):
+    got = chi_symt_series(label, 40)
+    want = chi_symt_per_pair(label, 40)
+    assert got == want
+    assert [type(x) for x in got] == [type(x) for x in want]
+
+
+# -- the pole coefficient ------------------------------------------------------
+
+def test_pole_coefficient_matches_the_fraction_evaluation():
+    from k3moonshine.replattice import m23_table2, m_chi_rational
+    from k3moonshine.tables import load_m23
+    m23 = load_m23()
+    forms, _ = m23_table2(m23, 21)
+    for m, pole in m_chi_rational(m23, forms).values():
+        want = pole_coefficient_in_fractions(m, 1, 4)
+        assert pole == want and type(pole) is Fraction
+    f = RationalFunction(Poly((3, -1, 4)), {1: 2, 2: 1, 3: 2, 7: 1})
+    for at, order in ((1, 2), (-1, 1), (Fraction(1, 2), 0), (3, 0)):
+        got = f.pole_coefficient(at, order)
+        assert got == pole_coefficient_in_fractions(f, at, order)
+        assert type(got) is Fraction
+
+
+# -- phi_{0,1} is built only where its weight is nonzero ------------------------
+
+@pytest.mark.parametrize("label", TWININGS)
+def test_twining_genus_matches_the_full_sum(label):
+    t = twining_truncation(6)
+    e = exact_quotient(euler_character_value(label), 12)
+    want = (weak_jacobi_phi(0, t) * e
+            + f_series(label, t) * weak_jacobi_phi(-2, t))
+    _same_series(twining_genus(label, t), want)
+
+
+def test_criterion_10_builds_no_zero_weighted_phi0(monkeypatch):
+    from k3moonshine import acceptance, mckay
+    built = []
+
+    def recording(weight, trunc24):
+        built.append((weight, trunc24))
+        return weak_jacobi_phi(weight, trunc24)
+
+    monkeypatch.setattr(mckay, "weak_jacobi_phi", recording)
+    assert acceptance.check_10_audit()[0]
+    t20 = twining_truncation(20)
+    assert (-2, t20) in built
+    assert (0, t20) not in built
+    assert (0, twining_truncation(6)) in built
+
+
+# -- truncation: the result at T is the result at T + 24 cut to T -------------
+
+def _cut(dec, horizon):
+    return {h: c for h, c in dec.typical.items()
+            if 24 * (h - Fraction(3, 8)) < horizon}
+
+
+@pytest.mark.parametrize("t", (4 * 24, 7 * 24, 13 * 24))
+def test_decompose_truncation_is_sound(t):
+    inputs = [(ch_vn_h_form(n, t), ch_vn_h_form(n, t + 24))
+              for n in (0, 1, 4)]
+    inputs.append((_ns_twining("11A", t), _ns_twining("11A", t + 24)))
+    for low, high in inputs:
+        a, b = decompose_into_n4(low), decompose_into_n4(high)
+        assert a.atypical == b.atypical
+        assert a.horizon24 < b.horizon24
+        assert _cut(b, a.horizon24) == dict(a.typical)
+
+
+@pytest.mark.parametrize("t", (24, 4 * 24, 8 * 24))
+@pytest.mark.parametrize("label", SYMPLECTIC_CLASSES)
+def test_equivariant_genus_truncation_is_sound(label, t):
+    low = equivariant_elliptic_genus(label, t)
+    high = equivariant_elliptic_genus(label, t + 24)
+    assert low.trunc24 == t
+    _same_series(high.truncate(t), low)
+
+
+@pytest.mark.parametrize("t", (2 * 24, twining_truncation(6)))
+@pytest.mark.parametrize("label", TWININGS)
+def test_twining_genus_truncation_is_sound(label, t):
+    low = twining_genus(label, t)
+    high = twining_genus(label, t + 24)
+    assert low.trunc24 == t
+    _same_series(high.truncate(t), low)
