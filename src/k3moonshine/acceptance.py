@@ -15,7 +15,7 @@ import time
 from fractions import Fraction
 
 from .qpoly import Poly, RationalFunction
-from .records import Record, set_field
+from .records import Record
 from .modforms import euler_specialization, jacobi_theta
 from .genus import (
     SYMPLECTIC_CLASSES, chern_root_elliptic_genus, chi_symt_series,
@@ -289,15 +289,6 @@ class CriterionResult(Record):
     """One criterion's verdict; ``error`` holds the exception of an ERROR."""
 
     __slots__ = ("criterion", "status", "ok", "detail", "seconds", "error")
-
-    def __init__(self, criterion: str, status: str, ok: bool, detail: str,
-                 seconds: float, error: Exception | None = None):
-        set_field(self, "criterion", criterion)
-        set_field(self, "status", status)
-        set_field(self, "ok", ok)
-        set_field(self, "detail", detail)
-        set_field(self, "seconds", seconds)
-        set_field(self, "error", error)
 
 
 def run_criteria(q_order: int = 6, t_order: int = 21):

@@ -27,9 +27,9 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import mul
 
-from .records import Record, set_field
+from .records import Record
 
-__all__ = ["CharacterTable", "TableFormatError"]
+__all__ = ["CharacterTable", "TableFormatError", "format_rational"]
 
 
 class TableFormatError(ValueError):
@@ -39,22 +39,9 @@ class TableFormatError(ValueError):
 class ClassEntry(Record):
     __slots__ = ("label", "order", "size", "merged")
 
-    def __init__(self, label: str, order: int, size: int, merged: int = 1):
-        set_field(self, "label", label)
-        set_field(self, "order", order)
-        set_field(self, "size", size)
-        set_field(self, "merged", merged)
-
 
 class CharacterEntry(Record):
     __slots__ = ("name", "orbit_size", "degree", "values")
-
-    def __init__(self, name: str, orbit_size: int, degree: int,
-                 values: tuple):
-        set_field(self, "name", name)
-        set_field(self, "orbit_size", orbit_size)
-        set_field(self, "degree", degree)
-        set_field(self, "values", values)
 
 
 class CharacterTable(Record):
@@ -63,11 +50,8 @@ class CharacterTable(Record):
 
     __slots__ = ("group", "order", "classes", "characters")
 
-    def __init__(self, group: str, order: int, classes=(), characters=()):
-        set_field(self, "group", group)
-        set_field(self, "order", order)
-        set_field(self, "classes", tuple(classes))
-        set_field(self, "characters", tuple(characters))
+    def __init__(self, group: str, order: int, classes, characters):
+        super().__init__(group, order, tuple(classes), tuple(characters))
 
     # -- access -----------------------------------------------------------
 
@@ -76,11 +60,6 @@ class CharacterTable(Record):
             if c.label == label:
                 return i
         raise KeyError(f"{self.group}: no class labeled {label}")
-
-    @property
-    def n_irreducibles(self) -> int:
-        """Number of complex irreducibles (orbit sizes summed)."""
-        return sum(ch.orbit_size for ch in self.characters)
 
     # -- validation ---------------------------------------------------------
 
@@ -147,7 +126,7 @@ class CharacterTable(Record):
             lines.append(f"class {c.label} {c.order} {c.size} {c.merged}")
         lines.append(f"characters {len(self.characters)}")
         for ch in self.characters:
-            vals = " ".join(_fmt(v) for v in ch.values)
+            vals = " ".join(map(format_rational, ch.values))
             lines.append(f"char {ch.name} {ch.orbit_size} {ch.degree} {vals}")
         lines.append("end")
         return "\n".join(lines) + "\n"
@@ -209,9 +188,10 @@ class CharacterTable(Record):
             return CharacterTable.loads(fh.read())
 
 
-def _fmt(v) -> str:
-    f = Fraction(v)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+def format_rational(x) -> str:
+    """An exact rational as "a/b", or a bare integer when integral: the
+    one text form of the tables, the f_g data file and the CLI."""
+    return str(Fraction(x))
 
 
 def _parse(s: str, kind=Fraction):

@@ -14,7 +14,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .chartab import TableFormatError
+from .chartab import TableFormatError, format_rational
 from .genus import SYMPLECTIC_CLASSES
 
 EXIT_OK = 0
@@ -22,12 +22,6 @@ EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_INTERNAL = 4
-
-
-def _fmt(x) -> str:
-    f = Fraction(x)
-    return str(f.numerator) if f.denominator == 1 else \
-        f"{f.numerator}/{f.denominator}"
 
 
 def emit(report: dict, fmt: str, stream=None) -> None:
@@ -71,7 +65,8 @@ def _series_rows(s):
     rows = []
     for (q24, y2, z) in sorted(s.terms):
         c = s.terms[(q24, y2, z)]
-        rows.append([_fmt(Fraction(q24, 24)), _fmt(Fraction(y2, 2)), _fmt(c)])
+        rows.append([format_rational(Fraction(q24, 24)),
+                     format_rational(Fraction(y2, 2)), format_rational(c)])
     return rows
 
 
@@ -82,7 +77,8 @@ def _rational_function_text(r):
             if not c:
                 continue
             mon = "1" if k == 0 else ("t" if k == 1 else f"t^{k}")
-            parts.append(f"{_fmt(c)}*{mon}" if k else _fmt(c))
+            c = format_rational(c)
+            parts.append(f"{c}*{mon}" if k else c)
         return " + ".join(parts) if parts else "0"
 
     return f"({poly_text(r.num)}) / ({poly_text(r.den)})"
@@ -111,7 +107,7 @@ def cmd_symt(args):
     series = chi_symt_series(args.cls, args.terms)
     report = {"title": f"chi(g; X, S_t T), class {args.cls}",
               "columns": ["n", "coefficient"],
-              "rows": [[n, _fmt(c)] for n, c in enumerate(series)]}
+              "rows": [[n, format_rational(c)] for n, c in enumerate(series)]}
     if args.rational:
         report["rational_form"] = _rational_function_text(rational_form(args.cls))
     return report, EXIT_OK
@@ -128,9 +124,9 @@ def cmd_n4_decompose(args):
     dec = decompose_into_n4(s, args.sector)
     cols = list(range(args.q_order))
     return {"title": f"N=4 decomposition of ch_V{args.n} ({args.sector})",
-            "atypical": _fmt(dec.atypical),
+            "atypical": format_rational(dec.atypical),
             "columns": [f"h=1/4+{k}" for k in cols],
-            "rows": [[_fmt(v) for v in dec.table_row(cols)]]}, EXIT_OK
+            "rows": [[format_rational(v) for v in dec.table_row(cols)]]}, EXIT_OK
 
 
 def cmd_genus_decompose(args):
@@ -140,9 +136,10 @@ def cmd_genus_decompose(args):
     dec = genus_A_coefficients(args.q_order, genus)
     status = EXIT_OK if dec.atypical == 24 else EXIT_MISMATCH
     return {"title": "elliptic genus into N=4 characters",
-            "massless_multiplicity": _fmt(dec.atypical),
+            "massless_multiplicity": format_rational(dec.atypical),
             "columns": ["n", "A_n"],
-            "rows": [[n, _fmt(a)] for n, a in enumerate(dec.A)]}, status
+            "rows": [[n, format_rational(a)]
+                     for n, a in enumerate(dec.A)]}, status
 
 
 def cmd_lattice_check(args):
@@ -170,7 +167,7 @@ def cmd_m23_table(args):
     from .tables import load_m23
     from .replattice import m23_table2
     _, cols = m23_table2(load_m23(), args.t_order)
-    rows = [[n] + [_fmt(cols[j][n]) for j in range(len(cols))]
+    rows = [[n] + [format_rational(cols[j][n]) for j in range(len(cols))]
             for n in range(args.t_order)]
     nonint = any(Fraction(c).denominator != 1 for col in cols for c in col)
     return {"title": "decomposition of -chi(X, S_t T) into M23 irreducibles",
@@ -188,7 +185,7 @@ def cmd_moonshine_verify(args):
             "class": args.cls,
             "agree": str(report.ok),
             "first_mismatch": "none" if report.ok
-            else _fmt(Fraction(report.first_mismatch_q24, 24)),
+            else format_rational(Fraction(report.first_mismatch_q24, 24)),
             }, (EXIT_OK if report.ok else EXIT_MISMATCH)
 
 
@@ -203,8 +200,8 @@ def cmd_audit_integrality(args):
         hit = first_nonintegral(cs)
         rows.append([label,
                      "none" if hit is None else f"t^{hit[0]}",
-                     "" if hit is None else _fmt(hit[1]),
-                     " ".join(_fmt(c) for c in cs)])
+                     "" if hit is None else format_rational(hit[1]),
+                     " ".join(format_rational(c) for c in cs)])
     return {"title": "integrality audit of twining-derived symmetric-power traces",
             "columns": ["class", "first non-integral", "value", "series"],
             "rows": rows}, EXIT_OK

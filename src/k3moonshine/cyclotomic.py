@@ -5,15 +5,15 @@ Elements are represented by their coordinates in the power basis
 n-th cyclotomic polynomial.  A coordinate is a Python ``int`` exactly
 when it is integral and a ``fractions.Fraction`` otherwise
 (``canonical_rational``; a float raises ``TypeError``), so arithmetic on
-integral elements, the usual case, runs on ints.  A product of elements
-with Fraction coordinates runs on ints too: each operand is brought over
-one common denominator, and each output coordinate is divided once by the
-product of the two (``exact_quotient``).  Phi_n, Euler's phi and
+integral elements, the usual case, runs on ints.  A product or a Galois
+sum of elements with Fraction coordinates runs on ints too: each operand
+is brought over one common denominator, and each output coordinate is
+divided once by the product of the denominators (``exact_quotient``).  Phi_n, Euler's phi and
 the polynomial arithmetic of ``inverse`` come from ``qpoly``; this module
 keeps no polynomial code of its own.
 
-Mixed-conductor arithmetic embeds both operands into Q(zeta_lcm); the
-compositum conductor is capped to keep accidental blow-ups loud.
+Every operation works in one field: operands with different conductors,
+``==`` included, raise ``DomainError``.  Rationals embed into any field.
 """
 
 from __future__ import annotations
@@ -35,11 +35,8 @@ __all__ = [
     "exact_quotient",
 ]
 
-COMPOSITUM_CAP = 9240
-
-
 class DomainError(ValueError):
-    """Incompatible coefficient domains (e.g. compositum above the cap)."""
+    """Incompatible coefficient domains (e.g. two different conductors)."""
 
 
 def canonical_rational(x):
@@ -186,30 +183,14 @@ class CyclotomicNumber:
         return CyclotomicNumber(n, _combine(_power_reduction(n), counts,
                                             euler_phi(n)))
 
-    def embed(self, m: int) -> "CyclotomicNumber":
-        """Embed into Q(zeta_m); m must be a multiple of the conductor."""
-        if m == self.n:
-            return self
-        if m % self.n:
-            raise DomainError(f"{m} is not a multiple of conductor {self.n}")
-        step = m // self.n
-        out = CyclotomicNumber.from_rational(m, 0)
-        for k, ck in enumerate(self.c):
-            if ck:
-                out = out + CyclotomicNumber.zeta_power(m, k * step) * ck
-        return out
-
     # -- ring operations ---------------------------------------------------
 
     def _binary(self, other, op):
         if isinstance(other, CyclotomicNumber):
-            if other.n == self.n:
-                return op(self, other)
-            lcm = self.n * other.n // gcd(self.n, other.n)
-            if lcm > COMPOSITUM_CAP:
+            if other.n != self.n:
                 raise DomainError(
-                    f"compositum conductor {lcm} above cap {COMPOSITUM_CAP}")
-            return op(self.embed(lcm), other.embed(lcm))
+                    f"conductors {self.n} and {other.n} differ")
+            return op(self, other)
         if isinstance(other, (int, Fraction)):
             return op(self, CyclotomicNumber.from_rational(self.n, other))
         return NotImplemented
@@ -329,9 +310,13 @@ class CyclotomicNumber:
     def galois_sum(self, weights: tuple) -> "CyclotomicNumber":
         """sum w * sigma_a(self) over the pairs (a, w) of ``weights``, a
         tuple of units a modulo n with integer weights w: one product with
-        the memoized integer matrix of the whole sum."""
-        rows = _galois_sum_rows(self.n, weights)
-        return CyclotomicNumber(self.n, _combine(rows, self.c, len(self.c)))
+        the memoized integer matrix of the whole sum, on the coordinates
+        over one common denominator, which divides each output once."""
+        c, d = _over_common_denominator(self.c)
+        out = _combine(_galois_sum_rows(self.n, weights), c, len(c))
+        if d != 1:
+            out = [exact_quotient(v, d) for v in out]
+        return CyclotomicNumber(self.n, out)
 
     def trace(self):
         """Trace to Q (sum of all Galois conjugates), in canonical form."""
@@ -342,13 +327,7 @@ class CyclotomicNumber:
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.is_rational() and self.c[0] == other
-        if isinstance(other, CyclotomicNumber):
-            if self.n == other.n:
-                return self.c == other.c
-            diff = self._binary(other, lambda a, b: CyclotomicNumber(
-                a.n, [x - y for x, y in zip(a.c, b.c)]))
-            return diff.is_zero()
-        return NotImplemented
+        return self._binary(other, lambda a, b: a.c == b.c)
 
     def __hash__(self):
         if self.is_rational():

@@ -21,7 +21,7 @@ from functools import lru_cache
 
 from .cyclotomic import CyclotomicNumber, DomainError, zeta
 from .qpoly import RationalFunction, cyclotomic_product, reconstruct_rational
-from .records import Record, set_field
+from .records import Record
 from .series import (
     NotInSpanError, TruncatedSeries, binomial_factor, exact_quotient,
     geometric_factor,
@@ -300,13 +300,6 @@ def jacobi_split(s: TruncatedSeries):
 
 class MoonshineReport(Record):
     __slots__ = ("label", "ok", "first_mismatch_q24", "checked_trunc24")
-
-    def __init__(self, label: str, ok: bool, first_mismatch_q24: int | None,
-                 checked_trunc24: int):
-        set_field(self, "label", label)
-        set_field(self, "ok", ok)
-        set_field(self, "first_mismatch_q24", first_mismatch_q24)
-        set_field(self, "checked_trunc24", checked_trunc24)
 
     def __str__(self):
         if self.ok:

@@ -225,10 +225,6 @@ def enumerate_group(g) -> list:
     return sorted(map(g.from_perm, _closure(g)))
 
 
-def element_order(g, x) -> int:
-    return len(_powers(g.as_perm(x)))
-
-
 class ConjugacyData:
     __slots__ = ("elements", "classes", "class_of", "reps", "orders",
                  "sizes", "perm_of")
@@ -455,11 +451,14 @@ def _split_space(space, mat, p):
     """Refine a subspace (rows spanning it) by eigenspaces of mat."""
     if len(space) <= 1:
         return [space]
-    # restrict mat to the subspace: solve for the action in the row basis
+    # restrict mat to the subspace: the coordinates of each image over the
+    # rows, read off the null space of the columns [space | images]; the
+    # rows are independent and span an invariant subspace, so the free
+    # columns are exactly the m image columns
+    m = len(space)
     images = [_mat_vec_t(mat, v, p) for v in space]
-    # express images over the span: build matrix with rows = space, solve
-    coords = _solve_over_rows(space, images, p)
-    sub = coords
+    sub = [[-x % p for x in v[:m]]
+           for v in nullspace_mod([list(c) for c in zip(*space, *images)], p)]
     out = []
     for lam in _charpoly_roots(sub, p):
         # left eigenvectors: c . sub = lam c, i.e. (sub^T - lam) c = 0
@@ -480,42 +479,6 @@ def _split_space(space, mat, p):
 def _mat_vec_t(m, v, p):
     # v is a row vector of omega-values; class matrices act as (M v)_j
     return [sum(map(_mul, row, v)) % p for row in m]
-
-
-def _solve_over_rows(rows, targets, p):
-    """Coordinates of each target in the row span (rows independent)."""
-    n = len(rows[0])
-    m = len(rows)
-    aug = [list(r) + [1 if i == j else 0 for j in range(m)]
-           for i, r in enumerate(rows)]
-    # row reduce [rows | I] to express pivots
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if aug[i][c] % p), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = pow(aug[r][c], p - 2, p)
-        aug[r] = [x * inv % p for x in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c] % p:
-                f = aug[i][c]
-                aug[i] = [(x - f * y) % p for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    out = []
-    for t in targets:
-        coeff_on_reduced = [t[c] % p for c in pivots]
-        coords = [0] * m
-        for i, cval in enumerate(coeff_on_reduced):
-            if cval:
-                for j in range(m):
-                    coords[j] = (coords[j] + cval * aug[i][n + j]) % p
-        out.append(coords)
-    return out
 
 
 def rational_character_table(name: str, g,

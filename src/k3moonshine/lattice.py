@@ -10,7 +10,7 @@ from __future__ import annotations
 from itertools import product
 from math import gcd
 
-from .records import Record, set_field
+from .records import Record
 
 __all__ = [
     "IntegerLattice",
@@ -228,14 +228,10 @@ def smith_normal_form(matrix):
 
 
 class AbelianQuotient(Record):
-    """Finite abelian quotient, invariant factors with 1s omitted."""
+    """Finite abelian quotient, invariant factors with 1s omitted;
+    ``rank_deficit`` counts the infinite cyclic factors."""
 
     __slots__ = ("factors", "rank_deficit")
-
-    def __init__(self, factors: tuple, rank_deficit: int = 0):
-        set_field(self, "factors", factors)
-        # number of infinite cyclic factors
-        set_field(self, "rank_deficit", rank_deficit)
 
     @property
     def order(self):
@@ -256,10 +252,6 @@ class SolveResult(Record):
     """Outcome of expressing a vector over lattice generators."""
 
     __slots__ = ("coords", "certificate")
-
-    def __init__(self, coords: tuple | None, certificate: str | None):
-        set_field(self, "coords", coords)
-        set_field(self, "certificate", certificate)
 
     @property
     def solved(self):

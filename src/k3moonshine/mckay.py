@@ -29,7 +29,8 @@ from .series import TruncatedSeries, exact_quotient
 from .modforms import eta_power, eta_scaled, weak_jacobi_phi
 from .mill import class_data
 from .tables import load_m24, data_dir
-from .records import Record, set_field
+from .chartab import format_rational
+from .records import Record
 
 __all__ = [
     "eisenstein_difference", "eta_scaled", "cusp_form", "m2_basis",
@@ -261,14 +262,6 @@ def twining_genus(label: str, trunc24: int) -> TruncatedSeries:
 class FgRecord(Record):
     __slots__ = ("label", "euler", "level", "source", "coefficients")
 
-    def __init__(self, label: str, euler: int, level: int, source: str,
-                 coefficients: tuple):
-        set_field(self, "label", label)
-        set_field(self, "euler", euler)
-        set_field(self, "level", level)
-        set_field(self, "source", source)
-        set_field(self, "coefficients", coefficients)
-
 
 def write_fg_file(path=None, trunc24: int = 25 * 24) -> str:
     path = path or os.path.join(data_dir(), "fg_series.txt")
@@ -282,8 +275,7 @@ def write_fg_file(path=None, trunc24: int = 25 * 24) -> str:
         e = euler_character_value(label)
         source = ("fixed-point-split" if label in GEOMETRIC_CLASSES
                   else "trace-fit")
-        body = " ".join(str(c) if c.denominator == 1 else
-                        f"{c.numerator}/{c.denominator}" for c in coeffs)
+        body = " ".join(map(format_rational, coeffs))
         lines.append(f"{label} {e} {CLASS_LEVEL[label]} {source} {body}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -17,7 +17,6 @@ and power maps close.  The milled table is returned as a
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
@@ -25,7 +24,7 @@ from types import MappingProxyType
 
 from .chartab import CharacterEntry, CharacterTable, ClassEntry
 from .lattice import hermite_normal_form, integer_kernel
-from .records import Record, set_field
+from .records import Record
 
 __all__ = [
     "GroupClassData", "M23_CLASSES", "M24_CLASSES",
@@ -34,20 +33,12 @@ __all__ = [
 
 
 class ClassInfo(Record):
+    """``cycle_type``: sorted (length, count) pairs; ``centralizer``: the
+    centralizer order of a single element; ``merged``: the number of
+    complex classes in the rational class."""
+
     __slots__ = ("label", "order", "cycle_type", "centralizer", "merged",
                  "group_order")
-
-    def __init__(self, label: str, order: int, cycle_type: tuple,
-                 centralizer: int, merged: int, group_order: int = 0):
-        set_field(self, "label", label)
-        set_field(self, "order", order)
-        # sorted (length, count) pairs
-        set_field(self, "cycle_type", cycle_type)
-        # centralizer order of a single element
-        set_field(self, "centralizer", centralizer)
-        # number of complex classes in the rational class
-        set_field(self, "merged", merged)
-        set_field(self, "group_order", group_order)
 
     @property
     def size(self) -> int:
@@ -110,15 +101,10 @@ _M24_RAW = [
 
 
 class GroupClassData(Record):
-    __slots__ = ("name", "order", "classes", "type_index")
+    """``classes``: a tuple of ClassInfo; ``type_index``: a read-only map
+    from cycle type to class position."""
 
-    def __init__(self, name: str, order: int, classes: tuple,
-                 type_index: Mapping):
-        set_field(self, "name", name)
-        set_field(self, "order", order)
-        set_field(self, "classes", classes)  # tuple of ClassInfo
-        # read-only: cycle type -> class position
-        set_field(self, "type_index", type_index)
+    __slots__ = ("name", "order", "classes", "type_index")
 
     @property
     def permutation_character(self) -> tuple:

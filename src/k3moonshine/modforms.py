@@ -111,12 +111,7 @@ def _half_integral_theta(alternating: bool, trunc24: int) -> TruncatedSeries:
 
 def theta_null(kind: int, trunc24: int) -> TruncatedSeries:
     """Theta constant: the y -> 1 specialization as a pure q-series."""
-    th = jacobi_theta(kind, trunc24)
-    out = {}
-    for (q24, _y2, _z), c in th.terms.items():
-        key = (q24, 0, 0)
-        out[key] = out.get(key, 0) + c
-    return TruncatedSeries(out, trunc24)
+    return euler_specialization(jacobi_theta(kind, trunc24))
 
 
 @lru_cache(maxsize=None)

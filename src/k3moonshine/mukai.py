@@ -10,23 +10,17 @@ from __future__ import annotations
 
 from .chartab import CharacterTable
 from .groups import (
-    MatrixGroup, PermGroup, conjugacy_classes, element_order,
-    enumerate_group, rational_character_table,
+    MatrixGroup, PermGroup, conjugacy_classes, rational_character_table,
 )
-from .records import Record, set_field
+from .records import Record
 
 __all__ = ["MUKAI_GROUPS", "MukaiGroupSpec", "build_group", "mukai_table"]
 
 
 class MukaiGroupSpec(Record):
-    __slots__ = ("index", "name", "order", "element_orders")
+    """``index``: position 1..11 in the published list."""
 
-    def __init__(self, index: int, name: str, order: int,
-                 element_orders: tuple):
-        set_field(self, "index", index)  # position 1..11 in the published list
-        set_field(self, "name", name)
-        set_field(self, "order", order)
-        set_field(self, "element_orders", element_orders)
+    __slots__ = ("index", "name", "order", "element_orders")
 
 
 MUKAI_GROUPS = (
@@ -150,78 +144,40 @@ def _t192():
 
 
 def _h192():
-    # 2^4 : D12 with the dihedral group found inside SigmaL(2,4)
-    sigma_l = []
-    mats = []
-    for a in range(1, 4):
-        for b in range(4):
-            for c in range(4):
-                for d in range(1, 4):
-                    det = _GF4_ADD[_GF4_MUL[a][d]][_GF4_MUL[b][c]]
-                    if det == 1:
-                        mats.append(((a, b), (c, d)))
-    for frob in (False, True):
-        for m in mats:
-            sigma_l.append((m, frob))
-    # find a dihedral pair: sigma of order 6, tau an involution inverting it
-    def to_perm(elem):
-        m, frob = elem
-        return _affine_perm(m, (0, 0), frob)
+    # 2^4 : D12 with the dihedral complement in SigmaL(2,4): sigma of order 6
+    # (semilinear, with Frobenius) and an involution tau inverting it
+    gens = [
+        _affine_perm(((2, 1), (3, 1)), (0, 0), True),
+        _affine_perm(((1, 0), (2, 1)), (0, 0), False),
+        _affine_perm(((1, 0), (0, 1)), (1, 0), False),
+        _affine_perm(((1, 0), (0, 1)), (0, 1), False),
+    ]
+    return PermGroup(16, gens)
 
-    elems = sorted(set(to_perm(e) for e in sigma_l))
-    group = PermGroup(16, elems)
-    sixes = [x for x in elems if element_order(group, x) == 6]
-    for sigma in sixes:
-        inv = group.inv(sigma)
-        for tau in elems:
-            if element_order(group, tau) != 2:
-                continue
-            if group.mul(group.mul(tau, sigma), tau) == inv:
-                gens = [sigma, tau,
-                        _affine_perm(((1, 0), (0, 1)), (1, 0), False),
-                        _affine_perm(((1, 0), (0, 1)), (0, 1), False)]
-                cand = PermGroup(16, gens)
-                if len(enumerate_group(cand)) == 192:
-                    return cand
-    raise RuntimeError("no dihedral complement found in SigmaL(2,4)")
+
+def _f3_affine_perm(mat, shift):
+    """Permutation of F_3^2, the point (x, y) numbered 3x + y, given by
+    v -> mat . v + shift."""
+    (a, b), (c, d) = mat
+    return tuple(3 * ((a * x + b * y + shift[0]) % 3)
+                 + (c * x + d * y + shift[1]) % 3
+                 for x in range(3) for y in range(3))
 
 
 def _n72():
     # 3^2 : D8 inside the affine group of the plane over F_3 (9 points)
-    pts = [(a, b) for a in range(3) for b in range(3)]
-    index = {pt: i for i, pt in enumerate(pts)}
-
-    def affine(mat, shift):
-        images = []
-        for (x, y) in pts:
-            nx = (mat[0][0] * x + mat[0][1] * y + shift[0]) % 3
-            ny = (mat[1][0] * x + mat[1][1] * y + shift[1]) % 3
-            images.append(index[(nx, ny)])
-        return tuple(images)
-
-    gens = [affine(((0, -1), (1, 0)), (0, 0)),   # rotation of order 4
-            affine(((1, 0), (0, -1)), (0, 0)),   # reflection
-            affine(((1, 0), (0, 1)), (1, 0)),
-            affine(((1, 0), (0, 1)), (0, 1))]
+    gens = [_f3_affine_perm(((0, -1), (1, 0)), (0, 0)),   # rotation of order 4
+            _f3_affine_perm(((1, 0), (0, -1)), (0, 0)),   # reflection
+            _f3_affine_perm(((1, 0), (0, 1)), (1, 0)),
+            _f3_affine_perm(((1, 0), (0, 1)), (0, 1))]
     return PermGroup(9, gens)
 
 
 def _m9():
-    pts = [(a, b) for a in range(3) for b in range(3)]
-    index = {pt: i for i, pt in enumerate(pts)}
-
-    def affine(mat, shift):
-        images = []
-        for (x, y) in pts:
-            nx = (mat[0][0] * x + mat[0][1] * y + shift[0]) % 3
-            ny = (mat[1][0] * x + mat[1][1] * y + shift[1]) % 3
-            images.append(index[(nx, ny)])
-        return tuple(images)
-
-    gens = [affine(((0, -1), (1, 0)), (0, 0)),
-            affine(((1, 1), (1, -1)), (0, 0)),
-            affine(((1, 0), (0, 1)), (1, 0)),
-            affine(((1, 0), (0, 1)), (0, 1))]
+    gens = [_f3_affine_perm(((0, -1), (1, 0)), (0, 0)),
+            _f3_affine_perm(((1, 1), (1, -1)), (0, 0)),
+            _f3_affine_perm(((1, 0), (0, 1)), (1, 0)),
+            _f3_affine_perm(((1, 0), (0, 1)), (0, 1))]
     return PermGroup(9, gens)
 
 

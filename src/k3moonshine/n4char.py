@@ -31,7 +31,7 @@ from .series import (
 )
 from .modforms import eta_power, jacobi_theta
 from .genus import chi_sym_power
-from .records import Record, set_field
+from .records import Record
 
 __all__ = [
     "ch_v_product",
@@ -282,18 +282,14 @@ def ch_vn_h_form(N: int, trunc24: int) -> TruncatedSeries:
 # -- decomposition into N=4 characters ----------------------------------------
 
 class N4Multiplicities(Record):
-    """Atypical coefficient and typical multiplicities keyed by weight h.
+    """Atypical coefficient and typical multiplicities keyed by weight h
+    (``typical`` maps the Fraction h to its multiplicity).
 
     ``horizon24``: multiplicities at weights h with 24(h - 3/8) at or
     beyond it are outside the computed window and must not be read.
     """
 
     __slots__ = ("atypical", "typical", "horizon24")
-
-    def __init__(self, atypical: Fraction, typical: dict, horizon24: int):
-        set_field(self, "atypical", atypical)
-        set_field(self, "typical", typical)  # Fraction h -> multiplicity
-        set_field(self, "horizon24", horizon24)
 
     def multiplicity(self, h) -> Fraction:
         h = Fraction(h)
@@ -379,10 +375,6 @@ def ramond_basis_character(N: int, trunc24: int) -> TruncatedSeries:
 
 class GenusDecomposition(Record):
     __slots__ = ("atypical", "A")
-
-    def __init__(self, atypical: Fraction, A: list):
-        set_field(self, "atypical", atypical)
-        set_field(self, "A", A)
 
 
 def genus_A_coefficients(nmax: int, genus: TruncatedSeries) -> GenusDecomposition:

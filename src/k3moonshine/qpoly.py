@@ -17,13 +17,11 @@ The form is canonical, so ``==`` compares fields, and the pole order at
 t = 1 is the exponent of Phi_1.  ``num`` (Fraction coefficients) and
 ``den`` (monic) read it back as a reduced quotient of ``Poly``.
 
-The constructor takes the denominator as an exponent map, or as a
-``Poly`` (or rational) that it factors once: its integer coefficients are
-trial-divided by the Phi_d with phi(d) at most the degree left, smallest
-d first, until the rest is 1.  A denominator divisible by t raises
-``PoleAtZeroError``; any other non-cyclotomic factor raises ``ValueError``.
-Phi_d comes from ``_cyclotomic_coeffs``, built by exact integer division
-and cached per process, and only for the d a denominator can contain.
+The constructor takes the denominator only as its exponent map, so
+every denominator is a cyclotomic product by construction and none is
+ever factored.  Phi_d comes from ``_cyclotomic_coeffs``, built by exact
+integer division and cached per process, and only for the d a
+denominator contains.
 """
 
 from __future__ import annotations
@@ -35,15 +33,11 @@ from math import gcd, lcm
 
 __all__ = [
     "Poly", "RationalFunction", "cyclotomic_poly", "cyclotomic_product",
-    "euler_phi", "linear_combinations", "PoleAtZeroError",
+    "euler_phi", "linear_combinations",
 ]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-
-class PoleAtZeroError(ZeroDivisionError):
-    """Power-series expansion requested for a function with a pole at t=0."""
 
 
 class Poly:
@@ -144,9 +138,6 @@ class Poly:
 
     def __mod__(self, other):
         return self.divmod(other)[1]
-
-    def eval(self, x) -> Fraction:
-        return _ZERO + _horner(self.c, x)
 
     def is_palindromic(self) -> bool:
         return not self.is_zero() and self.c == tuple(reversed(self.c))
@@ -268,34 +259,6 @@ def _primitive(coeffs) -> tuple[Fraction, list[int]]:
     return Fraction(g, scale), [x // g for x in ints]
 
 
-def _factor(coeffs) -> tuple[Fraction, dict]:
-    """Split a denominator as content * prod Phi_d^e.
-
-    Trial division by Phi_d with phi(d) <= the degree left, smallest d
-    first, until the rest is 1; phi(d) >= sqrt(d/2) bounds the search.
-    """
-    content, rest = _primitive(coeffs)
-    if not rest:
-        raise ZeroDivisionError("zero denominator")
-    if not rest[0]:
-        raise PoleAtZeroError("denominator vanishes at t = 0")
-    exps: dict = {}
-    d = 0
-    while len(rest) > 1:
-        d += 1
-        left = len(rest) - 1
-        if d > 2 * left * left:
-            raise ValueError(f"denominator {Poly(coeffs)!r} is not a product "
-                             "of cyclotomic polynomials")
-        if euler_phi(d) > left:
-            continue
-        phi = _cyclotomic_coeffs(d)
-        while (q := _int_divexact(rest, phi)) is not None:
-            rest = q
-            exps[d] = exps.get(d, 0) + 1
-    return content, exps
-
-
 def _canonical(content, coeffs, exps) -> tuple:
     """Lowest terms of content * coeffs(t) / prod Phi_d^e.
 
@@ -326,17 +289,15 @@ class RationalFunction:
 
     __slots__ = ("_c", "_n", "_e")
 
-    def __init__(self, num, den=1):
-        """``den`` is an exponent map {d: e} or a ``Poly``/rational that
-        must factor into cyclotomic polynomials."""
-        if isinstance(den, Mapping):
-            if any(d < 1 or e < 0 for d, e in den.items()):
-                raise ValueError(f"bad cyclotomic exponent map {den!r}")
-            den_c, exps = _ONE, den
-        else:
-            den_c, exps = _factor(den.c if isinstance(den, Poly) else (den,))
+    def __init__(self, num, den=None):
+        """``num`` is a ``Poly`` or a rational, ``den`` the exponent map
+        {d: e} of the denominator prod Phi_d^e (None for 1)."""
+        exps = {} if den is None else den
+        if not isinstance(exps, Mapping) or any(
+                d < 1 or e < 0 for d, e in exps.items()):
+            raise ValueError(f"bad cyclotomic exponent map {den!r}")
         self._set(*_canonical(
-            1 / den_c, num.c if isinstance(num, Poly) else (num,), exps))
+            _ONE, num.c if isinstance(num, Poly) else (num,), exps))
 
     @classmethod
     def _of(cls, content, numerator, exps) -> "RationalFunction":

@@ -1,19 +1,18 @@
 """Frozen record base for the library's plain value classes.
 
-A record class lists its fields in ``__slots__`` and fills them in an
-explicit ``__init__`` through ``set_field``.  The base compares, hashes and
-prints a record by its fields in slot order, as a frozen dataclass does,
-and refuses assignment and deletion with ``dataclasses.FrozenInstanceError``.
+A record class declares its fields once, in ``__slots__``.  The base fills
+them from positional arguments in slot order and from keyword arguments by
+slot name, and raises TypeError on a missing, repeated or unknown field.
+It compares, hashes and prints a record by its fields in slot order, as a
+frozen dataclass does, and refuses assignment and deletion with
+``dataclasses.FrozenInstanceError``.
 The ``dataclasses`` module (and the ``inspect`` chain it imports) is loaded
 only on that error path, which keeps it out of the CLI's start-up.
 """
 
 from __future__ import annotations
 
-__all__ = ["Record", "set_field"]
-
-# fills a slot of a record under construction, past Record.__setattr__
-set_field = object.__setattr__
+__all__ = ["Record"]
 
 
 def _frozen(name: str, verb: str):
@@ -25,6 +24,22 @@ class Record:
     """Immutable value object whose fields are its ``__slots__``."""
 
     __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        if len(args) > len(names):
+            raise TypeError(f"{type(self).__qualname__} takes {len(names)} "
+                            f"fields, {len(args)} given")
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+        for name in names[len(args):]:
+            if name not in kwargs:
+                raise TypeError(
+                    f"{type(self).__qualname__} missing field {name!r}")
+            object.__setattr__(self, name, kwargs.pop(name))
+        if kwargs:
+            raise TypeError(f"{type(self).__qualname__} got unexpected or "
+                            f"repeated fields {sorted(kwargs)}")
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)

@@ -16,11 +16,11 @@ from itertools import combinations
 from .chartab import CharacterTable
 from .cyclotomic import canonical_rational
 from .lattice import (
-    AbelianQuotient, IntegerLattice, hnf_basis, integer_kernel, snf_quotient,
-    solve_in_lattice, SolveResult,
+    IntegerLattice, hnf_basis, integer_kernel, snf_quotient, solve_in_lattice,
+    SolveResult,
 )
 from .qpoly import Poly, RationalFunction, euler_phi, linear_combinations
-from .records import Record, set_field
+from .records import Record
 
 __all__ = [
     "CHOSEN_FORM_NUMERATORS",
@@ -141,22 +141,6 @@ class LatticeReport(Record):
 
     __slots__ = ("K", "K_prime", "K_dprime", "N", "N_i", "M_over_N",
                  "Ni_over_N", "K_equals_N", "Kp_equals_N", "Kdp_index_in_N")
-
-    def __init__(self, K: IntegerLattice, K_prime: IntegerLattice,
-                 K_dprime: IntegerLattice, N: IntegerLattice, N_i: tuple,
-                 M_over_N: AbelianQuotient, Ni_over_N: tuple,
-                 K_equals_N: bool, Kp_equals_N: bool,
-                 Kdp_index_in_N: int | None):
-        set_field(self, "K", K)
-        set_field(self, "K_prime", K_prime)
-        set_field(self, "K_dprime", K_dprime)
-        set_field(self, "N", N)
-        set_field(self, "N_i", N_i)
-        set_field(self, "M_over_N", M_over_N)
-        set_field(self, "Ni_over_N", Ni_over_N)
-        set_field(self, "K_equals_N", K_equals_N)
-        set_field(self, "Kp_equals_N", Kp_equals_N)
-        set_field(self, "Kdp_index_in_N", Kdp_index_in_N)
 
 
 def build_lattice_report(mukai_tables, m24_table, m23_table, co0_table,

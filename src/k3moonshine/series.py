@@ -47,7 +47,7 @@ INF24 = 1 << 62
 
 
 class InsufficientPrecisionError(ArithmeticError):
-    """A substitution cannot guarantee the requested truncation order."""
+    """A coefficient or truncation beyond what a series determines."""
 
 
 class NotInSpanError(ArithmeticError):
@@ -224,19 +224,16 @@ class TruncatedSeries:
 
     # -- inversion and exact division ------------------------------------------
 
-    def invert(self, trunc24=None) -> "TruncatedSeries":
+    def invert(self) -> "TruncatedSeries":
         """Inverse of a series whose leading q-slice is a single monomial.
 
-        ``trunc24`` requests a truncation order for the result (required
-        when inverting an exactly-known series).
+        An exactly known series must be truncated first.
         """
         if self.is_zero():
             raise ZeroDivisionError("cannot invert the zero series")
         m = self.min_q24
-        if trunc24 is not None:
-            return self.truncate(min(self.trunc24, trunc24 + 2 * m)).invert()
         if self.trunc24 >= INF24:
-            raise ValueError("specify trunc24 when inverting an exact series")
+            raise ValueError("truncate an exact series before inverting it")
         if len(self.q_slice(m)) != 1:
             raise NotInSpanError(
                 "leading q-slice is not a monomial; use divide_exact", q24=m)
@@ -306,8 +303,7 @@ class TruncatedSeries:
     # -- substitutions ----------------------------------------------------------
 
     def substitute_q_shift(self, s24_per_y2: int, extra_q24: int = 0,
-                           extra_y2: int = 0, *,
-                           min_trunc24=None) -> "TruncatedSeries":
+                           extra_y2: int = 0) -> "TruncatedSeries":
         """Map each term y^m q^e -> y^(m + extra/2) q^(e + s*m + extra_q).
 
         ``s24_per_y2`` is the q-shift (in 24th units) per unit of the
@@ -315,17 +311,14 @@ class TruncatedSeries:
         extra_q24=6, extra_y2=2.  The guaranteed truncation of the result
         assumes that every term of the mathematical series obeys the linear
         envelope |y2| <= 4 + (q24 - min)/24 (in 24th units of q from the
-        lowest stored order; this covers the index <= 2 theta series).  The
-        bound steps up by one at each q24 = min + 24 k, so on the unknown
-        tail q24 >= trunc24 the lowest shifted exponent lies at trunc24 or
-        at the first step past it, and with |s24_per_y2| <= 24 it never
-        falls after that; a larger shift has no guaranteed truncation and
-        raises ValueError.
+        lowest stored order, or from trunc24 when no term is stored; this
+        covers the index <= 2 theta series).  The bound steps up by one at
+        each q24 = min + 24 k, so on the unknown tail q24 >= trunc24 the
+        lowest shifted exponent lies at trunc24 or at the first step past
+        it, and with |s24_per_y2| <= 24 it never falls after that; a larger
+        shift has no guaranteed truncation and raises ValueError.
         """
-        if self.is_zero():
-            return TruncatedSeries.zero(
-                self.trunc24 if self.trunc24 >= INF24 else self.trunc24 + extra_q24)
-        m0 = self.min_q24
+        m0 = self.trunc24 if self.is_zero() else self.min_q24
 
         def y2_bound(q24):
             return 4 + max(0, q24 - m0) // 24
@@ -348,9 +341,6 @@ class TruncatedSeries:
             step = lo + (m0 - lo) % 24
             trunc = min(q24 - abs(s24_per_y2) * y2_bound(q24) + extra_q24
                         for q24 in (lo, step))
-        if min_trunc24 is not None and trunc < min_trunc24:
-            raise InsufficientPrecisionError(
-                f"guaranteed truncation {trunc} below requested {min_trunc24}")
         for (q24, y2, z), c in self.terms.items():
             nq = q24 + s24_per_y2 * y2 + extra_q24
             if nq >= trunc:
@@ -366,13 +356,11 @@ class TruncatedSeries:
                 out[key] = c
         return TruncatedSeries(out, trunc, _clean=True)
 
-    def spectral_flow(self, direction: int = 1, *,
-                      min_trunc24=None) -> "TruncatedSeries":
+    def spectral_flow(self, direction: int = 1) -> "TruncatedSeries":
         """NS <-> Ramond flow: ch(y;q) -> q^(1/4) y^(dir) ch(y q^(dir/2); q)."""
         if direction not in (1, -1):
             raise ValueError("direction must be +1 or -1")
-        return self.substitute_q_shift(6 * direction, 6, 2 * direction,
-                                       min_trunc24=min_trunc24)
+        return self.substitute_q_shift(6 * direction, 6, 2 * direction)
 
     def substitute_y_value(self, value) -> "TruncatedSeries":
         """Specialize y to an exact scalar; y-exponents must be integral."""
@@ -390,19 +378,6 @@ class TruncatedSeries:
                 out[key] = acc
         return TruncatedSeries(out, self.trunc24, _clean=True)
 
-    def twist_y(self, root: CyclotomicNumber) -> "TruncatedSeries":
-        """Substitute y -> root * y for a root of unity (integral y only)."""
-        out: dict = {}
-        for (q24, y2, z), c in self.terms.items():
-            if y2 % 2:
-                raise DomainError("cannot twist half-integral y-power")
-            m = y2 // 2
-            factor = root ** m if m >= 0 else root.inverse() ** (-m)
-            nc = c * factor
-            if nc:
-                out[(q24, y2, z)] = nc
-        return TruncatedSeries(out, self.trunc24, _clean=True)
-
     def substitute_y_sign(self) -> "TruncatedSeries":
         """Substitute y -> -y (integral y-exponents only)."""
         out = {}
@@ -410,18 +385,6 @@ class TruncatedSeries:
             if y2 % 2:
                 raise DomainError("cannot flip sign of half-integral y-power")
             out[(q24, y2, z)] = -c if (y2 // 2) % 2 else c
-        return TruncatedSeries(out, self.trunc24, _clean=True)
-
-    def substitute_z_value(self, value) -> "TruncatedSeries":
-        out: dict = {}
-        for (q24, y2, z), c in self.terms.items():
-            factor = value ** z if z >= 0 else exact_quotient(1, value ** -z)
-            key = (q24, y2, 0)
-            acc = out.get(key, 0) + c * factor
-            if not acc:
-                out.pop(key, None)
-            else:
-                out[key] = acc
         return TruncatedSeries(out, self.trunc24, _clean=True)
 
     def z_coefficient(self, z: int) -> "TruncatedSeries":
@@ -445,12 +408,6 @@ class TruncatedSeries:
 
     def is_y_symmetric(self) -> bool:
         return self == self.y_mirror()
-
-    def is_y_free(self) -> bool:
-        return all(y2 == 0 for (_, y2, _) in self.terms)
-
-    def is_z_free(self) -> bool:
-        return all(z == 0 for (_, _, z) in self.terms)
 
     def as_rational(self) -> "TruncatedSeries":
         """Force all coefficients to rationals; error on irrational values."""

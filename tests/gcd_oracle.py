@@ -9,7 +9,7 @@ route with it.
 
 from fractions import Fraction
 
-from k3moonshine.qpoly import Poly
+from k3moonshine.qpoly import Poly, _horner
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
@@ -68,9 +68,9 @@ class GcdRationalFunction:
         q, r = self.den.divmod(factor)
         if not r.is_zero():
             raise ValueError(f"(t - {at})^{order} does not divide denominator")
-        if q.eval(at) == 0:
+        if _horner(q.c, at) == 0:
             raise ValueError("pole order higher than requested")
-        return self.num.eval(at) / q.eval(at)
+        return _horner(self.num.c, at) / _horner(q.c, at)
 
 
 def m_chi_by_gcd(table, forms: dict) -> dict:

@@ -23,7 +23,7 @@ from k3moonshine.modforms import (
     euler_specialization, eta_power, jacobi_theta, weak_jacobi_phi,
 )
 from k3moonshine.n4char import N4Multiplicities, polar_part
-from k3moonshine.qpoly import Poly, cyclotomic_poly
+from k3moonshine.qpoly import Poly, _horner, cyclotomic_poly
 from k3moonshine.series import (
     InsufficientPrecisionError, NotInSpanError, TruncatedSeries,
     exact_quotient,
@@ -73,7 +73,7 @@ def jacobi_split_by_division(s):
     phi0 = weak_jacobi_phi(0, s.trunc24)
     phim2 = weak_jacobi_phi(-2, s.trunc24)
     h = (s - phi0 * a).divide_exact(phim2)
-    if not h.is_y_free() or not h.is_z_free():
+    if any(y2 or z for (_, y2, z) in h.terms):
         bad = min(q24 for (q24, y2, z) in h.terms if y2 or z)
         raise NotInSpanError("split quotient depends on y", q24=bad)
     recon = phi0 * a + h * phim2
@@ -128,5 +128,5 @@ def pole_coefficient_in_fractions(f, at, order):
     rest = Fraction(1)
     for dd, e in f._e:
         if dd != d:
-            rest *= cyclotomic_poly(dd).eval(x) ** e
-    return f._c * Poly(f._n).eval(x) / rest
+            rest *= _horner(cyclotomic_poly(dd).c, x) ** e
+    return f._c * _horner(Poly(f._n).c, x) / rest

@@ -15,7 +15,7 @@ COMMITTED = os.path.join(os.path.dirname(tables.__file__), "data")
 
 def test_m23_fixture_shape():
     t = load_m23()
-    assert t.n_irreducibles == 17
+    assert sum(ch.orbit_size for ch in t.characters) == 17
     assert len(t.classes) == 12
     assert t.order == 10200960
     labels = [c.label for c in t.classes]
@@ -24,7 +24,7 @@ def test_m23_fixture_shape():
 
 def test_m24_fixture_shape():
     t = load_m24()
-    assert t.n_irreducibles == 26
+    assert sum(ch.orbit_size for ch in t.characters) == 26
     assert len(t.classes) == 21
     assert t.order == 244823040
 

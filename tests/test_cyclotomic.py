@@ -53,12 +53,14 @@ def test_truth_value_is_nonzero():
 
 
 def test_mixed_conductor_embedding():
-    # zeta_2 = -1 inside conductor 6 arithmetic
-    z2 = zeta(2)
-    z3 = zeta(3)
-    prod = z2 * z3          # = zeta_6^5 = -zeta_3 after embedding
-    assert prod == -z3
-    assert prod.n == 6
+    # one conductor per operation: nothing embeds into a compositum
+    z2, z3 = zeta(2), zeta(3)
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b,
+               lambda a, b: a == b):
+        with pytest.raises(DomainError):
+            op(z2, z3)
+    # rationals embed into any conductor
+    assert z3 * -1 == -z3 and (z2 == -1) is True
 
 
 def test_compositum_cap():

@@ -8,7 +8,7 @@ from dixon_oracle import (
 )
 from k3moonshine.groups import (
     MatrixGroup, PermGroup, _charpoly_roots, _dixon_prime, _max_finite_order,
-    _roots_mod, conjugacy_classes, element_order, enumerate_group,
+    _roots_mod, conjugacy_classes, enumerate_group,
     rational_character_table,
 )
 from k3moonshine.mukai import MUKAI_GROUPS, build_group, mukai_table
@@ -71,6 +71,23 @@ def test_mukai_groups_validate(spec):
     data = conjugacy_classes(g)
     assert len(data.elements) == spec.order
     assert tuple(sorted(set(data.orders))) == spec.element_orders
+
+
+def test_h192_complement_is_dihedral():
+    # 2^4 : D12 takes sigma of order 6 and an involution tau inverting it
+    # from SigmaL(2,4); with the two translations they generate 192 elements
+    g = build_group(8)
+    sigma, tau = g.generators[:2]
+
+    def order(x):
+        k, y = 1, x
+        while y != g.identity():
+            y, k = g.mul(y, x), k + 1
+        return k
+
+    assert (order(sigma), order(tau)) == (6, 2)
+    assert g.mul(g.mul(tau, sigma), tau) == g.inv(sigma)
+    assert len(enumerate_group(g)) == 192
 
 
 def test_mukai_table_orthogonality():
@@ -202,5 +219,4 @@ def test_max_finite_order_of_gl_n_z():
     # orders stay within the bound
     g = build_group(7)
     assert g.p == 0
-    assert max(element_order(g, x) for x in enumerate_group(g)) <= \
-        _max_finite_order(g.dim)
+    assert max(conjugacy_classes(g).orders) <= _max_finite_order(g.dim)

@@ -55,7 +55,7 @@ def test_hnf_idempotent_and_order_independent():
 def test_snf_quotient_examples():
     z2 = IntegerLattice.full(2)
     two_z2 = hnf_basis([(2, 0), (0, 2)])
-    assert snf_quotient(two_z2, z2) == AbelianQuotient((2, 2))
+    assert snf_quotient(two_z2, z2) == AbelianQuotient((2, 2), 0)
     # rank drop is reported, not hidden
     line = hnf_basis([(1, 0)])
     q = snf_quotient(line, z2)

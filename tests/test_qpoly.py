@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from gcd_oracle import GcdRationalFunction, poly_gcd
 from k3moonshine.qpoly import (
-    Poly, PoleAtZeroError, RationalFunction, cyclotomic_poly,
-    cyclotomic_product, reconstruct_rational,
+    Poly, RationalFunction, _horner, cyclotomic_poly, cyclotomic_product,
+    reconstruct_rational,
 )
 
 
@@ -35,29 +35,24 @@ def test_poly_divmod_gcd():
 
 def test_expand_binomial():
     # 2/(1+t)^2 = 2 - 4t + 6t^2 - 8t^3 + ...
-    r = RationalFunction(Poly([2]), cyclotomic_poly(2) ** 2)
+    r = RationalFunction(Poly([2]), {2: 2})
     assert r.expand(4) == [Fraction(2), Fraction(-4), Fraction(6), Fraction(-8)]
 
 
 def test_expand_r1a_display():
     # (2 - 28t + 2t^2)/(t-1)^4 expanded
-    r = RationalFunction(Poly([2, -28, 2]), Poly([-1, 1]) ** 4)
+    r = RationalFunction(Poly([2, -28, 2]), {1: 4})
     assert r.expand(7) == [Fraction(c) for c in (2, -20, -90, -232, -470, -828, -1330)]
 
 
-def test_expand_pole_at_zero():
-    with pytest.raises(PoleAtZeroError):
-        RationalFunction(Poly([1]), Poly([0, 1])).expand(3)
-
-
 def test_constant_expansion():
-    assert RationalFunction(Poly([1]), Poly([1])).expand(3) == [1, 0, 0]
+    assert RationalFunction(Poly([1]), {}).expand(3) == [1, 0, 0]
 
 
 def test_reconstruct_rational():
     den = cyclotomic_poly(7)
     num = Poly([2, 3, 4, 3, 2])
-    series = RationalFunction(num, den).expand(2 * den.degree + 4)
+    series = RationalFunction(num, {7: 1}).expand(2 * den.degree + 4)
     fit = reconstruct_rational(series, den)
     assert fit is not None
     got, palindromic = fit
@@ -77,18 +72,9 @@ def test_reconstruct_constant():
 
 def test_pole_coefficient():
     # 5/(t-1)^4 + 1/(t-1): leading order-4 coefficient at t=1 is 5
-    f = RationalFunction(Poly([5]), Poly([-1, 1]) ** 4) + \
-        RationalFunction(Poly([1]), Poly([-1, 1]))
+    f = RationalFunction(Poly([5]), {1: 4}) + \
+        RationalFunction(Poly([1]), {1: 1})
     assert f.pole_coefficient(Fraction(1), 4) == 5
-
-
-def test_polynomial_denominator_is_factored_into_cyclotomics():
-    # 2(1 - t)(1 + t + t^2) = -2 Phi_1 Phi_3: content and sign move to num
-    den = Poly([1, -1]) * cyclotomic_poly(3) * 2
-    r = RationalFunction(Poly([3]), den)
-    assert r == RationalFunction(Poly([Fraction(-3, 2)]), {1: 1, 3: 1})
-    assert r.den == cyclotomic_poly(1) * cyclotomic_poly(3)
-    assert r.num == Poly([Fraction(-3, 2)])
 
 
 @pytest.mark.parametrize("den", [Poly([2, 1]), Poly([1, 2]),
@@ -130,7 +116,7 @@ def rational_pairs(draw):
 
 def pole_order_at_one(den: Poly) -> int:
     order = 0
-    while den.eval(1) == 0:
+    while _horner(den.c, 1) == 0:
         den = den // cyclotomic_poly(1)
         order += 1
     return order
@@ -149,8 +135,6 @@ def assert_same(new, old):
 @given(a=rational_pairs())
 def test_construction_matches_gcd_route(a):
     assert_same(*a)
-    new, old = a
-    assert RationalFunction(old.num, old.den) == new
 
 
 @DIFFERENTIAL

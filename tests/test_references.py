@@ -1,0 +1,125 @@
+"""Every function and method in ``src/k3moonshine`` is referenced from
+``src/`` or ``perfbench/`` (stdlib ``ast``; no linter is needed), apart
+from a short allow-list of documented API and test oracles, each with its
+reason.
+
+A reference is a ``Name``, an attribute, or an identifier inside a string
+constant (the bench's span table names what it wraps as strings, such as
+"TruncatedSeries.invert").  Docstrings and ``__all__`` entries are not
+references, and neither is a name inside the body of the function it
+names (recursion).  Dunder methods, which Python calls implicitly, are
+exempt.  The allow-list must match exactly: an entry that gains a caller,
+or whose function is deleted, leaves the list.
+"""
+
+import ast
+import os
+import re
+from collections import Counter
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PACKAGE = os.path.join(ROOT, "src", "k3moonshine")
+
+ALLOWED = {
+    "mckay.write_fg_file":
+        "writes the versioned f_g exchange file the README documents",
+    "mckay.read_fg_file":
+        "reads the versioned f_g exchange file the README documents",
+    "replattice.solve_virtual_m24":
+        "the canonical virtual-M24 solver the README documents",
+    "n4char.n4_character":
+        "the N=4 characters themselves, the basis the decompositions use",
+    "lattice.SolveResult.solved":
+        "the verdict of solve_in_lattice's result record",
+    "cyclotomic.CyclotomicNumber.galois":
+        "one automorphism sigma_a, tested against the defining sum",
+    "series.TruncatedSeries.substitute_y_value":
+        "y-specialization by value, the oracle of euler_specialization",
+    "series.TruncatedSeries.is_y_symmetric":
+        "the y <-> 1/y symmetry the tests check every Jacobi form for",
+    "series.TruncatedSeries.as_rational":
+        "reads rational coefficients off cyclotomic series in route oracles",
+}
+
+
+def _sources(*tops):
+    for top in tops:
+        for d, _, files in os.walk(os.path.join(ROOT, *top.split("/"))):
+            for f in sorted(files):
+                if f.endswith(".py"):
+                    with open(os.path.join(d, f)) as fh:
+                        yield os.path.splitext(f)[0], ast.parse(fh.read())
+
+
+def references(tree) -> Counter:
+    """Identifier counts of ``tree``, without docstrings and __all__."""
+    skip = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant):
+            skip.add(id(node.value))
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            skip.update(id(n) for n in ast.walk(node.value))
+    out = Counter()
+    for node in ast.walk(tree):
+        if id(node) in skip:
+            continue
+        if isinstance(node, ast.Name):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.update(re.findall(r"[A-Za-z_]\w*", node.value))
+    return out
+
+
+def definitions(module: str, tree):
+    """(qualified name, node) for every function and method of a module."""
+    todo = [(module, node) for node in tree.body]
+    while todo:
+        prefix, node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            name = f"{prefix}.{node.name}"
+            if not isinstance(node, ast.ClassDef):
+                yield name, node
+            todo.extend((name, child) for child in node.body)
+
+
+def unreferenced(package, others) -> set:
+    total = Counter()
+    for _, tree in package + others:
+        total += references(tree)
+    out = set()
+    for module, tree in package:
+        for name, node in definitions(module, tree):
+            short = node.name
+            if short.startswith("__") and short.endswith("__"):
+                continue
+            if total[short] - references(node)[short] <= 0:
+                out.add(name)
+    return out
+
+
+def test_scan_finds_an_unreferenced_method():
+    src = ast.parse(
+        "__all__ = ['unused']\n"
+        "def unused():\n    '''used() is named only here'''\n"
+        "    return unused()\n"
+        "def used():\n    pass\n"
+        "class C:\n    def __eq__(self, o):\n        return True\n"
+        "    def m(self):\n        return self.n()\n"
+        "    def n(self):\n        pass\n")
+    spans = ast.parse("TABLE = ('C.used',)\n")
+    assert unreferenced([("mod", src)], [("bench", spans)]) == \
+        {"mod.unused", "mod.C.m"}
+
+
+def test_every_function_is_referenced_or_allowed():
+    package = list(_sources("src/k3moonshine"))
+    assert {module for module, _ in package} >= {"series", "cli"}
+    found = unreferenced(package, list(_sources("perfbench")))
+    assert sorted(found - set(ALLOWED)) == [], "no reference in src/ or perfbench/"
+    assert sorted(set(ALLOWED) - found) == [], "allow-list entry now referenced or gone"
+    assert all(ALLOWED.values())

@@ -23,7 +23,7 @@ from k3moonshine.mckay import (
 )
 from k3moonshine.modforms import weak_jacobi_phi
 from k3moonshine.n4char import (
-    ch_vn_h_form, decompose_into_n4, twining_truncation,
+    ch_vn_h_form, decompose_into_n4, polar_part, twining_truncation,
 )
 from k3moonshine.qpoly import Poly, RationalFunction
 from k3moonshine.series import (
@@ -269,5 +269,31 @@ def test_equivariant_genus_truncation_is_sound(label, t):
 def test_twining_genus_truncation_is_sound(label, t):
     low = twining_genus(label, t)
     high = twining_genus(label, t + 24)
+    assert low.trunc24 == t
+    _same_series(high.truncate(t), low)
+
+
+@pytest.mark.parametrize("t", (6, 24, 6 * 24, 13 * 24))
+def test_polar_part_truncation_is_sound(t):
+    low = polar_part(t)
+    high = polar_part(t + 24)
+    assert low.trunc24 == t
+    _same_series(high.truncate(t), low)
+
+
+@pytest.mark.parametrize("t", (6, 24, 6 * 24, 13 * 24))
+@pytest.mark.parametrize("n", (0, 1, 2, 5, 10))
+def test_ch_vn_h_form_truncation_is_sound(n, t):
+    low = ch_vn_h_form(n, t)
+    high = ch_vn_h_form(n, t + 24)
+    assert low.trunc24 == t
+    _same_series(high.truncate(t), low)
+
+
+@pytest.mark.parametrize("t", (2 * 24, twining_truncation(6)))
+@pytest.mark.parametrize("label", TWININGS)
+def test_f_series_truncation_is_sound(label, t):
+    low = f_series(label, t)
+    high = f_series(label, t + 24)
     assert low.trunc24 == t
     _same_series(high.truncate(t), low)

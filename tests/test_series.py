@@ -47,7 +47,7 @@ def test_pentagonal_prefix():
 
 
 def test_geometric_inverse():
-    inv = (1 - q(1)).invert(trunc24=4 * 24)
+    inv = (1 - q(1)).truncate(4 * 24).invert()
     for k in range(4):
         assert inv.coeff(k) == 1
     with pytest.raises(InsufficientPrecisionError):
@@ -56,7 +56,7 @@ def test_geometric_inverse():
 
 def test_invert_roundtrip_with_shift():
     s = T.monomial(Fraction(2), q24=-12) + q(1, 3)
-    inv = s.invert(trunc24=5 * 24)
+    inv = s.truncate(4 * 24).invert()
     assert (s * inv).coeff(0) == 1
     assert (s * inv).coeff(2) == 0
 
@@ -115,12 +115,6 @@ def test_spectral_flow_roundtrip():
     assert not back.is_zero()
 
 
-def test_flow_reports_insufficient_precision():
-    s = (1 + q(1)).truncate(2 * 24)
-    with pytest.raises(InsufficientPrecisionError):
-        s.spectral_flow(+1, min_trunc24=10 * 24)
-
-
 def test_substitutions():
     s = T({(0, 2, 0): Fraction(1), (0, -2, 0): Fraction(1),
            (24, 0, 0): Fraction(5)}, 2 * 24)
@@ -128,8 +122,6 @@ def test_substitutions():
     assert at1.coeff(0) == 2
     atm1 = s.substitute_y_value(-1)
     assert atm1.coeff(0) == -2 + 0
-    tw = s.twist_y(zeta(3))
-    assert tw.coeff(0, y=1) == zeta(3)
     flip = s.substitute_y_sign()
     assert flip.coeff(0, y=1) == -1
 
@@ -202,7 +194,7 @@ def test_coefficients_are_canonical():
     assert type(half.coeff(0)) is int and all_canonical(half)
     assert all_canonical(s * s) and type((s * s).coeff(1)) is int
     # int / int division leaves a Fraction only where it is not even
-    inv = (2 - q(1)).invert(trunc24=4 * 24)
+    inv = (2 - q(1)).truncate(4 * 24).invert()
     assert [inv.coeff(k) for k in range(4)] == [
         Fraction(1, 2), Fraction(1, 4), Fraction(1, 8), Fraction(1, 16)]
     assert all_canonical(inv)
@@ -442,18 +434,23 @@ def _y2_bound(q24, m0):
 @st.composite
 def enveloped_series(draw, t24):
     """An exactly known series that obeys the y-envelope, led by a term at
-    its minimum m0 < t24, with terms at the envelope's edge at the
-    truncation t24 and where the envelope next widens: those reach lowest
-    after a q-shift."""
-    m0 = t24 - draw(st.integers(1, 72))
+    its minimum m0, with terms at the envelope's edge at the lowest
+    unknown order lo = max(m0, t24) and where the envelope next widens:
+    those reach lowest after a q-shift.  Mostly m0 < t24; otherwise
+    m0 >= t24, so the series cut at t24 is zero."""
+    if draw(st.integers(0, 3)):
+        m0 = t24 - draw(st.integers(1, 72))
+    else:
+        m0 = t24 + draw(st.integers(0, 48))
+    lo = max(m0, t24)
     terms = {(m0, draw(st.integers(-4, 4)), 0): draw(st.integers(1, 3))}
     for _ in range(draw(st.integers(0, 12))):
-        q24 = m0 + draw(st.integers(0, t24 - m0 + 60))
+        q24 = m0 + draw(st.integers(0, lo - m0 + 60))
         b = _y2_bound(q24, m0)
         terms[(q24, draw(st.integers(-b, b)), draw(st.integers(-1, 1)))] = \
             draw(st.sampled_from((-3, -2, -1, 1, 2, 3)))
-    step = t24 + (m0 - t24) % 24          # where the envelope next widens
-    for q24 in (t24, step, t24 + draw(st.integers(1, 30))):
+    step = lo + (m0 - lo) % 24            # where the envelope next widens
+    for q24 in (lo, step, lo + draw(st.integers(1, 30))):
         b = _y2_bound(q24, m0)
         for y2 in (b, -b):
             terms[(q24, y2, 0)] = draw(st.integers(1, 3))
