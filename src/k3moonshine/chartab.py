@@ -12,14 +12,15 @@ The file format is line-oriented text with exact rationals:
     ...
     end
 
-Values are integers or "a/b" strings.  A full table stores one row per
-Galois orbit of complex irreducibles (values are the orbit sums, so they
-are integers) and one column per rational class.  Round-trips are
-bit-exact.  ``CharacterTable.validate`` is the one full-table check; both
-builders (``groups.rational_character_table`` and
-``mill.mill_rational_table``) and ``CharacterTable.loads`` run it.
-Restricted slices are parsed with ``loads_unchecked`` and checked by
-their own rules.
+Values are integers or "a/b" strings, and follow the series rule in
+memory: a value is an ``int`` exactly when integral, else a ``Fraction``.
+A full table stores one row per Galois orbit of complex irreducibles
+(values are the orbit sums, so they are integers) and one column per
+rational class.  Round-trips are bit-exact.  ``CharacterTable.validate``
+is the one full-table check; both builders
+(``groups.rational_character_table`` and ``mill.mill_rational_table``)
+and ``CharacterTable.loads`` run it.  Restricted slices are parsed with
+``loads_unchecked`` and checked by their own rules.
 """
 
 from __future__ import annotations
@@ -90,22 +91,21 @@ class CharacterTable(Record):
             if any(v.denominator != 1 for v in ch.values):
                 raise TableFormatError(
                     f"{name}: non-integral value in row {ch.name}")
-        rows = [[int(v) for v in ch.values] for ch in self.characters]
         ones = [i for i, c in enumerate(self.classes) if c.order == 1]
         if len(ones) != 1:
             raise TableFormatError(
                 f"{name}: {len(ones)} classes of element order 1")
-        for ch, row in zip(self.characters, rows):
-            if row[ones[0]] != ch.orbit_size * ch.degree:
+        for ch in self.characters:
+            if ch.values[ones[0]] != ch.orbit_size * ch.degree:
                 raise TableFormatError(
-                    f"{name}: row {ch.name} has value {row[ones[0]]} at the "
-                    f"identity, not orbit size {ch.orbit_size} times degree "
-                    f"{ch.degree}")
+                    f"{name}: row {ch.name} has value {ch.values[ones[0]]} at "
+                    f"the identity, not orbit size {ch.orbit_size} times "
+                    f"degree {ch.degree}")
         sizes = [c.size for c in self.classes]
-        for i, (a, row) in enumerate(zip(self.characters, rows)):
-            weighted = [s * x for s, x in zip(sizes, row)]
-            for b, other in zip(self.characters[i:], rows[i:]):
-                got = sum(map(mul, weighted, other))
+        for i, a in enumerate(self.characters):
+            weighted = [s * x for s, x in zip(sizes, a.values)]
+            for b in self.characters[i:]:
+                got = sum(map(mul, weighted, b.values))
                 want = a.orbit_size * self.order if b is a else 0
                 if got != want:
                     raise TableFormatError(
@@ -170,7 +170,7 @@ class CharacterTable(Record):
                 raise TableFormatError(f"malformed char line: {parts}")
             name = parts[0]
             orbit, degree = (_parse(x, int) for x in parts[1:3])
-            values = tuple(_parse(v) for v in parts[3:])
+            values = tuple(map(_parse_value, parts[3:]))
             if len(values) != n_classes:
                 raise TableFormatError(f"row {name} has {len(values)} values")
             chars.append(CharacterEntry(name, orbit, degree, values))
@@ -191,7 +191,19 @@ class CharacterTable(Record):
 def format_rational(x) -> str:
     """An exact rational as "a/b", or a bare integer when integral: the
     one text form of the tables, the f_g data file and the CLI."""
-    return str(Fraction(x))
+    return str(x) if type(x) is int else str(Fraction(x))
+
+
+def _parse_value(s: str):
+    """A table value: an ``int`` straight from ASCII digits with an optional
+    leading '-'; any other token through ``Fraction``, as an ``int`` when
+    integral.  ``int`` alone would also take '+5', '1_0' and non-ASCII
+    digits, which ``Fraction`` accepts or rejects by its own rules."""
+    digits = s[1:] if s[:1] == "-" else s
+    if digits.isdigit() and digits.isascii():
+        return int(s)
+    x = _parse(s)
+    return x.numerator if x.denominator == 1 else x
 
 
 def _parse(s: str, kind=Fraction):

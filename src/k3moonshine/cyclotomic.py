@@ -12,8 +12,10 @@ divided once by the product of the denominators (``exact_quotient``).  Phi_n, Eu
 the polynomial arithmetic of ``inverse`` come from ``qpoly``; this module
 keeps no polynomial code of its own.
 
-Every operation works in one field: operands with different conductors,
-``==`` included, raise ``DomainError``.  Rationals embed into any field.
+Every operation works in one field: operands with different conductors
+raise ``DomainError``.  Rationals embed into any field, and ``==`` compares
+two rational elements by value whatever their conductors (so it agrees
+with ``__hash__``); with an irrational operand it raises too.
 """
 
 from __future__ import annotations
@@ -303,10 +305,6 @@ class CyclotomicNumber:
             raise DomainError(f"{self!r} is not rational")
         return self.c[0]
 
-    def galois(self, a: int) -> "CyclotomicNumber":
-        """Apply the automorphism zeta -> zeta^a, gcd(a, n) = 1."""
-        return self.galois_sum(((a, 1),))
-
     def galois_sum(self, weights: tuple) -> "CyclotomicNumber":
         """sum w * sigma_a(self) over the pairs (a, w) of ``weights``, a
         tuple of units a modulo n with integer weights w: one product with
@@ -325,6 +323,9 @@ class CyclotomicNumber:
             sum(ck * tk for ck, tk in zip(self.c, traces)))
 
     def __eq__(self, other):
+        if (isinstance(other, CyclotomicNumber) and other.is_rational()
+                and self.is_rational()):
+            other = other.c[0]          # rationals compare across conductors
         if isinstance(other, (int, Fraction)):
             return self.is_rational() and self.c[0] == other
         return self._binary(other, lambda a, b: a.c == b.c)

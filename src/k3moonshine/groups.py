@@ -12,16 +12,17 @@ their own representation.
 
 Character tables are computed by Dixon's method (common eigenvectors of the
 class matrices over GF(p) with p = 1 mod exp(G)).  A class matrix is built
-only when the splitting reaches it, and the eigenvalues are the roots of
+only when the splitting reaches it.  A class matrix that acts on a space
+as one scalar leaves it whole; otherwise the eigenvalues are the roots of
 the characteristic polynomial, found as gcd(f, x^p - x) and split by gcds
 with (x + a)^((p-1)/2) - 1 (Cantor-Zassenhaus).  The result is a validated
 ``chartab.CharacterTable`` in Galois-orbit-summed (rational) form: all
-values are integers, one character per rational class.
+values are integers, stored as ``int`` (the series rule), one character
+per rational class.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, isqrt, lcm
 from operator import itemgetter, mul as _mul
 
@@ -457,6 +458,10 @@ def _split_space(space, mat, p):
     # columns are exactly the m image columns
     m = len(space)
     images = [_mat_vec_t(mat, v, p) for v in space]
+    j = next(j for j, x in enumerate(space[0]) if x)
+    lam = images[0][j] * pow(space[0][j], p - 2, p) % p
+    if all(w == [lam * x % p for x in v] for v, w in zip(space, images)):
+        return [space]                  # mat is the scalar lam here
     sub = [[-x % p for x in v[:m]]
            for v in nullspace_mod([list(c) for c in zip(*space, *images)], p)]
     out = []
@@ -570,7 +575,7 @@ def rational_character_table(name: str, g,
         values = []
         for rc in rational_classes:
             val = sum(rows[i][rc[0]] for i in orbit) % p
-            values.append(Fraction(val if val <= half else val - p))
+            values.append(val if val <= half else val - p)
         chars.append(CharacterEntry(f"chi{n}", len(orbit), deg // len(orbit),
                                     tuple(values)))
     return CharacterTable(name, order, classes, chars).validate()

@@ -259,9 +259,10 @@ class SolveResult(Record):
 
 
 class IntegerLattice:
-    """Integer lattice given by its canonical HNF basis rows."""
+    """Integer lattice given by its canonical HNF basis rows; ``pivots``
+    holds each row's pivot column, found once here."""
 
-    __slots__ = ("ambient", "basis")
+    __slots__ = ("ambient", "basis", "pivots")
 
     def __init__(self, ambient: int, rows=()):
         self.ambient = ambient
@@ -270,6 +271,8 @@ class IntegerLattice:
             if len(r) != ambient:
                 raise ValueError("vector length differs from ambient rank")
         self.basis = [tuple(r) for r in hermite_normal_form(rows)]
+        self.pivots = [next(j for j, x in enumerate(r) if x)
+                       for r in self.basis]
 
     @staticmethod
     def full(n: int) -> "IntegerLattice":
@@ -284,8 +287,8 @@ class IntegerLattice:
     def determinant(self) -> int:
         """Product of the HNF pivots: [Z^n : self] when of full rank."""
         out = 1
-        for row in self.basis:
-            out *= row[next(j for j, x in enumerate(row) if x)]
+        for row, col in zip(self.basis, self.pivots):
+            out *= row[col]
         return out
 
     def __eq__(self, other):
@@ -299,8 +302,7 @@ class IntegerLattice:
         """Remainder of vec modulo the basis plus the coordinates used."""
         v = list(map(int, vec))
         coords = []
-        for row in self.basis:
-            col = next(j for j, x in enumerate(row) if x)
+        for row, col in zip(self.basis, self.pivots):
             q = v[col] // row[col]
             coords.append(q)
             if q:
@@ -340,8 +342,8 @@ class IntegerLattice:
         if self.rank != self.ambient:
             raise ValueError("lattice is not of full rank")
         primes = set()
-        for row in self.basis:             # HNF pivots are positive
-            primes.update(_prime_divisors(next(x for x in row if x)))
+        for row, col in zip(self.basis, self.pivots):   # positive pivots
+            primes.update(_prime_divisors(row[col]))
         columns = list(zip(*self.basis))
         points = []
         for p in sorted(primes):

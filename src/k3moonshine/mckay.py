@@ -142,18 +142,18 @@ def _orbit_row(table, degree: int, orbit: int):
     raise KeyError(f"no M24 row of degree {degree} with orbit {orbit}")
 
 
-def k_layer_trace(n: int, label: str) -> Fraction:
+def k_layer_trace(n: int, label: str) -> int:
     """Tr(g | K_n) for n = 0..5 evaluated at an M24 class."""
     if n == 0:
-        return Fraction(-2)
+        return -2
     degree, copies = _K_LAYERS[n]
     table = load_m24()
     col = table.class_index(M24_LABEL.get(label, label))
     if copies == 2 and degree in (45, 231, 770):
         ch = _orbit_row(table, degree, 2)    # conjugate pair, orbit sum
-        return Fraction(ch.values[col])
+        return ch.values[col]
     ch = _orbit_row(table, degree, 1)        # rational constituent, 2 copies
-    return Fraction(2) * ch.values[col]
+    return 2 * ch.values[col]
 
 
 def sigma_coefficients() -> list:

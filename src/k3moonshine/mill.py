@@ -380,7 +380,6 @@ def mill_rational_table(name: str) -> CharacterTable:
     pos = 1
     for values, norm in rows:
         row_name = "chi" + "_".join(str(pos + j) for j in range(norm))
-        chars.append(CharacterEntry(row_name, norm, values[0] // norm,
-                                    tuple(Fraction(v) for v in values)))
+        chars.append(CharacterEntry(row_name, norm, values[0] // norm, values))
         pos += norm
     return CharacterTable(name, data.order, classes, chars).validate()

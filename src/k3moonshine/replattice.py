@@ -74,9 +74,9 @@ def restricted_lattice(table: CharacterTable, labels) -> IntegerLattice:
     rows = []
     for ch in table.characters:
         row = [ch.values[c] for c in cols]
-        if any(Fraction(x).denominator != 1 for x in row):
+        if any(x.denominator != 1 for x in row):
             raise ValueError(f"non-integral restricted value in {ch.name}")
-        rows.append([int(x) for x in row])
+        rows.append(row)
     return hnf_basis(rows, ambient=len(labels))
 
 
@@ -102,7 +102,7 @@ def order_lattice(table: CharacterTable) -> IntegerLattice:
             conditions.append((a, b))
     rows = []
     for ch in table.characters:
-        rows.append([int(ch.values[a] - ch.values[b]) for (a, b) in conditions]
+        rows.append([ch.values[a] - ch.values[b] for (a, b) in conditions]
                     or [0])
     if conditions:
         kernel = integer_kernel(rows)
@@ -115,7 +115,7 @@ def order_lattice(table: CharacterTable) -> IntegerLattice:
         vec = [0] * 8
         for o in orders_present:
             idx = rep_of_order[o]
-            val = sum(c * int(ch.values[idx])
+            val = sum(c * ch.values[idx]
                       for c, ch in zip(coeffs, table.characters))
             vec[o - 1] = val
         vecs.append(vec)
@@ -198,7 +198,7 @@ def sufficiency_scan(lattices, N: IntegerLattice):
 def solve_virtual_m24(vec, m24_table: CharacterTable, labels) -> SolveResult:
     """Canonical virtual-M24 character restricting to ``vec`` on {1..8}."""
     cols = [m24_table.class_index(l) for l in labels]
-    gens = [[int(ch.values[c]) for c in cols] for ch in m24_table.characters]
+    gens = [[ch.values[c] for c in cols] for ch in m24_table.characters]
     return solve_in_lattice(vec, gens)
 
 

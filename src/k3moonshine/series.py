@@ -362,22 +362,6 @@ class TruncatedSeries:
             raise ValueError("direction must be +1 or -1")
         return self.substitute_q_shift(6 * direction, 6, 2 * direction)
 
-    def substitute_y_value(self, value) -> "TruncatedSeries":
-        """Specialize y to an exact scalar; y-exponents must be integral."""
-        out: dict = {}
-        for (q24, y2, z), c in self.terms.items():
-            if y2 % 2:
-                raise DomainError("cannot specialize half-integral y-power")
-            m = y2 // 2
-            factor = value ** m if m >= 0 else exact_quotient(1, value ** -m)
-            key = (q24, 0, z)
-            acc = out.get(key, 0) + c * factor
-            if not acc:
-                out.pop(key, None)
-            else:
-                out[key] = acc
-        return TruncatedSeries(out, self.trunc24, _clean=True)
-
     def substitute_y_sign(self) -> "TruncatedSeries":
         """Substitute y -> -y (integral y-exponents only)."""
         out = {}
@@ -398,26 +382,7 @@ class TruncatedSeries:
             {(q24, 0, z): c for (q24, yy, z), c in self.terms.items() if yy == y2},
             self.trunc24, _clean=True)
 
-    def y_mirror(self) -> "TruncatedSeries":
-        """Substitute y -> 1/y."""
-        return TruncatedSeries(
-            {(q24, -y2, z): c for (q24, y2, z), c in self.terms.items()},
-            self.trunc24, _clean=True)
-
     # -- predicates & conversions -------------------------------------------------
-
-    def is_y_symmetric(self) -> bool:
-        return self == self.y_mirror()
-
-    def as_rational(self) -> "TruncatedSeries":
-        """Force all coefficients to rationals; error on irrational values."""
-        out = {}
-        for k, c in self.terms.items():
-            if isinstance(c, CyclotomicNumber):
-                out[k] = c.rational_value()
-            else:
-                out[k] = c
-        return TruncatedSeries(out, self.trunc24, _clean=True)
 
     def truncate(self, trunc24: int) -> "TruncatedSeries":
         if trunc24 > self.trunc24:

@@ -15,7 +15,6 @@ the full tables through the same validator, the Co0 slice through
 from __future__ import annotations
 
 import os
-from fractions import Fraction
 from functools import lru_cache, wraps
 
 from .chartab import (
@@ -120,7 +119,7 @@ def validate_co0_restricted(table: CharacterTable) -> CharacterTable:
                 for k in range(len(columns[0]))]
     if any(v.denominator != 1 for ch in table.characters for v in ch.values):
         raise TableFormatError("Co0: non-integral value")
-    rows = [tuple(int(v) for v in ch.values) for ch in table.characters]
+    rows = [ch.values for ch in table.characters]
     if len(rows) < len(exterior):
         raise TableFormatError(
             f"Co0: {len(rows)} rows, fewer than the {len(exterior)} "
@@ -144,8 +143,7 @@ def _co0_to_table() -> CharacterTable:
     rows = co0_restricted_rows()
     classes = [ClassEntry(lab, order, 0, 1)
                for lab, order in zip(CO0_CLASS_LABELS, (1, 2, 3, 4, 5, 6, 7, 8))]
-    chars = [CharacterEntry(f"gen{i}", 1, int(r[0]), tuple(Fraction(x) for x in r))
-             for i, r in enumerate(rows)]
+    chars = [CharacterEntry(f"gen{i}", 1, r[0], r) for i, r in enumerate(rows)]
     return validate_co0_restricted(
         CharacterTable("Co0", CO0_ORDER, classes, chars))
 

@@ -28,6 +28,7 @@ from k3moonshine.series import (
     InsufficientPrecisionError, NotInSpanError, TruncatedSeries,
     exact_quotient,
 )
+from series_tools import as_rational, galois
 
 
 def decompose_two_divisions(s, sector="NS"):
@@ -84,7 +85,7 @@ def jacobi_split_by_division(s):
 
 def galois_conjugate(s, a):
     """zeta -> zeta^a on every coefficient of a cyclotomic series."""
-    return TruncatedSeries({k: c.galois(a) for k, c in s.terms.items()},
+    return TruncatedSeries({k: galois(c, a) for k, c in s.terms.items()},
                            s.trunc24)
 
 
@@ -94,7 +95,7 @@ def table1_sum(label, trunc24):
     total = TruncatedSeries.zero(trunc24)
     for a, mult in FIXED_POINT_EIGENVALUES[n]:
         total = total + galois_conjugate(term, a) * mult
-    return total.as_rational()
+    return as_rational(total)
 
 
 def chi_symt_per_pair(label, terms):

@@ -1,0 +1,49 @@
+"""Series and cyclotomic operations that only the tests use.
+
+The library computes none of these; the tests read their results off
+computed series and numbers:
+
+  * ``substitute_y_value``: y specialized to a value, the oracle of
+    ``modforms.euler_specialization``;
+  * ``is_y_symmetric``: the y <-> 1/y symmetry of every Jacobi form;
+  * ``as_rational``: rational coefficients read off a cyclotomic series;
+  * ``galois``: one automorphism sigma_a, against the defining sum.
+"""
+
+from k3moonshine.cyclotomic import CyclotomicNumber, DomainError
+from k3moonshine.series import TruncatedSeries, exact_quotient
+
+
+def substitute_y_value(s, value):
+    """Specialize y to an exact scalar; y-exponents must be integral."""
+    out: dict = {}
+    for (q24, y2, z), c in s.terms.items():
+        if y2 % 2:
+            raise DomainError("cannot specialize half-integral y-power")
+        m = y2 // 2
+        factor = value ** m if m >= 0 else exact_quotient(1, value ** -m)
+        key = (q24, 0, z)
+        acc = out.get(key, 0) + c * factor
+        if not acc:
+            out.pop(key, None)
+        else:
+            out[key] = acc
+    return TruncatedSeries(out, s.trunc24, _clean=True)
+
+
+def is_y_symmetric(s) -> bool:
+    """Whether s is unchanged by y -> 1/y."""
+    mirror = {(q24, -y2, z): c for (q24, y2, z), c in s.terms.items()}
+    return s == TruncatedSeries(mirror, s.trunc24, _clean=True)
+
+
+def as_rational(s):
+    """All coefficients as rationals; an irrational one raises."""
+    return TruncatedSeries(
+        {k: c.rational_value() if isinstance(c, CyclotomicNumber) else c
+         for k, c in s.terms.items()}, s.trunc24, _clean=True)
+
+
+def galois(x, a: int):
+    """The automorphism zeta -> zeta^a applied to x, gcd(a, n) = 1."""
+    return x.galois_sum(((a, 1),))

@@ -1,14 +1,18 @@
 import os
+import re
+from fractions import Fraction
 
 import pytest
 
 from k3moonshine import tables
-from k3moonshine.chartab import CharacterTable, TableFormatError
+from k3moonshine.chartab import CharacterTable, TableFormatError, _parse_value
 from k3moonshine.mill import class_data, mill_rational_table
 from k3moonshine.tables import (
     load_co0_restricted, load_m23, load_m24, load_mukai,
     validate_co0_restricted,
 )
+
+from canonical import is_canonical
 
 COMMITTED = os.path.join(os.path.dirname(tables.__file__), "data")
 
@@ -191,8 +195,57 @@ def test_mill_m23_matches_fixture():
         assert [int(v) for v in got.values] == [int(v) for v in ch.values]
 
 
+def _int_valued(table) -> bool:
+    """Every value is an int, the canonical form of an integral value."""
+    return all(type(v) is int for ch in table.characters for v in ch.values)
+
+
 @pytest.mark.parametrize("fname", tables._FIXTURES)
 def test_fixture_matches_builder(fname):
-    # every committed fixture is what its builder writes, byte for byte
+    # every committed fixture is what its builder writes, byte for byte,
+    # and the builder emits every (integral) value as an int
+    built = tables._FIXTURES[fname]()
+    assert _int_valued(built)
     with open(os.path.join(COMMITTED, fname)) as fh:
-        assert tables._FIXTURES[fname]().dumps() == fh.read()
+        assert built.dumps() == fh.read()
+
+
+@pytest.mark.parametrize("fname", tables._FIXTURES)
+def test_fixture_loads_as_ints_and_round_trips(fname):
+    with open(os.path.join(COMMITTED, fname)) as fh:
+        text = fh.read()
+    loaded = (CharacterTable.loads_unchecked(text)
+              if fname == "co0_restricted.tbl" else CharacterTable.loads(text))
+    assert _int_valued(loaded)
+    assert loaded.dumps() == text
+
+
+# every kind of token the value parser can meet: the ASCII-digit fast path
+# ("0", "-0", "007"), what ``int`` takes and ``Fraction`` may not ("+5",
+# "1_0", which Fraction rejects before Python 3.11, a non-ASCII digit),
+# integral and non-integral quotients, and malformed fields
+VALUE_TOKENS = ("0", "-0", "+5", "007", "1_0", "\u0663", "1/1", "2/4", "-3/6",
+                "abc", "1/0", "-", "")
+
+
+@pytest.mark.parametrize("token", VALUE_TOKENS)
+def test_value_parser_matches_fraction(token):
+    try:
+        want = Fraction(token)
+    except (ValueError, ZeroDivisionError):
+        message = re.escape(f"malformed Fraction field {token!r}")
+        with pytest.raises(TableFormatError, match=message):
+            _parse_value(token)
+        if token:
+            with pytest.raises(TableFormatError, match=message):
+                CharacterTable.loads_unchecked(_one_value_table(token))
+        return
+    got = _parse_value(token)
+    assert got == want and is_canonical(got)
+    assert CharacterTable.loads_unchecked(
+        _one_value_table(token)).characters[0].values == (got,)
+
+
+def _one_value_table(token):
+    return ("group G\norder 1\nclasses 1\nclass 1-1 1 1 1\ncharacters 1\n"
+            f"char chi1 1 1 {token}\nend\n")

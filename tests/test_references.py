@@ -31,14 +31,6 @@ ALLOWED = {
         "the N=4 characters themselves, the basis the decompositions use",
     "lattice.SolveResult.solved":
         "the verdict of solve_in_lattice's result record",
-    "cyclotomic.CyclotomicNumber.galois":
-        "one automorphism sigma_a, tested against the defining sum",
-    "series.TruncatedSeries.substitute_y_value":
-        "y-specialization by value, the oracle of euler_specialization",
-    "series.TruncatedSeries.is_y_symmetric":
-        "the y <-> 1/y symmetry the tests check every Jacobi form for",
-    "series.TruncatedSeries.as_rational":
-        "reads rational coefficients off cyclotomic series in route oracles",
 }
 
 

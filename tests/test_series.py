@@ -18,6 +18,7 @@ from k3moonshine.series import (
 )
 from canonical import all_canonical
 from division_oracle import divide_by_slices
+from series_tools import substitute_y_value
 
 T = TruncatedSeries
 
@@ -118,9 +119,9 @@ def test_spectral_flow_roundtrip():
 def test_substitutions():
     s = T({(0, 2, 0): Fraction(1), (0, -2, 0): Fraction(1),
            (24, 0, 0): Fraction(5)}, 2 * 24)
-    at1 = s.substitute_y_value(1)
+    at1 = substitute_y_value(s, 1)
     assert at1.coeff(0) == 2
-    atm1 = s.substitute_y_value(-1)
+    atm1 = substitute_y_value(s, -1)
     assert atm1.coeff(0) == -2 + 0
     flip = s.substitute_y_sign()
     assert flip.coeff(0, y=1) == -1
