@@ -2,29 +2,34 @@
 
 Groups are given by generators (permutations as tuples, or matrices as
 tuples-of-tuples over GF(p) / over Z); this is meant for groups of order a
-few thousand at most.  All group arithmetic runs on permutation images:
-products, inverses and conjugates compose image tuples with
-``operator.itemgetter``, and a matrix group acts through its permutations
-of the finite orbit of the standard basis vectors, which span the space,
-so the action is faithful.
-Elements are still enumerated, sorted and given class representatives in
-their own representation.
+few thousand at most.  A matrix group acts through its permutations of the
+finite orbit of the standard basis vectors, which span the space, so the
+action is faithful.  One breadth-first closure over the generators'
+permutation images (composed with ``operator.itemgetter``) numbers the
+elements and records, per generator, the index of x s for every element
+x; the walk's spanning tree then gives the index of r x for any r by list
+lookups alone.  Conjugation, class orbits, element orders and class
+matrices all run on these index tables.  Elements are still enumerated,
+sorted and given class representatives in their own representation.
 
 Character tables are computed by Dixon's method (common eigenvectors of the
 class matrices over GF(p) with p = 1 mod exp(G)).  A class matrix is built
 only when the splitting reaches it.  A class matrix that acts on a space
 as one scalar leaves it whole; otherwise the eigenvalues are the roots of
-the characteristic polynomial, found as gcd(f, x^p - x) and split by gcds
-with (x + a)^((p-1)/2) - 1 (Cantor-Zassenhaus).  The result is a validated
-``chartab.CharacterTable`` in Galois-orbit-summed (rational) form: all
-values are integers, stored as ``int`` (the series rule), one character
-per rational class.
+the characteristic polynomial: in closed form for degree at most 2 (an
+Euler-criterion test of the discriminant, then a Tonelli-Shanks square
+root), else as gcd(f, x^p - x), split by gcds with (x + a)^((p-1)/2) - 1
+(Cantor-Zassenhaus) down to factors of degree at most 2.  The result is a
+validated ``chartab.CharacterTable`` in Galois-orbit-summed (rational)
+form: all values are integers, stored as ``int`` (the series rule), one
+character per rational class.
 """
 
 from __future__ import annotations
 
 from math import gcd, isqrt, lcm
-from operator import itemgetter, mul as _mul
+from itertools import compress, repeat
+from operator import is_, itemgetter, mul as _mul
 
 from .chartab import CharacterEntry, CharacterTable, ClassEntry
 from .lattice import IntegerLattice, nullspace_mod
@@ -193,45 +198,95 @@ def _perm_inv(a):
     return tuple(sorted(range(len(a)), key=a.__getitem__))
 
 
-def _powers(x) -> list:
-    """[x^0, x^1, ..., x^(o-1)] for a permutation x of order o."""
-    out = [tuple(range(len(x)))]
-    times_x = _right_mul(x)
-    acc = x
-    while acc != out[0]:
+class _Cayley:
+    """The elements of a group as indices, from one breadth-first closure
+    over the generators.
+
+    ``perms[i]`` is the permutation image of element x_i; index 0 is the
+    identity.  ``right[s][i]`` is the index of x_i s for generator number
+    s.  The walk takes one level at a time and, within a level, one
+    generator at a time, so the elements first reached as x_q s, for one
+    generator s from the elements q of one level, get consecutive indices:
+    a block (s, [q, ...]) of ``tree``.  Left multiplication follows the
+    right tables block by block, r x_i = (r x_q) s, with no product of
+    images.
+    """
+
+    __slots__ = ("perms", "right", "tree")
+
+    def __init__(self, g):
+        ident = g.as_perm(g.identity())
+        perms = [ident]
+        index = {ident: 0}
+        gens = [_right_mul(s) for s in g.perm_generators]
+        right = [[] for _ in gens]
+        tree = []
+        lo = 0
+        while lo < len(perms):              # one level [lo, hi) per pass
+            hi = len(perms)
+            level = perms[lo:hi]
+            for s, (times_s, row) in enumerate(zip(gens, right)):
+                images = list(map(times_s, level))
+                found = list(map(index.get, images))
+                parents = []
+                unseen = map(is_, found, repeat(None))
+                for t in compress(range(hi - lo), unseen):
+                    y = images[t]
+                    j = index.get(y)        # reached earlier in this block?
+                    if j is None:
+                        j = index[y] = len(perms)
+                        if j >= _MAX_ORDER:
+                            raise RuntimeError(
+                                "group too large for enumeration")
+                        perms.append(y)
+                        parents.append(lo + t)
+                    found[t] = j
+                row += found
+                if parents:
+                    tree.append((s, parents))
+            lo = hi
+        self.perms = perms
+        self.right = right
+        self.tree = tree
+
+    def left(self, r: int) -> list:
+        """``left(r)[i]`` is the index of x_r x_i."""
+        right = self.right
+        out = [r]
+        for s, parents in self.tree:
+            # the block's parents precede it, so out holds them already
+            out += map(right[s].__getitem__, map(out.__getitem__, parents))
+        return out
+
+    def conjugation(self, s: int) -> list:
+        """The indices of s^-1 x_i s for generator number s."""
+        times_s = self.right[s]
+        by_inverse = self.left(times_s.index(0))     # x s = 1 at x = s^-1
+        return list(map(by_inverse.__getitem__, times_s))
+
+
+def _power_indices(left: list) -> list:
+    """[x^0, x^1, ..., x^(o-1)] as indices, from the left table of x."""
+    out = [0]
+    acc = left[0]
+    while acc:
         out.append(acc)
-        acc = times_x(acc)
+        acc = left[acc]
     return out
-
-
-def _closure(g) -> set:
-    """Permutation images of all elements, by closure over the generators."""
-    ident = g.as_perm(g.identity())
-    gens = [_right_mul(s) for s in g.perm_generators]
-    seen = {ident}
-    todo = [ident]
-    for x in todo:                          # grows as it is walked
-        for times_s in gens:
-            y = times_s(x)
-            if y not in seen:
-                seen.add(y)
-                todo.append(y)
-        if len(seen) > _MAX_ORDER:
-            raise RuntimeError("group too large for enumeration")
-    return seen
 
 
 def enumerate_group(g) -> list:
     """All elements, sorted."""
-    return sorted(map(g.from_perm, _closure(g)))
+    return sorted(map(g.from_perm, _Cayley(g).perms))
 
 
 class ConjugacyData:
     __slots__ = ("elements", "classes", "class_of", "reps", "orders",
-                 "sizes", "perm_of")
+                 "sizes", "perm_of", "class_at", "members", "rep_left")
 
     def __init__(self, elements: list, classes: list, class_of: dict,
-                 reps: list, orders: list, sizes: list, perm_of: dict):
+                 reps: list, orders: list, sizes: list, perm_of: dict,
+                 class_at: list, members: list, rep_left: list):
         self.elements = elements
         self.classes = classes      # list of frozensets
         self.class_of = class_of    # element -> class index
@@ -239,37 +294,46 @@ class ConjugacyData:
         self.orders = orders
         self.sizes = sizes
         self.perm_of = perm_of      # element -> its permutation image
+        # the same data on the indices of a _Cayley closure (identity 0)
+        self.class_at = class_at    # index -> class index
+        self.members = members      # class -> its indices
+        self.rep_left = rep_left    # class -> left table of its rep
 
 
 def conjugacy_classes(g) -> ConjugacyData:
     """Classes in the order of their least elements, each represented by it."""
-    perm_of = {g.from_perm(x): x for x in _closure(g)}
-    elements = sorted(perm_of)
-    conj = [(s, _right_mul(_perm_inv(s))) for s in g.perm_generators]
-    perm_class: dict = {}
-    classes = []
-    reps = []
-    for x in elements:
-        px = perm_of[x]
-        if px in perm_class:
+    cayley = _Cayley(g)
+    perms = cayley.perms
+    elems = [g.from_perm(x) for x in perms]
+    conj = [cayley.conjugation(s) for s in range(len(cayley.right))]
+    ordered = sorted(range(len(perms)), key=elems.__getitem__)
+    class_at = [-1] * len(perms)
+    members = []
+    rep_idx = []
+    for x in ordered:
+        if class_at[x] >= 0:
             continue
-        idx = len(classes)
-        perm_class[px] = idx
-        orbit = [px]
+        idx = len(members)
+        class_at[x] = idx
+        orbit = [x]
         for y in orbit:                     # grows as it is walked
-            times_y = _right_mul(y)
-            for s, times_s_inv in conj:
-                z = times_s_inv(times_y(s))            # s y s^-1
-                if z not in perm_class:
-                    perm_class[z] = idx
+            for c in conj:
+                z = c[y]
+                if class_at[z] < 0:
+                    class_at[z] = idx
                     orbit.append(z)
-        classes.append(frozenset(map(g.from_perm, orbit)))
-        reps.append(x)
-    class_of = {x: perm_class[perm_of[x]] for x in elements}
-    orders = [len(_powers(perm_of[r])) for r in reps]
-    sizes = [len(c) for c in classes]
-    return ConjugacyData(elements, classes, class_of, reps, orders, sizes,
-                         perm_of)
+        members.append(orbit)
+        rep_idx.append(x)
+    rep_left = [cayley.left(r) for r in rep_idx]
+    return ConjugacyData(
+        [elems[x] for x in ordered],
+        [frozenset(elems[y] for y in orbit) for orbit in members],
+        {elems[x]: class_at[x] for x in ordered},
+        [elems[r] for r in rep_idx],
+        [len(_power_indices(left)) for left in rep_left],
+        [len(orbit) for orbit in members],
+        dict(zip(elems, perms)),
+        class_at, members, rep_left)
 
 
 # -- Dixon's algorithm over GF(p) ----------------------------------------------
@@ -292,20 +356,21 @@ def _dixon_prime(order: int, exponent: int) -> int:
     return p
 
 
-def _class_matrices(data: ConjugacyData, perm_class: dict, inv_class: list):
+def _class_matrices(data: ConjugacyData, inv_class: list):
     """Class matrices in class order, each built when it is asked for.
 
     Entry [l][j] of matrix i counts the a in class i with a^-1 r_j in class
-    l; the inverses a^-1 are the elements of the inverse class.
+    l; the inverses a^-1 are the elements of the inverse class, and a r_j
+    is conjugate to r_j a, which the left table of r_j looks up.
     """
     k = len(data.classes)
-    times_reps = [_right_mul(data.perm_of[r]) for r in data.reps]
+    class_at = data.class_at
     for i in range(k):
         mat = [[0] * k for _ in range(k)]
-        for a in data.classes[inv_class[i]]:
-            a = data.perm_of[a]
-            for j, times_r in enumerate(times_reps):
-                mat[perm_class[times_r(a)]][j] += 1
+        members = data.members[inv_class[i]]
+        for j, left in enumerate(data.rep_left):
+            for a in members:
+                mat[class_at[left[a]]][j] += 1
         yield mat
 
 
@@ -421,23 +486,25 @@ def _poly_gcd(a, b, p):
 def _roots_mod(f, p):
     """Sorted distinct roots in GF(p), p an odd prime, of the nonzero f.
 
-    g = gcd(f, x^p - x) is the product of the distinct linear factors of f;
-    gcd(h, (x + a)^((p-1)/2) - 1) splits a factor h by whether r + a is a
-    nonzero square at each root r, for a = 0, 1, ... until it splits
-    (Cantor and Zassenhaus, Math. Comp. 36, 1981).
+    An f of degree at most 2 is solved in closed form (``_small_roots``).
+    Otherwise g = gcd(f, x^p - x) is the product of the distinct linear
+    factors of f; gcd(h, (x + a)^((p-1)/2) - 1) splits a factor h by
+    whether r + a is a nonzero square at each root r, for a = 0, 1, ...
+    until it splits (Cantor and Zassenhaus, Math. Comp. 36, 1981), and a
+    factor of degree 2 is solved in closed form.
     """
     f = _monic(_trim([c % p for c in f]), p)
-    if len(f) < 2:
-        return []
+    if len(f) <= 3:
+        return _small_roots(f, p)
     x = [0, 1]
     todo = [_poly_gcd(f, _poly_sub(_linear_powmod(0, p, f, p), x, p), p)]
     roots = []
     a = 0
     while todo:
         h = todo.pop()
-        if len(h) == 2:
-            roots.append(-h[0] % p)
-        elif len(h) > 2:
+        if len(h) <= 3:
+            roots += _small_roots(h, p)
+        else:
             w = _poly_sub(_linear_powmod(a, (p - 1) // 2, h, p), [1], p)
             s = _poly_gcd(h, w, p)
             a += 1
@@ -446,6 +513,56 @@ def _roots_mod(f, p):
             else:
                 todo.append(h)
     return sorted(roots)
+
+
+def _small_roots(f, p):
+    """Distinct roots of the monic f of degree at most 2, p an odd prime.
+
+    x + c has the root -c.  x^2 + b x + c has the roots (-b +- r) / 2 with
+    r^2 = b^2 - 4c: one root when the discriminant is 0, none when it is a
+    non-square (Euler's criterion), two otherwise.
+    """
+    if len(f) < 3:
+        return [-f[0] % p] if len(f) == 2 else []
+    c, b = f[0], f[1]
+    disc = (b * b - 4 * c) % p
+    half = (p + 1) // 2                     # 1/2 mod p
+    if not disc:
+        return [-b * half % p]
+    if pow(disc, (p - 1) // 2, p) != 1:
+        return []
+    r = _sqrt_mod(disc, p)
+    return sorted({(-b + r) * half % p, (-b - r) * half % p})
+
+
+def _sqrt_mod(a, p):
+    """A square root of the nonzero square a mod the odd prime p.
+
+    Tonelli-Shanks: with p - 1 = q 2^e, q odd, and z a non-square, start
+    from r = a^((q+1)/2) and t = a^q, so r^2 = a t; each step multiplies r
+    by a power of z^q that lowers the 2-power order of t, until t = 1
+    (Cohen, A Course in Computational Algebraic Number Theory, Alg. 1.5.1).
+    """
+    q, e = p - 1, 0
+    while not q & 1:
+        q >>= 1
+        e += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    c = pow(z, q, p)
+    t = pow(a, q, p)
+    r = pow(a, (q + 1) // 2, p)
+    while t != 1:
+        # the least i with t^(2^i) = 1; then c^(2^(e-i-1)) fixes r
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (e - i - 1), p)
+        e, c = i, b * b % p
+        t, r = t * c % p, r * b % p
+    return r
 
 
 def _split_space(space, mat, p):
@@ -498,16 +615,15 @@ def rational_character_table(name: str, g,
         data = conjugacy_classes(g)
     k = len(data.classes)
     order = len(data.elements)
-    exponent = 1
-    for o in data.orders:
-        exponent = exponent * o // gcd(exponent, o)
+    exponent = lcm(*data.orders)
     p = _dixon_prime(order, exponent)
-    perm_class = {data.perm_of[x]: i for x, i in data.class_of.items()}
-    rep_powers = [_powers(data.perm_of[r]) for r in data.reps]
-    # the last power of a representative is its inverse
-    inv_class = [perm_class[pw[-1]] for pw in rep_powers]
+    # the classes of r^0, r^1, ... for each representative r; the last
+    # power of a representative is its inverse
+    rep_powers = [[data.class_at[x] for x in _power_indices(left)]
+                  for left in data.rep_left]
+    inv_class = [pw[-1] for pw in rep_powers]
     # common eigenvectors of the class matrices
-    mats = _class_matrices(data, perm_class, inv_class)
+    mats = _class_matrices(data, inv_class)
     spaces = [[[1 if i == j else 0 for j in range(k)] for i in range(k)]]
     while any(len(s) > 1 for s in spaces):
         mat = next(mats, None)
@@ -515,25 +631,27 @@ def rational_character_table(name: str, g,
             raise RuntimeError("class matrices did not split the center")
         spaces = [part for s in spaces for part in _split_space(s, mat, p)]
     # normalize each eigenvector to character values mod p
+    inv_sizes = [pow(size, p - 2, p) for size in data.sizes]
+    id_idx = data.class_at[0]               # index 0 is the identity
     chars_mod_p = []
     for s in spaces:
         v = s[0]
         # scale so that the identity-class entry is 1 (omega(1) = 1)
-        id_idx = data.class_of[g.identity()]
         scale = pow(v[id_idx], p - 2, p)
         v = [x * scale % p for x in v]
-        dot = sum(v[i] * v[inv_class[i]] * pow(data.sizes[i], p - 2, p)
+        dot = sum(v[i] * v[inv_class[i]] * inv_sizes[i]
                   for i in range(k)) % p
         chi1_sq = order * pow(dot, p - 2, p) % p
         chi1 = _sqrt_lift(chi1_sq, p, isqrt(order))
-        row = [v[i] * chi1 % p * pow(data.sizes[i], p - 2, p) % p
-               for i in range(k)]
+        row = [v[i] * chi1 % p * inv_sizes[i] % p for i in range(k)]
         chars_mod_p.append((chi1, row))
     # Galois orbits via power maps
-    pow_maps = {a: [perm_class[pw[a % len(pw)]] for pw in rep_powers]
+    pow_maps = {a: [pw[a % len(pw)] for pw in rep_powers]
                 for a in range(1, exponent) if gcd(a, exponent) == 1}
     rows = [row for _, row in chars_mod_p]
     degs = [d for d, _ in chars_mod_p]
+    # the rows are distinct: each is chi(1) times its own eigenvector
+    row_index = {tuple(row): i for i, row in enumerate(rows)}
     assigned = [False] * k
     orbit_of: list = []
     for i in range(k):
@@ -541,10 +659,9 @@ def rational_character_table(name: str, g,
             continue
         orbit = {i}
         for a, pm in pow_maps.items():
-            twisted = tuple(rows[i][pm[j]] for j in range(k))
-            for j in range(k):
-                if not assigned[j] and tuple(rows[j]) == twisted:
-                    orbit.add(j)
+            j = row_index.get(tuple(map(rows[i].__getitem__, pm)))
+            if j is not None and not assigned[j]:
+                orbit.add(j)
         for j in orbit:
             assigned[j] = True
         orbit_of.append(sorted(orbit))

@@ -10,8 +10,10 @@ functions under the integer form sum |C_i| f_i g_i (integral LLL and
 Fincke-Pohst), recovers the full Galois-orbit-summed table.
 
 The class data (cycle types, centralizer orders) is standard published
-group data; it is cross-checked on load: sizes sum to the group order
-and power maps close.  The milled table is returned as a
+group data; it is cross-checked on load: sizes sum to the group order,
+each element order is the lcm of its cycle lengths, and power maps
+close.  Each class's power map is stored then, once, for the Adams
+operations to read.  The milled table is returned as a
 ``chartab.CharacterTable`` and checked by its one validator.
 """
 
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from types import MappingProxyType
 
 from .chartab import CharacterEntry, CharacterTable, ClassEntry
@@ -102,9 +104,10 @@ _M24_RAW = [
 
 class GroupClassData(Record):
     """``classes``: a tuple of ClassInfo; ``type_index``: a read-only map
-    from cycle type to class position."""
+    from cycle type to class position; ``power_maps``: per class, of g of
+    order o, the classes of g^0, ..., g^(o-1)."""
 
-    __slots__ = ("name", "order", "classes", "type_index")
+    __slots__ = ("name", "order", "classes", "type_index", "power_maps")
 
     @property
     def permutation_character(self) -> tuple:
@@ -112,13 +115,19 @@ class GroupClassData(Record):
         return tuple(dict(c.cycle_type).get(1, 0) for c in self.classes)
 
     def power_class(self, idx: int, k: int) -> int:
-        """Rational class of g^k given the class of g (from cycle types)."""
-        powered: dict = {}
-        for length, count in self.classes[idx].cycle_type:
-            d = gcd(length, k)
-            powered[length // d] = powered.get(length // d, 0) + count * d
-        key = tuple(sorted(powered.items()))
-        return self.type_index[key]
+        """Rational class of g^k given the class of g."""
+        powers = self.power_maps[idx]
+        return powers[k % len(powers)]
+
+
+def _power_type(cycle_type: tuple, k: int) -> tuple:
+    """The cycle type of g^k: a cycle of length l splits into gcd(l, k)
+    cycles of length l / gcd(l, k)."""
+    powered: dict = {}
+    for length, count in cycle_type:
+        d = gcd(length, k)
+        powered[length // d] = powered.get(length // d, 0) + count * d
+    return tuple(sorted(powered.items()))
 
 
 @lru_cache(maxsize=None)
@@ -135,6 +144,9 @@ def class_data(name: str) -> GroupClassData:
         n_points = sum(length * count for length, count in ct)
         if n_points != (23 if name == "M23" else 24):
             raise ValueError(f"{name} {label}: cycle type covers {n_points}")
+        if elt_order != lcm(*(length for length, _ in ct)):
+            raise ValueError(f"{name} {label}: order {elt_order} is not "
+                             f"the lcm of the cycle lengths")
         info = ClassInfo(label, elt_order, ct, cent, merged, order)
         classes.append(info)
         total += info.size
@@ -145,12 +157,11 @@ def class_data(name: str) -> GroupClassData:
         if c.cycle_type in type_index:
             raise ValueError(f"{name}: duplicate cycle type {c.cycle_type}")
         type_index[c.cycle_type] = i
-    data = GroupClassData(name, order, tuple(classes),
-                          MappingProxyType(type_index))
-    for i in range(len(classes)):          # power maps must close
-        for k in range(2, classes[i].order):
-            data.power_class(i, k)
-    return data
+    # power maps must close: a power type missing from the list raises
+    power_maps = tuple(tuple(type_index[_power_type(c.cycle_type, k)]
+                             for k in range(c.order)) for c in classes)
+    return GroupClassData(name, order, tuple(classes),
+                          MappingProxyType(type_index), power_maps)
 
 
 # -- the mill --------------------------------------------------------------------

@@ -1,12 +1,17 @@
-"""Reference conjugacy data and eigenvalue scan for the Dixon tables.
+"""Reference conjugacy data, class matrices and eigenvalue scan for the
+Dixon tables.
 
 The route ``groups`` used before it moved the group arithmetic onto
 permutation images: every product goes through the group's ``mul`` method
 in its own representation, an inverse is the last power before the
 identity, and the eigenvalues of a class matrix are found by evaluating
 det(M - x I) at k + 1 points, interpolating, and Horner-scanning every x
-in GF(p).  The tests compare the permutation-image route with it.
+in GF(p).  The class matrices are built as ``groups`` built them before
+it moved onto index tables: from products of permutation images.  The
+tests compare the index-table route with both.
 """
+
+from operator import itemgetter
 
 
 def inverse_by_powers(g, a):
@@ -146,3 +151,32 @@ def _det_mod(a, p):
             if f:
                 a[r] = [(x - f * y) % p for x, y in zip(a[r], a[col])]
     return det % p
+
+
+def class_matrices_by_products(data) -> list:
+    """Every class matrix, in class order, from products of the
+    permutation images in ``data.perm_of``.
+
+    Entry [l][j] of matrix i counts the a in class i with a^-1 r_j in class
+    l; the inverses a^-1 are the elements of the inverse class.
+    """
+    def times(s):                           # x -> x s on image tuples
+        return itemgetter(*s) if len(s) > 1 else tuple
+
+    perm_class = {data.perm_of[x]: i for x, i in data.class_of.items()}
+    inv_class = []
+    for r in data.reps:
+        pr = data.perm_of[r]
+        inv = tuple(sorted(range(len(pr)), key=pr.__getitem__))
+        inv_class.append(perm_class[inv])
+    k = len(data.classes)
+    times_reps = [times(data.perm_of[r]) for r in data.reps]
+    mats = []
+    for i in range(k):
+        mat = [[0] * k for _ in range(k)]
+        for a in data.classes[inv_class[i]]:
+            a = data.perm_of[a]
+            for j, times_r in enumerate(times_reps):
+                mat[perm_class[times_r(a)]][j] += 1
+        mats.append(mat)
+    return mats

@@ -1,6 +1,7 @@
 import os
 import re
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -157,6 +158,22 @@ def test_m23_class_data_consistency():
     # power maps close over the class list (computed in the constructor)
     assert data.power_class(data.type_index[((1, 1), (2, 1), (4, 1), (8, 2))], 2) \
         == data.type_index[((1, 3), (2, 2), (4, 4))]
+
+
+@pytest.mark.parametrize("name", ["M23", "M24"])
+def test_stored_power_maps_match_cycle_types(name):
+    # g^k for every class and every k up to twice the element order, by
+    # the cycle type of g^k looked up in the class list
+    data = class_data(name)
+    for i, c in enumerate(data.classes):
+        assert len(data.power_maps[i]) == c.order
+        for k in range(2 * c.order + 1):
+            powered: dict = {}
+            for length, count in c.cycle_type:
+                d = gcd(length, k)
+                powered[length // d] = powered.get(length // d, 0) + count * d
+            assert data.power_class(i, k) == \
+                data.type_index[tuple(sorted(powered.items()))]
 
 
 def test_class_data_is_memoized_and_immutable():

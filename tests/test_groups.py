@@ -1,15 +1,17 @@
+from itertools import product
 from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dixon_oracle import (
-    charpoly_roots_by_scan, conjugacy_by_mul, roots_by_scan,
+    charpoly_roots_by_scan, class_matrices_by_products, conjugacy_by_mul,
+    enumerate_by_mul, inverse_by_powers, roots_by_scan,
 )
 from k3moonshine.groups import (
-    MatrixGroup, PermGroup, _charpoly_roots, _dixon_prime, _max_finite_order,
-    _roots_mod, conjugacy_classes, enumerate_group,
-    rational_character_table,
+    MatrixGroup, PermGroup, _Cayley, _charpoly_roots, _class_matrices,
+    _dixon_prime, _max_finite_order, _roots_mod, _sqrt_mod,
+    conjugacy_classes, enumerate_group, rational_character_table,
 )
 from k3moonshine.mukai import MUKAI_GROUPS, build_group, mukai_table
 
@@ -100,9 +102,13 @@ def test_mukai_table_orthogonality():
     assert next(c.merged for c in t.classes if c.order == 7) == 2
 
 
-@pytest.mark.parametrize("g", [PermGroup(1, [(0,)]), PermGroup(3, []),
-                               MatrixGroup(2, [], p=7)],
-                         ids=["S1", "no-generators", "trivial-matrix"])
+TRIVIAL_GROUPS = {"S1": PermGroup(1, [(0,)]),
+                  "no-generators": PermGroup(3, []),
+                  "trivial-matrix": MatrixGroup(2, [], p=7)}
+
+
+@pytest.mark.parametrize("g", list(TRIVIAL_GROUPS.values()),
+                         ids=list(TRIVIAL_GROUPS))
 def test_trivial_group_table(g):
     # exponent 1: every prime is 1 mod 1, so the Dixon prime search ends
     t = rational_character_table("1", g)
@@ -174,6 +180,66 @@ def test_conjugacy_matches_oracle(build):
     assert data.reps == want["reps"]
     assert data.orders == want["orders"]
     assert data.sizes == want["sizes"]
+
+
+INDEX_GROUPS = ORACLE_GROUPS + [(n, lambda g=g: g)
+                                for n, g in TRIVIAL_GROUPS.items()]
+
+
+@pytest.mark.parametrize("build", [b for _, b in INDEX_GROUPS],
+                         ids=[n for n, _ in INDEX_GROUPS])
+def test_index_tables_match_mul(build):
+    """The closure's right tables, the conjugation tables s^-1 x s and the
+    left tables r x of the class representatives agree with ``g.mul``."""
+    g = build()
+    cayley = _Cayley(g)
+    elems = [g.from_perm(x) for x in cayley.perms]
+    assert elems[0] == g.identity()
+    assert sorted(elems) == enumerate_by_mul(g)
+    index = {x: i for i, x in enumerate(elems)}
+    for s, gen in enumerate(g.generators):
+        inv = inverse_by_powers(g, gen)
+        assert cayley.right[s] == [index[g.mul(x, gen)] for x in elems]
+        assert cayley.conjugation(s) == \
+            [index[g.mul(g.mul(inv, x), gen)] for x in elems]
+    data = conjugacy_classes(g)
+    for r, left in zip(data.reps, data.rep_left):
+        assert left == cayley.left(index[r]) == \
+            [index[g.mul(r, x)] for x in elems]
+    assert [sorted(elems[x] for x in m) for m in data.members] == \
+        [sorted(c) for c in data.classes]
+    assert all(data.class_at[i] == data.class_of[x]
+               for i, x in enumerate(elems))
+
+
+@pytest.mark.parametrize("build", [b for _, b in ORACLE_GROUPS],
+                         ids=[n for n, _ in ORACLE_GROUPS])
+def test_class_matrices_match_products(build):
+    g = build()
+    data = conjugacy_classes(g)
+    inv_class = [data.class_of[inverse_by_powers(g, r)] for r in data.reps]
+    assert list(_class_matrices(data, inv_class)) == \
+        class_matrices_by_products(data)
+
+
+@pytest.mark.parametrize("p, degree", [(17, 3), (41, 2)])
+def test_roots_of_every_small_polynomial(p, degree):
+    """Every monic polynomial of the degree mod p = 1 (mod 8), and a
+    non-monic multiple of it: split, repeated and irreducible factors,
+    against the Horner scan."""
+    assert p % 8 == 1
+    for coeffs in product(range(p), repeat=degree):
+        f = list(coeffs) + [1]
+        want = roots_by_scan(f, p)
+        assert _roots_mod(f, p) == want
+        assert _roots_mod([3 * c for c in f], p) == want
+
+
+@pytest.mark.parametrize("p", DIXON_PRIMES)
+def test_sqrt_mod_of_every_square(p):
+    for a in {x * x % p for x in range(1, p)}:
+        r = _sqrt_mod(a, p)
+        assert r * r % p == a
 
 
 @pytest.mark.parametrize("index", [7, 11], ids=["T192", "T48"])
