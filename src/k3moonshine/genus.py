@@ -5,8 +5,16 @@ two-variable elliptic genus, and the equivariant versions for the seven
 finite symplectic automorphism orders via the holomorphic Lefschetz
 fixed-point formula.  Every series is built from lacunary theta and eta
 sums: the elliptic genus is 2 phi_{0,1}, and each fixed-point term is one
-theta quotient.  The Chern-root product of the elliptic genus is kept as
-``chern_root_elliptic_genus``, the oracle of acceptance criterion 3.
+theta quotient.  All of them are weak Jacobi forms of index 1, so each is
+built from its y^0 and y^1 columns and rebuilt by the elliptic law
+c(n, l) = C(4n - l^2, l mod 2) (Eichler-Zagier 1985, Thm 2.2;
+``modforms.index_one_form``): the fixed-point term divides two numerator
+columns by the y-free theta1(u)^2, the Table-1 Galois sums and the traces
+run on column coefficients, and ``jacobi_split`` and
+``verify_moonshine_class`` compare columns.  The Chern-root product of the
+elliptic genus is kept as ``chern_root_elliptic_genus``, the bivariate
+cross-check of acceptance criterion 3, which so tests the elliptic law
+instead of assuming it.
 
 All series follow the moonshine sign convention in which the elliptic
 genus has q^0 part 2/y + 20 + 2y and equals twice the weight-0 index-1
@@ -26,7 +34,9 @@ from .series import (
     NotInSpanError, TruncatedSeries, binomial_factor, exact_quotient,
     geometric_factor,
 )
-from .modforms import euler_specialization, weak_jacobi_phi
+from .modforms import (
+    euler_specialization, index_one_form, weak_jacobi_columns, weak_jacobi_phi,
+)
 
 __all__ = [
     "SYMPLECTIC_CLASSES",
@@ -174,18 +184,20 @@ def chern_root_elliptic_genus(trunc24: int) -> TruncatedSeries:
 
 
 @lru_cache(maxsize=None)
-def _fixed_point_term(n: int, trunc24: int) -> TruncatedSeries:
-    """One fixed point with eigenvalues (zeta_n, zeta_n^-1), chi_{-y} form.
+def _fixed_point_columns(n: int, trunc24: int) -> tuple:
+    """The y^0 and y^1 columns of one fixed-point term over Q(zeta_n).
 
-    The holomorphic Lefschetz term -theta1(z+u) theta1(z-u) / theta1(u)^2
+    The term, with eigenvalues (zeta_n, zeta_n^-1) in chi_{-y} form, is the
+    holomorphic Lefschetz quotient -theta1(z+u) theta1(z-u) / theta1(u)^2
     with e(u) = lam = zeta_n.  The numerator is the lacunary double sum
         S = sum_{m,m'} (-1)^(m+m') lam^(m-m') y^(m+m'+1)
             q^(((m+1/2)^2 + (m'+1/2)^2)/2),
-    and S at y = 1 is theta1(u)^2, so the term is one exact division.
+    and S at y = 1 is theta1(u)^2, which is y-free, so one division of the
+    y^0 and y^1 terms of S (m + m' + 1 = 0 or 1) by it gives the columns.
     Both sums lead at q^(1/4), so building them below trunc24 + 6 gives
     the quotient exactly below trunc24.  The eigenvalue pair of zeta_n^a
-    contributes the Galois conjugate sigma_a of this term.  Memoized per
-    process on the exact arguments (the series is read-only).
+    contributes the Galois conjugate sigma_a.  Memoized per process on
+    the exact arguments (the series are read-only).
     """
     top = trunc24 + 6
     j_max = 1                      # j = 2m + 1 runs over odd integers
@@ -201,97 +213,110 @@ def _fixed_point_term(n: int, trunc24: int) -> TruncatedSeries:
                 continue
             sign = 1 if (j + jj) % 4 == 2 else -1      # (-1)^(m+m')
             e = (j - jj) // 2 % n                      # lam^(m-m')
-            num.setdefault((q24, j + jj), [0] * n)[e] += sign
             den.setdefault(q24, [0] * n)[e] += sign
+            if j + jj in (0, 2):                       # y^0 or y^1
+                num.setdefault((q24, j + jj), [0] * n)[e] += sign
     numerator = TruncatedSeries(
         {(q24, y2, 0): CyclotomicNumber.from_root_counts(n, c)
          for (q24, y2), c in num.items()}, top)
     theta1_u_sq = TruncatedSeries(
         {(q24, 0, 0): CyclotomicNumber.from_root_counts(n, c)
          for q24, c in den.items()}, top)
-    return numerator.divide_exact(theta1_u_sq)
+    quotient = numerator.divide_exact(theta1_u_sq)
+    return quotient.y_coefficient(0), quotient.y_coefficient(2)
+
+
+@lru_cache(maxsize=None)
+def _fixed_point_term(n: int, trunc24: int) -> TruncatedSeries:
+    """One fixed-point term as a (q, y) series, rebuilt from its columns.
+    Memoized per process on the exact arguments (the series is read-only).
+    """
+    return index_one_form(*_fixed_point_columns(n, trunc24))
+
+
+def _columnwise(n: int, trunc24: int, value) -> TruncatedSeries:
+    """The index-1 form whose column coefficients are value(c) of the
+    fixed-point term's column coefficients c."""
+    return index_one_form(*(
+        TruncatedSeries({k: value(c) for k, c in col.terms.items()},
+                        col.trunc24)
+        for col in _fixed_point_columns(n, trunc24)))
 
 
 @lru_cache(maxsize=None)
 def equivariant_elliptic_genus(label: str, trunc24: int) -> TruncatedSeries:
     """chi_{-y}(g; q, LX) from the fixed-point formula over Table-1 data.
 
-    Sums mult * sigma_a(term) over the Table-1 eigenvalue pairs, where
-    term is the memoized fixed-point term of zeta_n: each coefficient goes
-    once through the integer matrix of the whole sum, and every
+    Sums mult * sigma_a(term) over the Table-1 eigenvalue pairs on the
+    term's two columns, then rebuilds the form: each column coefficient
+    goes once through the integer matrix of the whole sum, and every
     non-rational coordinate of the result must vanish.  Memoized per
     process on the exact arguments (the series is read-only).
     """
     n = CLASS_ORDER[label]
     if n == 1:
         return elliptic_genus(trunc24)
-    term = _fixed_point_term(n, trunc24)
     pairs = FIXED_POINT_EIGENVALUES[n]
-    out = {}
     try:
-        for key, c in term.terms.items():
-            value = c.galois_sum(pairs).rational_value()
-            if value:
-                out[key] = value
+        return _columnwise(
+            n, trunc24, lambda c: c.galois_sum(pairs).rational_value())
     except DomainError as exc:  # pragma: no cover - corrupted data guard
         raise ArithmeticError(
             f"fixed-point sum for {label} is not rational: {exc}") from exc
-    return TruncatedSeries(out, trunc24, _clean=True)
 
 
 def weighted_equivariant_genus(label: str, trunc24: int) -> TruncatedSeries:
     """The m(N)-weighted sum over all units of Z/N (shifted-phi quotients).
 
     The sum of sigma_a(term) over all units a is the field trace, taken
-    coefficient by coefficient.
+    coefficient by coefficient on the term's columns.
     """
     n = CLASS_ORDER[label]
     if n == 1:
         raise ValueError("weighted form applies to nontrivial classes")
-    term = _fixed_point_term(n, trunc24)
-    traces = {key: c.trace() for key, c in term.terms.items()}
-    return TruncatedSeries(traces, term.trunc24) * UNIT_SUM_WEIGHTS[n]
+    return _columnwise(n, trunc24, CyclotomicNumber.trace) * UNIT_SUM_WEIGHTS[n]
 
 
 # -- decomposition against the weak Jacobi basis ------------------------------
 
+def _columns(s: TruncatedSeries) -> list:
+    """The y^0 and y^1 columns of s (its z^0 part)."""
+    return [s.y_coefficient(y2).z_coefficient(0) for y2 in (0, 2)]
+
+
 def jacobi_split(s: TruncatedSeries):
     """Write s = a * phi_{0,1} + h(q) * phi_{-2,1}.
 
-    ``a`` is read off the Euler specialization (value/12, the paper's
-    "y = -1" anchor) and must be consistent at every computed order.  ``h``
-    is y-free, so it is the quotient of the y^0 columns of s - a phi_{0,1}
-    and phi_{-2,1}; the reconstruction must then match s exactly, and the
-    first order where it does not is the first order where s leaves the
-    span.
+    s must first equal the index-1 form rebuilt from its own columns: the
+    elliptic law, tested rather than assumed.  ``a`` is read off the
+    Euler specialization (value/12, the paper's "y = -1" anchor) and must
+    be consistent at every computed order; the first order where either
+    fails is reported.  ``h`` is y-free, so it is the quotient of the y^0
+    columns of s - a phi_{0,1} and phi_{-2,1}; the y^1 columns must then
+    match, and the first order where they do not is the first order where
+    s leaves the span.
     """
     if s.is_zero():
         return 0, s
-    lo = s.min_q24
-    y2s = {y2 for (q24, y2, _z) in s.terms if q24 == lo}
-    if any(abs(y2) > 2 for y2 in y2s):
-        raise NotInSpanError("series does not have index-one shape", q24=lo)
+    columns = _columns(s)
+    off = s - index_one_form(*columns)
     e = euler_specialization(s)
-    support = e.q_support()
-    if not support:
-        a = 0
-    elif support == [0]:
-        a = exact_quotient(e.terms[(0, 0, 0)], 12)
-    else:
+    offenders = [k for k in e.q_support() if k]
+    if off.terms:
+        offenders.append(off.min_q24)
+    if offenders:
         raise NotInSpanError(
-            "Euler specialization is not constant",
-            q24=next(k for k in support if k != 0))
-    phi0 = weak_jacobi_phi(0, s.trunc24)
-    phim2 = weak_jacobi_phi(-2, s.trunc24)
-    rem = s - phi0 * a
+            "series is not an index-one form with a constant Euler value",
+            q24=min(offenders))
+    a = exact_quotient(e.terms.get((0, 0, 0), 0), 12)
+    phi0 = weak_jacobi_columns(0, s.trunc24)
+    y0, y1 = (col - p * a for col, p in zip(columns, phi0))
+    phim2 = weak_jacobi_columns(-2, s.trunc24)
     # rem / phi_{-2,1} is known below this order
-    known = min(rem.trunc24, phim2.trunc24
-                + (rem.min_q24 if rem.terms else rem.trunc24))
-    column = rem.y_coefficient(0).z_coefficient(0)
-    h = column.divide_exact(phim2.y_coefficient(0)).truncate(known)
-    # exact reconstruction up to the guaranteed truncation
-    recon = phi0 * a + h * phim2
-    residual = s.truncate(min(recon.trunc24, s.trunc24)) - recon
+    lead = min((c.min_q24 for c in (y0, y1) if c.terms), default=y0.trunc24)
+    known = min(y0.trunc24, phim2[0].trunc24 + lead)
+    h = y0.divide_exact(phim2[0]).truncate(known)
+    residual = y1 - h * phim2[1]
     if residual.terms:
         raise NotInSpanError("series is not a phi_{0,1} + h(q) phi_{-2,1}",
                              q24=residual.min_q24)
@@ -310,12 +335,18 @@ class MoonshineReport(Record):
 
 def verify_moonshine_class(label: str, f_g: TruncatedSeries,
                            trunc24: int) -> MoonshineReport:
-    """Compare the fixed-point genus with e(g)/12 phi_{0,1} + f_g phi_{-2,1}."""
-    lhs = equivariant_elliptic_genus(label, trunc24)
+    """Compare the fixed-point genus with e(g)/12 phi_{0,1} + f_g phi_{-2,1}.
+
+    Both sides are index-1 forms, so they agree wherever their y^0 and y^1
+    columns agree, and the first column mismatch is the first mismatch.
+    """
+    lhs = _columns(equivariant_elliptic_genus(label, trunc24))
     a = exact_quotient(fixed_point_count(label), 12)
-    rhs = weak_jacobi_phi(0, trunc24) * a + f_g * weak_jacobi_phi(-2, trunc24)
-    t = min(lhs.trunc24, rhs.trunc24)
-    diff = lhs - rhs
-    if diff.is_zero():
+    rhs = [p * a + f_g * m for p, m in zip(weak_jacobi_columns(0, trunc24),
+                                           weak_jacobi_columns(-2, trunc24))]
+    diffs = [left - right for left, right in zip(lhs, rhs)]
+    t = min(d.trunc24 for d in diffs)
+    bad = [d.min_q24 for d in diffs if d.terms]
+    if not bad:
         return MoonshineReport(label, True, None, t)
-    return MoonshineReport(label, False, diff.min_q24, t)
+    return MoonshineReport(label, False, min(bad), t)

@@ -282,10 +282,10 @@ def enumerate_group(g) -> list:
 
 class ConjugacyData:
     __slots__ = ("elements", "classes", "class_of", "reps", "orders",
-                 "sizes", "perm_of", "class_at", "members", "rep_left")
+                 "sizes", "class_at", "members", "rep_left")
 
     def __init__(self, elements: list, classes: list, class_of: dict,
-                 reps: list, orders: list, sizes: list, perm_of: dict,
+                 reps: list, orders: list, sizes: list,
                  class_at: list, members: list, rep_left: list):
         self.elements = elements
         self.classes = classes      # list of frozensets
@@ -293,7 +293,6 @@ class ConjugacyData:
         self.reps = reps
         self.orders = orders
         self.sizes = sizes
-        self.perm_of = perm_of      # element -> its permutation image
         # the same data on the indices of a _Cayley closure (identity 0)
         self.class_at = class_at    # index -> class index
         self.members = members      # class -> its indices
@@ -332,7 +331,6 @@ def conjugacy_classes(g) -> ConjugacyData:
         [elems[r] for r in rep_idx],
         [len(_power_indices(left)) for left in rep_left],
         [len(orbit) for orbit in members],
-        dict(zip(elems, perms)),
         class_at, members, rep_left)
 
 

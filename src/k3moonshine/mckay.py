@@ -10,6 +10,12 @@ the surplus low-order coefficients acting as consistency checks.  The
 factors eta(a tau) of the cusp forms are ``modforms.eta_scaled``, the
 pentagonal series, which this module re-exports as ``eta_scaled``.
 
+Each twining genus e(g)/12 phi_{0,1} + f_g phi_{-2,1} is a weak Jacobi form
+of index 1, so it is built on its y^0 and y^1 columns alone and rebuilt by
+the elliptic law c(n, l) = C(4n - l^2, l mod 2) (Eichler-Zagier 1985,
+Thm 2.2; ``modforms.index_one_form``): f_g multiplies two q-series, not
+the whole (q, y) series of phi_{-2,1}.
+
 Two cross-checks pin the layer data, and each runs once, in the
 acceptance battery rather than here: criterion 7 checks the layer
 dimensions against the N=4 decomposition of the K3 elliptic genus, and
@@ -26,7 +32,9 @@ import os
 from fractions import Fraction
 
 from .series import TruncatedSeries, exact_quotient
-from .modforms import eta_power, eta_scaled, weak_jacobi_phi
+from .modforms import (
+    eta_power, eta_scaled, index_one_form, weak_jacobi_columns,
+)
 from .mill import class_data
 from .tables import load_m24, data_dir
 from .chartab import format_rational
@@ -248,13 +256,17 @@ def f_series(label: str, trunc24: int) -> TruncatedSeries:
 def twining_genus(label: str, trunc24: int) -> TruncatedSeries:
     """e(g)/12 phi_{0,1} + f_g phi_{-2,1} for any supported class.
 
-    phi_{0,1} is built only for a class with fixed points (e(g) != 0).
+    An index-1 form, built on its y^0 and y^1 columns: f_g times the
+    columns of phi_{-2,1}, plus e(g)/12 times those of phi_{0,1}, which
+    are built only for a class with fixed points (e(g) != 0).
     """
     e = exact_quotient(euler_character_value(label), 12)
-    split = f_series(label, trunc24) * weak_jacobi_phi(-2, trunc24)
-    if not e:
-        return split
-    return weak_jacobi_phi(0, trunc24) * e + split
+    f = f_series(label, trunc24)
+    columns = [f * m for m in weak_jacobi_columns(-2, trunc24)]
+    if e:
+        columns = [p * e + c for p, c in
+                   zip(weak_jacobi_columns(0, trunc24), columns)]
+    return index_one_form(*columns)
 
 
 # -- the data file -----------------------------------------------------------------

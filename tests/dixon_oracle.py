@@ -153,9 +153,9 @@ def _det_mod(a, p):
     return det % p
 
 
-def class_matrices_by_products(data) -> list:
+def class_matrices_by_products(g, data) -> list:
     """Every class matrix, in class order, from products of the
-    permutation images in ``data.perm_of``.
+    permutation images ``g.as_perm`` gives the elements of ``data``.
 
     Entry [l][j] of matrix i counts the a in class i with a^-1 r_j in class
     l; the inverses a^-1 are the elements of the inverse class.
@@ -163,19 +163,20 @@ def class_matrices_by_products(data) -> list:
     def times(s):                           # x -> x s on image tuples
         return itemgetter(*s) if len(s) > 1 else tuple
 
-    perm_class = {data.perm_of[x]: i for x, i in data.class_of.items()}
+    perm_of = {x: g.as_perm(x) for x in data.elements}
+    perm_class = {perm_of[x]: i for x, i in data.class_of.items()}
     inv_class = []
     for r in data.reps:
-        pr = data.perm_of[r]
+        pr = perm_of[r]
         inv = tuple(sorted(range(len(pr)), key=pr.__getitem__))
         inv_class.append(perm_class[inv])
     k = len(data.classes)
-    times_reps = [times(data.perm_of[r]) for r in data.reps]
+    times_reps = [times(perm_of[r]) for r in data.reps]
     mats = []
     for i in range(k):
         mat = [[0] * k for _ in range(k)]
         for a in data.classes[inv_class[i]]:
-            a = data.perm_of[a]
+            a = perm_of[a]
             for j, times_r in enumerate(times_reps):
                 mat[perm_class[times_r(a)]][j] += 1
         mats.append(mat)

@@ -10,17 +10,27 @@ the long way, as the library once did, and the tests compare the two:
   * ``galois_conjugate`` and ``table1_sum``: sigma_a applied to every
     coefficient, pair by pair;
   * ``chi_symt_per_pair``: one inverse and one root-count sum per pair;
-  * ``pole_coefficient_in_fractions``: Poly evaluation in Fractions.
+  * ``pole_coefficient_in_fractions``: Poly evaluation in Fractions;
+  * ``weak_jacobi_phi_by_products``, ``fixed_point_term_by_division``,
+    ``equivariant_genus_by_division``, ``weighted_genus_by_division``,
+    ``twining_genus_by_products`` and ``moonshine_report_by_series``: the
+    index-1 forms built as whole (q, y) series, by bivariate products and
+    one bivariate division, where the library builds their y^0 and y^1
+    columns and rebuilds the rest by the elliptic law.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 
 from k3moonshine.cyclotomic import CyclotomicNumber, zeta
 from k3moonshine.genus import (
-    CLASS_ORDER, FIXED_POINT_EIGENVALUES, _fixed_point_term, chi_sym_power,
+    CLASS_ORDER, FIXED_POINT_EIGENVALUES, UNIT_SUM_WEIGHTS, MoonshineReport,
+    _fixed_point_term, chi_sym_power, fixed_point_count,
 )
+from k3moonshine.mckay import euler_character_value, f_series
 from k3moonshine.modforms import (
-    euler_specialization, eta_power, jacobi_theta, weak_jacobi_phi,
+    _half_integral_theta, euler_specialization, eta_power, jacobi_theta,
+    theta_null, weak_jacobi_phi,
 )
 from k3moonshine.n4char import N4Multiplicities, polar_part
 from k3moonshine.qpoly import Poly, _horner, cyclotomic_poly
@@ -131,3 +141,88 @@ def pole_coefficient_in_fractions(f, at, order):
         if dd != d:
             rest *= _horner(cyclotomic_poly(dd).c, x) ** e
     return f._c * _horner(Poly(f._n).c, x) / rest
+
+
+# -- index-1 forms as whole (q, y) series ----------------------------------------
+
+@lru_cache(maxsize=None)
+def weak_jacobi_phi_by_products(weight, trunc24):
+    """phi_{0,1} as sum_k theta_k^2 * 4 theta_k(0)^-2, phi_{-2,1} as
+    -S^2 eta^-6, each theta square a bivariate product."""
+    t = trunc24 + 6
+    if weight == -2:
+        sq = _half_integral_theta(True, t) ** 2
+        return (-(sq * eta_power(-6, t))).truncate(trunc24)
+    total = TruncatedSeries.zero(trunc24)
+    for kind in (2, 3, 4):
+        inverse = (theta_null(kind, t) ** 2).invert() * 4
+        total = total + (jacobi_theta(kind, t) ** 2 * inverse).truncate(trunc24)
+    return total
+
+
+@lru_cache(maxsize=None)
+def fixed_point_term_by_division(n, trunc24):
+    """-theta1(z+u) theta1(z-u) / theta1(u)^2 at e(u) = zeta_n: the whole
+    lacunary double sum divided by its value at y = 1."""
+    top = trunc24 + 6
+    j_max = 1
+    while 3 * (j_max + 2) ** 2 + 3 < top:
+        j_max += 2
+    odd = range(-j_max, j_max + 1, 2)
+    num: dict = {}
+    den: dict = {}
+    for j in odd:
+        for jj in odd:
+            q24 = 3 * (j * j + jj * jj)
+            if q24 >= top:
+                continue
+            sign = 1 if (j + jj) % 4 == 2 else -1
+            e = (j - jj) // 2 % n
+            num.setdefault((q24, j + jj), [0] * n)[e] += sign
+            den.setdefault(q24, [0] * n)[e] += sign
+    numerator = TruncatedSeries(
+        {(q24, y2, 0): CyclotomicNumber.from_root_counts(n, c)
+         for (q24, y2), c in num.items()}, top)
+    theta1_u_sq = TruncatedSeries(
+        {(q24, 0, 0): CyclotomicNumber.from_root_counts(n, c)
+         for q24, c in den.items()}, top)
+    return numerator.divide_exact(theta1_u_sq)
+
+
+def _on_the_term(label, trunc24, value):
+    term = fixed_point_term_by_division(CLASS_ORDER[label], trunc24)
+    out = {key: value(c) for key, c in term.terms.items()}
+    return TruncatedSeries(out, term.trunc24)
+
+
+def equivariant_genus_by_division(label, trunc24):
+    if CLASS_ORDER[label] == 1:
+        return weak_jacobi_phi_by_products(0, trunc24) * 2
+    pairs = FIXED_POINT_EIGENVALUES[CLASS_ORDER[label]]
+    return _on_the_term(
+        label, trunc24, lambda c: c.galois_sum(pairs).rational_value())
+
+
+def weighted_genus_by_division(label, trunc24):
+    weight = UNIT_SUM_WEIGHTS[CLASS_ORDER[label]]
+    return _on_the_term(label, trunc24, CyclotomicNumber.trace) * weight
+
+
+def twining_genus_by_products(label, trunc24):
+    e = exact_quotient(euler_character_value(label), 12)
+    split = f_series(label, trunc24) * weak_jacobi_phi_by_products(-2, trunc24)
+    if not e:
+        return split
+    return weak_jacobi_phi_by_products(0, trunc24) * e + split
+
+
+def moonshine_report_by_series(label, f_g, trunc24):
+    lhs = equivariant_genus_by_division(label, trunc24)
+    a = exact_quotient(fixed_point_count(label), 12)
+    rhs = (weak_jacobi_phi_by_products(0, trunc24) * a
+           + f_g * weak_jacobi_phi_by_products(-2, trunc24))
+    t = min(lhs.trunc24, rhs.trunc24)
+    diff = lhs - rhs
+    if diff.is_zero():
+        return MoonshineReport(label, True, None, t)
+    return MoonshineReport(label, False, diff.min_q24, t)

@@ -56,6 +56,58 @@ def test_criteria_3_and_4_below_q4():
     _check(acc.check_4_theorem_split, q_order=1)
 
 
+def _sturm_order(level):
+    """floor([SL_2(Z) : Gamma_0(N)] / 6): a weight-2 form on Gamma_0(N)
+    whose coefficients vanish through this order is zero (Sturm, LNM
+    1240, 1987)."""
+    index, n, p = level, level, 2
+    while n > 1:
+        if n % p == 0:
+            index = index * (p + 1) // p
+            while n % p == 0:
+                n //= p
+        p += 1
+    return index // 6
+
+
+def test_sturm_orders_of_the_geometric_levels():
+    from k3moonshine.mckay import CLASS_LEVEL, GEOMETRIC_CLASSES
+    assert [_sturm_order(CLASS_LEVEL[g]) for g in GEOMETRIC_CLASSES] == \
+        [0, 0, 0, 1, 1, 2, 1, 2]
+
+
+def test_default_comparisons_reach_the_sturm_order():
+    # The fixed-point genus minus e(g)/12 phi_{0,1} + f_g phi_{-2,1} is
+    # c phi_{0,1} + h phi_{-2,1} with h in M_2(Gamma_0(N)), so agreement
+    # through the Sturm order proves the identity.  Two comparisons make
+    # it at their defaults: moonshine-verify, and criterion 4's split.
+    from k3moonshine.cli import build_parser
+    from k3moonshine.genus import (
+        equivariant_elliptic_genus, jacobi_split, verify_moonshine_class,
+    )
+    from k3moonshine.mckay import (
+        CLASS_LEVEL, GEOMETRIC_CLASSES, f_from_traces, f_series,
+    )
+    verify = build_parser().parse_args(["moonshine-verify", "--class", "2A"])
+    battery = build_parser().parse_args(["verify-all"])
+    assert verify.q_order == 5
+    t_split = acc._equivariant_truncation(battery.q_order)
+    for label in GEOMETRIC_CLASSES:
+        sturm = _sturm_order(CLASS_LEVEL[label])
+        t = verify.q_order * 24
+        report = verify_moonshine_class(label, f_series(label, t), t)
+        assert report.ok and 24 * sturm < report.checked_trunc24, label
+        if label == "1A":
+            continue
+        _a, h = jacobi_split(equivariant_elliptic_genus(label, t_split))
+        # criterion 4 compares h with the trace f_g at q^0..q^5, below h's
+        # truncation
+        assert 24 * sturm < h.trunc24 and sturm < len(f_from_traces(label))
+        assert [h.coeff(n) for n in range(sturm + 1)] == \
+            f_from_traces(label)[:sturm + 1], label
+    assert acc.check_4_theorem_split(q_order=battery.q_order)[0]
+
+
 def test_criterion_5_appell_lerch_engine():
     _check(acc.check_5_appell_lerch)
 

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -240,6 +241,28 @@ def test_whole_cli_grid_matches_the_goldens():
     wrong = [request for request, want in goldens.items()
              if run(request.split(" ")) != (want["exit"], want["stdout"])]
     assert wrong == []
+
+
+# sha256 of stdout beyond the goldens' smallest and default sizes, recorded
+# with the whole-(q, y)-series builders that tests/route_oracle.py keeps
+LARGE_SIZE_SHA256 = {
+    "ellgenus --q-order 60":
+        "99a14b071f73ef78f6108f0e64a273a1b063ec188acfeb8ba04a64eada16894b",
+    "equivariant --class 7AB --q-order 40":
+        "ac5a45171b1ce08e5aee70c58117648720ed318cce5e829d871a7175147c885d",
+    "moonshine-verify --class 8A --q-order 40":
+        "eaeab1c3df055ebeacee56fc4309416eea9c5caa86297494a46f8422d5ae14a8",
+    "audit-integrality --t-order 12":
+        "20c2759f48eb5c67f377b2a9d117b09904f6daf150663cfb6bb6011073364423",
+}
+
+
+@pytest.mark.parametrize("request_", sorted(LARGE_SIZE_SHA256))
+def test_large_size_output_is_pinned(request_):
+    status, out = run(request_.split(" "))
+    assert status == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        LARGE_SIZE_SHA256[request_]
 
 
 def test_csv_format():

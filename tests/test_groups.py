@@ -219,7 +219,7 @@ def test_class_matrices_match_products(build):
     data = conjugacy_classes(g)
     inv_class = [data.class_of[inverse_by_powers(g, r)] for r in data.reps]
     assert list(_class_matrices(data, inv_class)) == \
-        class_matrices_by_products(data)
+        class_matrices_by_products(g, data)
 
 
 @pytest.mark.parametrize("p, degree", [(17, 3), (41, 2)])

@@ -6,22 +6,26 @@ and on inputs outside the span the same exception type at the same q24.
 One split test pins the case where the routes differ: with two defects,
 the column route reports the earlier one.
 The truncation tests check that a result at T equals the result at
-T + 24 cut to T.
+T + 24 cut to T.  Every index-1 form the library builds from its y^0 and
+y^1 columns is compared with its whole-series route, at several
+truncations.
 """
 
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
 from k3moonshine.genus import (
-    SYMPLECTIC_CLASSES, chi_symt_series, elliptic_genus,
-    equivariant_elliptic_genus, jacobi_split,
+    FIXED_POINT_EIGENVALUES, SYMPLECTIC_CLASSES, _fixed_point_term,
+    chi_symt_series, elliptic_genus, equivariant_elliptic_genus, jacobi_split,
+    verify_moonshine_class, weighted_equivariant_genus,
 )
 from k3moonshine.mckay import (
     GEOMETRIC_CLASSES, MOONSHINE_CLASSES, euler_character_value, f_series,
     twining_genus,
 )
-from k3moonshine.modforms import weak_jacobi_phi
+from k3moonshine.modforms import weak_jacobi_columns, weak_jacobi_phi
 from k3moonshine.n4char import (
     ch_vn_h_form, decompose_into_n4, polar_part, twining_truncation,
 )
@@ -31,8 +35,11 @@ from k3moonshine.series import (
     exact_quotient,
 )
 from route_oracle import (
-    chi_symt_per_pair, decompose_two_divisions, jacobi_split_by_division,
-    pole_coefficient_in_fractions, table1_sum,
+    chi_symt_per_pair, decompose_two_divisions, equivariant_genus_by_division,
+    fixed_point_term_by_division, jacobi_split_by_division,
+    moonshine_report_by_series, pole_coefficient_in_fractions, table1_sum,
+    twining_genus_by_products, weak_jacobi_phi_by_products,
+    weighted_genus_by_division,
 )
 
 TWININGS = GEOMETRIC_CLASSES + MOONSHINE_CLASSES
@@ -176,6 +183,81 @@ def test_jacobi_split_reports_the_first_order_off_the_span():
     assert _outcome(jacobi_split, s) == (NotInSpanError, 24)
 
 
+LAW_PERTURBATIONS = (
+    (24, {4: 1}),                               # one y^2 coefficient
+    (72, {-4: 1}),
+    (72, {6: -1}),                              # one y^3 coefficient
+    (24, {4: 1, -4: 1, 0: -2}),                 # Euler value unchanged
+    (72, {6: 1, -6: 1, 2: -1, -2: -1}),
+    (96, {4: 1, -4: 1, 8: -1, -8: -1}),         # both columns unchanged
+    (120, {4: 1, -4: 1, 8: -1, -8: -1}),
+)
+
+
+@pytest.mark.parametrize("q24, coeffs", LAW_PERTURBATIONS)
+@pytest.mark.parametrize("label", SYMPLECTIC_CLASSES[1:])
+def test_jacobi_split_tests_the_elliptic_law(label, q24, coeffs):
+    # a |l| >= 2 coefficient off the elliptic law is off the span at its
+    # own order, even where the y^0 and y^1 columns do not see it
+    t = 6 * 24
+    s = equivariant_elliptic_genus(label, t) + _poly(t, q24, coeffs)
+    assert _outcome(jacobi_split, s) == (NotInSpanError, q24)
+
+
+# -- index-1 forms: two columns against the whole (q, y) series ------------------
+
+INDEX_ONE_BUILDERS = {
+    "phi_0,1": (partial(weak_jacobi_phi, 0),
+                partial(weak_jacobi_phi_by_products, 0)),
+    "phi_-2,1": (partial(weak_jacobi_phi, -2),
+                 partial(weak_jacobi_phi_by_products, -2)),
+    **{f"term-{n}": (partial(_fixed_point_term, n),
+                     partial(fixed_point_term_by_division, n))
+       for n in FIXED_POINT_EIGENVALUES},
+    **{f"genus-{label}": (partial(equivariant_elliptic_genus, label),
+                          partial(equivariant_genus_by_division, label))
+       for label in SYMPLECTIC_CLASSES},
+    **{f"weighted-{label}": (partial(weighted_equivariant_genus, label),
+                             partial(weighted_genus_by_division, label))
+       for label in SYMPLECTIC_CLASSES[1:]},
+    **{f"twining-{label}": (partial(twining_genus, label),
+                            partial(twining_genus_by_products, label))
+       for label in TWININGS},
+}
+
+
+@pytest.mark.parametrize("t", (24, 6 * 24, 27 * 24))
+@pytest.mark.parametrize("name", INDEX_ONE_BUILDERS)
+def test_index_one_builder_matches_its_bivariate_route(name, t):
+    build, oracle = INDEX_ONE_BUILDERS[name]
+    _same_series(build(t), oracle(t))
+
+
+@pytest.mark.parametrize("t", (24, 6 * 24, 27 * 24))
+@pytest.mark.parametrize("name", INDEX_ONE_BUILDERS)
+def test_index_one_builder_truncation_is_sound(name, t):
+    build, _ = INDEX_ONE_BUILDERS[name]
+    low = build(t)
+    assert low.trunc24 == t
+    _same_series(build(t + 24).truncate(t), low)
+
+
+def _report(report):
+    return (report.label, report.ok, report.first_mismatch_q24,
+            report.checked_trunc24)
+
+
+@pytest.mark.parametrize("label", SYMPLECTIC_CLASSES)
+def test_moonshine_report_matches_the_series_comparison(label):
+    t = 5 * 24
+    f = f_series(label, t)
+    for f_g in (f, f + TruncatedSeries({(48, 0, 0): 1}, t),
+                f_series(label, 3 * 24), TruncatedSeries.zero(t),
+                f + TruncatedSeries({(0, 0, 0): Fraction(1, 3)}, t)):
+        assert _report(verify_moonshine_class(label, f_g, t)) == \
+            _report(moonshine_report_by_series(label, f_g, t))
+
+
 # -- the Table-1 Galois sums ---------------------------------------------------
 
 @pytest.mark.parametrize("label", SYMPLECTIC_CLASSES[1:])
@@ -226,9 +308,9 @@ def test_criterion_10_builds_no_zero_weighted_phi0(monkeypatch):
 
     def recording(weight, trunc24):
         built.append((weight, trunc24))
-        return weak_jacobi_phi(weight, trunc24)
+        return weak_jacobi_columns(weight, trunc24)
 
-    monkeypatch.setattr(mckay, "weak_jacobi_phi", recording)
+    monkeypatch.setattr(mckay, "weak_jacobi_columns", recording)
     assert acceptance.check_10_audit()[0]
     t20 = twining_truncation(20)
     assert (-2, t20) in built
