@@ -177,7 +177,7 @@ def check_5_appell_lerch(**_) -> tuple:
         return False, "polar split of g_1"
     product = ch_v_product(t, 10)
     for n in range(0, 7):
-        if ch_vn_closed(n, t) != ch_vn_extract(n, t, product, 10):
+        if ch_vn_closed(n, t) != ch_vn_extract(n, product, 10):
             return False, f"pipelines differ at N={n}"
     return True, "Fourier split and the two pipelines"
 

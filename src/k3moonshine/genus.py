@@ -3,18 +3,16 @@
 Twisted Todd genera of symmetric powers of the tangent bundle, the
 two-variable elliptic genus, and the equivariant versions for the seven
 finite symplectic automorphism orders via the holomorphic Lefschetz
-fixed-point formula.  Every series is built from lacunary theta and eta
-sums: the elliptic genus is 2 phi_{0,1}, and each fixed-point term is one
-theta quotient.  All of them are weak Jacobi forms of index 1, so each is
-built from its y^0 and y^1 columns and rebuilt by the elliptic law
-c(n, l) = C(4n - l^2, l mod 2) (Eichler-Zagier 1985, Thm 2.2;
-``modforms.index_one_form``): the fixed-point term divides two numerator
-columns by the y-free theta1(u)^2, the Table-1 Galois sums and the traces
-run on column coefficients, and ``jacobi_split`` and
-``verify_moonshine_class`` compare columns.  The Chern-root product of the
-elliptic genus is kept as ``chern_root_elliptic_genus``, the bivariate
-cross-check of acceptance criterion 3, which so tests the elliptic law
-instead of assuming it.
+fixed-point formula.  All of them are weak Jacobi forms of index 1, each
+a phi_{0,1} + F phi_{-2,1} built on its y^0 and y^1 columns
+(``modforms.jacobi_form_columns``): the elliptic genus is 2 phi_{0,1},
+and a fixed-point term is phi_{0,1}/12 + wp(u) phi_{-2,1}, with wp(u) a
+q-series over Q(zeta_n) from a divisor sieve, so the Table-1 Galois sums
+and the traces run on the coefficients of one q-series and nothing is
+divided.  ``jacobi_split`` and ``verify_moonshine_class`` compare
+columns.  The Chern-root product of the elliptic genus is kept as
+``chern_root_elliptic_genus``, the bivariate cross-check of acceptance
+criterion 3, which so tests the elliptic law instead of assuming it.
 
 All series follow the moonshine sign convention in which the elliptic
 genus has q^0 part 2/y + 20 + 2y and equals twice the weight-0 index-1
@@ -27,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .cyclotomic import CyclotomicNumber, DomainError, zeta
+from .cyclotomic import CyclotomicNumber, DomainError, euler_phi, zeta
 from .qpoly import RationalFunction, cyclotomic_product, reconstruct_rational
 from .records import Record
 from .series import (
@@ -35,7 +33,8 @@ from .series import (
     geometric_factor,
 )
 from .modforms import (
-    euler_specialization, index_one_form, weak_jacobi_columns, weak_jacobi_phi,
+    euler_specialization, index_one_form, jacobi_form_columns,
+    weak_jacobi_columns, weak_jacobi_phi,
 )
 
 __all__ = [
@@ -184,82 +183,69 @@ def chern_root_elliptic_genus(trunc24: int) -> TruncatedSeries:
 
 
 @lru_cache(maxsize=None)
-def _fixed_point_columns(n: int, trunc24: int) -> tuple:
-    """The y^0 and y^1 columns of one fixed-point term over Q(zeta_n).
+def _wp_series(n: int, trunc24: int) -> TruncatedSeries:
+    """The q-series wp(u) of one fixed-point term over Q(zeta_n).
 
     The term, with eigenvalues (zeta_n, zeta_n^-1) in chi_{-y} form, is the
     holomorphic Lefschetz quotient -theta1(z+u) theta1(z-u) / theta1(u)^2
-    with e(u) = lam = zeta_n.  The numerator is the lacunary double sum
-        S = sum_{m,m'} (-1)^(m+m') lam^(m-m') y^(m+m'+1)
-            q^(((m+1/2)^2 + (m'+1/2)^2)/2),
-    and S at y = 1 is theta1(u)^2, which is y-free, so one division of the
-    y^0 and y^1 terms of S (m + m' + 1 = 0 or 1) by it gives the columns.
-    Both sums lead at q^(1/4), so building them below trunc24 + 6 gives
-    the quotient exactly below trunc24.  The eigenvalue pair of zeta_n^a
-    contributes the Galois conjugate sigma_a.  Memoized per process on
-    the exact arguments (the series are read-only).
+    with e(u) = lam = zeta_n.  As a function of z it is an index-1 form
+    with Euler value 1, so it equals phi_{0,1}/12 + wp(u) phi_{-2,1} with
+    wp(u) the Weierstrass function up to a constant and a factor:
+        wp(u) = 1/12 + 1/(lam + lam^-1 - 2)
+                + sum_(m>=1) sum_(d | m) d (lam^d - 2 + lam^-d) q^m,
+    whose divisor sums come from one sieve.  The eigenvalue pair of
+    zeta_n^a contributes the Galois conjugate sigma_a.  Memoized per
+    process on the exact arguments (the series is read-only).
     """
-    top = trunc24 + 6
-    j_max = 1                      # j = 2m + 1 runs over odd integers
-    while 3 * (j_max + 2) ** 2 + 3 < top:
-        j_max += 2
-    odd = range(-j_max, j_max + 1, 2)
-    num: dict = {}
-    den: dict = {}
-    for j in odd:
-        for jj in odd:
-            q24 = 3 * (j * j + jj * jj)
-            if q24 >= top:
-                continue
-            sign = 1 if (j + jj) % 4 == 2 else -1      # (-1)^(m+m')
-            e = (j - jj) // 2 % n                      # lam^(m-m')
-            den.setdefault(q24, [0] * n)[e] += sign
-            if j + jj in (0, 2):                       # y^0 or y^1
-                num.setdefault((q24, j + jj), [0] * n)[e] += sign
-    numerator = TruncatedSeries(
-        {(q24, y2, 0): CyclotomicNumber.from_root_counts(n, c)
-         for (q24, y2), c in num.items()}, top)
-    theta1_u_sq = TruncatedSeries(
-        {(q24, 0, 0): CyclotomicNumber.from_root_counts(n, c)
-         for q24, c in den.items()}, top)
-    quotient = numerator.divide_exact(theta1_u_sq)
-    return quotient.y_coefficient(0), quotient.y_coefficient(2)
+    top = (trunc24 - 1) // 24          # the last integral q-order below
+    counts = [[0] * n for _ in range(top + 1)]
+    for d in range(1, top + 1):
+        for m in range(d, top + 1, d):
+            counts[m][d % n] += d
+            counts[m][-d % n] += d
+            counts[m][0] -= 2 * d
+    lead = Fraction(1, 12) + (zeta(n, 1) + zeta(n, -1) - 2).inverse()
+    terms = {(0, 0, 0): lead}
+    for m in range(1, top + 1):
+        terms[(24 * m, 0, 0)] = CyclotomicNumber.from_root_counts(n, counts[m])
+    return TruncatedSeries(terms, trunc24)
 
 
 @lru_cache(maxsize=None)
 def _fixed_point_term(n: int, trunc24: int) -> TruncatedSeries:
-    """One fixed-point term as a (q, y) series, rebuilt from its columns.
-    Memoized per process on the exact arguments (the series is read-only).
-    """
-    return index_one_form(*_fixed_point_columns(n, trunc24))
+    """One fixed-point term as a (q, y) series over Q(zeta_n).  Memoized
+    per process on the exact arguments (the series is read-only)."""
+    twelfth = CyclotomicNumber.from_rational(n, Fraction(1, 12))
+    return _fixed_point_sum(n, trunc24, twelfth, lambda c: c)
 
 
-def _columnwise(n: int, trunc24: int, value) -> TruncatedSeries:
-    """The index-1 form whose column coefficients are value(c) of the
-    fixed-point term's column coefficients c."""
-    return index_one_form(*(
-        TruncatedSeries({k: value(c) for k, c in col.terms.items()},
-                        col.trunc24)
-        for col in _fixed_point_columns(n, trunc24)))
+def _fixed_point_sum(n: int, trunc24: int, a, value) -> TruncatedSeries:
+    """a phi_{0,1} + F phi_{-2,1}, F the series of value(c) on the
+    coefficients c of wp(u)."""
+    wp = _wp_series(n, trunc24)
+    f = TruncatedSeries({k: value(c) for k, c in wp.terms.items()}, trunc24)
+    return index_one_form(*jacobi_form_columns(a, f, trunc24))
 
 
 @lru_cache(maxsize=None)
 def equivariant_elliptic_genus(label: str, trunc24: int) -> TruncatedSeries:
     """chi_{-y}(g; q, LX) from the fixed-point formula over Table-1 data.
 
-    Sums mult * sigma_a(term) over the Table-1 eigenvalue pairs on the
-    term's two columns, then rebuilds the form: each column coefficient
-    goes once through the integer matrix of the whole sum, and every
-    non-rational coordinate of the result must vanish.  Memoized per
-    process on the exact arguments (the series is read-only).
+    The sum of mult * sigma_a(term) over the Table-1 eigenvalue pairs is
+    e(g)/12 phi_{0,1} + F phi_{-2,1}, F the same sum of the conjugates of
+    wp(u): each coefficient of wp(u) goes once through the integer matrix
+    of the whole sum, and every non-rational coordinate of the result must
+    vanish.  Memoized per process on the exact arguments (the series is
+    read-only).
     """
     n = CLASS_ORDER[label]
     if n == 1:
         return elliptic_genus(trunc24)
     pairs = FIXED_POINT_EIGENVALUES[n]
     try:
-        return _columnwise(
-            n, trunc24, lambda c: c.galois_sum(pairs).rational_value())
+        return _fixed_point_sum(
+            n, trunc24, exact_quotient(fixed_point_count(label), 12),
+            lambda c: c.galois_sum(pairs).rational_value())
     except DomainError as exc:  # pragma: no cover - corrupted data guard
         raise ArithmeticError(
             f"fixed-point sum for {label} is not rational: {exc}") from exc
@@ -268,13 +254,15 @@ def equivariant_elliptic_genus(label: str, trunc24: int) -> TruncatedSeries:
 def weighted_equivariant_genus(label: str, trunc24: int) -> TruncatedSeries:
     """The m(N)-weighted sum over all units of Z/N (shifted-phi quotients).
 
-    The sum of sigma_a(term) over all units a is the field trace, taken
-    coefficient by coefficient on the term's columns.
+    The sum of sigma_a(term) over all units a is
+    phi(N)/12 phi_{0,1} + Tr(wp(u)) phi_{-2,1}, the field trace taken
+    coefficient by coefficient on wp(u).
     """
     n = CLASS_ORDER[label]
     if n == 1:
         raise ValueError("weighted form applies to nontrivial classes")
-    return _columnwise(n, trunc24, CyclotomicNumber.trace) * UNIT_SUM_WEIGHTS[n]
+    return _fixed_point_sum(n, trunc24, Fraction(euler_phi(n), 12),
+                            CyclotomicNumber.trace) * UNIT_SUM_WEIGHTS[n]
 
 
 # -- decomposition against the weak Jacobi basis ------------------------------
@@ -342,8 +330,7 @@ def verify_moonshine_class(label: str, f_g: TruncatedSeries,
     """
     lhs = _columns(equivariant_elliptic_genus(label, trunc24))
     a = exact_quotient(fixed_point_count(label), 12)
-    rhs = [p * a + f_g * m for p, m in zip(weak_jacobi_columns(0, trunc24),
-                                           weak_jacobi_columns(-2, trunc24))]
+    rhs = jacobi_form_columns(a, f_g, trunc24)
     diffs = [left - right for left, right in zip(lhs, rhs)]
     t = min(d.trunc24 for d in diffs)
     bad = [d.min_q24 for d in diffs if d.terms]

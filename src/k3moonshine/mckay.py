@@ -5,16 +5,16 @@ first six coefficients of f_g follow from the module layers K_1..K_5 of the
 graded moonshine module -- 45+45b, 231+231b, 770+770b, 2 x 2277 and
 2 x 5796 -- evaluated through the derived rational M24 table.  The series
 is then extended through a classical basis of weight-2 forms for
-Gamma_0(level) (Eisenstein differences and eta-product cusp forms), with
-the surplus low-order coefficients acting as consistency checks.  The
-factors eta(a tau) of the cusp forms are ``modforms.eta_scaled``, the
-pentagonal series, which this module re-exports as ``eta_scaled``.
+Gamma_0(level) (Eisenstein differences of ``modforms.eisenstein_e2`` and
+eta-product cusp forms), with the surplus low-order coefficients acting as
+consistency checks.  The factors eta(a tau) of the cusp forms are
+``modforms.eta_scaled``, the pentagonal series, which this module
+re-exports as ``eta_scaled``.
 
 Each twining genus e(g)/12 phi_{0,1} + f_g phi_{-2,1} is a weak Jacobi form
-of index 1, so it is built on its y^0 and y^1 columns alone and rebuilt by
-the elliptic law c(n, l) = C(4n - l^2, l mod 2) (Eichler-Zagier 1985,
-Thm 2.2; ``modforms.index_one_form``): f_g multiplies two q-series, not
-the whole (q, y) series of phi_{-2,1}.
+of index 1, built on its y^0 and y^1 columns by
+``modforms.jacobi_form_columns``: f_g multiplies two q-series, not the
+whole (q, y) series of phi_{-2,1}.
 
 Two cross-checks pin the layer data, and each runs once, in the
 acceptance battery rather than here: criterion 7 checks the layer
@@ -33,7 +33,7 @@ from fractions import Fraction
 
 from .series import TruncatedSeries, exact_quotient
 from .modforms import (
-    eta_power, eta_scaled, index_one_form, weak_jacobi_columns,
+    eisenstein_e2, eta_power, eta_scaled, index_one_form, jacobi_form_columns,
 )
 from .mill import class_data
 from .tables import load_m24, data_dir
@@ -69,19 +69,14 @@ CLASS_LEVEL = {
 _K_LAYERS = {1: (45, 2), 2: (231, 2), 3: (770, 2), 4: (2277, 2), 5: (5796, 2)}
 
 
-def _sigma1(n: int) -> int:
-    return sum(d for d in range(1, n + 1) if n % d == 0)
-
-
 def eisenstein_difference(d: int, trunc24: int) -> TruncatedSeries:
     """B_d = d E_2(d tau) - E_2(tau), a weight-2 form for Gamma_0(d)."""
-    terms = {(0, 0, 0): d - 1}
-    n = 1
-    while 24 * n < trunc24:
-        c = 24 * (_sigma1(n) - (d * _sigma1(n // d) if n % d == 0 else 0))
-        if c:
-            terms[(24 * n, 0, 0)] = c
-        n += 1
+    e2 = eisenstein_e2(trunc24)
+    terms = {k: -c for k, c in e2.terms.items()}
+    for (q24, _y2, _z), c in e2.terms.items():
+        if d * q24 < trunc24:
+            key = (d * q24, 0, 0)
+            terms[key] = terms.get(key, 0) + d * c
     return TruncatedSeries(terms, trunc24)
 
 
@@ -256,17 +251,14 @@ def f_series(label: str, trunc24: int) -> TruncatedSeries:
 def twining_genus(label: str, trunc24: int) -> TruncatedSeries:
     """e(g)/12 phi_{0,1} + f_g phi_{-2,1} for any supported class.
 
-    An index-1 form, built on its y^0 and y^1 columns: f_g times the
-    columns of phi_{-2,1}, plus e(g)/12 times those of phi_{0,1}, which
-    are built only for a class with fixed points (e(g) != 0).
+    An index-1 form, built on its y^0 and y^1 columns
+    (``modforms.jacobi_form_columns``): f_g multiplies the columns of
+    phi_{-2,1}, and phi_{0,1} is built only for a class with fixed points
+    (e(g) != 0).
     """
     e = exact_quotient(euler_character_value(label), 12)
-    f = f_series(label, trunc24)
-    columns = [f * m for m in weak_jacobi_columns(-2, trunc24)]
-    if e:
-        columns = [p * e + c for p, c in
-                   zip(weak_jacobi_columns(0, trunc24), columns)]
-    return index_one_form(*columns)
+    return index_one_form(
+        *jacobi_form_columns(e, f_series(label, trunc24), trunc24))
 
 
 # -- the data file -----------------------------------------------------------------

@@ -1,21 +1,23 @@
-"""Dedekind eta, Jacobi theta functions, and the index-1 weak Jacobi forms.
+"""Dedekind eta, Jacobi theta functions, E_2, and the weak Jacobi forms.
 
 Every block is built from its lacunary series: eta(a tau) from Euler's
 pentagonal theorem (``eta_scaled``, the one eta builder; eta powers are
 products and inverses of it), theta_1..theta_4 from their theta sums, and
-phi_{0,1}, phi_{-2,1} as theta quotients.
+E_2 from a divisor sieve (``eisenstein_e2``).
 
 Index-1 forms from two q-columns.  The coefficients c(n, l) of q^n y^l in
 a weak Jacobi form of index 1 obey the elliptic law
 c(n, l) = C(4n - l^2, l mod 2) (Eichler-Zagier, *The Theory of Jacobi
 Forms*, 1985, Thm 2.2), so its y^0 and y^1 columns determine it.
 ``index_one_form`` rebuilds the whole (q, y) series from the two columns,
-and every index-1 form of the package is built that way: phi_{0,1} and
-phi_{-2,1} here (``weak_jacobi_columns``), the fixed-point terms and the
-equivariant genera in ``genus``, and the twining genera in ``mckay``.  Only
-univariate series are multiplied or divided.  The Chern-root product of
-the elliptic genus (``genus.chern_root_elliptic_genus``) stays a bivariate
-product, so acceptance criterion 3 tests the law instead of assuming it.
+and every index-1 form of the package is built that way: each is
+a phi_{0,1} + F phi_{-2,1} for a constant a and a q-series F, with its
+columns from ``jacobi_form_columns`` (the fixed-point terms and the
+equivariant genera in ``genus``, the twining genera in ``mckay``).  Only
+univariate series are multiplied, and eta is the one series divided.  The
+Chern-root product of the elliptic genus
+(``genus.chern_root_elliptic_genus``) stays a bivariate product, so
+acceptance criterion 3 tests the law instead of assuming it.
 
 Conventions (the single source of truth for signs):
   * theta3(y;q) = sum_n y^n q^(n^2/2), theta4 with (-1)^n,
@@ -29,9 +31,11 @@ Conventions (the single source of truth for signs):
     integer coefficients, so no product runs over Q(i).
   * phi_01 is the standard weight-0 index-1 form, q^0 part y + 10 + 1/y,
     value 12 at the Euler point; twice phi_01 is the K3 elliptic genus.
-    Its columns are sum_k (the columns of theta_k^2) * 4 theta_k(0)^-2
-    over k = 2, 3, 4: each theta constant is inverted once as a pure
-    q-series, and 4 theta_k(0)^-2 is integral.
+    The modular heat operator maps weak Jacobi forms of weight -2 and
+    index 1 to the line of phi_01 (Eichler-Zagier 1985, sections 3 and
+    9); on phi_m21, with the q^0 parts fixing the scale,
+        c_01(n, l) = 6 (4n - l^2) c_m21(n, l) + 5 (E_2 phi_m21)(n, l),
+    so phi_01 is built on integers from phi_m21's columns and E_2.
 """
 
 from __future__ import annotations
@@ -46,9 +50,10 @@ __all__ = [
     "eta_scaled",
     "eta_power",
     "jacobi_theta",
-    "theta_null",
+    "eisenstein_e2",
     "index_one_form",
     "weak_jacobi_columns",
+    "jacobi_form_columns",
     "weak_jacobi_phi",
     "euler_specialization",
 ]
@@ -123,9 +128,20 @@ def _half_integral_theta(alternating: bool, trunc24: int) -> TruncatedSeries:
     return TruncatedSeries(terms, trunc24, _clean=True)
 
 
-def theta_null(kind: int, trunc24: int) -> TruncatedSeries:
-    """Theta constant: the y -> 1 specialization as a pure q-series."""
-    return euler_specialization(jacobi_theta(kind, trunc24))
+@lru_cache(maxsize=None)
+def eisenstein_e2(trunc24: int) -> TruncatedSeries:
+    """E_2 = 1 - 24 sum_(n>=1) sigma_1(n) q^n below trunc24, with the
+    divisor sums sigma_1 from one sieve.  Memoized per process on the
+    exact arguments (the series is read-only)."""
+    top = (trunc24 - 1) // 24          # the last integral q-order below
+    sigma = [0] * (top + 1)
+    for d in range(1, top + 1):
+        for m in range(d, top + 1, d):
+            sigma[m] += d
+    terms = {(0, 0, 0): 1}
+    for m in range(1, top + 1):
+        terms[(24 * m, 0, 0)] = -24 * sigma[m]
+    return TruncatedSeries(terms, trunc24)
 
 
 def index_one_form(y0: TruncatedSeries, y1: TruncatedSeries) -> TruncatedSeries:
@@ -151,46 +167,52 @@ def index_one_form(y0: TruncatedSeries, y1: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(out, t, _clean=True)
 
 
-def _square_columns(theta: TruncatedSeries, t: int) -> list:
-    """The y^0 and y^1 columns of theta^2 below t, for a theta series with
-    one term per y-power."""
-    at = {y2: (q24, c) for (q24, y2, _z), c in theta.terms.items()}
-    columns = []
-    for total in (0, 2):
-        out: dict = {}
-        for y2, (q24, c) in at.items():
-            partner = at.get(total - y2)
-            if partner is not None and q24 + partner[0] < t:
-                key = (q24 + partner[0], 0, 0)
-                out[key] = out.get(key, 0) + c * partner[1]
-        columns.append(TruncatedSeries(out, t))
-    return columns
-
-
 @lru_cache(maxsize=None)
 def weak_jacobi_columns(weight: int, trunc24: int) -> tuple:
     """The y^0 and y^1 columns of phi_{0,1} (weight=0) or phi_{-2,1}
     (weight=-2), as a pair of series in q.
 
-    Both run on integer coefficients (see the module docstring).
-    theta1^2 and theta2(0)^2 lead at q^(1/4), so the blocks are built
-    below trunc24 + 6.  Memoized per process on the exact arguments (the
-    series are read-only).
+    Both run on integer coefficients (see the module docstring).  theta1^2
+    leads at q^(1/4), so phi_{-2,1}'s block is built below trunc24 + 6;
+    on its y^r column the heat operator's 6 (4n - r^2) is q24 - 6 r^2.
+    Memoized per process on the exact arguments (the series are read-only).
     """
-    t = trunc24 + 6
     if weight == -2:
+        # S has the terms (-1)^m y^(j/2) q^(j^2/8), j = 2m + 1, so -S^2 has
+        # the y^0 column sum_(j odd) q^(j^2/4) (from j' = -j) and the y^1
+        # column -sum_(i in Z) q^(i^2 + 1/4) (from j' = 2 - j)
+        t = trunc24 + 6
+        y0, y1 = {}, {}
+        i = 0
+        while 24 * i * i + 6 < t:
+            y1[(24 * i * i + 6, 0, 0)] = -2 if i else -1
+            if 6 * (2 * i + 1) ** 2 < t:
+                y0[(6 * (2 * i + 1) ** 2, 0, 0)] = 2
+            i += 1
         eta = eta_power(-6, t)
-        return tuple((-(c * eta)).truncate(trunc24)
-                     for c in _square_columns(_half_integral_theta(True, t), t))
+        return tuple(
+            (TruncatedSeries(c, t, _clean=True) * eta).truncate(trunc24)
+            for c in (y0, y1))
     if weight != 0:
         raise ValueError("weight must be 0 or -2")
-    total = [TruncatedSeries.zero(trunc24)] * 2
-    for kind in (2, 3, 4):
-        inverse = (theta_null(kind, t) ** 2).invert() * 4
-        squares = _square_columns(jacobi_theta(kind, t), t)
-        total = [acc + (c * inverse).truncate(trunc24)
-                 for acc, c in zip(total, squares)]
-    return tuple(total)
+    e2 = eisenstein_e2(trunc24)
+    columns = []
+    for r, c in enumerate(weak_jacobi_columns(-2, trunc24)):
+        heat = TruncatedSeries({(q24, 0, 0): (q24 - 6 * r * r) * v
+                                for (q24, _y2, _z), v in c.terms.items()},
+                               c.trunc24)
+        columns.append(heat + (e2 * c) * 5)
+    return tuple(columns)
+
+
+def jacobi_form_columns(a, f: TruncatedSeries, trunc24: int) -> list:
+    """The y^0 and y^1 columns of a phi_{0,1} + f phi_{-2,1}, for a
+    constant a and a q-series f; phi_{0,1} is built only when a != 0."""
+    columns = [f * m for m in weak_jacobi_columns(-2, trunc24)]
+    if a:
+        columns = [p * a + c for p, c in
+                   zip(weak_jacobi_columns(0, trunc24), columns)]
+    return columns
 
 
 @lru_cache(maxsize=None)

@@ -80,15 +80,12 @@ def ch_v_product(trunc24: int, zmax: int) -> TruncatedSeries:
     return s
 
 
-def ch_vn_extract(N: int, trunc24: int, product: TruncatedSeries | None = None,
-                  zmax: int | None = None) -> TruncatedSeries:
-    """ch_{V_N} as the z^N minus z^(N+2) coefficient of the product."""
-    if zmax is None:
-        zmax = N + 2
+def ch_vn_extract(N: int, product: TruncatedSeries,
+                  zmax: int) -> TruncatedSeries:
+    """ch_{V_N} as the z^N minus z^(N+2) coefficient of ``product``, the
+    ``ch_v_product`` built with z-window zmax."""
     if zmax < N + 2:
         raise ValueError("z-window too small for the requested extraction")
-    if product is None:
-        product = ch_v_product(trunc24, zmax)
     return product.z_coefficient(N) - product.z_coefficient(N + 2)
 
 

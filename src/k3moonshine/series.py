@@ -18,7 +18,8 @@ numbers only where those occur.  Every division of coefficients goes
 through ``exact_quotient``, which never returns a float.  Exact division
 runs its slice recurrence on a monic divisor (a lead c other than +-1 is
 divided out of the divisor and applied once to the quotient), so an
-integral divisor with a non-unit lead keeps the remainders integral.
+integral divisor with a non-unit lead, such as phi_{-2,1}'s y^0 column
+(lead 2), keeps the remainders integral.
 Rationals embed into any cyclotomic field on demand.  Every series
 carries a truncation order: all stored q-exponents are strictly below
 it, and arithmetic propagates the guaranteed-valid truncation.
@@ -113,14 +114,14 @@ class TruncatedSeries:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coeff(self, q, y=0, z=0):
-        """Exact coefficient at q^q y^y z^z (Fraction exponents allowed)."""
+    def coeff(self, q, y=0):
+        """Exact coefficient at q^q y^y z^0 (Fraction exponents allowed)."""
         q24 = _to_units(q, 24, "q")
         y2 = _to_units(y, 2, "y")
         if q24 >= self.trunc24:
             raise InsufficientPrecisionError(
                 f"coefficient at q24={q24} beyond truncation {self.trunc24}")
-        return self.terms.get((q24, y2, z), 0)
+        return self.terms.get((q24, y2, 0), 0)
 
     def q_slice(self, q24: int) -> dict:
         """All (y2, z) -> coeff at the given q-exponent (in 24th units)."""
@@ -249,8 +250,9 @@ class TruncatedSeries:
         the lead c (the top-y coefficient of the leading slice) is not
         +-1, the series is divided by divisor * c^-1 and the quotient is
         scaled once by c^-1.  So an integral divisor with a non-unit lead,
-        such as theta_1(u)^2 over Q(zeta_n) or theta_2(0)^2, keeps the
-        remainders integral instead of running them in Fractions.
+        such as the y^0 column of phi_{-2,1} (lead 2) that
+        ``genus.jacobi_split`` divides by, keeps the remainders integral
+        instead of running them in Fractions.
         Requires the division to be exact slice by slice; raises
         NotInSpanError (with the offending q-order) otherwise.  A zero
         numerator divides to the zero series.
@@ -517,13 +519,12 @@ def geometric_factor(coeff, q24: int, y2: int, z: int, trunc24: int,
     return TruncatedSeries(terms, trunc24, _clean=True)
 
 
-def binomial_factor(coeff, q24: int, y2: int, z: int,
-                    trunc24: int = INF24) -> TruncatedSeries:
+def binomial_factor(coeff, q24: int, y2: int, z: int) -> TruncatedSeries:
     """(1 + coeff * q^(q24/24) y^(y2/2) z^z) as an exact series."""
     terms = {(0, 0, 0): 1}
-    if coeff and q24 < trunc24:
+    if coeff:
         terms[(q24, y2, z)] = coeff
-    return TruncatedSeries(terms, trunc24, _clean=True)
+    return TruncatedSeries(terms, INF24, _clean=True)
 
 
 def prune_z_window(s: TruncatedSeries, z_lo: int, z_hi: int) -> TruncatedSeries:

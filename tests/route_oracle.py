@@ -15,8 +15,13 @@ the long way, as the library once did, and the tests compare the two:
     ``equivariant_genus_by_division``, ``weighted_genus_by_division``,
     ``twining_genus_by_products`` and ``moonshine_report_by_series``: the
     index-1 forms built as whole (q, y) series, by bivariate products and
-    one bivariate division, where the library builds their y^0 and y^1
-    columns and rebuilds the rest by the elliptic law.
+    divisions, where the library builds their y^0 and y^1 columns as
+    a phi_{0,1} + F phi_{-2,1} and rebuilds the rest by the elliptic law.
+    Here phi_{0,1} is sum_k theta_k^2 * 4 theta_k(0)^-2 (three
+    inversions), where the library applies the heat operator to
+    phi_{-2,1}, and the fixed-point term is the lacunary double sum
+    divided by theta1(u)^2 over Q(zeta_n), where the library reads it as
+    phi_{0,1}/12 + wp(u) phi_{-2,1}.
 """
 
 from fractions import Fraction
@@ -30,7 +35,7 @@ from k3moonshine.genus import (
 from k3moonshine.mckay import euler_character_value, f_series
 from k3moonshine.modforms import (
     _half_integral_theta, euler_specialization, eta_power, jacobi_theta,
-    theta_null, weak_jacobi_phi,
+    weak_jacobi_phi,
 )
 from k3moonshine.n4char import N4Multiplicities, polar_part
 from k3moonshine.qpoly import Poly, _horner, cyclotomic_poly
@@ -155,7 +160,8 @@ def weak_jacobi_phi_by_products(weight, trunc24):
         return (-(sq * eta_power(-6, t))).truncate(trunc24)
     total = TruncatedSeries.zero(trunc24)
     for kind in (2, 3, 4):
-        inverse = (theta_null(kind, t) ** 2).invert() * 4
+        theta_null = euler_specialization(jacobi_theta(kind, t))
+        inverse = (theta_null ** 2).invert() * 4
         total = total + (jacobi_theta(kind, t) ** 2 * inverse).truncate(trunc24)
     return total
 

@@ -18,10 +18,11 @@ SAMPLE_ARGS = {
     "cyclotomic._zeta_traces": (5,),
     "qpoly._cyclotomic_coeffs": (6,),
     "modforms.eta_power": (-3, 48),
+    "modforms.eisenstein_e2": (48,),
     "modforms.weak_jacobi_columns": (-2, 48),
     "modforms.weak_jacobi_phi": (0, 48),
     "genus.rational_form": ("5A",),
-    "genus._fixed_point_columns": (3, 48),
+    "genus._wp_series": (3, 48),
     "genus._fixed_point_term": (3, 48),
     "genus.equivariant_elliptic_genus": ("3A", 48),
     "n4char.g_sum": (1, 48),

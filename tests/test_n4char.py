@@ -61,9 +61,9 @@ def test_denominator_identity(product):
 
 
 def test_extraction_leading(product):
-    v0 = ch_vn_extract(0, T3, product, 8)
+    v0 = ch_vn_extract(0, product, 8)
     assert v0.min_q24 == -6 and v0.coeff(Fraction(-1, 4)) == 1
-    v1 = ch_vn_extract(1, T3, product, 8)
+    v1 = ch_vn_extract(1, product, 8)
     assert v1.min_q24 == 6
     assert v1.coeff(Fraction(1, 4), y=1) == 1
     assert v1.coeff(Fraction(1, 4), y=-1) == 1
@@ -75,7 +75,7 @@ def test_dimension_count(product):
     total = TruncatedSeries.zero(t)
     # V_N for N > 6 has no support below q^2 (z-charge 8 costs more)
     for n in range(0, 7):
-        total = total + ch_vn_extract(n, t, product, 8) * (n + 1)
+        total = total + ch_vn_extract(n, product, 8) * (n + 1)
     at_z_one = {}
     for (q24, y2, _z), c in product.terms.items():
         at_z_one[(q24, y2, 0)] = at_z_one.get((q24, y2, 0), 0) + c
@@ -84,7 +84,7 @@ def test_dimension_count(product):
 
 def test_closed_equals_extraction(product):
     for n in range(0, 5):
-        assert ch_vn_closed(n, T3) == ch_vn_extract(n, T3, product, 8), n
+        assert ch_vn_closed(n, T3) == ch_vn_extract(n, product, 8), n
 
 
 def test_h_form_equals_closed():

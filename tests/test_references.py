@@ -32,8 +32,9 @@ ALLOWED = {
     "lattice.SolveResult.solved":
         "the verdict of solve_in_lattice's result record",
     "genus._fixed_point_term":
-        "one fixed-point term as a (q, y) series; the library reads its "
-        "columns, the tests compare the series with the product oracle",
+        "one fixed-point term as a (q, y) series over Q(zeta_n); the "
+        "library sums the conjugates of its wp(u) series, the tests "
+        "compare the term with the product and division oracles",
 }
 
 

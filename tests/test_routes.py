@@ -8,7 +8,8 @@ the column route reports the earlier one.
 The truncation tests check that a result at T equals the result at
 T + 24 cut to T.  Every index-1 form the library builds from its y^0 and
 y^1 columns is compared with its whole-series route, at several
-truncations.
+truncations, one of them not a whole q-order, and one test pins that
+building them divides by eta alone.
 """
 
 from fractions import Fraction
@@ -25,7 +26,9 @@ from k3moonshine.mckay import (
     GEOMETRIC_CLASSES, MOONSHINE_CLASSES, euler_character_value, f_series,
     twining_genus,
 )
-from k3moonshine.modforms import weak_jacobi_columns, weak_jacobi_phi
+from k3moonshine.modforms import (
+    dedekind_eta, weak_jacobi_columns, weak_jacobi_phi,
+)
 from k3moonshine.n4char import (
     ch_vn_h_form, decompose_into_n4, polar_part, twining_truncation,
 )
@@ -226,20 +229,43 @@ INDEX_ONE_BUILDERS = {
 }
 
 
-@pytest.mark.parametrize("t", (24, 6 * 24, 27 * 24))
+@pytest.mark.parametrize("t", (24, 6 * 24, 150, 27 * 24))
 @pytest.mark.parametrize("name", INDEX_ONE_BUILDERS)
 def test_index_one_builder_matches_its_bivariate_route(name, t):
     build, oracle = INDEX_ONE_BUILDERS[name]
     _same_series(build(t), oracle(t))
 
 
-@pytest.mark.parametrize("t", (24, 6 * 24, 27 * 24))
+@pytest.mark.parametrize("t", (24, 6 * 24, 150, 27 * 24))
 @pytest.mark.parametrize("name", INDEX_ONE_BUILDERS)
 def test_index_one_builder_truncation_is_sound(name, t):
     build, _ = INDEX_ONE_BUILDERS[name]
     low = build(t)
     assert low.trunc24 == t
     _same_series(build(t + 24).truncate(t), low)
+
+
+def test_index_one_forms_divide_only_by_eta(monkeypatch):
+    # phi_{0,1} is the heat operator on phi_{-2,1}'s columns and each
+    # fixed-point term is phi_{0,1}/12 + wp(u) phi_{-2,1}, so no theta
+    # constant is divided: the one divisor is eta, inverted in eta_power
+    divisions = []
+    divide = TruncatedSeries.divide_exact
+
+    def recording(self, divisor):
+        divisions.append((self, divisor))
+        return divide(self, divisor)
+
+    monkeypatch.setattr(TruncatedSeries, "divide_exact", recording)
+    t = 7 * 24 + 5                 # a truncation no other test builds
+    weak_jacobi_columns(0, t)
+    for label in SYMPLECTIC_CLASSES[1:]:
+        equivariant_elliptic_genus(label, t)
+    assert divisions
+    for numerator, divisor in divisions:
+        assert dict(numerator.terms) == {(0, 0, 0): 1}
+        assert divisor.trunc24 > t
+        assert dict(divisor.terms) == dict(dedekind_eta(divisor.trunc24).terms)
 
 
 def _report(report):
@@ -303,14 +329,14 @@ def test_twining_genus_matches_the_full_sum(label):
 
 
 def test_criterion_10_builds_no_zero_weighted_phi0(monkeypatch):
-    from k3moonshine import acceptance, mckay
+    from k3moonshine import acceptance, modforms
     built = []
 
     def recording(weight, trunc24):
         built.append((weight, trunc24))
         return weak_jacobi_columns(weight, trunc24)
 
-    monkeypatch.setattr(mckay, "weak_jacobi_columns", recording)
+    monkeypatch.setattr(modforms, "weak_jacobi_columns", recording)
     assert acceptance.check_10_audit()[0]
     t20 = twining_truncation(20)
     assert (-2, t20) in built

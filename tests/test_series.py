@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from k3moonshine.cyclotomic import CyclotomicNumber, euler_phi, zeta
-from k3moonshine.modforms import jacobi_theta, theta_null
+from k3moonshine.modforms import euler_specialization, jacobi_theta
 from k3moonshine.series import (
     INF24,
     InsufficientPrecisionError,
@@ -412,7 +412,7 @@ def test_theta2_null_square_division_matches_slice_recurrence():
     # theta_2(0)^2 leads with 4: the division in weak_jacobi_phi(0)
     t = 8 * 24
     num = jacobi_theta(2, t) ** 2
-    den = theta_null(2, t) ** 2
+    den = euler_specialization(jacobi_theta(2, t)) ** 2
     assert den.terms[(6, 0, 0)] == 4
     quo = num.divide_exact(den)
     ref = divide_by_slices(num, den)
