@@ -16,10 +16,11 @@ have one code path: Python's numeric tower runs them on ints for the
 integral series the paper computes, and on Fractions or cyclotomic
 numbers only where those occur.  Every division of coefficients goes
 through ``exact_quotient``, which never returns a float.  Exact division
-runs its slice recurrence on a monic divisor (a lead c other than +-1 is
-divided out of the divisor and applied once to the quotient), so an
-integral divisor with a non-unit lead, such as phi_{-2,1}'s y^0 column
-(lead 2), keeps the remainders integral.
+takes a divisor whose lowest q-slice is one term c y^a z^b (eta, theta3
+and phi_{-2,1}'s y^0 column, lead 2, are the divisors the library has)
+and divides each quotient coefficient by c alone, so an integral divisor
+with a non-unit lead keeps the remainders integral wherever the quotient
+is.
 Rationals embed into any cyclotomic field on demand.  Every series
 carries a truncation order: all stored q-exponents are strictly below
 it, and arithmetic propagates the guaranteed-valid truncation.
@@ -123,13 +124,6 @@ class TruncatedSeries:
                 f"coefficient at q24={q24} beyond truncation {self.trunc24}")
         return self.terms.get((q24, y2, 0), 0)
 
-    def q_slice(self, q24: int) -> dict:
-        """All (y2, z) -> coeff at the given q-exponent (in 24th units)."""
-        if q24 >= self.trunc24:
-            raise InsufficientPrecisionError(
-                f"slice at q24={q24} beyond truncation {self.trunc24}")
-        return {(y2, z): c for (e, y2, z), c in self.terms.items() if e == q24}
-
     def q_support(self) -> list[int]:
         return sorted({k[0] for k in self.terms})
 
@@ -226,48 +220,32 @@ class TruncatedSeries:
     # -- inversion and exact division ------------------------------------------
 
     def invert(self) -> "TruncatedSeries":
-        """Inverse of a series whose leading q-slice is a single monomial.
-
-        An exactly known series must be truncated first.
-        """
-        if self.is_zero():
-            raise ZeroDivisionError("cannot invert the zero series")
-        m = self.min_q24
-        if self.trunc24 >= INF24:
-            raise ValueError("truncate an exact series before inverting it")
-        if len(self.q_slice(m)) != 1:
-            raise NotInSpanError(
-                "leading q-slice is not a monomial; use divide_exact", q24=m)
+        """1 / self by ``divide_exact``, with its errors: the zero series,
+        an exactly known one (truncate it first) or a lowest q-slice of
+        more than one term."""
         return TruncatedSeries.const(1).divide_exact(self)
 
     def divide_exact(self, divisor: "TruncatedSeries") -> "TruncatedSeries":
-        """Long division by a series whose leading q-slice has one z-power.
+        """Long division by a series whose lowest q-slice is one term.
 
-        The quotient is built slice by slice: the lowest remainder slice
-        is divided by the divisor's leading slice, and that quotient slice
-        times each later divisor slice is subtracted from the later
-        remainder slices.  The recurrence runs on a monic divisor: when
-        the lead c (the top-y coefficient of the leading slice) is not
-        +-1, the series is divided by divisor * c^-1 and the quotient is
-        scaled once by c^-1.  So an integral divisor with a non-unit lead,
-        such as the y^0 column of phi_{-2,1} (lead 2) that
-        ``genus.jacobi_split`` divides by, keeps the remainders integral
-        instead of running them in Fractions.
-        Requires the division to be exact slice by slice; raises
-        NotInSpanError (with the offending q-order) otherwise.  A zero
-        numerator divides to the zero series.
+        With that lead c y^a z^b, each quotient slice is the lowest
+        remainder slice shifted by y^-a z^-b, each coefficient divided by
+        c through ``exact_quotient``, and that quotient slice times each
+        later divisor slice is subtracted from the later remainder slices.
+        So an integral divisor with a non-unit lead, such as the y^0 column
+        of phi_{-2,1} (lead 2) that ``genus.jacobi_split`` divides by,
+        keeps the remainders integral wherever the quotient is.  A divisor
+        whose lowest slice has more than one term raises NotInSpanError at
+        that order; ``tests/division_oracle.py`` keeps the general slice
+        recurrence.  A zero numerator divides to the zero series.
         """
         if divisor.is_zero():
             raise ZeroDivisionError("division by zero series")
         (dmin, dlead), *dtail = _grouped(divisor)
-        if len({z for (_, z), _ in dlead}) != 1:
+        if len(dlead) != 1:
             raise NotInSpanError(
-                "divisor leading slice must have a single z-power", q24=dmin)
-        inv = None
-        lead = max(dlead, key=lambda term: term[0])[1]
-        if lead != 1 and lead != -1:
-            inv = exact_quotient(1, lead)
-            (dmin, dlead), *dtail = _grouped(divisor.scale(inv))
+                "divisor's lowest q-slice is not one term", q24=dmin)
+        ((ly2, lz), lead), = dlead
         nmin = self.min_q24 if not self.is_zero() else self.trunc24
         trunc = min(self.trunc24, divisor.trunc24 + nmin - dmin) - dmin
         if trunc >= INF24 // 2:
@@ -279,8 +257,9 @@ class TruncatedSeries:
         out: dict = {}
         while rem:
             e = min(rem)
-            quotient = _laurent_divide(rem.pop(e), dlead, e)
             qe = e - dmin
+            quotient = {(y2 - ly2, z - lz): exact_quotient(c, lead)
+                        for (y2, z), c in rem.pop(e).items()}
             for (y2, z), c in quotient.items():
                 out[(qe, y2, z)] = c
             for d24, dslice in dtail:
@@ -297,9 +276,6 @@ class TruncatedSeries:
                             del target[key]
                 if not target:
                     del rem[qe + d24]
-        if inv is not None:
-            for key, c in out.items():
-                out[key] = c * inv
         return TruncatedSeries(out, trunc, _clean=True)
 
     # -- substitutions ----------------------------------------------------------
@@ -456,44 +432,6 @@ def _grouped(s: TruncatedSeries):
     for (q24, y2, z), c in s.terms.items():
         groups.setdefault(q24, []).append(((y2, z), c))
     return sorted(groups.items())
-
-
-def _laurent_divide(numer: dict, denom: list, q24: int) -> dict:
-    """Exact division of Laurent polys keyed (y2, z); all denom z agree.
-
-    The denominator's top-y coefficient is +-1 (``divide_exact`` makes the
-    divisor monic), so each quotient coefficient is a remainder
-    coefficient or its negative, with no division.
-    """
-    out: dict = {}
-    dy = {y2: c for (y2, _), c in denom}
-    dz = denom[0][0][1]
-    dmin = min(dy)
-    dmax = max(dy)
-    negate = dy[dmax] != 1
-    # split the numerator by z-stratum; the denominator is one z-power
-    strata: dict = {}
-    for (y2, z), c in numer.items():
-        strata.setdefault(z, {})[y2] = c
-    for z, work in strata.items():
-        while work:
-            top = max(work)
-            low = min(work)
-            if top - dmax < low - dmin:
-                raise NotInSpanError(
-                    f"q-slice at q24={q24} not divisible by leading slice",
-                    q24=q24)
-            shift = top - dmax
-            coeff = -work[top] if negate else work[top]
-            out[(shift, z - dz)] = coeff
-            for y2, d in dy.items():
-                key = y2 + shift
-                acc = work.get(key, 0) - coeff * d
-                if not acc:
-                    work.pop(key, None)
-                else:
-                    work[key] = acc
-    return out
 
 
 def geometric_factor(coeff, q24: int, y2: int, z: int, trunc24: int,

@@ -1,10 +1,12 @@
-"""Exact series division by the plain slice recurrence, as a test oracle.
+"""Exact series division by the general slice recurrence, as a test oracle.
 
-The library divides by a monic divisor (divisor * c^-1, quotient scaled by
-c^-1, where c is the lead).  This oracle keeps the recurrence without that
-normalisation: each quotient slice is the lowest remainder slice times the
-reciprocal of the lead, so with a non-unit lead every remainder runs in
-Fractions.  Both must give the same quotient and truncation.
+This is the one home of division by a divisor whose lowest q-slice has
+more than one term, such as phi_{-2,1}'s lead -(y - 2 + 1/y): each
+quotient slice is the lowest remainder slice divided, top y-power first,
+by that lowest slice, and a slice that does not divide raises
+NotInSpanError at its order.  The library's ``divide_exact`` takes only a
+one-term lowest slice, where this recurrence reduces to its own, and the
+tests compare the two term by term.
 """
 
 from k3moonshine.series import NotInSpanError, TruncatedSeries, exact_quotient

@@ -6,7 +6,8 @@ the long way, as the library once did, and the tests compare the two:
 
   * ``decompose_two_divisions``: s * eta^3 divided twice by theta3, and
     the full polar_part / theta3 quotient subtracted;
-  * ``jacobi_split_by_division``: the bivariate division by phi_{-2,1};
+  * ``jacobi_split_by_division``: the bivariate division by phi_{-2,1},
+    whose lead -(y - 2 + 1/y) only ``division_oracle`` divides by;
   * ``galois_conjugate`` and ``table1_sum``: sigma_a applied to every
     coefficient, pair by pair;
   * ``chi_symt_per_pair``: one inverse and one root-count sum per pair;
@@ -43,6 +44,7 @@ from k3moonshine.series import (
     InsufficientPrecisionError, NotInSpanError, TruncatedSeries,
     exact_quotient,
 )
+from division_oracle import divide_by_slices
 from series_tools import as_rational, galois
 
 
@@ -88,7 +90,7 @@ def jacobi_split_by_division(s):
                              q24=next(k for k in support if k != 0))
     phi0 = weak_jacobi_phi(0, s.trunc24)
     phim2 = weak_jacobi_phi(-2, s.trunc24)
-    h = (s - phi0 * a).divide_exact(phim2)
+    h = divide_by_slices(s - phi0 * a, phim2)
     if any(y2 or z for (_, y2, z) in h.terms):
         bad = min(q24 for (q24, y2, z) in h.terms if y2 or z)
         raise NotInSpanError("split quotient depends on y", q24=bad)

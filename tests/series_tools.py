@@ -6,12 +6,15 @@ computed series and numbers:
   * ``substitute_y_value``: y specialized to a value, the oracle of
     ``modforms.euler_specialization``;
   * ``is_y_symmetric``: the y <-> 1/y symmetry of every Jacobi form;
+  * ``q_slice``: the (y, z) terms at one q-order;
   * ``as_rational``: rational coefficients read off a cyclotomic series;
   * ``galois``: one automorphism sigma_a, against the defining sum.
 """
 
 from k3moonshine.cyclotomic import CyclotomicNumber, DomainError
-from k3moonshine.series import TruncatedSeries, exact_quotient
+from k3moonshine.series import (
+    InsufficientPrecisionError, TruncatedSeries, exact_quotient,
+)
 
 
 def substitute_y_value(s, value):
@@ -35,6 +38,14 @@ def is_y_symmetric(s) -> bool:
     """Whether s is unchanged by y -> 1/y."""
     mirror = {(q24, -y2, z): c for (q24, y2, z), c in s.terms.items()}
     return s == TruncatedSeries(mirror, s.trunc24, _clean=True)
+
+
+def q_slice(s, q24):
+    """All (y2, z) -> coeff at the given q-exponent (in 24th units)."""
+    if q24 >= s.trunc24:
+        raise InsufficientPrecisionError(
+            f"slice at q24={q24} beyond truncation {s.trunc24}")
+    return {(y2, z): c for (e, y2, z), c in s.terms.items() if e == q24}
 
 
 def as_rational(s):

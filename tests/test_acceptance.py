@@ -21,10 +21,13 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
+from math import gcd, prod
 
 import pytest
 
 from k3moonshine import acceptance as acc
+from k3moonshine.cyclotomic import euler_phi
 
 
 def _check(fn, **kw):
@@ -56,24 +59,96 @@ def test_criteria_3_and_4_below_q4():
     _check(acc.check_4_theorem_split, q_order=1)
 
 
+def _primes(level):
+    return [p for p in range(2, level + 1)
+            if level % p == 0 and all(p % r for r in range(2, p))]
+
+
+def _index(level):
+    """[SL_2(Z) : Gamma_0(N)] = N prod_{p | N} (1 + 1/p)."""
+    index = level
+    for p in _primes(level):
+        index = index * (p + 1) // p
+    return index
+
+
 def _sturm_order(level):
     """floor([SL_2(Z) : Gamma_0(N)] / 6): a weight-2 form on Gamma_0(N)
     whose coefficients vanish through this order is zero (Sturm, LNM
     1240, 1987)."""
-    index, n, p = level, level, 2
-    while n > 1:
-        if n % p == 0:
-            index = index * (p + 1) // p
-            while n % p == 0:
-                n //= p
-        p += 1
-    return index // 6
+    return _index(level) // 6
+
+
+def _kronecker(d, p):
+    """The Kronecker symbol (d/p) of a prime p, (d/2) by d mod 8."""
+    if p == 2:
+        return 0 if d % 2 == 0 else (1 if d % 8 in (1, 7) else -1)
+    if d % p == 0:
+        return 0
+    return 1 if pow(d, (p - 1) // 2, p) == 1 else -1
+
+
+def _dim_m2(level):
+    """dim M_2(Gamma_0(N)) = g + c - 1, with c cusps and the genus
+    g = 1 + index/12 - nu_2/4 - nu_3/3 - c/2, nu_2 and nu_3 the elliptic
+    points of period 2 and 3 (Diamond and Shurman, A First Course in
+    Modular Forms, 2005, ch. 3)."""
+    cusps = sum(euler_phi(gcd(d, level // d))
+                for d in range(1, level + 1) if level % d == 0)
+    nu = {}
+    for d, square in ((-4, 4), (-3, 9)):
+        nu[d] = 0 if level % square == 0 else prod(
+            1 + _kronecker(d, p) for p in _primes(level))
+    genus = (1 + Fraction(_index(level), 12) - Fraction(nu[-4], 4)
+             - Fraction(nu[-3], 3) - Fraction(cusps, 2))
+    assert genus.denominator == 1
+    return int(genus) + cusps - 1
+
+
+def _rank(rows):
+    """Rank of a matrix of rationals, by Gaussian elimination."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col] / rows[rank][col]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
 
 
 def test_sturm_orders_of_the_geometric_levels():
     from k3moonshine.mckay import CLASS_LEVEL, GEOMETRIC_CLASSES
     assert [_sturm_order(CLASS_LEVEL[g]) for g in GEOMETRIC_CLASSES] == \
         [0, 0, 0, 1, 1, 2, 1, 2]
+
+
+def test_trace_fits_are_proved_by_the_sturm_order():
+    # fit_in_m2 pins f_g in M_2(Gamma_0(N)) by the six trace coefficients
+    # q^0..q^5.  The basis has the dimension of the genus and cusp formulas
+    # and full rank through the Sturm order, and the traces reach past it,
+    # so a form of M_2(Gamma_0(N)) that matches them is f_g itself
+    from k3moonshine.mckay import (
+        CLASS_LEVEL, f_from_traces, f_series, m2_basis,
+    )
+    assert {n: _dim_m2(n) for n in sorted(set(CLASS_LEVEL.values()))} == \
+        {1: 0, 2: 1, 3: 1, 4: 2, 5: 1, 6: 3, 7: 1, 8: 3, 11: 2, 14: 4,
+         15: 4, 23: 3}
+    for label, level in CLASS_LEVEL.items():
+        sturm = _sturm_order(level)
+        assert sturm <= 4, label
+        basis = m2_basis(level, 24 * (sturm + 1))
+        assert len(basis) == _dim_m2(level), label
+        rows = [[b.coeff(n) for b in basis] for n in range(sturm + 1)]
+        assert _rank(rows) == len(basis), label
+        traces = f_from_traces(label)
+        assert sturm < len(traces) - 1, label
+        f = f_series(label, 24 * len(traces))
+        assert [f.coeff(n) for n in range(len(traces))] == traces, label
 
 
 def test_default_comparisons_reach_the_sturm_order():

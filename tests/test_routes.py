@@ -9,7 +9,9 @@ The truncation tests check that a result at T equals the result at
 T + 24 cut to T.  Every index-1 form the library builds from its y^0 and
 y^1 columns is compared with its whole-series route, at several
 truncations, one of them not a whole q-order, and one test pins that
-building them divides by eta alone.
+building them divides by eta alone.  Another records every divisor of
+one acceptance pass: each has a one-term lowest q-slice, the only kind
+``divide_exact`` takes.
 """
 
 from fractions import Fraction
@@ -17,6 +19,7 @@ from functools import partial
 
 import pytest
 
+from k3moonshine.acceptance import run_criteria
 from k3moonshine.genus import (
     FIXED_POINT_EIGENVALUES, SYMPLECTIC_CLASSES, _fixed_point_term,
     chi_symt_series, elliptic_genus, equivariant_elliptic_genus, jacobi_split,
@@ -27,7 +30,7 @@ from k3moonshine.mckay import (
     twining_genus,
 )
 from k3moonshine.modforms import (
-    dedekind_eta, weak_jacobi_columns, weak_jacobi_phi,
+    dedekind_eta, jacobi_theta, weak_jacobi_columns, weak_jacobi_phi,
 )
 from k3moonshine.n4char import (
     ch_vn_h_form, decompose_into_n4, polar_part, twining_truncation,
@@ -44,6 +47,7 @@ from route_oracle import (
     twining_genus_by_products, weak_jacobi_phi_by_products,
     weighted_genus_by_division,
 )
+from test_caches import _cached_builders
 
 TWININGS = GEOMETRIC_CLASSES + MOONSHINE_CLASSES
 
@@ -245,18 +249,25 @@ def test_index_one_builder_truncation_is_sound(name, t):
     _same_series(build(t + 24).truncate(t), low)
 
 
-def test_index_one_forms_divide_only_by_eta(monkeypatch):
-    # phi_{0,1} is the heat operator on phi_{-2,1}'s columns and each
-    # fixed-point term is phi_{0,1}/12 + wp(u) phi_{-2,1}, so no theta
-    # constant is divided: the one divisor is eta, inverted in eta_power
-    divisions = []
+@pytest.fixture
+def divisions(monkeypatch):
+    """Every (numerator, divisor) pair ``divide_exact`` receives; ``invert``
+    divides through it, so inverses are recorded too."""
+    seen = []
     divide = TruncatedSeries.divide_exact
 
     def recording(self, divisor):
-        divisions.append((self, divisor))
+        seen.append((self, divisor))
         return divide(self, divisor)
 
     monkeypatch.setattr(TruncatedSeries, "divide_exact", recording)
+    return seen
+
+
+def test_index_one_forms_divide_only_by_eta(divisions):
+    # phi_{0,1} is the heat operator on phi_{-2,1}'s columns and each
+    # fixed-point term is phi_{0,1}/12 + wp(u) phi_{-2,1}, so no theta
+    # constant is divided: the one divisor is eta, inverted in eta_power
     t = 7 * 24 + 5                 # a truncation no other test builds
     weak_jacobi_columns(0, t)
     for label in SYMPLECTIC_CLASSES[1:]:
@@ -266,6 +277,35 @@ def test_index_one_forms_divide_only_by_eta(monkeypatch):
         assert dict(numerator.terms) == {(0, 0, 0): 1}
         assert divisor.trunc24 > t
         assert dict(divisor.terms) == dict(dedekind_eta(divisor.trunc24).terms)
+
+
+# the lowest term of each divisor the library has: eta = q^(1/24) + ...,
+# theta3 = 1 + O(q^(1/2)) and phi_{-2,1}'s y^0 column 2 + O(q)
+DIVISORS = {
+    ((1, 0, 0), 1): dedekind_eta,
+    ((0, 0, 0), 1): partial(jacobi_theta, 3),
+    ((0, 0, 0), 2): lambda t: weak_jacobi_columns(-2, t)[0],
+}
+
+
+def test_acceptance_divides_only_by_one_term_leads(divisions):
+    # From cold builders, one pass of the battery divides only by series
+    # whose lowest q-slice is one term: eta, theta3 and phi_{-2,1}'s y^0
+    # column, each of them at least once
+    for builder in _cached_builders().values():
+        builder.cache_clear()
+    assert all(r.error is None for r in run_criteria())
+    received = [divisor for _numerator, divisor in divisions]
+    leads = []
+    for divisor in received:
+        lowest = [(k, c) for k, c in divisor.terms.items()
+                  if k[0] == divisor.min_q24]
+        assert len(lowest) == 1
+        leads.append(lowest[0])
+    assert set(leads) == set(DIVISORS)
+    for lead, divisor in zip(leads, received):
+        assert dict(divisor.terms) == \
+            dict(DIVISORS[lead](divisor.trunc24).terms)
 
 
 def _report(report):

@@ -89,17 +89,23 @@ def test_ring_axioms_randomized():
 
 
 def test_divide_exact_by_multiterm_lead():
-    # divide (y - 2 + 1/y) * s by (y - 2 + 1/y) and recover s
-    d = T({(0, 2, 0): Fraction(1), (0, 0, 0): Fraction(-2),
-           (0, -2, 0): Fraction(1)}, 5 * 24)
+    # divide_exact and invert refuse a lowest q-slice of more than one term
+    # at its order; the slice oracle divides (y - 2 + 1/y) * s back to s
+    d = T({(24, 2, 0): Fraction(1), (24, 0, 0): Fraction(-2),
+           (24, -2, 0): Fraction(1)}, 5 * 24)
     s = (1 + q(1, 5)) + T.monomial(Fraction(3), q24=24, y2=2)
     top = (d * s).truncate(4 * 24)
-    back = top.divide_exact(d)
+    for refused in (lambda: top.divide_exact(d), d.invert):
+        with pytest.raises(NotInSpanError) as err:
+            refused()
+        assert err.value.q24 == 24
+    back = divide_by_slices(top, d)
     assert back == s.truncate(back.trunc24)
     # a non-divisible numerator reports the failing order
-    bad = T.monomial(Fraction(1), q24=0, y2=2)
-    with pytest.raises(NotInSpanError):
-        bad.truncate(2 * 24).divide_exact(d)
+    bad = T.monomial(Fraction(1), q24=24, y2=2)
+    with pytest.raises(NotInSpanError) as err:
+        divide_by_slices(bad.truncate(3 * 24), d)
+    assert err.value.q24 == 24
 
 
 def test_spectral_flow_roundtrip():
@@ -266,7 +272,8 @@ def exact_series(draw, domain, lo24=-24):
 @st.composite
 def divisors(draw, domain, monomial_lead=None):
     """An exact divisor whose leading q-slice has one z-power: a monomial,
-    or a monomial times y - 2 + 1/y; the leading order may be negative."""
+    or a monomial times y - 2 + 1/y (which only the slice oracle divides
+    by); the leading order may be negative."""
     m = 12 * draw(st.integers(-2, 2))
     y2, z = draw(st.integers(-2, 2)), draw(st.integers(-1, 1))
     c = draw(coefficients(domain))
@@ -285,6 +292,25 @@ def _quotient_trunc(num, den):
     return min(num.trunc24, den.trunc24 + nmin - den.min_q24) - den.min_q24
 
 
+def _divide(num, den):
+    """num / den by divide_exact, equal term by term to the slice oracle.
+
+    A divisor whose lowest q-slice has more than one term is refused at
+    that order, and the oracle's quotient is returned for the checks.
+    """
+    ref = divide_by_slices(num, den)
+    if sum(k[0] == den.min_q24 for k in den.terms) > 1:
+        with pytest.raises(NotInSpanError) as refused:
+            num.divide_exact(den)
+        assert refused.value.q24 == den.min_q24
+        return ref
+    quo = num.divide_exact(den)
+    assert quo.trunc24 == ref.trunc24
+    assert quo.terms.keys() == ref.terms.keys()
+    assert all(quo.terms[k] == ref.terms[k] for k in quo.terms)
+    return quo
+
+
 @DIVISION
 @given(data=st.data(), domain=st.sampled_from(DOMAINS),
        tn=st.integers(-2, 10), td=st.integers(1, 8),
@@ -297,7 +323,7 @@ def test_divide_exact_differential(data, domain, tn, td, dn, dd):
     for n24, d24 in ((12 * tn, b.min_q24 + 12 * td),
                      (12 * (tn + dn), b.min_q24 + 12 * (td + dd))):
         num, den = top.truncate(n24), b.truncate(d24)
-        quo = num.divide_exact(den)
+        quo = _divide(num, den)
         assert quo.trunc24 == _quotient_trunc(num, den)
         # sound: the exact quotient a agrees below the claimed truncation
         assert quo == a
@@ -313,7 +339,7 @@ def test_divide_exact_differential(data, domain, tn, td, dn, dd):
 def test_zero_numerator_divides_to_zero(data, domain, tn, td):
     b = data.draw(divisors(domain))
     den = b.truncate(b.min_q24 + 12 * td)
-    quo = T.zero(12 * tn).divide_exact(den)
+    quo = _divide(T.zero(12 * tn), den)
     assert quo.is_zero()
     assert quo.trunc24 == 12 * tn - den.min_q24
 
@@ -328,6 +354,7 @@ def test_invert_differential(data, domain, td, dd):
     for d24 in (m + 12 * td, m + 12 * (td + dd)):
         s = b.truncate(d24)
         inv = s.invert()
+        assert dict(inv.terms) == dict(_divide(T.const(1), s).terms)
         assert inv.trunc24 == s.trunc24 - 2 * m
         assert s * inv == 1
         assert all_canonical(inv)
@@ -338,15 +365,16 @@ def test_invert_differential(data, domain, td, dd):
 def test_invert_requires_monomial_lead():
     d = T({(0, 2, 0): Fraction(1), (0, 0, 0): Fraction(-2),
            (0, -2, 0): Fraction(1)}, 5 * 24)
-    with pytest.raises(NotInSpanError):
+    with pytest.raises(NotInSpanError) as err:
         d.invert()
+    assert err.value.q24 == 0
     with pytest.raises(ZeroDivisionError):
         T.zero(24).invert()
     with pytest.raises(ValueError):
         (1 + q(1)).invert()
 
 
-# -- monic normalisation: divisors with a non-unit lead ------------------------
+# -- divisors with a non-unit lead ----------------------------------------------
 
 NON_UNIT_CONDUCTORS = (3, 4, 5, 7, 8)
 
@@ -399,11 +427,8 @@ def test_divide_exact_by_non_unit_lead_matches_slice_recurrence(
     top = a * divisor if integral else a * d
     num = top.truncate(12 * tn)
     den = divisor.truncate(divisor.min_q24 + 12 * td)
-    quo = num.divide_exact(den)
-    ref = divide_by_slices(num, den)
-    assert quo.trunc24 == ref.trunc24 == _quotient_trunc(num, den)
-    assert quo.terms.keys() == ref.terms.keys()
-    assert all(quo.terms[k] == ref.terms[k] for k in quo.terms)
+    quo = _divide(num, den)
+    assert quo.trunc24 == _quotient_trunc(num, den)
     assert all_canonical(quo)
     assert quo == (a if integral else a * c.inverse())
 
