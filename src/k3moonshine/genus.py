@@ -25,6 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
+from .chartab import format_rational
 from .cyclotomic import CyclotomicNumber, DomainError, euler_phi, zeta
 from .qpoly import RationalFunction, cyclotomic_product, reconstruct_rational
 from .records import Record
@@ -315,10 +316,9 @@ class MoonshineReport(Record):
     __slots__ = ("label", "ok", "first_mismatch_q24", "checked_trunc24")
 
     def __str__(self):
-        if self.ok:
-            return f"{self.label}: agree to q^{self.checked_trunc24 / 24:.3g}"
-        return (f"{self.label}: first mismatch at "
-                f"q^{self.first_mismatch_q24 / 24:.3g}")
+        text, q24 = (("agree to", self.checked_trunc24) if self.ok
+                     else ("first mismatch at", self.first_mismatch_q24))
+        return f"{self.label}: {text} q^{format_rational(Fraction(q24, 24))}"
 
 
 def verify_moonshine_class(label: str, f_g: TruncatedSeries,

@@ -2,8 +2,9 @@
 
 Every block is built from its lacunary series: eta(a tau) from Euler's
 pentagonal theorem (``eta_scaled``, the one eta builder; eta powers are
-products and inverses of it), theta_1..theta_4 from their theta sums, and
-E_2 from a divisor sieve (``eisenstein_e2``).
+products and inverses of it), theta_2 and theta_3 from their theta sums
+(the N=4 characters read them; theta_1 enters only through the columns of
+phi_{-2,1}), and E_2 from a divisor sieve (``eisenstein_e2``).
 
 Index-1 forms from two q-columns.  The coefficients c(n, l) of q^n y^l in
 a weak Jacobi form of index 1 obey the elliptic law
@@ -24,7 +25,8 @@ Conventions (the single source of truth for signs):
     theta2 = sum over n in Z+1/2, theta1 = -i * sum (-1)^(n-1/2) ... so that
     theta1/eta^3 equals the product
         -i (y^(1/2) - y^(-1/2)) prod (1-y q^n)(1-y^(-1) q^n)(1-q^n)^(-2)
-    coefficientwise (the factor -i is carried exactly in Q(i)).
+    coefficientwise.  ``jacobi_theta`` builds theta2 and theta3; theta1
+    and theta4 are built only by the tests, to these conventions.
   * phi_m21 := (theta1/eta^3)^2, with q^0 part -(y - 2 + 1/y); it vanishes
     at the Euler point y=1.  Its columns are those of -S^2 times eta^-6,
     with S = i theta1, the theta1 sum without its factor -i, which has
@@ -42,7 +44,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .cyclotomic import zeta
 from .series import TruncatedSeries
 
 __all__ = [
@@ -98,33 +99,15 @@ def eta_power(power: int, trunc24: int) -> TruncatedSeries:
 
 
 def jacobi_theta(kind: int, trunc24: int) -> TruncatedSeries:
-    """The classical theta_1..theta_4 as (y, q) series."""
-    if kind not in (1, 2, 3, 4):
-        raise ValueError("theta kind must be 1..4")
-    if kind == 1:
-        return _half_integral_theta(True, trunc24) * zeta(4, 3)  # -i S
-    if kind == 2:
-        return _half_integral_theta(False, trunc24)
+    """theta2 (kind 2) or theta3 (kind 3) as a (y, q) series: the sum of
+    y^n q^(n^2/2) over n in Z + 1/2 or n in Z, on j = 2n."""
+    if kind not in (2, 3):
+        raise ValueError("theta kind must be 2 or 3")
     terms = {}
-    n = 0
-    while 12 * n * n < trunc24:
-        for s in ((n,) if n == 0 else (n, -n)):
-            sign = -1 if (kind == 4 and n % 2) else 1
-            terms[(12 * n * n, 2 * s, 0)] = sign
-        n += 1
-    return TruncatedSeries(terms, trunc24, _clean=True)
-
-
-def _half_integral_theta(alternating: bool, trunc24: int) -> TruncatedSeries:
-    """sum over n = m + 1/2 of s y^n q^(n^2/2): theta2 (s = 1), or
-    S = i theta1 (s = (-1)^m), both with integer coefficients."""
-    terms = {}
-    k = 0
-    while 3 * (2 * k + 1) ** 2 < trunc24:
-        q24 = 3 * (2 * k + 1) ** 2
-        for m in (k, -k - 1):  # n = m + 1/2 runs over +-(k+1/2)
-            terms[(q24, 2 * m + 1, 0)] = -1 if alternating and m % 2 else 1
-        k += 1
+    j = 1 if kind == 2 else 0
+    while 3 * j * j < trunc24:
+        terms[(3 * j * j, j, 0)] = terms[(3 * j * j, -j, 0)] = 1
+        j += 2
     return TruncatedSeries(terms, trunc24, _clean=True)
 
 

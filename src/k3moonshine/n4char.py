@@ -7,6 +7,15 @@ computes the Fourier parts h_N and the polar part of g_1, decomposes
 characters into typical/atypical N=4 pieces, and inverts the elliptic-genus
 decomposition to recover symmetric-power traces from twining genera.
 
+The Appell-Lerch sums are written term by term.  Each factor 1/(1 + x)
+with x = y^(+-1) q^e, e in Z + 1/2, is expanded toward positive q-powers,
+as sum_j (-x)^j for e > 0 and sum_j (-1)^j x^(-1-j) for e < 0, so
+``g_sum`` adds the products of two such expansions into one dict, and the
+polar part is the closed double sum
+    P = sum over odd a >= 1 and k >= 0 of (-1)^k (y^m + y^(-m)) q^(a(a+2+4k)/8),
+    m = (a+1)/2 + k.
+Neither forms a series product.
+
 The inverse problem has one route, in N=4 multiplicity space: the twining
 is decomposed once, and the traces solve a triangular system against the
 closed-form multiplicities of ch_{V_N} (Table 3's rows).  The Ramond
@@ -91,47 +100,45 @@ def ch_vn_extract(N: int, product: TruncatedSeries,
 
 # -- Appell-Lerch machinery ----------------------------------------------------
 
-def _inverse_fermion_factor(exp2: int, y2: int, trunc24: int) -> TruncatedSeries:
-    """1/(1 + y^(y2/2) q^(exp2/2)) expanded in the region 0 < |q| < 1.
-
-    ``exp2`` is twice the (half-integral, nonzero) q-exponent.  Negative
-    exponents are rewritten toward positive powers of q before expanding.
-    """
-    if exp2 == 0:
-        raise ValueError("exponent must be nonzero")
-    if exp2 > 0:
-        return geometric_factor(-1, 12 * exp2, y2, 0, trunc24)
-    flip = geometric_factor(-1, -12 * exp2, -y2, 0, trunc24)
-    pref = TruncatedSeries.monomial(1, -12 * exp2, -y2, 0)
-    return pref * flip
-
-
 @lru_cache(maxsize=None)
 def g_sum(N: int, trunc24: int) -> TruncatedSeries:
     """sum_m 1/((1 + y q^(m-1/2)) (1 + y^(-1) q^(N-m-1/2))).
 
-    Memoized per process on the exact arguments (the series is read-only).
+    Each factor 1/(1 + x), x = y^(+-1) q^e, is expanded toward positive
+    q-powers: sum_j (-x)^j for e > 0 and sum_j (-1)^j x^(-1-j) for e < 0.
+    The m-sum runs over the band between 0 and N and outward from it until
+    the nearer rewritten factor starts at trunc24; every product of the two
+    expansions is added into one dict.  Memoized per process on the exact
+    arguments (the series is read-only).
     """
-    total = TruncatedSeries.zero(trunc24)
-    m = 0
-    # walk outward from the band [0, N] until minimal degrees pass trunc
     lo, hi = min(0, N), max(0, N)
     m_values = list(range(lo, hi + 1))
     k = 1
     while 12 * (2 * k - 1) < trunc24:  # degree of the nearer rewritten factor
-        m_values.append(hi + k)
-        m_values.append(lo - k)
+        m_values += [hi + k, lo - k]
         k += 1
+    acc: dict = {}
     for m in m_values:
-        a2 = 2 * m - 1            # twice (m - 1/2)
-        b2 = 2 * (N - m) - 1      # twice (N - m - 1/2)
-        mindeg = (-12 * a2 if a2 < 0 else 0) + (-12 * b2 if b2 < 0 else 0)
-        if mindeg >= trunc24:
-            continue
-        f = _inverse_fermion_factor(a2, 2, trunc24) * \
-            _inverse_fermion_factor(b2, -2, trunc24)
-        total = total + f
-    return total
+        first = _fermion_terms(2 * m - 1, 2, trunc24)
+        second = _fermion_terms(2 * (N - m) - 1, -2, trunc24)
+        for q1, y1, c1 in first:
+            for q2, y2, c2 in second:
+                if q1 + q2 >= trunc24:
+                    break
+                key = (q1 + q2, y1 + y2, 0)
+                acc[key] = acc.get(key, 0) + c1 * c2
+    terms = {key: c for key, c in acc.items() if c}
+    return TruncatedSeries(terms, trunc24, _clean=True)
+
+
+def _fermion_terms(exp2: int, y2: int, trunc24: int) -> list:
+    """The terms (q24, y2, c) below trunc24, in increasing q-order, of
+    1/(1 + x) with x = y^(y2/2) q^(exp2/2): (-x)^j for exp2 > 0 and
+    (-1)^j x^(-1-j) for exp2 < 0 (exp2 is odd, so never 0)."""
+    step, first = 12 * abs(exp2), int(exp2 < 0)
+    ystep = -y2 if first else y2
+    return [(q24, ystep * (first + j), (-1) ** j)
+            for j, q24 in enumerate(range(first * step, trunc24, step))]
 
 
 def g_series(N: int, trunc24: int) -> TruncatedSeries:
@@ -190,32 +197,23 @@ def _h_triple_sum(M: int, trunc24: int) -> TruncatedSeries:
 
 def polar_part(trunc24: int) -> TruncatedSeries:
     """The Appell-Lerch polar part of g_1:
-    sum over alpha in Z+1/2 of y^(alpha+1/2) q^(alpha(alpha+1)/2) / (1+y q^alpha).
+    P = sum over alpha in Z+1/2 of y^(alpha+1/2) q^(alpha(alpha+1)/2) / (1+y q^alpha).
 
-    Factors at negative alpha are rewritten toward positive q-powers
-    before the geometric expansion.  (The exponent alpha(alpha+1)/2 is the
-    one consistent with g_1 - theta3 h_1; see the residue computation.)
+    Expanding each 1/(1 + y q^alpha) toward positive q-powers makes
+    alpha = a/2 and alpha = -a/2 (a odd) mirror images under y -> 1/y, so
+    P = sum over odd a >= 1 and k >= 0 of (-1)^k (y^m + y^(-m)) q^(a(a+2+4k)/8)
+    with m = (a+1)/2 + k; no two (a, k) share a key.  (The exponent
+    alpha(alpha+1)/2 is the one consistent with g_1 - theta3 h_1; see the
+    residue computation.)
     """
-    total = TruncatedSeries.zero(trunc24)
-    a2 = 1
-    while True:
-        alpha = Fraction(a2, 2)
-        base = alpha * (alpha + 1) / 2
-        if a2 > 1 and 24 * base >= trunc24:
-            break
-        pref = TruncatedSeries.monomial(1, int(24 * base), a2 + 1, 0)
-        total = total + pref * _inverse_fermion_factor(a2, 2, trunc24 + 24)
-        a2 += 2
-    a2 = -1
-    while True:
-        alpha = Fraction(a2, 2)
-        base = alpha * (alpha - 1) / 2  # alpha(alpha+1)/2 - alpha, rewritten
-        if 24 * base >= trunc24:
-            break
-        pref = TruncatedSeries.monomial(1, int(24 * base), a2 - 1, 0)
-        total = total + pref * _inverse_fermion_factor(-a2, -2, trunc24 + 24)
-        a2 -= 2
-    return total.truncate(trunc24)
+    terms = {}
+    a = 1
+    while 3 * a * (a + 2) < trunc24:
+        for k, q24 in enumerate(range(3 * a * (a + 2), trunc24, 12 * a)):
+            y2 = a + 1 + 2 * k
+            terms[(q24, y2, 0)] = terms[(q24, -y2, 0)] = (-1) ** k
+        a += 2
+    return TruncatedSeries(terms, trunc24, _clean=True)
 
 
 def atypical_ns(trunc24: int) -> TruncatedSeries:
@@ -301,12 +299,6 @@ class N4Multiplicities(Record):
 
 
 @lru_cache(maxsize=None)
-def _theta_and_polar(t: int) -> tuple:
-    """theta3 and the polar part at t + 12, per input truncation t."""
-    return jacobi_theta(3, t + 12), polar_part(t + 12)
-
-
-@lru_cache(maxsize=None)
 def _polar_lead() -> tuple:
     """The first y-dependent key of polar_part / theta3, (9, -2, 0), and
     its coefficient: constants of the quotient, read below q^1."""
@@ -335,7 +327,7 @@ def decompose_into_n4(s: TruncatedSeries, sector: str = "NS") -> N4Multiplicitie
     if sector != "NS":
         raise ValueError("sector must be 'NS' or 'R'")
     t = s.trunc24
-    theta, polar = _theta_and_polar(t)
+    theta, polar = jacobi_theta(3, t + 12), polar_part(t + 12)
     lead, lead_coeff = _polar_lead()
     u = (s * eta_power(3, t + 12)).divide_exact(theta)
     # theta3 = 1 + O(q^(1/2)) is known past u's truncation, so u / theta3,

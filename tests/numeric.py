@@ -13,13 +13,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from k3moonshine.cyclotomic import CyclotomicNumber, DomainError
-from k3moonshine.modforms import eta_power, jacobi_theta
+from k3moonshine.modforms import eta_power
 from k3moonshine.series import INF24, TruncatedSeries
+from series_tools import theta1
 
 
 def phi_function(trunc24: int) -> TruncatedSeries:
     """phi = theta1/eta^3; coefficients are purely imaginary in Q(i)."""
-    return jacobi_theta(1, trunc24 + 3) * eta_power(-3, trunc24 + 3)
+    return theta1(trunc24 + 3) * eta_power(-3, trunc24 + 3)
 
 
 @dataclass(frozen=True)

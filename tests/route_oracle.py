@@ -22,7 +22,11 @@ the long way, as the library once did, and the tests compare the two:
     inversions), where the library applies the heat operator to
     phi_{-2,1}, and the fixed-point term is the lacunary double sum
     divided by theta1(u)^2 over Q(zeta_n), where the library reads it as
-    phi_{0,1}/12 + wp(u) phi_{-2,1}.
+    phi_{0,1}/12 + wp(u) phi_{-2,1};
+  * ``polar_part_by_products`` and ``g_sum_by_products``: the Appell-Lerch
+    sums as sums of products of geometric series (``inverse_fermion_factor``),
+    padded by one q-order, where the library writes their closed double
+    sums term by term.
 """
 
 from fractions import Fraction
@@ -35,17 +39,16 @@ from k3moonshine.genus import (
 )
 from k3moonshine.mckay import euler_character_value, f_series
 from k3moonshine.modforms import (
-    _half_integral_theta, euler_specialization, eta_power, jacobi_theta,
-    weak_jacobi_phi,
+    euler_specialization, eta_power, jacobi_theta, weak_jacobi_phi,
 )
 from k3moonshine.n4char import N4Multiplicities, polar_part
 from k3moonshine.qpoly import Poly, _horner, cyclotomic_poly
 from k3moonshine.series import (
     InsufficientPrecisionError, NotInSpanError, TruncatedSeries,
-    exact_quotient,
+    exact_quotient, geometric_factor,
 )
 from division_oracle import divide_by_slices
-from series_tools import as_rational, galois
+from series_tools import as_rational, galois, theta4, theta_s
 
 
 def decompose_two_divisions(s, sector="NS"):
@@ -158,13 +161,13 @@ def weak_jacobi_phi_by_products(weight, trunc24):
     -S^2 eta^-6, each theta square a bivariate product."""
     t = trunc24 + 6
     if weight == -2:
-        sq = _half_integral_theta(True, t) ** 2
+        sq = theta_s(t) ** 2
         return (-(sq * eta_power(-6, t))).truncate(trunc24)
     total = TruncatedSeries.zero(trunc24)
-    for kind in (2, 3, 4):
-        theta_null = euler_specialization(jacobi_theta(kind, t))
+    for theta in (jacobi_theta(2, t), jacobi_theta(3, t), theta4(t)):
+        theta_null = euler_specialization(theta)
         inverse = (theta_null ** 2).invert() * 4
-        total = total + (jacobi_theta(kind, t) ** 2 * inverse).truncate(trunc24)
+        total = total + (theta ** 2 * inverse).truncate(trunc24)
     return total
 
 
@@ -234,3 +237,68 @@ def moonshine_report_by_series(label, f_g, trunc24):
     if diff.is_zero():
         return MoonshineReport(label, True, None, t)
     return MoonshineReport(label, False, diff.min_q24, t)
+
+
+# -- Appell-Lerch sums as products of geometric series -------------------------
+
+def inverse_fermion_factor(exp2, y2, trunc24):
+    """1/(1 + y^(y2/2) q^(exp2/2)) expanded in the region 0 < |q| < 1.
+
+    ``exp2`` is twice the (half-integral, nonzero) q-exponent.  Negative
+    exponents are rewritten toward positive powers of q before expanding.
+    """
+    if exp2 == 0:
+        raise ValueError("exponent must be nonzero")
+    if exp2 > 0:
+        return geometric_factor(-1, 12 * exp2, y2, 0, trunc24)
+    flip = geometric_factor(-1, -12 * exp2, -y2, 0, trunc24)
+    pref = TruncatedSeries.monomial(1, -12 * exp2, -y2, 0)
+    return pref * flip
+
+
+def g_sum_by_products(N, trunc24):
+    """sum_m 1/((1 + y q^(m-1/2)) (1 + y^(-1) q^(N-m-1/2))), one product
+    of two geometric series per m."""
+    total = TruncatedSeries.zero(trunc24)
+    lo, hi = min(0, N), max(0, N)
+    m_values = list(range(lo, hi + 1))
+    k = 1
+    while 12 * (2 * k - 1) < trunc24:
+        m_values.append(hi + k)
+        m_values.append(lo - k)
+        k += 1
+    for m in m_values:
+        a2 = 2 * m - 1
+        b2 = 2 * (N - m) - 1
+        mindeg = (-12 * a2 if a2 < 0 else 0) + (-12 * b2 if b2 < 0 else 0)
+        if mindeg >= trunc24:
+            continue
+        total = total + inverse_fermion_factor(a2, 2, trunc24) * \
+            inverse_fermion_factor(b2, -2, trunc24)
+    return total
+
+
+def polar_part_by_products(trunc24):
+    """sum over alpha in Z+1/2 of y^(alpha+1/2) q^(alpha(alpha+1)/2) /
+    (1+y q^alpha), each term a monomial times a geometric series built
+    below trunc24 + 24."""
+    total = TruncatedSeries.zero(trunc24)
+    a2 = 1
+    while True:
+        alpha = Fraction(a2, 2)
+        base = alpha * (alpha + 1) / 2
+        if a2 > 1 and 24 * base >= trunc24:
+            break
+        pref = TruncatedSeries.monomial(1, int(24 * base), a2 + 1, 0)
+        total = total + pref * inverse_fermion_factor(a2, 2, trunc24 + 24)
+        a2 += 2
+    a2 = -1
+    while True:
+        alpha = Fraction(a2, 2)
+        base = alpha * (alpha - 1) / 2  # alpha(alpha+1)/2 - alpha, rewritten
+        if 24 * base >= trunc24:
+            break
+        pref = TruncatedSeries.monomial(1, int(24 * base), a2 - 1, 0)
+        total = total + pref * inverse_fermion_factor(-a2, -2, trunc24 + 24)
+        a2 -= 2
+    return total.truncate(trunc24)

@@ -8,10 +8,12 @@ computed series and numbers:
   * ``is_y_symmetric``: the y <-> 1/y symmetry of every Jacobi form;
   * ``q_slice``: the (y, z) terms at one q-order;
   * ``as_rational``: rational coefficients read off a cyclotomic series;
-  * ``galois``: one automorphism sigma_a, against the defining sum.
+  * ``galois``: one automorphism sigma_a, against the defining sum;
+  * ``theta_s``, ``theta1`` and ``theta4``: the theta functions the
+    library does not build (it builds theta2 and theta3).
 """
 
-from k3moonshine.cyclotomic import CyclotomicNumber, DomainError
+from k3moonshine.cyclotomic import CyclotomicNumber, DomainError, zeta
 from k3moonshine.series import (
     InsufficientPrecisionError, TruncatedSeries, exact_quotient,
 )
@@ -58,3 +60,32 @@ def as_rational(s):
 def galois(x, a: int):
     """The automorphism zeta -> zeta^a applied to x, gcd(a, n) = 1."""
     return x.galois_sum(((a, 1),))
+
+
+def theta_s(trunc24):
+    """S = i theta1 = sum over n = m + 1/2 of (-1)^m y^n q^(n^2/2), with
+    integer coefficients."""
+    terms = {}
+    k = 0
+    while 3 * (2 * k + 1) ** 2 < trunc24:
+        q24 = 3 * (2 * k + 1) ** 2
+        for m in (k, -k - 1):  # n = m + 1/2 runs over +-(k+1/2)
+            terms[(q24, 2 * m + 1, 0)] = -1 if m % 2 else 1
+        k += 1
+    return TruncatedSeries(terms, trunc24, _clean=True)
+
+
+def theta1(trunc24):
+    """theta1 = -i S over Q(i)."""
+    return theta_s(trunc24) * zeta(4, 3)
+
+
+def theta4(trunc24):
+    """theta4(y;q) = sum_n (-1)^n y^n q^(n^2/2)."""
+    terms = {}
+    n = 0
+    while 12 * n * n < trunc24:
+        for s in ((n,) if n == 0 else (n, -n)):
+            terms[(12 * n * n, 2 * s, 0)] = -1 if n % 2 else 1
+        n += 1
+    return TruncatedSeries(terms, trunc24, _clean=True)

@@ -27,7 +27,6 @@ SAMPLE_ARGS = {
     "genus.equivariant_elliptic_genus": ("3A", 48),
     "n4char.g_sum": (1, 48),
     "n4char.h_series": (2, 48),
-    "n4char._theta_and_polar": (48,),
     "n4char._polar_lead": (),
     "n4char._typical_prefactor": (48,),
     "n4char._typical_row": (2, 3),

@@ -14,7 +14,7 @@ from k3moonshine.genus import (
     CLASS_ORDER, FIXED_POINT_EIGENVALUES, SYMPLECTIC_CLASSES, UNIT_SUM_WEIGHTS,
     _fixed_point_term, chern_root_elliptic_genus,
     chi_sym_power, chi_symt_series, elliptic_genus, equivariant_elliptic_genus, fixed_point_count,
-    jacobi_split, rational_form, verify_moonshine_class,
+    MoonshineReport, jacobi_split, rational_form, verify_moonshine_class,
     weighted_equivariant_genus,
 )
 from route_oracle import galois_conjugate
@@ -241,6 +241,20 @@ def test_verify_moonshine_1a_with_zero_f():
     # non-equivariant case: a = 2, f = 0
     report = verify_moonshine_class("1A", TruncatedSeries.zero(4 * 24), 4 * 24)
     assert report.ok
+
+
+@pytest.mark.parametrize("report, text", [
+    (MoonshineReport("7AB", False, 1009, 2400),
+     "7AB: first mismatch at q^1009/24"),
+    (MoonshineReport("2A", False, 25, 48), "2A: first mismatch at q^25/24"),
+    (MoonshineReport("5A", False, 48, 96), "5A: first mismatch at q^2"),
+    (MoonshineReport("7AB", True, None, 24000), "7AB: agree to q^1000"),
+    (MoonshineReport("3A", True, None, 100), "3A: agree to q^25/6"),
+])
+def test_moonshine_report_prints_exact_q_orders(report, text):
+    # the orders print as exact rationals, as the CLI prints them, never
+    # rounded (1009/24 is not q^42, 1000 is not q^1e+03)
+    assert str(report) == text
 
 
 def test_corrupted_fixed_point_data_detected(monkeypatch):

@@ -11,7 +11,9 @@ from k3moonshine.modforms import (
     weak_jacobi_phi,
 )
 from numeric import ComplexApprox, numeric_eval, phi_function
-from series_tools import as_rational, is_y_symmetric, substitute_y_value
+from series_tools import (
+    as_rational, is_y_symmetric, substitute_y_value, theta1, theta4,
+)
 
 T6 = 6 * 24
 
@@ -69,14 +71,14 @@ def test_theta3_and_theta2_leading():
     th2 = jacobi_theta(2, T6)
     assert th2.coeff(Fraction(1, 8), y=Fraction(1, 2)) == 1
     assert th2.coeff(Fraction(1, 8), y=Fraction(-1, 2)) == 1
-    th4 = jacobi_theta(4, T6)
+    th4 = theta4(T6)
     assert th4.coeff(Fraction(1, 2), y=1) == -1
 
 
 def test_triple_product_identity():
     # theta1/eta^3 = -i (y^(1/2) - y^(-1/2)) prod (1-yq^n)(1-y^(-1)q^n)(1-q^n)^(-2)
     t = 5 * 24
-    lhs = (jacobi_theta(1, t + 3) * eta_power(-3, t)).truncate(t)
+    lhs = (theta1(t + 3) * eta_power(-3, t)).truncate(t)
     minus_i = zeta(4, 3)
     pref = TruncatedSeries.monomial(minus_i, 0, 1, 0) - \
         TruncatedSeries.monomial(minus_i, 0, -1, 0)
@@ -128,13 +130,13 @@ def _phi_by_division(weight, trunc24):
     """The weak Jacobi forms on their former routes: theta1^2 over Q(i)
     times eta^-6, and three long divisions theta_k^2 / theta_k(0)^2."""
     if weight == -2:
-        sq = jacobi_theta(1, trunc24 + 6) ** 2
+        sq = theta1(trunc24 + 6) ** 2
         return as_rational((sq * eta_power(-6, trunc24 + 6)).truncate(trunc24))
     t = trunc24 + 12
     total = TruncatedSeries.zero(trunc24)
-    for kind in (2, 3, 4):
-        num = jacobi_theta(kind, t) ** 2
-        den = euler_specialization(jacobi_theta(kind, t)) ** 2
+    for theta in (jacobi_theta(2, t), jacobi_theta(3, t), theta4(t)):
+        num = theta ** 2
+        den = euler_specialization(theta) ** 2
         total = total + num.divide_exact(den).truncate(trunc24)
     return total * 4
 

@@ -36,15 +36,15 @@ def test_ch_v_leading_terms(product):
 def test_denominator_identity(product):
     # ch_V = theta3^2/eta^6 (1 - 1/z)^2 sum_{m,m'} z^(m+m') /
     #        ((1+y q^(m-1/2))(1+y^(-1) q^(m'-1/2)))  to q^2
-    from k3moonshine.n4char import _inverse_fermion_factor
+    from route_oracle import inverse_fermion_factor
     t = 2 * 24
     zwin = 10
     total = TruncatedSeries.zero(t + 6)
     for m in range(-3, zwin + 4):
-        fm = _inverse_fermion_factor(2 * m - 1, 2, t + 6)
+        fm = inverse_fermion_factor(2 * m - 1, 2, t + 6)
         fm = TruncatedSeries.monomial(Fraction(1), 0, 0, m) * fm
         for mp in range(-3, zwin + 4):
-            fmp = _inverse_fermion_factor(2 * mp - 1, -2, t + 6)
+            fmp = inverse_fermion_factor(2 * mp - 1, -2, t + 6)
             if fm.min_q24 is None or fmp.min_q24 is None:
                 continue
             if fm.min_q24 + fmp.min_q24 >= t + 6:

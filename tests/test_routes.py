@@ -11,7 +11,9 @@ y^1 columns is compared with its whole-series route, at several
 truncations, one of them not a whole q-order, and one test pins that
 building them divides by eta alone.  Another records every divisor of
 one acceptance pass: each has a one-term lowest q-slice, the only kind
-``divide_exact`` takes.
+``divide_exact`` takes.  The Appell-Lerch sums, written term by term from
+their closed double sums, are compared with their geometric-series
+products.
 """
 
 from fractions import Fraction
@@ -33,7 +35,7 @@ from k3moonshine.modforms import (
     dedekind_eta, jacobi_theta, weak_jacobi_columns, weak_jacobi_phi,
 )
 from k3moonshine.n4char import (
-    ch_vn_h_form, decompose_into_n4, polar_part, twining_truncation,
+    ch_vn_h_form, decompose_into_n4, g_sum, polar_part, twining_truncation,
 )
 from k3moonshine.qpoly import Poly, RationalFunction
 from k3moonshine.series import (
@@ -42,12 +44,12 @@ from k3moonshine.series import (
 )
 from route_oracle import (
     chi_symt_per_pair, decompose_two_divisions, equivariant_genus_by_division,
-    fixed_point_term_by_division, jacobi_split_by_division,
-    moonshine_report_by_series, pole_coefficient_in_fractions, table1_sum,
-    twining_genus_by_products, weak_jacobi_phi_by_products,
-    weighted_genus_by_division,
+    fixed_point_term_by_division, g_sum_by_products, jacobi_split_by_division,
+    moonshine_report_by_series, pole_coefficient_in_fractions,
+    polar_part_by_products, table1_sum, twining_genus_by_products,
+    weak_jacobi_phi_by_products, weighted_genus_by_division,
 )
-from test_caches import _cached_builders
+from test_caches import SAMPLE_ARGS, _cached_builders
 
 TWININGS = GEOMETRIC_CLASSES + MOONSHINE_CLASSES
 
@@ -445,3 +447,39 @@ def test_f_series_truncation_is_sound(label, t):
     high = f_series(label, t + 24)
     assert low.trunc24 == t
     _same_series(high.truncate(t), low)
+
+
+# the memoized series builders whose last argument is trunc24, and the
+# polar part; their leading arguments are the samples of ``test_caches``
+TRUNCATED_BUILDERS = (
+    "modforms.eta_power", "modforms.eisenstein_e2",
+    "modforms.weak_jacobi_columns", "modforms.weak_jacobi_phi",
+    "genus._wp_series", "genus._fixed_point_term",
+    "genus.equivariant_elliptic_genus", "n4char.g_sum", "n4char.h_series",
+    "n4char._typical_prefactor", "n4char.polar_part",
+)
+
+
+@pytest.mark.parametrize("t", (48, 100, 312))
+@pytest.mark.parametrize("name", TRUNCATED_BUILDERS)
+def test_series_builder_truncation_is_sound(name, t):
+    if name == "n4char.polar_part":
+        build, args = polar_part, ()
+    else:
+        build, args = _cached_builders()[name], SAMPLE_ARGS[name][:-1]
+    low, high = build(*args, t), build(*args, t + 24)
+    if not isinstance(low, tuple):           # weak_jacobi_columns: per column
+        low, high = (low,), (high,)
+    for lo, hi in zip(low, high, strict=True):
+        assert dict(hi.truncate(lo.trunc24).terms) == dict(lo.terms)
+
+
+def test_polar_part_matches_the_product_route():
+    for t in range(1, 401):
+        _same_series(polar_part(t), polar_part_by_products(t))
+
+
+@pytest.mark.parametrize("t", (1, 8, 9, 10, 24, 72, 78, 312, 720))
+def test_g_sum_matches_the_product_route(t):
+    for n in range(-6, 16):
+        _same_series(g_sum(n, t), g_sum_by_products(n, t))
