@@ -175,9 +175,9 @@ def check_5_appell_lerch(**_) -> tuple:
             return False, f"g_{n} != theta3 h_{n}"
     if g_series(1, t) - th3 * h_series(1, t) != polar_part(t):
         return False, "polar split of g_1"
-    product = ch_v_product(t, 10)
+    product = ch_v_product(t)
     for n in range(0, 7):
-        if ch_vn_closed(n, t) != ch_vn_extract(n, product, 10):
+        if ch_vn_closed(n, t) != ch_vn_extract(n, product):
             return False, f"pipelines differ at N={n}"
     return True, "Fourier split and the two pipelines"
 

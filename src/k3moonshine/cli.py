@@ -63,8 +63,8 @@ def emit(report: dict, fmt: str, stream=None) -> None:
 
 def _series_rows(s):
     rows = []
-    for (q24, y2, z) in sorted(s.terms):
-        c = s.terms[(q24, y2, z)]
+    for (q24, y2) in sorted(s.terms):
+        c = s.terms[(q24, y2)]
         rows.append([format_rational(Fraction(q24, 24)),
                      format_rational(Fraction(y2, 2)), format_rational(c)])
     return rows

@@ -11,8 +11,12 @@ q-series over Q(zeta_n) from a divisor sieve, so the Table-1 Galois sums
 and the traces run on the coefficients of one q-series and nothing is
 divided.  ``jacobi_split`` and ``verify_moonshine_class`` compare
 columns.  The Chern-root product of the elliptic genus is kept as
-``chern_root_elliptic_genus``, the bivariate cross-check of acceptance
-criterion 3, which so tests the elliptic law instead of assuming it.
+``chern_root_elliptic_genus``, the cross-check of acceptance criterion 3,
+which so tests the elliptic law instead of assuming it.  It multiplies
+out its factors on plain dicts graded by q, y and the Chern-root power
+(``expand_product``, shared with the free-field character
+``n4char.ch_v_product``), so it runs through none of the series kernels
+it checks.
 
 All series follow the moonshine sign convention in which the elliptic
 genus has q^0 part 2/y + 20 + 2y and equals twice the weight-0 index-1
@@ -29,10 +33,7 @@ from .chartab import format_rational
 from .cyclotomic import CyclotomicNumber, DomainError, euler_phi, zeta
 from .qpoly import RationalFunction, cyclotomic_product, reconstruct_rational
 from .records import Record
-from .series import (
-    NotInSpanError, TruncatedSeries, binomial_factor, exact_quotient,
-    geometric_factor,
-)
+from .series import NotInSpanError, TruncatedSeries, exact_quotient
 from .modforms import (
     euler_specialization, index_one_form, jacobi_form_columns,
     weak_jacobi_columns, weak_jacobi_phi,
@@ -49,6 +50,7 @@ __all__ = [
     "RATIONAL_FORM_DENOMINATORS",
     "elliptic_genus",
     "chern_root_elliptic_genus",
+    "expand_product",
     "equivariant_elliptic_genus",
     "weighted_equivariant_genus",
     "jacobi_split",
@@ -156,31 +158,54 @@ def elliptic_genus(trunc24: int) -> TruncatedSeries:
     return weak_jacobi_phi(0, trunc24) * 2
 
 
+def expand_product(lead: tuple, fermions: list, bosons: list,
+                   trunc24: int) -> dict:
+    """The monomial ``lead`` times prod (1 + c q^a y^b z^f) over the
+    fermion factors (c, a, b, f) and prod (1 - z^f q^a)^-2 over the boson
+    factors (a, f), multiplied out below q^(trunc24/24) on a plain dict
+    keyed (q24, y2, z): a in 24ths of q, b in halves of y, and z the third
+    grading (the fermion number, or the Chern-root power).  Every a is
+    >= 0 and every boson's a > 0, so the terms below the truncation are
+    exact after each factor.
+    """
+    terms = {lead: 1} if lead[0] < trunc24 else {}
+    # the coefficients of the powers k = 0, 1, ... of q^a y^b z^f: 1 + x,
+    # and (k + 1) x^k as far as any term below trunc24 can reach
+    factors = [((a, b, f), (1, c)) for c, a, b, f in fermions]
+    factors += [((a, 0, f), range(1, (trunc24 - lead[0]) // a + 2))
+                for a, f in bosons]
+    for (a, b, f), coeffs in factors:
+        out: dict = {}
+        for (q24, y2, z), v in terms.items():
+            for k, c in enumerate(coeffs):
+                if q24 + k * a >= trunc24:
+                    break
+                key = (q24 + k * a, y2 + k * b, z + k * f)
+                out[key] = out.get(key, 0) + c * v
+        terms = {k: v for k, v in out.items() if v}
+    return terms
+
+
 def chern_root_elliptic_genus(trunc24: int) -> TruncatedSeries:
     """Cross-check oracle: the elliptic genus from its Chern-root product.
 
     Multiplies out y^-1 (1 - y x)(1 - y/x) times, for n >= 1, the factors
     (1 - y^+-1 x^+-1 q^n) over all four sign pairs and (1 - x^+-1 q^n)^-2,
-    with the Chern roots (x, 1/x) kept as a z-grading, then integrates
-    over K3: z^m -> chi = 2 - 12 m^2.  Acceptance criterion 3, which
-    compares it with ``elliptic_genus``, is its one caller outside the
-    tests.
+    with the Chern roots (x, 1/x) kept as a third grading z by
+    ``expand_product``, then integrates over K3: z^m -> chi = 2 - 12 m^2.
+    Acceptance criterion 3, which compares it with ``elliptic_genus``, is
+    its one caller outside the tests.
     """
-    s = TruncatedSeries.monomial(1, 0, -2, 0, trunc24)        # prefactor 1/y
-    s = s * binomial_factor(-1, 0, 2, 1) * binomial_factor(-1, 0, 2, -1)
-    n = 1
-    while 24 * n < trunc24:
-        for y2 in (2, -2):
-            for zz in (1, -1):
-                s = s * binomial_factor(-1, 24 * n, y2, zz)
-        for zz in (1, -1):
-            s = s * geometric_factor(1, 24 * n, 0, zz, trunc24, power=2)
-        n += 1
+    orders = range(24, trunc24, 24)
+    fermions = [(-1, 0, 2, 1), (-1, 0, 2, -1)]
+    fermions += [(-1, a, y2, m) for a in orders for y2 in (2, -2)
+                 for m in (1, -1)]
+    bosons = [(a, m) for a in orders for m in (1, -1)]
     out: dict = {}
-    for (q24, y2, z), c in s.terms.items():
-        key = (q24, y2, 0)
-        out[key] = out.get(key, 0) + c * (2 - 12 * z * z)
-    return TruncatedSeries(out, s.trunc24)
+    for (q24, y2, m), c in expand_product(
+            (0, -2, 0), fermions, bosons, trunc24).items():
+        out[(q24, y2)] = out.get((q24, y2), 0) + c * (2 - 12 * m * m)
+    return TruncatedSeries(out, trunc24)
 
 
 @lru_cache(maxsize=None)
@@ -206,9 +231,9 @@ def _wp_series(n: int, trunc24: int) -> TruncatedSeries:
             counts[m][-d % n] += d
             counts[m][0] -= 2 * d
     lead = Fraction(1, 12) + (zeta(n, 1) + zeta(n, -1) - 2).inverse()
-    terms = {(0, 0, 0): lead}
+    terms = {(0, 0): lead}
     for m in range(1, top + 1):
-        terms[(24 * m, 0, 0)] = CyclotomicNumber.from_root_counts(n, counts[m])
+        terms[(24 * m, 0)] = CyclotomicNumber.from_root_counts(n, counts[m])
     return TruncatedSeries(terms, trunc24)
 
 
@@ -269,8 +294,8 @@ def weighted_equivariant_genus(label: str, trunc24: int) -> TruncatedSeries:
 # -- decomposition against the weak Jacobi basis ------------------------------
 
 def _columns(s: TruncatedSeries) -> list:
-    """The y^0 and y^1 columns of s (its z^0 part)."""
-    return [s.y_coefficient(y2).z_coefficient(0) for y2 in (0, 2)]
+    """The y^0 and y^1 columns of s."""
+    return [s.y_coefficient(y2) for y2 in (0, 2)]
 
 
 def jacobi_split(s: TruncatedSeries):
@@ -297,7 +322,7 @@ def jacobi_split(s: TruncatedSeries):
         raise NotInSpanError(
             "series is not an index-one form with a constant Euler value",
             q24=min(offenders))
-    a = exact_quotient(e.terms.get((0, 0, 0), 0), 12)
+    a = exact_quotient(e.terms.get((0, 0), 0), 12)
     phi0 = weak_jacobi_columns(0, s.trunc24)
     y0, y1 = (col - p * a for col, p in zip(columns, phi0))
     phim2 = weak_jacobi_columns(-2, s.trunc24)

@@ -281,16 +281,12 @@ def enumerate_group(g) -> list:
 
 
 class ConjugacyData:
-    __slots__ = ("elements", "classes", "class_of", "reps", "orders",
-                 "sizes", "class_at", "members", "rep_left")
+    __slots__ = ("elements", "orders", "sizes", "class_at", "members",
+                 "rep_left")
 
-    def __init__(self, elements: list, classes: list, class_of: dict,
-                 reps: list, orders: list, sizes: list,
+    def __init__(self, elements: list, orders: list, sizes: list,
                  class_at: list, members: list, rep_left: list):
         self.elements = elements
-        self.classes = classes      # list of frozensets
-        self.class_of = class_of    # element -> class index
-        self.reps = reps
         self.orders = orders
         self.sizes = sizes
         # the same data on the indices of a _Cayley closure (identity 0)
@@ -326,9 +322,6 @@ def conjugacy_classes(g) -> ConjugacyData:
     rep_left = [cayley.left(r) for r in rep_idx]
     return ConjugacyData(
         [elems[x] for x in ordered],
-        [frozenset(elems[y] for y in orbit) for orbit in members],
-        {elems[x]: class_at[x] for x in ordered},
-        [elems[r] for r in rep_idx],
         [len(_power_indices(left)) for left in rep_left],
         [len(orbit) for orbit in members],
         class_at, members, rep_left)
@@ -361,7 +354,7 @@ def _class_matrices(data: ConjugacyData, inv_class: list):
     l; the inverses a^-1 are the elements of the inverse class, and a r_j
     is conjugate to r_j a, which the left table of r_j looks up.
     """
-    k = len(data.classes)
+    k = len(data.members)
     class_at = data.class_at
     for i in range(k):
         mat = [[0] * k for _ in range(k)]
@@ -611,7 +604,7 @@ def rational_character_table(name: str, g,
     """
     if data is None:
         data = conjugacy_classes(g)
-    k = len(data.classes)
+    k = len(data.members)
     order = len(data.elements)
     exponent = lcm(*data.orders)
     p = _dixon_prime(order, exponent)

@@ -31,6 +31,7 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 
+from .cyclotomic import canonical_rational
 from .series import TruncatedSeries, exact_quotient
 from .modforms import (
     eisenstein_e2, eta_power, eta_scaled, index_one_form, jacobi_form_columns,
@@ -73,9 +74,9 @@ def eisenstein_difference(d: int, trunc24: int) -> TruncatedSeries:
     """B_d = d E_2(d tau) - E_2(tau), a weight-2 form for Gamma_0(d)."""
     e2 = eisenstein_e2(trunc24)
     terms = {k: -c for k, c in e2.terms.items()}
-    for (q24, _y2, _z), c in e2.terms.items():
+    for (q24, _y2), c in e2.terms.items():
         if d * q24 < trunc24:
-            key = (d * q24, 0, 0)
+            key = (d * q24, 0)
             terms[key] = terms.get(key, 0) + d * c
     return TruncatedSeries(terms, trunc24)
 
@@ -108,7 +109,7 @@ def _hecke_t2(f: TruncatedSeries, trunc24: int) -> TruncatedSeries:
         ahalf = f.coeff(n // 2) if n % 2 == 0 and n > 0 else 0
         val = a2n + 2 * ahalf
         if val:
-            out[(24 * n, 0, 0)] = val
+            out[(24 * n, 0)] = val
         n += 1
     return TruncatedSeries(out, trunc24)
 
@@ -287,16 +288,29 @@ def write_fg_file(path=None, trunc24: int = 25 * 24) -> str:
 
 
 def read_fg_file(path=None) -> dict:
+    """The records of an f_g data file, keyed by class label.
+
+    Coefficients are canonical (an ``int`` when integral).  A record line
+    with fewer than four fields or a non-numeric number raises ValueError
+    naming the file and the line.
+    """
     path = path or os.path.join(data_dir(), "fg_series.txt")
     out = {}
     with open(path) as fh:
-        lines = [ln.strip() for ln in fh
+        lines = [(n, ln.strip()) for n, ln in enumerate(fh, 1)
                  if ln.strip() and not ln.startswith("#")]
-    if not lines or lines[0] != "version 1":
+    if not lines or lines[0][1] != "version 1":
         raise ValueError(f"unsupported f_g data file version in {path}")
-    for line in lines[1:]:
+    for n, line in lines[1:]:
         parts = line.split()
-        label, e, level, source = parts[0], int(parts[1]), int(parts[2]), parts[3]
-        coeffs = tuple(Fraction(x) for x in parts[4:])
+        try:
+            if len(parts) < 4:
+                raise ValueError(f"{len(parts)} fields, at least 4 expected")
+            label, source = parts[0], parts[3]
+            e, level = int(parts[1]), int(parts[2])
+            coeffs = tuple(canonical_rational(Fraction(x)) for x in parts[4:])
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(
+                f"{path}, line {n}: bad f_g record: {exc}") from None
         out[label] = FgRecord(label, e, level, source, coeffs)
     return out

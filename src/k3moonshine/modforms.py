@@ -17,7 +17,7 @@ columns from ``jacobi_form_columns`` (the fixed-point terms and the
 equivariant genera in ``genus``, the twining genera in ``mckay``).  Only
 univariate series are multiplied, and eta is the one series divided.  The
 Chern-root product of the elliptic genus
-(``genus.chern_root_elliptic_genus``) stays a bivariate product, so
+(``genus.chern_root_elliptic_genus``) multiplies out its own factors, so
 acceptance criterion 3 tests the law instead of assuming it.
 
 Conventions (the single source of truth for signs):
@@ -71,7 +71,7 @@ def eta_scaled(a: int, trunc24: int) -> TruncatedSeries:
     j = 1                        # j = |6m - 1| runs over 1, 5, 7, 11, 13, ...
     while a * j * j < trunc24:
         # (-1)^m is +1 for j = +-1 mod 12 and -1 for j = +-5 mod 12
-        terms[(a * j * j, 0, 0)] = 1 if j % 12 in (1, 11) else -1
+        terms[(a * j * j, 0)] = 1 if j % 12 in (1, 11) else -1
         j += 4 if j % 6 == 1 else 2
     return TruncatedSeries(terms, trunc24, _clean=True)
 
@@ -106,7 +106,7 @@ def jacobi_theta(kind: int, trunc24: int) -> TruncatedSeries:
     terms = {}
     j = 1 if kind == 2 else 0
     while 3 * j * j < trunc24:
-        terms[(3 * j * j, j, 0)] = terms[(3 * j * j, -j, 0)] = 1
+        terms[(3 * j * j, j)] = terms[(3 * j * j, -j)] = 1
         j += 2
     return TruncatedSeries(terms, trunc24, _clean=True)
 
@@ -121,9 +121,9 @@ def eisenstein_e2(trunc24: int) -> TruncatedSeries:
     for d in range(1, top + 1):
         for m in range(d, top + 1, d):
             sigma[m] += d
-    terms = {(0, 0, 0): 1}
+    terms = {(0, 0): 1}
     for m in range(1, top + 1):
-        terms[(24 * m, 0, 0)] = -24 * sigma[m]
+        terms[(24 * m, 0)] = -24 * sigma[m]
     return TruncatedSeries(terms, trunc24)
 
 
@@ -139,12 +139,12 @@ def index_one_form(y0: TruncatedSeries, y1: TruncatedSeries) -> TruncatedSeries:
     t = min(y0.trunc24, y1.trunc24)
     out = {}
     for r, column in ((0, y0), (1, y1)):
-        for (q24, _y2, _z), c in column.terms.items():
+        for (q24, _y2), c in column.terms.items():
             l, e = r, q24
             while e < t:
-                out[(e, 2 * l, 0)] = c
+                out[(e, 2 * l)] = c
                 if l:
-                    out[(e, -2 * l, 0)] = c
+                    out[(e, -2 * l)] = c
                 l += 2
                 e = q24 + 6 * (l * l - r * r)
     return TruncatedSeries(out, t, _clean=True)
@@ -168,9 +168,9 @@ def weak_jacobi_columns(weight: int, trunc24: int) -> tuple:
         y0, y1 = {}, {}
         i = 0
         while 24 * i * i + 6 < t:
-            y1[(24 * i * i + 6, 0, 0)] = -2 if i else -1
+            y1[(24 * i * i + 6, 0)] = -2 if i else -1
             if 6 * (2 * i + 1) ** 2 < t:
-                y0[(6 * (2 * i + 1) ** 2, 0, 0)] = 2
+                y0[(6 * (2 * i + 1) ** 2, 0)] = 2
             i += 1
         eta = eta_power(-6, t)
         return tuple(
@@ -181,8 +181,8 @@ def weak_jacobi_columns(weight: int, trunc24: int) -> tuple:
     e2 = eisenstein_e2(trunc24)
     columns = []
     for r, c in enumerate(weak_jacobi_columns(-2, trunc24)):
-        heat = TruncatedSeries({(q24, 0, 0): (q24 - 6 * r * r) * v
-                                for (q24, _y2, _z), v in c.terms.items()},
+        heat = TruncatedSeries({(q24, 0): (q24 - 6 * r * r) * v
+                                for (q24, _y2), v in c.terms.items()},
                                c.trunc24)
         columns.append(heat + (e2 * c) * 5)
     return tuple(columns)
@@ -214,7 +214,6 @@ def euler_specialization(s: TruncatedSeries) -> TruncatedSeries:
     the same point is y = +1.
     """
     out = {}
-    for (q24, _y2, z), c in s.terms.items():
-        key = (q24, 0, z)
-        out[key] = out.get(key, 0) + c
+    for (q24, _y2), c in s.terms.items():
+        out[(q24, 0)] = out.get((q24, 0), 0) + c
     return TruncatedSeries(out, s.trunc24)

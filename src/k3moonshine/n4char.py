@@ -1,8 +1,9 @@
 """The N=4 character engine at central charge six.
 
-Builds the three-variable character of the free-field algebra V, extracts
-the SL(2)-isotypic characters ch_{V_N} two independent ways (z-coefficient
-extraction from the product formula, and the closed Appell-Lerch form),
+Builds the three-variable character of the free-field algebra V as
+{f: series in (q, y)} over the fermion number f, extracts the
+SL(2)-isotypic characters ch_{V_N} two independent ways (from the z^f
+slices of the product formula, and the closed Appell-Lerch form),
 computes the Fourier parts h_N and the polar part of g_1, decomposes
 characters into typical/atypical N=4 pieces, and inverts the elliptic-genus
 decomposition to recover symmetric-power traces from twining genera.
@@ -36,10 +37,10 @@ from functools import lru_cache
 from .cyclotomic import canonical_rational
 from .series import (
     InsufficientPrecisionError, NotInSpanError, TruncatedSeries,
-    binomial_factor, exact_quotient, geometric_factor, prune_z_window,
+    exact_quotient,
 )
 from .modforms import eta_power, jacobi_theta
-from .genus import chi_sym_power
+from .genus import chi_sym_power, expand_product
 from .records import Record
 
 __all__ = [
@@ -65,37 +66,33 @@ __all__ = [
 
 # -- the free-field character and isotypic extraction ------------------------
 
-def ch_v_product(trunc24: int, zmax: int) -> TruncatedSeries:
-    """tr_V q^(L0 - 1/4) z^f y^(J0) as a product, z-window |z| <= zmax.
+def ch_v_product(trunc24: int) -> dict:
+    """tr_V q^(L0 - 1/4) z^f y^(J0) as a product, as {f: the series in
+    (q, y) at z^f}.
 
-    The window is widened internally so that no term that could re-enter
-    |z| <= zmax by the truncation order is dropped.
+    q^(-1/4) times, for n >= 1, the fermion factors (1 + z^+-1 y^+-1
+    q^(n-1/2)) over all four sign pairs and the boson factors
+    (1 - z^+-1 q^n)^-2, multiplied out by ``genus.expand_product``.  Every
+    power of f present below the truncation is a key, f = 0 always.
     """
-    pad = zmax + 2 * (trunc24 // 24 + 2)
-    s = TruncatedSeries.monomial(1, -6, 0, 0, trunc24)
-    level = 1
-    while 12 * (2 * level - 1) < trunc24 + 6:
-        q24 = 12 * (2 * level - 1)  # q^(level - 1/2)
-        for zz, y2 in ((1, 2), (1, -2), (-1, 2), (-1, -2)):
-            s = s * binomial_factor(1, q24, y2, zz)
-        s = prune_z_window(s, -pad, pad)
-        level += 1
-    n = 1
-    while 24 * n < trunc24 + 6:
-        for zz in (1, -1):
-            s = s * geometric_factor(1, 24 * n, 0, zz, trunc24 + 6, power=2)
-        s = prune_z_window(s, -pad, pad)
-        n += 1
-    return s
+    # the factors that reach below trunc24 from the lead q^(-1/4)
+    fermions = [(1, a, y2, f) for a in range(12, trunc24 + 6, 24)
+                for f, y2 in ((1, 2), (1, -2), (-1, 2), (-1, -2))]
+    bosons = [(a, f) for a in range(24, trunc24 + 6, 24) for f in (1, -1)]
+    slices: dict = {0: {}}
+    for (q24, y2, f), c in expand_product(
+            (-6, 0, 0), fermions, bosons, trunc24).items():
+        slices.setdefault(f, {})[(q24, y2)] = c
+    return {f: TruncatedSeries(terms, trunc24, _clean=True)
+            for f, terms in slices.items()}
 
 
-def ch_vn_extract(N: int, product: TruncatedSeries,
-                  zmax: int) -> TruncatedSeries:
+def ch_vn_extract(N: int, product: dict) -> TruncatedSeries:
     """ch_{V_N} as the z^N minus z^(N+2) coefficient of ``product``, the
-    ``ch_v_product`` built with z-window zmax."""
-    if zmax < N + 2:
-        raise ValueError("z-window too small for the requested extraction")
-    return product.z_coefficient(N) - product.z_coefficient(N + 2)
+    ``ch_v_product`` slices; a power of z that they lack is zero below
+    their truncation."""
+    zero = TruncatedSeries.zero(product[0].trunc24)
+    return product.get(N, zero) - product.get(N + 2, zero)
 
 
 # -- Appell-Lerch machinery ----------------------------------------------------
@@ -114,7 +111,7 @@ def g_sum(N: int, trunc24: int) -> TruncatedSeries:
     lo, hi = min(0, N), max(0, N)
     m_values = list(range(lo, hi + 1))
     k = 1
-    while 12 * (2 * k - 1) < trunc24:  # degree of the nearer rewritten factor
+    while 12 * (2 * k + 1) < trunc24:  # degree of the nearer rewritten factor
         m_values += [hi + k, lo - k]
         k += 1
     acc: dict = {}
@@ -125,7 +122,7 @@ def g_sum(N: int, trunc24: int) -> TruncatedSeries:
             for q2, y2, c2 in second:
                 if q1 + q2 >= trunc24:
                     break
-                key = (q1 + q2, y1 + y2, 0)
+                key = (q1 + q2, y1 + y2)
                 acc[key] = acc.get(key, 0) + c1 * c2
     terms = {key: c for key, c in acc.items() if c}
     return TruncatedSeries(terms, trunc24, _clean=True)
@@ -191,7 +188,7 @@ def _h_triple_sum(M: int, trunc24: int) -> TruncatedSeries:
                         del acc[q24]
                 ss += 2
             rr += 2
-    terms = {(q24, 0, 0): c for q24, c in acc.items()}
+    terms = {(q24, 0): c for q24, c in acc.items()}
     return TruncatedSeries(terms, trunc24, _clean=True)
 
 
@@ -211,7 +208,7 @@ def polar_part(trunc24: int) -> TruncatedSeries:
     while 3 * a * (a + 2) < trunc24:
         for k, q24 in enumerate(range(3 * a * (a + 2), trunc24, 12 * a)):
             y2 = a + 1 + 2 * k
-            terms[(q24, y2, 0)] = terms[(q24, -y2, 0)] = (-1) ** k
+            terms[(q24, y2)] = terms[(q24, -y2)] = (-1) ** k
         a += 2
     return TruncatedSeries(terms, trunc24, _clean=True)
 
@@ -234,7 +231,7 @@ def n4_character(h, sector: str, trunc24: int) -> TruncatedSeries:
     kind = {"NS": 3, "R": 2}[sector]
     th = jacobi_theta(kind, trunc24 + 6 - shift) ** 2
     body = th * eta_power(-3, trunc24 + 6 - shift)
-    return (TruncatedSeries.monomial(1, shift, 0, 0) * body).truncate(trunc24)
+    return (TruncatedSeries.monomial(1, shift) * body).truncate(trunc24)
 
 
 def ch_vn_closed(N: int, trunc24: int) -> TruncatedSeries:
@@ -259,14 +256,16 @@ def _typical_combo(N: int, trunc24: int) -> TruncatedSeries:
 
 @lru_cache(maxsize=None)
 def _typical_prefactor(trunc24: int) -> TruncatedSeries:
-    """theta3^2 / eta^3, the shape of every typical NS character.
+    """theta3^2 / eta^3, the shape of every typical NS character, below
+    trunc24: eta^-3 leads at q^(-1/8), so the blocks are built 3 further.
     Memoized per process on the truncation (the series is read-only)."""
-    return jacobi_theta(3, trunc24) ** 2 * eta_power(-3, trunc24)
+    t = trunc24 + 3
+    return (jacobi_theta(3, t) ** 2 * eta_power(-3, t)).truncate(trunc24)
 
 
 def ch_vn_h_form(N: int, trunc24: int) -> TruncatedSeries:
     """ch_{V_N} assembled from the Fourier parts h_N and the polar part."""
-    t = trunc24 + 6
+    t = trunc24 + 3
     out = (_typical_prefactor(t) * _typical_combo(N, t)).truncate(trunc24)
     a = _atypical_coefficient(N)
     if a:
@@ -300,10 +299,10 @@ class N4Multiplicities(Record):
 
 @lru_cache(maxsize=None)
 def _polar_lead() -> tuple:
-    """The first y-dependent key of polar_part / theta3, (9, -2, 0), and
+    """The first y-dependent key of polar_part / theta3, (9, -2), and
     its coefficient: constants of the quotient, read below q^1."""
     quotient = polar_part(24).divide_exact(jacobi_theta(3, 24))
-    lead = min(k for k in quotient.terms if k[1] or k[2])
+    lead = min(k for k in quotient.terms if k[1])
     return lead, quotient.terms[lead]
 
 
@@ -338,12 +337,12 @@ def decompose_into_n4(s: TruncatedSeries, sector: str = "NS") -> N4Multiplicitie
     head = u.truncate(lead[0] + 1).divide_exact(theta)
     a = exact_quotient(head.terms.get(lead, 0), lead_coeff)
     rest = u - polar * a
-    h = rest.y_coefficient(0).z_coefficient(0)
+    h = rest.y_coefficient(0)
     off = rest - theta * h
     if off.terms:
         raise NotInSpanError("input is not in the N=4 span", q24=off.min_q24)
     typical = {}
-    for (q24, _y2, _z), c in h.terms.items():
+    for (q24, _y2), c in h.terms.items():
         weight = Fraction(q24, 24) + Fraction(3, 8)
         typical[weight] = c
     return N4Multiplicities(a, typical, h.trunc24)
@@ -422,7 +421,7 @@ def _typical_row(N: int, ncols: int) -> tuple:
     h = 1/4 + k for k < ncols, read from the closed form.  Memoized per
     process on the exact arguments."""
     combo = _typical_combo(N, 24 * ncols)
-    return tuple(combo.terms.get((24 * k - 3, 0, 0), 0) for k in range(ncols))
+    return tuple(combo.terms.get((24 * k - 3, 0), 0) for k in range(ncols))
 
 
 def twining_to_symtraces(twining: TruncatedSeries, tmax: int,

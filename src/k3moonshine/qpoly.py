@@ -55,10 +55,6 @@ class Poly:
     def const(x) -> "Poly":
         return Poly([x])
 
-    @staticmethod
-    def monomial(coeff, k: int) -> "Poly":
-        return Poly([0] * k + [coeff])
-
     @property
     def degree(self) -> int:
         return len(self.c) - 1 if self.c else -1
@@ -141,10 +137,6 @@ class Poly:
 
     def is_palindromic(self) -> bool:
         return not self.is_zero() and self.c == tuple(reversed(self.c))
-
-    def shift(self, k: int) -> "Poly":
-        """Multiply by t^k."""
-        return Poly([_ZERO] * k + list(self.c))
 
     def __repr__(self):
         if self.is_zero():

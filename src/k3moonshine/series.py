@@ -1,10 +1,9 @@
-"""Truncated multigraded Laurent series with exact coefficients.
+"""Truncated bivariate Laurent series with exact coefficients.
 
-The grading is (q, y, z) with
+The grading is (q, y), y = e(z) for the Jacobi variable z, with
   * q-exponents in (1/24)*Z, stored as integer multiples of 1/24,
   * y-exponents in (1/2)*Z, stored as integer multiples of 1/2 (the
-    doubled grading keeps theta_1/theta_2 half-powers integral),
-  * z-exponents in Z.
+    doubled grading keeps theta_1/theta_2 half-powers integral).
 
 Coefficients are exact and stored in one canonical form: a rational
 coefficient is a Python ``int`` exactly when its denominator is 1 and a
@@ -16,7 +15,7 @@ have one code path: Python's numeric tower runs them on ints for the
 integral series the paper computes, and on Fractions or cyclotomic
 numbers only where those occur.  Every division of coefficients goes
 through ``exact_quotient``, which never returns a float.  Exact division
-takes a divisor whose lowest q-slice is one term c y^a z^b (eta, theta3
+takes a divisor whose lowest q-slice is one term c y^a (eta, theta3
 and phi_{-2,1}'s y^0 column, lead 2, are the divisors the library has)
 and divides each quotient coefficient by c alone, so an integral divisor
 with a non-unit lead keeps the remainders integral wherever the quotient
@@ -29,7 +28,6 @@ it, and arithmetic propagates the guaranteed-valid truncation.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
 from types import MappingProxyType
 
 from .cyclotomic import (
@@ -63,7 +61,7 @@ class NotInSpanError(ArithmeticError):
 class TruncatedSeries:
     """Exact coefficients up to a truncation order ``trunc24``.
 
-    ``terms`` maps (q24, y2, z) to a nonzero coefficient.  It is a
+    ``terms`` maps (q24, y2) to a nonzero coefficient.  It is a
     read-only view and neither attribute can be reassigned, so a series
     can be shared (memoized builders hand the same series to every caller)
     without aliasing bugs.  With ``_clean`` the caller hands over a dict of
@@ -96,14 +94,14 @@ class TruncatedSeries:
 
     @staticmethod
     def const(value, trunc24: int = INF24) -> "TruncatedSeries":
-        return TruncatedSeries.monomial(value, 0, 0, 0, trunc24)
+        return TruncatedSeries.monomial(value, 0, 0, trunc24)
 
     @staticmethod
-    def monomial(value, q24: int = 0, y2: int = 0, z: int = 0,
+    def monomial(value, q24: int = 0, y2: int = 0,
                  trunc24: int = INF24) -> "TruncatedSeries":
         if not value or q24 >= trunc24:
             return TruncatedSeries.zero(trunc24)
-        return TruncatedSeries({(q24, y2, z): value}, trunc24, _clean=True)
+        return TruncatedSeries({(q24, y2): value}, trunc24, _clean=True)
 
     # -- inspection -----------------------------------------------------------
 
@@ -116,13 +114,13 @@ class TruncatedSeries:
         return not self.terms
 
     def coeff(self, q, y=0):
-        """Exact coefficient at q^q y^y z^0 (Fraction exponents allowed)."""
+        """Exact coefficient at q^q y^y (Fraction exponents allowed)."""
         q24 = _to_units(q, 24, "q")
         y2 = _to_units(y, 2, "y")
         if q24 >= self.trunc24:
             raise InsufficientPrecisionError(
                 f"coefficient at q24={q24} beyond truncation {self.trunc24}")
-        return self.terms.get((q24, y2, 0), 0)
+        return self.terms.get((q24, y2), 0)
 
     def q_support(self) -> list[int]:
         return sorted({k[0] for k in self.terms})
@@ -189,9 +187,9 @@ class TruncatedSeries:
                 q = qa + qb
                 if q >= trunc:
                     break
-                for (ya, za), ca in terms_a:
-                    for (yb, zb), cb in terms_b:
-                        key = (q, ya + yb, za + zb)
+                for ya, ca in terms_a:
+                    for yb, cb in terms_b:
+                        key = (q, ya + yb)
                         prod = ca * cb
                         if key in out:
                             s = out[key] + prod
@@ -228,8 +226,8 @@ class TruncatedSeries:
     def divide_exact(self, divisor: "TruncatedSeries") -> "TruncatedSeries":
         """Long division by a series whose lowest q-slice is one term.
 
-        With that lead c y^a z^b, each quotient slice is the lowest
-        remainder slice shifted by y^-a z^-b, each coefficient divided by
+        With that lead c y^a, each quotient slice is the lowest
+        remainder slice shifted by y^-a, each coefficient divided by
         c through ``exact_quotient``, and that quotient slice times each
         later divisor slice is subtracted from the later remainder slices.
         So an integral divisor with a non-unit lead, such as the y^0 column
@@ -245,30 +243,30 @@ class TruncatedSeries:
         if len(dlead) != 1:
             raise NotInSpanError(
                 "divisor's lowest q-slice is not one term", q24=dmin)
-        ((ly2, lz), lead), = dlead
+        (ly2, lead), = dlead
         nmin = self.min_q24 if not self.is_zero() else self.trunc24
         trunc = min(self.trunc24, divisor.trunc24 + nmin - dmin) - dmin
         if trunc >= INF24 // 2:
             raise ValueError("specify finite truncations before dividing")
         rem: dict = {}
-        for (e, y2, z), c in self.terms.items():
+        for (e, y2), c in self.terms.items():
             if e - dmin < trunc:
-                rem.setdefault(e, {})[(y2, z)] = c
+                rem.setdefault(e, {})[y2] = c
         out: dict = {}
         while rem:
             e = min(rem)
             qe = e - dmin
-            quotient = {(y2 - ly2, z - lz): exact_quotient(c, lead)
-                        for (y2, z), c in rem.pop(e).items()}
-            for (y2, z), c in quotient.items():
-                out[(qe, y2, z)] = c
+            quotient = {y2 - ly2: exact_quotient(c, lead)
+                        for y2, c in rem.pop(e).items()}
+            for y2, c in quotient.items():
+                out[(qe, y2)] = c
             for d24, dslice in dtail:
                 if qe + d24 - dmin >= trunc:
                     break
                 target = rem.setdefault(qe + d24, {})
-                for (qy, qz), qc in quotient.items():
-                    for (dy, dz), dc in dslice:
-                        key = (qy + dy, qz + dz)
+                for qy, qc in quotient.items():
+                    for dy, dc in dslice:
+                        key = qy + dy
                         acc = target.get(key, 0) - qc * dc
                         if acc:
                             target[key] = acc
@@ -304,7 +302,7 @@ class TruncatedSeries:
         if self.trunc24 < INF24:
             # stored terms must respect the envelope, otherwise the tail
             # extrapolation would be unsound
-            for (q24, y2, z) in self.terms:
+            for (q24, y2) in self.terms:
                 if abs(y2) > y2_bound(q24):
                     raise InsufficientPrecisionError(
                         f"term (q24={q24}, y2={y2}) violates the y-envelope")
@@ -319,11 +317,11 @@ class TruncatedSeries:
             step = lo + (m0 - lo) % 24
             trunc = min(q24 - abs(s24_per_y2) * y2_bound(q24) + extra_q24
                         for q24 in (lo, step))
-        for (q24, y2, z), c in self.terms.items():
+        for (q24, y2), c in self.terms.items():
             nq = q24 + s24_per_y2 * y2 + extra_q24
             if nq >= trunc:
                 continue
-            key = (nq, y2 + extra_y2, z)
+            key = (nq, y2 + extra_y2)
             if key in out:
                 s = out[key] + c
                 if not s:
@@ -343,21 +341,16 @@ class TruncatedSeries:
     def substitute_y_sign(self) -> "TruncatedSeries":
         """Substitute y -> -y (integral y-exponents only)."""
         out = {}
-        for (q24, y2, z), c in self.terms.items():
+        for (q24, y2), c in self.terms.items():
             if y2 % 2:
                 raise DomainError("cannot flip sign of half-integral y-power")
-            out[(q24, y2, z)] = -c if (y2 // 2) % 2 else c
+            out[(q24, y2)] = -c if (y2 // 2) % 2 else c
         return TruncatedSeries(out, self.trunc24, _clean=True)
 
-    def z_coefficient(self, z: int) -> "TruncatedSeries":
-        return TruncatedSeries(
-            {(q24, y2, 0): c for (q24, y2, zz), c in self.terms.items() if zz == z},
-            self.trunc24, _clean=True)
-
     def y_coefficient(self, y2: int) -> "TruncatedSeries":
-        """The coefficient of y^(y2/2), a series in q and z."""
+        """The coefficient of y^(y2/2), a series in q."""
         return TruncatedSeries(
-            {(q24, 0, z): c for (q24, yy, z), c in self.terms.items() if yy == y2},
+            {(q24, 0): c for (q24, yy), c in self.terms.items() if yy == y2},
             self.trunc24, _clean=True)
 
     # -- predicates & conversions -------------------------------------------------
@@ -387,15 +380,13 @@ class TruncatedSeries:
         if self.is_zero():
             return f"O(q^{Fraction(self.trunc24, 24)})" if self.trunc24 < INF24 else "0"
         parts = []
-        for (q24, y2, z) in sorted(self.terms)[:8]:
-            c = self.terms[(q24, y2, z)]
+        for (q24, y2) in sorted(self.terms)[:8]:
+            c = self.terms[(q24, y2)]
             mon = []
             if q24:
                 mon.append(f"q^{Fraction(q24, 24)}")
             if y2:
                 mon.append(f"y^{Fraction(y2, 2)}")
-            if z:
-                mon.append(f"z^{z}")
             parts.append(f"{c}" + ("*" + "*".join(mon) if mon else ""))
         more = "" if len(self.terms) <= 8 else f" + ... ({len(self.terms)} terms)"
         tail = f" + O(q^{Fraction(self.trunc24, 24)})" if self.trunc24 < INF24 else ""
@@ -429,43 +420,7 @@ def _mul_trunc(a: TruncatedSeries, b: TruncatedSeries) -> int:
 
 def _grouped(s: TruncatedSeries):
     groups: dict = {}
-    for (q24, y2, z), c in s.terms.items():
-        groups.setdefault(q24, []).append(((y2, z), c))
+    for (q24, y2), c in s.terms.items():
+        groups.setdefault(q24, []).append((y2, c))
     return sorted(groups.items())
 
-
-def geometric_factor(coeff, q24: int, y2: int, z: int, trunc24: int,
-                     power: int = 1) -> TruncatedSeries:
-    """(1 - coeff * q^(q24/24) y^(y2/2) z^z)^(-power) expanded to trunc24.
-
-    Requires q24 > 0 so the expansion truncates.
-    """
-    if q24 <= 0:
-        raise ValueError("geometric expansion needs a positive q-exponent")
-    if trunc24 >= INF24:
-        raise ValueError("geometric expansion needs a finite truncation")
-    terms: dict = {(0, 0, 0): 1}
-    k = 1
-    c_pow = coeff
-    # multiplicity of the k-th power for (1-x)^-power is C(k+power-1, power-1)
-    while k * q24 < trunc24:
-        val = c_pow * comb(k + power - 1, power - 1)
-        if val:
-            terms[(k * q24, k * y2, k * z)] = val
-        k += 1
-        c_pow = c_pow * coeff
-    return TruncatedSeries(terms, trunc24, _clean=True)
-
-
-def binomial_factor(coeff, q24: int, y2: int, z: int) -> TruncatedSeries:
-    """(1 + coeff * q^(q24/24) y^(y2/2) z^z) as an exact series."""
-    terms = {(0, 0, 0): 1}
-    if coeff:
-        terms[(q24, y2, z)] = coeff
-    return TruncatedSeries(terms, INF24, _clean=True)
-
-
-def prune_z_window(s: TruncatedSeries, z_lo: int, z_hi: int) -> TruncatedSeries:
-    return TruncatedSeries(
-        {k: v for k, v in s.terms.items() if z_lo <= k[2] <= z_hi},
-        s.trunc24, _clean=True)

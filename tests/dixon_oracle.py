@@ -8,10 +8,24 @@ identity, and the eigenvalues of a class matrix are found by evaluating
 det(M - x I) at k + 1 points, interpolating, and Horner-scanning every x
 in GF(p).  The class matrices are built as ``groups`` built them before
 it moved onto index tables: from products of permutation images.  The
-tests compare the index-table route with both.
+tests compare the index-table route with both, reading the classes as
+sets of elements through ``class_sets``.
 """
 
 from operator import itemgetter
+
+from k3moonshine.groups import _Cayley
+
+
+def class_sets(g, data) -> tuple:
+    """The classes of ``data`` as frozensets of elements, the map from
+    element to class index, and the class representatives, rebuilt on the
+    elements of the group's closure (``data`` keeps indices into it)."""
+    elems = [g.from_perm(x) for x in _Cayley(g).perms]
+    classes = [frozenset(elems[x] for x in m) for m in data.members]
+    class_of = {elems[x]: c for x, c in enumerate(data.class_at)}
+    reps = [elems[left[0]] for left in data.rep_left]    # r times identity
+    return classes, class_of, reps
 
 
 def inverse_by_powers(g, a):
@@ -163,19 +177,20 @@ def class_matrices_by_products(g, data) -> list:
     def times(s):                           # x -> x s on image tuples
         return itemgetter(*s) if len(s) > 1 else tuple
 
+    classes, class_of, reps = class_sets(g, data)
     perm_of = {x: g.as_perm(x) for x in data.elements}
-    perm_class = {perm_of[x]: i for x, i in data.class_of.items()}
+    perm_class = {perm_of[x]: i for x, i in class_of.items()}
     inv_class = []
-    for r in data.reps:
+    for r in reps:
         pr = perm_of[r]
         inv = tuple(sorted(range(len(pr)), key=pr.__getitem__))
         inv_class.append(perm_class[inv])
-    k = len(data.classes)
-    times_reps = [times(perm_of[r]) for r in data.reps]
+    k = len(classes)
+    times_reps = [times(perm_of[r]) for r in reps]
     mats = []
     for i in range(k):
         mat = [[0] * k for _ in range(k)]
-        for a in data.classes[inv_class[i]]:
+        for a in classes[inv_class[i]]:
             a = perm_of[a]
             for j, times_r in enumerate(times_reps):
                 mat[perm_class[times_r(a)]][j] += 1

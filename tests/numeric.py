@@ -31,9 +31,9 @@ class ComplexApprox:
     error: float
 
 
-def numeric_eval(s: TruncatedSeries, tau: complex, u: complex = 0.0,
-                 v: complex = 0.0) -> ComplexApprox:
-    """Evaluate at q = e^(2 pi i tau), y = e^(2 pi i u), z = e^(2 pi i v).
+def numeric_eval(s: TruncatedSeries, tau: complex,
+                 u: complex = 0.0) -> ComplexApprox:
+    """Evaluate at q = e^(2 pi i tau), y = e^(2 pi i u).
 
     The error field bounds the truncation tail under the assumption of
     geometric domination beyond the truncation order, with the ratio
@@ -44,14 +44,12 @@ def numeric_eval(s: TruncatedSeries, tau: complex, u: complex = 0.0,
         raise DomainError("tau must lie in the upper half-plane")
     q1 = cmath.exp(2j * cmath.pi * tau / 24)   # q^(1/24)
     y1 = cmath.exp(1j * cmath.pi * u)          # y^(1/2)
-    z1 = cmath.exp(2j * cmath.pi * v)
     total = 0j
     slice_abs: dict[int, float] = {}
-    for (q24, y2, z), c in s.terms.items():
+    for (q24, y2), c in s.terms.items():
         cv = _coeff_complex(c)
-        term = cv * q1 ** q24 * y1 ** y2 * z1 ** z
-        total += term
-        slice_abs[q24] = slice_abs.get(q24, 0.0) + abs(cv) * abs(y1) ** y2 * abs(z1) ** z
+        total += cv * q1 ** q24 * y1 ** y2
+        slice_abs[q24] = slice_abs.get(q24, 0.0) + abs(cv) * abs(y1) ** y2
     if s.trunc24 >= INF24:
         return ComplexApprox(total, 0.0)
     r = abs(q1)

@@ -45,10 +45,10 @@ from k3moonshine.n4char import N4Multiplicities, polar_part
 from k3moonshine.qpoly import Poly, _horner, cyclotomic_poly
 from k3moonshine.series import (
     InsufficientPrecisionError, NotInSpanError, TruncatedSeries,
-    exact_quotient, geometric_factor,
+    exact_quotient,
 )
 from division_oracle import divide_by_slices
-from series_tools import as_rational, galois, theta4, theta_s
+from series_tools import as_rational, galois, geometric_factor, theta4, theta_s
 
 
 def decompose_two_divisions(s, sector="NS"):
@@ -59,7 +59,7 @@ def decompose_two_divisions(s, sector="NS"):
     t = s.trunc24
     theta = jacobi_theta(3, t + 12)
     p_over_theta = polar_part(t + 12).divide_exact(theta)
-    lead = min((k for k in p_over_theta.terms if k[1] or k[2]), default=None)
+    lead = min((k for k in p_over_theta.terms if k[1]), default=None)
     u = (s * eta_power(3, t + 12)).divide_exact(theta)
     h_full = u.divide_exact(theta)
     if lead is None or lead[0] >= h_full.trunc24:
@@ -67,12 +67,12 @@ def decompose_two_divisions(s, sector="NS"):
             "input ends before the atypical coefficient can be read")
     a = exact_quotient(h_full.terms.get(lead, 0), p_over_theta.terms[lead])
     h = h_full - p_over_theta * a
-    bad = [k for k in h.terms if k[1] or k[2]]
+    bad = [k for k in h.terms if k[1]]
     if bad:
         raise NotInSpanError("input is not in the N=4 span",
                              q24=min(k[0] for k in bad))
     typical = {Fraction(q24, 24) + Fraction(3, 8): c
-               for (q24, _y2, _z), c in h.terms.items()}
+               for (q24, _y2), c in h.terms.items()}
     return N4Multiplicities(a, typical, h.trunc24)
 
 
@@ -80,22 +80,22 @@ def jacobi_split_by_division(s):
     if s.is_zero():
         return 0, s
     lo = s.min_q24
-    if any(abs(y2) > 2 for (q24, y2, _z) in s.terms if q24 == lo):
+    if any(abs(y2) > 2 for (q24, y2) in s.terms if q24 == lo):
         raise NotInSpanError("series does not have index-one shape", q24=lo)
     e = euler_specialization(s)
     support = e.q_support()
     if not support:
         a = 0
     elif support == [0]:
-        a = exact_quotient(e.terms[(0, 0, 0)], 12)
+        a = exact_quotient(e.terms[(0, 0)], 12)
     else:
         raise NotInSpanError("Euler specialization is not constant",
                              q24=next(k for k in support if k != 0))
     phi0 = weak_jacobi_phi(0, s.trunc24)
     phim2 = weak_jacobi_phi(-2, s.trunc24)
     h = divide_by_slices(s - phi0 * a, phim2)
-    if any(y2 or z for (_, y2, z) in h.terms):
-        bad = min(q24 for (q24, y2, z) in h.terms if y2 or z)
+    if any(y2 for (_, y2) in h.terms):
+        bad = min(q24 for (q24, y2) in h.terms if y2)
         raise NotInSpanError("split quotient depends on y", q24=bad)
     recon = phi0 * a + h * phim2
     if recon != s.truncate(min(recon.trunc24, s.trunc24)):
@@ -192,10 +192,10 @@ def fixed_point_term_by_division(n, trunc24):
             num.setdefault((q24, j + jj), [0] * n)[e] += sign
             den.setdefault(q24, [0] * n)[e] += sign
     numerator = TruncatedSeries(
-        {(q24, y2, 0): CyclotomicNumber.from_root_counts(n, c)
-         for (q24, y2), c in num.items()}, top)
+        {key: CyclotomicNumber.from_root_counts(n, c)
+         for key, c in num.items()}, top)
     theta1_u_sq = TruncatedSeries(
-        {(q24, 0, 0): CyclotomicNumber.from_root_counts(n, c)
+        {(q24, 0): CyclotomicNumber.from_root_counts(n, c)
          for q24, c in den.items()}, top)
     return numerator.divide_exact(theta1_u_sq)
 
@@ -250,9 +250,9 @@ def inverse_fermion_factor(exp2, y2, trunc24):
     if exp2 == 0:
         raise ValueError("exponent must be nonzero")
     if exp2 > 0:
-        return geometric_factor(-1, 12 * exp2, y2, 0, trunc24)
-    flip = geometric_factor(-1, -12 * exp2, -y2, 0, trunc24)
-    pref = TruncatedSeries.monomial(1, -12 * exp2, -y2, 0)
+        return geometric_factor(-1, 12 * exp2, y2, trunc24)
+    flip = geometric_factor(-1, -12 * exp2, -y2, trunc24)
+    pref = TruncatedSeries.monomial(1, -12 * exp2, -y2)
     return pref * flip
 
 
@@ -289,7 +289,7 @@ def polar_part_by_products(trunc24):
         base = alpha * (alpha + 1) / 2
         if a2 > 1 and 24 * base >= trunc24:
             break
-        pref = TruncatedSeries.monomial(1, int(24 * base), a2 + 1, 0)
+        pref = TruncatedSeries.monomial(1, int(24 * base), a2 + 1)
         total = total + pref * inverse_fermion_factor(a2, 2, trunc24 + 24)
         a2 += 2
     a2 = -1
@@ -298,7 +298,7 @@ def polar_part_by_products(trunc24):
         base = alpha * (alpha - 1) / 2  # alpha(alpha+1)/2 - alpha, rewritten
         if 24 * base >= trunc24:
             break
-        pref = TruncatedSeries.monomial(1, int(24 * base), a2 - 1, 0)
+        pref = TruncatedSeries.monomial(1, int(24 * base), a2 - 1)
         total = total + pref * inverse_fermion_factor(-a2, -2, trunc24 + 24)
         a2 -= 2
     return total.truncate(trunc24)

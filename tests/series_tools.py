@@ -6,28 +6,33 @@ computed series and numbers:
   * ``substitute_y_value``: y specialized to a value, the oracle of
     ``modforms.euler_specialization``;
   * ``is_y_symmetric``: the y <-> 1/y symmetry of every Jacobi form;
-  * ``q_slice``: the (y, z) terms at one q-order;
+  * ``q_slice``: the y-terms at one q-order;
   * ``as_rational``: rational coefficients read off a cyclotomic series;
   * ``galois``: one automorphism sigma_a, against the defining sum;
   * ``theta_s``, ``theta1`` and ``theta4``: the theta functions the
-    library does not build (it builds theta2 and theta3).
+    library does not build (it builds theta2 and theta3);
+  * ``geometric_factor`` and ``binomial_factor``: the factors of the
+    product formulas the tests multiply out as series (the library's two
+    product cross-checks multiply theirs out on plain dicts).
 """
+
+from math import comb
 
 from k3moonshine.cyclotomic import CyclotomicNumber, DomainError, zeta
 from k3moonshine.series import (
-    InsufficientPrecisionError, TruncatedSeries, exact_quotient,
+    INF24, InsufficientPrecisionError, TruncatedSeries, exact_quotient,
 )
 
 
 def substitute_y_value(s, value):
     """Specialize y to an exact scalar; y-exponents must be integral."""
     out: dict = {}
-    for (q24, y2, z), c in s.terms.items():
+    for (q24, y2), c in s.terms.items():
         if y2 % 2:
             raise DomainError("cannot specialize half-integral y-power")
         m = y2 // 2
         factor = value ** m if m >= 0 else exact_quotient(1, value ** -m)
-        key = (q24, 0, z)
+        key = (q24, 0)
         acc = out.get(key, 0) + c * factor
         if not acc:
             out.pop(key, None)
@@ -38,16 +43,16 @@ def substitute_y_value(s, value):
 
 def is_y_symmetric(s) -> bool:
     """Whether s is unchanged by y -> 1/y."""
-    mirror = {(q24, -y2, z): c for (q24, y2, z), c in s.terms.items()}
+    mirror = {(q24, -y2): c for (q24, y2), c in s.terms.items()}
     return s == TruncatedSeries(mirror, s.trunc24, _clean=True)
 
 
 def q_slice(s, q24):
-    """All (y2, z) -> coeff at the given q-exponent (in 24th units)."""
+    """All y2 -> coeff at the given q-exponent (in 24th units)."""
     if q24 >= s.trunc24:
         raise InsufficientPrecisionError(
             f"slice at q24={q24} beyond truncation {s.trunc24}")
-    return {(y2, z): c for (e, y2, z), c in s.terms.items() if e == q24}
+    return {y2: c for (e, y2), c in s.terms.items() if e == q24}
 
 
 def as_rational(s):
@@ -70,7 +75,7 @@ def theta_s(trunc24):
     while 3 * (2 * k + 1) ** 2 < trunc24:
         q24 = 3 * (2 * k + 1) ** 2
         for m in (k, -k - 1):  # n = m + 1/2 runs over +-(k+1/2)
-            terms[(q24, 2 * m + 1, 0)] = -1 if m % 2 else 1
+            terms[(q24, 2 * m + 1)] = -1 if m % 2 else 1
         k += 1
     return TruncatedSeries(terms, trunc24, _clean=True)
 
@@ -86,6 +91,37 @@ def theta4(trunc24):
     n = 0
     while 12 * n * n < trunc24:
         for s in ((n,) if n == 0 else (n, -n)):
-            terms[(12 * n * n, 2 * s, 0)] = -1 if n % 2 else 1
+            terms[(12 * n * n, 2 * s)] = -1 if n % 2 else 1
         n += 1
     return TruncatedSeries(terms, trunc24, _clean=True)
+
+
+def geometric_factor(coeff, q24: int, y2: int, trunc24: int,
+                     power: int = 1) -> TruncatedSeries:
+    """(1 - coeff * q^(q24/24) y^(y2/2))^(-power) expanded to trunc24.
+
+    Requires q24 > 0 so the expansion truncates.
+    """
+    if q24 <= 0:
+        raise ValueError("geometric expansion needs a positive q-exponent")
+    if trunc24 >= INF24:
+        raise ValueError("geometric expansion needs a finite truncation")
+    terms: dict = {(0, 0): 1}
+    k = 1
+    c_pow = coeff
+    # multiplicity of the k-th power for (1-x)^-power is C(k+power-1, power-1)
+    while k * q24 < trunc24:
+        val = c_pow * comb(k + power - 1, power - 1)
+        if val:
+            terms[(k * q24, k * y2)] = val
+        k += 1
+        c_pow = c_pow * coeff
+    return TruncatedSeries(terms, trunc24, _clean=True)
+
+
+def binomial_factor(coeff, q24: int, y2: int) -> TruncatedSeries:
+    """(1 + coeff * q^(q24/24) y^(y2/2)) as an exact series."""
+    terms = {(0, 0): 1}
+    if coeff:
+        terms[(q24, y2)] = coeff
+    return TruncatedSeries(terms, INF24, _clean=True)

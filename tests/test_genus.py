@@ -6,9 +6,7 @@ import pytest
 
 from k3moonshine.cyclotomic import zeta
 from k3moonshine.qpoly import Poly, RationalFunction
-from k3moonshine.series import (
-    NotInSpanError, TruncatedSeries, binomial_factor, geometric_factor,
-)
+from k3moonshine.series import NotInSpanError, TruncatedSeries
 from k3moonshine.modforms import euler_specialization, weak_jacobi_phi
 from k3moonshine.genus import (
     CLASS_ORDER, FIXED_POINT_EIGENVALUES, SYMPLECTIC_CLASSES, UNIT_SUM_WEIGHTS,
@@ -18,7 +16,9 @@ from k3moonshine.genus import (
     weighted_equivariant_genus,
 )
 from route_oracle import galois_conjugate
-from series_tools import as_rational, is_y_symmetric
+from series_tools import (
+    as_rational, binomial_factor, geometric_factor, is_y_symmetric,
+)
 
 T5 = 5 * 24
 
@@ -37,15 +37,15 @@ def product_fixed_point_term(n, a, trunc24):
     lam = zeta(n, a)
     lam_inv = zeta(n, n - a)
     dinv = ((1 - lam) * (1 - lam_inv)).inverse()
-    num = (TruncatedSeries.monomial(Fraction(1), 0, -2, 0, trunc24)
-           * binomial_factor(-lam, 0, 2, 0) * binomial_factor(-lam_inv, 0, 2, 0))
+    num = (TruncatedSeries.monomial(Fraction(1), 0, -2, trunc24)
+           * binomial_factor(-lam, 0, 2) * binomial_factor(-lam_inv, 0, 2))
     den = TruncatedSeries.const(dinv, trunc24)
     k = 1
     while 24 * k < trunc24:
         for lam_f, y2 in ((lam, 2), (lam_inv, -2), (lam_inv, 2), (lam, -2)):
-            num = num * binomial_factor(-lam_f, 24 * k, y2, 0)
+            num = num * binomial_factor(-lam_f, 24 * k, y2)
         for root in (lam, lam_inv):
-            den = den * geometric_factor(root, 24 * k, 0, 0, trunc24, power=2)
+            den = den * geometric_factor(root, 24 * k, 0, trunc24, power=2)
         k += 1
     return num * den
 
@@ -224,7 +224,7 @@ def test_jacobi_split_equivariant():
 
 def test_jacobi_split_rejects_off_span():
     bad = elliptic_genus(3 * 24) + TruncatedSeries.monomial(
-        Fraction(1), 24, 0, 0, 3 * 24)
+        Fraction(1), 24, 0, 3 * 24)
     with pytest.raises(NotInSpanError):
         jacobi_split(bad)
 

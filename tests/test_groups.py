@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dixon_oracle import (
-    charpoly_roots_by_scan, class_matrices_by_products, conjugacy_by_mul,
-    enumerate_by_mul, inverse_by_powers, roots_by_scan,
+    charpoly_roots_by_scan, class_matrices_by_products, class_sets,
+    conjugacy_by_mul, enumerate_by_mul, inverse_by_powers, roots_by_scan,
 )
 from k3moonshine.groups import (
     MatrixGroup, PermGroup, _Cayley, _charpoly_roots, _class_matrices,
@@ -174,10 +174,11 @@ def test_conjugacy_matches_oracle(build):
     g = build()
     data = conjugacy_classes(g)
     want = conjugacy_by_mul(g)
+    classes, class_of, reps = class_sets(g, data)
     assert data.elements == want["elements"]
-    assert data.classes == want["classes"]
-    assert data.class_of == want["class_of"]
-    assert data.reps == want["reps"]
+    assert classes == want["classes"]
+    assert class_of == want["class_of"]
+    assert reps == want["reps"]
     assert data.orders == want["orders"]
     assert data.sizes == want["sizes"]
 
@@ -203,12 +204,13 @@ def test_index_tables_match_mul(build):
         assert cayley.conjugation(s) == \
             [index[g.mul(g.mul(inv, x), gen)] for x in elems]
     data = conjugacy_classes(g)
-    for r, left in zip(data.reps, data.rep_left):
+    want = conjugacy_by_mul(g)
+    for r, left in zip(want["reps"], data.rep_left):
         assert left == cayley.left(index[r]) == \
             [index[g.mul(r, x)] for x in elems]
-    assert [sorted(elems[x] for x in m) for m in data.members] == \
-        [sorted(c) for c in data.classes]
-    assert all(data.class_at[i] == data.class_of[x]
+    assert [frozenset(elems[x] for x in m) for m in data.members] == \
+        want["classes"]
+    assert all(data.class_at[i] == want["class_of"][x]
                for i, x in enumerate(elems))
 
 
@@ -217,7 +219,8 @@ def test_index_tables_match_mul(build):
 def test_class_matrices_match_products(build):
     g = build()
     data = conjugacy_classes(g)
-    inv_class = [data.class_of[inverse_by_powers(g, r)] for r in data.reps]
+    _classes, class_of, reps = class_sets(g, data)
+    inv_class = [class_of[inverse_by_powers(g, r)] for r in reps]
     assert list(_class_matrices(data, inv_class)) == \
         class_matrices_by_products(g, data)
 

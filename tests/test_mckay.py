@@ -1,5 +1,8 @@
 import os
+import re
 from fractions import Fraction
+
+import pytest
 
 from k3moonshine.genus import (
     equivariant_elliptic_genus, fixed_point_count, jacobi_split,
@@ -138,6 +141,33 @@ def test_fg_file_reproduces_the_shipped_file(tmp_path):
 def test_shipped_fg_file_loads():
     recs = read_fg_file()
     assert "15AB" in recs and len(recs["15AB"].coefficients) >= 20
+
+
+def test_fg_file_coefficients_are_canonical(tmp_path):
+    # an integral coefficient is an int, a proper one a Fraction
+    path = tmp_path / "fg.txt"
+    path.write_text("version 1\n# comment\n2A 8 2 trace-fit 0 6/3 -1/2 4\n")
+    coeffs = read_fg_file(path)["2A"].coefficients
+    assert coeffs == (0, 2, Fraction(-1, 2), 4)
+    assert [type(c) for c in coeffs] == [int, int, Fraction, int]
+    shipped = read_fg_file()
+    assert all(type(c) is int or c.denominator > 1
+               for rec in shipped.values() for c in rec.coefficients)
+
+
+@pytest.mark.parametrize("record", [
+    "2A 8 2",
+    "2A 8 two trace-fit 1 2",
+    "2A 8 2 trace-fit 1 x/2 3",
+    "2A 8 2 trace-fit 1 1/0",
+], ids=["short", "level", "coefficient", "zero-denominator"])
+def test_fg_file_rejects_a_bad_record(tmp_path, record):
+    # the message names the file and the line, counting comments and blanks
+    path = tmp_path / "fg.txt"
+    path.write_text(f"version 1\n# comment\n\n1A 24 1 trace-fit 0\n{record}\n")
+    with pytest.raises(ValueError,
+                       match=re.escape(f"{path}, line 5: bad f_g record")):
+        read_fg_file(path)
 
 
 def test_geometric_twining_recovers_symt_series_deeper():

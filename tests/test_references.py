@@ -3,13 +3,14 @@
 from a short allow-list of documented API and test oracles, each with its
 reason.
 
-A reference is a ``Name``, an attribute, or an identifier inside a string
-constant (the bench's span table names what it wraps as strings, such as
-"TruncatedSeries.invert").  Docstrings and ``__all__`` entries are not
-references, and neither is a name inside the body of the function it
-names (recursion).  Dunder methods, which Python calls implicitly, are
-exempt.  The allow-list must match exactly: an entry that gains a caller,
-or whose function is deleted, leaves the list.
+A reference is a ``Name``, an attribute, or a string constant that is
+one identifier or a dotted path of them (the bench's span table names
+what it wraps as strings, such as "TruncatedSeries.invert"); a word in
+any other string, such as an error message, is not.  Docstrings and
+``__all__`` entries are not references, and neither is a name inside the
+body of the function it names (recursion).  Dunder methods, which Python
+calls implicitly, are exempt.  The allow-list must match exactly: an
+entry that gains a caller, or whose function is deleted, leaves the list.
 """
 
 import ast
@@ -36,6 +37,9 @@ ALLOWED = {
         "library sums the conjugates of its wp(u) series, the tests "
         "compare the term with the product and division oracles",
 }
+
+
+DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
 
 
 def _sources(*tops):
@@ -65,8 +69,9 @@ def references(tree) -> Counter:
             out[node.id] += 1
         elif isinstance(node, ast.Attribute):
             out[node.attr] += 1
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            out.update(re.findall(r"[A-Za-z_]\w*", node.value))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and DOTTED.fullmatch(node.value):
+            out.update(node.value.split("."))
     return out
 
 
@@ -104,12 +109,15 @@ def test_scan_finds_an_unreferenced_method():
         "def unused():\n    '''used() is named only here'''\n"
         "    return unused()\n"
         "def used():\n    pass\n"
+        "def said():\n    pass\n"
         "class C:\n    def __eq__(self, o):\n        return True\n"
         "    def m(self):\n        return self.n()\n"
         "    def n(self):\n        pass\n")
-    spans = ast.parse("TABLE = ('C.used',)\n")
+    # a dotted path names its parts; a word in a message names nothing
+    spans = ast.parse("TABLE = ('C.used',)\n"
+                      "raise ValueError('said in a message')\n")
     assert unreferenced([("mod", src)], [("bench", spans)]) == \
-        {"mod.unused", "mod.C.m"}
+        {"mod.unused", "mod.C.m", "mod.said"}
 
 
 def test_every_function_is_referenced_or_allowed():

@@ -12,13 +12,11 @@ from k3moonshine.series import (
     InsufficientPrecisionError,
     NotInSpanError,
     TruncatedSeries,
-    binomial_factor,
     exact_quotient,
-    geometric_factor,
 )
 from canonical import all_canonical
 from division_oracle import divide_by_slices
-from series_tools import substitute_y_value
+from series_tools import binomial_factor, geometric_factor, substitute_y_value
 
 T = TruncatedSeries
 
@@ -76,7 +74,7 @@ def test_ring_axioms_randomized():
     def rand_series():
         terms = {}
         for _ in range(rng.randint(1, 6)):
-            key = (rng.randint(-2, 6) * 12, rng.randint(-2, 2) * 2, 0)
+            key = (rng.randint(-2, 6) * 12, rng.randint(-2, 2) * 2)
             terms[key] = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
         return T(terms, trunc24=rng.randint(4, 8) * 24)
 
@@ -91,8 +89,8 @@ def test_ring_axioms_randomized():
 def test_divide_exact_by_multiterm_lead():
     # divide_exact and invert refuse a lowest q-slice of more than one term
     # at its order; the slice oracle divides (y - 2 + 1/y) * s back to s
-    d = T({(24, 2, 0): Fraction(1), (24, 0, 0): Fraction(-2),
-           (24, -2, 0): Fraction(1)}, 5 * 24)
+    d = T({(24, 2): Fraction(1), (24, 0): Fraction(-2),
+           (24, -2): Fraction(1)}, 5 * 24)
     s = (1 + q(1, 5)) + T.monomial(Fraction(3), q24=24, y2=2)
     top = (d * s).truncate(4 * 24)
     for refused in (lambda: top.divide_exact(d), d.invert):
@@ -114,7 +112,7 @@ def test_spectral_flow_roundtrip():
     for e in range(0, 7):
         for m in range(-e // 2 - 1, e // 2 + 2):
             if rng.random() < 0.5:
-                terms[(24 * e, 2 * m, 0)] = Fraction(rng.randint(1, 9))
+                terms[(24 * e, 2 * m)] = Fraction(rng.randint(1, 9))
     s = T(terms, 7 * 24)
     flowed = s.spectral_flow(+1)
     back = flowed.spectral_flow(-1)
@@ -123,8 +121,8 @@ def test_spectral_flow_roundtrip():
 
 
 def test_substitutions():
-    s = T({(0, 2, 0): Fraction(1), (0, -2, 0): Fraction(1),
-           (24, 0, 0): Fraction(5)}, 2 * 24)
+    s = T({(0, 2): Fraction(1), (0, -2): Fraction(1),
+           (24, 0): Fraction(5)}, 2 * 24)
     at1 = substitute_y_value(s, 1)
     assert at1.coeff(0) == 2
     atm1 = substitute_y_value(s, -1)
@@ -145,11 +143,11 @@ def test_constant_flow_examples():
 
 
 def test_geometric_and_binomial_factors():
-    g = geometric_factor(Fraction(1), 24, 2, 0, 3 * 24, power=2)
+    g = geometric_factor(Fraction(1), 24, 2, 3 * 24, power=2)
     # (1 - yq)^{-2} = 1 + 2yq + 3y^2q^2 + ...
     assert g.coeff(1, y=1) == 2
     assert g.coeff(2, y=2) == 3
-    b = binomial_factor(Fraction(-1), 12, 0, 0)
+    b = binomial_factor(Fraction(-1), 12, 0)
     assert b.coeff(Fraction(1, 2)) == -1
 
 
@@ -163,16 +161,16 @@ def test_equality_up_to_min_truncation():
 
 
 def test_terms_are_read_only():
-    source = {(0, 0, 0): Fraction(1), (24, 2, 0): Fraction(3)}
+    source = {(0, 0): Fraction(1), (24, 2): Fraction(3)}
     s = T(source, 2 * 24)
-    source[(0, 0, 0)] = Fraction(5)        # the series copied its input
+    source[(0, 0)] = Fraction(5)        # the series copied its input
     assert s.coeff(0) == 1
     for series in (s, s * s, s.truncate(24), -s):
         with pytest.raises(TypeError):
-            series.terms[(0, 0, 0)] = Fraction(2)
+            series.terms[(0, 0)] = Fraction(2)
         with pytest.raises(TypeError):
-            del series.terms[(0, 0, 0)]
-    assert len(s.terms) == 2 and s.terms.get((24, 2, 0)) == 3
+            del series.terms[(0, 0)]
+    assert len(s.terms) == 2 and s.terms.get((24, 2)) == 3
 
 
 def test_attributes_cannot_be_reassigned():
@@ -194,7 +192,7 @@ def test_attributes_cannot_be_reassigned():
 
 def test_coefficients_are_canonical():
     # an integral Fraction is stored as an int, a proper one as a Fraction
-    s = T({(0, 0, 0): Fraction(6, 3), (24, 0, 0): Fraction(1, 2)}, 2 * 24)
+    s = T({(0, 0): Fraction(6, 3), (24, 0): Fraction(1, 2)}, 2 * 24)
     assert type(s.coeff(0)) is int and s.coeff(0) == 2
     assert s.coeff(1) == Fraction(1, 2)
     half = s.scale(Fraction(1, 2))
@@ -223,11 +221,11 @@ def test_exact_quotient():
 def test_float_coefficient_is_rejected():
     # a float must fail loudly, never round its way into a verdict
     with pytest.raises(TypeError):
-        T({(0, 0, 0): 0.5}, 2 * 24)
+        T({(0, 0): 0.5}, 2 * 24)
     with pytest.raises(TypeError):
         T.monomial(1.5, q24=24)
     with pytest.raises(TypeError):
-        geometric_factor(0.5, 24, 0, 0, 3 * 24)
+        geometric_factor(0.5, 24, 0, 3 * 24)
     with pytest.raises(TypeError):
         T.const(1, 2 * 24) * 0.5
 
@@ -263,26 +261,25 @@ def exact_series(draw, domain, lo24=-24):
     """An exactly known Laurent polynomial with a few terms."""
     terms = {}
     for _ in range(draw(st.integers(1, 5))):
-        key = (lo24 + 12 * draw(st.integers(0, 6)),
-               draw(st.integers(-3, 3)), draw(st.integers(-1, 1)))
+        key = (lo24 + 12 * draw(st.integers(0, 6)), draw(st.integers(-3, 3)))
         terms[key] = draw(coefficients(domain))
     return T(terms, INF24)
 
 
 @st.composite
 def divisors(draw, domain, monomial_lead=None):
-    """An exact divisor whose leading q-slice has one z-power: a monomial,
-    or a monomial times y - 2 + 1/y (which only the slice oracle divides
-    by); the leading order may be negative."""
+    """An exact divisor whose leading q-slice is a monomial, or a monomial
+    times y - 2 + 1/y (which only the slice oracle divides by); the
+    leading order may be negative."""
     m = 12 * draw(st.integers(-2, 2))
-    y2, z = draw(st.integers(-2, 2)), draw(st.integers(-1, 1))
+    y2 = draw(st.integers(-2, 2))
     c = draw(coefficients(domain))
     if monomial_lead is None:
         monomial_lead = draw(st.booleans())
     if monomial_lead:
-        lead = {(m, y2, z): c}
+        lead = {(m, y2): c}
     else:
-        lead = {(m, y2 + 2, z): c, (m, y2, z): -2 * c, (m, y2 - 2, z): c}
+        lead = {(m, y2 + 2): c, (m, y2): -2 * c, (m, y2 - 2): c}
     tail = draw(exact_series(domain, lo24=m + 12))
     return T(lead, INF24) + tail
 
@@ -363,8 +360,8 @@ def test_invert_differential(data, domain, td, dd):
 
 
 def test_invert_requires_monomial_lead():
-    d = T({(0, 2, 0): Fraction(1), (0, 0, 0): Fraction(-2),
-           (0, -2, 0): Fraction(1)}, 5 * 24)
+    d = T({(0, 2): Fraction(1), (0, 0): Fraction(-2),
+           (0, -2): Fraction(1)}, 5 * 24)
     with pytest.raises(NotInSpanError) as err:
         d.invert()
     assert err.value.q24 == 0
@@ -392,8 +389,7 @@ def integral_series(draw, n, lo24):
     """An exact series over Z[zeta_n] with a few terms from q^(lo24/24) up."""
     terms = {}
     for _ in range(draw(st.integers(1, 4))):
-        key = (lo24 + 12 * draw(st.integers(0, 5)),
-               draw(st.integers(-3, 3)), draw(st.integers(-1, 1)))
+        key = (lo24 + 12 * draw(st.integers(0, 5)), draw(st.integers(-3, 3)))
         terms[key] = draw(integral_cyclotomic(n))
     return T(terms, INF24)
 
@@ -406,12 +402,12 @@ def non_unit_divisors(draw, n):
     k = draw(st.sampled_from([k for k in range(1, n) if gcd(k, n) == 1]))
     c = 2 - zeta(n, k) - zeta(n, -k)
     m = 12 * draw(st.integers(-2, 2))
-    y2, z = draw(st.integers(-2, 2)), draw(st.integers(-1, 1))
+    y2 = draw(st.integers(-2, 2))
     lc = draw(integral_cyclotomic(n))
     if draw(st.booleans()):
-        lead = {(m, y2, z): lc}
+        lead = {(m, y2): lc}
     else:
-        lead = {(m, y2 + 2, z): lc, (m, y2, z): -2 * lc, (m, y2 - 2, z): lc}
+        lead = {(m, y2 + 2): lc, (m, y2): -2 * lc, (m, y2 - 2): lc}
     return c, T(lead, INF24) + draw(integral_series(n, m + 12))
 
 
@@ -438,7 +434,7 @@ def test_theta2_null_square_division_matches_slice_recurrence():
     t = 8 * 24
     num = jacobi_theta(2, t) ** 2
     den = euler_specialization(jacobi_theta(2, t)) ** 2
-    assert den.terms[(6, 0, 0)] == 4
+    assert den.terms[(6, 0)] == 4
     quo = num.divide_exact(den)
     ref = divide_by_slices(num, den)
     assert quo.trunc24 == ref.trunc24
@@ -469,17 +465,17 @@ def enveloped_series(draw, t24):
     else:
         m0 = t24 + draw(st.integers(0, 48))
     lo = max(m0, t24)
-    terms = {(m0, draw(st.integers(-4, 4)), 0): draw(st.integers(1, 3))}
+    terms = {(m0, draw(st.integers(-4, 4))): draw(st.integers(1, 3))}
     for _ in range(draw(st.integers(0, 12))):
         q24 = m0 + draw(st.integers(0, lo - m0 + 60))
         b = _y2_bound(q24, m0)
-        terms[(q24, draw(st.integers(-b, b)), draw(st.integers(-1, 1)))] = \
+        terms[(q24, draw(st.integers(-b, b)))] = \
             draw(st.sampled_from((-3, -2, -1, 1, 2, 3)))
     step = lo + (m0 - lo) % 24            # where the envelope next widens
     for q24 in (lo, step, lo + draw(st.integers(1, 30))):
         b = _y2_bound(q24, m0)
         for y2 in (b, -b):
-            terms[(q24, y2, 0)] = draw(st.integers(1, 3))
+            terms[(q24, y2)] = draw(st.integers(1, 3))
     return T(terms, INF24)
 
 
@@ -521,12 +517,12 @@ def test_q_shift_edge_term_sits_at_the_claimed_truncation():
     # edge term q^2 y^-3 there flows to q^(18/24).  That is the claimed
     # truncation exactly; reading the bound at t24 alone would claim 22.
     t24 = 46
-    edge_term = (48, -_y2_bound(48, 0), 0)
-    exact = T({(0, 0, 0): 1, edge_term: 1}, INF24)
+    edge_term = (48, -_y2_bound(48, 0))
+    exact = T({(0, 0): 1, edge_term: 1}, INF24)
     shifted = exact.truncate(t24).spectral_flow(+1)
     image = exact.spectral_flow(+1)
     assert shifted.trunc24 == 18
-    assert image.terms[(18, edge_term[1] + 2, 0)] == 1
+    assert image.terms[(18, edge_term[1] + 2)] == 1
     assert shifted == image
     with pytest.raises(ValueError):
         exact.truncate(t24).substitute_q_shift(30)
