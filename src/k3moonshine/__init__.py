@@ -10,9 +10,7 @@ from .lattice import (
     AbelianQuotient, IntegerLattice, hnf_basis, smith_normal_form,
     snf_quotient, solve_in_lattice,
 )
-from .modforms import (
-    dedekind_eta, euler_specialization, jacobi_theta, weak_jacobi_phi,
-)
+from .modforms import euler_specialization, jacobi_theta, weak_jacobi_phi
 from .genus import (
     chi_sym_power, chi_symt_series, elliptic_genus,
     equivariant_elliptic_genus, jacobi_split, rational_form,
@@ -33,7 +31,7 @@ __all__ = [
     "Poly", "RationalFunction", "cyclotomic_poly",
     "AbelianQuotient", "IntegerLattice", "hnf_basis", "smith_normal_form",
     "snf_quotient", "solve_in_lattice",
-    "dedekind_eta", "euler_specialization", "jacobi_theta", "weak_jacobi_phi",
+    "euler_specialization", "jacobi_theta", "weak_jacobi_phi",
     "chi_sym_power", "chi_symt_series", "elliptic_genus",
     "equivariant_elliptic_genus", "jacobi_split", "rational_form",
     "verify_moonshine_class",

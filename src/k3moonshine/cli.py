@@ -13,6 +13,7 @@ import argparse
 import os
 import sys
 from fractions import Fraction
+from math import gcd
 
 from .chartab import TableFormatError, format_rational
 from .genus import SYMPLECTIC_CLASSES
@@ -61,13 +62,15 @@ def emit(report: dict, fmt: str, stream=None) -> None:
                 stream.write("  ".join(str(c) for c in row) + "\n")
 
 
+def _over(n: int, d: int) -> str:
+    """n/d in lowest terms, as ``format_rational`` writes it (d > 0)."""
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
+
+
 def _series_rows(s):
-    rows = []
-    for (q24, y2) in sorted(s.terms):
-        c = s.terms[(q24, y2)]
-        rows.append([format_rational(Fraction(q24, 24)),
-                     format_rational(Fraction(y2, 2)), format_rational(c)])
-    return rows
+    return [[_over(q24, 24), _over(y2, 2), format_rational(c)]
+            for (q24, y2), c in sorted(s.terms.items())]
 
 
 def _rational_function_text(r):

@@ -266,18 +266,6 @@ class CyclotomicNumber:
         inv = (s1 * (1 / r1[0])) % mod
         return CyclotomicNumber(self.n, [inv[k] for k in range(len(self.c))])
 
-    def __pow__(self, n: int) -> "CyclotomicNumber":
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = CyclotomicNumber.from_rational(self.n, 1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
-
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
             f = Fraction(other)

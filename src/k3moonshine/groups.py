@@ -69,9 +69,6 @@ class PermGroup:
         # apply b first, then a
         return _right_mul(b)(a)
 
-    def inv(self, a):
-        return _perm_inv(a)
-
     def as_perm(self, x):
         return x
 
@@ -152,9 +149,6 @@ class MatrixGroup:
         cols = tuple(zip(*b))
         return tuple(self._apply(cols, row) for row in a)
 
-    def inv(self, a):
-        return self.from_perm(_perm_inv(self.as_perm(a)))
-
     def as_perm(self, m):
         """The permutation that ``m`` induces on the basis-vector orbit."""
         index = self._index
@@ -192,10 +186,6 @@ def _right_mul(s):
         return itemgetter(*s)
     # one index makes itemgetter return a bare item; s is the identity here
     return tuple
-
-
-def _perm_inv(a):
-    return tuple(sorted(range(len(a)), key=a.__getitem__))
 
 
 class _Cayley:

@@ -179,18 +179,13 @@ def f_from_traces(label: str) -> list:
     f_g is the negative of the usual McKay-Thompson one).
     """
     A = sigma_coefficients()
-    e = euler_character_value(label)
-    sig_g = [k_layer_trace(n, label) for n in range(len(A))]
-    diff = [b - Fraction(e, 24) * a for a, b in zip(A, sig_g)]
-    # multiply q^(-1/8) (diff) by eta^3 = q^(1/8) prod: the 1/8 offsets cancel
-    eta3 = eta_power(3, len(A) * 24)
-    out = []
-    for n in range(len(A)):
-        acc = Fraction(0)
-        for j in range(n + 1):
-            acc += diff[j] * eta3.coeff(Fraction(1, 8) + (n - j))
-        out.append(acc)
-    return out
+    e = Fraction(euler_character_value(label), 24)
+    t = len(A) * 24
+    # Sigma_g - e(g)/24 Sigma leads at q^(-1/8), and eta^3 at q^(1/8)
+    diff = TruncatedSeries({(24 * n - 3, 0): k_layer_trace(n, label) - e * a
+                            for n, a in enumerate(A)}, t - 3)
+    f = diff * eta_power(3, t)
+    return [f.coeff(n) for n in range(len(A))]
 
 
 def fit_in_m2(prefix: list, level: int, trunc24: int) -> TruncatedSeries:
@@ -277,22 +272,27 @@ def write_fg_file(path=None, trunc24: int = 25 * 24) -> str:
     for label in GEOMETRIC_CLASSES + MOONSHINE_CLASSES:
         f = f_series(label, trunc24)
         coeffs = [f.coeff(n) for n in range(trunc24 // 24)]
-        e = euler_character_value(label)
-        source = ("fixed-point-split" if label in GEOMETRIC_CLASSES
-                  else "trace-fit")
         body = " ".join(map(format_rational, coeffs))
-        lines.append(f"{label} {e} {CLASS_LEVEL[label]} {source} {body}")
+        lines.append(" ".join(map(str, _record_head(label))) + f" {body}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     return path
+
+
+def _record_head(label: str) -> tuple:
+    """The label, Euler value, level and source tag of a class's record
+    (the writer tags the geometric classes fixed-point-split)."""
+    source = "fixed-point-split" if label in GEOMETRIC_CLASSES else "trace-fit"
+    return label, euler_character_value(label), CLASS_LEVEL[label], source
 
 
 def read_fg_file(path=None) -> dict:
     """The records of an f_g data file, keyed by class label.
 
     Coefficients are canonical (an ``int`` when integral).  A record line
-    with fewer than four fields or a non-numeric number raises ValueError
-    naming the file and the line.
+    with fewer than four fields, a non-numeric number, an unknown class, a
+    second record for a class, or an Euler value, level or source tag
+    other than the writer's raises ValueError naming the file and the line.
     """
     path = path or os.path.join(data_dir(), "fg_series.txt")
     out = {}
@@ -309,6 +309,13 @@ def read_fg_file(path=None) -> dict:
             label, source = parts[0], parts[3]
             e, level = int(parts[1]), int(parts[2])
             coeffs = tuple(canonical_rational(Fraction(x)) for x in parts[4:])
+            if label not in CLASS_LEVEL:
+                raise ValueError(f"unknown class {label}")
+            if label in out:
+                raise ValueError(f"a second record for {label}")
+            head = _record_head(label)
+            if (label, e, level, source) != head:
+                raise ValueError("expected the head " + " ".join(map(str, head)))
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(
                 f"{path}, line {n}: bad f_g record: {exc}") from None

@@ -1,10 +1,12 @@
 """Dedekind eta, Jacobi theta functions, E_2, and the weak Jacobi forms.
 
 Every block is built from its lacunary series: eta(a tau) from Euler's
-pentagonal theorem (``eta_scaled``, the one eta builder; eta powers are
-products and inverses of it), theta_2 and theta_3 from their theta sums
+pentagonal theorem (``eta_scaled``; the eta products of ``mckay`` read
+it), eta^3 from Jacobi's sum (``eta_power``; every eta power is products
+of eta^3 or divisions by it), theta_2 and theta_3 from their theta sums
 (the N=4 characters read them; theta_1 enters only through the columns of
-phi_{-2,1}), and E_2 from a divisor sieve (``eisenstein_e2``).
+phi_{-2,1}), and E_2 from a divisor sieve (``eisenstein_e2``; the
+Eisenstein differences of ``mckay`` read it).
 
 Index-1 forms from two q-columns.  The coefficients c(n, l) of q^n y^l in
 a weak Jacobi form of index 1 obey the elliptic law
@@ -15,7 +17,7 @@ and every index-1 form of the package is built that way: each is
 a phi_{0,1} + F phi_{-2,1} for a constant a and a q-series F, with its
 columns from ``jacobi_form_columns`` (the fixed-point terms and the
 equivariant genera in ``genus``, the twining genera in ``mckay``).  Only
-univariate series are multiplied, and eta is the one series divided.  The
+univariate series are multiplied, and eta^3 is the one series divided.  The
 Chern-root product of the elliptic genus
 (``genus.chern_root_elliptic_genus``) multiplies out its own factors, so
 acceptance criterion 3 tests the law instead of assuming it.
@@ -28,16 +30,18 @@ Conventions (the single source of truth for signs):
     coefficientwise.  ``jacobi_theta`` builds theta2 and theta3; theta1
     and theta4 are built only by the tests, to these conventions.
   * phi_m21 := (theta1/eta^3)^2, with q^0 part -(y - 2 + 1/y); it vanishes
-    at the Euler point y=1.  Its columns are those of -S^2 times eta^-6,
-    with S = i theta1, the theta1 sum without its factor -i, which has
-    integer coefficients, so no product runs over Q(i).
+    at the Euler point y=1.  Its columns c_r are L_r / eta^6, two divisions
+    by eta^3, with L_r the lacunary columns of -S^2 and S = i theta1, the
+    theta1 sum without its factor -i, which has integer coefficients.
   * phi_01 is the standard weight-0 index-1 form, q^0 part y + 10 + 1/y,
     value 12 at the Euler point; twice phi_01 is the K3 elliptic genus.
     The modular heat operator maps weak Jacobi forms of weight -2 and
     index 1 to the line of phi_01 (Eichler-Zagier 1985, sections 3 and
     9); on phi_m21, with the q^0 parts fixing the scale,
-        c_01(n, l) = 6 (4n - l^2) c_m21(n, l) + 5 (E_2 phi_m21)(n, l),
-    so phi_01 is built on integers from phi_m21's columns and E_2.
+        c_01(n, l) = 6 (4n - l^2) c_m21(n, l) + 5 (E_2 phi_m21)(n, l).
+    As D log eta = E_2/24 for D = q d/dq, E_2 eta^-6 = -4 D(eta^-6), and
+    D is q24/24 on the grid, so on integers and with no E_2 product
+        c01_r(q24) = (q24/6 - 6 r^2) c_r(q24) + 5 [(q24/6) L_r / eta^6](q24).
 """
 
 from __future__ import annotations
@@ -47,7 +51,6 @@ from functools import lru_cache
 from .series import TruncatedSeries
 
 __all__ = [
-    "dedekind_eta",
     "eta_scaled",
     "eta_power",
     "jacobi_theta",
@@ -64,8 +67,7 @@ def eta_scaled(a: int, trunc24: int) -> TruncatedSeries:
     """eta(a tau) by Euler's pentagonal theorem, on the (1/24) grid.
 
     eta(a tau) = sum_m (-1)^m q^(a (6m - 1)^2 / 24): O(sqrt(trunc24 / a))
-    terms, in increasing q-order.  The one eta builder; every eta power
-    and eta product is assembled from it.
+    terms, in increasing q-order.
     """
     terms = {}
     j = 1                        # j = |6m - 1| runs over 1, 5, 7, 11, 13, ...
@@ -76,26 +78,41 @@ def eta_scaled(a: int, trunc24: int) -> TruncatedSeries:
     return TruncatedSeries(terms, trunc24, _clean=True)
 
 
-def dedekind_eta(trunc24: int) -> TruncatedSeries:
-    """eta(q) = q^(1/24) prod_(n>=1) (1 - q^n): ``eta_scaled`` at a = 1."""
-    if trunc24 <= 1:
-        raise ValueError("truncation must exceed the leading exponent 1/24")
-    return eta_scaled(1, trunc24)
-
-
 @lru_cache(maxsize=None)
 def eta_power(power: int, trunc24: int) -> TruncatedSeries:
-    """eta(q)^power for any integer power (negative powers invert).
+    """eta(q)^power below trunc24, for any integer power.
 
+    eta^3 is Jacobi's lacunary sum sum_(n>=0) (-1)^n (2n+1) q^((2n+1)^2/8).
+    With power = 3k + r, 0 <= r < 3, eta^power is r pentagonal factors
+    times k factors eta^3, or divided -k times by eta^3, so no inverse of
+    eta is raised to a power; the library asks only for multiples of 3.
     Memoized per process on the exact arguments (the series is read-only).
     """
-    if power == 0:
-        return TruncatedSeries.const(1, trunc24)
-    if power > 0:
-        return (dedekind_eta(trunc24) ** power).truncate(trunc24)
-    k = -power
-    inv = dedekind_eta(trunc24 + k + 1).invert()
-    return (inv ** k).truncate(trunc24)
+    if power == 3:
+        terms = {}
+        j = 1                    # j = 2n + 1
+        while 3 * j * j < trunc24:
+            terms[(3 * j * j, 0)] = j if j % 4 == 1 else -j
+            j += 2
+        return TruncatedSeries(terms, trunc24, _clean=True)
+    k, r = divmod(power, 3)
+    t = trunc24 + 3 * max(0, -k)
+    out = TruncatedSeries.const(1, t)
+    for _ in range(r):
+        out = out * eta_scaled(1, t)
+    for _ in range(k):
+        out = out * eta_power(3, t)
+    return (_over_eta3(out, -k) if k < 0 else out).truncate(trunc24)
+
+
+def _over_eta3(s: TruncatedSeries, times: int) -> TruncatedSeries:
+    """s / eta^(3 times), known below s.trunc24 - 3 times: eta^3 leads at
+    q^(1/8) and is built far enough that it never cuts the quotient."""
+    lowest = s.trunc24 if s.is_zero() else s.min_q24
+    eta3 = eta_power(3, s.trunc24 - lowest + 4)
+    for _ in range(times):
+        s = s.divide_exact(eta3)
+    return s
 
 
 def jacobi_theta(kind: int, trunc24: int) -> TruncatedSeries:
@@ -155,36 +172,37 @@ def weak_jacobi_columns(weight: int, trunc24: int) -> tuple:
     """The y^0 and y^1 columns of phi_{0,1} (weight=0) or phi_{-2,1}
     (weight=-2), as a pair of series in q.
 
-    Both run on integer coefficients (see the module docstring).  theta1^2
-    leads at q^(1/4), so phi_{-2,1}'s block is built below trunc24 + 6;
-    on its y^r column the heat operator's 6 (4n - r^2) is q24 - 6 r^2.
-    Memoized per process on the exact arguments (the series are read-only).
+    Both run on integer coefficients (see the module docstring).  L_r
+    leads at q^(1/4), so it is built below trunc24 + 6; each q24 of L_r is
+    6 mod 24 and each of c_r 0 mod 24.  Memoized per process on the exact
+    arguments (the series are read-only).
     """
-    if weight == -2:
-        # S has the terms (-1)^m y^(j/2) q^(j^2/8), j = 2m + 1, so -S^2 has
-        # the y^0 column sum_(j odd) q^(j^2/4) (from j' = -j) and the y^1
-        # column -sum_(i in Z) q^(i^2 + 1/4) (from j' = 2 - j)
-        t = trunc24 + 6
-        y0, y1 = {}, {}
-        i = 0
-        while 24 * i * i + 6 < t:
-            y1[(24 * i * i + 6, 0)] = -2 if i else -1
-            if 6 * (2 * i + 1) ** 2 < t:
-                y0[(6 * (2 * i + 1) ** 2, 0)] = 2
-            i += 1
-        eta = eta_power(-6, t)
-        return tuple(
-            (TruncatedSeries(c, t, _clean=True) * eta).truncate(trunc24)
-            for c in (y0, y1))
-    if weight != 0:
+    if weight not in (0, -2):
         raise ValueError("weight must be 0 or -2")
-    e2 = eisenstein_e2(trunc24)
+    # S has the terms (-1)^m y^(j/2) q^(j^2/8), j = 2m + 1, so -S^2 has
+    # the y^0 column sum_(j odd) q^(j^2/4) (from j' = -j) and the y^1
+    # column -sum_(i in Z) q^(i^2 + 1/4) (from j' = 2 - j)
+    t = trunc24 + 6
+    y0, y1 = {}, {}
+    i = 0
+    while 24 * i * i + 6 < t:
+        y1[(24 * i * i + 6, 0)] = -2 if i else -1
+        if 6 * (2 * i + 1) ** 2 < t:
+            y0[(6 * (2 * i + 1) ** 2, 0)] = 2
+        i += 1
+    if weight == -2:
+        return tuple(_over_eta3(TruncatedSeries(c, t, _clean=True), 2)
+                     for c in (y0, y1))
     columns = []
-    for r, c in enumerate(weak_jacobi_columns(-2, trunc24)):
-        heat = TruncatedSeries({(q24, 0): (q24 - 6 * r * r) * v
+    for r, (c, lacunary) in enumerate(
+            zip(weak_jacobi_columns(-2, trunc24), (y0, y1))):
+        d_l = TruncatedSeries({(q24, 0): q24 // 6 * v
+                               for (q24, _y2), v in lacunary.items()},
+                              t, _clean=True)
+        heat = TruncatedSeries({(q24, 0): (q24 // 6 - 6 * r * r) * v
                                 for (q24, _y2), v in c.terms.items()},
                                c.trunc24)
-        columns.append(heat + (e2 * c) * 5)
+        columns.append(heat + _over_eta3(d_l, 2) * 5)
     return tuple(columns)
 
 

@@ -229,8 +229,8 @@ def n4_character(h, sector: str, trunc24: int) -> TruncatedSeries:
     if 24 * (h - Fraction(3, 8)) != shift:
         raise ValueError("h - 3/8 must lie in (1/24) Z")
     kind = {"NS": 3, "R": 2}[sector]
-    th = jacobi_theta(kind, trunc24 + 6 - shift) ** 2
-    body = th * eta_power(-3, trunc24 + 6 - shift)
+    th = jacobi_theta(kind, trunc24 + 6 - shift)
+    body = th * th * eta_power(-3, trunc24 + 6 - shift)
     return (TruncatedSeries.monomial(1, shift) * body).truncate(trunc24)
 
 
@@ -260,7 +260,8 @@ def _typical_prefactor(trunc24: int) -> TruncatedSeries:
     trunc24: eta^-3 leads at q^(-1/8), so the blocks are built 3 further.
     Memoized per process on the truncation (the series is read-only)."""
     t = trunc24 + 3
-    return (jacobi_theta(3, t) ** 2 * eta_power(-3, t)).truncate(trunc24)
+    th = jacobi_theta(3, t)
+    return (th * th * eta_power(-3, t)).truncate(trunc24)
 
 
 def ch_vn_h_form(N: int, trunc24: int) -> TruncatedSeries:

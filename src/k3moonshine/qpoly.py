@@ -106,15 +106,6 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "Poly":
-        out, base = Poly.const(1), self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def divmod(self, other: "Poly"):
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")

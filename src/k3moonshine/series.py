@@ -15,7 +15,7 @@ have one code path: Python's numeric tower runs them on ints for the
 integral series the paper computes, and on Fractions or cyclotomic
 numbers only where those occur.  Every division of coefficients goes
 through ``exact_quotient``, which never returns a float.  Exact division
-takes a divisor whose lowest q-slice is one term c y^a (eta, theta3
+takes a divisor whose lowest q-slice is one term c y^a (eta^3, theta3
 and phi_{-2,1}'s y^0 column, lead 2, are the divisors the library has)
 and divides each quotient coefficient by c alone, so an integral divisor
 with a non-unit lead keeps the remainders integral wherever the quotient
@@ -202,18 +202,6 @@ class TruncatedSeries:
         return TruncatedSeries(out, trunc, _clean=True)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "TruncatedSeries":
-        if n < 0:
-            return self.invert() ** (-n)
-        out = TruncatedSeries.const(1, self.trunc24 if n == 0 else INF24)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
 
     # -- inversion and exact division ------------------------------------------
 

@@ -64,7 +64,9 @@ class GcdRationalFunction:
         return out
 
     def pole_coefficient(self, at, order: int) -> Fraction:
-        factor = Poly([-Fraction(at), 1]) ** order
+        factor = Poly.const(1)
+        for _ in range(order):
+            factor = factor * Poly([-Fraction(at), 1])
         q, r = self.den.divmod(factor)
         if not r.is_zero():
             raise ValueError(f"(t - {at})^{order} does not divide denominator")

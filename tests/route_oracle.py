@@ -23,6 +23,11 @@ the long way, as the library once did, and the tests compare the two:
     phi_{-2,1}, and the fixed-point term is the lacunary double sum
     divided by theta1(u)^2 over Q(zeta_n), where the library reads it as
     phi_{0,1}/12 + wp(u) phi_{-2,1};
+  * ``eta_power_by_inversion`` and ``weak_jacobi_columns_by_e2``: eta
+    powers from the pentagonal eta (the inverse of eta raised to a power
+    by products) and the columns of phi_{-2,1} and phi_{0,1} with the heat
+    operator's E_2 product, where the library divides Jacobi's lacunary
+    eta^3 and reads E_2 eta^-6 as -4 D(eta^-6);
   * ``polar_part_by_products`` and ``g_sum_by_products``: the Appell-Lerch
     sums as sums of products of geometric series (``inverse_fermion_factor``),
     padded by one q-order, where the library writes their closed double
@@ -39,7 +44,8 @@ from k3moonshine.genus import (
 )
 from k3moonshine.mckay import euler_character_value, f_series
 from k3moonshine.modforms import (
-    euler_specialization, eta_power, jacobi_theta, weak_jacobi_phi,
+    eisenstein_e2, eta_power, eta_scaled, euler_specialization, jacobi_theta,
+    weak_jacobi_phi,
 )
 from k3moonshine.n4char import N4Multiplicities, polar_part
 from k3moonshine.qpoly import Poly, _horner, cyclotomic_poly
@@ -153,6 +159,51 @@ def pole_coefficient_in_fractions(f, at, order):
     return f._c * _horner(Poly(f._n).c, x) / rest
 
 
+# -- eta powers and weak Jacobi columns from the pentagonal eta -------------------
+
+@lru_cache(maxsize=None)
+def eta_power_by_inversion(power, trunc24):
+    """eta^power as a product of pentagonal etas, or for a negative power
+    the inverse of eta (one long division) multiplied -power times."""
+    if power >= 0:
+        out = TruncatedSeries.const(1, trunc24)
+        for _ in range(power):
+            out = out * eta_scaled(1, trunc24)
+        return out.truncate(trunc24)
+    inv = eta_scaled(1, trunc24 - power + 1).invert()
+    out = inv
+    for _ in range(-power - 1):
+        out = out * inv
+    return out.truncate(trunc24)
+
+
+@lru_cache(maxsize=None)
+def weak_jacobi_columns_by_e2(weight, trunc24):
+    """The y^0 and y^1 columns of phi_{-2,1}, the lacunary columns of -S^2
+    times eta^-6, and of phi_{0,1} by the heat operator with its E_2
+    product: c_01 = (q24 - 6 r^2) c_r + 5 E_2 c_r on the y^r column."""
+    t = trunc24 + 6
+    y0, y1 = {}, {}
+    i = 0
+    while 24 * i * i + 6 < t:
+        y1[(24 * i * i + 6, 0)] = -2 if i else -1
+        if 6 * (2 * i + 1) ** 2 < t:
+            y0[(6 * (2 * i + 1) ** 2, 0)] = 2
+        i += 1
+    if weight == -2:
+        eta = eta_power_by_inversion(-6, t)
+        return tuple((TruncatedSeries(c, t) * eta).truncate(trunc24)
+                     for c in (y0, y1))
+    e2 = eisenstein_e2(trunc24)
+    columns = []
+    for r, c in enumerate(weak_jacobi_columns_by_e2(-2, trunc24)):
+        heat = TruncatedSeries({(q24, 0): (q24 - 6 * r * r) * v
+                                for (q24, _y2), v in c.terms.items()},
+                               c.trunc24)
+        columns.append(heat + (e2 * c) * 5)
+    return tuple(columns)
+
+
 # -- index-1 forms as whole (q, y) series ----------------------------------------
 
 @lru_cache(maxsize=None)
@@ -161,13 +212,13 @@ def weak_jacobi_phi_by_products(weight, trunc24):
     -S^2 eta^-6, each theta square a bivariate product."""
     t = trunc24 + 6
     if weight == -2:
-        sq = theta_s(t) ** 2
-        return (-(sq * eta_power(-6, t))).truncate(trunc24)
+        s = theta_s(t)
+        return (-(s * s * eta_power_by_inversion(-6, t))).truncate(trunc24)
     total = TruncatedSeries.zero(trunc24)
     for theta in (jacobi_theta(2, t), jacobi_theta(3, t), theta4(t)):
         theta_null = euler_specialization(theta)
-        inverse = (theta_null ** 2).invert() * 4
-        total = total + (theta ** 2 * inverse).truncate(trunc24)
+        inverse = (theta_null * theta_null).invert() * 4
+        total = total + (theta * theta * inverse).truncate(trunc24)
     return total
 
 

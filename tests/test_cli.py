@@ -265,6 +265,20 @@ def test_large_size_output_is_pinned(request_):
         LARGE_SIZE_SHA256[request_]
 
 
+def test_series_rows_write_exponents_as_format_rational():
+    # the rows reduce q24/24 and y2/2 on integers; off the integral grid,
+    # which the CLI's series never leave, they must still read as Fractions
+    from fractions import Fraction
+    from k3moonshine.chartab import format_rational
+    from k3moonshine.cli import _series_rows
+    from k3moonshine.series import TruncatedSeries
+    keys = [(q24, y2) for q24 in range(-50, 50) for y2 in range(-5, 6)]
+    rows = _series_rows(TruncatedSeries(dict.fromkeys(keys, 1), 50))
+    assert rows == [[format_rational(Fraction(q24, 24)),
+                     format_rational(Fraction(y2, 2)), "1"]
+                    for q24, y2 in sorted(keys)]
+
+
 def test_csv_format():
     status, out = run(["--format", "csv", "symt", "--class", "3A",
                        "--terms", "4"])

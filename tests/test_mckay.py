@@ -146,7 +146,8 @@ def test_shipped_fg_file_loads():
 def test_fg_file_coefficients_are_canonical(tmp_path):
     # an integral coefficient is an int, a proper one a Fraction
     path = tmp_path / "fg.txt"
-    path.write_text("version 1\n# comment\n2A 8 2 trace-fit 0 6/3 -1/2 4\n")
+    path.write_text(
+        "version 1\n# comment\n2A 8 2 fixed-point-split 0 6/3 -1/2 4\n")
     coeffs = read_fg_file(path)["2A"].coefficients
     assert coeffs == (0, 2, Fraction(-1, 2), 4)
     assert [type(c) for c in coeffs] == [int, int, Fraction, int]
@@ -155,18 +156,27 @@ def test_fg_file_coefficients_are_canonical(tmp_path):
                for rec in shipped.values() for c in rec.coefficients)
 
 
-@pytest.mark.parametrize("record", [
-    "2A 8 2",
-    "2A 8 two trace-fit 1 2",
-    "2A 8 2 trace-fit 1 x/2 3",
-    "2A 8 2 trace-fit 1 1/0",
-], ids=["short", "level", "coefficient", "zero-denominator"])
-def test_fg_file_rejects_a_bad_record(tmp_path, record):
+@pytest.mark.parametrize("record, reason", [
+    ("2A 8 2", "3 fields"),
+    ("2A 8 two fixed-point-split 1 2", "invalid literal"),
+    ("2A 8 2 fixed-point-split 1 x/2 3", "Invalid literal"),
+    ("2A 8 2 fixed-point-split 1 1/0", ""),
+    ("1A 24 1 fixed-point-split 5 6", "a second record for 1A"),
+    ("9Z 0 9 trace-fit 1", "unknown class 9Z"),
+    ("2A 9 2 fixed-point-split 1 2", "expected the head 2A 8 2"),
+    ("2A 8 4 fixed-point-split 1 2", "expected the head 2A 8 2"),
+    ("2A 8 2 trace-fit 1 2", "expected the head 2A 8 2 fixed-point-split"),
+    ("11A 2 11 fixed-point-split 1 2", "expected the head 11A 2 11 trace-fit"),
+], ids=["short", "level", "coefficient", "zero-denominator", "duplicate",
+        "unknown-class", "euler-mismatch", "level-mismatch", "source-tag",
+        "source-tag-moonshine"])
+def test_fg_file_rejects_a_bad_record(tmp_path, record, reason):
     # the message names the file and the line, counting comments and blanks
     path = tmp_path / "fg.txt"
-    path.write_text(f"version 1\n# comment\n\n1A 24 1 trace-fit 0\n{record}\n")
-    with pytest.raises(ValueError,
-                       match=re.escape(f"{path}, line 5: bad f_g record")):
+    path.write_text(
+        f"version 1\n# comment\n\n1A 24 1 fixed-point-split 0\n{record}\n")
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}, line 5: bad f_g record: {reason}")):
         read_fg_file(path)
 
 

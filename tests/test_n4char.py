@@ -51,7 +51,8 @@ def test_denominator_identity(product):
             if fm.min_q24 + fmp.min_q24 >= t + 6:
                 continue
             total[m + mp] = total.get(m + mp, zero) + fm * fmp
-    pref = jacobi_theta(3, t + 18) ** 2 * eta_power(-6, t + 18)
+    th3 = jacobi_theta(3, t + 18)
+    pref = th3 * th3 * eta_power(-6, t + 18)
     # compare inside a safe z-window (the double sum was truncated in z)
     for z in range(-2, 3):
         # (1 - 1/z)^2 = 1 - 2/z + 1/z^2 brings z^(z+1) and z^(z+2) to z^z

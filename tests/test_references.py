@@ -3,12 +3,15 @@
 from a short allow-list of documented API and test oracles, each with its
 reason.
 
-A reference is a ``Name``, an attribute, or a string constant that is
-one identifier or a dotted path of them (the bench's span table names
-what it wraps as strings, such as "TruncatedSeries.invert"); a word in
-any other string, such as an error message, is not.  Docstrings and
-``__all__`` entries are not references, and neither is a name inside the
-body of the function it names (recursion).  Dunder methods, which Python
+A reference to a function is a ``Name``, an attribute, or a string
+constant that is one identifier or a dotted path of them (the bench's
+span table names what it wraps as strings, such as
+"TruncatedSeries.invert"); a word in any other string, such as an error
+message, is not.  A method is reached only through an attribute or a
+string, so a ``Name`` (a local variable of the same name, say) does not
+count for it.  Docstrings and ``__all__`` entries are not references,
+and neither is a name inside the body of the function it names
+(recursion).  Dunder methods, which Python
 calls implicitly, are exempt.  The allow-list must match exactly: an
 entry that gains a caller, or whose function is deleted, leaves the list.
 """
@@ -51,8 +54,9 @@ def _sources(*tops):
                         yield os.path.splitext(f)[0], ast.parse(fh.read())
 
 
-def references(tree) -> Counter:
-    """Identifier counts of ``tree``, without docstrings and __all__."""
+def references(tree) -> tuple:
+    """Identifier counts of ``tree``, without docstrings and __all__: the
+    ``Name`` nodes, and the attributes with the parts of dotted strings."""
     skip = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant):
@@ -61,44 +65,55 @@ def references(tree) -> Counter:
                 isinstance(t, ast.Name) and t.id == "__all__"
                 for t in node.targets):
             skip.update(id(n) for n in ast.walk(node.value))
-    out = Counter()
+    names, attributes = Counter(), Counter()
     for node in ast.walk(tree):
         if id(node) in skip:
             continue
         if isinstance(node, ast.Name):
-            out[node.id] += 1
+            names[node.id] += 1
         elif isinstance(node, ast.Attribute):
-            out[node.attr] += 1
+            attributes[node.attr] += 1
         elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
                 and DOTTED.fullmatch(node.value):
-            out.update(node.value.split("."))
-    return out
+            attributes.update(node.value.split("."))
+    return names, attributes
 
 
 def definitions(module: str, tree):
-    """(qualified name, node) for every function and method of a module."""
-    todo = [(module, node) for node in tree.body]
+    """(qualified name, node, is a method) for every function and method
+    of a module."""
+    todo = [(module, node, False) for node in tree.body]
     while todo:
-        prefix, node = todo.pop()
+        prefix, node, in_class = todo.pop()
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.ClassDef)):
             name = f"{prefix}.{node.name}"
             if not isinstance(node, ast.ClassDef):
-                yield name, node
-            todo.extend((name, child) for child in node.body)
+                yield name, node, in_class
+            is_class = isinstance(node, ast.ClassDef)
+            todo.extend((name, child, is_class) for child in node.body)
+
+
+def _count(counts, short: str, method: bool) -> int:
+    """References to ``short`` in the (names, attributes) counts of
+    ``references``; a method counts no ``Name``."""
+    names, attributes = counts
+    return attributes[short] + (0 if method else names[short])
 
 
 def unreferenced(package, others) -> set:
-    total = Counter()
+    total = (Counter(), Counter())
     for _, tree in package + others:
-        total += references(tree)
+        for acc, found in zip(total, references(tree)):
+            acc.update(found)
     out = set()
     for module, tree in package:
-        for name, node in definitions(module, tree):
+        for name, node, method in definitions(module, tree):
             short = node.name
             if short.startswith("__") and short.endswith("__"):
                 continue
-            if total[short] - references(node)[short] <= 0:
+            if _count(total, short, method) \
+                    - _count(references(node), short, method) <= 0:
                 out.add(name)
     return out
 
@@ -112,12 +127,15 @@ def test_scan_finds_an_unreferenced_method():
         "def said():\n    pass\n"
         "class C:\n    def __eq__(self, o):\n        return True\n"
         "    def m(self):\n        return self.n()\n"
-        "    def n(self):\n        pass\n")
-    # a dotted path names its parts; a word in a message names nothing
-    spans = ast.parse("TABLE = ('C.used',)\n"
+        "    def n(self):\n        pass\n"
+        "    def local(self):\n        pass\n"
+        "def shadow():\n    local = 1\n    return local\n")
+    # a dotted path names its parts; a word in a message names nothing;
+    # a local variable names no method
+    spans = ast.parse("TABLE = ('C.used', 'shadow')\n"
                       "raise ValueError('said in a message')\n")
     assert unreferenced([("mod", src)], [("bench", spans)]) == \
-        {"mod.unused", "mod.C.m", "mod.said"}
+        {"mod.unused", "mod.C.m", "mod.said", "mod.C.local"}
 
 
 def test_every_function_is_referenced_or_allowed():

@@ -9,7 +9,9 @@ The truncation tests check that a result at T equals the result at
 T + 24 cut to T.  Every index-1 form the library builds from its y^0 and
 y^1 columns is compared with its whole-series route, at several
 truncations, one of them not a whole q-order, and one test pins that
-building them divides by eta alone.  Another records every divisor of
+building them divides by eta^3 alone.  The eta powers and the columns of
+the weak Jacobi forms are compared with their pentagonal-eta, E_2 route.
+Another records every divisor of
 one acceptance pass: each has a one-term lowest q-slice, the only kind
 ``divide_exact`` takes.  The Appell-Lerch sums, written term by term from
 their closed double sums, are compared with their geometric-series
@@ -32,7 +34,7 @@ from k3moonshine.mckay import (
     twining_genus,
 )
 from k3moonshine.modforms import (
-    dedekind_eta, jacobi_theta, weak_jacobi_columns, weak_jacobi_phi,
+    eta_power, jacobi_theta, weak_jacobi_columns, weak_jacobi_phi,
 )
 from k3moonshine.n4char import (
     ch_vn_h_form, decompose_into_n4, g_sum, polar_part, twining_truncation,
@@ -44,9 +46,10 @@ from k3moonshine.series import (
 )
 from route_oracle import (
     chi_symt_per_pair, decompose_two_divisions, equivariant_genus_by_division,
-    fixed_point_term_by_division, g_sum_by_products, jacobi_split_by_division,
-    moonshine_report_by_series, pole_coefficient_in_fractions,
-    polar_part_by_products, table1_sum, twining_genus_by_products,
+    eta_power_by_inversion, fixed_point_term_by_division, g_sum_by_products,
+    jacobi_split_by_division, moonshine_report_by_series,
+    pole_coefficient_in_fractions, polar_part_by_products, table1_sum,
+    twining_genus_by_products, weak_jacobi_columns_by_e2,
     weak_jacobi_phi_by_products, weighted_genus_by_division,
 )
 from test_caches import SAMPLE_ARGS, _cached_builders
@@ -213,6 +216,25 @@ def test_jacobi_split_tests_the_elliptic_law(label, q24, coeffs):
     assert _outcome(jacobi_split, s) == (NotInSpanError, q24)
 
 
+# -- eta powers and the weak Jacobi columns: eta^3 against the pentagonal eta ----
+
+ETA_TRUNCATIONS = (1, 25, 144, 648, 2400)
+
+
+@pytest.mark.parametrize("t", ETA_TRUNCATIONS)
+@pytest.mark.parametrize("power", (3, -3, -6))
+def test_eta_power_matches_the_pentagonal_route(power, t):
+    _same_series(eta_power(power, t), eta_power_by_inversion(power, t))
+
+
+@pytest.mark.parametrize("t", ETA_TRUNCATIONS)
+@pytest.mark.parametrize("weight", (-2, 0))
+def test_weak_jacobi_columns_match_the_e2_route(weight, t):
+    got, want = weak_jacobi_columns(weight, t), weak_jacobi_columns_by_e2(weight, t)
+    for column, oracle in zip(got, want, strict=True):
+        _same_series(column, oracle)
+
+
 # -- index-1 forms: two columns against the whole (q, y) series ------------------
 
 INDEX_ONE_BUILDERS = {
@@ -269,22 +291,24 @@ def divisions(monkeypatch):
 def test_index_one_forms_divide_only_by_eta(divisions):
     # phi_{0,1} is the heat operator on phi_{-2,1}'s columns and each
     # fixed-point term is phi_{0,1}/12 + wp(u) phi_{-2,1}, so no theta
-    # constant is divided: the one divisor is eta, inverted in eta_power
+    # constant is divided: the one divisor is eta^3, dividing integral
+    # lacunary columns and their integral quotients
     t = 7 * 24 + 5                 # a truncation no other test builds
     weak_jacobi_columns(0, t)
     for label in SYMPLECTIC_CLASSES[1:]:
         equivariant_elliptic_genus(label, t)
     assert divisions
     for numerator, divisor in divisions:
-        assert dict(numerator.terms) == {(0, 0): 1}
+        assert all(type(c) is int for c in numerator.terms.values())
         assert divisor.trunc24 > t
-        assert dict(divisor.terms) == dict(dedekind_eta(divisor.trunc24).terms)
+        assert dict(divisor.terms) == \
+            dict(eta_power_by_inversion(3, divisor.trunc24).terms)
 
 
-# the lowest term of each divisor the library has: eta = q^(1/24) + ...,
+# the lowest term of each divisor the library has: eta^3 = q^(1/8) + ...,
 # theta3 = 1 + O(q^(1/2)) and phi_{-2,1}'s y^0 column 2 + O(q)
 DIVISORS = {
-    ((1, 0), 1): dedekind_eta,
+    ((3, 0), 1): partial(eta_power_by_inversion, 3),
     ((0, 0), 1): partial(jacobi_theta, 3),
     ((0, 0), 2): lambda t: weak_jacobi_columns(-2, t)[0],
 }
