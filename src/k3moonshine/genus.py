@@ -237,14 +237,6 @@ def _wp_series(n: int, trunc24: int) -> TruncatedSeries:
     return TruncatedSeries(terms, trunc24)
 
 
-@lru_cache(maxsize=None)
-def _fixed_point_term(n: int, trunc24: int) -> TruncatedSeries:
-    """One fixed-point term as a (q, y) series over Q(zeta_n).  Memoized
-    per process on the exact arguments (the series is read-only)."""
-    twelfth = CyclotomicNumber.from_rational(n, Fraction(1, 12))
-    return _fixed_point_sum(n, trunc24, twelfth, lambda c: c)
-
-
 def _fixed_point_sum(n: int, trunc24: int, a, value) -> TruncatedSeries:
     """a phi_{0,1} + F phi_{-2,1}, F the series of value(c) on the
     coefficients c of wp(u)."""

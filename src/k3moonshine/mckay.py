@@ -97,20 +97,16 @@ def cusp_form(level: int, trunc24: int) -> TruncatedSeries:
     for a, power in _CUSP_ETA_PRODUCTS[level]:
         for _ in range(power):
             s = s * eta_scaled(a, trunc24)
-    return s
+    return s.truncate(trunc24)
 
 
 def _hecke_t2(f: TruncatedSeries, trunc24: int) -> TruncatedSeries:
-    """T_2 on weight-2 forms of odd level: b_n = a_(2n) + 2 a_(n/2)."""
+    """T_2 on weight-2 forms of odd level: b_n = a_(2n) + 2 a_(n/2) for the
+    orders n below trunc24, so f is read below 2 trunc24."""
     out = {}
-    n = 0
-    while 24 * n < trunc24:
-        a2n = f.coeff(2 * n)
-        ahalf = f.coeff(n // 2) if n % 2 == 0 and n > 0 else 0
-        val = a2n + 2 * ahalf
-        if val:
-            out[(24 * n, 0)] = val
-        n += 1
+    for n in range(-(-trunc24 // 24)):
+        half = f.coeff(n // 2) if n % 2 == 0 and n > 0 else 0
+        out[(24 * n, 0)] = f.coeff(2 * n) + 2 * half
     return TruncatedSeries(out, trunc24)
 
 
@@ -121,7 +117,7 @@ def m2_basis(level: int, trunc24: int) -> list:
     if level in (11, 14, 15):
         basis.append(cusp_form(level, trunc24))
     elif level == 23:
-        c = cusp_form(23, trunc24 * 2 + 24)
+        c = cusp_form(23, 2 * trunc24)
         basis.append(c.truncate(trunc24))
         basis.append(_hecke_t2(c, trunc24))
     return basis
@@ -195,8 +191,7 @@ def fit_in_m2(prefix: list, level: int, trunc24: int) -> TruncatedSeries:
     coefficients must then agree (a genuine consistency check on both the
     prefix data and the basis).
     """
-    basis_t = max(trunc24, 24 * (len(prefix) + 1))
-    basis = m2_basis(level, basis_t)
+    basis = m2_basis(level, max(trunc24, 24 * len(prefix)))
     dim = len(basis)
     if len(prefix) < dim + 1:
         raise ValueError(f"need more than {dim} coefficients at level {level}")
@@ -212,10 +207,8 @@ def fit_in_m2(prefix: list, level: int, trunc24: int) -> TruncatedSeries:
         if got != prefix[n]:
             raise ArithmeticError(
                 f"level-{level} fit fails at q^{n}: {got} != {prefix[n]}")
-    out = TruncatedSeries.zero(basis_t)
-    for c, b in zip(coeffs, basis):
-        out = out + b * c
-    return out.truncate(trunc24)
+    return sum((b * c for c, b in zip(coeffs, basis)),
+               TruncatedSeries.zero(trunc24))
 
 
 def _solve_square(mat, vec):

@@ -107,9 +107,9 @@ def eta_power(power: int, trunc24: int) -> TruncatedSeries:
 
 def _over_eta3(s: TruncatedSeries, times: int) -> TruncatedSeries:
     """s / eta^(3 times), known below s.trunc24 - 3 times: eta^3 leads at
-    q^(1/8) and is built far enough that it never cuts the quotient."""
-    lowest = s.trunc24 if s.is_zero() else s.min_q24
-    eta3 = eta_power(3, s.trunc24 - lowest + 4)
+    q^(1/8) and is built that far past s's lowest order, never cutting it."""
+    lowest = min((q24 for q24, _y2 in s.terms), default=s.trunc24 - 1)
+    eta3 = eta_power(3, s.trunc24 - lowest + 3)
     for _ in range(times):
         s = s.divide_exact(eta3)
     return s
@@ -172,8 +172,8 @@ def weak_jacobi_columns(weight: int, trunc24: int) -> tuple:
     """The y^0 and y^1 columns of phi_{0,1} (weight=0) or phi_{-2,1}
     (weight=-2), as a pair of series in q.
 
-    Both run on integer coefficients (see the module docstring).  L_r
-    leads at q^(1/4), so it is built below trunc24 + 6; each q24 of L_r is
+    Both run on integer coefficients (see the module docstring).  eta^6
+    leads at q^(1/4), so L_r is built below trunc24 + 6; each q24 of L_r is
     6 mod 24 and each of c_r 0 mod 24.  Memoized per process on the exact
     arguments (the series are read-only).
     """

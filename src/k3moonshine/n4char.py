@@ -63,6 +63,14 @@ __all__ = [
     "twining_to_symtraces",
 ]
 
+# Every series builder below is exact below the trunc24 it is asked for and
+# states it: a product is known below min(t_a + lead_b, t_b + lead_a), so
+# each factor is built below trunc24 minus the other's lead order (q24).
+# theta3, theta3^2, g_sum, the h triple sum and the polar part lead at q^0
+# or later; eta^-3, theta3/eta^3 and each h_N at -_ETA3_LEAD.
+_ETA3_LEAD = 3                  # eta^3 = q^(1/8) + ...
+_THETA2_SQUARED_LEAD = 6        # theta2^2 = (y + 2 + 1/y) q^(1/4) + ...
+
 
 # -- the free-field character and isotypic extraction ------------------------
 
@@ -101,8 +109,7 @@ def ch_vn_extract(N: int, product: dict) -> TruncatedSeries:
 def g_sum(N: int, trunc24: int) -> TruncatedSeries:
     """sum_m 1/((1 + y q^(m-1/2)) (1 + y^(-1) q^(N-m-1/2))).
 
-    Each factor 1/(1 + x), x = y^(+-1) q^e, is expanded toward positive
-    q-powers: sum_j (-x)^j for e > 0 and sum_j (-1)^j x^(-1-j) for e < 0.
+    Each factor is expanded toward positive q-powers (``_fermion_terms``).
     The m-sum runs over the band between 0 and N and outward from it until
     the nearer rewritten factor starts at trunc24; every product of the two
     expansions is added into one dict.  Memoized per process on the exact
@@ -138,10 +145,16 @@ def _fermion_terms(exp2: int, y2: int, trunc24: int) -> list:
             for j, q24 in enumerate(range(first * step, trunc24, step))]
 
 
+@lru_cache(maxsize=None)
+def _theta3_over_eta3(trunc24: int) -> TruncatedSeries:
+    """theta3/eta^3, the prefactor of g_N, atypical_ns and ch_vn_closed.
+    Memoized per process on the truncation (the series is read-only)."""
+    return jacobi_theta(3, trunc24 + _ETA3_LEAD) * eta_power(-3, trunc24)
+
+
 def g_series(N: int, trunc24: int) -> TruncatedSeries:
     """g_N = (theta3/eta^3) sum_m 1/((1+y q^(m-1/2))(1+y^(-1) q^(N-m-1/2)))."""
-    pref = jacobi_theta(3, trunc24 + 3) * eta_power(-3, trunc24 + 3)
-    return (pref * g_sum(N, trunc24 + 3)).truncate(trunc24)
+    return _theta3_over_eta3(trunc24) * g_sum(N, trunc24 + _ETA3_LEAD)
 
 
 @lru_cache(maxsize=None)
@@ -153,9 +166,7 @@ def h_series(N: int, trunc24: int) -> TruncatedSeries:
     with M = N - 1, divided by eta^3.  Memoized per process on the exact
     arguments (the series is read-only).
     """
-    M = N - 1
-    body = _h_triple_sum(M, trunc24 + 3)
-    return (body * eta_power(-3, trunc24 + 3)).truncate(trunc24)
+    return _h_triple_sum(N - 1, trunc24 + _ETA3_LEAD) * eta_power(-3, trunc24)
 
 
 def _h_triple_sum(M: int, trunc24: int) -> TruncatedSeries:
@@ -197,11 +208,10 @@ def polar_part(trunc24: int) -> TruncatedSeries:
     P = sum over alpha in Z+1/2 of y^(alpha+1/2) q^(alpha(alpha+1)/2) / (1+y q^alpha).
 
     Expanding each 1/(1 + y q^alpha) toward positive q-powers makes
-    alpha = a/2 and alpha = -a/2 (a odd) mirror images under y -> 1/y, so
-    P = sum over odd a >= 1 and k >= 0 of (-1)^k (y^m + y^(-m)) q^(a(a+2+4k)/8)
-    with m = (a+1)/2 + k; no two (a, k) share a key.  (The exponent
-    alpha(alpha+1)/2 is the one consistent with g_1 - theta3 h_1; see the
-    residue computation.)
+    alpha = a/2 and alpha = -a/2 (a odd) mirror images under y -> 1/y,
+    which gives the closed double sum of the module docstring; no two
+    (a, k) share a key.  (The exponent alpha(alpha+1)/2 is the one
+    consistent with g_1 - theta3 h_1; see the residue computation.)
     """
     terms = {}
     a = 1
@@ -215,12 +225,12 @@ def polar_part(trunc24: int) -> TruncatedSeries:
 
 def atypical_ns(trunc24: int) -> TruncatedSeries:
     """(theta3/eta^3) times the polar sum: the massless NS building block."""
-    pref = jacobi_theta(3, trunc24 + 6) * eta_power(-3, trunc24 + 6)
-    return (pref * polar_part(trunc24 + 6)).truncate(trunc24)
+    return _theta3_over_eta3(trunc24) * polar_part(trunc24 + _ETA3_LEAD)
 
 
 def n4_character(h, sector: str, trunc24: int) -> TruncatedSeries:
-    """Typical character q^(h-3/8) theta^2/eta^3 (theta3 NS, theta2 Ramond).
+    """Typical character q^(h-3/8) theta^2/eta^3 (theta3 NS, theta2 Ramond),
+    the zero series when it leads at or past trunc24.
 
     The Ramond shape theta2^2 comes from spectral flow of the NS one.
     """
@@ -228,50 +238,47 @@ def n4_character(h, sector: str, trunc24: int) -> TruncatedSeries:
     shift = int(24 * (h - Fraction(3, 8)))
     if 24 * (h - Fraction(3, 8)) != shift:
         raise ValueError("h - 3/8 must lie in (1/24) Z")
-    kind = {"NS": 3, "R": 2}[sector]
-    th = jacobi_theta(kind, trunc24 + 6 - shift)
-    body = th * th * eta_power(-3, trunc24 + 6 - shift)
-    return (TruncatedSeries.monomial(1, shift) * body).truncate(trunc24)
+    lead = shift - _ETA3_LEAD + {"NS": 0, "R": _THETA2_SQUARED_LEAD}[sector]
+    if lead >= trunc24:
+        return TruncatedSeries.zero(trunc24)
+    if sector == "NS":
+        body = _typical_prefactor(trunc24 - shift)
+    else:   # theta2 leads at q^(1/8), so theta2^2 is known 3 past theta2
+        th = jacobi_theta(2, trunc24 - shift)
+        body = th * th * eta_power(-3, trunc24 - shift - _THETA2_SQUARED_LEAD)
+    return TruncatedSeries.monomial(1, shift) * body
 
 
 def ch_vn_closed(N: int, trunc24: int) -> TruncatedSeries:
     """ch_{V_N} = (theta3/eta^3)(g_N - 2 g_(N+1) + 2 g_(N+3) - g_(N+4))."""
-    t = trunc24 + 9
-    pref = jacobi_theta(3, t) * eta_power(-3, t)
-    combo = (g_sum(N, t - 3) - g_sum(N + 1, t - 3) * 2
-             + g_sum(N + 3, t - 3) * 2 - g_sum(N + 4, t - 3))
-    return ((pref * pref) * combo).truncate(trunc24)
+    pref = _theta3_over_eta3(trunc24 + _ETA3_LEAD)
+    return (pref * pref) * _v_combo(g_sum, N, trunc24 + 2 * _ETA3_LEAD)
 
 
 def _atypical_coefficient(N: int) -> int:
     return {0: -2, 1: 1}.get(N, 0)
 
 
-def _typical_combo(N: int, trunc24: int) -> TruncatedSeries:
-    """h_N - 2 h_(N+1) + 2 h_(N+3) - h_(N+4): the typical multiplicities of
-    ch_{V_N}, the one at weight h on q^(h - 3/8)."""
-    return (h_series(N, trunc24) - h_series(N + 1, trunc24) * 2
-            + h_series(N + 3, trunc24) * 2 - h_series(N + 4, trunc24))
+def _v_combo(part, N: int, trunc24: int) -> TruncatedSeries:
+    """part_N - 2 part_(N+1) + 2 part_(N+3) - part_(N+4), the combination of
+    ch_{V_N}: on h_series its typical multiplicities, at h on q^(h - 3/8)."""
+    return (part(N, trunc24) - part(N + 1, trunc24) * 2
+            + part(N + 3, trunc24) * 2 - part(N + 4, trunc24))
 
 
 @lru_cache(maxsize=None)
 def _typical_prefactor(trunc24: int) -> TruncatedSeries:
-    """theta3^2 / eta^3, the shape of every typical NS character, below
-    trunc24: eta^-3 leads at q^(-1/8), so the blocks are built 3 further.
+    """theta3^2 / eta^3, the shape of every typical NS character.
     Memoized per process on the truncation (the series is read-only)."""
-    t = trunc24 + 3
-    th = jacobi_theta(3, t)
-    return (th * th * eta_power(-3, t)).truncate(trunc24)
+    return jacobi_theta(3, trunc24 + _ETA3_LEAD) * _theta3_over_eta3(trunc24)
 
 
 def ch_vn_h_form(N: int, trunc24: int) -> TruncatedSeries:
     """ch_{V_N} assembled from the Fourier parts h_N and the polar part."""
-    t = trunc24 + 3
-    out = (_typical_prefactor(t) * _typical_combo(N, t)).truncate(trunc24)
+    t = trunc24 + _ETA3_LEAD
+    out = _typical_prefactor(t) * _v_combo(h_series, N, t)
     a = _atypical_coefficient(N)
-    if a:
-        out = out + atypical_ns(trunc24) * a
-    return out
+    return out + atypical_ns(trunc24) * a if a else out
 
 
 # -- decomposition into N=4 characters ----------------------------------------
@@ -319,33 +326,31 @@ def decompose_into_n4(s: TruncatedSeries, sector: str = "NS") -> N4Multiplicitie
     must vanish: its lowest term is the lowest y-dependent term of the
     quotient, which raises NotInSpanError at that order.  Ramond-sector
     input is flowed back to NS (the multiplicities agree sector-wise) and
-    the result is reconstruction-checked.
+    the result is reconstruction-checked.  ``horizon24`` is the NS input's
+    trunc24 + 3: eta^3 leads at q^(1/8), and it and theta3 are built that
+    far past the lowest orders of s (t - 1 if s is zero) and of u.
     """
     if sector == "R":
-        ns = s.spectral_flow(-1)
-        return decompose_into_n4(ns, "NS")
+        return decompose_into_n4(s.spectral_flow(-1), "NS")
     if sector != "NS":
         raise ValueError("sector must be 'NS' or 'R'")
     t = s.trunc24
-    theta, polar = jacobi_theta(3, t + 12), polar_part(t + 12)
+    lowest = min((q24 for q24, _y2 in s.terms), default=t - 1)
+    theta = jacobi_theta(3, t - lowest)
+    u = (s * eta_power(3, t + _ETA3_LEAD - lowest)).divide_exact(theta)
     lead, lead_coeff = _polar_lead()
-    u = (s * eta_power(3, t + 12)).divide_exact(theta)
-    # theta3 = 1 + O(q^(1/2)) is known past u's truncation, so u / theta3,
-    # and with it h, is known as far as u
     if lead[0] >= u.trunc24:
         raise InsufficientPrecisionError(
             "input ends before the atypical coefficient can be read")
     head = u.truncate(lead[0] + 1).divide_exact(theta)
     a = exact_quotient(head.terms.get(lead, 0), lead_coeff)
-    rest = u - polar * a
+    rest = u - polar_part(u.trunc24) * a
     h = rest.y_coefficient(0)
     off = rest - theta * h
     if off.terms:
         raise NotInSpanError("input is not in the N=4 span", q24=off.min_q24)
-    typical = {}
-    for (q24, _y2), c in h.terms.items():
-        weight = Fraction(q24, 24) + Fraction(3, 8)
-        typical[weight] = c
+    typical = {Fraction(q24, 24) + Fraction(3, 8): c
+               for (q24, _y2), c in h.terms.items()}
     return N4Multiplicities(a, typical, h.trunc24)
 
 
@@ -421,7 +426,7 @@ def _typical_row(N: int, ncols: int) -> tuple:
     """Row N of Table 3: the typical multiplicities of ch_{V_N} at
     h = 1/4 + k for k < ncols, read from the closed form.  Memoized per
     process on the exact arguments."""
-    combo = _typical_combo(N, 24 * ncols)
+    combo = _v_combo(h_series, N, 24 * ncols)
     return tuple(combo.terms.get((24 * k - 3, 0), 0) for k in range(ncols))
 
 

@@ -32,6 +32,11 @@ the long way, as the library once did, and the tests compare the two:
     sums as sums of products of geometric series (``inverse_fermion_factor``),
     padded by one q-order, where the library writes their closed double
     sums term by term.
+
+``fixed_point_term`` is no replaced route but the library's split of one
+fixed-point term, phi_{0,1}/12 + wp(u) phi_{-2,1} over Q(zeta_n), on
+``genus._fixed_point_sum``: the library only sums its conjugates, and the
+tests compare the single term with the division and product routes.
 """
 
 from fractions import Fraction
@@ -40,7 +45,7 @@ from functools import lru_cache
 from k3moonshine.cyclotomic import CyclotomicNumber, zeta
 from k3moonshine.genus import (
     CLASS_ORDER, FIXED_POINT_EIGENVALUES, UNIT_SUM_WEIGHTS, MoonshineReport,
-    _fixed_point_term, chi_sym_power, fixed_point_count,
+    _fixed_point_sum, chi_sym_power, fixed_point_count,
 )
 from k3moonshine.mckay import euler_character_value, f_series
 from k3moonshine.modforms import (
@@ -115,9 +120,17 @@ def galois_conjugate(s, a):
                            s.trunc24)
 
 
+@lru_cache(maxsize=None)
+def fixed_point_term(n, trunc24):
+    """One fixed-point term as a (q, y) series over Q(zeta_n).  Memoized on
+    the exact arguments (the series is read-only)."""
+    twelfth = CyclotomicNumber.from_rational(n, Fraction(1, 12))
+    return _fixed_point_sum(n, trunc24, twelfth, lambda c: c)
+
+
 def table1_sum(label, trunc24):
     n = CLASS_ORDER[label]
-    term = _fixed_point_term(n, trunc24)
+    term = fixed_point_term(n, trunc24)
     total = TruncatedSeries.zero(trunc24)
     for a, mult in FIXED_POINT_EIGENVALUES[n]:
         total = total + galois_conjugate(term, a) * mult

@@ -23,11 +23,11 @@ SAMPLE_ARGS = {
     "modforms.weak_jacobi_phi": (0, 48),
     "genus.rational_form": ("5A",),
     "genus._wp_series": (3, 48),
-    "genus._fixed_point_term": (3, 48),
     "genus.equivariant_elliptic_genus": ("3A", 48),
     "n4char.g_sum": (1, 48),
     "n4char.h_series": (2, 48),
     "n4char._polar_lead": (),
+    "n4char._theta3_over_eta3": (48,),
     "n4char._typical_prefactor": (48,),
     "n4char._typical_row": (2, 3),
     "mill.class_data": ("M23",),

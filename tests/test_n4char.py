@@ -205,6 +205,22 @@ def test_typical_character_leading():
     assert e.coeff(1) == 4  # (y + 2 + 1/y) at y=1
 
 
+def test_n4_character_past_its_truncation_is_zero():
+    # q^(h - 3/8) theta^2/eta^3 leads at q^(h - 1/2) in NS and q^(h - 1/4)
+    # in R: at or past trunc24 the character is the zero series
+    for h, sector, t in (("11/8", "NS", 6), ("7/8", "R", 1)):
+        s = n4_character(h, sector, t)
+        assert s.is_zero() and s.trunc24 == t
+    for sector, offset in (("NS", Fraction(1, 2)), ("R", Fraction(1, 4))):
+        for t in (1, 6, 24):
+            for k in range(30):             # leading at q24 = t + k
+                s = n4_character(Fraction(t + k, 24) + offset, sector, t)
+                assert s.is_zero() and s.trunc24 == t
+    # leading at trunc24 - 1: one term, theta3^2 = 1 + ... times eta^-3
+    s = n4_character(1, "NS", 13)
+    assert dict(s.terms) == {(12, 0): 1} and s.trunc24 == 13
+
+
 def test_decompose_table3_first_rows():
     t = 7 * 24
     expected = {

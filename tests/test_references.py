@@ -35,10 +35,6 @@ ALLOWED = {
         "the N=4 characters themselves, the basis the decompositions use",
     "lattice.SolveResult.solved":
         "the verdict of solve_in_lattice's result record",
-    "genus._fixed_point_term":
-        "one fixed-point term as a (q, y) series over Q(zeta_n); the "
-        "library sums the conjugates of its wp(u) series, the tests "
-        "compare the term with the product and division oracles",
 }
 
 

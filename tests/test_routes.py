@@ -5,11 +5,14 @@ here is exact: the same multiplicities, horizons, series and truncations,
 and on inputs outside the span the same exception type at the same q24.
 One split test pins the case where the routes differ: with two defects,
 the column route reports the earlier one.
-The truncation tests check that a result at T equals the result at
-T + 24 cut to T.  Every index-1 form the library builds from its y^0 and
-y^1 columns is compared with its whole-series route, at several
-truncations, one of them not a whole q-order, and one test pins that
-building them divides by eta^3 alone.  The eta powers and the columns of
+The truncation tests check that a builder asked for T states T and
+equals itself at T + 24 cut to T, that a kernel's result below its
+trunc24 ignores any input perturbed at or past its own trunc24, and that
+the N=4 decomposition's horizon is its input's trunc24 + 3.  Every
+index-1 form the library builds from its y^0 and y^1 columns is compared
+with its whole-series route, at several truncations, one of them not a
+whole q-order, and one test pins that building them divides by eta^3
+alone.  The eta powers and the columns of
 the weak Jacobi forms are compared with their pentagonal-eta, E_2 route.
 Another records every divisor of
 one acceptance pass: each has a one-term lowest q-slice, the only kind
@@ -25,19 +28,21 @@ import pytest
 
 from k3moonshine.acceptance import run_criteria
 from k3moonshine.genus import (
-    FIXED_POINT_EIGENVALUES, SYMPLECTIC_CLASSES, _fixed_point_term,
-    chi_symt_series, elliptic_genus, equivariant_elliptic_genus, jacobi_split,
+    FIXED_POINT_EIGENVALUES, SYMPLECTIC_CLASSES, chi_symt_series,
+    elliptic_genus, equivariant_elliptic_genus, jacobi_split,
     verify_moonshine_class, weighted_equivariant_genus,
 )
 from k3moonshine.mckay import (
-    GEOMETRIC_CLASSES, MOONSHINE_CLASSES, euler_character_value, f_series,
-    twining_genus,
+    GEOMETRIC_CLASSES, MOONSHINE_CLASSES, euler_character_value, f_from_traces,
+    f_series, fit_in_m2, m2_basis, twining_genus,
 )
 from k3moonshine.modforms import (
     eta_power, jacobi_theta, weak_jacobi_columns, weak_jacobi_phi,
 )
 from k3moonshine.n4char import (
-    ch_vn_h_form, decompose_into_n4, g_sum, polar_part, twining_truncation,
+    atypical_ns, ch_vn_closed, ch_vn_h_form, decompose_into_n4, g_series,
+    g_sum, n4_character, polar_part, ramond_basis_character,
+    twining_truncation,
 )
 from k3moonshine.qpoly import Poly, RationalFunction
 from k3moonshine.series import (
@@ -46,8 +51,8 @@ from k3moonshine.series import (
 )
 from route_oracle import (
     chi_symt_per_pair, decompose_two_divisions, equivariant_genus_by_division,
-    eta_power_by_inversion, fixed_point_term_by_division, g_sum_by_products,
-    jacobi_split_by_division, moonshine_report_by_series,
+    eta_power_by_inversion, fixed_point_term, fixed_point_term_by_division,
+    g_sum_by_products, jacobi_split_by_division, moonshine_report_by_series,
     pole_coefficient_in_fractions, polar_part_by_products, table1_sum,
     twining_genus_by_products, weak_jacobi_columns_by_e2,
     weak_jacobi_phi_by_products, weighted_genus_by_division,
@@ -242,7 +247,7 @@ INDEX_ONE_BUILDERS = {
                 partial(weak_jacobi_phi_by_products, 0)),
     "phi_-2,1": (partial(weak_jacobi_phi, -2),
                  partial(weak_jacobi_phi_by_products, -2)),
-    **{f"term-{n}": (partial(_fixed_point_term, n),
+    **{f"term-{n}": (partial(fixed_point_term, n),
                      partial(fixed_point_term_by_division, n))
        for n in FIXED_POINT_EIGENVALUES},
     **{f"genus-{label}": (partial(equivariant_elliptic_genus, label),
@@ -417,13 +422,30 @@ def _cut(dec, horizon):
             if 24 * (h - Fraction(3, 8)) < horizon}
 
 
+# inputs of different lowest orders, built below a truncation: ch_{V_0}
+# and ch_{V_1} lead at q^(-1/4), and ch_{V_4}, the Ramond characters the
+# decomposition flows back, the genus and the twinings lead higher
+DECOMPOSE_INPUTS = (
+    [(partial(ch_vn_h_form, n), "NS") for n in (0, 1, 4)]
+    + [(lambda t, n=n: ch_vn_h_form(n, t).spectral_flow(+1), "R")
+       for n in (0, 2, 5)]
+    + [(lambda t: elliptic_genus(t).spectral_flow(-1).substitute_y_sign(),
+        "NS")]
+    + [(partial(_ns_twining, label), "NS") for label in ("2A", "11A", "23AB")]
+)
+
+
 @pytest.mark.parametrize("t", (4 * 24, 7 * 24, 13 * 24))
 def test_decompose_truncation_is_sound(t):
-    inputs = [(ch_vn_h_form(n, t), ch_vn_h_form(n, t + 24))
-              for n in (0, 1, 4)]
-    inputs.append((_ns_twining("11A", t), _ns_twining("11A", t + 24)))
-    for low, high in inputs:
-        a, b = decompose_into_n4(low), decompose_into_n4(high)
+    # the margins of the decomposition come from the input's lowest order:
+    # the input at t + 24 gives the same atypical coefficient and the same
+    # multiplicities below the horizon at t, which is the NS input's
+    # trunc24 + 3 (eta^3 leads at q^(1/8))
+    for build, sector in DECOMPOSE_INPUTS:
+        low, high = build(t), build(t + 24)
+        a, b = decompose_into_n4(low, sector), decompose_into_n4(high, sector)
+        ns = low.spectral_flow(-1) if sector == "R" else low
+        assert a.horizon24 == ns.trunc24 + 3
         assert a.atypical == b.atypical
         assert a.horizon24 < b.horizon24
         assert _cut(b, a.horizon24) == dict(a.typical)
@@ -473,30 +495,100 @@ def test_f_series_truncation_is_sound(label, t):
     _same_series(high.truncate(t), low)
 
 
-# the memoized series builders whose last argument is trunc24, and the
-# polar part; their leading arguments are the samples of ``test_caches``
-TRUNCATED_BUILDERS = (
+# Every series builder is exact below the trunc24 it is asked for: built
+# at T + 24 and cut to T it is the builder at T, and at T it states T.  The
+# memoized builders take the leading arguments of ``test_caches``'s
+# samples; ``ch_vn_h_form``, ``f_series`` and ``twining_genus`` have tests
+# of their own above.
+CACHED_BUILDERS = (
     "modforms.eta_power", "modforms.eisenstein_e2",
     "modforms.weak_jacobi_columns", "modforms.weak_jacobi_phi",
-    "genus._wp_series", "genus._fixed_point_term",
-    "genus.equivariant_elliptic_genus", "n4char.g_sum", "n4char.h_series",
-    "n4char._typical_prefactor", "n4char.polar_part",
+    "genus._wp_series", "genus.equivariant_elliptic_genus", "n4char.g_sum",
+    "n4char.h_series", "n4char._theta3_over_eta3",
+    "n4char._typical_prefactor",
 )
+UNCACHED_BUILDERS = {
+    "n4char.polar_part": polar_part,
+    "n4char.atypical_ns": atypical_ns,
+    "n4char.g_series": partial(g_series, 2),
+    "n4char.ch_vn_closed": partial(ch_vn_closed, 1),
+    # h = 5/2 leads at q^2 in NS and at q^(9/4) in R, at or past T = 48,
+    # where the character is the zero series; h = 1/4 leads at q^(-1/4)
+    "n4char.n4_character-NS": partial(n4_character, Fraction(5, 2), "NS"),
+    "n4char.n4_character-R": partial(n4_character, Fraction(5, 2), "R"),
+    "n4char.n4_character-NS-massless": partial(
+        n4_character, Fraction(1, 4), "NS"),
+    "mckay.m2_basis": lambda t: [b for level in (11, 14, 15, 23)
+                                 for b in m2_basis(level, t)],
+    "mckay.fit_in_m2": lambda t: fit_in_m2(f_from_traces("23AB"), 23, t),
+}
 
 
 @pytest.mark.parametrize("t", (48, 100, 312))
-@pytest.mark.parametrize("name", TRUNCATED_BUILDERS)
+@pytest.mark.parametrize("name", CACHED_BUILDERS + tuple(UNCACHED_BUILDERS))
 def test_series_builder_truncation_is_sound(name, t):
-    if name == "n4char.polar_part":
-        build, args = polar_part, ()
-    else:
-        build, args = _cached_builders()[name], SAMPLE_ARGS[name][:-1]
-    low, high = build(*args, t), build(*args, t + 24)
-    if not isinstance(low, tuple):           # weak_jacobi_columns: per column
+    build = UNCACHED_BUILDERS.get(name) or partial(
+        _cached_builders()[name], *SAMPLE_ARGS[name][:-1])
+    low, high = build(t), build(t + 24)
+    if not isinstance(low, (tuple, list)):   # a pair of columns, a basis
         low, high = (low,), (high,)
     for lo, hi in zip(low, high, strict=True):
         assert (lo.trunc24, hi.trunc24) == (t, t + 24)
         assert dict(hi.truncate(lo.trunc24).terms) == dict(lo.terms)
+
+
+def _perturbed(s):
+    """s with terms added at and past its trunc24 and known 24 further: a
+    result below its own stated trunc24 must not see them.  They sit at y^0
+    and at the edge of the y-envelope ``substitute_q_shift`` assumes,
+    |y2| = 4 + (q24 - lowest) // 24, where the bound steps up too."""
+    t = s.trunc24
+    lowest = s.min_q24 if s.terms else t
+    extra = {}
+    for q24 in {t, t + 1, t + (lowest - t) % 24, t + 23}:
+        edge = 4 + (q24 - lowest) // 24
+        extra.update({(q24, y2): 5 for y2 in (-edge, 0, edge)})
+    return TruncatedSeries({**s.terms, **extra}, t + 24)
+
+
+# each kernel with inputs of several lead orders, at an input truncation t
+KERNELS = {
+    "mul": (TruncatedSeries.__mul__, lambda t: [
+        (jacobi_theta(3, t), eta_power(-3, t)),
+        (ch_vn_h_form(1, t), eta_power(3, t - 30)),
+        (polar_part(t), jacobi_theta(2, t + 7)),
+        (TruncatedSeries.zero(t), jacobi_theta(3, t)),
+    ]),
+    "divide_exact": (TruncatedSeries.divide_exact, lambda t: [
+        (ch_vn_h_form(0, t) * eta_power(3, t + 9), jacobi_theta(3, t)),
+        (jacobi_theta(3, t), eta_power(3, t - 20)),
+        (eta_power(-6, t), weak_jacobi_columns(-2, t + 5)[0]),
+    ]),
+    "spectral_flow": (TruncatedSeries.spectral_flow, lambda t: [
+        (ch_vn_h_form(0, t), 1),
+        (ch_vn_h_form(2, t), 1),
+        (ch_vn_h_form(1, t).spectral_flow(1), -1),
+        (ramond_basis_character(3, t), -1),
+    ]),
+}
+
+
+@pytest.mark.parametrize("t", (48, 100, 312))
+@pytest.mark.parametrize("name", KERNELS)
+def test_series_kernel_truncation_is_sound(name, t):
+    # a kernel's result below its trunc24 never changes when any series
+    # input is perturbed at or past that input's own trunc24
+    kernel, cases = KERNELS[name]
+    for args in cases(t):
+        result = kernel(*args)
+        series = [i for i, x in enumerate(args)
+                  if isinstance(x, TruncatedSeries)]
+        for chosen in [[i] for i in series] + [series]:
+            other = kernel(*[_perturbed(x) if i in chosen else x
+                             for i, x in enumerate(args)])
+            assert other.trunc24 >= result.trunc24
+            assert dict(other.truncate(result.trunc24).terms) == \
+                dict(result.terms)
 
 
 def test_polar_part_matches_the_product_route():
