@@ -23,9 +23,10 @@ from .genus import (
     rational_form, weighted_equivariant_genus,
 )
 from .n4char import (
-    ch_v_product, ch_vn_closed, ch_vn_extract, ch_vn_h_form,
-    decompose_into_n4, g_series, genus_A_coefficients, h_series, polar_part,
-    symmetric_power_crosscheck, twining_to_symtraces, twining_truncation,
+    ch_v_product, ch_vn_closed, ch_vn_extract, ch_vn_h_form, decompose_into_n4,
+    decomposition_truncation, g_series, genus_A_coefficients, h_series,
+    polar_part, symmetric_power_crosscheck, twining_to_symtraces,
+    twining_truncation,
 )
 
 # -- frozen published values ----------------------------------------------------
@@ -183,7 +184,7 @@ def check_5_appell_lerch(**_) -> tuple:
 
 
 def check_6_table3(**_) -> tuple:
-    t = 13 * 24
+    t = decomposition_truncation(12)
     for n in range(11):
         dec = decompose_into_n4(ch_vn_h_form(n, t), "NS")
         if dec.atypical != TABLE3_ATYPICAL[n]:
@@ -196,7 +197,7 @@ def check_6_table3(**_) -> tuple:
 
 def check_7_genus_decomposition(**_) -> tuple:
     from .mckay import sigma_coefficients
-    dec = genus_A_coefficients(5, elliptic_genus(8 * 24))
+    dec = genus_A_coefficients(5, elliptic_genus(twining_truncation(6)))
     if dec.atypical != 24 or dec.A[0] != -2 or dec.A[1] != 90:
         return False, f"anchors: {dec.atypical}, {dec.A[:2]}"
     # cross-check: the module-layer dimensions behind f_from_traces

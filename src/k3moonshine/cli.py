@@ -117,11 +117,10 @@ def cmd_symt(args):
 
 
 def cmd_n4_decompose(args):
-    from .n4char import ch_vn_h_form, decompose_into_n4
-    # the Ramond path flows there and back, which costs truncation margin
-    t = (args.q_order + 2) * 24 if args.sector == "NS" \
-        else (2 * args.q_order + 10) * 24
-    s = ch_vn_h_form(args.n, t)
+    from .n4char import (ch_vn_h_form, decompose_into_n4,
+                         decomposition_truncation)
+    s = ch_vn_h_form(args.n, decomposition_truncation(args.q_order,
+                                                      args.sector))
     if args.sector == "R":
         s = s.spectral_flow(+1)
     dec = decompose_into_n4(s, args.sector)
@@ -134,8 +133,8 @@ def cmd_n4_decompose(args):
 
 def cmd_genus_decompose(args):
     from .genus import elliptic_genus
-    from .n4char import genus_A_coefficients
-    genus = elliptic_genus((2 * args.q_order + 6) * 24)
+    from .n4char import genus_A_coefficients, twining_truncation
+    genus = elliptic_genus(twining_truncation(args.q_order + 1))
     dec = genus_A_coefficients(args.q_order, genus)
     status = EXIT_OK if dec.atypical == 24 else EXIT_MISMATCH
     return {"title": "elliptic genus into N=4 characters",

@@ -59,6 +59,7 @@ __all__ = [
     "genus_A_coefficients",
     "symmetric_power_crosscheck",
     "ramond_basis_character",
+    "decomposition_truncation",
     "twining_truncation",
     "twining_to_symtraces",
 ]
@@ -325,10 +326,10 @@ def decompose_into_n4(s: TruncatedSeries, sector: str = "NS") -> N4Multiplicitie
     so h is the y^0 column of u - a * polar, and u - a * polar - theta3 * h
     must vanish: its lowest term is the lowest y-dependent term of the
     quotient, which raises NotInSpanError at that order.  Ramond-sector
-    input is flowed back to NS (the multiplicities agree sector-wise) and
-    the result is reconstruction-checked.  ``horizon24`` is the NS input's
-    trunc24 + 3: eta^3 leads at q^(1/8), and it and theta3 are built that
-    far past the lowest orders of s (t - 1 if s is zero) and of u.
+    input is flowed back to NS (the multiplicities agree sector-wise).
+    ``horizon24`` is the NS input's trunc24 + 3 (eta^3 and theta3 are built
+    that far past the lowest orders of s and of u), so every caller builds
+    its input at ``decomposition_truncation``, the one rule derived from it.
     """
     if sector == "R":
         return decompose_into_n4(s.spectral_flow(-1), "NS")
@@ -406,19 +407,28 @@ def symmetric_power_crosscheck(dec: GenusDecomposition) -> dict:
 
 # -- recovering symmetric-power traces from twinings ---------------------------
 
+def decomposition_truncation(ncols: int, sector: str = "NS") -> int:
+    """The trunc24 at which every caller of ``decompose_into_n4`` in
+    ``sector`` builds ch_{V_N} (NS, from q^(-1/4) on) to read the massless
+    multiplicity (q24 = 9) and the columns k < ncols (to 24 ncols - 27)
+    below the NS trunc24 + 3; for R its flow must reach twining_truncation."""
+    if sector == "R":
+        return _flow_truncation(twining_truncation(ncols), -6)
+    return max(24 * ncols - 27, 9) - 2
+
+
+def _flow_truncation(need: int, lowest24: int) -> int:
+    """The least T = lowest24 + 24 m at which a series from lowest24 on
+    flows (either way) to below need: the y-envelope costs 6 m + 18."""
+    return lowest24 + 24 * -(-(need - lowest24 + 18) // 18)
+
+
 def twining_truncation(tmax: int) -> int:
     """The smallest twining truncation (a multiple of 24) that
-    ``twining_to_symtraces(twining, tmax)`` can solve from.
-
-    The solve reads the NS decomposition up to column tmax - 1 (q24 =
-    24 tmax - 27) and, for c_1, up to the massless block's first
-    y-dependent term (q24 = 9).  A Ramond twining known below T = 24 m
-    decomposes below 18 m - 15: the flow back loses 6 (4 + m) - 6 to the
-    y-envelope of ``substitute_q_shift``, and the eta^3 / theta3^2
-    quotient gains 3.
-    """
-    last = max(24 * tmax - 27, 9)
-    return 24 * -(-(last + 16) // 18)
+    ``twining_to_symtraces(twining, tmax)`` solves from, and the genus's for
+    ``genus_A_coefficients`` to read A_0 .. A_(tmax - 1): a Ramond twining
+    leads at q^0 and flows back to ``decomposition_truncation(tmax)``."""
+    return _flow_truncation(decomposition_truncation(tmax), 0)
 
 
 @lru_cache(maxsize=None)

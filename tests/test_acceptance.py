@@ -195,6 +195,15 @@ def test_criterion_7_genus_decomposition():
     _check(acc.check_7_genus_decomposition)
 
 
+def test_criterion_6_builds_at_the_derived_truncation(monkeypatch):
+    # Table 3's twelve columns need ch_{V_N} below q24 = 259, no less
+    from k3moonshine.series import InsufficientPrecisionError
+    assert acc.decomposition_truncation(12) == 259
+    monkeypatch.setattr(acc, "decomposition_truncation", lambda ncols: 258)
+    with pytest.raises(InsufficientPrecisionError):
+        acc.check_6_table3()
+
+
 def test_criterion_4_catches_a_wrong_trace_coefficient(monkeypatch):
     from k3moonshine import mckay
     traces = mckay.f_from_traces

@@ -8,6 +8,7 @@ import pytest
 
 from k3moonshine.acceptance import TABLE3_ATYPICAL, TABLE3_ROWS
 from k3moonshine.cli import main, emit
+from k3moonshine.series import InsufficientPrecisionError
 
 
 def run(argv):
@@ -99,6 +100,61 @@ def test_n4_decompose_table3(n, q_order):
     doc = json.loads(out)
     assert doc["rows"] == [[str(v) for v in TABLE3_ROWS[n][:q_order]]]
     assert doc["atypical"] == str(TABLE3_ATYPICAL[n])
+
+
+# The input truncations the CLI built at before every decomposition caller
+# used the rule of n4char: the rule must never exceed them.
+OLD_MARGIN = {"NS": lambda q: (q + 2) * 24, "R": lambda q: (2 * q + 10) * 24,
+              "genus": lambda q: (2 * q + 6) * 24}
+
+
+def _report(argv, monkeypatch, rule=None, t=None):
+    """The report of ``argv``, with the n4char truncation ``rule`` replaced
+    by one that returns t and records its arguments (returned alongside)."""
+    from k3moonshine import n4char
+    from k3moonshine.cli import build_parser
+    args = build_parser().parse_args(argv)
+    calls = []
+    with monkeypatch.context() as m:
+        if rule:
+            m.setattr(n4char, rule, lambda *a: calls.append(a) or t)
+        report, status = args.func(args)
+    assert status == 0
+    return report, calls
+
+
+@pytest.mark.parametrize("q_order", [1, 2, 6, 13])
+@pytest.mark.parametrize("n", [0, 1, 5, 10])
+@pytest.mark.parametrize("sector", ["NS", "R"])
+def test_n4_decompose_builds_at_the_derived_truncation(sector, n, q_order,
+                                                       monkeypatch):
+    from k3moonshine.n4char import decomposition_truncation
+    argv = ["n4-decompose", "--n", str(n), "--q-order", str(q_order),
+            "--sector", sector]
+    t = decomposition_truncation(q_order, sector)
+    want, _ = _report(argv, monkeypatch)
+    for u in (t, t + 24, OLD_MARGIN[sector](q_order)):
+        got, calls = _report(argv, monkeypatch, "decomposition_truncation", u)
+        assert (got, calls) == (want, [(q_order, sector)]), u
+    if sector == "NS":
+        assert t == max(24 * q_order - 29, 7)
+        with pytest.raises(InsufficientPrecisionError):
+            _report(argv, monkeypatch, "decomposition_truncation", t - 1)
+    else:
+        assert t <= OLD_MARGIN["R"](q_order)
+
+
+@pytest.mark.parametrize("q_order", [1, 5, 20])
+def test_genus_decompose_builds_at_the_twining_truncation(q_order,
+                                                          monkeypatch):
+    from k3moonshine.n4char import twining_truncation
+    argv = ["genus-decompose", "--q-order", str(q_order)]
+    t = twining_truncation(q_order + 1)
+    want, _ = _report(argv, monkeypatch)
+    for u in (t, t + 24, OLD_MARGIN["genus"](q_order)):
+        got, calls = _report(argv, monkeypatch, "twining_truncation", u)
+        assert (got, calls) == (want, [(q_order + 1,)]), u
+    assert t <= OLD_MARGIN["genus"](q_order)
 
 
 def test_data_dir_applies_to_one_command(tmp_path):

@@ -125,7 +125,7 @@ def test_elliptic_genus_euler_constant_24():
 
 def test_elliptic_genus_equals_twice_phi01():
     # the theta-built 2 phi_{0,1} against the Chern-root product oracle:
-    # same terms and the same trunc24, up to the genus-decompose default
+    # same terms and the same trunc24, past the genus-decompose default (q^8)
     for q_order in (1, 5, 6, 8, 16):
         t = q_order * 24
         assert _same(elliptic_genus(t), chern_root_elliptic_genus(t)), q_order
