@@ -258,16 +258,16 @@ def check_9_table2(t_order: int = 21, **_) -> tuple:
 
 
 def check_10_audit(**_) -> tuple:
-    from .mckay import twining_genus
+    from .mckay import twining_pair
     from .replattice import first_nonintegral
     for label, (pos, value) in AUDIT_FIRST_NONINTEGRAL.items():
-        tw = twining_genus(label, twining_truncation(6))
-        hit = first_nonintegral(twining_to_symtraces(tw, 6))
+        hit = first_nonintegral(
+            twining_to_symtraces(*twining_pair(label, 24 * 6), 6))
         if hit != (pos, value):
             return False, f"{label}: first non-integral {hit}"
     for label, form in M24_EXTRA_FORMS.items():
-        tw = twining_genus(label, twining_truncation(20))
-        if twining_to_symtraces(tw, 20) != form.expand(21):
+        cs = twining_to_symtraces(*twining_pair(label, 24 * 20), 20)
+        if cs != form.expand(21):
             return False, f"{label}: series vs rational form"
     return True, "non-integral coefficients and the 2B/4A closed forms"
 

@@ -192,13 +192,13 @@ def cmd_moonshine_verify(args):
 
 
 def cmd_audit_integrality(args):
-    from .mckay import twining_genus
-    from .n4char import twining_to_symtraces, twining_truncation
+    from .mckay import twining_pair
+    from .n4char import twining_to_symtraces
     from .replattice import first_nonintegral
-    t = twining_truncation(args.t_order)
+    t = args.t_order
     rows = []
     for label in ("11A", "14AB", "15AB", "23AB"):
-        cs = twining_to_symtraces(twining_genus(label, t), args.t_order)
+        cs = twining_to_symtraces(*twining_pair(label, 24 * t), t)
         hit = first_nonintegral(cs)
         rows.append([label,
                      "none" if hit is None else f"t^{hit[0]}",

@@ -11,10 +11,9 @@ consistency checks.  The factors eta(a tau) of the cusp forms are
 ``modforms.eta_scaled``, the pentagonal series, which this module
 re-exports as ``eta_scaled``.
 
-Each twining genus e(g)/12 phi_{0,1} + f_g phi_{-2,1} is a weak Jacobi form
-of index 1, built on its y^0 and y^1 columns by
-``modforms.jacobi_form_columns``: f_g multiplies two q-series, not the
-whole (q, y) series of phi_{-2,1}.
+Each twining genus e(g)/12 phi_{0,1} + f_g phi_{-2,1} is its pair
+(``twining_pair``), and ``twining_genus`` builds the weak Jacobi form on its
+y^0 and y^1 columns (``modforms.jacobi_form_columns``).
 
 Two cross-checks pin the layer data, and each runs once, in the
 acceptance battery rather than here: criterion 7 checks the layer
@@ -44,7 +43,7 @@ from .records import Record
 __all__ = [
     "eisenstein_difference", "eta_scaled", "cusp_form", "m2_basis",
     "euler_character_value", "k_layer_trace", "sigma_coefficients",
-    "f_from_traces", "fit_in_m2", "f_series",
+    "f_from_traces", "fit_in_m2", "f_series", "twining_pair",
     "twining_genus", "FgRecord", "write_fg_file", "read_fg_file",
     "MOONSHINE_CLASSES", "GEOMETRIC_CLASSES", "CLASS_LEVEL",
 ]
@@ -237,17 +236,18 @@ def f_series(label: str, trunc24: int) -> TruncatedSeries:
     return fit_in_m2(f_from_traces(label), CLASS_LEVEL[label], trunc24)
 
 
-def twining_genus(label: str, trunc24: int) -> TruncatedSeries:
-    """e(g)/12 phi_{0,1} + f_g phi_{-2,1} for any supported class.
+def twining_pair(label: str, trunc24: int) -> tuple:
+    """(e(g)/12, f_g), the twining genus's pair as a phi_{0,1} + f phi_{-2,1}."""
+    return (exact_quotient(euler_character_value(label), 12),
+            f_series(label, trunc24))
 
-    An index-1 form, built on its y^0 and y^1 columns
-    (``modforms.jacobi_form_columns``): f_g multiplies the columns of
-    phi_{-2,1}, and phi_{0,1} is built only for a class with fixed points
-    (e(g) != 0).
-    """
-    e = exact_quotient(euler_character_value(label), 12)
+
+def twining_genus(label: str, trunc24: int) -> TruncatedSeries:
+    """The index-1 form of ``twining_pair`` on its y^0 and y^1 columns
+    (``modforms.jacobi_form_columns``): f_g multiplies those of phi_{-2,1},
+    and phi_{0,1} is built only for a class with fixed points (e(g) != 0)."""
     return index_one_form(
-        *jacobi_form_columns(e, f_series(label, trunc24), trunc24))
+        *jacobi_form_columns(*twining_pair(label, trunc24), trunc24))
 
 
 # -- the data file -----------------------------------------------------------------

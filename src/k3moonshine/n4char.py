@@ -17,9 +17,9 @@ polar part is the closed double sum
     m = (a+1)/2 + k.
 Neither forms a series product.
 
-The inverse problem has one route, in N=4 multiplicity space: the twining
-is decomposed once, and the traces solve a triangular system against the
-closed-form multiplicities of ch_{V_N} (Table 3's rows).  The Ramond
+The inverse problem has one route, in N=4 multiplicity space: a twining
+a phi_{0,1} + f phi_{-2,1} has multiplicities linear in (a, f), and the
+traces solve a triangular system against Table 3's rows.  The Ramond
 characters ch_{M_N} are built only as a reconstruction oracle for tests.
 
 Sector bookkeeping: NS characters carry q-exponents in -1/4 + (1/2)Z; the
@@ -40,7 +40,7 @@ from .series import (
     exact_quotient,
 )
 from .modforms import eta_power, jacobi_theta
-from .genus import chi_sym_power, expand_product
+from .genus import chi_sym_power, elliptic_genus, expand_product
 from .records import Record
 
 __all__ = [
@@ -306,13 +306,9 @@ class N4Multiplicities(Record):
         return [self.multiplicity(Fraction(1, 4) + k) for k in columns]
 
 
-@lru_cache(maxsize=None)
-def _polar_lead() -> tuple:
-    """The first y-dependent key of polar_part / theta3, (9, -2), and
-    its coefficient: constants of the quotient, read below q^1."""
-    quotient = polar_part(24).divide_exact(jacobi_theta(3, 24))
-    lead = min(k for k in quotient.terms if k[1])
-    return lead, quotient.terms[lead]
+# The first y-dependent key of polar_part / theta3 and its coefficient:
+# polar_part's a = 1, k = 0 term, as theta3's first y-term is at q24 = 12.
+_POLAR_LEAD, _POLAR_LEAD_COEFF = (9, -2), 1
 
 
 def decompose_into_n4(s: TruncatedSeries, sector: str = "NS") -> N4Multiplicities:
@@ -339,12 +335,11 @@ def decompose_into_n4(s: TruncatedSeries, sector: str = "NS") -> N4Multiplicitie
     lowest = min((q24 for q24, _y2 in s.terms), default=t - 1)
     theta = jacobi_theta(3, t - lowest)
     u = (s * eta_power(3, t + _ETA3_LEAD - lowest)).divide_exact(theta)
-    lead, lead_coeff = _polar_lead()
-    if lead[0] >= u.trunc24:
+    if _POLAR_LEAD[0] >= u.trunc24:
         raise InsufficientPrecisionError(
             "input ends before the atypical coefficient can be read")
-    head = u.truncate(lead[0] + 1).divide_exact(theta)
-    a = exact_quotient(head.terms.get(lead, 0), lead_coeff)
+    head = u.truncate(_POLAR_LEAD[0] + 1).divide_exact(theta)
+    a = exact_quotient(head.terms.get(_POLAR_LEAD, 0), _POLAR_LEAD_COEFF)
     rest = u - polar_part(u.trunc24) * a
     h = rest.y_coefficient(0)
     off = rest - theta * h
@@ -374,12 +369,8 @@ class GenusDecomposition(Record):
 
 def genus_A_coefficients(nmax: int, genus: TruncatedSeries) -> GenusDecomposition:
     """Decompose the K3 elliptic genus: 24 massless + sum A_n ch^R_(1/4+n).
-
-    The genus pairs with the fermion-parity-signed spectral flow, so the
-    inverse transport is flow back first, then undo the y-sign.
-    """
-    ns = genus.spectral_flow(-1).substitute_y_sign()
-    dec = decompose_into_n4(ns, "NS")
+    It pairs with the fermion-parity-signed flow: flow back, undo y's sign."""
+    dec = decompose_into_n4(genus.spectral_flow(-1).substitute_y_sign())
     a_list = [-dec.multiplicity(Fraction(1, 4) + n) for n in range(nmax + 1)]
     return GenusDecomposition(-dec.atypical, a_list)
 
@@ -424,39 +415,48 @@ def _flow_truncation(need: int, lowest24: int) -> int:
 
 
 def twining_truncation(tmax: int) -> int:
-    """The smallest twining truncation (a multiple of 24) that
-    ``twining_to_symtraces(twining, tmax)`` solves from, and the genus's for
-    ``genus_A_coefficients`` to read A_0 .. A_(tmax - 1): a Ramond twining
-    leads at q^0 and flows back to ``decomposition_truncation(tmax)``."""
+    """The least genus trunc24 (a multiple of 24) for A_0 .. A_(tmax - 1):
+    the flow back from q^0 to ``decomposition_truncation(tmax)``."""
     return _flow_truncation(decomposition_truncation(tmax), 0)
 
 
 @lru_cache(maxsize=None)
 def _typical_row(N: int, ncols: int) -> tuple:
-    """Row N of Table 3: the typical multiplicities of ch_{V_N} at
-    h = 1/4 + k for k < ncols, read from the closed form.  Memoized per
-    process on the exact arguments."""
-    combo = _v_combo(h_series, N, 24 * ncols)
-    return tuple(combo.terms.get((24 * k - 3, 0), 0) for k in range(ncols))
+    """Row N of Table 3, ch_{V_N}'s typical multiplicities at h = 1/4 + k,
+    k < ncols (the last at q24 = 24 ncols - 27), memoized per process."""
+    combo = _v_combo(h_series, N, 24 * ncols - 26)
+    return tuple(combo.coeff(Fraction(8 * k - 1, 8)) for k in range(ncols))
 
 
-def twining_to_symtraces(twining: TruncatedSeries, tmax: int,
+@lru_cache(maxsize=None)
+def _genus_multiplicities(ncols: int) -> tuple:
+    """The elliptic genus's massless multiplicity, then its typical ones at
+    h = 1/4 + k for k < ncols: one decomposition per process and ncols."""
+    dec = genus_A_coefficients(
+        ncols - 1, elliptic_genus(twining_truncation(ncols)))
+    return (-dec.atypical, *(-a for a in dec.A))
+
+
+def twining_to_symtraces(a, f: TruncatedSeries, tmax: int,
                          c1=None) -> list[Fraction]:
-    """Solve twining = sum_(n <= tmax) c_n ch_{M_n} for c_n = chi(g; X, S^n T).
+    """Solve a phi_{0,1} + f phi_{-2,1} = sum_(n <= tmax) c_n ch_{M_n} for
+    c_n = chi(g; X, S^n T).
 
-    The twining is flowed back to NS and decomposed into N=4 characters
-    once; leftover y-dependence raises NotInSpanError there.  The
-    multiplicity system is triangular: row n of Table 3 leads at column
-    n - 1 for n >= 2, and row 1, the only row besides row 0 with a massless
-    block, leads at column 3.  So c_0 comes from column 0, c_1 from the
-    massless equation and c_(k+1) from column k.  ``c1`` pins c_1 instead
-    and drops the massless equation: the typical columns alone leave a
-    one-parameter family.  Integrality is not assumed.  The twining must
-    reach ``twining_truncation(tmax)``; below that this raises
-    InsufficientPrecisionError.
+    The N=4 multiplicities are linear in (a, f): phi_{0,1} is half the
+    genus, and f phi_{-2,1} = -(f eta^-3) theta1^2/eta^3 adds -[f eta^-3]
+    at q^(k - 1/8) to the typical one at h = 1/4 + k.  Row n of Table 3
+    leads at column n - 1 (n >= 2), row 1 at column 3, so c_0 comes from
+    column 0, c_1 from the massless equation and c_(k+1) from column k.
+    ``c1`` pins c_1 and drops the massless equation (the typical columns
+    alone leave a one-parameter family).  Integrality is not assumed.  f
+    must reach 24 max(tmax, 1) - 23, or InsufficientPrecisionError.
     """
-    dec = decompose_into_n4(twining.spectral_flow(-1).substitute_y_sign())
-    rows = [_typical_row(n, max(tmax, 1)) for n in range(tmax + 1)]
+    ncols = max(tmax, 1)
+    atypical, *genus = _genus_multiplicities(ncols)
+    over_eta3 = f * eta_power(-3, min(f.trunc24, 24 * ncols - 23))
+    mults = [exact_quotient(a * m, 2) - over_eta3.coeff(Fraction(8 * k - 1, 8))
+             for k, m in enumerate(genus)]
+    rows = [_typical_row(n, ncols) for n in range(tmax + 1)]
     coeffs: dict[int, Fraction] = {}
 
     def solve_column(k):
@@ -466,8 +466,7 @@ def twining_to_symtraces(twining: TruncatedSeries, tmax: int,
                                  q24=24 * k - 3)
         known = sum(c * rows[n][k] for n, c in coeffs.items())
         n = unknown[0]
-        mult = dec.multiplicity(Fraction(1, 4) + k)
-        coeffs[n] = exact_quotient(mult - known, rows[n][k])
+        coeffs[n] = exact_quotient(mults[k] - known, rows[n][k])
 
     solve_column(0)
     if tmax >= 1:
@@ -475,7 +474,8 @@ def twining_to_symtraces(twining: TruncatedSeries, tmax: int,
             coeffs[1] = canonical_rational(c1)
         else:
             coeffs[1] = exact_quotient(
-                dec.atypical - _atypical_coefficient(0) * coeffs[0],
+                exact_quotient(a * atypical, 2)
+                - _atypical_coefficient(0) * coeffs[0],
                 _atypical_coefficient(1))
     for k in range(1, tmax):
         solve_column(k)

@@ -32,6 +32,10 @@ the long way, as the library once did, and the tests compare the two:
     sums as sums of products of geometric series (``inverse_fermion_factor``),
     padded by one q-order, where the library writes their closed double
     sums term by term.
+  * ``twining_to_symtraces_by_decomposition``: the inverse problem on the
+    whole (q, y) twining, flowed back to NS, sign-flipped in y and
+    decomposed into N=4 characters once per twining, where the library
+    reads the multiplicities linearly off the (a, f) pair.
 
 ``fixed_point_term`` is no replaced route but the library's split of one
 fixed-point term, phi_{0,1}/12 + wp(u) phi_{-2,1} over Q(zeta_n), on
@@ -42,7 +46,7 @@ tests compare the single term with the division and product routes.
 from fractions import Fraction
 from functools import lru_cache
 
-from k3moonshine.cyclotomic import CyclotomicNumber, zeta
+from k3moonshine.cyclotomic import CyclotomicNumber, canonical_rational, zeta
 from k3moonshine.genus import (
     CLASS_ORDER, FIXED_POINT_EIGENVALUES, UNIT_SUM_WEIGHTS, MoonshineReport,
     _fixed_point_sum, chi_sym_power, fixed_point_count,
@@ -52,7 +56,10 @@ from k3moonshine.modforms import (
     eisenstein_e2, eta_power, eta_scaled, euler_specialization, jacobi_theta,
     weak_jacobi_phi,
 )
-from k3moonshine.n4char import N4Multiplicities, polar_part
+from k3moonshine.n4char import (
+    N4Multiplicities, _atypical_coefficient, _typical_row, decompose_into_n4,
+    polar_part,
+)
 from k3moonshine.qpoly import Poly, _horner, cyclotomic_poly
 from k3moonshine.series import (
     InsufficientPrecisionError, NotInSpanError, TruncatedSeries,
@@ -366,3 +373,47 @@ def polar_part_by_products(trunc24):
         total = total + pref * inverse_fermion_factor(-a2, -2, trunc24 + 24)
         a2 -= 2
     return total.truncate(trunc24)
+
+
+# -- the inverse problem on the whole (q, y) twining -----------------------------
+
+def twining_to_symtraces_by_decomposition(twining: TruncatedSeries, tmax: int,
+                                          c1=None) -> list[Fraction]:
+    """Solve twining = sum_(n <= tmax) c_n ch_{M_n} for c_n = chi(g; X, S^n T).
+
+    The twining is flowed back to NS and decomposed into N=4 characters
+    once; leftover y-dependence raises NotInSpanError there.  The
+    multiplicity system is triangular: row n of Table 3 leads at column
+    n - 1 for n >= 2, and row 1, the only row besides row 0 with a massless
+    block, leads at column 3.  So c_0 comes from column 0, c_1 from the
+    massless equation and c_(k+1) from column k.  ``c1`` pins c_1 instead
+    and drops the massless equation: the typical columns alone leave a
+    one-parameter family.  Integrality is not assumed.  The twining must
+    reach ``twining_truncation(tmax)``; below that this raises
+    InsufficientPrecisionError.
+    """
+    dec = decompose_into_n4(twining.spectral_flow(-1).substitute_y_sign())
+    rows = [_typical_row(n, max(tmax, 1)) for n in range(tmax + 1)]
+    coeffs: dict[int, Fraction] = {}
+
+    def solve_column(k):
+        unknown = [n for n in range(tmax + 1) if rows[n][k] and n not in coeffs]
+        if len(unknown) != 1:
+            raise NotInSpanError(f"column {k} has unknowns {unknown}",
+                                 q24=24 * k - 3)
+        known = sum(c * rows[n][k] for n, c in coeffs.items())
+        n = unknown[0]
+        mult = dec.multiplicity(Fraction(1, 4) + k)
+        coeffs[n] = exact_quotient(mult - known, rows[n][k])
+
+    solve_column(0)
+    if tmax >= 1:
+        if c1 is not None:
+            coeffs[1] = canonical_rational(c1)
+        else:
+            coeffs[1] = exact_quotient(
+                dec.atypical - _atypical_coefficient(0) * coeffs[0],
+                _atypical_coefficient(1))
+    for k in range(1, tmax):
+        solve_column(k)
+    return [coeffs[n] for n in range(tmax + 1)]

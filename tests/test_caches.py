@@ -26,10 +26,10 @@ SAMPLE_ARGS = {
     "genus.equivariant_elliptic_genus": ("3A", 48),
     "n4char.g_sum": (1, 48),
     "n4char.h_series": (2, 48),
-    "n4char._polar_lead": (),
     "n4char._theta3_over_eta3": (48,),
     "n4char._typical_prefactor": (48,),
     "n4char._typical_row": (2, 3),
+    "n4char._genus_multiplicities": (2,),
     "mill.class_data": ("M23",),
     "tables.load_m23": (),
     "tables.load_m24": (),

@@ -11,9 +11,9 @@ from k3moonshine.mckay import (
     CLASS_LEVEL, GEOMETRIC_CLASSES, MOONSHINE_CLASSES, cusp_form,
     eisenstein_difference, euler_character_value, f_from_traces, f_series,
     k_layer_trace, m2_basis, read_fg_file, sigma_coefficients, twining_genus,
-    write_fg_file,
+    twining_pair, write_fg_file,
 )
-from k3moonshine.n4char import twining_to_symtraces, twining_truncation
+from k3moonshine.n4char import twining_to_symtraces
 from k3moonshine.replattice import first_nonintegral
 
 
@@ -103,15 +103,14 @@ def test_audit_first_nonintegral():
         "23AB": (4, Fraction(-7, 3)),
     }
     for label, want in expected.items():
-        tw = twining_genus(label, twining_truncation(6))
-        cs = twining_to_symtraces(tw, 6)
+        cs = twining_to_symtraces(*twining_pair(label, 6 * 24), 6)
         assert first_nonintegral(cs) == want, label
 
 
 def test_alpha_family_for_15ab():
-    tw = twining_genus("15AB", 8 * 24)
+    pair = twining_pair("15AB", 8 * 24)
     for a in (0, 3, 7):
-        cs = twining_to_symtraces(tw, 5, c1=Fraction(a))
+        cs = twining_to_symtraces(*pair, 5, c1=Fraction(a))
         assert cs[3] == Fraction(-1, 2)
         assert cs[4] == Fraction(-2 * a, 3)
         assert cs[5] == Fraction(-(3 + 4 * a), 12)
@@ -184,6 +183,5 @@ def test_geometric_twining_recovers_symt_series_deeper():
     # the moonshine-side twining reproduces the fixed-point traces well past
     # the fit window (independent sides of the comparison theorem)
     from k3moonshine.genus import chi_symt_series
-    tw = twining_genus("7AB", twining_truncation(7))
-    cs = twining_to_symtraces(tw, 7)
+    cs = twining_to_symtraces(*twining_pair("7AB", 7 * 24), 7)
     assert cs == chi_symt_series("7AB", 8)

@@ -9,7 +9,7 @@ from k3moonshine.modforms import eta_power, jacobi_theta
 from canonical import all_canonical
 from series_tools import is_y_symmetric, q_slice, substitute_y_value
 from k3moonshine.genus import chi_sym_power, chi_symt_series, \
-    elliptic_genus, equivariant_elliptic_genus
+    elliptic_genus, equivariant_elliptic_genus, jacobi_split
 from k3moonshine.n4char import (
     atypical_ns, ch_v_product, ch_vn_closed, ch_vn_extract, ch_vn_h_form,
     decompose_into_n4, g_series, genus_A_coefficients, h_series,
@@ -283,21 +283,23 @@ def test_symmetric_power_crosscheck():
 
 def test_twining_solve_identity_class():
     genus = elliptic_genus(6 * 24)
-    cs = twining_to_symtraces(genus, 4)
-    assert cs == [chi_sym_power(n) for n in range(5)]
+    want = [chi_sym_power(n) for n in range(5)]
+    assert twining_to_symtraces(*jacobi_split(genus), 4) == want
+    # an exactly known f: eta^-3 is built only as far as the columns read
+    assert twining_to_symtraces(2, TruncatedSeries.zero(), 4) == want
 
 
 def test_twining_solve_equivariant():
     t = 6 * 24
     for label in ("2A", "8A"):
         tw = equivariant_elliptic_genus(label, t)
-        cs = twining_to_symtraces(tw, 4)
+        cs = twining_to_symtraces(*jacobi_split(tw), 4)
         assert cs == chi_symt_series(label, 5), label
 
 
 def test_twining_solve_with_pinned_c1():
     genus = elliptic_genus(6 * 24)
-    cs = twining_to_symtraces(genus, 4, c1=Fraction(-20))
+    cs = twining_to_symtraces(*jacobi_split(genus), 4, c1=Fraction(-20))
     assert cs == [chi_sym_power(n) for n in range(5)]
 
 
@@ -316,7 +318,7 @@ def test_twining_solve_reconstructs_the_twining():
                 "11A": twining_genus("11A", t),
                 "2B": twining_genus("2B", t)}
     for label, tw in twinings.items():
-        cs = twining_to_symtraces(tw, tmax)
+        cs = twining_to_symtraces(*jacobi_split(tw), tmax)
         rebuilt = sum((b * c for b, c in zip(basis, cs)),
                       TruncatedSeries.zero())
         residual = rebuilt - tw
@@ -326,13 +328,61 @@ def test_twining_solve_reconstructs_the_twining():
 
 @pytest.mark.parametrize("tmax", [1, 2, 6, 21])
 def test_twining_truncation_is_the_smallest_that_solves(tmax):
-    from k3moonshine.mckay import twining_genus
-    t = twining_truncation(tmax)
-    assert t % 24 == 0
-    want = twining_to_symtraces(twining_genus("11A", t + 24), tmax)
-    assert twining_to_symtraces(twining_genus("11A", t), tmax) == want
+    # f_g phi_{-2,1}'s multiplicity at h = 1/4 + k is [f eta^-3] at
+    # q^(k - 1/8), and eta^-3 leads at q^(-1/8): the last column,
+    # k = max(tmax, 1) - 1, needs f below 24 max(tmax, 1) - 23
+    from k3moonshine.mckay import twining_pair
+    t = 24 * max(tmax, 1) - 23
+    want = twining_to_symtraces(*twining_pair("11A", t + 48), tmax)
+    assert twining_to_symtraces(*twining_pair("11A", t), tmax) == want
     with pytest.raises(InsufficientPrecisionError):
-        twining_to_symtraces(twining_genus("11A", t - 24), tmax)
+        twining_to_symtraces(*twining_pair("11A", t - 1), tmax)
+
+
+def test_a_second_solve_decomposes_nothing(monkeypatch):
+    # the genus is decomposed once per size; the twining never is
+    from k3moonshine import n4char
+    from k3moonshine.mckay import twining_pair
+    n4char._genus_multiplicities.cache_clear()
+    calls = []
+    real = n4char.decompose_into_n4
+    monkeypatch.setattr(n4char, "decompose_into_n4",
+                        lambda *args: calls.append(args) or real(*args))
+    first = twining_to_symtraces(*twining_pair("11A", 6 * 24), 6)
+    assert len(calls) == 1
+    for label in ("11A", "2B", "23AB"):
+        twining_to_symtraces(*twining_pair(label, 6 * 24), 6)
+    assert len(calls) == 1
+    assert twining_to_symtraces(*twining_pair("11A", 6 * 24), 6) == first
+
+
+def test_polar_lead_is_the_first_y_dependent_term_of_the_quotient():
+    from k3moonshine.n4char import _POLAR_LEAD, _POLAR_LEAD_COEFF
+    quotient = polar_part(24).divide_exact(jacobi_theta(3, 24))
+    lead = min(k for k in quotient.terms if k[1])
+    assert (lead, quotient.terms[lead]) == (_POLAR_LEAD, _POLAR_LEAD_COEFF)
+
+
+@pytest.mark.parametrize("ncols", range(1, 22))
+def test_typical_row_is_read_below_its_truncation(ncols, monkeypatch):
+    # the last column sits at q24 = 24 ncols - 27, so the rows are built
+    # at 24 ncols - 26; read one lower, the last column raises
+    from k3moonshine import n4char
+    from k3moonshine.n4char import _typical_row, _v_combo
+
+    def row(N, trunc24):
+        combo = _v_combo(h_series, N, trunc24)
+        return tuple(combo.coeff(Fraction(8 * k - 1, 8))
+                     for k in range(ncols))
+
+    built = []
+    monkeypatch.setattr(n4char, "_v_combo", lambda part, N, trunc24:
+                        built.append(trunc24) or _v_combo(part, N, trunc24))
+    for N in range(ncols + 1):
+        assert _typical_row.__wrapped__(N, ncols) == row(N, 24 * ncols + 24)
+        with pytest.raises(InsufficientPrecisionError):
+            row(N, 24 * ncols - 27)
+    assert set(built) == {24 * ncols - 26}
 
 
 def test_decompose_needs_the_first_massless_term():

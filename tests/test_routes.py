@@ -18,7 +18,8 @@ Another records every divisor of
 one acceptance pass: each has a one-term lowest q-slice, the only kind
 ``divide_exact`` takes.  The Appell-Lerch sums, written term by term from
 their closed double sums, are compared with their geometric-series
-products.
+products.  The inverse problem on a twining's (a, f) pair is compared with
+the decomposition of the whole (q, y) twining, in values and types.
 """
 
 from fractions import Fraction
@@ -34,7 +35,7 @@ from k3moonshine.genus import (
 )
 from k3moonshine.mckay import (
     GEOMETRIC_CLASSES, MOONSHINE_CLASSES, euler_character_value, f_from_traces,
-    f_series, fit_in_m2, m2_basis, twining_genus,
+    f_series, fit_in_m2, m2_basis, twining_genus, twining_pair,
 )
 from k3moonshine.modforms import (
     eta_power, jacobi_theta, weak_jacobi_columns, weak_jacobi_phi,
@@ -42,7 +43,7 @@ from k3moonshine.modforms import (
 from k3moonshine.n4char import (
     atypical_ns, ch_vn_closed, ch_vn_h_form, decompose_into_n4, g_series,
     g_sum, n4_character, polar_part, ramond_basis_character,
-    twining_truncation,
+    twining_to_symtraces, twining_truncation,
 )
 from k3moonshine.qpoly import Poly, RationalFunction
 from k3moonshine.series import (
@@ -54,8 +55,9 @@ from route_oracle import (
     eta_power_by_inversion, fixed_point_term, fixed_point_term_by_division,
     g_sum_by_products, jacobi_split_by_division, moonshine_report_by_series,
     pole_coefficient_in_fractions, polar_part_by_products, table1_sum,
-    twining_genus_by_products, weak_jacobi_columns_by_e2,
-    weak_jacobi_phi_by_products, weighted_genus_by_division,
+    twining_genus_by_products, twining_to_symtraces_by_decomposition,
+    weak_jacobi_columns_by_e2, weak_jacobi_phi_by_products,
+    weighted_genus_by_division,
 )
 from test_caches import SAMPLE_ARGS, _cached_builders
 
@@ -400,7 +402,12 @@ def test_twining_genus_matches_the_full_sum(label):
 
 
 def test_criterion_10_builds_no_zero_weighted_phi0(monkeypatch):
-    from k3moonshine import acceptance, modforms
+    # criterion 10 builds no index-1 form past the genus it decomposes
+    # once per size; its classes' twining genera build phi_{0,1} only
+    # where e(g) != 0
+    from k3moonshine import acceptance, modforms, n4char
+    for ncols in (6, 20):
+        n4char._genus_multiplicities(ncols)
     built = []
 
     def recording(weight, trunc24):
@@ -409,10 +416,58 @@ def test_criterion_10_builds_no_zero_weighted_phi0(monkeypatch):
 
     monkeypatch.setattr(modforms, "weak_jacobi_columns", recording)
     assert acceptance.check_10_audit()[0]
-    t20 = twining_truncation(20)
-    assert (-2, t20) in built
-    assert (0, t20) not in built
-    assert (0, twining_truncation(6)) in built
+    assert built == []
+    t = twining_truncation(6)
+    for label in (*acceptance.AUDIT_FIRST_NONINTEGRAL,
+                  *acceptance.M24_EXTRA_FORMS):
+        built.clear()
+        twining_genus(label, t)
+        assert (-2, t) in built
+        assert ((0, t) in built) == bool(euler_character_value(label))
+
+
+# -- the inverse problem on the (a, f) pair against the whole twining ----------
+
+@pytest.mark.parametrize("tmax", (1, 6, 20))
+@pytest.mark.parametrize("label", TWININGS)
+def test_twining_solve_matches_the_decomposition(label, tmax):
+    want = twining_to_symtraces_by_decomposition(
+        twining_genus(label, twining_truncation(tmax)), tmax)
+    got = twining_to_symtraces(*twining_pair(label, 24 * tmax), tmax)
+    assert got == want
+    assert [type(c) for c in got] == [type(c) for c in want]
+
+
+@pytest.mark.parametrize("tmax", (1, 6, 20))
+@pytest.mark.parametrize("label", SYMPLECTIC_CLASSES[1:])
+def test_twining_solve_matches_the_decomposition_on_the_split(label, tmax):
+    # the fixed-point genus, split into its pair by jacobi_split
+    s = equivariant_elliptic_genus(label, twining_truncation(tmax))
+    want = twining_to_symtraces_by_decomposition(s, tmax)
+    got = twining_to_symtraces(*jacobi_split(s), tmax)
+    assert got == want
+    assert [type(c) for c in got] == [type(c) for c in want]
+
+
+def test_the_inverse_problem_flows_and_decomposes_no_twining(monkeypatch):
+    # past the genus's one decomposition per size, the solve, the CLI
+    # audit and criterion 10 build nothing in (q, y) and never flow
+    from k3moonshine import acceptance, cli, mckay, n4char
+    for ncols in (6, 20):
+        n4char._genus_multiplicities(ncols)
+
+    def refuse(*_args):
+        raise AssertionError("the (a, f) route took the (q, y) route")
+
+    monkeypatch.setattr(TruncatedSeries, "spectral_flow", refuse)
+    monkeypatch.setattr(TruncatedSeries, "substitute_y_sign", refuse)
+    for module in (n4char, acceptance):
+        monkeypatch.setattr(module, "decompose_into_n4", refuse)
+        monkeypatch.setattr(module, "twining_truncation", refuse)
+    monkeypatch.setattr(mckay, "twining_genus", refuse)
+    assert acceptance.check_10_audit()[0]
+    assert cli.main(["audit-integrality"]) == 0
+    assert twining_to_symtraces(*twining_pair("2B", 20 * 24), 20)
 
 
 # -- truncation: the result at T is the result at T + 24 cut to T -------------
