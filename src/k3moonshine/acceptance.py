@@ -23,10 +23,10 @@ from .genus import (
     rational_form, weighted_equivariant_genus,
 )
 from .n4char import (
-    ch_v_product, ch_vn_closed, ch_vn_extract, ch_vn_h_form, decompose_into_n4,
-    decomposition_truncation, g_series, genus_A_coefficients, h_series,
-    polar_part, symmetric_power_crosscheck, twining_to_symtraces,
-    twining_truncation,
+    _genus_multiplicities, ch_v_product, ch_vn_closed, ch_vn_extract,
+    ch_vn_h_form, decompose_into_n4, decomposition_truncation, g_series,
+    genus_A_coefficients, h_series, polar_part, symmetric_power_crosscheck,
+    twining_to_symtraces, twining_truncation,
 )
 
 # -- frozen published values ----------------------------------------------------
@@ -200,6 +200,10 @@ def check_7_genus_decomposition(**_) -> tuple:
     dec = genus_A_coefficients(5, elliptic_genus(twining_truncation(6)))
     if dec.atypical != 24 or dec.A[0] != -2 or dec.A[1] != 90:
         return False, f"anchors: {dec.atypical}, {dec.A[:2]}"
+    # cross-check: the decomposition against H's closed form, which the
+    # inverse problem of criterion 10 reads
+    if (-dec.atypical, *(-a for a in dec.A)) != _genus_multiplicities(6):
+        return False, f"A_n = {', '.join(map(str, dec.A))}, not H's"
     # cross-check: the module-layer dimensions behind f_from_traces
     layers = sigma_coefficients()
     if dec.A != layers:

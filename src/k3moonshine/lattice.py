@@ -3,12 +3,19 @@
 Lattices are stored by a canonical row-style Hermite normal form basis
 (positive pivots, entries above a pivot reduced into [0, pivot)), so
 lattice equality is representation equality.
+
+Input is checked once, where a vector enters (``_integer_vector``), never
+in the elimination loops: an integral ``Fraction`` is taken as its int, a
+non-integral one raises ValueError, and a float or any other non-integer
+raises TypeError.  Nothing is truncated to an integer.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import product
 from math import gcd
+from operator import index
 
 from .records import Record
 
@@ -36,6 +43,23 @@ def _xgcd(a: int, b: int):
     return g, x, y
 
 
+def _integer_vector(vec) -> list:
+    """The entries of ``vec`` as ints, by the input rule of the module
+    docstring."""
+    return [x if type(x) is int else _integer_entry(x) for x in vec]
+
+
+def _integer_entry(x) -> int:
+    if isinstance(x, Fraction):
+        if x.denominator != 1:
+            raise ValueError(f"non-integral lattice entry {x}")
+        return x.numerator
+    try:
+        return index(x)
+    except TypeError:
+        raise TypeError(f"lattice entry {x!r} is not an integer") from None
+
+
 def hermite_normal_form(rows, track=False):
     """Canonical row HNF of the integer span of ``rows``.
 
@@ -46,7 +70,7 @@ def hermite_normal_form(rows, track=False):
     if not rows:
         return ([], []) if track else []
     n = len(rows[0])
-    work = [list(map(int, r)) for r in rows]
+    work = [_integer_vector(r) for r in rows]
     if any(len(r) != n for r in work):
         raise ValueError("rows must all have the same length")
     m = len(work)
@@ -163,7 +187,7 @@ def smith_normal_form(matrix):
     """Invariant factors d_1 | d_2 | ... (including 1s) of an integer matrix."""
     if not matrix or not matrix[0]:
         return []
-    a = [list(map(int, row)) for row in matrix]
+    a = [_integer_vector(row) for row in matrix]
     m, n = len(a), len(a[0])
     factors = []
     top = 0
@@ -300,7 +324,7 @@ class IntegerLattice:
 
     def reduce(self, vec):
         """Remainder of vec modulo the basis plus the coordinates used."""
-        v = list(map(int, vec))
+        v = _integer_vector(vec)
         coords = []
         for row, col in zip(self.basis, self.pivots):
             q = v[col] // row[col]
@@ -405,11 +429,11 @@ def solve_in_lattice(vec, generators) -> SolveResult:
     congruence of the HNF back-substitution.  The canonical solution is
     the HNF back-substitution lifted through the tracked transformation.
     """
-    gens = [list(map(int, g)) for g in generators]
+    v = _integer_vector(vec)
+    gens = list(generators)
     if not gens:
         return SolveResult(None, "no generators")
     hnf, u = hermite_normal_form(gens, track=True)
-    v = list(map(int, vec))
     coords_h = [0] * len(hnf)
     for i, row in enumerate(hnf):
         col = next(j for j, x in enumerate(row) if x)

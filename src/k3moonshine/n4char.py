@@ -18,7 +18,8 @@ polar part is the closed double sum
 Neither forms a series product.
 
 The inverse problem has one route, in N=4 multiplicity space: a twining
-a phi_{0,1} + f phi_{-2,1} has multiplicities linear in (a, f), and the
+a phi_{0,1} + f phi_{-2,1} has multiplicities linear in (a, f), phi_{0,1}'s
+read off Mathieu moonshine's H in closed form (``mathieu_h``), and the
 traces solve a triangular system against Table 3's rows.  The Ramond
 characters ch_{M_N} are built only as a reconstruction oracle for tests.
 
@@ -39,8 +40,8 @@ from .series import (
     InsufficientPrecisionError, NotInSpanError, TruncatedSeries,
     exact_quotient,
 )
-from .modforms import eta_power, jacobi_theta
-from .genus import chi_sym_power, elliptic_genus, expand_product
+from .modforms import eisenstein_e2, eta_power, jacobi_theta
+from .genus import chi_sym_power, expand_product
 from .records import Record
 
 __all__ = [
@@ -57,6 +58,7 @@ __all__ = [
     "decompose_into_n4",
     "GenusDecomposition",
     "genus_A_coefficients",
+    "mathieu_h",
     "symmetric_power_crosscheck",
     "ramond_basis_character",
     "decomposition_truncation",
@@ -175,7 +177,12 @@ def _h_triple_sum(M: int, trunc24: int) -> TruncatedSeries:
     # 24 E = 6 rr |m2| + 6 ss |2M - m2| + 3 (sg rr + tg ss)^2 - 12 M, an
     # integer by construction, so every term lies on the (1/24) grid.  The
     # cross term is >= 0, so 6 rr |m2| + 6 ss |2M - m2| - 12 M < trunc24
-    # prunes all loops.
+    # bounds all loops.  24 E itself grows in ss where sg = tg, and where
+    # sg = -tg (cross term 3 (rr - ss)^2) once ss >= rr, so there the ss
+    # loop stops at the first term at or past trunc24.  Each term of row
+    # rr + 2 exceeds one of row rr ((rr, ss) -> (rr + 2, ss + 2) adds
+    # 2 am + 2 bm or more, and ss = 1 grows too), so a row with no term
+    # below trunc24 ends the rr loop.
     acc: dict = {}
     width = trunc24 // 12 + abs(M) + 4
     m2_lo = 2 * min(0, M) - width
@@ -189,16 +196,21 @@ def _h_triple_sum(M: int, trunc24: int) -> TruncatedSeries:
         rr = 1
         while rr * am + bm - 12 * M < trunc24:
             base = rr * am - 12 * M
-            ss = 1
+            ss, row_empty = 1, True
             while base + ss * bm < trunc24:
                 q24 = base + ss * bm + 3 * (sg * rr + tg * ss) ** 2
                 if q24 < trunc24:
+                    row_empty = False
                     c = acc.get(q24, 0) + (1 if (rr + ss) // 2 % 2 else -1)
                     if c:
                         acc[q24] = c
                     else:
                         del acc[q24]
+                elif sg == tg or ss >= rr:
+                    break
                 ss += 2
+            if row_empty:
+                break
             rr += 2
     terms = {(q24, 0): c for q24, c in acc.items()}
     return TruncatedSeries(terms, trunc24, _clean=True)
@@ -302,8 +314,16 @@ class N4Multiplicities(Record):
         return self.typical.get(h, 0)
 
     def table_row(self, columns) -> list:
-        """Multiplicities at h = 1/4 + k for the requested integer columns."""
-        return [self.multiplicity(Fraction(1, 4) + k) for k in columns]
+        """Multiplicities at h = 1/4 + k for the requested integer columns,
+        at q24 = 24 k - 3 on the horizon's grid."""
+        row = []
+        for k in columns:
+            h = Fraction(4 * k + 1, 4)
+            if 24 * k - 3 >= self.horizon24:
+                raise InsufficientPrecisionError(
+                    f"weight {h} beyond the computed horizon")
+            row.append(self.typical.get(h, 0))
+        return row
 
 
 # The first y-dependent key of polar_part / theta3 and its coefficient:
@@ -425,16 +445,38 @@ def _typical_row(N: int, ncols: int) -> tuple:
     """Row N of Table 3, ch_{V_N}'s typical multiplicities at h = 1/4 + k,
     k < ncols (the last at q24 = 24 ncols - 27), memoized per process."""
     combo = _v_combo(h_series, N, 24 * ncols - 26)
-    return tuple(combo.coeff(Fraction(8 * k - 1, 8)) for k in range(ncols))
+    return tuple(combo.at(24 * k - 3) for k in range(ncols))
+
+
+@lru_cache(maxsize=None)
+def mathieu_h(trunc24: int) -> TruncatedSeries:
+    """Mathieu moonshine's H = 2 q^(-1/8) (-1 + 45 q + 231 q^2 + ...) in
+    closed form: H = (-2 E_2 + 48 F_2) / eta^3 with
+    F_2 = sum over r > s > 0, r - s odd, of (-1)^r s q^(rs/2)
+    (Cheng, arXiv:1005.5415; Gaberdiel-Hohenegger-Volpato, arXiv:1008.3778).
+    Its coefficient at q^(k - 1/8) is A_k of the genus decomposition.
+    Memoized per process on the exact arguments (the series is read-only).
+    """
+    t = trunc24 + _ETA3_LEAD
+    f2: dict = {}
+    s = 1
+    while 12 * s * (s + 1) < t:
+        for r in range(s + 1, -(-t // (12 * s)), 2):    # 12 r s < t
+            key = (12 * r * s, 0)
+            f2[key] = f2.get(key, 0) + (-s if r % 2 else s)
+        s += 1
+    body = eisenstein_e2(t) * -2 + TruncatedSeries(f2, t) * 48
+    return body * eta_power(-3, trunc24)
 
 
 @lru_cache(maxsize=None)
 def _genus_multiplicities(ncols: int) -> tuple:
     """The elliptic genus's massless multiplicity, then its typical ones at
-    h = 1/4 + k for k < ncols: one decomposition per process and ncols."""
-    dec = genus_A_coefficients(
-        ncols - 1, elliptic_genus(twining_truncation(ncols)))
-    return (-dec.atypical, *(-a for a in dec.A))
+    h = 1/4 + k for k < ncols, memoized per process.  The massive
+    characters vanish at y = 1, so the massless one is minus the Euler
+    number 24; the typical ones are minus H at q^(k - 1/8)."""
+    h = mathieu_h(24 * ncols - 2)
+    return (-24, *(-h.at(24 * k - 3) for k in range(ncols)))
 
 
 def twining_to_symtraces(a, f: TruncatedSeries, tmax: int,
@@ -454,7 +496,7 @@ def twining_to_symtraces(a, f: TruncatedSeries, tmax: int,
     ncols = max(tmax, 1)
     atypical, *genus = _genus_multiplicities(ncols)
     over_eta3 = f * eta_power(-3, min(f.trunc24, 24 * ncols - 23))
-    mults = [exact_quotient(a * m, 2) - over_eta3.coeff(Fraction(8 * k - 1, 8))
+    mults = [exact_quotient(a * m, 2) - over_eta3.at(24 * k - 3)
              for k, m in enumerate(genus)]
     rows = [_typical_row(n, ncols) for n in range(tmax + 1)]
     coeffs: dict[int, Fraction] = {}

@@ -115,8 +115,11 @@ class TruncatedSeries:
 
     def coeff(self, q, y=0):
         """Exact coefficient at q^q y^y (Fraction exponents allowed)."""
-        q24 = _to_units(q, 24, "q")
-        y2 = _to_units(y, 2, "y")
+        return self.at(_to_units(q, 24, "q"), _to_units(y, 2, "y"))
+
+    def at(self, q24: int, y2: int = 0):
+        """Exact coefficient at the grid key (q24, y2), q^(q24/24) y^(y2/2);
+        InsufficientPrecisionError at or past trunc24."""
         if q24 >= self.trunc24:
             raise InsufficientPrecisionError(
                 f"coefficient at q24={q24} beyond truncation {self.trunc24}")
@@ -389,6 +392,8 @@ def _canonical(v):
 
 
 def _to_units(x, scale: int, name: str) -> int:
+    if isinstance(x, int):
+        return x * scale
     f = Fraction(x) * scale
     if f.denominator != 1:
         raise ValueError(f"{name}-exponent {x} not in (1/{scale})Z")

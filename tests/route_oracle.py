@@ -36,6 +36,12 @@ the long way, as the library once did, and the tests compare the two:
     whole (q, y) twining, flowed back to NS, sign-flipped in y and
     decomposed into N=4 characters once per twining, where the library
     reads the multiplicities linearly off the (a, f) pair.
+  * ``genus_multiplicities_by_decomposition``: the genus's N=4
+    multiplicities from the whole (q, y) genus, decomposed into N=4
+    characters, where the library reads H's closed form;
+  * ``h_triple_sum_pruned_without_cross_term``: the triple sum of h_N with
+    its loops bounded by the exponent less its cross term only, where the
+    library also stops a loop where the full exponent is monotone.
 
 ``fixed_point_term`` is no replaced route but the library's split of one
 fixed-point term, phi_{0,1}/12 + wp(u) phi_{-2,1} over Q(zeta_n), on
@@ -49,7 +55,7 @@ from functools import lru_cache
 from k3moonshine.cyclotomic import CyclotomicNumber, canonical_rational, zeta
 from k3moonshine.genus import (
     CLASS_ORDER, FIXED_POINT_EIGENVALUES, UNIT_SUM_WEIGHTS, MoonshineReport,
-    _fixed_point_sum, chi_sym_power, fixed_point_count,
+    _fixed_point_sum, chi_sym_power, elliptic_genus, fixed_point_count,
 )
 from k3moonshine.mckay import euler_character_value, f_series
 from k3moonshine.modforms import (
@@ -58,7 +64,7 @@ from k3moonshine.modforms import (
 )
 from k3moonshine.n4char import (
     N4Multiplicities, _atypical_coefficient, _typical_row, decompose_into_n4,
-    polar_part,
+    genus_A_coefficients, polar_part, twining_truncation,
 )
 from k3moonshine.qpoly import Poly, _horner, cyclotomic_poly
 from k3moonshine.series import (
@@ -417,3 +423,47 @@ def twining_to_symtraces_by_decomposition(twining: TruncatedSeries, tmax: int,
     for k in range(1, tmax):
         solve_column(k)
     return [coeffs[n] for n in range(tmax + 1)]
+
+
+# -- the genus's multiplicities by decomposition, the h triple sum unpruned ----
+
+def genus_multiplicities_by_decomposition(ncols: int) -> tuple:
+    """The elliptic genus's massless multiplicity, then its typical ones at
+    h = 1/4 + k for k < ncols: one decomposition per process and ncols."""
+    dec = genus_A_coefficients(
+        ncols - 1, elliptic_genus(twining_truncation(ncols)))
+    return (-dec.atypical, *(-a for a in dec.A))
+
+
+def h_triple_sum_pruned_without_cross_term(M: int, trunc24: int) -> TruncatedSeries:
+    # On the doubled odd indices m2 = 2m, rr = 2r, ss = 2s the exponent is
+    # 24 E = 6 rr |m2| + 6 ss |2M - m2| + 3 (sg rr + tg ss)^2 - 12 M, an
+    # integer by construction, so every term lies on the (1/24) grid.  The
+    # cross term is >= 0, so 6 rr |m2| + 6 ss |2M - m2| - 12 M < trunc24
+    # prunes all loops.
+    acc: dict = {}
+    width = trunc24 // 12 + abs(M) + 4
+    m2_lo = 2 * min(0, M) - width
+    if m2_lo % 2 == 0:
+        m2_lo -= 1
+    m2_hi = 2 * max(0, M) + width
+    for m2 in range(m2_lo, m2_hi + 1, 2):
+        am, bm = 6 * abs(m2), 6 * abs(2 * M - m2)
+        sg = 1 if m2 > 0 else -1
+        tg = 1 if m2 > 2 * M else -1
+        rr = 1
+        while rr * am + bm - 12 * M < trunc24:
+            base = rr * am - 12 * M
+            ss = 1
+            while base + ss * bm < trunc24:
+                q24 = base + ss * bm + 3 * (sg * rr + tg * ss) ** 2
+                if q24 < trunc24:
+                    c = acc.get(q24, 0) + (1 if (rr + ss) // 2 % 2 else -1)
+                    if c:
+                        acc[q24] = c
+                    else:
+                        del acc[q24]
+                ss += 2
+            rr += 2
+    terms = {(q24, 0): c for q24, c in acc.items()}
+    return TruncatedSeries(terms, trunc24, _clean=True)

@@ -30,6 +30,7 @@ SAMPLE_ARGS = {
     "n4char._typical_prefactor": (48,),
     "n4char._typical_row": (2, 3),
     "n4char._genus_multiplicities": (2,),
+    "n4char.mathieu_h": (48,),
     "mill.class_data": ("M23",),
     "tables.load_m23": (),
     "tables.load_m24": (),

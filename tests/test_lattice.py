@@ -1,8 +1,11 @@
 import random
+from fractions import Fraction
+
+import pytest
 
 from k3moonshine.lattice import (
-    AbelianQuotient, IntegerLattice, hnf_basis, integer_kernel,
-    smith_normal_form, snf_quotient, solve_in_lattice,
+    AbelianQuotient, IntegerLattice, hermite_normal_form, hnf_basis,
+    integer_kernel, smith_normal_form, snf_quotient, solve_in_lattice,
 )
 
 
@@ -137,3 +140,45 @@ def test_intersect():
     c = a.intersect(b)
     assert c == hnf_basis([(2, 0), (0, 3)])
     assert c.index_in(IntegerLattice.full(2)) == 6
+
+
+# -- input: integral Fractions are ints, anything else non-integral raises ----
+
+def test_non_integral_fraction_input_raises():
+    # each of these once truncated its input and answered
+    with pytest.raises(ValueError):
+        solve_in_lattice([Fraction(3, 2)], [[1]])
+    with pytest.raises(ValueError):
+        IntegerLattice.full(2).contains([Fraction(1, 2), 0])
+    with pytest.raises(ValueError):
+        hnf_basis([[Fraction(1, 2), 0], [0, 1]])
+    with pytest.raises(ValueError):
+        smith_normal_form([[Fraction(1, 3)]])
+
+
+def test_float_input_raises():
+    with pytest.raises(TypeError):
+        IntegerLattice.full(2).contains([2.7, 0])
+    with pytest.raises(TypeError):
+        IntegerLattice.full(2).contains([2.0, 0])
+    with pytest.raises(TypeError):
+        IntegerLattice.full(2).reduce([1, 0.5])
+    with pytest.raises(TypeError):
+        solve_in_lattice([1, 0], [[1.0, 0], [0, 1]])
+    with pytest.raises(TypeError):
+        hermite_normal_form([[1, 2.5]])
+
+
+def test_integral_fraction_input_is_its_int():
+    lat = hnf_basis([[Fraction(2), 0], [0, Fraction(-4, 2)]])
+    assert lat == hnf_basis([[2, 0], [0, 2]])
+    assert all(type(x) is int for row in lat.basis for x in row)
+    v, coords = lat.reduce([Fraction(6, 2), Fraction(4)])
+    assert (v, coords) == ([1, 0], [1, 2])
+    assert all(type(x) is int for x in v + coords)
+    assert lat.contains([Fraction(4), 2]) and not lat.contains([Fraction(3), 2])
+    got = solve_in_lattice([Fraction(4), Fraction(2)], [[Fraction(2), 0], [0, 2]])
+    assert got == solve_in_lattice([4, 2], [[2, 0], [0, 2]])
+    assert all(type(x) is int for x in got.coords)
+    assert hermite_normal_form([[Fraction(3), 6]]) == [[3, 6]]
+    assert smith_normal_form([[Fraction(2), 0], [0, Fraction(3)]]) == [1, 6]

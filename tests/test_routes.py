@@ -19,7 +19,11 @@ one acceptance pass: each has a one-term lowest q-slice, the only kind
 ``divide_exact`` takes.  The Appell-Lerch sums, written term by term from
 their closed double sums, are compared with their geometric-series
 products.  The inverse problem on a twining's (a, f) pair is compared with
-the decomposition of the whole (q, y) twining, in values and types.
+the decomposition of the whole (q, y) twining, in values and types, and
+the genus's multiplicities from H's closed form with the decomposition of
+the genus.  The h triple sum, whose loops stop where the full exponent is
+monotone, is compared term by term and in order with its loops bounded
+without the cross term.
 """
 
 from fractions import Fraction
@@ -41,9 +45,10 @@ from k3moonshine.modforms import (
     eta_power, jacobi_theta, weak_jacobi_columns, weak_jacobi_phi,
 )
 from k3moonshine.n4char import (
-    atypical_ns, ch_vn_closed, ch_vn_h_form, decompose_into_n4, g_series,
-    g_sum, n4_character, polar_part, ramond_basis_character,
-    twining_to_symtraces, twining_truncation,
+    _genus_multiplicities, _h_triple_sum, atypical_ns, ch_vn_closed,
+    ch_vn_h_form, decompose_into_n4, g_series, g_sum, n4_character,
+    polar_part, ramond_basis_character, twining_to_symtraces,
+    twining_truncation,
 )
 from k3moonshine.qpoly import Poly, RationalFunction
 from k3moonshine.series import (
@@ -53,7 +58,9 @@ from k3moonshine.series import (
 from route_oracle import (
     chi_symt_per_pair, decompose_two_divisions, equivariant_genus_by_division,
     eta_power_by_inversion, fixed_point_term, fixed_point_term_by_division,
-    g_sum_by_products, jacobi_split_by_division, moonshine_report_by_series,
+    g_sum_by_products, genus_multiplicities_by_decomposition,
+    h_triple_sum_pruned_without_cross_term, jacobi_split_by_division,
+    moonshine_report_by_series,
     pole_coefficient_in_fractions, polar_part_by_products, table1_sum,
     twining_genus_by_products, twining_to_symtraces_by_decomposition,
     weak_jacobi_columns_by_e2, weak_jacobi_phi_by_products,
@@ -402,12 +409,12 @@ def test_twining_genus_matches_the_full_sum(label):
 
 
 def test_criterion_10_builds_no_zero_weighted_phi0(monkeypatch):
-    # criterion 10 builds no index-1 form past the genus it decomposes
-    # once per size; its classes' twining genera build phi_{0,1} only
-    # where e(g) != 0
+    # from cold caches criterion 10 builds no index-1 form (the genus's
+    # multiplicities are H's closed form); its classes' twining genera
+    # build phi_{0,1} only where e(g) != 0
     from k3moonshine import acceptance, modforms, n4char
-    for ncols in (6, 20):
-        n4char._genus_multiplicities(ncols)
+    n4char._genus_multiplicities.cache_clear()
+    n4char.mathieu_h.cache_clear()
     built = []
 
     def recording(weight, trunc24):
@@ -424,6 +431,26 @@ def test_criterion_10_builds_no_zero_weighted_phi0(monkeypatch):
         twining_genus(label, t)
         assert (-2, t) in built
         assert ((0, t) in built) == bool(euler_character_value(label))
+
+
+# -- H's closed form against the genus decomposition; the h triple sum -------
+
+@pytest.mark.parametrize("ncols", range(1, 41))
+def test_genus_multiplicities_match_the_decomposition(ncols):
+    got = _genus_multiplicities.__wrapped__(ncols)
+    want = genus_multiplicities_by_decomposition(ncols)
+    assert got == want
+    assert [type(c) for c in got] == [type(c) for c in want]
+
+
+@pytest.mark.parametrize("trunc24", (1, 24, 121, 265, 457, 961))
+def test_h_triple_sum_matches_the_loops_bounded_without_cross_term(trunc24):
+    # the same terms in the same order, so every product iterates them alike
+    for N in range(41):
+        got = _h_triple_sum(N - 1, trunc24)
+        want = h_triple_sum_pruned_without_cross_term(N - 1, trunc24)
+        assert got.trunc24 == want.trunc24
+        assert list(got.terms.items()) == list(want.terms.items()), N
 
 
 # -- the inverse problem on the (a, f) pair against the whole twining ----------
@@ -450,11 +477,12 @@ def test_twining_solve_matches_the_decomposition_on_the_split(label, tmax):
 
 
 def test_the_inverse_problem_flows_and_decomposes_no_twining(monkeypatch):
-    # past the genus's one decomposition per size, the solve, the CLI
-    # audit and criterion 10 build nothing in (q, y) and never flow
-    from k3moonshine import acceptance, cli, mckay, n4char
-    for ncols in (6, 20):
-        n4char._genus_multiplicities(ncols)
+    # from cold caches the solve, the CLI audit and criterion 10 build
+    # nothing in (q, y), never flow and decompose no genus: H's closed
+    # form gives the genus's multiplicities
+    from k3moonshine import acceptance, cli, genus, mckay, n4char
+    n4char._genus_multiplicities.cache_clear()
+    n4char.mathieu_h.cache_clear()
 
     def refuse(*_args):
         raise AssertionError("the (a, f) route took the (q, y) route")
@@ -464,6 +492,8 @@ def test_the_inverse_problem_flows_and_decomposes_no_twining(monkeypatch):
     for module in (n4char, acceptance):
         monkeypatch.setattr(module, "decompose_into_n4", refuse)
         monkeypatch.setattr(module, "twining_truncation", refuse)
+    for module in (genus, acceptance):
+        monkeypatch.setattr(module, "elliptic_genus", refuse)
     monkeypatch.setattr(mckay, "twining_genus", refuse)
     assert acceptance.check_10_audit()[0]
     assert cli.main(["audit-integrality"]) == 0
@@ -560,7 +590,7 @@ CACHED_BUILDERS = (
     "modforms.weak_jacobi_columns", "modforms.weak_jacobi_phi",
     "genus._wp_series", "genus.equivariant_elliptic_genus", "n4char.g_sum",
     "n4char.h_series", "n4char._theta3_over_eta3",
-    "n4char._typical_prefactor",
+    "n4char._typical_prefactor", "n4char.mathieu_h",
 )
 UNCACHED_BUILDERS = {
     "n4char.polar_part": polar_part,

@@ -53,6 +53,31 @@ def test_geometric_inverse():
         inv.coeff(4)
 
 
+@pytest.mark.parametrize("trunc24", (-5, 0, 1, 23, 24, 97))
+def test_grid_read_raises_where_coeff_does(trunc24):
+    # at(q24, y2) is coeff(q24/24, y2/2) on the grid, and both refuse
+    # exactly the keys at or past trunc24; an int exponent is q^k
+    s = T({(q24, y2): 7 * q24 + y2 + 1000
+           for q24 in range(-8, 100) for y2 in (-2, 0, 1)}, trunc24)
+    for q24 in range(-10, 110):
+        for y2 in (-2, 0, 1):
+            q, y = Fraction(q24, 24), Fraction(y2, 2)
+            if q24 < trunc24:
+                assert s.at(q24, y2) == s.coeff(q, y) == s.terms.get(
+                    (q24, y2), 0)
+                continue
+            with pytest.raises(InsufficientPrecisionError):
+                s.at(q24, y2)
+            with pytest.raises(InsufficientPrecisionError):
+                s.coeff(q, y)
+    for k in range(-1, 5):
+        if 24 * k < trunc24:
+            assert s.coeff(k) == s.at(24 * k)
+        else:
+            with pytest.raises(InsufficientPrecisionError):
+                s.coeff(k)
+
+
 def test_invert_roundtrip_with_shift():
     s = T.monomial(Fraction(2), q24=-12) + q(1, 3)
     inv = s.truncate(4 * 24).invert()
