@@ -23,10 +23,10 @@ from .genus import (
     rational_form, weighted_equivariant_genus,
 )
 from .n4char import (
-    _genus_multiplicities, ch_v_product, ch_vn_closed, ch_vn_extract,
-    ch_vn_h_form, decompose_into_n4, decomposition_truncation, g_series,
-    genus_A_coefficients, h_series, polar_part, symmetric_power_crosscheck,
-    twining_to_symtraces, twining_truncation,
+    _atypical_coefficient, _genus_multiplicities, _typical_row, ch_v_product,
+    ch_vn_closed, ch_vn_extract, g_series, genus_A_coefficients, h_series,
+    polar_part, symmetric_power_crosscheck, twining_to_symtraces,
+    twining_truncation,
 )
 
 # -- frozen published values ----------------------------------------------------
@@ -184,14 +184,15 @@ def check_5_appell_lerch(**_) -> tuple:
 
 
 def check_6_table3(**_) -> tuple:
-    t = decomposition_truncation(12)
+    # Table 3 read from h_N in closed form (the combination of ch_{V_N});
+    # criterion 5 checks h_N against the term-by-term g_sum
     for n in range(11):
-        dec = decompose_into_n4(ch_vn_h_form(n, t), "NS")
-        if dec.atypical != TABLE3_ATYPICAL[n]:
-            return False, f"row {n}: atypical {dec.atypical}"
-        row = [int(x) for x in dec.table_row(range(12))]
-        if tuple(row) != TABLE3_ROWS[n]:
-            return False, f"row {n}: {row}"
+        atypical = _atypical_coefficient(n)
+        if atypical != TABLE3_ATYPICAL[n]:
+            return False, f"row {n}: atypical {atypical}"
+        row = _typical_row(n, 12)
+        if row != TABLE3_ROWS[n]:
+            return False, f"row {n}: {list(row)}"
     return True, "all 11 rows and 12 columns"
 
 

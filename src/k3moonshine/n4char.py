@@ -15,7 +15,11 @@ as sum_j (-x)^j for e > 0 and sum_j (-1)^j x^(-1-j) for e < 0, so
 polar part is the closed double sum
     P = sum over odd a >= 1 and k >= 0 of (-1)^k (y^m + y^(-m)) q^(a(a+2+4k)/8),
     m = (a+1)/2 + k.
-Neither forms a series product.
+Neither forms a series product.  For N != 1 the m-sum of g_N telescopes
+to (N - 1)/(1 - q^(N-1)), so h_N is that geometric series over eta^3
+(``h_series``); only h_1, the mock part, is a triple sum.  Table 3's rows
+(``_typical_row``) are read off h_N's combination, and the term-by-term
+g_sum checks the closed form (g_N = theta3 h_N, criterion 5).
 
 The inverse problem has one route, in N=4 multiplicity space: a twining
 a phi_{0,1} + f phi_{-2,1} has multiplicities linear in (a, f), phi_{0,1}'s
@@ -69,8 +73,9 @@ __all__ = [
 # Every series builder below is exact below the trunc24 it is asked for and
 # states it: a product is known below min(t_a + lead_b, t_b + lead_a), so
 # each factor is built below trunc24 minus the other's lead order (q24).
-# theta3, theta3^2, g_sum, the h triple sum and the polar part lead at q^0
-# or later; eta^-3, theta3/eta^3 and each h_N at -_ETA3_LEAD.
+# theta3, theta3^2, g_sum, h_N eta^3 (a geometric series or the triple
+# sum) and the polar part lead at q^0 or later; eta^-3, theta3/eta^3 and
+# each h_N at -_ETA3_LEAD.
 _ETA3_LEAD = 3                  # eta^3 = q^(1/8) + ...
 _THETA2_SQUARED_LEAD = 6        # theta2^2 = (y + 2 + 1/y) q^(1/4) + ...
 
@@ -162,14 +167,37 @@ def g_series(N: int, trunc24: int) -> TruncatedSeries:
 
 @lru_cache(maxsize=None)
 def h_series(N: int, trunc24: int) -> TruncatedSeries:
-    """The Fourier coefficient h_N(q), a pure q-series.
-
-    Triple sum over m, r, s in Z + 1/2 with r, s > 0 of
-    (-1)^(r+s+1) q^(r|m| + s|M-m| + (sgn(m) r + sgn(m-M) s)^2/2 - M/2)
-    with M = N - 1, divided by eta^3.  Memoized per process on the exact
+    """The Fourier coefficient h_N(q) of g_N = theta3 h_N (plus the polar
+    part at N = 1), a pure q-series.  Memoized per process on the exact
     arguments (the series is read-only).
+
+    For N != 1 it is h_N = (N - 1) / ((1 - q^(N-1)) eta^3).  Write
+    a = y q^(m-1/2) and b = y^(-1) q^(N-m-1/2), so ab = q^(N-1) and
+        1/((1+a)(1+b)) = (1/(1+a) + 1/(1+b) - 1) / (1 - q^(N-1)).
+    With 1/(1+a) - 1 = -1/(1+1/a), the m-sum of the numerator is
+    sum_m [F(N-m) - F(1-m)], F(k) = 1/(1 + y^(-1) q^(k-1/2)), which
+    telescopes to N - 1 (Zwegers, arXiv:0807.4834; Eguchi-Hikami,
+    arXiv:1008.4924).  So g_sum(N) = (N - 1)/(1 - q^(N-1)) is y-free and
+    g_N = theta3 h_N; criterion 5 checks that against the term-by-term
+    g_sum.  Expanded, (N - 1)/(1 - q^(N-1)) is (N-1) sum_(j>=0) q^((N-1)j)
+    for N >= 2 and (1-N) sum_(j>=1) q^((1-N)j) for N <= 0.
+
+    h_1, the mock part, has no such form: it is the triple sum over
+    m, r, s in Z + 1/2 with r, s > 0 of
+    (-1)^(r+s+1) q^(r|m| + s|M-m| + (sgn(m) r + sgn(m-M) s)^2/2 - M/2)
+    at M = N - 1 = 0, divided by eta^3 (``_h_triple_sum``, which gives
+    every h_N and is the closed form's test oracle).
     """
-    return _h_triple_sum(N - 1, trunc24 + _ETA3_LEAD) * eta_power(-3, trunc24)
+    t = trunc24 + _ETA3_LEAD
+    M = N - 1
+    if M:
+        step = 24 * abs(M)
+        body = TruncatedSeries(
+            {(q24, 0): abs(M) for q24 in range(step if M < 0 else 0, t, step)},
+            t, _clean=True)
+    else:
+        body = _h_triple_sum(0, t)
+    return body * eta_power(-3, trunc24)
 
 
 def _h_triple_sum(M: int, trunc24: int) -> TruncatedSeries:
@@ -443,7 +471,8 @@ def twining_truncation(tmax: int) -> int:
 @lru_cache(maxsize=None)
 def _typical_row(N: int, ncols: int) -> tuple:
     """Row N of Table 3, ch_{V_N}'s typical multiplicities at h = 1/4 + k,
-    k < ncols (the last at q24 = 24 ncols - 27), memoized per process."""
+    k < ncols (the last at q24 = 24 ncols - 27), memoized per process.
+    Criterion 6 and the inverse problem read it; nothing decomposes."""
     combo = _v_combo(h_series, N, 24 * ncols - 26)
     return tuple(combo.at(24 * k - 3) for k in range(ncols))
 

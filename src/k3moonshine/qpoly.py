@@ -231,15 +231,28 @@ def cyclotomic_product(exps) -> Poly:
 def _primitive(coeffs) -> tuple[Fraction, list[int]]:
     """Split rational coefficients as content * a primitive integer list
     with positive leading coefficient; zero gives (0, [])."""
-    coeffs = [Fraction(c) for c in coeffs]
+    coeffs = list(coeffs)
     while coeffs and not coeffs[-1]:
         coeffs.pop()
     if not coeffs:
         return _ZERO, []
-    scale = lcm(*(c.denominator for c in coeffs))
-    ints = [c.numerator * (scale // c.denominator) for c in coeffs]
+    if all(type(c) is int for c in coeffs):
+        scale, ints = 1, coeffs
+    else:
+        coeffs = [Fraction(c) for c in coeffs]
+        scale = lcm(*(c.denominator for c in coeffs))
+        ints = [c.numerator * (scale // c.denominator) for c in coeffs]
     g = gcd(*ints) if ints[-1] > 0 else -gcd(*ints)
     return Fraction(g, scale), [x // g for x in ints]
+
+
+def _phi_divides(coeffs, d: int) -> bool:
+    """Whether Phi_d divides the integer polynomial ``coeffs``.  Phi_d
+    divides t^d - 1, so it divides ``coeffs`` exactly when it divides the
+    remainder mod t^d - 1, the fold of the exponents modulo d, which has
+    degree below d however long ``coeffs`` is."""
+    fold = [sum(coeffs[r::d]) for r in range(d)]
+    return _int_divexact(fold, _cyclotomic_coeffs(d)) is not None
 
 
 def _canonical(content, coeffs, exps) -> tuple:
@@ -249,6 +262,7 @@ def _canonical(content, coeffs, exps) -> tuple:
     content, the primitive integer numerator with positive leading
     coefficient, and the sorted (d, e) pairs left after exact trial
     division by each Phi_d; distinct Phi_d are coprime, so no gcd is needed.
+    Each division runs only where ``_phi_divides`` finds that it is exact.
     """
     scale, coeffs = _primitive(coeffs)
     if not scale or not content:
@@ -256,9 +270,8 @@ def _canonical(content, coeffs, exps) -> tuple:
     kept = []
     for d in sorted(exps):
         e = exps[d]
-        phi = _cyclotomic_coeffs(d)
-        while e and (q := _int_divexact(coeffs, phi)) is not None:
-            coeffs, e = q, e - 1
+        while e and _phi_divides(coeffs, d):
+            coeffs, e = _int_divexact(coeffs, _cyclotomic_coeffs(d)), e - 1
         if e:
             kept.append((d, e))
     return content * scale, tuple(coeffs), tuple(kept)
@@ -393,20 +406,19 @@ class RationalFunction:
 def linear_combinations(forms, rows) -> list[RationalFunction]:
     """[sum_i row[i] * forms[i] for row in rows], over one denominator.
 
-    The forms are lifted once to the exponent-wise maximum of their maps
-    (int x int products with the missing Phi_d powers); each row then
-    costs one integer weighted sum and one trial-division reduction.
+    The forms are lifted once to the exponent-wise maximum of their maps:
+    each numerator times the common denominator over its own, one exact
+    division.  Each row then costs one integer weighted sum and one
+    trial-division reduction.
     """
     forms = list(forms)
     common: dict = {}
     for f in forms:
         for d, e in f._e:
             common[d] = max(common.get(d, 0), e)
-    lifted = []
-    for f in forms:
-        own = dict(f._e)
-        lifted.append(_int_mul(f._n, _product_coeffs(
-            (d, e - own.get(d, 0)) for d, e in common.items())))
+    den = _product_coeffs(common.items())
+    lifted = [_int_mul(f._n, _int_divexact(den, _product_coeffs(f._e)))
+              for f in forms]
     width = max(map(len, lifted), default=0)
     out = []
     for row in rows:

@@ -392,9 +392,11 @@ def _canonical(v):
 
 
 def _to_units(x, scale: int, name: str) -> int:
+    """The exact rational exponent x in units of 1/scale; TypeError on a
+    float or any other inexact value, as the constructor raises."""
     if isinstance(x, int):
         return x * scale
-    f = Fraction(x) * scale
+    f = Fraction(canonical_rational(x)) * scale
     if f.denominator != 1:
         raise ValueError(f"{name}-exponent {x} not in (1/{scale})Z")
     return f.numerator

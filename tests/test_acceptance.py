@@ -195,13 +195,84 @@ def test_criterion_7_genus_decomposition():
     _check(acc.check_7_genus_decomposition)
 
 
-def test_criterion_6_builds_at_the_derived_truncation(monkeypatch):
-    # Table 3's twelve columns need ch_{V_N} below q24 = 259, no less
+def test_table3_round_trip_at_the_derived_truncation():
+    # ch_{V_N} assembled from h_N decomposes back to Table 3; the twelve
+    # columns need it below q24 = 259, no less
+    from k3moonshine.n4char import (
+        ch_vn_h_form, decompose_into_n4, decomposition_truncation,
+    )
     from k3moonshine.series import InsufficientPrecisionError
-    assert acc.decomposition_truncation(12) == 259
-    monkeypatch.setattr(acc, "decomposition_truncation", lambda ncols: 258)
-    with pytest.raises(InsufficientPrecisionError):
-        acc.check_6_table3()
+    t = decomposition_truncation(12)
+    assert t == 259
+    for n in range(11):
+        dec = decompose_into_n4(ch_vn_h_form(n, t), "NS")
+        assert dec.atypical == acc.TABLE3_ATYPICAL[n], n
+        assert tuple(dec.table_row(range(12))) == acc.TABLE3_ROWS[n], n
+        short = decompose_into_n4(ch_vn_h_form(n, t - 1), "NS")
+        with pytest.raises(InsufficientPrecisionError):
+            short.table_row(range(12))
+
+
+def test_table3_from_the_g_route():
+    # the closed Appell-Lerch form, built from the term-by-term g_sum,
+    # decomposes to Table 3 at the same truncation
+    from k3moonshine.n4char import (
+        ch_vn_closed, decompose_into_n4, decomposition_truncation,
+    )
+    t = decomposition_truncation(12)
+    for n in range(11):
+        dec = decompose_into_n4(ch_vn_closed(n, t), "NS")
+        assert dec.atypical == acc.TABLE3_ATYPICAL[n], n
+        assert tuple(dec.table_row(range(12))) == acc.TABLE3_ROWS[n], n
+
+
+def test_criterion_6_catches_a_wrong_row_or_atypical_value(monkeypatch):
+    from k3moonshine import n4char
+    row = n4char._typical_row
+    with monkeypatch.context() as m:
+        m.setattr(acc, "_typical_row", lambda n, ncols: tuple(
+            x + (n == 4 and k == 7) for k, x in enumerate(row(n, ncols))))
+        assert acc.check_6_table3() == (
+            False, "row 4: [0, 0, 0, 3, 1, 3, 9, 16, 22, 45, 67, 112]")
+    monkeypatch.setattr(acc, "_atypical_coefficient",
+                        lambda n: {0: -2, 1: 2}.get(n, 0))
+    assert acc.check_6_table3() == (False, "row 1: atypical 2")
+
+
+def test_criterion_5_catches_a_wrong_closed_form_h(monkeypatch):
+    # g_sum is summed term by term, so g_N = theta3 h_N checks h_N's
+    # closed form
+    from k3moonshine.series import TruncatedSeries
+    h = acc.h_series
+    monkeypatch.setattr(acc, "h_series", lambda n, t: h(n, t) + (
+        TruncatedSeries.monomial(1, 45, 0, t) if n == 3 else 0))
+    assert acc.check_5_appell_lerch() == (False, "g_3 != theta3 h_3")
+
+
+def test_criterion_6_reads_rows_without_a_round_trip(monkeypatch):
+    # no decomposition, and no triple sum but h_1's; the per-process caches
+    # are bypassed so that every row and every h_N is built here
+    from k3moonshine import n4char
+    triple = n4char._h_triple_sum
+    sums = []
+
+    def no_decomposition(*args, **kwargs):
+        raise AssertionError("criterion 6 decomposed a character")
+
+    monkeypatch.setattr(n4char, "decompose_into_n4", no_decomposition)
+    monkeypatch.setattr(acc, "decompose_into_n4", no_decomposition,
+                        raising=False)
+    monkeypatch.setattr(n4char, "_h_triple_sum",
+                        lambda M, t: sums.append(M) or triple(M, t))
+    monkeypatch.setattr(n4char, "h_series", n4char.h_series.__wrapped__)
+    monkeypatch.setattr(acc, "_typical_row", n4char._typical_row.__wrapped__)
+    assert acc.check_6_table3() == (True, "all 11 rows and 12 columns")
+    assert set(sums) == {0}
+    sums.clear()
+    for n in range(-8, 46):
+        if n != 1:
+            n4char.h_series(n, 262)
+    assert sums == []
 
 
 def test_criterion_4_catches_a_wrong_trace_coefficient(monkeypatch):

@@ -394,6 +394,31 @@ def test_typical_row_is_read_below_its_truncation(ncols, monkeypatch):
     assert set(built) == {24 * ncols - 26}
 
 
+def test_table3_pivots_and_diagonals_follow_from_the_closed_form():
+    # below column 2N - 2, h_N's combination for row N >= 2 is
+    # (N-1) q^(N-1) - 2N q^N + 2(N+2) q^(N+2) - (N+3) q^(N+3) over eta^3,
+    # so row N leads at column N - 1 with N - 1, and on diagonal j
+    # (column N - 1 + j) its entry is a_j N + b_j for every N >= j + 2,
+    # with e_m the coefficients of prod (1 - q^n)^-3
+    from k3moonshine.n4char import _typical_row
+    ncols = 40
+    eta = eta_power(-3, 24 * ncols)
+    e = [eta.at(24 * m - 3) for m in range(ncols)]
+
+    def E(m):
+        return e[m] if m >= 0 else 0
+
+    a = [E(j) - 2 * E(j - 1) + 2 * E(j - 3) - E(j - 4) for j in range(ncols)]
+    b = [-E(j) + 4 * E(j - 3) - 3 * E(j - 4) for j in range(ncols)]
+    assert a[:8] == [1, 1, 3, 6, 12, 21, 40, 67]
+    assert b[:8] == [-1, -3, -9, -18, -42, -81, -160, -291]
+    for N in range(2, ncols + 1):
+        row = _typical_row(N, ncols)
+        assert not any(row[:N - 1]) and row[N - 1] == N - 1, N
+        for j in range(min(N - 1, ncols - N + 1)):
+            assert row[N - 1 + j] == a[j] * N + b[j], (N, j)
+
+
 def test_decompose_needs_the_first_massless_term():
     # the atypical coefficient is read at q24 = 9; an input that ends there
     # must not decompose with atypical 0

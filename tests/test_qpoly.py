@@ -1,11 +1,14 @@
 from fractions import Fraction
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gcd_oracle import GcdRationalFunction, poly_gcd
 from k3moonshine.qpoly import (
-    Poly, RationalFunction, _horner, cyclotomic_poly, cyclotomic_product,
+    Poly, RationalFunction, _cyclotomic_coeffs, _horner, _int_divexact,
+    _int_mul, _phi_divides, cyclotomic_poly, cyclotomic_product,
     reconstruct_rational,
 )
 
@@ -82,6 +85,23 @@ def test_pole_coefficient():
 def test_non_cyclotomic_denominator_is_rejected(den):
     with pytest.raises(ValueError):
         RationalFunction(Poly([1]), den)
+
+
+@pytest.mark.parametrize("d", range(1, 61))
+def test_phi_fold_test_matches_trial_division(d):
+    # Phi_d divides a polynomial exactly when it divides its fold modulo
+    # t^d - 1: multiples of Phi_d (and of its square), the same plus one
+    # stray term, and random polynomials longer and shorter than d
+    rng = random.Random(d)
+    phi = _cyclotomic_coeffs(d)
+    for _ in range(12):
+        base = [rng.randint(-4, 4) for _ in range(rng.randint(1, 2 * d + 3))]
+        multiple = _int_mul(base, phi)
+        stray = list(multiple)
+        stray[rng.randrange(len(stray))] += rng.choice((-1, 1))
+        for coeffs in (base, multiple, _int_mul(multiple, phi), stray):
+            want = _int_divexact(coeffs, phi) is not None
+            assert _phi_divides(coeffs, d) == want, coeffs
 
 
 def test_zero_is_reduced_to_denominator_one():

@@ -78,6 +78,15 @@ def test_grid_read_raises_where_coeff_does(trunc24):
                 s.coeff(k)
 
 
+def test_float_exponents_raise_type_error():
+    # refused whatever their binary expansion, as float coefficients are
+    s = jacobi_theta(3, 48)
+    for q, y in ((0.5, 1.0), (0.1, 0), (1.0, 0), (Fraction(1, 2), 1.0)):
+        with pytest.raises(TypeError):
+            s.coeff(q, y)
+    assert s.coeff(Fraction(1, 2), 1) == s.at(12, 2) == 1
+
+
 def test_invert_roundtrip_with_shift():
     s = T.monomial(Fraction(2), q24=-12) + q(1, 3)
     inv = s.truncate(4 * 24).invert()
