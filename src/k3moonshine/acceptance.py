@@ -184,7 +184,8 @@ def check_5_appell_lerch(**_) -> tuple:
 
 
 def check_6_table3(**_) -> tuple:
-    # Table 3 read from h_N in closed form (the combination of ch_{V_N});
+    # Table 3 read from h_N in closed form (the combination of ch_{V_N}),
+    # the atypical column from the weight of that combination on g_1;
     # criterion 5 checks h_N against the term-by-term g_sum
     for n in range(11):
         atypical = _atypical_coefficient(n)

@@ -8,9 +8,11 @@ when it is integral and a ``fractions.Fraction`` otherwise
 integral elements, the usual case, runs on ints.  A product or a Galois
 sum of elements with Fraction coordinates runs on ints too: each operand
 is brought over one common denominator, and each output coordinate is
-divided once by the product of the denominators (``exact_quotient``).  Phi_n, Euler's phi and
-the polynomial arithmetic of ``inverse`` come from ``qpoly``; this module
-keeps no polynomial code of its own.
+divided once by the product of the denominators (``exact_quotient``).
+``inverse`` stays on ints as well: it multiplies the Galois conjugates
+sigma_a(x), a != 1, on integer coordinates and divides once by the norm,
+the rational x * prod sigma_a(x).  Phi_n's integer coefficients and
+Euler's phi come from ``qpoly``; this module keeps no polynomial code.
 
 Every operation works in one field: operands with different conductors
 raise ``DomainError``.  Rationals embed into any field, and ``==`` compares
@@ -25,7 +27,7 @@ from functools import lru_cache
 from math import gcd, lcm
 from numbers import Rational
 
-from .qpoly import Poly, cyclotomic_poly, euler_phi
+from .qpoly import _cyclotomic_coeffs, euler_phi
 
 __all__ = [
     "CyclotomicNumber",
@@ -92,7 +94,7 @@ def _power_reduction(n: int) -> tuple[tuple[int, ...], ...]:
     Phi_n is monic with integer coefficients, so every row is integral.
     """
     phi = euler_phi(n)
-    poly = [x.numerator for x in cyclotomic_poly(n).c]
+    poly = _cyclotomic_coeffs(n)
     rows: list[tuple[int, ...]] = []
     cur = [0] * phi
     cur[0] = 1
@@ -147,7 +149,10 @@ def _zeta_traces(n: int) -> tuple[int, ...]:
 
 
 class CyclotomicNumber:
-    """An element of Q(zeta_n) in the power basis modulo Phi_n."""
+    """An element of Q(zeta_n) in the power basis modulo Phi_n.
+
+    Read-only, like ``TruncatedSeries``: neither attribute can be
+    reassigned, so memoized builders can share one element."""
 
     __slots__ = ("n", "c")
 
@@ -158,8 +163,16 @@ class CyclotomicNumber:
         c = list(coeffs)
         if len(c) != phi:
             raise DomainError(f"expected {phi} coordinates for conductor {n}")
-        self.n = n
-        self.c = tuple(map(canonical_rational, c))
+        _set_n(self, n)
+        _set_c(self, tuple(map(canonical_rational, c)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(
+            f"CyclotomicNumber is read-only: cannot set {name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(
+            f"CyclotomicNumber is read-only: cannot delete {name}")
 
     # -- constructors -----------------------------------------------------
 
@@ -230,41 +243,32 @@ class CyclotomicNumber:
         """
         a, da = _over_common_denominator(self.c)
         b, db = _over_common_denominator(other.c)
-        phi = len(a)
-        rows = _power_reduction(self.n)
-        out = [0] * phi
-        for i, x in enumerate(a):
-            if not x:
-                continue
-            for j, y in enumerate(b):
-                if not y:
-                    continue
-                xy = x * y
-                row = rows[i + j]
-                for k in range(phi):
-                    if row[k]:
-                        out[k] += xy * row[k]
+        out = _int_product(a, b, _power_reduction(self.n))
         d = da * db
         if d != 1:
             out = [exact_quotient(v, d) for v in out]
         return CyclotomicNumber(self.n, out)
 
     def inverse(self) -> "CyclotomicNumber":
-        """Multiplicative inverse by the extended Euclidean algorithm."""
+        """Multiplicative inverse by the norm, on ints.
+
+        With x = X/d over one common denominator, the product P of the
+        conjugates sigma_a(X), a != 1 a unit modulo n, is integral, and
+        so is the norm X * P, a rational integer; 1/x = d P / (X P), one
+        division per coordinate.
+        """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic number")
-        mod = cyclotomic_poly(self.n)
-        # extended gcd of a and Phi_n in Q[x]
-        r0, r1 = mod, Poly(self.c)
-        s0, s1 = Poly(), Poly.const(1)
-        while r1.degree > 0:
-            q, r = r0.divmod(r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, s0 - q * s1
-        if r1.degree != 0:
-            raise ZeroDivisionError("element not invertible modulo Phi_n")
-        inv = (s1 * (1 / r1[0])) % mod
-        return CyclotomicNumber(self.n, [inv[k] for k in range(len(self.c))])
+        n = self.n
+        x, d = _over_common_denominator(self.c)
+        phi = len(x)
+        rows = _power_reduction(n)
+        p = [1] + [0] * (phi - 1)
+        for a in range(2, n):
+            if gcd(a, n) == 1:
+                p = _int_product(p, _combine(_galois_rows(n, a), x, phi), rows)
+        norm = _int_product(x, p, rows)[0]
+        return CyclotomicNumber(n, [exact_quotient(d * v, norm) for v in p])
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -330,6 +334,10 @@ class CyclotomicNumber:
         return "Cyclo(" + " + ".join(parts) + ")"
 
 
+# the slot setters, which the read-only __setattr__ leaves to __init__
+_set_n, _set_c = CyclotomicNumber.n.__set__, CyclotomicNumber.c.__set__
+
+
 def _over_common_denominator(coords) -> tuple[list, int]:
     """(numerators, d): the coordinates as ints over their least common
     denominator d (the coordinates themselves when all are ints)."""
@@ -341,6 +349,22 @@ def _over_common_denominator(coords) -> tuple[list, int]:
         return coords, 1
     return [x * d if type(x) is int else x.numerator * (d // x.denominator)
             for x in coords], d
+
+
+def _int_product(a, b, rows) -> list:
+    """The coordinates of a * b for integer coordinate lists a and b, with
+    ``rows`` the conductor's ``_power_reduction``: the phi^2 products of
+    the polynomial product first, then each power zeta^k, k >= phi, of it
+    reduced once by its row."""
+    phi = len(a)
+    full = [0] * (2 * phi - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    full[i + j] += x * y
+    high = _combine(rows[phi:], full[phi:], phi)
+    return [u + v for u, v in zip(full, high)]
 
 
 def _combine(rows, weights, phi: int) -> list:

@@ -13,10 +13,12 @@ divided.  ``jacobi_split`` and ``verify_moonshine_class`` compare
 columns.  The Chern-root product of the elliptic genus is kept as
 ``chern_root_elliptic_genus``, the cross-check of acceptance criterion 3,
 which so tests the elliptic law instead of assuming it.  It multiplies
-out its factors on plain dicts graded by q, y and the Chern-root power
-(``expand_product``, shared with the free-field character
-``n4char.ch_v_product``), so it runs through none of the series kernels
-it checks.
+out its factors on plain dicts keyed by the powers of q and y, each key
+carrying the zeroth, first and second moments of the Chern-root powers
+in its terms, which is all the integration over K3 reads; so it runs
+through none of the series kernels it checks.  ``expand_product`` keeps
+the fermion number as a third grading for the free-field character
+``n4char.ch_v_product``, whose z-slices criterion 5 reads.
 
 All series follow the moonshine sign convention in which the elliptic
 genus has q^0 part 2/y + 20 + 2y and equals twice the weight-0 index-1
@@ -30,7 +32,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .chartab import format_rational
-from .cyclotomic import CyclotomicNumber, DomainError, euler_phi, zeta
+from .cyclotomic import (
+    CyclotomicNumber, DomainError, _over_common_denominator, euler_phi, zeta,
+)
 from .qpoly import RationalFunction, cyclotomic_product, reconstruct_rational
 from .records import Record
 from .series import NotInSpanError, TruncatedSeries, exact_quotient
@@ -106,18 +110,30 @@ def chi_symt_series(label: str, terms: int) -> list[Fraction]:
     if n == 1:
         return [chi_sym_power(k) for k in range(terms)]
     # the pair of zeta_n^a contributes sigma_a of the zeta_n term, so each
-    # coefficient is one Table-1 Galois sum of that term
+    # coefficient is one Table-1 Galois sum of that term; the inverse
+    # denominator is taken over its common denominator d, so the products
+    # and sums run on ints and each coefficient is divided once by d
     pairs = FIXED_POINT_EIGENVALUES[n]
-    dinv = ((1 - zeta(n, 1)) * (1 - zeta(n, n - 1))).inverse()
+    num, d = _over_common_denominator(_inverse_denominator(n).c)
+    dnum = CyclotomicNumber(n, num)
     out = []
     for k in range(terms):
         # sum_i zeta_n^(2i - k), as counts of n-th roots
         counts = [0] * n
         for i in range(k + 1):
             counts[(2 * i - k) % n] += 1
-        term = dinv * CyclotomicNumber.from_root_counts(n, counts)
-        out.append(term.galois_sum(pairs).rational_value())
+        term = dnum * CyclotomicNumber.from_root_counts(n, counts)
+        out.append(exact_quotient(term.galois_sum(pairs).rational_value(), d))
     return out
+
+
+@lru_cache(maxsize=None)
+def _inverse_denominator(n: int) -> CyclotomicNumber:
+    """1/((1 - zeta_n)(1 - zeta_n^-1)), the inverse denominator of a
+    fixed point with eigenvalues (zeta_n, zeta_n^-1), which both
+    ``chi_symt_series`` and ``_wp_series`` read.  Memoized per process on
+    the conductor (the number is read-only)."""
+    return ((1 - zeta(n, 1)) * (1 - zeta(n, -1))).inverse()
 
 
 # Exponent maps {d: e} of the cyclotomic denominators prod Phi_d^e.
@@ -164,7 +180,7 @@ def expand_product(lead: tuple, fermions: list, bosons: list,
     fermion factors (c, a, b, f) and prod (1 - z^f q^a)^-2 over the boson
     factors (a, f), multiplied out below q^(trunc24/24) on a plain dict
     keyed (q24, y2, z): a in 24ths of q, b in halves of y, and z the third
-    grading (the fermion number, or the Chern-root power).  Every a is
+    grading (the fermion number of ``n4char.ch_v_product``).  Every a is
     >= 0 and every boson's a > 0, so the terms below the truncation are
     exact after each factor.
     """
@@ -190,22 +206,43 @@ def chern_root_elliptic_genus(trunc24: int) -> TruncatedSeries:
     """Cross-check oracle: the elliptic genus from its Chern-root product.
 
     Multiplies out y^-1 (1 - y x)(1 - y/x) times, for n >= 1, the factors
-    (1 - y^+-1 x^+-1 q^n) over all four sign pairs and (1 - x^+-1 q^n)^-2,
-    with the Chern roots (x, 1/x) kept as a third grading z by
-    ``expand_product``, then integrates over K3: z^m -> chi = 2 - 12 m^2.
+    (1 - y^+-1 x^+-1 q^n) over all four sign pairs and (1 - x^+-1 q^n)^-2
+    in the Chern roots (x, 1/x), then integrates over K3:
+    x^m -> chi = 2 - 12 m^2.  So each (q24, y2) key carries only the
+    moments (M0, M1, M2) = sum over its terms c x^m of c (1, m, m^2); a
+    term c x^s of a factor maps them to
+    c (M0, M1 + s M0, M2 + 2 s M1 + s^2 M0), and the genus is 2 M0 - 12 M2.
     Acceptance criterion 3, which compares it with ``elliptic_genus``, is
     its one caller outside the tests.
     """
     orders = range(24, trunc24, 24)
-    fermions = [(-1, 0, 2, 1), (-1, 0, 2, -1)]
-    fermions += [(-1, a, y2, m) for a in orders for y2 in (2, -2)
-                 for m in (1, -1)]
-    bosons = [(a, m) for a in orders for m in (1, -1)]
-    out: dict = {}
-    for (q24, y2, m), c in expand_product(
-            (0, -2, 0), fermions, bosons, trunc24).items():
-        out[(q24, y2)] = out.get((q24, y2), 0) + c * (2 - 12 * m * m)
-    return TruncatedSeries(out, trunc24)
+    # ((a, b, s), coefficients of the powers k = 0, 1, ... of q^a y^b x^s)
+    factors = [((0, 2, 1), (1, -1)), ((0, 2, -1), (1, -1))]
+    factors += [((a, y2, s), (1, -1)) for a in orders for y2 in (2, -2)
+                for s in (1, -1)]
+    factors += [((a, 0, s), range(1, trunc24 // a + 2)) for a in orders
+                for s in (1, -1)]
+    moments = {(0, -2): (1, 0, 0)} if trunc24 > 0 else {}
+    for (a, b, s), coeffs in factors:
+        out = dict(moments)         # the power k = 0, coefficient 1
+        for (q24, y2), (m0, m1, m2) in moments.items():
+            for k, c in enumerate(coeffs[1:], 1):
+                if q24 + k * a >= trunc24:
+                    break
+                t = k * s
+                key = (q24 + k * a, y2 + k * b)
+                n0 = c * m0
+                n1 = c * m1 + t * n0
+                n2 = c * m2 + t * (2 * c * m1 + t * n0)
+                if key in out:
+                    o0, o1, o2 = out[key]
+                    out[key] = (o0 + n0, o1 + n1, o2 + n2)
+                else:
+                    out[key] = (n0, n1, n2)
+        moments = {k: v for k, v in out.items() if any(v)}
+    return TruncatedSeries({key: 2 * m0 - 12 * m2
+                            for key, (m0, _m1, m2) in moments.items()},
+                           trunc24)
 
 
 @lru_cache(maxsize=None)
@@ -217,7 +254,7 @@ def _wp_series(n: int, trunc24: int) -> TruncatedSeries:
     with e(u) = lam = zeta_n.  As a function of z it is an index-1 form
     with Euler value 1, so it equals phi_{0,1}/12 + wp(u) phi_{-2,1} with
     wp(u) the Weierstrass function up to a constant and a factor:
-        wp(u) = 1/12 + 1/(lam + lam^-1 - 2)
+        wp(u) = 1/12 - 1/((1 - lam)(1 - lam^-1))
                 + sum_(m>=1) sum_(d | m) d (lam^d - 2 + lam^-d) q^m,
     whose divisor sums come from one sieve.  The eigenvalue pair of
     zeta_n^a contributes the Galois conjugate sigma_a.  Memoized per
@@ -230,7 +267,7 @@ def _wp_series(n: int, trunc24: int) -> TruncatedSeries:
             counts[m][d % n] += d
             counts[m][-d % n] += d
             counts[m][0] -= 2 * d
-    lead = Fraction(1, 12) + (zeta(n, 1) + zeta(n, -1) - 2).inverse()
+    lead = Fraction(1, 12) - _inverse_denominator(n)
     terms = {(0, 0): lead}
     for m in range(1, top + 1):
         terms[(24 * m, 0)] = CyclotomicNumber.from_root_counts(n, counts[m])

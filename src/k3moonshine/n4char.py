@@ -16,10 +16,13 @@ polar part is the closed double sum
     P = sum over odd a >= 1 and k >= 0 of (-1)^k (y^m + y^(-m)) q^(a(a+2+4k)/8),
     m = (a+1)/2 + k.
 Neither forms a series product.  For N != 1 the m-sum of g_N telescopes
-to (N - 1)/(1 - q^(N-1)), so h_N is that geometric series over eta^3
-(``h_series``); only h_1, the mock part, is a triple sum.  Table 3's rows
-(``_typical_row``) are read off h_N's combination, and the term-by-term
-g_sum checks the closed form (g_N = theta3 h_N, criterion 5).
+to (N - 1)/(1 - q^(N-1)), so h_N is that geometric series over eta^3: its
+coefficient at q^(k-1/8) is |N - 1| times a running sum, with stride
+|N - 1|, of eta^-3's coefficients (``_h_column``, which ``h_series``
+wraps); only h_1, the mock part, is a triple sum.  Table 3's rows
+(``_typical_row``) add four such columns on ints, with the weights of
+ch_{V_N}'s combination of g_N (``_V_WEIGHTS``), and the term-by-term g_sum
+checks the closed form (g_N = theta3 h_N, criterion 5).
 
 The inverse problem has one route, in N=4 multiplicity space: a twining
 a phi_{0,1} + f phi_{-2,1} has multiplicities linear in (a, f), phi_{0,1}'s
@@ -39,7 +42,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .cyclotomic import canonical_rational
+from .cyclotomic import _over_common_denominator, canonical_rational
 from .series import (
     InsufficientPrecisionError, NotInSpanError, TruncatedSeries,
     exact_quotient,
@@ -171,7 +174,8 @@ def h_series(N: int, trunc24: int) -> TruncatedSeries:
     part at N = 1), a pure q-series.  Memoized per process on the exact
     arguments (the series is read-only).
 
-    For N != 1 it is h_N = (N - 1) / ((1 - q^(N-1)) eta^3).  Write
+    For N != 1 it is h_N = (N - 1) / ((1 - q^(N-1)) eta^3), read off
+    ``_h_column``.  Write
     a = y q^(m-1/2) and b = y^(-1) q^(N-m-1/2), so ab = q^(N-1) and
         1/((1+a)(1+b)) = (1/(1+a) + 1/(1+b) - 1) / (1 - q^(N-1)).
     With 1/(1+a) - 1 = -1/(1+1/a), the m-sum of the numerator is
@@ -179,8 +183,7 @@ def h_series(N: int, trunc24: int) -> TruncatedSeries:
     telescopes to N - 1 (Zwegers, arXiv:0807.4834; Eguchi-Hikami,
     arXiv:1008.4924).  So g_sum(N) = (N - 1)/(1 - q^(N-1)) is y-free and
     g_N = theta3 h_N; criterion 5 checks that against the term-by-term
-    g_sum.  Expanded, (N - 1)/(1 - q^(N-1)) is (N-1) sum_(j>=0) q^((N-1)j)
-    for N >= 2 and (1-N) sum_(j>=1) q^((1-N)j) for N <= 0.
+    g_sum.
 
     h_1, the mock part, has no such form: it is the triple sum over
     m, r, s in Z + 1/2 with r, s > 0 of
@@ -188,16 +191,45 @@ def h_series(N: int, trunc24: int) -> TruncatedSeries:
     at M = N - 1 = 0, divided by eta^3 (``_h_triple_sum``, which gives
     every h_N and is the closed form's test oracle).
     """
-    t = trunc24 + _ETA3_LEAD
-    M = N - 1
-    if M:
-        step = 24 * abs(M)
-        body = TruncatedSeries(
-            {(q24, 0): abs(M) for q24 in range(step if M < 0 else 0, t, step)},
-            t, _clean=True)
-    else:
-        body = _h_triple_sum(0, t)
-    return body * eta_power(-3, trunc24)
+    if N == 1:
+        return _h_triple_sum(0, trunc24 + _ETA3_LEAD) * eta_power(-3, trunc24)
+    # h_N lies on the keys q24 = 24 k - 3, and those below trunc24 are k < ncols
+    column = _h_column(N, (trunc24 + 26) // 24)
+    terms = {(24 * k - 3, 0): c for k, c in enumerate(column) if c}
+    return TruncatedSeries(terms, trunc24, _clean=True)
+
+
+def _eta3_column(ncols: int) -> list:
+    """e_k, the coefficient of eta^-3 at q^(k - 1/8), for k < ncols."""
+    eta = eta_power(-3, 24 * ncols - 26).terms
+    return [eta.get((24 * k - 3, 0), 0) for k in range(ncols)]
+
+
+@lru_cache(maxsize=None)
+def _h_column(N: int, ncols: int) -> tuple:
+    """h_N at q^(k - 1/8) for k < ncols (the last at q24 = 24 ncols - 27),
+    memoized per process: every reader of h_N's coefficients goes through
+    it (``h_series``, ``_typical_row``).
+
+    For N != 1, h_N = (N - 1)/((1 - q^(N-1)) eta^3) expands to
+    (N - 1) sum_(j>=0) q^((N-1)j) / eta^3 for N >= 2 and
+    (1 - N) sum_(j>=1) q^((1-N)j) / eta^3 for N <= 0, so with M = |N - 1|
+    its coefficient is M s_k, where s_k = sum over those j of e_(k - M j)
+    (``_eta3_column``): the running sum s_k = e_k + s_(k-M) for N >= 2 and
+    s_k = e_(k-M) + s_(k-M) for N <= 0.  h_1, the mock part, is read off
+    its triple sum.
+    """
+    if N == 1:
+        h = h_series(1, 24 * ncols - 26)
+        return tuple(h.at(24 * k - 3) for k in range(ncols))
+    e = _eta3_column(ncols)
+    M = abs(N - 1)
+    lag = M if N < 1 else 0         # for N <= 0 the sum starts at j = 1
+    s: list = []
+    for k in range(ncols):
+        s.append((e[k - lag] if k >= lag else 0)
+                 + (s[k - M] if k >= M else 0))
+    return tuple(M * x for x in s)
 
 
 def _h_triple_sum(M: int, trunc24: int) -> TruncatedSeries:
@@ -290,6 +322,11 @@ def n4_character(h, sector: str, trunc24: int) -> TruncatedSeries:
     return TruncatedSeries.monomial(1, shift) * body
 
 
+# ch_{V_N} = (theta3/eta^3) sum of weight * g_(N + offset) over these
+# (offset, weight) pairs: g_N - 2 g_(N+1) + 2 g_(N+3) - g_(N+4).
+_V_WEIGHTS = ((0, 1), (1, -2), (3, 2), (4, -1))
+
+
 def ch_vn_closed(N: int, trunc24: int) -> TruncatedSeries:
     """ch_{V_N} = (theta3/eta^3)(g_N - 2 g_(N+1) + 2 g_(N+3) - g_(N+4))."""
     pref = _theta3_over_eta3(trunc24 + _ETA3_LEAD)
@@ -297,14 +334,16 @@ def ch_vn_closed(N: int, trunc24: int) -> TruncatedSeries:
 
 
 def _atypical_coefficient(N: int) -> int:
-    return {0: -2, 1: 1}.get(N, 0)
+    """ch_{V_N}'s massless multiplicity: the weight of ``_V_WEIGHTS`` that
+    lands on g_1, the only g_n with a polar part (g_1 = theta3 h_1 + P)."""
+    return sum(w for offset, w in _V_WEIGHTS if N + offset == 1)
 
 
 def _v_combo(part, N: int, trunc24: int) -> TruncatedSeries:
-    """part_N - 2 part_(N+1) + 2 part_(N+3) - part_(N+4), the combination of
+    """The ``_V_WEIGHTS`` combination of part_(N + offset), that of
     ch_{V_N}: on h_series its typical multiplicities, at h on q^(h - 3/8)."""
-    return (part(N, trunc24) - part(N + 1, trunc24) * 2
-            + part(N + 3, trunc24) * 2 - part(N + 4, trunc24))
+    terms = [part(N + offset, trunc24) * w for offset, w in _V_WEIGHTS]
+    return sum(terms[1:], terms[0])
 
 
 @lru_cache(maxsize=None)
@@ -471,10 +510,12 @@ def twining_truncation(tmax: int) -> int:
 @lru_cache(maxsize=None)
 def _typical_row(N: int, ncols: int) -> tuple:
     """Row N of Table 3, ch_{V_N}'s typical multiplicities at h = 1/4 + k,
-    k < ncols (the last at q24 = 24 ncols - 27), memoized per process.
+    k < ncols (the last at q24 = 24 ncols - 27), memoized per process:
+    the ``_V_WEIGHTS`` combination of the h columns, added on ints.
     Criterion 6 and the inverse problem read it; nothing decomposes."""
-    combo = _v_combo(h_series, N, 24 * ncols - 26)
-    return tuple(combo.at(24 * k - 3) for k in range(ncols))
+    scaled = [[w * c for c in _h_column(N + offset, ncols)]
+              for offset, w in _V_WEIGHTS]
+    return tuple(map(sum, zip(*scaled)))
 
 
 @lru_cache(maxsize=None)
@@ -515,7 +556,9 @@ def twining_to_symtraces(a, f: TruncatedSeries, tmax: int,
 
     The N=4 multiplicities are linear in (a, f): phi_{0,1} is half the
     genus, and f phi_{-2,1} = -(f eta^-3) theta1^2/eta^3 adds -[f eta^-3]
-    at q^(k - 1/8) to the typical one at h = 1/4 + k.  Row n of Table 3
+    at q^(k - 1/8), the sum of f_j e_(k-j) over j <= k with f_j at q^j
+    and e_k eta^-3's at q^(k - 1/8), to the typical one at h = 1/4 + k;
+    f must start at q^0 or later, or ValueError.  Row n of Table 3
     leads at column n - 1 (n >= 2), row 1 at column 3, so c_0 comes from
     column 0, c_1 from the massless equation and c_(k+1) from column k.
     ``c1`` pins c_1 and drops the massless equation (the typical columns
@@ -523,9 +566,14 @@ def twining_to_symtraces(a, f: TruncatedSeries, tmax: int,
     must reach 24 max(tmax, 1) - 23, or InsufficientPrecisionError.
     """
     ncols = max(tmax, 1)
+    if f.terms and f.min_q24 < 0:
+        raise ValueError("f must start at q^0 or later")
     atypical, *genus = _genus_multiplicities(ncols)
-    over_eta3 = f * eta_power(-3, min(f.trunc24, 24 * ncols - 23))
-    mults = [exact_quotient(a * m, 2) - over_eta3.at(24 * k - 3)
+    # f_j over one common denominator d, so the sums run on ints
+    fs, d = _over_common_denominator([f.at(24 * j) for j in range(ncols)])
+    e = _eta3_column(ncols)
+    mults = [exact_quotient(a * m, 2)
+             - exact_quotient(sum(fs[j] * e[k - j] for j in range(k + 1)), d)
              for k, m in enumerate(genus)]
     rows = [_typical_row(n, ncols) for n in range(tmax + 1)]
     coeffs: dict[int, Fraction] = {}

@@ -2,8 +2,9 @@
 
 Used for the symmetric-power generating series chi(X, S_t T), the
 per-class rational forms r_g(t) and the multiplicity functions m_chi(t).
-``Poly`` is the package's one polynomial type (Fraction coefficients);
-``CyclotomicNumber.inverse`` runs its extended Euclid on it.
+``Poly`` is the package's one polynomial type (Fraction coefficients).
+The cyclotomic fields read only Phi_n's integer coefficients
+(``_cyclotomic_coeffs``) and Euler's phi from here.
 
 Every r_g(t) is a Molien-type series whose denominator is a product of
 cyclotomic polynomials, and ``RationalFunction`` supports only such

@@ -41,7 +41,16 @@ the long way, as the library once did, and the tests compare the two:
     characters, where the library reads H's closed form;
   * ``h_triple_sum_pruned_without_cross_term``: the triple sum of h_N with
     its loops bounded by the exponent less its cross term only, where the
-    library also stops a loop where the full exponent is monotone.
+    library also stops a loop where the full exponent is monotone;
+  * ``h_series_by_product`` and ``typical_row_by_series``: h_N for N != 1
+    as the geometric series (N - 1)/(1 - q^(N-1)) times eta^-3, one series
+    product, and Table 3's rows read off the series combination
+    h_N - 2 h_(N+1) + 2 h_(N+3) - h_(N+4), where the library adds running
+    sums of eta^-3's coefficients on ints;
+  * ``chern_root_elliptic_genus_z_graded``: the Chern-root product
+    multiplied out with the Chern-root power as a third grading
+    (``genus.expand_product``) and integrated term by term, where the
+    library carries three moments of that power per (q, y) key.
 
 ``fixed_point_term`` is no replaced route but the library's split of one
 fixed-point term, phi_{0,1}/12 + wp(u) phi_{-2,1} over Q(zeta_n), on
@@ -50,12 +59,13 @@ tests compare the single term with the division and product routes.
 """
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from k3moonshine.cyclotomic import CyclotomicNumber, canonical_rational, zeta
 from k3moonshine.genus import (
     CLASS_ORDER, FIXED_POINT_EIGENVALUES, UNIT_SUM_WEIGHTS, MoonshineReport,
-    _fixed_point_sum, chi_sym_power, elliptic_genus, fixed_point_count,
+    _fixed_point_sum, chi_sym_power, elliptic_genus, expand_product,
+    fixed_point_count,
 )
 from k3moonshine.mckay import euler_character_value, f_series
 from k3moonshine.modforms import (
@@ -63,8 +73,8 @@ from k3moonshine.modforms import (
     weak_jacobi_phi,
 )
 from k3moonshine.n4char import (
-    N4Multiplicities, _atypical_coefficient, _typical_row, decompose_into_n4,
-    genus_A_coefficients, polar_part, twining_truncation,
+    N4Multiplicities, _atypical_coefficient, _h_triple_sum, _typical_row,
+    decompose_into_n4, genus_A_coefficients, polar_part, twining_truncation,
 )
 from k3moonshine.qpoly import Poly, _horner, cyclotomic_poly
 from k3moonshine.series import (
@@ -467,3 +477,48 @@ def h_triple_sum_pruned_without_cross_term(M: int, trunc24: int) -> TruncatedSer
             rr += 2
     terms = {(q24, 0): c for q24, c in acc.items()}
     return TruncatedSeries(terms, trunc24, _clean=True)
+
+
+# -- h_N and Table 3 by series products, the Chern-root product z-graded -------
+
+@lru_cache(maxsize=None)
+def h_series_by_product(N: int, trunc24: int) -> TruncatedSeries:
+    """h_N = (N - 1)/((1 - q^(N-1)) eta^3) for N != 1: (N-1) sum_(j>=0)
+    q^((N-1)j) for N >= 2 and (1-N) sum_(j>=1) q^((1-N)j) for N <= 0,
+    times eta^-3; h_1 the triple sum over eta^3.  Memoized on the exact
+    arguments (the series is read-only)."""
+    t = trunc24 + 3
+    M = N - 1
+    if M:
+        step = 24 * abs(M)
+        body = TruncatedSeries(
+            {(q24, 0): abs(M) for q24 in range(step if M < 0 else 0, t, step)},
+            t)
+    else:
+        body = _h_triple_sum(0, t)
+    return body * eta_power(-3, trunc24)
+
+
+def typical_row_by_series(N: int, ncols: int) -> tuple:
+    """Row N of Table 3 off the series h_N - 2 h_(N+1) + 2 h_(N+3) - h_(N+4)
+    at 24 ncols - 26, read at q^(k - 1/8) for k < ncols."""
+    t = 24 * ncols - 26
+    h = partial(h_series_by_product, trunc24=t)
+    combo = h(N) - h(N + 1) * 2 + h(N + 3) * 2 - h(N + 4)
+    return tuple(combo.at(24 * k - 3) for k in range(ncols))
+
+
+def chern_root_elliptic_genus_z_graded(trunc24: int) -> TruncatedSeries:
+    """y^-1 (1 - y x)(1 - y/x) prod_(n>=1) (1 - y^+-1 x^+-1 q^n) over the
+    four sign pairs and (1 - x^+-1 q^n)^-2, multiplied out with the power
+    m of x as a third grading, each x^m then integrated to 2 - 12 m^2."""
+    orders = range(24, trunc24, 24)
+    fermions = [(-1, 0, 2, 1), (-1, 0, 2, -1)]
+    fermions += [(-1, a, y2, m) for a in orders for y2 in (2, -2)
+                 for m in (1, -1)]
+    bosons = [(a, m) for a in orders for m in (1, -1)]
+    out: dict = {}
+    for (q24, y2, m), c in expand_product(
+            (0, -2, 0), fermions, bosons, trunc24).items():
+        out[(q24, y2)] = out.get((q24, y2), 0) + c * (2 - 12 * m * m)
+    return TruncatedSeries(out, trunc24)

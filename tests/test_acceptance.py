@@ -251,8 +251,10 @@ def test_criterion_5_catches_a_wrong_closed_form_h(monkeypatch):
 
 def test_criterion_6_reads_rows_without_a_round_trip(monkeypatch):
     # no decomposition, and no triple sum but h_1's; the per-process caches
-    # are bypassed so that every row and every h_N is built here
+    # are bypassed so that every row, every h column and every h_N is built
+    # here; h_N for N != 1 takes no series product either
     from k3moonshine import n4char
+    from k3moonshine.series import TruncatedSeries
     triple = n4char._h_triple_sum
     sums = []
 
@@ -265,14 +267,41 @@ def test_criterion_6_reads_rows_without_a_round_trip(monkeypatch):
     monkeypatch.setattr(n4char, "_h_triple_sum",
                         lambda M, t: sums.append(M) or triple(M, t))
     monkeypatch.setattr(n4char, "h_series", n4char.h_series.__wrapped__)
+    monkeypatch.setattr(n4char, "_h_column", n4char._h_column.__wrapped__)
     monkeypatch.setattr(acc, "_typical_row", n4char._typical_row.__wrapped__)
     assert acc.check_6_table3() == (True, "all 11 rows and 12 columns")
     assert set(sums) == {0}
     sums.clear()
+    n4char.eta_power(-3, 262)       # the memoized eta^-3 the columns read
+
+    def no_product(*args):
+        raise AssertionError("h_N for N != 1 took a series product")
+
+    monkeypatch.setattr(TruncatedSeries, "__mul__", no_product)
     for n in range(-8, 46):
         if n != 1:
             n4char.h_series(n, 262)
     assert sums == []
+
+
+@pytest.mark.parametrize("index", range(4))
+def test_criterion_6_catches_a_wrong_combination_weight(index, monkeypatch):
+    # ch_{V_N}'s weights build the rows and the atypical column alike (the
+    # atypical coefficient is the weight on g_1), so any wrong weight fails
+    # criterion 6, and one on g_N or g_(N+1) fails its atypical column,
+    # at row 1 or row 0, even against the published rows
+    from k3moonshine import n4char
+    weights = list(n4char._V_WEIGHTS)
+    offset, w = weights[index]
+    weights[index] = (offset, w + 1)
+    monkeypatch.setattr(n4char, "_V_WEIGHTS", tuple(weights))
+    monkeypatch.setattr(acc, "_typical_row", n4char._typical_row.__wrapped__)
+    assert acc.check_6_table3()[0] is False
+    if offset <= 1:
+        monkeypatch.setattr(acc, "_typical_row",
+                            lambda n, ncols: acc.TABLE3_ROWS[n][:ncols])
+        assert acc.check_6_table3() == (
+            False, f"row {1 - offset}: atypical {w + 1}")
 
 
 def test_criterion_4_catches_a_wrong_trace_coefficient(monkeypatch):

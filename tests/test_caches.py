@@ -22,10 +22,12 @@ SAMPLE_ARGS = {
     "modforms.weak_jacobi_columns": (-2, 48),
     "modforms.weak_jacobi_phi": (0, 48),
     "genus.rational_form": ("5A",),
+    "genus._inverse_denominator": (5,),
     "genus._wp_series": (3, 48),
     "genus.equivariant_elliptic_genus": ("3A", 48),
     "n4char.g_sum": (1, 48),
     "n4char.h_series": (2, 48),
+    "n4char._h_column": (2, 3),
     "n4char._theta3_over_eta3": (48,),
     "n4char._typical_prefactor": (48,),
     "n4char._typical_row": (2, 3),

@@ -174,7 +174,7 @@ def _ref_inverse(a, n):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(data=st.data(), n=st.sampled_from((3, 4, 5, 7, 8, 12)))
+@given(data=st.data(), n=st.sampled_from((3, 4, 5, 7, 8, 12, 15, 21)))
 def test_int_coordinates_match_fraction_reference(data, n):
     phi = euler_phi(n)
     ints = st.lists(st.integers(-5, 5), min_size=phi, max_size=phi)

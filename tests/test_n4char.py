@@ -287,6 +287,9 @@ def test_twining_solve_identity_class():
     assert twining_to_symtraces(*jacobi_split(genus), 4) == want
     # an exactly known f: eta^-3 is built only as far as the columns read
     assert twining_to_symtraces(2, TruncatedSeries.zero(), 4) == want
+    # [f eta^-3] is read from f's coefficients at q^0 and later
+    with pytest.raises(ValueError):
+        twining_to_symtraces(2, TruncatedSeries.monomial(1, -24), 4)
 
 
 def test_twining_solve_equivariant():
@@ -374,10 +377,11 @@ def test_polar_lead_is_the_first_y_dependent_term_of_the_quotient():
 
 @pytest.mark.parametrize("ncols", range(1, 22))
 def test_typical_row_is_read_below_its_truncation(ncols, monkeypatch):
-    # the last column sits at q24 = 24 ncols - 27, so the rows are built
-    # at 24 ncols - 26; read one lower, the last column raises
+    # the last column sits at q24 = 24 ncols - 27, so the rows read the h
+    # columns k < ncols, which h_series wraps at 24 ncols - 26; read one
+    # lower, the last column raises
     from k3moonshine import n4char
-    from k3moonshine.n4char import _typical_row, _v_combo
+    from k3moonshine.n4char import _h_column, _typical_row, _v_combo
 
     def row(N, trunc24):
         combo = _v_combo(h_series, N, trunc24)
@@ -385,13 +389,16 @@ def test_typical_row_is_read_below_its_truncation(ncols, monkeypatch):
                      for k in range(ncols))
 
     built = []
-    monkeypatch.setattr(n4char, "_v_combo", lambda part, N, trunc24:
-                        built.append(trunc24) or _v_combo(part, N, trunc24))
-    for N in range(ncols + 1):
-        assert _typical_row.__wrapped__(N, ncols) == row(N, 24 * ncols + 24)
+    with monkeypatch.context() as m:
+        m.setattr(n4char, "_h_column", lambda N, n:
+                  built.append(n) or _h_column(N, n))
+        rows = [_typical_row.__wrapped__(N, ncols) for N in range(ncols + 1)]
+    assert set(built) == {ncols}
+    for N, got in enumerate(rows):
+        assert got == row(N, 24 * ncols + 24)
+        assert row(N, 24 * ncols - 26) == got
         with pytest.raises(InsufficientPrecisionError):
             row(N, 24 * ncols - 27)
-    assert set(built) == {24 * ncols - 26}
 
 
 def test_table3_pivots_and_diagonals_follow_from_the_closed_form():

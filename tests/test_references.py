@@ -35,6 +35,9 @@ ALLOWED = {
         "the N=4 characters themselves, the basis the decompositions use",
     "lattice.SolveResult.solved":
         "the verdict of solve_in_lattice's result record",
+    "qpoly.cyclotomic_poly":
+        "Phi_n as a Poly, exported by the package; the library itself "
+        "reads Phi_n's integer coefficients",
 }
 
 

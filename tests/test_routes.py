@@ -35,8 +35,8 @@ import pytest
 from canonical import all_canonical
 from k3moonshine.acceptance import run_criteria
 from k3moonshine.genus import (
-    FIXED_POINT_EIGENVALUES, SYMPLECTIC_CLASSES, chi_symt_series,
-    elliptic_genus, equivariant_elliptic_genus, jacobi_split,
+    FIXED_POINT_EIGENVALUES, SYMPLECTIC_CLASSES, chern_root_elliptic_genus,
+    chi_symt_series, elliptic_genus, equivariant_elliptic_genus, jacobi_split,
     verify_moonshine_class, weighted_equivariant_genus,
 )
 from k3moonshine.mckay import (
@@ -47,7 +47,8 @@ from k3moonshine.modforms import (
     eta_power, jacobi_theta, weak_jacobi_columns, weak_jacobi_phi,
 )
 from k3moonshine.n4char import (
-    _genus_multiplicities, _h_triple_sum, atypical_ns, ch_vn_closed,
+    _genus_multiplicities, _h_triple_sum, _typical_row, atypical_ns,
+    ch_vn_closed,
     ch_vn_h_form, decompose_into_n4, g_series, g_sum, h_series, n4_character,
     polar_part, ramond_basis_character, twining_to_symtraces,
     twining_truncation,
@@ -58,14 +59,15 @@ from k3moonshine.series import (
     exact_quotient,
 )
 from route_oracle import (
-    chi_symt_per_pair, decompose_two_divisions, equivariant_genus_by_division,
+    chern_root_elliptic_genus_z_graded, chi_symt_per_pair,
+    decompose_two_divisions, equivariant_genus_by_division,
     eta_power_by_inversion, fixed_point_term, fixed_point_term_by_division,
     g_sum_by_products, genus_multiplicities_by_decomposition,
     h_triple_sum_pruned_without_cross_term, jacobi_split_by_division,
     moonshine_report_by_series,
     pole_coefficient_in_fractions, polar_part_by_products, table1_sum,
     twining_genus_by_products, twining_to_symtraces_by_decomposition,
-    weak_jacobi_columns_by_e2, weak_jacobi_phi_by_products,
+    typical_row_by_series, weak_jacobi_columns_by_e2, weak_jacobi_phi_by_products,
     weighted_genus_by_division,
 )
 from test_caches import SAMPLE_ARGS, _cached_builders
@@ -466,6 +468,26 @@ def test_closed_form_h_matches_the_triple_sum(trunc24):
         assert got.trunc24 == want.trunc24 == trunc24, N
         assert dict(got.terms) == dict(want.terms), N
         assert all_canonical(got), N
+
+
+@pytest.mark.parametrize("ncols", range(1, 61))
+def test_typical_rows_match_the_series_combination(ncols):
+    # running sums of eta^-3's coefficients, added on ints, against the
+    # series products of h_N and their combination
+    for N in range(ncols + 1):
+        got = _typical_row.__wrapped__(N, ncols)
+        want = typical_row_by_series(N, ncols)
+        assert got == want, N
+        assert [type(c) for c in got] == [type(c) for c in want], N
+
+
+@pytest.mark.parametrize("trunc24", (24, 48, 144, 312, 480))
+def test_chern_root_moments_match_the_z_graded_product(trunc24):
+    got = chern_root_elliptic_genus(trunc24)
+    want = chern_root_elliptic_genus_z_graded(trunc24)
+    assert got.trunc24 == want.trunc24 == trunc24
+    assert dict(got.terms) == dict(want.terms)
+    assert all(type(c) is int for c in got.terms.values())
 
 
 # -- the inverse problem on the (a, f) pair against the whole twining ----------
