@@ -11,8 +11,9 @@ is brought over one common denominator, and each output coordinate is
 divided once by the product of the denominators (``exact_quotient``).
 ``inverse`` stays on ints as well: it multiplies the Galois conjugates
 sigma_a(x), a != 1, on integer coordinates and divides once by the norm,
-the rational x * prod sigma_a(x).  Phi_n's integer coefficients and
-Euler's phi come from ``qpoly``; this module keeps no polynomial code.
+the rational x * prod sigma_a(x).  Phi_n's integer coefficients,
+Euler's phi and the canonical-rational rule come from ``qpoly``; this
+module keeps no polynomial code.
 
 Every operation works in one field: operands with different conductors
 raise ``DomainError``.  Rationals embed into any field, and ``==`` compares
@@ -24,10 +25,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
-from numbers import Rational
+from math import gcd
 
-from .qpoly import _cyclotomic_coeffs, euler_phi
+from .qpoly import (
+    _cyclotomic_coeffs, _over_common_denominator, canonical_rational,
+    euler_phi,
+)
 
 __all__ = [
     "CyclotomicNumber",
@@ -41,21 +44,6 @@ __all__ = [
 
 class DomainError(ValueError):
     """Incompatible coefficient domains (e.g. two different conductors)."""
-
-
-def canonical_rational(x):
-    """The exact rational ``x`` as an ``int`` when integral, else a Fraction.
-
-    Raises TypeError for anything that is not an exact rational, floats
-    included, so an inexact value fails loudly instead of rounding.
-    """
-    if type(x) is int:
-        return x
-    if type(x) is Fraction:
-        return x.numerator if x.denominator == 1 else x
-    if isinstance(x, Rational):
-        return canonical_rational(Fraction(x))
-    raise TypeError(f"exact rational expected, got {type(x).__name__} {x!r}")
 
 
 def exact_quotient(a, b):
@@ -336,19 +324,6 @@ class CyclotomicNumber:
 
 # the slot setters, which the read-only __setattr__ leaves to __init__
 _set_n, _set_c = CyclotomicNumber.n.__set__, CyclotomicNumber.c.__set__
-
-
-def _over_common_denominator(coords) -> tuple[list, int]:
-    """(numerators, d): the coordinates as ints over their least common
-    denominator d (the coordinates themselves when all are ints)."""
-    d = 1
-    for x in coords:
-        if type(x) is not int:
-            d = lcm(d, x.denominator)
-    if d == 1:
-        return coords, 1
-    return [x * d if type(x) is int else x.numerator * (d // x.denominator)
-            for x in coords], d
 
 
 def _int_product(a, b, rows) -> list:

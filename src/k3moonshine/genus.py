@@ -8,9 +8,12 @@ a phi_{0,1} + F phi_{-2,1} built on its y^0 and y^1 columns
 (``modforms.jacobi_form_columns``): the elliptic genus is 2 phi_{0,1},
 and a fixed-point term is phi_{0,1}/12 + wp(u) phi_{-2,1}, with wp(u) a
 q-series over Q(zeta_n) from a divisor sieve, so the Table-1 Galois sums
-and the traces run on the coefficients of one q-series and nothing is
-divided.  ``jacobi_split`` and ``verify_moonshine_class`` compare
-columns.  The Chern-root product of the elliptic genus is kept as
+and the traces run on the coefficients of one q-series.  Their values,
+with a, are taken over one common denominator d, the columns are built
+on ints, and each column coefficient is divided once by d.
+``jacobi_split`` and ``verify_moonshine_class`` compare columns at scale
+12, on ints for an integral genus, and the split divides h by 12 once.
+The Chern-root product of the elliptic genus is kept as
 ``chern_root_elliptic_genus``, the cross-check of acceptance criterion 3,
 which so tests the elliptic law instead of assuming it.  It multiplies
 out its factors on plain dicts keyed by the powers of q and y, each key
@@ -32,10 +35,11 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .chartab import format_rational
-from .cyclotomic import (
-    CyclotomicNumber, DomainError, _over_common_denominator, euler_phi, zeta,
+from .cyclotomic import CyclotomicNumber, DomainError, euler_phi, zeta
+from .qpoly import (
+    RationalFunction, _over_common_denominator, cyclotomic_product,
+    reconstruct_rational,
 )
-from .qpoly import RationalFunction, cyclotomic_product, reconstruct_rational
 from .records import Record
 from .series import NotInSpanError, TruncatedSeries, exact_quotient
 from .modforms import (
@@ -274,12 +278,21 @@ def _wp_series(n: int, trunc24: int) -> TruncatedSeries:
     return TruncatedSeries(terms, trunc24)
 
 
-def _fixed_point_sum(n: int, trunc24: int, a, value) -> TruncatedSeries:
-    """a phi_{0,1} + F phi_{-2,1}, F the series of value(c) on the
-    coefficients c of wp(u)."""
+def _fixed_point_sum(n: int, trunc24: int, a, value,
+                     weight=1) -> TruncatedSeries:
+    """weight (a phi_{0,1} + F phi_{-2,1}), F the series of the rational
+    value(c) on the coefficients c of wp(u).  a and the values of F are
+    brought over their common denominator d, so the column products run
+    on ints, and each column coefficient is divided once, by d over the
+    weight."""
     wp = _wp_series(n, trunc24)
-    f = TruncatedSeries({k: value(c) for k, c in wp.terms.items()}, trunc24)
-    return index_one_form(*jacobi_form_columns(a, f, trunc24))
+    w = Fraction(weight)
+    nums, d = _over_common_denominator([a, *map(value, wp.terms.values())])
+    a_num, *f_nums = (w.numerator * x for x in nums)
+    f = TruncatedSeries(dict(zip(wp.terms, f_nums)), trunc24)
+    return index_one_form(*(
+        column.divide_scalar(d * w.denominator)
+        for column in jacobi_form_columns(a_num, f, trunc24)))
 
 
 @lru_cache(maxsize=None)
@@ -311,13 +324,14 @@ def weighted_equivariant_genus(label: str, trunc24: int) -> TruncatedSeries:
 
     The sum of sigma_a(term) over all units a is
     phi(N)/12 phi_{0,1} + Tr(wp(u)) phi_{-2,1}, the field trace taken
-    coefficient by coefficient on wp(u).
+    coefficient by coefficient on wp(u); the weight m(N) joins the one
+    division of ``_fixed_point_sum``.
     """
     n = CLASS_ORDER[label]
     if n == 1:
         raise ValueError("weighted form applies to nontrivial classes")
     return _fixed_point_sum(n, trunc24, Fraction(euler_phi(n), 12),
-                            CyclotomicNumber.trace) * UNIT_SUM_WEIGHTS[n]
+                            CyclotomicNumber.trace, UNIT_SUM_WEIGHTS[n])
 
 
 # -- decomposition against the weak Jacobi basis ------------------------------
@@ -332,12 +346,13 @@ def jacobi_split(s: TruncatedSeries):
 
     s must first equal the index-1 form rebuilt from its own columns: the
     elliptic law, tested rather than assumed.  ``a`` is read off the
-    Euler specialization (value/12, the paper's "y = -1" anchor) and must
-    be consistent at every computed order; the first order where either
-    fails is reported.  ``h`` is y-free, so it is the quotient of the y^0
-    columns of s - a phi_{0,1} and phi_{-2,1}; the y^1 columns must then
-    match, and the first order where they do not is the first order where
-    s leaves the span.
+    Euler specialization (value e_0/12, the paper's "y = -1" anchor) and
+    must be consistent at every computed order; the first order where
+    either fails is reported.  ``h`` is y-free, so 12 h is the quotient of
+    the y^0 columns of 12 s - e_0 phi_{0,1} and phi_{-2,1}, which runs on
+    ints for an integral s; the y^1 columns must then match at the same
+    scale, and the first order where they do not is the first order where
+    s leaves the span.  h is divided by 12 once, at the end.
     """
     if s.is_zero():
         return 0, s
@@ -351,19 +366,19 @@ def jacobi_split(s: TruncatedSeries):
         raise NotInSpanError(
             "series is not an index-one form with a constant Euler value",
             q24=min(offenders))
-    a = exact_quotient(e.terms.get((0, 0), 0), 12)
+    e0 = e.terms.get((0, 0), 0)
     phi0 = weak_jacobi_columns(0, s.trunc24)
-    y0, y1 = (col - p * a for col, p in zip(columns, phi0))
+    y0, y1 = (col * 12 - p * e0 for col, p in zip(columns, phi0))
     phim2 = weak_jacobi_columns(-2, s.trunc24)
     # rem / phi_{-2,1} is known below this order
     lead = min((c.min_q24 for c in (y0, y1) if c.terms), default=y0.trunc24)
     known = min(y0.trunc24, phim2[0].trunc24 + lead)
-    h = y0.divide_exact(phim2[0]).truncate(known)
-    residual = y1 - h * phim2[1]
+    h12 = y0.divide_exact(phim2[0]).truncate(known)
+    residual = y1 - h12 * phim2[1]
     if residual.terms:
         raise NotInSpanError("series is not a phi_{0,1} + h(q) phi_{-2,1}",
                              q24=residual.min_q24)
-    return a, h
+    return exact_quotient(e0, 12), h12.divide_scalar(12)
 
 
 class MoonshineReport(Record):
@@ -381,10 +396,12 @@ def verify_moonshine_class(label: str, f_g: TruncatedSeries,
 
     Both sides are index-1 forms, so they agree wherever their y^0 and y^1
     columns agree, and the first column mismatch is the first mismatch.
+    The columns are compared at scale 12, 12 times the genus's against
+    those of e(g) phi_{0,1} + 12 f_g phi_{-2,1}, so nothing is divided.
     """
-    lhs = _columns(equivariant_elliptic_genus(label, trunc24))
-    a = exact_quotient(fixed_point_count(label), 12)
-    rhs = jacobi_form_columns(a, f_g, trunc24)
+    genus = equivariant_elliptic_genus(label, trunc24)
+    lhs = [c * 12 for c in _columns(genus)]
+    rhs = jacobi_form_columns(fixed_point_count(label), f_g * 12, trunc24)
     diffs = [left - right for left, right in zip(lhs, rhs)]
     t = min(d.trunc24 for d in diffs)
     bad = [d.min_q24 for d in diffs if d.terms]

@@ -7,7 +7,10 @@ graded moonshine module -- 45+45b, 231+231b, 770+770b, 2 x 2277 and
 is then extended through a classical basis of weight-2 forms for
 Gamma_0(level) (Eisenstein differences of ``modforms.eisenstein_e2`` and
 eta-product cusp forms), with the surplus low-order coefficients acting as
-consistency checks.  The factors eta(a tau) of the cusp forms are
+consistency checks.  Both steps run on ints: the traces times eta^3 at
+scale 24, then the fit over the prefix's common denominator, solved
+fraction-free (Bareiss) and divided once by the determinant times that
+denominator.  The factors eta(a tau) of the cusp forms are
 ``modforms.eta_scaled``, the pentagonal series, which this module
 re-exports as ``eta_scaled``.
 
@@ -31,6 +34,7 @@ import os
 from fractions import Fraction
 
 from .cyclotomic import canonical_rational
+from .qpoly import _over_common_denominator
 from .series import TruncatedSeries, exact_quotient
 from .modforms import (
     eisenstein_e2, eta_power, eta_scaled, index_one_form, jacobi_form_columns,
@@ -171,16 +175,19 @@ def f_from_traces(label: str) -> list:
 
     The sign matches the Jacobi-form split against phi_{-2,1} = phi^2
     (which is the negative of the Eichler-Zagier-normalized form, so this
-    f_g is the negative of the usual McKay-Thompson one).
+    f_g is the negative of the usual McKay-Thompson one).  The product runs
+    on ints, 24 Sigma_g - e(g) Sigma times eta^3, and each coefficient is
+    divided once by 24.
     """
     A = sigma_coefficients()
-    e = Fraction(euler_character_value(label), 24)
+    e = euler_character_value(label)
     t = len(A) * 24
     # Sigma_g - e(g)/24 Sigma leads at q^(-1/8), and eta^3 at q^(1/8)
-    diff = TruncatedSeries({(24 * n - 3, 0): k_layer_trace(n, label) - e * a
-                            for n, a in enumerate(A)}, t - 3)
+    diff = TruncatedSeries(
+        {(24 * n - 3, 0): 24 * k_layer_trace(n, label) - e * a
+         for n, a in enumerate(A)}, t - 3)
     f = diff * eta_power(3, t)
-    return [f.coeff(n) for n in range(len(A))]
+    return [exact_quotient(f.at(24 * n), 24) for n in range(len(A))]
 
 
 def fit_in_m2(prefix: list, level: int, trunc24: int) -> TruncatedSeries:
@@ -188,45 +195,56 @@ def fit_in_m2(prefix: list, level: int, trunc24: int) -> TruncatedSeries:
 
     The first dim coefficients pin the form; the remaining supplied
     coefficients must then agree (a genuine consistency check on both the
-    prefix data and the basis).
+    prefix data and the basis).  The basis is integral, and the prefix is
+    taken over its common denominator P, so the dim x dim system is solved
+    fraction-free (``_bareiss``): integer x and D with sum_j x_j b_j =
+    D P f.  Each surplus coefficient is checked as x . row = D P prefix on
+    ints, and the form is the integer combination divided once by D P.
     """
     basis = m2_basis(level, max(trunc24, 24 * len(prefix)))
     dim = len(basis)
     if len(prefix) < dim + 1:
         raise ValueError(f"need more than {dim} coefficients at level {level}")
-    rows = [[b.coeff(n) for b in basis] for n in range(len(prefix))]
-    # solve the first dim equations
-    mat = [row[:] for row in rows[:dim]]
-    vec = list(prefix[:dim])
-    coeffs = _solve_square(mat, vec)
-    if coeffs is None:
+    wanted, P = _over_common_denominator(list(prefix))
+    rows = [[b.at(24 * n) for b in basis] for n in range(len(prefix))]
+    solved = _bareiss(rows[:dim], wanted[:dim])
+    if solved is None:
         raise ArithmeticError(f"M_2 basis at level {level} is degenerate")
+    x, D = solved
     for n in range(dim, len(prefix)):
-        got = sum(c * rows[n][j] for j, c in enumerate(coeffs))
-        if got != prefix[n]:
+        got = sum(c * r for c, r in zip(x, rows[n]))
+        if got != D * wanted[n]:
             raise ArithmeticError(
-                f"level-{level} fit fails at q^{n}: {got} != {prefix[n]}")
-    return sum((b * c for c, b in zip(coeffs, basis)),
-               TruncatedSeries.zero(trunc24))
+                f"level-{level} fit fails at q^{n}: "
+                f"{exact_quotient(got, D * P)} != {prefix[n]}")
+    return sum((b * c for c, b in zip(x, basis)),
+               TruncatedSeries.zero(trunc24)).divide_scalar(D * P)
 
 
-def _solve_square(mat, vec):
+def _bareiss(mat, vec):
+    """Solve mat x = D vec fraction-free for a square integer mat (Bareiss,
+    Math. Comp. 22, 1968): x and D integral, D = +-det(mat) the last pivot,
+    so x = D mat^-1 vec.  Every division is exact.  None if mat is singular.
+    """
     n = len(vec)
-    for col in range(n):
-        piv = next((i for i in range(col, n) if mat[i][col]), None)
+    m = [row[:] + [v] for row, v in zip(mat, vec)]
+    prev = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if m[i][k]), None)
         if piv is None:
             return None
-        mat[col], mat[piv] = mat[piv], mat[col]
-        vec[col], vec[piv] = vec[piv], vec[col]
-        inv = exact_quotient(1, mat[col][col])
-        mat[col] = [x * inv for x in mat[col]]
-        vec[col] = vec[col] * inv
-        for i in range(n):
-            if i != col and mat[i][col]:
-                f = mat[i][col]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[col])]
-                vec[i] = vec[i] - f * vec[col]
-    return vec
+        m[k], m[piv] = m[piv], m[k]
+        pk = m[k]
+        for i in range(k + 1, n):
+            mi = m[i]
+            m[i] = [0] * (k + 1) + [(pk[k] * mi[j] - mi[k] * pk[j]) // prev
+                                    for j in range(k + 1, n + 1)]
+        prev = pk[k]
+    x = [0] * n
+    for i in range(n - 1, -1, -1):
+        acc = prev * m[i][n] - sum(m[i][j] * x[j] for j in range(i + 1, n))
+        x[i] = acc // m[i][i]
+    return x, prev
 
 
 def f_series(label: str, trunc24: int) -> TruncatedSeries:

@@ -42,7 +42,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .cyclotomic import _over_common_denominator, canonical_rational
+from .cyclotomic import canonical_rational
+from .qpoly import _over_common_denominator
 from .series import (
     InsufficientPrecisionError, NotInSpanError, TruncatedSeries,
     exact_quotient,

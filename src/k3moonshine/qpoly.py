@@ -4,7 +4,10 @@ Used for the symmetric-power generating series chi(X, S_t T), the
 per-class rational forms r_g(t) and the multiplicity functions m_chi(t).
 ``Poly`` is the package's one polynomial type (Fraction coefficients).
 The cyclotomic fields read only Phi_n's integer coefficients
-(``_cyclotomic_coeffs``) and Euler's phi from here.
+(``_cyclotomic_coeffs``), Euler's phi and the two rules of exact
+rationals from here: ``canonical_rational`` (an int exactly when
+integral) and ``_over_common_denominator`` (rationals as ints over one
+denominator), which every layer above uses.
 
 Every r_g(t) is a Molien-type series whose denominator is a product of
 cyclotomic polynomials, and ``RationalFunction`` supports only such
@@ -15,8 +18,15 @@ coprime, so no gcd is ever needed: a sum lifts both numerators to the
 exponent-wise maximum of the two maps with int x int products, and every
 result is reduced by exact trial division of N by each Phi_d in its map.
 The form is canonical, so ``==`` compares fields, and the pole order at
-t = 1 is the exponent of Phi_1.  ``num`` (Fraction coefficients) and
-``den`` (monic) read it back as a reduced quotient of ``Poly``.
+t = 1 is the exponent of Phi_1; a constant equals its scalar and a form
+without denominator its ``Poly``, and each hashes as what it equals.
+``num`` (Fraction coefficients) and ``den`` (monic) read it back as a
+reduced quotient of ``Poly``.  The loops run on ints over one
+denominator: ``expand`` on the integer numerator, multiplying the content
+in once (ints when it is integral), ``linear_combinations`` on the
+numerators scaled by the contents over their common denominator, and
+``reconstruct_rational`` on the integer coefficients of a cyclotomic
+denominator.
 
 The constructor takes the denominator only as its exponent map, so
 every denominator is a cyclotomic product by construction and none is
@@ -31,6 +41,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from numbers import Rational
 
 __all__ = [
     "Poly", "RationalFunction", "cyclotomic_poly", "cyclotomic_product",
@@ -74,7 +85,8 @@ class Poly:
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.c)
+        # a constant equals its scalar, so it hashes as the scalar
+        return hash(self.c) if len(self.c) > 1 else hash(self[0])
 
     def __add__(self, other):
         other = other if isinstance(other, Poly) else Poly.const(other)
@@ -229,6 +241,34 @@ def cyclotomic_product(exps) -> Poly:
     return Poly(_product_coeffs(exps.items()))
 
 
+def canonical_rational(x):
+    """The exact rational ``x`` as an ``int`` when integral, else a Fraction.
+
+    Raises TypeError for anything that is not an exact rational, floats
+    included, so an inexact value fails loudly instead of rounding.
+    """
+    if type(x) is int:
+        return x
+    if type(x) is Fraction:
+        return x.numerator if x.denominator == 1 else x
+    if isinstance(x, Rational):
+        return canonical_rational(Fraction(x))
+    raise TypeError(f"exact rational expected, got {type(x).__name__} {x!r}")
+
+
+def _over_common_denominator(coords) -> tuple[list, int]:
+    """(numerators, d): the rational coordinates as ints over their least
+    common denominator d (the coordinates themselves when all are ints)."""
+    d, ints = 1, True
+    for x in coords:
+        if type(x) is not int:
+            d, ints = lcm(d, x.denominator), False
+    if ints:
+        return coords, 1
+    return [x * d if type(x) is int else x.numerator * (d // x.denominator)
+            for x in coords], d
+
+
 def _primitive(coeffs) -> tuple[Fraction, list[int]]:
     """Split rational coefficients as content * a primitive integer list
     with positive leading coefficient; zero gives (0, [])."""
@@ -331,7 +371,9 @@ class RationalFunction:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        # a form without denominator equals its Poly (and a constant its
+        # scalar), so it hashes as the Poly
+        return hash((self.num, self.den)) if self._e else hash(self.num)
 
     def __add__(self, other):
         other = other if isinstance(other, RationalFunction) else RationalFunction(other)
@@ -363,8 +405,10 @@ class RationalFunction:
 
     __rmul__ = __mul__
 
-    def expand(self, terms: int) -> list[Fraction]:
-        """Power-series coefficients at t=0, length ``terms``."""
+    def expand(self, terms: int) -> list:
+        """Power-series coefficients at t=0, length ``terms``, canonical:
+        the recurrence runs on the integer numerator, and the content
+        multiplies each coefficient once (ints when it is integral)."""
         den = _product_coeffs(self._e)
         d0 = den[0]  # +-1: Phi_1(0) = -1 and Phi_d(0) = 1 for d > 1
         num = self._n
@@ -374,7 +418,9 @@ class RationalFunction:
             for j in range(1, min(k, len(den) - 1) + 1):
                 acc -= den[j] * out[k - j]
             out.append(acc * d0)
-        return [self._c * x for x in out]
+        if self._c.denominator == 1:
+            return [self._c.numerator * x for x in out]
+        return [canonical_rational(self._c * x) for x in out]
 
     def pole_coefficient(self, at: Fraction, order: int) -> Fraction:
         """Coefficient of 1/(t-at)^order in the partial-fraction expansion.
@@ -409,8 +455,10 @@ def linear_combinations(forms, rows) -> list[RationalFunction]:
 
     The forms are lifted once to the exponent-wise maximum of their maps:
     each numerator times the common denominator over its own, one exact
-    division.  Each row then costs one integer weighted sum and one
-    trial-division reduction.
+    division, and times its content's numerator k_i, where the contents
+    are k_i / L over their common denominator L.  Each row of weights,
+    taken over its own common denominator m, then costs one integer
+    weighted sum and one trial-division reduction of content 1/(L m).
     """
     forms = list(forms)
     common: dict = {}
@@ -418,21 +466,21 @@ def linear_combinations(forms, rows) -> list[RationalFunction]:
         for d, e in f._e:
             common[d] = max(common.get(d, 0), e)
     den = _product_coeffs(common.items())
-    lifted = [_int_mul(f._n, _int_divexact(den, _product_coeffs(f._e)))
-              for f in forms]
+    contents, L = _over_common_denominator([f._c for f in forms])
+    lifted = [[k * x for x in _int_mul(f._n, _int_divexact(
+                   den, _product_coeffs(f._e)))]
+              for k, f in zip(contents, forms)]
     width = max(map(len, lifted), default=0)
     out = []
     for row in rows:
-        scales = [Fraction(w) * f._c for w, f in zip(row, forms)]
-        scale = lcm(*(s.denominator for s in scales))
+        weights, m = _over_common_denominator(list(row))
         acc = [0] * width
-        for s, coeffs in zip(scales, lifted):
-            k = s.numerator * (scale // s.denominator)
-            if k:
+        for w, coeffs in zip(weights, lifted):
+            if w:
                 for i, x in enumerate(coeffs):
-                    acc[i] += k * x
+                    acc[i] += w * x
         out.append(RationalFunction._of(*_canonical(
-            Fraction(1, scale), acc, common)))
+            Fraction(1, L * m), acc, common)))
     return out
 
 
@@ -449,11 +497,12 @@ def reconstruct_rational(series: list[Fraction], den: Poly):
     d = den.degree
     if n < d + 2:
         raise ValueError("insufficient series terms to reconstruct numerator")
+    dc = [canonical_rational(x) for x in den.c]   # ints for a cyclotomic den
     prod = []
     for k in range(n):
-        acc = _ZERO
+        acc = 0
         for j in range(min(k, d) + 1):
-            acc += den[j] * series[k - j]
+            acc += dc[j] * series[k - j]
         prod.append(acc)
     num = Poly(prod[:d + 1])
     if any(prod[d + 1:]):

@@ -5,7 +5,10 @@ lattices K (M24), K' (M23), K'' (Co0) inside Z^8, the order-constrained
 lattices N_i of the eleven maximal symplectic groups and their
 intersection N, quotient invariants, the sufficiency scan, the canonical
 virtual-M24 solver, and the multiplicity decompositions of class-function
-families over the rationalized M23 table.
+families over the rationalized M23 table.  Those run on ints: Table 2
+sums |C| chi(g) times the integral expansions of the r_g and divides each
+sum once by |G| times the orbit size, and each m_chi is one integer
+combination of the r_g whose content is scaled once by the same factor.
 """
 
 from __future__ import annotations
@@ -213,9 +216,10 @@ def decompose_family(table: CharacterTable, family: dict):
     Multiplicities are exact Fractions and are returned even when
     non-integral; callers inspect integrality (a fractional one means the
     family is not a series of characters).  Each sum of |C| chi(g) coef
-    runs on ints where the coefficients are integral and is divided once
-    by |G| * orbit_size.  Raises KeyError if the family misses a class of
-    the table.
+    runs on ints where the coefficients are integral, as the expansions of
+    the integral r_g are (``RationalFunction.expand`` gives ints), and is
+    divided once by |G| * orbit_size.  Raises KeyError if the family
+    misses a class of the table.
     """
     n_terms = min(len(v) for v in family.values())
     series = []
@@ -268,16 +272,20 @@ def m_chi_rational(table: CharacterTable, forms: dict):
     """Multiplicity rational functions m_chi(t) per orbit row.
 
     ``forms`` maps class labels to RationalFunction r_g(t); each m_chi is
-    sum_g |C_g| chi(g) r_g / (|G| orbit_size), one linear combination over
-    the forms' common cyclotomic denominator.  Also reports the order-4
-    partial-fraction coefficient at t = 1 of each m_chi.
+    sum_g |C_g| chi(g) r_g / (|G| orbit_size): one linear combination with
+    the integer weights |C_g| chi(g) over the forms' common cyclotomic
+    denominator, whose content is then scaled once by 1/(|G| orbit_size).
+    Also reports the order-4 partial-fraction coefficient at t = 1 of each
+    m_chi.
     """
-    weights = [[Fraction(c.size) * ch.values[idx] / table.order / ch.orbit_size
-                for idx, c in enumerate(table.classes)]
+    weights = [[c.size * v for c, v in zip(table.classes, ch.values)]
                for ch in table.characters]
     sums = linear_combinations([forms[c.label] for c in table.classes], weights)
-    return {ch.name: (m, m.pole_coefficient(Fraction(1), 4))
-            for ch, m in zip(table.characters, sums)}
+    out = {}
+    for ch, m in zip(table.characters, sums):
+        m = m * Fraction(1, table.order * ch.orbit_size)
+        out[ch.name] = (m, m.pole_coefficient(Fraction(1), 4))
+    return out
 
 
 def first_nonintegral(series) -> tuple | None:

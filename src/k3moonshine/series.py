@@ -172,6 +172,16 @@ class TruncatedSeries:
         return TruncatedSeries({k: v * value for k, v in self.terms.items()},
                                self.trunc24, _clean=True)
 
+    def divide_scalar(self, d) -> "TruncatedSeries":
+        """Each coefficient divided by the nonzero scalar d through
+        ``exact_quotient``: the one division of a series built on integer
+        numerators over their common denominator d."""
+        if d == 1:
+            return self
+        return TruncatedSeries(
+            {k: exact_quotient(v, d) for k, v in self.terms.items()},
+            self.trunc24, _clean=True)
+
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, CyclotomicNumber)):
             return self.scale(other)

@@ -51,32 +51,48 @@ the long way, as the library once did, and the tests compare the two:
     multiplied out with the Chern-root power as a third grading
     (``genus.expand_product``) and integrated term by term, where the
     library carries three moments of that power per (q, y) key.
+  * ``fixed_point_sum_in_fractions`` (with ``equivariant_genus_in_fractions``
+    and ``weighted_genus_in_fractions``), ``jacobi_split_in_fractions``,
+    ``f_from_traces_in_fractions``, ``fit_in_m2_in_fractions`` (Gauss-Jordan
+    on Fractions, with ``f_series_in_fractions``),
+    ``linear_combinations_in_fractions`` (with
+    ``m_chi_rational_in_fractions``) and ``expand_in_fractions``: the
+    rational kernels with Fraction coefficients in their loops, where the
+    library carries each over one integer denominator and divides once.
 
-``fixed_point_term`` is no replaced route but the library's split of one
-fixed-point term, phi_{0,1}/12 + wp(u) phi_{-2,1} over Q(zeta_n), on
-``genus._fixed_point_sum``: the library only sums its conjugates, and the
-tests compare the single term with the division and product routes.
+``fixed_point_term`` is no replaced route but one fixed-point term,
+phi_{0,1}/12 + wp(u) phi_{-2,1} over Q(zeta_n), built on
+``fixed_point_sum_in_fractions`` from ``genus._wp_series``: the library
+only sums its conjugates, and the tests compare the single term with the
+division and product routes.
 """
 
 from fractions import Fraction
 from functools import lru_cache, partial
+from math import lcm
 
 from k3moonshine.cyclotomic import CyclotomicNumber, canonical_rational, zeta
 from k3moonshine.genus import (
     CLASS_ORDER, FIXED_POINT_EIGENVALUES, UNIT_SUM_WEIGHTS, MoonshineReport,
-    _fixed_point_sum, chi_sym_power, elliptic_genus, expand_product,
-    fixed_point_count,
+    _columns, _wp_series, chi_sym_power, elliptic_genus, euler_phi,
+    expand_product, fixed_point_count,
 )
-from k3moonshine.mckay import euler_character_value, f_series
+from k3moonshine.mckay import (
+    CLASS_LEVEL, euler_character_value, f_series, k_layer_trace, m2_basis,
+    sigma_coefficients,
+)
 from k3moonshine.modforms import (
-    eisenstein_e2, eta_power, eta_scaled, euler_specialization, jacobi_theta,
-    weak_jacobi_phi,
+    eisenstein_e2, eta_power, eta_scaled, euler_specialization, index_one_form,
+    jacobi_form_columns, jacobi_theta, weak_jacobi_columns, weak_jacobi_phi,
 )
 from k3moonshine.n4char import (
     N4Multiplicities, _atypical_coefficient, _h_triple_sum, _typical_row,
     decompose_into_n4, genus_A_coefficients, polar_part, twining_truncation,
 )
-from k3moonshine.qpoly import Poly, _horner, cyclotomic_poly
+from k3moonshine.qpoly import (
+    Poly, RationalFunction, _canonical, _horner, _int_divexact, _int_mul,
+    _product_coeffs, cyclotomic_poly,
+)
 from k3moonshine.series import (
     InsufficientPrecisionError, NotInSpanError, TruncatedSeries,
     exact_quotient,
@@ -148,7 +164,7 @@ def fixed_point_term(n, trunc24):
     """One fixed-point term as a (q, y) series over Q(zeta_n).  Memoized on
     the exact arguments (the series is read-only)."""
     twelfth = CyclotomicNumber.from_rational(n, Fraction(1, 12))
-    return _fixed_point_sum(n, trunc24, twelfth, lambda c: c)
+    return fixed_point_sum_in_fractions(n, trunc24, twelfth, lambda c: c)
 
 
 def table1_sum(label, trunc24):
@@ -522,3 +538,162 @@ def chern_root_elliptic_genus_z_graded(trunc24: int) -> TruncatedSeries:
             (0, -2, 0), fermions, bosons, trunc24).items():
         out[(q24, y2)] = out.get((q24, y2), 0) + c * (2 - 12 * m * m)
     return TruncatedSeries(out, trunc24)
+
+
+# -- the rational kernels with Fractions in their loops -------------------------
+
+def fixed_point_sum_in_fractions(n, trunc24, a, value):
+    """a phi_{0,1} + F phi_{-2,1}, F the series of value(c) on the
+    coefficients c of wp(u), the products on the values as they come."""
+    wp = _wp_series(n, trunc24)
+    f = TruncatedSeries({k: value(c) for k, c in wp.terms.items()}, trunc24)
+    return index_one_form(*jacobi_form_columns(a, f, trunc24))
+
+
+def equivariant_genus_in_fractions(label, trunc24):
+    n = CLASS_ORDER[label]
+    pairs = FIXED_POINT_EIGENVALUES[n]
+    return fixed_point_sum_in_fractions(
+        n, trunc24, exact_quotient(fixed_point_count(label), 12),
+        lambda c: c.galois_sum(pairs).rational_value())
+
+
+def weighted_genus_in_fractions(label, trunc24):
+    n = CLASS_ORDER[label]
+    return fixed_point_sum_in_fractions(
+        n, trunc24, Fraction(euler_phi(n), 12),
+        CyclotomicNumber.trace) * UNIT_SUM_WEIGHTS[n]
+
+
+def jacobi_split_in_fractions(s):
+    """a = e_0/12 first, then h from the y^0 columns of s - a phi_{0,1}."""
+    if s.is_zero():
+        return 0, s
+    columns = _columns(s)
+    off = s - index_one_form(*columns)
+    e = euler_specialization(s)
+    offenders = [k for k in e.q_support() if k]
+    if off.terms:
+        offenders.append(off.min_q24)
+    if offenders:
+        raise NotInSpanError(
+            "series is not an index-one form with a constant Euler value",
+            q24=min(offenders))
+    a = exact_quotient(e.terms.get((0, 0), 0), 12)
+    phi0 = weak_jacobi_columns(0, s.trunc24)
+    y0, y1 = (col - p * a for col, p in zip(columns, phi0))
+    phim2 = weak_jacobi_columns(-2, s.trunc24)
+    lead = min((c.min_q24 for c in (y0, y1) if c.terms), default=y0.trunc24)
+    known = min(y0.trunc24, phim2[0].trunc24 + lead)
+    h = y0.divide_exact(phim2[0]).truncate(known)
+    residual = y1 - h * phim2[1]
+    if residual.terms:
+        raise NotInSpanError("series is not a phi_{0,1} + h(q) phi_{-2,1}",
+                             q24=residual.min_q24)
+    return a, h
+
+
+def f_from_traces_in_fractions(label):
+    """eta^3 (Sigma_g - e(g)/24 Sigma) with the Fraction e(g)/24."""
+    A = sigma_coefficients()
+    e = Fraction(euler_character_value(label), 24)
+    t = len(A) * 24
+    diff = TruncatedSeries({(24 * n - 3, 0): k_layer_trace(n, label) - e * a
+                            for n, a in enumerate(A)}, t - 3)
+    f = diff * eta_power(3, t)
+    return [f.coeff(n) for n in range(len(A))]
+
+
+def _solve_square(mat, vec):
+    """Gauss-Jordan elimination on Fractions; None for a singular mat."""
+    n = len(vec)
+    for col in range(n):
+        piv = next((i for i in range(col, n) if mat[i][col]), None)
+        if piv is None:
+            return None
+        mat[col], mat[piv] = mat[piv], mat[col]
+        vec[col], vec[piv] = vec[piv], vec[col]
+        inv = exact_quotient(1, mat[col][col])
+        mat[col] = [x * inv for x in mat[col]]
+        vec[col] = vec[col] * inv
+        for i in range(n):
+            if i != col and mat[i][col]:
+                f = mat[i][col]
+                mat[i] = [x - f * y for x, y in zip(mat[i], mat[col])]
+                vec[i] = vec[i] - f * vec[col]
+    return vec
+
+
+def fit_in_m2_in_fractions(prefix, level, trunc24, basis=None):
+    """The fit on Fraction coefficients; ``basis`` defaults to m2_basis."""
+    if basis is None:
+        basis = m2_basis(level, max(trunc24, 24 * len(prefix)))
+    dim = len(basis)
+    if len(prefix) < dim + 1:
+        raise ValueError(f"need more than {dim} coefficients at level {level}")
+    rows = [[b.coeff(n) for b in basis] for n in range(len(prefix))]
+    coeffs = _solve_square([row[:] for row in rows[:dim]], list(prefix[:dim]))
+    if coeffs is None:
+        raise ArithmeticError(f"M_2 basis at level {level} is degenerate")
+    for n in range(dim, len(prefix)):
+        got = sum(c * rows[n][j] for j, c in enumerate(coeffs))
+        if got != prefix[n]:
+            raise ArithmeticError(
+                f"level-{level} fit fails at q^{n}: {got} != {prefix[n]}")
+    return sum((b * c for c, b in zip(coeffs, basis)),
+               TruncatedSeries.zero(trunc24))
+
+
+def f_series_in_fractions(label, trunc24):
+    if label == "1A":
+        return TruncatedSeries.zero(trunc24)
+    return fit_in_m2_in_fractions(
+        f_from_traces_in_fractions(label), CLASS_LEVEL[label], trunc24)
+
+
+def linear_combinations_in_fractions(forms, rows):
+    """Each row's weights times the forms' contents as Fractions."""
+    forms = list(forms)
+    common: dict = {}
+    for f in forms:
+        for d, e in f._e:
+            common[d] = max(common.get(d, 0), e)
+    den = _product_coeffs(common.items())
+    lifted = [_int_mul(f._n, _int_divexact(den, _product_coeffs(f._e)))
+              for f in forms]
+    width = max(map(len, lifted), default=0)
+    out = []
+    for row in rows:
+        scales = [Fraction(w) * f._c for w, f in zip(row, forms)]
+        scale = lcm(*(s.denominator for s in scales))
+        acc = [0] * width
+        for s, coeffs in zip(scales, lifted):
+            k = s.numerator * (scale // s.denominator)
+            if k:
+                for i, x in enumerate(coeffs):
+                    acc[i] += k * x
+        out.append(RationalFunction._of(*_canonical(
+            Fraction(1, scale), acc, common)))
+    return out
+
+
+def m_chi_rational_in_fractions(table, forms):
+    weights = [[Fraction(c.size) * ch.values[idx] / table.order / ch.orbit_size
+                for idx, c in enumerate(table.classes)]
+               for ch in table.characters]
+    sums = linear_combinations_in_fractions(
+        [forms[c.label] for c in table.classes], weights)
+    return {ch.name: (m, m.pole_coefficient(Fraction(1), 4))
+            for ch, m in zip(table.characters, sums)}
+
+
+def expand_in_fractions(f, terms):
+    """The power series of f with its content multiplied in as a Fraction."""
+    den = _product_coeffs(f._e)
+    out = []
+    for k in range(terms):
+        acc = f._n[k] if k < len(f._n) else 0
+        for j in range(1, min(k, len(den) - 1) + 1):
+            acc -= den[j] * out[k - j]
+        out.append(acc * den[0])
+    return [f._c * x for x in out]

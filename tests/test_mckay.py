@@ -1,20 +1,25 @@
 import os
 import re
 from fractions import Fraction
+from itertools import permutations
+from math import prod
 
 import pytest
 
+from k3moonshine import mckay
 from k3moonshine.genus import (
     equivariant_elliptic_genus, fixed_point_count, jacobi_split,
 )
 from k3moonshine.mckay import (
-    CLASS_LEVEL, GEOMETRIC_CLASSES, MOONSHINE_CLASSES, cusp_form,
+    CLASS_LEVEL, GEOMETRIC_CLASSES, MOONSHINE_CLASSES, _bareiss, cusp_form,
     eisenstein_difference, euler_character_value, f_from_traces, f_series,
-    k_layer_trace, m2_basis, read_fg_file, sigma_coefficients, twining_genus,
-    twining_pair, write_fg_file,
+    fit_in_m2, k_layer_trace, m2_basis, read_fg_file, sigma_coefficients,
+    twining_genus, twining_pair, write_fg_file,
 )
 from k3moonshine.n4char import twining_to_symtraces
 from k3moonshine.replattice import first_nonintegral
+from k3moonshine.series import TruncatedSeries
+from route_oracle import _solve_square, fit_in_m2_in_fractions
 
 
 def test_euler_values():
@@ -61,6 +66,98 @@ def test_m2_basis_dimensions():
             23: 3}
     for level, d in dims.items():
         assert len(m2_basis(level, 3 * 24)) == d, level
+
+
+# -- the fraction-free fit ------------------------------------------------------
+
+def _det(mat):
+    """The determinant by the Leibniz sum."""
+    n = len(mat)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j]
+                         for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * prod(mat[i][perm[i]] for i in range(n))
+    return total
+
+
+@pytest.mark.parametrize("mat, vec", [
+    ([[2, 3, 5], [7, 11, 13], [17, 19, 23]], [1, -2, 3]),
+    # a zero first pivot: the rows are swapped
+    ([[0, 2, 1], [3, 1, 4], [1, 5, 9]], [4, 0, -7]),
+    ([[4, 0, 2, 6], [2, 6, 1, 0], [0, 3, 5, 9], [8, 1, 0, 2]], [1, 1, 2, 3]),
+    ([[6]], [4]),
+])
+def test_bareiss_solves_with_the_determinant(mat, vec):
+    x, D = _bareiss(mat, vec)
+    assert abs(D) == abs(_det(mat))
+    want = _solve_square([list(map(Fraction, row)) for row in mat], list(vec))
+    assert [Fraction(v, D) for v in x] == want
+    assert all(type(v) is int for v in x)
+
+
+def test_bareiss_reports_a_singular_matrix():
+    assert _bareiss([[1, 2, 3], [2, 4, 6], [0, 1, 1]], [1, 2, 3]) is None
+
+
+def _patched_basis(monkeypatch, series):
+    """m2_basis replaced by ``series``, each cut to the asked truncation."""
+    monkeypatch.setattr(mckay, "m2_basis",
+                        lambda level, t: [b.truncate(t) for b in series])
+
+
+_B0 = TruncatedSeries({(24, 0): 1, (48, 0): 2, (72, 0): 3, (96, 0): 5,
+                       (120, 0): -1}, 6 * 24)
+_B1 = TruncatedSeries({(0, 0): 2, (24, 0): 1, (48, 0): -1, (72, 0): 4,
+                       (96, 0): 1, (120, 0): 7}, 6 * 24)
+
+
+def test_fit_swaps_rows_at_a_zero_pivot(monkeypatch):
+    # the q^0 row of the basis is (0, 2), so the first pivot is zero
+    _patched_basis(monkeypatch, [_B0, _B1])
+    f = _B0 * Fraction(1, 3) - _B1 * Fraction(5, 2)
+    prefix = [f.coeff(n) for n in range(5)]
+    got = fit_in_m2(prefix, 99, 5 * 24)
+    assert got == f.truncate(5 * 24)
+    want = fit_in_m2_in_fractions(prefix, 99, 5 * 24, [_B0, _B1])
+    assert dict(got.terms) == dict(want.terms)
+    assert [type(c) for c in got.terms.values()] == \
+        [type(want.terms[k]) for k in got.terms]
+
+
+def test_fit_rejects_a_degenerate_basis(monkeypatch):
+    _patched_basis(monkeypatch, [_B0, _B0 * 2])
+    with pytest.raises(ArithmeticError,
+                       match=r"^M_2 basis at level 99 is degenerate$"):
+        fit_in_m2([0, 1, 2, 3], 99, 4 * 24)
+
+
+def _fit_outcome(fit, prefix, level):
+    """The fitted coefficients with their types, or the error text."""
+    try:
+        f = fit(prefix, level, 24 * 8)
+    except ArithmeticError as exc:
+        return str(exc)
+    return [(c, type(c)) for c in (f.coeff(n) for n in range(8))]
+
+
+@pytest.mark.parametrize("label", [l for l in CLASS_LEVEL if l != "1A"])
+def test_fit_reports_a_failed_surplus_coefficient(label):
+    level = CLASS_LEVEL[label]
+    prefix = f_from_traces(label)
+    dim = len(m2_basis(level, 24 * len(prefix)))
+    bad = list(prefix)
+    bad[dim] += 1
+    want = f"level-{level} fit fails at q^{dim}: {prefix[dim]} != {bad[dim]}"
+    assert _fit_outcome(fit_in_m2, bad, level) == want
+    # a perturbed q^0 moves the solution, so the surplus fails (or fits)
+    # with the same text, got in lowest terms, as on Fractions
+    shifts = ((dim, 1), (0, Fraction(1, 7)), (dim - 1, Fraction(-2, 3)))
+    for n, shift in shifts:
+        bad = list(prefix)
+        bad[n] += shift
+        assert _fit_outcome(fit_in_m2, bad, level) == \
+            _fit_outcome(fit_in_m2_in_fractions, bad, level)
 
 
 def f_geometric(label: str, trunc24: int):

@@ -52,6 +52,43 @@ def test_constant_expansion():
     assert RationalFunction(Poly([1]), {}).expand(3) == [1, 0, 0]
 
 
+def test_expansion_is_canonical():
+    # an integral content gives ints, any other content canonical Fractions
+    r = RationalFunction(Poly([2, -28, 2]), {1: 4})
+    assert [type(c) for c in r.expand(7)] == [int] * 7
+    half = r * Fraction(1, 4)
+    got = half.expand(7)
+    assert got == [Fraction(c, 4) for c in r.expand(7)]
+    assert [type(c) for c in got] == \
+        [int if c.denominator == 1 else Fraction for c in got]
+
+
+def test_equal_values_hash_alike():
+    # the zero, constant, polynomial and rational cases: every member of a
+    # group equals every other, so all hash alike and a set keeps one
+    phi3, phi5 = cyclotomic_poly(3), cyclotomic_poly(5)
+    groups = [
+        (0, Fraction(0), Poly([]), Poly([0]), RationalFunction(0),
+         RationalFunction(Poly([]), {3: 1})),
+        (2, Fraction(2), Poly([2]), RationalFunction(2),
+         RationalFunction(Poly([2, 2]), {2: 1})),
+        (Fraction(1, 3), Poly([Fraction(1, 3)]),
+         RationalFunction(Fraction(1, 3))),
+        (Poly([1, 2]), RationalFunction(Poly([1, 2])),
+         RationalFunction(Poly([1, 2]) * phi3, {3: 1})),
+        (RationalFunction(Poly([1, 2]), {1: 2}),
+         RationalFunction(Poly([1, 2]) * phi5, {1: 2, 5: 1})),
+    ]
+    for group in groups:
+        for x in group:
+            for y in group:
+                assert x == y and hash(x) == hash(y), (x, y)
+        assert len(set(group)) == 1
+    assert len({RationalFunction(2), 2}) == 1
+    assert len({Poly([2]), 2}) == 1
+    assert len(set().union(*map(set, groups))) == len(groups)
+
+
 def test_reconstruct_rational():
     den = cyclotomic_poly(7)
     num = Poly([2, 3, 4, 3, 2])
@@ -144,7 +181,9 @@ def pole_order_at_one(den: Poly) -> int:
 
 def assert_same(new, old):
     assert (new.num, new.den) == (old.num, old.den)
-    assert hash(new) == hash((old.num, old.den))
+    # a form without denominator equals, and so hashes as, its numerator
+    assert hash(new) == hash(
+        (old.num, old.den) if old.den.degree > 0 else old.num)
     assert new.expand(12) == old.expand(12)
     e1 = pole_order_at_one(old.den)
     assert new.pole_coefficient(Fraction(1), e1) == \

@@ -24,7 +24,10 @@ the genus's multiplicities from H's closed form with the decomposition of
 the genus.  The h triple sum, whose loops stop where the full exponent is
 monotone, is compared term by term and in order with its loops bounded
 without the cross term, and h_N in closed form (N != 1) with the triple
-sum.
+sum.  The rational kernels that run on ints over one denominator (the
+equivariant and weighted genera, the Jacobi split, f_g's traces and fit,
+the m_chi combinations and the power series of a rational form) are
+compared with their Fraction routes in values and types.
 """
 
 from fractions import Fraction
@@ -40,8 +43,8 @@ from k3moonshine.genus import (
     verify_moonshine_class, weighted_equivariant_genus,
 )
 from k3moonshine.mckay import (
-    GEOMETRIC_CLASSES, MOONSHINE_CLASSES, euler_character_value, f_from_traces,
-    f_series, fit_in_m2, m2_basis, twining_genus, twining_pair,
+    CLASS_LEVEL, GEOMETRIC_CLASSES, MOONSHINE_CLASSES, euler_character_value,
+    f_from_traces, f_series, fit_in_m2, m2_basis, twining_genus, twining_pair,
 )
 from k3moonshine.modforms import (
     eta_power, jacobi_theta, weak_jacobi_columns, weak_jacobi_phi,
@@ -53,7 +56,7 @@ from k3moonshine.n4char import (
     polar_part, ramond_basis_character, twining_to_symtraces,
     twining_truncation,
 )
-from k3moonshine.qpoly import Poly, RationalFunction
+from k3moonshine.qpoly import Poly, RationalFunction, linear_combinations
 from k3moonshine.series import (
     InsufficientPrecisionError, NotInSpanError, TruncatedSeries,
     exact_quotient,
@@ -61,14 +64,17 @@ from k3moonshine.series import (
 from route_oracle import (
     chern_root_elliptic_genus_z_graded, chi_symt_per_pair,
     decompose_two_divisions, equivariant_genus_by_division,
-    eta_power_by_inversion, fixed_point_term, fixed_point_term_by_division,
-    g_sum_by_products, genus_multiplicities_by_decomposition,
+    equivariant_genus_in_fractions, eta_power_by_inversion,
+    expand_in_fractions, f_from_traces_in_fractions, f_series_in_fractions,
+    fixed_point_term, fixed_point_term_by_division, g_sum_by_products,
+    genus_multiplicities_by_decomposition,
     h_triple_sum_pruned_without_cross_term, jacobi_split_by_division,
-    moonshine_report_by_series,
+    jacobi_split_in_fractions, linear_combinations_in_fractions,
+    m_chi_rational_in_fractions, moonshine_report_by_series,
     pole_coefficient_in_fractions, polar_part_by_products, table1_sum,
     twining_genus_by_products, twining_to_symtraces_by_decomposition,
     typical_row_by_series, weak_jacobi_columns_by_e2, weak_jacobi_phi_by_products,
-    weighted_genus_by_division,
+    weighted_genus_by_division, weighted_genus_in_fractions,
 )
 from test_caches import SAMPLE_ARGS, _cached_builders
 
@@ -399,6 +405,82 @@ def test_pole_coefficient_matches_the_fraction_evaluation():
         got = f.pole_coefficient(at, order)
         assert got == pole_coefficient_in_fractions(f, at, order)
         assert type(got) is Fraction
+
+
+# -- the rational kernels over one denominator against their Fraction loops ----
+
+KERNEL_TRUNCATIONS = (24, 4 * 24, 6 * 24, 20 * 24, 100 * 24)
+
+
+def _same_form(a, b):
+    """The same canonical fields: content, integer numerator, exponents."""
+    assert (a._c, a._n, a._e) == (b._c, b._n, b._e)
+    assert type(a._c) is type(b._c) is Fraction
+    assert all(type(x) is int for x in a._n)
+
+
+@pytest.mark.parametrize("t", KERNEL_TRUNCATIONS)
+@pytest.mark.parametrize("label", SYMPLECTIC_CLASSES[1:])
+def test_genera_and_split_match_their_fraction_routes(label, t):
+    s = equivariant_elliptic_genus(label, t)
+    _same_series(s, equivariant_genus_in_fractions(label, t))
+    _same_series(weighted_equivariant_genus(label, t),
+                 weighted_genus_in_fractions(label, t))
+    for form in (s, s * Fraction(1, 7)):
+        (a, h), (a0, h0) = jacobi_split(form), jacobi_split_in_fractions(form)
+        assert a == a0 and type(a) is type(a0)
+        _same_series(h, h0)
+
+
+@pytest.mark.parametrize("t", KERNEL_TRUNCATIONS)
+@pytest.mark.parametrize("label", tuple(CLASS_LEVEL))
+def test_f_series_matches_its_fraction_route(label, t):
+    got, want = f_from_traces(label), f_from_traces_in_fractions(label)
+    assert got == want and list(map(type, got)) == list(map(type, want))
+    _same_series(f_series(label, t), f_series_in_fractions(label, t))
+
+
+def _m23_forms():
+    from k3moonshine.replattice import m23_table2
+    from k3moonshine.tables import load_m23
+    m23 = load_m23()
+    return m23, m23_table2(m23, 21)[0]
+
+
+def test_m_chi_rational_matches_its_fraction_route():
+    from k3moonshine.replattice import m_chi_rational
+    m23, forms = _m23_forms()
+    got = m_chi_rational(m23, forms)
+    want = m_chi_rational_in_fractions(m23, forms)
+    assert list(got) == list(want)
+    for name, (m, pole) in got.items():
+        m0, pole0 = want[name]
+        _same_form(m, m0)
+        assert pole == pole0 and type(pole) is type(pole0) is Fraction
+
+
+def test_linear_combinations_match_their_fraction_route():
+    _, forms = _m23_forms()
+    forms = list(forms.values())[:5] + [
+        RationalFunction(Poly([Fraction(1, 3), 2]), {1: 2, 3: 1})]
+    rows = [(1, -2, 0, 3, 1, 6), (Fraction(1, 2), 0, Fraction(-2, 3), 5, 0, 1),
+            (0,) * 6, (1, 1, 1, 1, 1, Fraction(-3, 4))]
+    for got, want in zip(linear_combinations(forms, rows),
+                         linear_combinations_in_fractions(forms, rows)):
+        _same_form(got, want)
+
+
+def test_expand_matches_its_fraction_route():
+    from k3moonshine.replattice import m_chi_rational
+    m23, forms = _m23_forms()
+    mchi = [m for m, _ in m_chi_rational(m23, forms).values()]
+    odd = RationalFunction(Poly([Fraction(1, 3), 2, -1]), {1: 2, 6: 1})
+    for f in [*forms.values(), *mchi[:4], odd, odd * 6]:
+        got, want = f.expand(40), expand_in_fractions(f, 40)
+        assert got == want
+        assert [type(x) for x in got] == \
+            [int if x.denominator == 1 else Fraction for x in want]
+    assert all(type(x) is int for f in forms.values() for x in f.expand(40))
 
 
 # -- phi_{0,1} is built only where its weight is nonzero ------------------------
