@@ -242,15 +242,17 @@ def check_8_lattices(**_) -> tuple:
 
 
 def check_9_table2(t_order: int = 21, **_) -> tuple:
+    from .chartab import format_rational
     from .tables import load_m23
     from .replattice import m23_table2, m_chi_rational
     m23 = load_m23()
     forms, cols = m23_table2(m23, t_order)
     rows = min(t_order, 21)
     for n in range(rows):
-        row = tuple(int(cols[j][n]) for j in range(17))
+        # exact values: a non-integral multiplicity must not round to a row
+        row = tuple(cols[j][n] for j in range(17))
         if row != TABLE2_ROWS[n]:
-            return False, f"row {n}: {row}"
+            return False, f"row {n}: ({', '.join(map(format_rational, row))})"
     mchi = m_chi_rational(m23, forms)
     m1, pole1 = mchi[m23.characters[0].name]
     if (m1.num.degree, m1.den.degree) != (70, 72):

@@ -4,9 +4,10 @@ Builds the three-variable character of the free-field algebra V as
 {f: series in (q, y)} over the fermion number f, extracts the
 SL(2)-isotypic characters ch_{V_N} two independent ways (from the z^f
 slices of the product formula, and the closed Appell-Lerch form),
-computes the Fourier parts h_N and the polar part of g_1, decomposes
-characters into typical/atypical N=4 pieces, and inverts the elliptic-genus
-decomposition to recover symmetric-power traces from twining genera.
+computes the Fourier parts h_N and the polar part of g_1, and inverts the
+elliptic-genus decomposition to recover symmetric-power traces from
+twining genera.  N=4 multiplicities are read in closed form (Table 3's
+rows, H's); ``decompose_into_n4`` is criterion 7's cross-check.
 
 The Appell-Lerch sums are written term by term.  Each factor 1/(1 + x)
 with x = y^(+-1) q^e, e in Z + 1/2, is expanded toward positive q-powers,
@@ -369,17 +370,10 @@ class N4Multiplicities(Record):
     (``typical`` maps the Fraction h to its multiplicity).
 
     ``horizon24``: multiplicities at weights h with 24(h - 3/8) at or
-    beyond it are outside the computed window and must not be read.
+    beyond it are outside the computed window; ``table_row`` raises there.
     """
 
     __slots__ = ("atypical", "typical", "horizon24")
-
-    def multiplicity(self, h) -> Fraction:
-        h = Fraction(h)
-        if 24 * (h - Fraction(3, 8)) >= self.horizon24:
-            raise InsufficientPrecisionError(
-                f"weight {h} beyond the computed horizon")
-        return self.typical.get(h, 0)
 
     def table_row(self, columns) -> list:
         """Multiplicities at h = 1/4 + k for the requested integer columns,
@@ -399,8 +393,9 @@ class N4Multiplicities(Record):
 _POLAR_LEAD, _POLAR_LEAD_COEFF = (9, -2), 1
 
 
-def decompose_into_n4(s: TruncatedSeries, sector: str = "NS") -> N4Multiplicities:
-    """Solve s = a * atypical + sum_h mult(h) ch_h, exactly to truncation.
+def decompose_into_n4(s: TruncatedSeries) -> N4Multiplicities:
+    """Solve s = a * atypical + sum_h mult(h) ch_h for an NS-sector s,
+    exactly to truncation: criterion 7's cross-check of the genus against H.
 
     With u = s * eta^3 / theta3, the typical quotient
     h = (u - a * polar) / theta3 must be y-independent.  ``a`` is read at
@@ -409,16 +404,11 @@ def decompose_into_n4(s: TruncatedSeries, sector: str = "NS") -> N4Multiplicitie
     InsufficientPrecisionError.  theta3 = 1 + O(q^(1/2)) has y^0 column 1,
     so h is the y^0 column of u - a * polar, and u - a * polar - theta3 * h
     must vanish: its lowest term is the lowest y-dependent term of the
-    quotient, which raises NotInSpanError at that order.  Ramond-sector
-    input is flowed back to NS (the multiplicities agree sector-wise).
-    ``horizon24`` is the NS input's trunc24 + 3 (eta^3 and theta3 are built
-    that far past the lowest orders of s and of u), so every caller builds
-    its input at ``decomposition_truncation``, the one rule derived from it.
+    quotient, which raises NotInSpanError at that order.  ``horizon24`` is
+    the input's trunc24 + 3 (eta^3 and theta3 are built that far past the
+    lowest orders of s and of u); ``decomposition_truncation`` is derived
+    from it.
     """
-    if sector == "R":
-        return decompose_into_n4(s.spectral_flow(-1), "NS")
-    if sector != "NS":
-        raise ValueError("sector must be 'NS' or 'R'")
     t = s.trunc24
     lowest = min((q24 for q24, _y2 in s.terms), default=t - 1)
     theta = jacobi_theta(3, t - lowest)
@@ -459,7 +449,7 @@ def genus_A_coefficients(nmax: int, genus: TruncatedSeries) -> GenusDecompositio
     """Decompose the K3 elliptic genus: 24 massless + sum A_n ch^R_(1/4+n).
     It pairs with the fermion-parity-signed flow: flow back, undo y's sign."""
     dec = decompose_into_n4(genus.spectral_flow(-1).substitute_y_sign())
-    a_list = [-dec.multiplicity(Fraction(1, 4) + n) for n in range(nmax + 1)]
+    a_list = [-m for m in dec.table_row(range(nmax + 1))]
     return GenusDecomposition(-dec.atypical, a_list)
 
 
@@ -486,26 +476,18 @@ def symmetric_power_crosscheck(dec: GenusDecomposition) -> dict:
 
 # -- recovering symmetric-power traces from twinings ---------------------------
 
-def decomposition_truncation(ncols: int, sector: str = "NS") -> int:
-    """The trunc24 at which every caller of ``decompose_into_n4`` in
-    ``sector`` builds ch_{V_N} (NS, from q^(-1/4) on) to read the massless
-    multiplicity (q24 = 9) and the columns k < ncols (to 24 ncols - 27)
-    below the NS trunc24 + 3; for R its flow must reach twining_truncation."""
-    if sector == "R":
-        return _flow_truncation(twining_truncation(ncols), -6)
+def decomposition_truncation(ncols: int) -> int:
+    """The least trunc24 at which ``decompose_into_n4`` reads, from an NS
+    ch_{V_N} (from q^(-1/4) on), the massless multiplicity (q24 = 9) and
+    the columns k < ncols (to 24 ncols - 27) below its trunc24 + 3."""
     return max(24 * ncols - 27, 9) - 2
 
 
-def _flow_truncation(need: int, lowest24: int) -> int:
-    """The least T = lowest24 + 24 m at which a series from lowest24 on
-    flows (either way) to below need: the y-envelope costs 6 m + 18."""
-    return lowest24 + 24 * -(-(need - lowest24 + 18) // 18)
-
-
 def twining_truncation(tmax: int) -> int:
-    """The least genus trunc24 (a multiple of 24) for A_0 .. A_(tmax - 1):
-    the flow back from q^0 to ``decomposition_truncation(tmax)``."""
-    return _flow_truncation(decomposition_truncation(tmax), 0)
+    """The least genus trunc24 = 24 m for A_0 .. A_(tmax - 1): the flow back
+    from q^0, whose y-envelope costs 6 m + 18, reaches
+    ``decomposition_truncation(tmax)``."""
+    return 24 * -(-(decomposition_truncation(tmax) + 18) // 18)
 
 
 @lru_cache(maxsize=None)

@@ -39,6 +39,13 @@ the long way, as the library once did, and the tests compare the two:
   * ``genus_multiplicities_by_decomposition``: the genus's N=4
     multiplicities from the whole (q, y) genus, decomposed into N=4
     characters, where the library reads H's closed form;
+  * ``n4_decompose_by_decomposition`` and
+    ``genus_decompose_by_decomposition``: the reports of the CLI's
+    ``n4-decompose`` and ``genus-decompose`` from a (q, y) series built
+    and decomposed into N=4 characters (ch_{V_N}, flowed to the Ramond
+    sector and back for ``--sector R``, at ``truncation_in_sector``; the
+    genus at ``twining_truncation``), where the CLI reads Table 3's rows
+    and H in closed form;
   * ``h_triple_sum_pruned_without_cross_term``: the triple sum of h_N with
     its loops bounded by the exponent less its cross term only, where the
     library also stops a loop where the full exponent is monotone;
@@ -71,6 +78,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from math import lcm
 
+from k3moonshine.chartab import format_rational
 from k3moonshine.cyclotomic import CyclotomicNumber, canonical_rational, zeta
 from k3moonshine.genus import (
     CLASS_ORDER, FIXED_POINT_EIGENVALUES, UNIT_SUM_WEIGHTS, MoonshineReport,
@@ -87,7 +95,8 @@ from k3moonshine.modforms import (
 )
 from k3moonshine.n4char import (
     N4Multiplicities, _atypical_coefficient, _h_triple_sum, _typical_row,
-    decompose_into_n4, genus_A_coefficients, polar_part, twining_truncation,
+    ch_vn_h_form, decompose_into_n4, decomposition_truncation,
+    genus_A_coefficients, polar_part, twining_truncation,
 )
 from k3moonshine.qpoly import (
     Poly, RationalFunction, _canonical, _horner, _int_divexact, _int_mul,
@@ -101,11 +110,7 @@ from division_oracle import divide_by_slices
 from series_tools import as_rational, galois, geometric_factor, theta4, theta_s
 
 
-def decompose_two_divisions(s, sector="NS"):
-    if sector == "R":
-        return decompose_two_divisions(s.spectral_flow(-1), "NS")
-    if sector != "NS":
-        raise ValueError("sector must be 'NS' or 'R'")
+def decompose_two_divisions(s):
     t = s.trunc24
     theta = jacobi_theta(3, t + 12)
     p_over_theta = polar_part(t + 12).divide_exact(theta)
@@ -435,7 +440,7 @@ def twining_to_symtraces_by_decomposition(twining: TruncatedSeries, tmax: int,
                                  q24=24 * k - 3)
         known = sum(c * rows[n][k] for n, c in coeffs.items())
         n = unknown[0]
-        mult = dec.multiplicity(Fraction(1, 4) + k)
+        mult, = dec.table_row([k])
         coeffs[n] = exact_quotient(mult - known, rows[n][k])
 
     solve_column(0)
@@ -459,6 +464,49 @@ def genus_multiplicities_by_decomposition(ncols: int) -> tuple:
     dec = genus_A_coefficients(
         ncols - 1, elliptic_genus(twining_truncation(ncols)))
     return (-dec.atypical, *(-a for a in dec.A))
+
+
+# -- the CLI's decomposing commands ---------------------------------------------
+
+def flow_truncation(need: int, lowest24: int) -> int:
+    """The least T = lowest24 + 24 m at which a series from lowest24 on
+    flows (either way) to below need: the y-envelope costs 6 m + 18."""
+    return lowest24 + 24 * -(-(need - lowest24 + 18) // 18)
+
+
+def truncation_in_sector(ncols: int, sector: str) -> int:
+    """The trunc24 at which ch_{V_N} is built to read the columns k < ncols:
+    for NS ``decomposition_truncation``, for R the trunc24 whose flow
+    to the Ramond sector reaches ``twining_truncation(ncols)``."""
+    if sector == "R":
+        return flow_truncation(twining_truncation(ncols), -6)
+    return decomposition_truncation(ncols)
+
+
+def n4_decompose_by_decomposition(n: int, q_order: int, sector: str):
+    """``n4-decompose``'s (report, exit code): ch_{V_N} decomposed, and for
+    R flowed to the Ramond sector and back first."""
+    s = ch_vn_h_form(n, truncation_in_sector(q_order, sector))
+    if sector == "R":
+        s = s.spectral_flow(+1).spectral_flow(-1)
+    dec = decompose_into_n4(s)
+    cols = list(range(q_order))
+    return {"title": f"N=4 decomposition of ch_V{n} ({sector})",
+            "atypical": format_rational(dec.atypical),
+            "columns": [f"h=1/4+{k}" for k in cols],
+            "rows": [[format_rational(v) for v in dec.table_row(cols)]]}, 0
+
+
+def genus_decompose_by_decomposition(q_order: int):
+    """``genus-decompose``'s (report, exit code): the (q, y) genus
+    decomposed, exit code 1 unless the massless multiplicity is 24."""
+    genus = elliptic_genus(twining_truncation(q_order + 1))
+    dec = genus_A_coefficients(q_order, genus)
+    return {"title": "elliptic genus into N=4 characters",
+            "massless_multiplicity": format_rational(dec.atypical),
+            "columns": ["n", "A_n"],
+            "rows": [[n, format_rational(a)] for n, a in enumerate(dec.A)]}, \
+        0 if dec.atypical == 24 else 1
 
 
 def h_triple_sum_pruned_without_cross_term(M: int, trunc24: int) -> TruncatedSeries:

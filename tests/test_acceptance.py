@@ -205,10 +205,10 @@ def test_table3_round_trip_at_the_derived_truncation():
     t = decomposition_truncation(12)
     assert t == 259
     for n in range(11):
-        dec = decompose_into_n4(ch_vn_h_form(n, t), "NS")
+        dec = decompose_into_n4(ch_vn_h_form(n, t))
         assert dec.atypical == acc.TABLE3_ATYPICAL[n], n
         assert tuple(dec.table_row(range(12))) == acc.TABLE3_ROWS[n], n
-        short = decompose_into_n4(ch_vn_h_form(n, t - 1), "NS")
+        short = decompose_into_n4(ch_vn_h_form(n, t - 1))
         with pytest.raises(InsufficientPrecisionError):
             short.table_row(range(12))
 
@@ -221,7 +221,7 @@ def test_table3_from_the_g_route():
     )
     t = decomposition_truncation(12)
     for n in range(11):
-        dec = decompose_into_n4(ch_vn_closed(n, t), "NS")
+        dec = decompose_into_n4(ch_vn_closed(n, t))
         assert dec.atypical == acc.TABLE3_ATYPICAL[n], n
         assert tuple(dec.table_row(range(12))) == acc.TABLE3_ROWS[n], n
 
@@ -404,6 +404,22 @@ def test_criterion_9_multiplicity_table():
 def test_criterion_9_detail_names_the_rows_checked(t_order, rows):
     assert acc.check_9_table2(t_order=t_order) == \
         (True, f"{rows} and the multiplicity functions")
+
+
+def test_criterion_9_catches_a_non_integral_multiplicity(monkeypatch):
+    # -5/2 where row 4 has -2 must not be truncated to -2
+    from k3moonshine import replattice
+    real = replattice.m23_table2
+
+    def perturbed(table, t_order):
+        forms, cols = real(table, t_order)
+        cols = [list(col) for col in cols]
+        cols[1][4] = Fraction(-5, 2)
+        return forms, cols
+
+    monkeypatch.setattr(replattice, "m23_table2", perturbed)
+    assert acc.check_9_table2() == (
+        False, "row 4: (2, -5/2, -2, -2, 0, 2, 0, 0, 2, 0, 0, 1, 1, 1, 1, 0, -2)")
 
 
 def test_criterion_10_integrality_audit():

@@ -108,52 +108,57 @@ OLD_MARGIN = {"NS": lambda q: (q + 2) * 24, "R": lambda q: (2 * q + 10) * 24,
               "genus": lambda q: (2 * q + 6) * 24}
 
 
-def _report(argv, monkeypatch, rule=None, t=None):
-    """The report of ``argv``, with the n4char truncation ``rule`` replaced
-    by one that returns t and records its arguments (returned alongside)."""
-    from k3moonshine import n4char
+def _report(argv):
     from k3moonshine.cli import build_parser
     args = build_parser().parse_args(argv)
-    calls = []
-    with monkeypatch.context() as m:
-        if rule:
-            m.setattr(n4char, rule, lambda *a: calls.append(a) or t)
-        report, status = args.func(args)
+    report, status = args.func(args)
     assert status == 0
-    return report, calls
+    return report
 
+
+# The two commands read closed forms and build nothing; the truncation
+# tests below build what the commands once built and decompose it, at
+# the derived truncation and above, to the rows the commands print.
 
 @pytest.mark.parametrize("q_order", [1, 2, 6, 13])
 @pytest.mark.parametrize("n", [0, 1, 5, 10])
 @pytest.mark.parametrize("sector", ["NS", "R"])
-def test_n4_decompose_builds_at_the_derived_truncation(sector, n, q_order,
-                                                       monkeypatch):
-    from k3moonshine.n4char import decomposition_truncation
-    argv = ["n4-decompose", "--n", str(n), "--q-order", str(q_order),
-            "--sector", sector]
-    t = decomposition_truncation(q_order, sector)
-    want, _ = _report(argv, monkeypatch)
+def test_n4_decompose_builds_at_the_derived_truncation(sector, n, q_order):
+    from k3moonshine.n4char import (
+        ch_vn_h_form, decompose_into_n4, decomposition_truncation,
+    )
+    from route_oracle import truncation_in_sector
+    report = _report(["n4-decompose", "--n", str(n), "--q-order",
+                      str(q_order), "--sector", sector])
+    t = truncation_in_sector(q_order, sector)
     for u in (t, t + 24, OLD_MARGIN[sector](q_order)):
-        got, calls = _report(argv, monkeypatch, "decomposition_truncation", u)
-        assert (got, calls) == (want, [(q_order, sector)]), u
+        s = ch_vn_h_form(n, u)
+        if sector == "R":
+            s = s.spectral_flow(+1).spectral_flow(-1)
+        dec = decompose_into_n4(s)
+        assert report["atypical"] == str(dec.atypical), u
+        assert report["rows"] == \
+            [[str(v) for v in dec.table_row(range(q_order))]], u
+    assert t <= OLD_MARGIN[sector](q_order)
     if sector == "NS":
-        assert t == max(24 * q_order - 29, 7)
+        assert t == decomposition_truncation(q_order) == \
+            max(24 * q_order - 29, 7)
         with pytest.raises(InsufficientPrecisionError):
-            _report(argv, monkeypatch, "decomposition_truncation", t - 1)
-    else:
-        assert t <= OLD_MARGIN["R"](q_order)
+            decompose_into_n4(ch_vn_h_form(n, t - 1)).table_row(
+                range(q_order))
 
 
 @pytest.mark.parametrize("q_order", [1, 5, 20])
-def test_genus_decompose_builds_at_the_twining_truncation(q_order,
-                                                          monkeypatch):
-    from k3moonshine.n4char import twining_truncation
-    argv = ["genus-decompose", "--q-order", str(q_order)]
+def test_genus_decompose_builds_at_the_twining_truncation(q_order):
+    from k3moonshine.genus import elliptic_genus
+    from k3moonshine.n4char import genus_A_coefficients, twining_truncation
+    report = _report(["genus-decompose", "--q-order", str(q_order)])
     t = twining_truncation(q_order + 1)
-    want, _ = _report(argv, monkeypatch)
     for u in (t, t + 24, OLD_MARGIN["genus"](q_order)):
-        got, calls = _report(argv, monkeypatch, "twining_truncation", u)
-        assert (got, calls) == (want, [(q_order + 1,)]), u
+        dec = genus_A_coefficients(q_order, elliptic_genus(u))
+        assert report["massless_multiplicity"] == str(dec.atypical), u
+        assert report["rows"] == \
+            [[n, str(a)] for n, a in enumerate(dec.A)], u
     assert t <= OLD_MARGIN["genus"](q_order)
 
 

@@ -230,7 +230,7 @@ def test_decompose_table3_first_rows():
         3: (0, [0, 0, 2, 0, 2, 6]),
     }
     for n, (atyp, row) in expected.items():
-        dec = decompose_into_n4(ch_vn_h_form(n, t), "NS")
+        dec = decompose_into_n4(ch_vn_h_form(n, t))
         assert dec.atypical == atyp, n
         assert dec.table_row(range(6)) == row, n
 
@@ -238,7 +238,7 @@ def test_decompose_table3_first_rows():
 def test_decompose_pure_typical():
     t = 5 * 24
     s = n4_character(3, "NS", t)
-    dec = decompose_into_n4(s, "NS")
+    dec = decompose_into_n4(s)
     assert dec.atypical == 0
     nonzero = {h: c for h, c in dec.typical.items() if c}
     assert nonzero == {Fraction(3): Fraction(1)}
@@ -248,13 +248,13 @@ def test_decompose_rejects_off_span():
     t = 4 * 24
     bad = n4_character(3, "NS", t) + jacobi_theta(3, t)
     with pytest.raises(NotInSpanError):
-        decompose_into_n4(bad, "NS")
+        decompose_into_n4(bad)
 
 
 def test_flow_consistency_of_multiplicities():
     v1 = ch_vn_h_form(1, 6 * 24)
-    m_ns = decompose_into_n4(v1, "NS")
-    m_r = decompose_into_n4(v1.spectral_flow(+1), "R")
+    m_ns = decompose_into_n4(v1)
+    m_r = decompose_into_n4(v1.spectral_flow(+1).spectral_flow(-1))
     assert m_ns.atypical == m_r.atypical
     hz = min(m_ns.horizon24, m_r.horizon24)
     for h in set(m_ns.typical) | set(m_r.typical):
@@ -447,8 +447,8 @@ def test_flowed_vacuum_ground_states():
 def test_flow_consistency_vacuum_deeper():
     # Remark-style: the flowed vacuum decomposes with the NS multiplicities
     v0 = ch_vn_h_form(0, 11 * 24)
-    m_ns = decompose_into_n4(v0, "NS")
-    m_r = decompose_into_n4(v0.spectral_flow(+1), "R")
+    m_ns = decompose_into_n4(v0)
+    m_r = decompose_into_n4(v0.spectral_flow(+1).spectral_flow(-1))
     assert m_ns.atypical == m_r.atypical == -2
     hz = min(m_ns.horizon24, m_r.horizon24)
     assert hz >= 5 * 24

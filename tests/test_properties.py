@@ -91,7 +91,7 @@ def test_y_independence_residuals_on_character_span():
         for w, ch in zip(weights, chars):
             if w:
                 combo = combo + ch * w
-        dec = decompose_into_n4(combo, "NS")
+        dec = decompose_into_n4(combo)
         expected_atypical = -2 * weights[0] + weights[1]
         assert dec.atypical == expected_atypical
         assert all(Fraction(v).denominator == 1 for v in dec.typical.values())

@@ -251,9 +251,9 @@ def test_decompose_family_matches_fraction_oracle():
 
 def test_table2_row0_and_row4():
     _, cols = m23_table2(load_m23(), 5)
-    assert [int(cols[j][0]) for j in range(17)] == \
+    assert [cols[j][0] for j in range(17)] == \
         [-2] + [0] * 16
-    assert [int(cols[j][4]) for j in range(17)] == \
+    assert [cols[j][4] for j in range(17)] == \
         [2, -2, -2, -2, 0, 2, 0, 0, 2, 0, 0, 1, 1, 1, 1, 0, -2]
 
 

@@ -51,10 +51,9 @@ from k3moonshine.modforms import (
 )
 from k3moonshine.n4char import (
     _genus_multiplicities, _h_triple_sum, _typical_row, atypical_ns,
-    ch_vn_closed,
-    ch_vn_h_form, decompose_into_n4, g_series, g_sum, h_series, n4_character,
-    polar_part, ramond_basis_character, twining_to_symtraces,
-    twining_truncation,
+    ch_vn_closed, ch_vn_h_form, decompose_into_n4, decomposition_truncation,
+    g_series, g_sum, h_series, n4_character, polar_part,
+    ramond_basis_character, twining_to_symtraces, twining_truncation,
 )
 from k3moonshine.qpoly import Poly, RationalFunction, linear_combinations
 from k3moonshine.series import (
@@ -66,12 +65,13 @@ from route_oracle import (
     decompose_two_divisions, equivariant_genus_by_division,
     equivariant_genus_in_fractions, eta_power_by_inversion,
     expand_in_fractions, f_from_traces_in_fractions, f_series_in_fractions,
-    fixed_point_term, fixed_point_term_by_division, g_sum_by_products,
+    fixed_point_term, fixed_point_term_by_division, flow_truncation,
+    g_sum_by_products, genus_decompose_by_decomposition,
     genus_multiplicities_by_decomposition,
     h_triple_sum_pruned_without_cross_term, jacobi_split_by_division,
     jacobi_split_in_fractions, linear_combinations_in_fractions,
     m_chi_rational_in_fractions, moonshine_report_by_series,
-    pole_coefficient_in_fractions, polar_part_by_products, table1_sum,
+    n4_decompose_by_decomposition, pole_coefficient_in_fractions, polar_part_by_products, table1_sum,
     twining_genus_by_products, twining_to_symtraces_by_decomposition,
     typical_row_by_series, weak_jacobi_columns_by_e2, weak_jacobi_phi_by_products,
     weighted_genus_by_division, weighted_genus_in_fractions,
@@ -125,8 +125,8 @@ def test_decompose_matches_two_divisions_on_the_twinings(label, tmax):
 
 @pytest.mark.parametrize("n", (0, 1, 2, 5))
 def test_decompose_matches_two_divisions_in_the_ramond_sector(n):
-    r = ch_vn_h_form(n, 9 * 24).spectral_flow(+1)
-    assert decompose_into_n4(r, "R") == decompose_two_divisions(r, "R")
+    ns = ch_vn_h_form(n, 9 * 24).spectral_flow(+1).spectral_flow(-1)
+    assert decompose_into_n4(ns) == decompose_two_divisions(ns)
 
 
 @pytest.mark.parametrize("t", range(0, 31))
@@ -622,6 +622,65 @@ def test_the_inverse_problem_flows_and_decomposes_no_twining(monkeypatch):
     assert twining_to_symtraces(*twining_pair("2B", 20 * 24), 20)
 
 
+# -- the CLI's decomposing commands read Table 3 and H -------------------------
+
+def _cli_report(argv):
+    from k3moonshine.cli import build_parser
+    args = build_parser().parse_args(argv)
+    return args.func(args)
+
+
+@pytest.mark.parametrize("sector", ("NS", "R"))
+@pytest.mark.parametrize("n", range(11))
+def test_n4_decompose_matches_the_decomposition(n, sector):
+    # Table 3's row in closed form against ch_{V_N} decomposed, in either
+    # sector; for N > q_order + 3 both are the zero row
+    for q_order in range(1, 14):
+        argv = ["n4-decompose", "--n", str(n), "--q-order", str(q_order),
+                "--sector", sector]
+        assert _cli_report(argv) == \
+            n4_decompose_by_decomposition(n, q_order, sector), q_order
+
+
+def test_genus_decompose_matches_the_decomposition():
+    # minus H's coefficients against the (q, y) genus decomposed
+    for q_order in range(1, 61):
+        assert _cli_report(["genus-decompose", "--q-order", str(q_order)]) \
+            == genus_decompose_by_decomposition(q_order), q_order
+
+
+def test_twining_truncation_is_the_flow_back_from_q0():
+    # the genus starts at q^0, and its flow back reaches the truncation
+    # at which a ch_{V_N} decomposes to the columns k < tmax
+    for tmax in range(1, 401):
+        assert twining_truncation(tmax) == \
+            flow_truncation(decomposition_truncation(tmax), 0), tmax
+
+
+def test_the_decomposing_commands_build_no_series(monkeypatch):
+    # from cold caches n4-decompose and genus-decompose build no ch_{V_N}
+    # and no genus, never flow and decompose nothing
+    from k3moonshine import cli, genus, n4char
+    argvs = [["n4-decompose", "--n", str(n), "--q-order", "12", "--sector",
+              sector] for n in (0, 1, 4, 10) for sector in ("NS", "R")]
+    argvs += [["genus-decompose"], ["genus-decompose", "--q-order", "40"]]
+    want = [_cli_report(argv) for argv in argvs]
+    for cached in (n4char._typical_row, n4char._h_column, n4char.h_series,
+                   n4char._genus_multiplicities, n4char.mathieu_h):
+        cached.cache_clear()
+
+    def refuse(*_args):
+        raise AssertionError("a decomposing command took the (q, y) route")
+
+    monkeypatch.setattr(TruncatedSeries, "spectral_flow", refuse)
+    for name in ("decompose_into_n4", "ch_vn_h_form", "elliptic_genus"):
+        for module in (cli, genus, n4char):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    assert [_cli_report(argv) for argv in argvs] == want
+    for argv in argvs:
+        assert cli.main(argv) == 0
+
+
 # -- truncation: the result at T is the result at T + 24 cut to T -------------
 
 def _cut(dec, horizon):
@@ -630,8 +689,8 @@ def _cut(dec, horizon):
 
 
 # inputs of different lowest orders, built below a truncation: ch_{V_0}
-# and ch_{V_1} lead at q^(-1/4), and ch_{V_4}, the Ramond characters the
-# decomposition flows back, the genus and the twinings lead higher
+# and ch_{V_1} lead at q^(-1/4), and ch_{V_4}, the Ramond characters
+# flowed back to NS, the genus and the twinings lead higher
 DECOMPOSE_INPUTS = (
     [(partial(ch_vn_h_form, n), "NS") for n in (0, 1, 4)]
     + [(lambda t, n=n: ch_vn_h_form(n, t).spectral_flow(+1), "R")
@@ -650,9 +709,10 @@ def test_decompose_truncation_is_sound(t):
     # trunc24 + 3 (eta^3 leads at q^(1/8))
     for build, sector in DECOMPOSE_INPUTS:
         low, high = build(t), build(t + 24)
-        a, b = decompose_into_n4(low, sector), decompose_into_n4(high, sector)
-        ns = low.spectral_flow(-1) if sector == "R" else low
-        assert a.horizon24 == ns.trunc24 + 3
+        if sector == "R":
+            low, high = low.spectral_flow(-1), high.spectral_flow(-1)
+        a, b = decompose_into_n4(low), decompose_into_n4(high)
+        assert a.horizon24 == low.trunc24 + 3
         assert a.atypical == b.atypical
         assert a.horizon24 < b.horizon24
         assert _cut(b, a.horizon24) == dict(a.typical)
