@@ -202,8 +202,8 @@ def check_7_genus_decomposition(**_) -> tuple:
     dec = genus_A_coefficients(5, elliptic_genus(twining_truncation(6)))
     if dec.atypical != 24 or dec.A[0] != -2 or dec.A[1] != 90:
         return False, f"anchors: {dec.atypical}, {dec.A[:2]}"
-    # cross-check: the decomposition against H's closed form, which the
-    # inverse problem of criterion 10 reads
+    # cross-check: the decomposition against H's closed form, which
+    # genus-decompose prints
     if (-dec.atypical, *(-a for a in dec.A)) != _genus_multiplicities(6):
         return False, f"A_n = {', '.join(map(str, dec.A))}, not H's"
     # cross-check: the module-layer dimensions behind f_from_traces

@@ -17,18 +17,20 @@ polar part is the closed double sum
     P = sum over odd a >= 1 and k >= 0 of (-1)^k (y^m + y^(-m)) q^(a(a+2+4k)/8),
     m = (a+1)/2 + k.
 Neither forms a series product.  For N != 1 the m-sum of g_N telescopes
-to (N - 1)/(1 - q^(N-1)), so h_N is that geometric series over eta^3: its
+to (N - 1)/(1 - q^(N-1)), so h_N eta^3 is a Lambert series and h_N's
 coefficient at q^(k-1/8) is |N - 1| times a running sum, with stride
-|N - 1|, of eta^-3's coefficients (``_h_column``, which ``h_series``
-wraps); only h_1, the mock part, is a triple sum.  Table 3's rows
-(``_typical_row``) add four such columns on ints, with the weights of
-ch_{V_N}'s combination of g_N (``_V_WEIGHTS``), and the term-by-term g_sum
-checks the closed form (g_N = theta3 h_N, criterion 5).
+|N - 1|, of eta^-3's coefficients.  h_1, the mock part, is 2 F_2 / eta^3,
+with the F_2 of Mathieu moonshine's H = (-2 E_2 + 48 F_2)/eta^3
+(``_f2_column`` builds it once; ``h_series``, ``_h_column`` and
+``mathieu_h`` read it).  Table 3's rows (``_typical_row``) add four h
+columns on ints, with the weights of ch_{V_N}'s combination of g_N
+(``_V_WEIGHTS``), and the term-by-term g_sum checks the closed forms
+(g_N = theta3 h_N, criterion 5).
 
-The inverse problem has one route, in N=4 multiplicity space: a twining
-a phi_{0,1} + f phi_{-2,1} has multiplicities linear in (a, f), phi_{0,1}'s
-read off Mathieu moonshine's H in closed form (``mathieu_h``), and the
-traces solve a triangular system against Table 3's rows.  The Ramond
+The inverse problem reads neither Table 3 nor H: a twining
+a phi_{0,1} + f phi_{-2,1} has multiplicities linear in (a, f), and by the
+Lambert form of h_N the traces are a Moebius inversion of a E_2 - f
+followed by a four-term recurrence (``twining_to_symtraces``).  The Ramond
 characters ch_{M_N} are built only as a reconstruction oracle for tests.
 
 Sector bookkeeping: NS characters carry q-exponents in -1/4 + (1/2)Z; the
@@ -78,8 +80,8 @@ __all__ = [
 # Every series builder below is exact below the trunc24 it is asked for and
 # states it: a product is known below min(t_a + lead_b, t_b + lead_a), so
 # each factor is built below trunc24 minus the other's lead order (q24).
-# theta3, theta3^2, g_sum, h_N eta^3 (a geometric series or the triple
-# sum) and the polar part lead at q^0 or later; eta^-3, theta3/eta^3 and
+# theta3, theta3^2, g_sum, h_N eta^3 (a geometric series or 2 F_2) and
+# the polar part lead at q^0 or later; eta^-3, theta3/eta^3 and
 # each h_N at -_ETA3_LEAD.
 _ETA3_LEAD = 3                  # eta^3 = q^(1/8) + ...
 _THETA2_SQUARED_LEAD = 6        # theta2^2 = (y + 2 + 1/y) q^(1/4) + ...
@@ -173,11 +175,10 @@ def g_series(N: int, trunc24: int) -> TruncatedSeries:
 @lru_cache(maxsize=None)
 def h_series(N: int, trunc24: int) -> TruncatedSeries:
     """The Fourier coefficient h_N(q) of g_N = theta3 h_N (plus the polar
-    part at N = 1), a pure q-series.  Memoized per process on the exact
-    arguments (the series is read-only).
+    part at N = 1), a pure q-series read off ``_h_column``.  Memoized per
+    process on the exact arguments (the series is read-only).
 
-    For N != 1 it is h_N = (N - 1) / ((1 - q^(N-1)) eta^3), read off
-    ``_h_column``.  Write
+    For N != 1, h_N = (N - 1) / ((1 - q^(N-1)) eta^3).  Write
     a = y q^(m-1/2) and b = y^(-1) q^(N-m-1/2), so ab = q^(N-1) and
         1/((1+a)(1+b)) = (1/(1+a) + 1/(1+b) - 1) / (1 - q^(N-1)).
     With 1/(1+a) - 1 = -1/(1+1/a), the m-sum of the numerator is
@@ -185,16 +186,21 @@ def h_series(N: int, trunc24: int) -> TruncatedSeries:
     telescopes to N - 1 (Zwegers, arXiv:0807.4834; Eguchi-Hikami,
     arXiv:1008.4924).  So g_sum(N) = (N - 1)/(1 - q^(N-1)) is y-free and
     g_N = theta3 h_N; criterion 5 checks that against the term-by-term
-    g_sum.
+    g_sum.  h_N eta^3 is then the Lambert series (N - 1) sum_(j>=0)
+    q^((N-1)j) for N >= 2 and (1 - N) sum_(j>=1) q^((1-N)j) for N <= 0.
 
-    h_1, the mock part, has no such form: it is the triple sum over
-    m, r, s in Z + 1/2 with r, s > 0 of
-    (-1)^(r+s+1) q^(r|m| + s|M-m| + (sgn(m) r + sgn(m-M) s)^2/2 - M/2)
-    at M = N - 1 = 0, divided by eta^3 (``_h_triple_sum``, which gives
-    every h_N and is the closed form's test oracle).
+    h_1, the mock part, is 2 F_2 / eta^3 (``_f2_column``).  The genus
+    2 phi_{0,1} is sum_n c_n ch_{M_n} with c_n = chi(X, S^n T), and
+    sum_n c_n t^n = (2 - 28t + 2t^2)/(1 - t)^4 (criterion 1).  In
+    ``twining_to_symtraces``'s notation (a = 2, f = 0) that is
+    b = (2, -24, -50, -48, -48, ...), so the Lambert part
+    sum_(N != 1) b_N (N - 1)/(1 - q^(N-1)) is 2 - 48 sum_m sigma_1(m) q^m
+    = 2 E_2, and the genus's typical multiplicities are
+    -H = (2 E_2 - 24 h_1 eta^3)/eta^3.  With H = (-2 E_2 + 48 F_2)/eta^3
+    (Cheng, arXiv:1005.5415; Gaberdiel-Hohenegger-Volpato,
+    arXiv:1008.3778) that is h_1 eta^3 = 2 F_2, and
+    H = 24 h_1 - 2 E_2/eta^3.
     """
-    if N == 1:
-        return _h_triple_sum(0, trunc24 + _ETA3_LEAD) * eta_power(-3, trunc24)
     # h_N lies on the keys q24 = 24 k - 3, and those below trunc24 are k < ncols
     column = _h_column(N, (trunc24 + 26) // 24)
     terms = {(24 * k - 3, 0): c for k, c in enumerate(column) if c}
@@ -207,24 +213,36 @@ def _eta3_column(ncols: int) -> list:
     return [eta.get((24 * k - 3, 0), 0) for k in range(ncols)]
 
 
+def _f2_column(ncols: int) -> list:
+    """F_2 = sum over r > s > 0, r - s odd, of (-1)^r s q^(rs/2) at q^j for
+    j < ncols (rs is even, so every power is integral): the one builder
+    of F_2, which h_1 and H read."""
+    f2 = [0] * ncols
+    s = 1
+    while s * (s + 1) < 2 * ncols:          # the least r is s + 1
+        for r in range(s + 1, -(-2 * ncols // s), 2):  # rs/2 < ncols
+            f2[r * s // 2] += -s if r % 2 else s
+        s += 1
+    return f2
+
+
 @lru_cache(maxsize=None)
 def _h_column(N: int, ncols: int) -> tuple:
     """h_N at q^(k - 1/8) for k < ncols (the last at q24 = 24 ncols - 27),
     memoized per process: every reader of h_N's coefficients goes through
     it (``h_series``, ``_typical_row``).
 
-    For N != 1, h_N = (N - 1)/((1 - q^(N-1)) eta^3) expands to
-    (N - 1) sum_(j>=0) q^((N-1)j) / eta^3 for N >= 2 and
-    (1 - N) sum_(j>=1) q^((1-N)j) / eta^3 for N <= 0, so with M = |N - 1|
-    its coefficient is M s_k, where s_k = sum over those j of e_(k - M j)
-    (``_eta3_column``): the running sum s_k = e_k + s_(k-M) for N >= 2 and
-    s_k = e_(k-M) + s_(k-M) for N <= 0.  h_1, the mock part, is read off
-    its triple sum.
+    With e_k eta^-3's coefficients (``_eta3_column``) and M = |N - 1|,
+    the Lambert form of h_N (N != 1, ``h_series``) makes its coefficient
+    M s_k, where s_k = e_k + s_(k-M) for N >= 2 and s_k = e_(k-M) + s_(k-M)
+    for N <= 0: a running sum.  h_1 = 2 F_2 / eta^3 is
+    2 sum_j F_2,j e_(k-j), on ints.
     """
-    if N == 1:
-        h = h_series(1, 24 * ncols - 26)
-        return tuple(h.at(24 * k - 3) for k in range(ncols))
     e = _eta3_column(ncols)
+    if N == 1:
+        f2 = _f2_column(ncols)
+        return tuple(2 * sum(f2[j] * e[k - j] for j in range(1, k + 1))
+                     for k in range(ncols))
     M = abs(N - 1)
     lag = M if N < 1 else 0         # for N <= 0 the sum starts at j = 1
     s: list = []
@@ -232,50 +250,6 @@ def _h_column(N: int, ncols: int) -> tuple:
         s.append((e[k - lag] if k >= lag else 0)
                  + (s[k - M] if k >= M else 0))
     return tuple(M * x for x in s)
-
-
-def _h_triple_sum(M: int, trunc24: int) -> TruncatedSeries:
-    # On the doubled odd indices m2 = 2m, rr = 2r, ss = 2s the exponent is
-    # 24 E = 6 rr |m2| + 6 ss |2M - m2| + 3 (sg rr + tg ss)^2 - 12 M, an
-    # integer by construction, so every term lies on the (1/24) grid.  The
-    # cross term is >= 0, so 6 rr |m2| + 6 ss |2M - m2| - 12 M < trunc24
-    # bounds all loops.  24 E itself grows in ss where sg = tg, and where
-    # sg = -tg (cross term 3 (rr - ss)^2) once ss >= rr, so there the ss
-    # loop stops at the first term at or past trunc24.  Each term of row
-    # rr + 2 exceeds one of row rr ((rr, ss) -> (rr + 2, ss + 2) adds
-    # 2 am + 2 bm or more, and ss = 1 grows too), so a row with no term
-    # below trunc24 ends the rr loop.
-    acc: dict = {}
-    width = trunc24 // 12 + abs(M) + 4
-    m2_lo = 2 * min(0, M) - width
-    if m2_lo % 2 == 0:
-        m2_lo -= 1
-    m2_hi = 2 * max(0, M) + width
-    for m2 in range(m2_lo, m2_hi + 1, 2):
-        am, bm = 6 * abs(m2), 6 * abs(2 * M - m2)
-        sg = 1 if m2 > 0 else -1
-        tg = 1 if m2 > 2 * M else -1
-        rr = 1
-        while rr * am + bm - 12 * M < trunc24:
-            base = rr * am - 12 * M
-            ss, row_empty = 1, True
-            while base + ss * bm < trunc24:
-                q24 = base + ss * bm + 3 * (sg * rr + tg * ss) ** 2
-                if q24 < trunc24:
-                    row_empty = False
-                    c = acc.get(q24, 0) + (1 if (rr + ss) // 2 % 2 else -1)
-                    if c:
-                        acc[q24] = c
-                    else:
-                        del acc[q24]
-                elif sg == tg or ss >= rr:
-                    break
-                ss += 2
-            if row_empty:
-                break
-            rr += 2
-    terms = {(q24, 0): c for q24, c in acc.items()}
-    return TruncatedSeries(terms, trunc24, _clean=True)
 
 
 def polar_part(trunc24: int) -> TruncatedSeries:
@@ -495,7 +469,7 @@ def _typical_row(N: int, ncols: int) -> tuple:
     """Row N of Table 3, ch_{V_N}'s typical multiplicities at h = 1/4 + k,
     k < ncols (the last at q24 = 24 ncols - 27), memoized per process:
     the ``_V_WEIGHTS`` combination of the h columns, added on ints.
-    Criterion 6 and the inverse problem read it; nothing decomposes."""
+    Criterion 6 and ``n4-decompose`` read it; nothing decomposes."""
     scaled = [[w * c for c in _h_column(N + offset, ncols)]
               for offset, w in _V_WEIGHTS]
     return tuple(map(sum, zip(*scaled)))
@@ -504,21 +478,15 @@ def _typical_row(N: int, ncols: int) -> tuple:
 @lru_cache(maxsize=None)
 def mathieu_h(trunc24: int) -> TruncatedSeries:
     """Mathieu moonshine's H = 2 q^(-1/8) (-1 + 45 q + 231 q^2 + ...) in
-    closed form: H = (-2 E_2 + 48 F_2) / eta^3 with
-    F_2 = sum over r > s > 0, r - s odd, of (-1)^r s q^(rs/2)
-    (Cheng, arXiv:1005.5415; Gaberdiel-Hohenegger-Volpato, arXiv:1008.3778).
-    Its coefficient at q^(k - 1/8) is A_k of the genus decomposition.
-    Memoized per process on the exact arguments (the series is read-only).
+    closed form: H = (-2 E_2 + 48 F_2) / eta^3 = 24 h_1 - 2 E_2 / eta^3,
+    with ``_f2_column``'s F_2 (Cheng, arXiv:1005.5415;
+    Gaberdiel-Hohenegger-Volpato, arXiv:1008.3778).  Its coefficient at
+    q^(k - 1/8) is A_k of the genus decomposition.  Memoized per process
+    on the exact arguments (the series is read-only).
     """
     t = trunc24 + _ETA3_LEAD
-    f2: dict = {}
-    s = 1
-    while 12 * s * (s + 1) < t:
-        for r in range(s + 1, -(-t // (12 * s)), 2):    # 12 r s < t
-            key = (12 * r * s, 0)
-            f2[key] = f2.get(key, 0) + (-s if r % 2 else s)
-        s += 1
-    body = eisenstein_e2(t) * -2 + TruncatedSeries(f2, t) * 48
+    f2 = {(24 * j, 0): c for j, c in enumerate(_f2_column(-(-t // 24))) if c}
+    body = eisenstein_e2(t) * -2 + TruncatedSeries(f2, t, _clean=True) * 48
     return body * eta_power(-3, trunc24)
 
 
@@ -532,53 +500,51 @@ def _genus_multiplicities(ncols: int) -> tuple:
     return (-24, *(-h.at(24 * k - 3) for k in range(ncols)))
 
 
-def twining_to_symtraces(a, f: TruncatedSeries, tmax: int,
-                         c1=None) -> list[Fraction]:
+def twining_to_symtraces(a, f: TruncatedSeries, tmax: int) -> list:
     """Solve a phi_{0,1} + f phi_{-2,1} = sum_(n <= tmax) c_n ch_{M_n} for
-    c_n = chi(g; X, S^n T).
+    c_n = chi(g; X, S^n T), by Moebius inversion.
 
     The N=4 multiplicities are linear in (a, f): phi_{0,1} is half the
-    genus, and f phi_{-2,1} = -(f eta^-3) theta1^2/eta^3 adds -[f eta^-3]
-    at q^(k - 1/8), the sum of f_j e_(k-j) over j <= k with f_j at q^j
-    and e_k eta^-3's at q^(k - 1/8), to the typical one at h = 1/4 + k;
-    f must start at q^0 or later, or ValueError.  Row n of Table 3
-    leads at column n - 1 (n >= 2), row 1 at column 3, so c_0 comes from
-    column 0, c_1 from the massless equation and c_(k+1) from column k.
-    ``c1`` pins c_1 and drops the massless equation (the typical columns
-    alone leave a one-parameter family).  Integrality is not assumed.  f
-    must reach 24 max(tmax, 1) - 23, or InsufficientPrecisionError.
+    genus, with massless multiplicity -24 and typical ones -H, and
+    f phi_{-2,1} = -(f eta^-3) theta1^2/eta^3 adds -f eta^-3 to the typical
+    ones.  So the massless multiplicity is -12 a, and the typical ones
+    times eta^3 are a E_2 - 24 a F_2 - f (``mathieu_h``).  Row n of Table 3
+    is the ``_V_WEIGHTS`` combination of h_(n+offset), and those weights
+    are 1 - 2t + 2t^3 - t^4 = (1 - t)^3 (1 + t); with
+    B(t) = (1 - t)^3 (1 + t) sum_n c_n t^n the typical side is
+    sum_N b_N h_N eta^3.  Only rows 0 and 1 have a massless part, so the
+    massless equation is b_1 = c_1 - 2 c_0 = -12 a; as h_1 eta^3 = 2 F_2,
+    b_1 h_1 eta^3 cancels -24 a F_2, and what is left is Lambert
+    (``h_series``):
+        sum_(N != 1) b_N (N - 1)/(1 - q^(N-1)) = a E_2 - f = sum_m P_m q^m.
+    Row by row the constant terms vanish but row 0's, so c_0 = P_0; at
+    q^m, m >= 1, P_m = b_0 + sum_(d | m) d b_(d+1), and Moebius inversion,
+    d beta_d = sum_(e | d) mu(d/e) P_e, gives b_(d+1) = beta_d - [d = 1] P_0.
+    So B(t) = R(t) = P_0 - 12 a t - P_0 t^2 + sum_(d >= 1) beta_d t^(d+1)
+    and c_n = R_n + 2 c_(n-1) - 2 c_(n-3) + c_(n-4).
+
+    P_m runs on ints over one common denominator D, the sieve subtracts
+    each d's sum from its multiples, and each beta_d is one exact division
+    by d D: integrality is not assumed.  f must start at q^0 or later, or
+    ValueError, and reach 24 max(tmax, 1) - 23, or
+    InsufficientPrecisionError.
     """
-    ncols = max(tmax, 1)
     if f.terms and f.min_q24 < 0:
         raise ValueError("f must start at q^0 or later")
-    atypical, *genus = _genus_multiplicities(ncols)
-    # f_j over one common denominator d, so the sums run on ints
-    fs, d = _over_common_denominator([f.at(24 * j) for j in range(ncols)])
-    e = _eta3_column(ncols)
-    mults = [exact_quotient(a * m, 2)
-             - exact_quotient(sum(fs[j] * e[k - j] for j in range(k + 1)), d)
-             for k, m in enumerate(genus)]
-    rows = [_typical_row(n, ncols) for n in range(tmax + 1)]
-    coeffs: dict[int, Fraction] = {}
-
-    def solve_column(k):
-        unknown = [n for n in range(tmax + 1) if rows[n][k] and n not in coeffs]
-        if len(unknown) != 1:
-            raise NotInSpanError(f"column {k} has unknowns {unknown}",
-                                 q24=24 * k - 3)
-        known = sum(c * rows[n][k] for n, c in coeffs.items())
-        n = unknown[0]
-        coeffs[n] = exact_quotient(mults[k] - known, rows[n][k])
-
-    solve_column(0)
-    if tmax >= 1:
-        if c1 is not None:
-            coeffs[1] = canonical_rational(c1)
-        else:
-            coeffs[1] = exact_quotient(
-                exact_quotient(a * atypical, 2)
-                - _atypical_coefficient(0) * coeffs[0],
-                _atypical_coefficient(1))
-    for k in range(1, tmax):
-        solve_column(k)
-    return [coeffs[n] for n in range(tmax + 1)]
+    n = max(tmax, 1)
+    e2 = eisenstein_e2(24 * n - 23)
+    (A, *fs), D = _over_common_denominator(
+        [a, *(f.at(24 * m) for m in range(n))])
+    p = [A * e2.at(24 * m) - fm for m, fm in enumerate(fs)]
+    for d in range(1, n):           # the Moebius sieve: p[d] = d beta_d D
+        for m in range(2 * d, n, d):
+            p[m] -= p[d]
+    c0 = exact_quotient(p[0], D)
+    r = [c0, -12 * a, *(exact_quotient(p[d], d * D) for d in range(1, n))]
+    if tmax >= 2:
+        r[2] -= c0
+    c: list = []
+    for k in range(tmax + 1):       # divide R by the weights (lead 1)
+        c.append(canonical_rational(r[k] - sum(
+            w * c[k - o] for o, w in _V_WEIGHTS[1:] if o <= k)))
+    return c

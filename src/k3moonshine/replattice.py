@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .chartab import CharacterTable
-from .cyclotomic import canonical_rational
+from .cyclotomic import canonical_rational, exact_quotient
 from .lattice import (
     IntegerLattice, hnf_basis, integer_kernel, snf_quotient, solve_in_lattice,
     SolveResult,
@@ -213,12 +213,13 @@ def decompose_family(table: CharacterTable, family: dict):
     ``family`` maps class labels to coefficient lists (series in t); the
     result maps each character name to its multiplicity series (per
     constituent: the orbit-sum inner product divided by the orbit size).
-    Multiplicities are exact Fractions and are returned even when
-    non-integral; callers inspect integrality (a fractional one means the
-    family is not a series of characters).  Each sum of |C| chi(g) coef
-    runs on ints where the coefficients are integral, as the expansions of
-    the integral r_g are (``RationalFunction.expand`` gives ints), and is
-    divided once by |G| * orbit_size.  Raises KeyError if the family
+    Multiplicities are exact and canonical (an ``int`` when integral, else
+    a Fraction) and are returned even when non-integral; callers inspect
+    integrality (a fractional one means the family is not a series of
+    characters).  Each sum of |C| chi(g) coef runs on ints where the
+    coefficients are integral, as the expansions of the integral r_g are
+    (``RationalFunction.expand`` gives ints), and is divided once by
+    |G| * orbit_size (``exact_quotient``).  Raises KeyError if the family
     misses a class of the table.
     """
     n_terms = min(len(v) for v in family.values())
@@ -234,8 +235,8 @@ def decompose_family(table: CharacterTable, family: dict):
                    for c, v in zip(table.classes, ch.values)]
         denom = table.order * ch.orbit_size
         out[ch.name] = [
-            Fraction(sum(w * coeffs[t] for w, coeffs in zip(weights, series)),
-                     denom)
+            exact_quotient(
+                sum(w * coeffs[t] for w, coeffs in zip(weights, series)), denom)
             for t in range(n_terms)]
     return out
 

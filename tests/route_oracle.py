@@ -35,7 +35,10 @@ the long way, as the library once did, and the tests compare the two:
   * ``twining_to_symtraces_by_decomposition``: the inverse problem on the
     whole (q, y) twining, flowed back to NS, sign-flipped in y and
     decomposed into N=4 characters once per twining, where the library
-    reads the multiplicities linearly off the (a, f) pair.
+    reads the multiplicities linearly off the (a, f) pair;
+  * ``twining_to_symtraces_by_solve``: the inverse problem on the (a, f)
+    pair as a triangular solve against Table 3's rows and H's
+    multiplicities, where the library Moebius-inverts a E_2 - f;
   * ``genus_multiplicities_by_decomposition``: the genus's N=4
     multiplicities from the whole (q, y) genus, decomposed into N=4
     characters, where the library reads H's closed form;
@@ -46,9 +49,10 @@ the long way, as the library once did, and the tests compare the two:
     sector and back for ``--sector R``, at ``truncation_in_sector``; the
     genus at ``twining_truncation``), where the CLI reads Table 3's rows
     and H in closed form;
-  * ``h_triple_sum_pruned_without_cross_term``: the triple sum of h_N with
-    its loops bounded by the exponent less its cross term only, where the
-    library also stops a loop where the full exponent is monotone;
+  * ``h_triple_sum``: h_N eta^3 as the Appell-Lerch triple sum, for every
+    N, where the library reads the Lambert series for N != 1 and 2 F_2 for
+    N = 1, and ``h_triple_sum_pruned_without_cross_term``, the same sum
+    with its loops bounded by the exponent less its cross term only;
   * ``h_series_by_product`` and ``typical_row_by_series``: h_N for N != 1
     as the geometric series (N - 1)/(1 - q^(N-1)) times eta^-3, one series
     product, and Table 3's rows read off the series combination
@@ -94,13 +98,13 @@ from k3moonshine.modforms import (
     jacobi_form_columns, jacobi_theta, weak_jacobi_columns, weak_jacobi_phi,
 )
 from k3moonshine.n4char import (
-    N4Multiplicities, _atypical_coefficient, _h_triple_sum, _typical_row,
-    ch_vn_h_form, decompose_into_n4, decomposition_truncation,
+    N4Multiplicities, _atypical_coefficient, _eta3_column,
+    _genus_multiplicities, _typical_row, ch_vn_h_form, decompose_into_n4, decomposition_truncation,
     genus_A_coefficients, polar_part, twining_truncation,
 )
 from k3moonshine.qpoly import (
     Poly, RationalFunction, _canonical, _horner, _int_divexact, _int_mul,
-    _product_coeffs, cyclotomic_poly,
+    _over_common_denominator, _product_coeffs, cyclotomic_poly,
 )
 from k3moonshine.series import (
     InsufficientPrecisionError, NotInSpanError, TruncatedSeries,
@@ -412,26 +416,61 @@ def polar_part_by_products(trunc24):
     return total.truncate(trunc24)
 
 
-# -- the inverse problem on the whole (q, y) twining -----------------------------
+# -- the inverse problem on the whole (q, y) twining, and by Table 3's rows -----
 
 def twining_to_symtraces_by_decomposition(twining: TruncatedSeries, tmax: int,
-                                          c1=None) -> list[Fraction]:
+                                          c1=None) -> list:
     """Solve twining = sum_(n <= tmax) c_n ch_{M_n} for c_n = chi(g; X, S^n T).
 
     The twining is flowed back to NS and decomposed into N=4 characters
     once; leftover y-dependence raises NotInSpanError there.  The
-    multiplicity system is triangular: row n of Table 3 leads at column
-    n - 1 for n >= 2, and row 1, the only row besides row 0 with a massless
-    block, leads at column 3.  So c_0 comes from column 0, c_1 from the
-    massless equation and c_(k+1) from column k.  ``c1`` pins c_1 instead
-    and drops the massless equation: the typical columns alone leave a
-    one-parameter family.  Integrality is not assumed.  The twining must
-    reach ``twining_truncation(tmax)``; below that this raises
-    InsufficientPrecisionError.
+    multiplicities are then solved against Table 3's rows
+    (``solve_against_table3``); ``c1`` pins c_1 in place of the massless
+    equation.  The twining must reach ``twining_truncation(tmax)``; below
+    that this raises InsufficientPrecisionError.
     """
     dec = decompose_into_n4(twining.spectral_flow(-1).substitute_y_sign())
+    return solve_against_table3(
+        dec.table_row(range(max(tmax, 1))), dec.atypical, tmax, c1)
+
+
+def twining_to_symtraces_by_solve(a, f: TruncatedSeries, tmax: int) -> list:
+    """c_n = chi(g; X, S^n T) from the (a, f) pair by a triangular solve
+    against Table 3's rows.
+
+    The typical multiplicities are a/2 times the genus's (minus H) minus
+    [f eta^-3] at q^(k - 1/8), on ints over f's common denominator, and
+    the massless one is a/2 times the genus's (``solve_against_table3``
+    takes both).  f must start at q^0 or later, or ValueError, and reach
+    24 max(tmax, 1) - 23, or InsufficientPrecisionError.
+    """
+    ncols = max(tmax, 1)
+    if f.terms and f.min_q24 < 0:
+        raise ValueError("f must start at q^0 or later")
+    atypical, *genus = _genus_multiplicities(ncols)
+    fs, d = _over_common_denominator([f.at(24 * j) for j in range(ncols)])
+    e = _eta3_column(ncols)
+    mults = [exact_quotient(a * m, 2)
+             - exact_quotient(sum(fs[j] * e[k - j] for j in range(k + 1)), d)
+             for k, m in enumerate(genus)]
+    return solve_against_table3(
+        mults, exact_quotient(a * atypical, 2), tmax)
+
+
+def solve_against_table3(mults, massless, tmax: int, c1=None) -> list:
+    """c_0 .. c_tmax from the typical multiplicities mults[k] at
+    h = 1/4 + k and the massless one.
+
+    The system is triangular: row n of Table 3 leads at column n - 1 for
+    n >= 2, and row 1, the only row besides row 0 with a massless block,
+    leads at column 3.  So c_0 comes from column 0, c_1 from the massless
+    equation and c_(k+1) from column k, each by one exact division.
+    ``c1`` pins c_1 instead and drops the massless equation: the typical
+    columns alone leave a one-parameter family.  Integrality is not
+    assumed.
+    """
     rows = [_typical_row(n, max(tmax, 1)) for n in range(tmax + 1)]
-    coeffs: dict[int, Fraction] = {}
+    coeffs: dict = {}
 
     def solve_column(k):
         unknown = [n for n in range(tmax + 1) if rows[n][k] and n not in coeffs]
@@ -440,8 +479,7 @@ def twining_to_symtraces_by_decomposition(twining: TruncatedSeries, tmax: int,
                                  q24=24 * k - 3)
         known = sum(c * rows[n][k] for n, c in coeffs.items())
         n = unknown[0]
-        mult, = dec.table_row([k])
-        coeffs[n] = exact_quotient(mult - known, rows[n][k])
+        coeffs[n] = exact_quotient(mults[k] - known, rows[n][k])
 
     solve_column(0)
     if tmax >= 1:
@@ -449,14 +487,14 @@ def twining_to_symtraces_by_decomposition(twining: TruncatedSeries, tmax: int,
             coeffs[1] = canonical_rational(c1)
         else:
             coeffs[1] = exact_quotient(
-                dec.atypical - _atypical_coefficient(0) * coeffs[0],
+                massless - _atypical_coefficient(0) * coeffs[0],
                 _atypical_coefficient(1))
     for k in range(1, tmax):
         solve_column(k)
     return [coeffs[n] for n in range(tmax + 1)]
 
 
-# -- the genus's multiplicities by decomposition, the h triple sum unpruned ----
+# -- the genus's multiplicities by decomposition ---------------------------------
 
 def genus_multiplicities_by_decomposition(ncols: int) -> tuple:
     """The elliptic genus's massless multiplicity, then its typical ones at
@@ -509,6 +547,55 @@ def genus_decompose_by_decomposition(q_order: int):
         0 if dec.atypical == 24 else 1
 
 
+# -- h_N eta^3 as the Appell-Lerch triple sum, pruned two ways ------------------
+
+def h_triple_sum(M: int, trunc24: int) -> TruncatedSeries:
+    """h_N eta^3 at M = N - 1: the triple sum over m, r, s in Z + 1/2 with
+    r, s > 0 of (-1)^(r+s+1) q^(r|m| + s|M-m| + (sgn(m) r + sgn(m-M) s)^2/2 - M/2),
+    the oracle of every h_N."""
+    # On the doubled odd indices m2 = 2m, rr = 2r, ss = 2s the exponent is
+    # 24 E = 6 rr |m2| + 6 ss |2M - m2| + 3 (sg rr + tg ss)^2 - 12 M, an
+    # integer by construction, so every term lies on the (1/24) grid.  The
+    # cross term is >= 0, so 6 rr |m2| + 6 ss |2M - m2| - 12 M < trunc24
+    # bounds all loops.  24 E itself grows in ss where sg = tg, and where
+    # sg = -tg (cross term 3 (rr - ss)^2) once ss >= rr, so there the ss
+    # loop stops at the first term at or past trunc24.  Each term of row
+    # rr + 2 exceeds one of row rr ((rr, ss) -> (rr + 2, ss + 2) adds
+    # 2 am + 2 bm or more, and ss = 1 grows too), so a row with no term
+    # below trunc24 ends the rr loop.
+    acc: dict = {}
+    width = trunc24 // 12 + abs(M) + 4
+    m2_lo = 2 * min(0, M) - width
+    if m2_lo % 2 == 0:
+        m2_lo -= 1
+    m2_hi = 2 * max(0, M) + width
+    for m2 in range(m2_lo, m2_hi + 1, 2):
+        am, bm = 6 * abs(m2), 6 * abs(2 * M - m2)
+        sg = 1 if m2 > 0 else -1
+        tg = 1 if m2 > 2 * M else -1
+        rr = 1
+        while rr * am + bm - 12 * M < trunc24:
+            base = rr * am - 12 * M
+            ss, row_empty = 1, True
+            while base + ss * bm < trunc24:
+                q24 = base + ss * bm + 3 * (sg * rr + tg * ss) ** 2
+                if q24 < trunc24:
+                    row_empty = False
+                    c = acc.get(q24, 0) + (1 if (rr + ss) // 2 % 2 else -1)
+                    if c:
+                        acc[q24] = c
+                    else:
+                        del acc[q24]
+                elif sg == tg or ss >= rr:
+                    break
+                ss += 2
+            if row_empty:
+                break
+            rr += 2
+    terms = {(q24, 0): c for q24, c in acc.items()}
+    return TruncatedSeries(terms, trunc24, _clean=True)
+
+
 def h_triple_sum_pruned_without_cross_term(M: int, trunc24: int) -> TruncatedSeries:
     # On the doubled odd indices m2 = 2m, rr = 2r, ss = 2s the exponent is
     # 24 E = 6 rr |m2| + 6 ss |2M - m2| + 3 (sg rr + tg ss)^2 - 12 M, an
@@ -549,7 +636,8 @@ def h_triple_sum_pruned_without_cross_term(M: int, trunc24: int) -> TruncatedSer
 def h_series_by_product(N: int, trunc24: int) -> TruncatedSeries:
     """h_N = (N - 1)/((1 - q^(N-1)) eta^3) for N != 1: (N-1) sum_(j>=0)
     q^((N-1)j) for N >= 2 and (1-N) sum_(j>=1) q^((1-N)j) for N <= 0,
-    times eta^-3; h_1 the triple sum over eta^3.  Memoized on the exact
+    times eta^-3; h_1 the triple sum over eta^3, where the library reads
+    2 F_2.  Memoized on the exact
     arguments (the series is read-only)."""
     t = trunc24 + 3
     M = N - 1
@@ -559,7 +647,7 @@ def h_series_by_product(N: int, trunc24: int) -> TruncatedSeries:
             {(q24, 0): abs(M) for q24 in range(step if M < 0 else 0, t, step)},
             t)
     else:
-        body = _h_triple_sum(0, t)
+        body = h_triple_sum(0, t)
     return body * eta_power(-3, trunc24)
 
 

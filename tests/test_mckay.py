@@ -19,7 +19,10 @@ from k3moonshine.mckay import (
 from k3moonshine.n4char import twining_to_symtraces
 from k3moonshine.replattice import first_nonintegral
 from k3moonshine.series import TruncatedSeries
-from route_oracle import _solve_square, fit_in_m2_in_fractions
+from route_oracle import (
+    _solve_square, fit_in_m2_in_fractions,
+    twining_to_symtraces_by_decomposition,
+)
 
 
 def test_euler_values():
@@ -205,9 +208,10 @@ def test_audit_first_nonintegral():
 
 
 def test_alpha_family_for_15ab():
-    pair = twining_pair("15AB", 8 * 24)
+    # the typical columns alone leave a one-parameter family in c_1
+    tw = twining_genus("15AB", 8 * 24)
     for a in (0, 3, 7):
-        cs = twining_to_symtraces(*pair, 5, c1=Fraction(a))
+        cs = twining_to_symtraces_by_decomposition(tw, 5, c1=Fraction(a))
         assert cs[3] == Fraction(-1, 2)
         assert cs[4] == Fraction(-2 * a, 3)
         assert cs[5] == Fraction(-(3 + 4 * a), 12)

@@ -123,7 +123,7 @@ def test_h_truncation_stability():
 
 def _h_triple_sum_fraction(M, trunc24):
     """The triple sum of h_N on Fraction indices: the oracle for the
-    integer-index route in n4char."""
+    integer-index route of ``route_oracle.h_triple_sum``."""
     terms = {}
     bound = Fraction(trunc24, 24)
     half_M = Fraction(M, 2)
@@ -164,9 +164,9 @@ def _h_triple_sum_fraction(M, trunc24):
 
 @pytest.mark.parametrize("trunc24", [3 * 24 + 3, 13 * 24 + 9, 31 * 24 + 9])
 def test_h_triple_sum_matches_fraction_oracle(trunc24):
-    from k3moonshine.n4char import _h_triple_sum
+    from route_oracle import h_triple_sum
     for M in range(-1, 27):
-        got = _h_triple_sum(M, trunc24)
+        got = h_triple_sum(M, trunc24)
         want = _h_triple_sum_fraction(M, trunc24)
         assert got.trunc24 == want.trunc24
         # same terms in the same order, so every downstream product
@@ -301,8 +301,10 @@ def test_twining_solve_equivariant():
 
 
 def test_twining_solve_with_pinned_c1():
+    # c_1 pinned in place of the massless equation, on the decomposition
+    from route_oracle import twining_to_symtraces_by_decomposition
     genus = elliptic_genus(6 * 24)
-    cs = twining_to_symtraces(*jacobi_split(genus), 4, c1=Fraction(-20))
+    cs = twining_to_symtraces_by_decomposition(genus, 4, c1=Fraction(-20))
     assert cs == [chi_sym_power(n) for n in range(5)]
 
 

@@ -246,7 +246,10 @@ def test_decompose_family_matches_fraction_oracle():
     for family in (integral, mixed):
         got = decompose_family(m23, family)
         assert got == _decompose_by_fractions(m23, family)
-        assert all(type(c) is Fraction for v in got.values() for c in v)
+        # canonical: an int exactly when integral
+        assert all(type(c) is (int if Fraction(c).denominator == 1
+                               else Fraction)
+                   for v in got.values() for c in v)
 
 
 def test_table2_row0_and_row4():

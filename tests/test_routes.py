@@ -47,12 +47,13 @@ from k3moonshine.mckay import (
     f_from_traces, f_series, fit_in_m2, m2_basis, twining_genus, twining_pair,
 )
 from k3moonshine.modforms import (
-    eta_power, jacobi_theta, weak_jacobi_columns, weak_jacobi_phi,
+    eisenstein_e2, eta_power, jacobi_theta, weak_jacobi_columns,
+    weak_jacobi_phi,
 )
 from k3moonshine.n4char import (
-    _genus_multiplicities, _h_triple_sum, _typical_row, atypical_ns,
+    _genus_multiplicities, _typical_row, atypical_ns,
     ch_vn_closed, ch_vn_h_form, decompose_into_n4, decomposition_truncation,
-    g_series, g_sum, h_series, n4_character, polar_part,
+    g_series, g_sum, h_series, mathieu_h, n4_character, polar_part,
     ramond_basis_character, twining_to_symtraces, twining_truncation,
 )
 from k3moonshine.qpoly import Poly, RationalFunction, linear_combinations
@@ -67,13 +68,14 @@ from route_oracle import (
     expand_in_fractions, f_from_traces_in_fractions, f_series_in_fractions,
     fixed_point_term, fixed_point_term_by_division, flow_truncation,
     g_sum_by_products, genus_decompose_by_decomposition,
-    genus_multiplicities_by_decomposition,
+    genus_multiplicities_by_decomposition, h_triple_sum,
     h_triple_sum_pruned_without_cross_term, jacobi_split_by_division,
     jacobi_split_in_fractions, linear_combinations_in_fractions,
     m_chi_rational_in_fractions, moonshine_report_by_series,
     n4_decompose_by_decomposition, pole_coefficient_in_fractions, polar_part_by_products, table1_sum,
     twining_genus_by_products, twining_to_symtraces_by_decomposition,
-    typical_row_by_series, weak_jacobi_columns_by_e2, weak_jacobi_phi_by_products,
+    twining_to_symtraces_by_solve, typical_row_by_series,
+    weak_jacobi_columns_by_e2, weak_jacobi_phi_by_products,
     weighted_genus_by_division, weighted_genus_in_fractions,
 )
 from test_caches import SAMPLE_ARGS, _cached_builders
@@ -533,7 +535,7 @@ def test_genus_multiplicities_match_the_decomposition(ncols):
 def test_h_triple_sum_matches_the_loops_bounded_without_cross_term(trunc24):
     # the same terms in the same order, so every product iterates them alike
     for N in range(41):
-        got = _h_triple_sum(N - 1, trunc24)
+        got = h_triple_sum(N - 1, trunc24)
         want = h_triple_sum_pruned_without_cross_term(N - 1, trunc24)
         assert got.trunc24 == want.trunc24
         assert list(got.terms.items()) == list(want.terms.items()), N
@@ -541,15 +543,27 @@ def test_h_triple_sum_matches_the_loops_bounded_without_cross_term(trunc24):
 
 @pytest.mark.parametrize("trunc24", (1, 24, 75, 121, 262, 454, 958, 1500))
 def test_closed_form_h_matches_the_triple_sum(trunc24):
-    # h_N = (N - 1)/((1 - q^(N-1)) eta^3) for N != 1, and h_1 is the
-    # triple sum itself: the same terms and the same trunc24
+    # h_N = (N - 1)/((1 - q^(N-1)) eta^3) for N != 1, and h_1 = 2 F_2/eta^3,
+    # against the triple sum: the same terms and the same trunc24
     eta3 = eta_power(-3, trunc24)
     for N in range(-8, 46):
         got = h_series.__wrapped__(N, trunc24)
-        want = _h_triple_sum(N - 1, trunc24 + 3) * eta3
+        want = h_triple_sum(N - 1, trunc24 + 3) * eta3
         assert got.trunc24 == want.trunc24 == trunc24, N
         assert dict(got.terms) == dict(want.terms), N
         assert all_canonical(got), N
+
+
+def test_h1_and_mathieu_h_read_one_f2_at_depth():
+    # h_1 = 2 F_2/eta^3 against the triple sum, and
+    # H = (-2 E_2 + 48 F_2)/eta^3 = 24 h_1 - 2 E_2/eta^3, at trunc24 2400
+    t = 2400
+    eta3 = eta_power(-3, t)
+    h1 = h_series.__wrapped__(1, t)
+    assert h1 == h_triple_sum(0, t + 3) * eta3
+    h = mathieu_h.__wrapped__(t)
+    assert h.trunc24 == h1.trunc24 == t
+    assert h == h1 * 24 - eisenstein_e2(t + 3) * eta3 * 2
 
 
 @pytest.mark.parametrize("ncols", range(1, 61))
@@ -580,6 +594,20 @@ def test_twining_solve_matches_the_decomposition(label, tmax):
     want = twining_to_symtraces_by_decomposition(
         twining_genus(label, twining_truncation(tmax)), tmax)
     got = twining_to_symtraces(*twining_pair(label, 24 * tmax), tmax)
+    assert got == want
+    assert [type(c) for c in got] == [type(c) for c in want]
+
+
+@pytest.mark.parametrize("label, tmax", [
+    *((label, tmax) for label in CLASS_LEVEL for tmax in (*range(7), 20, 60)),
+    *((label, 201) for label in ("11A", "14AB", "15AB", "23AB"))])
+def test_moebius_inversion_matches_the_table3_solve(label, tmax):
+    # the Moebius route against the triangular solve of Table 3's rows,
+    # values and types: every class, and the audited ones at t-order 201,
+    # one past audit-integrality's 200 pin
+    pair = twining_pair(label, 24 * max(tmax, 1))
+    got = twining_to_symtraces(*pair, tmax)
+    want = twining_to_symtraces_by_solve(*pair, tmax)
     assert got == want
     assert [type(c) for c in got] == [type(c) for c in want]
 
