@@ -5,7 +5,7 @@ from .cyclotomic import CyclotomicNumber, DomainError, zeta
 from .series import (
     INF24, InsufficientPrecisionError, NotInSpanError, TruncatedSeries,
 )
-from .qpoly import Poly, RationalFunction, cyclotomic_poly
+from .qpoly import RationalFunction
 from .lattice import (
     AbelianQuotient, IntegerLattice, hnf_basis, smith_normal_form,
     snf_quotient, solve_in_lattice,
@@ -28,7 +28,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CyclotomicNumber", "DomainError", "zeta",
     "INF24", "InsufficientPrecisionError", "NotInSpanError", "TruncatedSeries",
-    "Poly", "RationalFunction", "cyclotomic_poly",
+    "RationalFunction",
     "AbelianQuotient", "IntegerLattice", "hnf_basis", "smith_normal_form",
     "snf_quotient", "solve_in_lattice",
     "euler_specialization", "jacobi_theta", "weak_jacobi_phi",

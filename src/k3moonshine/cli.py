@@ -80,7 +80,7 @@ def _series_rows(s):
 def _rational_function_text(r):
     def poly_text(p):
         parts = []
-        for k, c in enumerate(p.c):
+        for k, c in enumerate(p):
             if not c:
                 continue
             mon = "1" if k == 0 else ("t" if k == 1 else f"t^{k}")

@@ -37,8 +37,7 @@ from functools import lru_cache
 from .chartab import format_rational
 from .cyclotomic import CyclotomicNumber, DomainError, euler_phi, zeta
 from .qpoly import (
-    RationalFunction, _over_common_denominator, cyclotomic_product,
-    reconstruct_rational,
+    RationalFunction, _over_common_denominator, reconstruct_rational,
 )
 from .records import Record
 from .series import NotInSpanError, TruncatedSeries, exact_quotient
@@ -157,16 +156,18 @@ RATIONAL_FORM_DENOMINATORS = {
 def rational_form(label: str) -> RationalFunction:
     """Fit chi(g; X, S_t T) to its cyclotomic-denominator closed form.
 
-    Memoized per process on the label (the result is read-only).
+    The numerator is read off 2 deg + 4 terms of the series over the
+    denominator of ``RATIONAL_FORM_DENOMINATORS`` (degree deg); for every
+    class but 1A it must be palindromic of degree deg - 2, which is
+    checked on its coefficient tuple.  Memoized per process on the label
+    (the result is read-only).
     """
     exps = RATIONAL_FORM_DENOMINATORS[label]
-    den = cyclotomic_product(exps)
-    series = chi_symt_series(label, 2 * den.degree + 4)
-    fit = reconstruct_rational(series, den)
-    if fit is None:
-        raise ArithmeticError(f"series for {label} does not fit P/{den!r}")
-    num, palindromic = fit
-    if label != "1A" and not palindromic:
+    degree = sum(euler_phi(d) * e for d, e in exps.items())
+    num = reconstruct_rational(chi_symt_series(label, 2 * degree + 4), exps)
+    if num is None:
+        raise ArithmeticError(f"series for {label} does not fit P/{exps!r}")
+    if label != "1A" and (num != num[::-1] or len(num) != degree - 1):
         raise ArithmeticError(f"numerator for {label} is not palindromic")
     return RationalFunction(num, exps)
 

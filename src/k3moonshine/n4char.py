@@ -62,7 +62,6 @@ __all__ = [
     "h_series",
     "polar_part",
     "atypical_ns",
-    "n4_character",
     "ch_vn_closed",
     "ch_vn_h_form",
     "N4Multiplicities",
@@ -84,7 +83,6 @@ __all__ = [
 # the polar part lead at q^0 or later; eta^-3, theta3/eta^3 and
 # each h_N at -_ETA3_LEAD.
 _ETA3_LEAD = 3                  # eta^3 = q^(1/8) + ...
-_THETA2_SQUARED_LEAD = 6        # theta2^2 = (y + 2 + 1/y) q^(1/4) + ...
 
 
 # -- the free-field character and isotypic extraction ------------------------
@@ -275,27 +273,6 @@ def polar_part(trunc24: int) -> TruncatedSeries:
 def atypical_ns(trunc24: int) -> TruncatedSeries:
     """(theta3/eta^3) times the polar sum: the massless NS building block."""
     return _theta3_over_eta3(trunc24) * polar_part(trunc24 + _ETA3_LEAD)
-
-
-def n4_character(h, sector: str, trunc24: int) -> TruncatedSeries:
-    """Typical character q^(h-3/8) theta^2/eta^3 (theta3 NS, theta2 Ramond),
-    the zero series when it leads at or past trunc24.
-
-    The Ramond shape theta2^2 comes from spectral flow of the NS one.
-    """
-    h = Fraction(h)
-    shift = int(24 * (h - Fraction(3, 8)))
-    if 24 * (h - Fraction(3, 8)) != shift:
-        raise ValueError("h - 3/8 must lie in (1/24) Z")
-    lead = shift - _ETA3_LEAD + {"NS": 0, "R": _THETA2_SQUARED_LEAD}[sector]
-    if lead >= trunc24:
-        return TruncatedSeries.zero(trunc24)
-    if sector == "NS":
-        body = _typical_prefactor(trunc24 - shift)
-    else:   # theta2 leads at q^(1/8), so theta2^2 is known 3 past theta2
-        th = jacobi_theta(2, trunc24 - shift)
-        body = th * th * eta_power(-3, trunc24 - shift - _THETA2_SQUARED_LEAD)
-    return TruncatedSeries.monomial(1, shift) * body
 
 
 # ch_{V_N} = (theta3/eta^3) sum of weight * g_(N + offset) over these

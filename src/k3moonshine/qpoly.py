@@ -1,8 +1,7 @@
-"""Dense univariate polynomials over Q and rational functions in t.
+"""Rational functions in t with cyclotomic denominators.
 
 Used for the symmetric-power generating series chi(X, S_t T), the
 per-class rational forms r_g(t) and the multiplicity functions m_chi(t).
-``Poly`` is the package's one polynomial type (Fraction coefficients).
 The cyclotomic fields read only Phi_n's integer coefficients
 (``_cyclotomic_coeffs``), Euler's phi and the two rules of exact
 rationals from here: ``canonical_rational`` (an int exactly when
@@ -18,15 +17,14 @@ coprime, so no gcd is ever needed: a sum lifts both numerators to the
 exponent-wise maximum of the two maps with int x int products, and every
 result is reduced by exact trial division of N by each Phi_d in its map.
 The form is canonical, so ``==`` compares fields, and the pole order at
-t = 1 is the exponent of Phi_1; a constant equals its scalar and a form
-without denominator its ``Poly``, and each hashes as what it equals.
-``num`` (Fraction coefficients) and ``den`` (monic) read it back as a
-reduced quotient of ``Poly``.  The loops run on ints over one
-denominator: ``expand`` on the integer numerator, multiplying the content
-in once (ints when it is integral), ``linear_combinations`` on the
-numerators scaled by the contents over their common denominator, and
-``reconstruct_rational`` on the integer coefficients of a cyclotomic
-denominator.
+t = 1 is the exponent of Phi_1; a constant equals its scalar and hashes
+as it.  ``num`` (canonical rationals) and ``den`` (monic integers) read
+it back as the ascending coefficient tuples of a reduced quotient.  The
+loops run on ints over one denominator: ``expand`` on the integer
+numerator, multiplying the content in once (ints when it is integral),
+``linear_combinations`` on the numerators scaled by the contents over
+their common denominator, and ``reconstruct_rational`` on the integer
+coefficients of a cyclotomic denominator.
 
 The constructor takes the denominator only as its exponent map, so
 every denominator is a cyclotomic product by construction and none is
@@ -37,119 +35,16 @@ denominator contains.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from numbers import Rational
 
-__all__ = [
-    "Poly", "RationalFunction", "cyclotomic_poly", "cyclotomic_product",
-    "euler_phi", "linear_combinations",
-]
+__all__ = ["RationalFunction", "euler_phi", "linear_combinations"]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-
-class Poly:
-    """Polynomial in t with Fraction coefficients, ascending order."""
-
-    __slots__ = ("c",)
-
-    def __init__(self, coeffs=()):
-        c = [Fraction(x) for x in coeffs]
-        while c and not c[-1]:
-            c.pop()
-        self.c = tuple(c)
-
-    @staticmethod
-    def const(x) -> "Poly":
-        return Poly([x])
-
-    @property
-    def degree(self) -> int:
-        return len(self.c) - 1 if self.c else -1
-
-    def is_zero(self) -> bool:
-        return not self.c
-
-    def __getitem__(self, k: int) -> Fraction:
-        return self.c[k] if 0 <= k < len(self.c) else _ZERO
-
-    def __eq__(self, other):
-        if isinstance(other, Poly):
-            return self.c == other.c
-        if isinstance(other, (int, Fraction)):
-            return self == Poly.const(other)
-        return NotImplemented
-
-    def __hash__(self):
-        # a constant equals its scalar, so it hashes as the scalar
-        return hash(self.c) if len(self.c) > 1 else hash(self[0])
-
-    def __add__(self, other):
-        other = other if isinstance(other, Poly) else Poly.const(other)
-        n = max(len(self.c), len(other.c))
-        return Poly([self[i] + other[i] for i in range(n)])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Poly([-x for x in self.c])
-
-    def __sub__(self, other):
-        other = other if isinstance(other, Poly) else Poly.const(other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Poly([x * other for x in self.c])
-        out = [_ZERO] * (len(self.c) + len(other.c) - 1) if self.c and other.c else []
-        for i, x in enumerate(self.c):
-            if not x:
-                continue
-            for j, y in enumerate(other.c):
-                if y:
-                    out[i + j] += x * y
-        return Poly(out)
-
-    __rmul__ = __mul__
-
-    def divmod(self, other: "Poly"):
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.c)
-        q = [_ZERO] * max(0, len(rem) - len(other.c) + 1)
-        lead = other.c[-1]
-        for shift in range(len(q) - 1, -1, -1):
-            coeff = rem[shift + other.degree] / lead
-            if coeff:
-                q[shift] = coeff
-                for j, y in enumerate(other.c):
-                    rem[shift + j] -= coeff * y
-        return Poly(q), Poly(rem)
-
-    def __floordiv__(self, other):
-        return self.divmod(other)[0]
-
-    def __mod__(self, other):
-        return self.divmod(other)[1]
-
-    def is_palindromic(self) -> bool:
-        return not self.is_zero() and self.c == tuple(reversed(self.c))
-
-    def __repr__(self):
-        if self.is_zero():
-            return "Poly(0)"
-        parts = []
-        for k, x in enumerate(self.c):
-            if x:
-                parts.append(f"{x}" if k == 0 else f"{x}*t^{k}")
-        return "Poly(" + " + ".join(parts) + ")"
 
 
 def euler_phi(n: int) -> int:
@@ -220,13 +115,6 @@ def _cyclotomic_coeffs(n: int) -> tuple[int, ...]:
     return tuple(p)
 
 
-def cyclotomic_poly(n: int) -> Poly:
-    """The n-th cyclotomic polynomial Phi_n(t), exact integer coefficients."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return Poly(_cyclotomic_coeffs(n))
-
-
 def _product_coeffs(exps) -> list[int]:
     """Integer coefficients of prod Phi_d^e over the (d, e) pairs."""
     out = [1]
@@ -234,11 +122,6 @@ def _product_coeffs(exps) -> list[int]:
         for _ in range(e):
             out = _int_mul(out, _cyclotomic_coeffs(d))
     return out
-
-
-def cyclotomic_product(exps) -> Poly:
-    """prod_d Phi_d(t)^e for the exponent map ``exps`` = {d: e}."""
-    return Poly(_product_coeffs(exps.items()))
 
 
 def canonical_rational(x):
@@ -270,19 +153,14 @@ def _over_common_denominator(coords) -> tuple[list, int]:
 
 
 def _primitive(coeffs) -> tuple[Fraction, list[int]]:
-    """Split rational coefficients as content * a primitive integer list
-    with positive leading coefficient; zero gives (0, [])."""
+    """Split int or Fraction coefficients as content * a primitive integer
+    list with positive leading coefficient; zero gives (0, [])."""
     coeffs = list(coeffs)
     while coeffs and not coeffs[-1]:
         coeffs.pop()
     if not coeffs:
         return _ZERO, []
-    if all(type(c) is int for c in coeffs):
-        scale, ints = 1, coeffs
-    else:
-        coeffs = [Fraction(c) for c in coeffs]
-        scale = lcm(*(c.denominator for c in coeffs))
-        ints = [c.numerator * (scale // c.denominator) for c in coeffs]
+    ints, scale = _over_common_denominator(coeffs)
     g = gcd(*ints) if ints[-1] > 0 else -gcd(*ints)
     return Fraction(g, scale), [x // g for x in ints]
 
@@ -318,23 +196,35 @@ def _canonical(content, coeffs, exps) -> tuple:
     return content * scale, tuple(coeffs), tuple(kept)
 
 
+def _scaled(content, ints) -> list:
+    """content * x for each int x, canonical: ints when the content is
+    integral, one product each otherwise."""
+    if content.denominator == 1:
+        return [content.numerator * x for x in ints]
+    return [canonical_rational(content * x) for x in ints]
+
+
 class RationalFunction:
     """c * N(t) / prod_d Phi_d(t)^e_d in lowest terms (see the module
     docstring); ``num`` and ``den`` read it as a reduced quotient with
-    monic denominator.  Read-only, as ``TruncatedSeries`` is, so one
-    instance can be shared (``genus.rational_form`` memoizes its result)."""
+    monic denominator, each an ascending coefficient tuple.  Read-only, as
+    ``TruncatedSeries`` is, so one instance can be shared
+    (``genus.rational_form`` memoizes its result)."""
 
     __slots__ = ("_c", "_n", "_e")
 
     def __init__(self, num, den=None):
-        """``num`` is a ``Poly`` or a rational, ``den`` the exponent map
-        {d: e} of the denominator prod Phi_d^e (None for 1)."""
+        """``num`` is a rational or an ascending sequence of rationals,
+        ``den`` the exponent map {d: e} of the denominator prod Phi_d^e
+        (None for 1).  Every coefficient goes through
+        ``canonical_rational``, so a float raises TypeError."""
         exps = {} if den is None else den
         if not isinstance(exps, Mapping) or any(
                 d < 1 or e < 0 for d, e in exps.items()):
             raise ValueError(f"bad cyclotomic exponent map {den!r}")
+        coeffs = num if isinstance(num, Sequence) else (num,)
         self._set(*_canonical(
-            _ONE, num.c if isinstance(num, Poly) else (num,), exps))
+            _ONE, [canonical_rational(c) for c in coeffs], exps))
 
     @classmethod
     def _of(cls, content, numerator, exps) -> "RationalFunction":
@@ -356,24 +246,26 @@ class RationalFunction:
             f"RationalFunction is read-only: cannot delete {name}")
 
     @property
-    def num(self) -> Poly:
-        return Poly([self._c * x for x in self._n])
+    def num(self) -> tuple:
+        return tuple(_scaled(self._c, self._n))
 
     @property
-    def den(self) -> Poly:
-        return Poly(_product_coeffs(self._e))
+    def den(self) -> tuple[int, ...]:
+        return tuple(_product_coeffs(self._e))
 
     def __eq__(self, other):
         if isinstance(other, RationalFunction):
             return (self._c, self._n, self._e) == (other._c, other._n, other._e)
-        if isinstance(other, (int, Fraction, Poly)):
+        if isinstance(other, (int, Fraction)):
             return self == RationalFunction(other)
         return NotImplemented
 
     def __hash__(self):
-        # a form without denominator equals its Poly (and a constant its
-        # scalar), so it hashes as the Poly
-        return hash((self.num, self.den)) if self._e else hash(self.num)
+        # a constant (numerator () or (1,), no denominator) equals its
+        # scalar, the content, so it hashes as the scalar
+        if not self._e and len(self._n) < 2:
+            return hash(self._c)
+        return hash((self._c, self._n, self._e))
 
     def __add__(self, other):
         other = other if isinstance(other, RationalFunction) else RationalFunction(other)
@@ -392,11 +284,11 @@ class RationalFunction:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, RationalFunction):
+            other = canonical_rational(other)
             if not other:
                 return RationalFunction(0)
             return RationalFunction._of(self._c * other, self._n, self._e)
-        other = other if isinstance(other, RationalFunction) else RationalFunction(other)
         exps = dict(self._e)
         for d, e in other._e:
             exps[d] = exps.get(d, 0) + e
@@ -418,9 +310,7 @@ class RationalFunction:
             for j in range(1, min(k, len(den) - 1) + 1):
                 acc -= den[j] * out[k - j]
             out.append(acc * d0)
-        if self._c.denominator == 1:
-            return [self._c.numerator * x for x in out]
-        return [canonical_rational(self._c * x) for x in out]
+        return _scaled(self._c, out)
 
     def pole_coefficient(self, at: Fraction, order: int) -> Fraction:
         """Coefficient of 1/(t-at)^order in the partial-fraction expansion.
@@ -447,7 +337,7 @@ class RationalFunction:
         return self._c * Fraction(_horner(self._n, x), rest)
 
     def __repr__(self):
-        return f"RationalFunction({self.num!r}, {self.den!r})"
+        return f"RationalFunction({self.num!r}, {dict(self._e)!r})"
 
 
 def linear_combinations(forms, rows) -> list[RationalFunction]:
@@ -484,28 +374,30 @@ def linear_combinations(forms, rows) -> list[RationalFunction]:
     return out
 
 
-def reconstruct_rational(series: list[Fraction], den: Poly):
-    """Fit ``series`` = P(t)/den(t); return (P, palindromic_flag) or None.
+def reconstruct_rational(series: list, exps: Mapping):
+    """Fit ``series`` = P(t) / prod_d Phi_d(t)^e_d for the exponent map
+    ``exps`` = {d: e}; return P's ascending coefficients, canonical
+    rationals without trailing zeros, or None.
 
-    The numerator is read off from series*den; the fit is accepted only if
-    every available higher coefficient of series*den vanishes (no forced
-    fit).  ``palindromic_flag`` reports whether P is palindromic of degree
-    exactly deg(den) - 2.  Raises ValueError when too few terms are given
-    to see past the numerator degree.
+    The numerator is read off from series * den on the denominator's
+    integer coefficients; the fit is accepted only if every available
+    higher coefficient of series * den vanishes (no forced fit).  Raises
+    ValueError when too few terms are given to see past the numerator
+    degree.
     """
-    n = len(series)
-    d = den.degree
+    den = _product_coeffs(exps.items())
+    n, d = len(series), len(den) - 1
     if n < d + 2:
         raise ValueError("insufficient series terms to reconstruct numerator")
-    dc = [canonical_rational(x) for x in den.c]   # ints for a cyclotomic den
     prod = []
     for k in range(n):
         acc = 0
         for j in range(min(k, d) + 1):
-            acc += dc[j] * series[k - j]
+            acc += den[j] * series[k - j]
         prod.append(acc)
-    num = Poly(prod[:d + 1])
     if any(prod[d + 1:]):
         return None
-    palindromic = num.is_palindromic() and num.degree == d - 2
-    return num, palindromic
+    num = prod[:d + 1]
+    while num and not num[-1]:
+        num.pop()
+    return tuple(map(canonical_rational, num))

@@ -22,7 +22,7 @@ from .lattice import (
     IntegerLattice, hnf_basis, integer_kernel, snf_quotient, solve_in_lattice,
     SolveResult,
 )
-from .qpoly import Poly, RationalFunction, euler_phi, linear_combinations
+from .qpoly import RationalFunction, euler_phi, linear_combinations
 from .records import Record
 
 __all__ = [
@@ -58,12 +58,13 @@ CHOSEN_FORM_NUMERATORS = {
 
 
 def chosen_rational_form(label: str) -> RationalFunction:
-    """The shipped closed form r_label for 11AB/14AB/15AB/23AB, verified
-    palindromic of degree phi(order) - 2 with integral expansion."""
+    """The shipped closed form r_label for 11AB/14AB/15AB/23AB over
+    Phi_order, its numerator tuple verified palindromic of degree
+    phi(order) - 2, with integral expansion."""
     order = int("".join(ch for ch in label if ch.isdigit()))
-    num = Poly(CHOSEN_FORM_NUMERATORS[label])
+    num = CHOSEN_FORM_NUMERATORS[label]
     phi = euler_phi(order)
-    if not num.is_palindromic() or num.degree != phi - 2:
+    if num != num[::-1] or len(num) != phi - 1:
         raise ValueError(f"{label}: numerator fails the shape constraints")
     r = RationalFunction(num, {order: 1})
     if any(c.denominator != 1 for c in r.expand(3 * phi)):

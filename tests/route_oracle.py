@@ -11,7 +11,7 @@ the long way, as the library once did, and the tests compare the two:
   * ``galois_conjugate`` and ``table1_sum``: sigma_a applied to every
     coefficient, pair by pair;
   * ``chi_symt_per_pair``: one inverse and one root-count sum per pair;
-  * ``pole_coefficient_in_fractions``: Poly evaluation in Fractions;
+  * ``pole_coefficient_in_fractions``: Horner evaluation in Fractions;
   * ``weak_jacobi_phi_by_products``, ``fixed_point_term_by_division``,
     ``equivariant_genus_by_division``, ``weighted_genus_by_division``,
     ``twining_genus_by_products`` and ``moonshine_report_by_series``: the
@@ -58,6 +58,9 @@ the long way, as the library once did, and the tests compare the two:
     product, and Table 3's rows read off the series combination
     h_N - 2 h_(N+1) + 2 h_(N+3) - h_(N+4), where the library adds running
     sums of eta^-3's coefficients on ints;
+  * ``n4_character``: the typical N=4 characters q^(h-3/8) theta^2/eta^3
+    as (q, y) series, which the library never builds: it reads every
+    multiplicity in closed form, and the tests decompose these;
   * ``chern_root_elliptic_genus_z_graded``: the Chern-root product
     multiplied out with the Chern-root power as a third grading
     (``genus.expand_product``) and integrated term by term, where the
@@ -98,13 +101,14 @@ from k3moonshine.modforms import (
     jacobi_form_columns, jacobi_theta, weak_jacobi_columns, weak_jacobi_phi,
 )
 from k3moonshine.n4char import (
-    N4Multiplicities, _atypical_coefficient, _eta3_column,
-    _genus_multiplicities, _typical_row, ch_vn_h_form, decompose_into_n4, decomposition_truncation,
-    genus_A_coefficients, polar_part, twining_truncation,
+    _ETA3_LEAD, N4Multiplicities, _atypical_coefficient, _eta3_column,
+    _genus_multiplicities, _typical_prefactor, _typical_row, ch_vn_h_form,
+    decompose_into_n4, decomposition_truncation, genus_A_coefficients,
+    polar_part, twining_truncation,
 )
 from k3moonshine.qpoly import (
-    Poly, RationalFunction, _canonical, _horner, _int_divexact, _int_mul,
-    _over_common_denominator, _product_coeffs, cyclotomic_poly,
+    RationalFunction, _canonical, _cyclotomic_coeffs, _horner, _int_divexact,
+    _int_mul, _over_common_denominator, _product_coeffs,
 )
 from k3moonshine.series import (
     InsufficientPrecisionError, NotInSpanError, TruncatedSeries,
@@ -216,8 +220,8 @@ def pole_coefficient_in_fractions(f, at, order):
     rest = Fraction(1)
     for dd, e in f._e:
         if dd != d:
-            rest *= _horner(cyclotomic_poly(dd).c, x) ** e
-    return f._c * _horner(Poly(f._n).c, x) / rest
+            rest *= _horner(_cyclotomic_coeffs(dd), x) ** e
+    return f._c * _horner(f._n, x) / rest
 
 
 # -- eta powers and weak Jacobi columns from the pentagonal eta -------------------
@@ -414,6 +418,32 @@ def polar_part_by_products(trunc24):
         total = total + pref * inverse_fermion_factor(-a2, -2, trunc24 + 24)
         a2 -= 2
     return total.truncate(trunc24)
+
+
+# -- the typical N=4 characters as (q, y) series ---------------------------------
+
+_THETA2_SQUARED_LEAD = 6        # theta2^2 = (y + 2 + 1/y) q^(1/4) + ...
+
+
+def n4_character(h, sector: str, trunc24: int) -> TruncatedSeries:
+    """Typical character q^(h-3/8) theta^2/eta^3 (theta3 NS, theta2 Ramond),
+    the zero series when it leads at or past trunc24.
+
+    The Ramond shape theta2^2 comes from spectral flow of the NS one.
+    """
+    h = Fraction(h)
+    shift = int(24 * (h - Fraction(3, 8)))
+    if 24 * (h - Fraction(3, 8)) != shift:
+        raise ValueError("h - 3/8 must lie in (1/24) Z")
+    lead = shift - _ETA3_LEAD + {"NS": 0, "R": _THETA2_SQUARED_LEAD}[sector]
+    if lead >= trunc24:
+        return TruncatedSeries.zero(trunc24)
+    if sector == "NS":
+        body = _typical_prefactor(trunc24 - shift)
+    else:   # theta2 leads at q^(1/8), so theta2^2 is known 3 past theta2
+        th = jacobi_theta(2, trunc24 - shift)
+        body = th * th * eta_power(-3, trunc24 - shift - _THETA2_SQUARED_LEAD)
+    return TruncatedSeries.monomial(1, shift) * body
 
 
 # -- the inverse problem on the whole (q, y) twining, and by Table 3's rows -----

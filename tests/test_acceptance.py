@@ -28,6 +28,7 @@ import pytest
 
 from k3moonshine import acceptance as acc
 from k3moonshine.cyclotomic import euler_phi
+from canonical import is_canonical
 
 
 def _check(fn, **kw):
@@ -41,6 +42,43 @@ def test_criterion_1_r1a():
 
 def test_criterion_2_rational_forms():
     _check(acc.check_2_rational_forms)
+
+
+def test_criterion_2_compares_numerators_exactly(monkeypatch):
+    # one coefficient off by 1/2 fails, and the detail shows the tuple read
+    monkeypatch.setitem(acc.RATIONAL_FORM_NUMERATORS, "5A",
+                        (2, Fraction(5, 2), 2))
+    assert acc.check_2_rational_forms() == (False, "5A: numerator (2, 2, 2)")
+
+
+def test_rational_forms_read_back_as_canonical_tuples():
+    # num: canonical rationals (an int exactly when integral); den: monic
+    # ints.  The shipped forms are integral.  m_chi1 over the non-character
+    # 11AB variant of test_alternate_11ab_is_not_a_character has content
+    # 1/5, so its numerator mixes ints and Fractions.
+    from k3moonshine.genus import SYMPLECTIC_CLASSES, rational_form
+    from k3moonshine.qpoly import RationalFunction
+    from k3moonshine.replattice import (
+        CHOSEN_FORM_NUMERATORS, chosen_rational_form, m23_table2,
+        m_chi_rational,
+    )
+    from k3moonshine.tables import load_m23
+    forms = [*map(rational_form, SYMPLECTIC_CLASSES),
+             *map(chosen_rational_form, CHOSEN_FORM_NUMERATORS),
+             *acc.M24_EXTRA_FORMS.values()]
+    assert len(forms) == 8 + 4 + 2
+    m23 = load_m23()
+    variant = dict(m23_table2(m23, 21)[0])
+    variant["11AB"] = RationalFunction(
+        (2, 4, Fraction(32, 5), Fraction(38, 5), Fraction(42, 5),
+         Fraction(38, 5), Fraction(32, 5), 4, 2), {11: 1})
+    m1, _ = m_chi_rational(m23, variant)[m23.characters[0].name]
+    assert {type(c) for c in m1.num} == {int, Fraction}
+    for r in forms + [m1]:
+        assert type(r.num) is tuple and all(map(is_canonical, r.num))
+        assert type(r.den) is tuple and r.den[-1] == 1
+        assert all(type(x) is int for x in r.den)
+    assert all(type(c) is int for r in forms for c in r.num)
 
 
 def test_criterion_3_elliptic_genus():

@@ -5,7 +5,7 @@ from math import gcd
 import pytest
 
 from k3moonshine.cyclotomic import zeta
-from k3moonshine.qpoly import Poly, RationalFunction
+from k3moonshine.qpoly import RationalFunction
 from k3moonshine.series import NotInSpanError, TruncatedSeries
 from k3moonshine.modforms import euler_specialization, weak_jacobi_phi
 from k3moonshine.genus import (
@@ -79,20 +79,20 @@ def test_chi_symt_integrality():
 
 
 def test_chi_symt_8a_matches_rational_form():
-    expected = RationalFunction(Poly([2, 2, 2]), {8: 1}).expand(10)
+    expected = RationalFunction((2, 2, 2), {8: 1}).expand(10)
     assert chi_symt_series("8A", 10) == expected
 
 
 def test_rational_forms_match_published_display():
     expected = {
-        "1A": RationalFunction(Poly([2, -28, 2]), {1: 4}),
-        "2A": RationalFunction(Poly([2]), {2: 2}),
-        "3A": RationalFunction(Poly([2]), {3: 1}),
-        "4A": RationalFunction(Poly([2]), {4: 1}),
-        "5A": RationalFunction(Poly([2, 2, 2]), {5: 1}),
-        "6A": RationalFunction(Poly([2]), {6: 1}),
-        "7AB": RationalFunction(Poly([2, 3, 4, 3, 2]), {7: 1}),
-        "8A": RationalFunction(Poly([2, 2, 2]), {8: 1}),
+        "1A": RationalFunction((2, -28, 2), {1: 4}),
+        "2A": RationalFunction(2, {2: 2}),
+        "3A": RationalFunction(2, {3: 1}),
+        "4A": RationalFunction(2, {4: 1}),
+        "5A": RationalFunction((2, 2, 2), {5: 1}),
+        "6A": RationalFunction(2, {6: 1}),
+        "7AB": RationalFunction((2, 3, 4, 3, 2), {7: 1}),
+        "8A": RationalFunction((2, 2, 2), {8: 1}),
     }
     for label, want in expected.items():
         assert rational_form(label) == want, label
@@ -103,8 +103,8 @@ def test_rational_form_numerators_palindromic():
         if label == "1A":
             continue
         r = rational_form(label)
-        assert r.num.is_palindromic()
-        assert r.num.degree == r.den.degree - 2
+        assert r.num == r.num[::-1]
+        assert len(r.num) == len(r.den) - 2
 
 
 def test_elliptic_genus_q0():

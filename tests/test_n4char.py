@@ -13,9 +13,10 @@ from k3moonshine.genus import chi_sym_power, chi_symt_series, \
 from k3moonshine.n4char import (
     atypical_ns, ch_v_product, ch_vn_closed, ch_vn_extract, ch_vn_h_form,
     decompose_into_n4, g_series, genus_A_coefficients, h_series,
-    n4_character, polar_part, ramond_basis_character,
-    symmetric_power_crosscheck, twining_to_symtraces, twining_truncation,
+    polar_part, ramond_basis_character, symmetric_power_crosscheck,
+    twining_to_symtraces, twining_truncation,
 )
+from route_oracle import n4_character
 
 T3 = 3 * 24
 

@@ -31,13 +31,8 @@ ALLOWED = {
         "reads the versioned f_g exchange file the README documents",
     "replattice.solve_virtual_m24":
         "the canonical virtual-M24 solver the README documents",
-    "n4char.n4_character":
-        "the N=4 characters themselves, the basis the decompositions use",
     "lattice.SolveResult.solved":
         "the verdict of solve_in_lattice's result record",
-    "qpoly.cyclotomic_poly":
-        "Phi_n as a Poly, exported by the package; the library itself "
-        "reads Phi_n's integer coefficients",
 }
 
 
