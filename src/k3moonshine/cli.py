@@ -162,11 +162,11 @@ def cmd_lattice_check(args):
 
 def cmd_m23_table(args):
     from .tables import load_m23
-    from .replattice import m23_table2
+    from .replattice import first_nonintegral, m23_table2
     _, cols = m23_table2(load_m23(), args.t_order)
     rows = [[n] + [format_rational(cols[j][n]) for j in range(len(cols))]
             for n in range(args.t_order)]
-    nonint = any(Fraction(c).denominator != 1 for col in cols for c in col)
+    nonint = any(first_nonintegral(col) is not None for col in cols)
     return {"title": "decomposition of -chi(X, S_t T) into M23 irreducibles",
             "columns": ["n"] + [f"chi{j+1}" for j in range(len(cols))],
             "rows": rows}, (EXIT_MISMATCH if nonint else EXIT_OK)

@@ -1,8 +1,11 @@
-"""Integer lattices: Hermite and Smith normal forms, membership, quotients.
+"""Integer lattices: Hermite and Smith normal forms, congruence lattices,
+membership, quotients.
 
-Lattices are stored by a canonical row-style Hermite normal form basis
-(positive pivots, entries above a pivot reduced into [0, pivot)), so
-lattice equality is representation equality.
+One elimination does the work, the row Hermite normal form.  Lattices are
+stored by a canonical Hermite basis (positive pivots, entries above a
+pivot reduced into [0, pivot)), so lattice equality is representation
+equality.  A lattice cut out by congruences is read off the Hermite form
+of its dual, and the Smith form alternates row and column Hermite forms.
 
 Input is checked once, where a vector enters (``_integer_vector``), never
 in the elimination loops: an integral ``Fraction`` is taken as its int, a
@@ -14,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 from operator import index
 
 from .records import Record
@@ -25,6 +28,7 @@ __all__ = [
     "SolveResult",
     "hermite_normal_form",
     "smith_normal_form",
+    "congruence_lattice",
     "integer_kernel",
     "nullspace_mod",
     "hnf_basis",
@@ -184,71 +188,30 @@ def _prime_divisors(n: int) -> list:
 
 
 def smith_normal_form(matrix):
-    """Invariant factors d_1 | d_2 | ... (including 1s) of an integer matrix."""
+    """Invariant factors d_1 | d_2 | ... (including 1s) of an integer matrix.
+
+    Row and column Hermite forms alternate until the matrix is diagonal.
+    Each pass is unimodular on one side, and the corner pivot (the gcd of
+    its column, then of its row) divides the one before, so it settles;
+    then its row and column are clear and the passes act on the block
+    below it.  The diagonal becomes the divisibility chain by replacing
+    adjacent pairs with their gcd and lcm, which keeps the quotient group.
+    """
     if not matrix or not matrix[0]:
         return []
-    a = [_integer_vector(row) for row in matrix]
-    m, n = len(a), len(a[0])
-    factors = []
-    top = 0
-    while top < m and top < n:
-        piv = None
-        for i in range(top, m):
-            for j in range(top, n):
-                if a[i][j]:
-                    piv = (i, j)
-                    break
-            if piv:
-                break
-        if piv is None:
-            break
-        i0, j0 = piv
-        a[top], a[i0] = a[i0], a[top]
-        for row in a:
-            row[top], row[j0] = row[j0], row[top]
-        while True:
-            for i in range(top + 1, m):
-                while a[i][top]:
-                    p, v = a[top][top], a[i][top]
-                    if v % p == 0:
-                        q = v // p
-                        a[i] = [x - q * y for x, y in zip(a[i], a[top])]
-                    else:
-                        g, x, y = _xgcd(p, v)
-                        pg, vg = p // g, v // g
-                        r_top, r_i = a[top], a[i]
-                        a[top] = [x * s + y * t for s, t in zip(r_top, r_i)]
-                        a[i] = [-vg * s + pg * t for s, t in zip(r_top, r_i)]
-            row_clear = True
-            for j in range(top + 1, n):
-                while a[top][j]:
-                    p, v = a[top][top], a[top][j]
-                    if v % p == 0:
-                        q = v // p
-                        for row in a:
-                            row[j] -= q * row[top]
-                    else:
-                        g, x, y = _xgcd(p, v)
-                        pg, vg = p // g, v // g
-                        for row in a:
-                            s, t = row[top], row[j]
-                            row[top] = x * s + y * t
-                            row[j] = -vg * s + pg * t
-                        row_clear = False
-            if row_clear and all(a[i][top] == 0 for i in range(top + 1, m)):
-                break
-        factors.append(abs(a[top][top]))
-        top += 1
+    a = hermite_normal_form(matrix)
+    while any(x for i, row in enumerate(a) for j, x in enumerate(row) if i != j):
+        a = hermite_normal_form(list(zip(*a)))
+    factors = [row[i] for i, row in enumerate(a)]
     changed = True
     while changed:
         changed = False
         for i in range(len(factors) - 1):
             x, y = factors[i], factors[i + 1]
             if y % x:
-                g = gcd(x, y)
-                factors[i], factors[i + 1] = g, x * y // g
+                factors[i], factors[i + 1] = gcd(x, y), lcm(x, y)
                 changed = True
-    return [d for d in factors if d != 0]
+    return factors
 
 
 class AbelianQuotient(Record):
@@ -340,21 +303,6 @@ class IntegerLattice:
     def contains_lattice(self, other: "IntegerLattice") -> bool:
         return all(self.contains(row) for row in other.basis)
 
-    def intersect(self, other: "IntegerLattice") -> "IntegerLattice":
-        if self.ambient != other.ambient:
-            raise ValueError("ambient ranks differ")
-        stacked = [list(r) for r in self.basis] + [list(r) for r in other.basis]
-        kern = integer_kernel(stacked)
-        k = len(self.basis)
-        vecs = []
-        for x in kern:
-            vec = [0] * self.ambient
-            for c, row in zip(x[:k], self.basis):
-                if c:
-                    vec = [a + c * b for a, b in zip(vec, row)]
-            vecs.append(vec)
-        return IntegerLattice(self.ambient, vecs)
-
     def prime_order_points(self) -> list:
         """One x in Z^n per F_p-line of (Z^n / self)[p], for each prime p
         dividing [Z^n : self], as integer vectors.
@@ -402,6 +350,30 @@ def hnf_basis(vectors, ambient=None) -> IntegerLattice:
             raise ValueError("ambient rank required for the empty span")
         ambient = len(vectors[0])
     return IntegerLattice(ambient, vectors)
+
+
+def congruence_lattice(rows, modulus: int, ambient: int) -> IntegerLattice:
+    """{x in Z^ambient : r . x = 0 mod ``modulus`` for every row r}.
+
+    H, the Hermite form of [modulus I; rows], is upper triangular with
+    positive diagonal, and x satisfies the congruences iff H x lies in
+    modulus Z^ambient.  So the lattice is spanned by the columns of
+    modulus H^-1, found by back substitution; they are integral because
+    modulus Z^ambient lies in the row span of H.
+    """
+    if modulus < 1:
+        raise ValueError(f"modulus {modulus} is not positive")
+    h = hermite_normal_form(
+        [[modulus if i == j else 0 for j in range(ambient)]
+         for i in range(ambient)] + list(rows))
+    columns = []
+    for j in range(ambient):
+        x = [0] * ambient
+        x[j] = modulus // h[j][j]
+        for i in range(j - 1, -1, -1):
+            x[i] = -sum(h[i][k] * x[k] for k in range(i + 1, j + 1)) // h[i][i]
+        columns.append(x)
+    return IntegerLattice(ambient, columns)
 
 
 def snf_quotient(sub: IntegerLattice, sup: IntegerLattice) -> AbelianQuotient:

@@ -1,13 +1,17 @@
 """Character lattices on the order set {1..8} and their quotients.
 
 Implements the lattice side of the virtual-module story: the restriction
-lattices K (M24), K' (M23), K'' (Co0) inside Z^8, the order-constrained
-lattices N_i of the eleven maximal symplectic groups and their
-intersection N, quotient invariants, the sufficiency scan, the canonical
-virtual-M24 solver, and the multiplicity decompositions of class-function
-families over the rationalized M23 table.  Those run on ints: Table 2
-sums |C| chi(g) times the integral expansions of the r_g and divides each
-sum once by |G| times the orbit size, and each m_chi is one integer
+lattices K (M24), K' (M23), K'' (Co0) inside Z^8, the order lattices N_i
+of the eleven maximal symplectic groups and their intersection N,
+quotient invariants, the sufficiency scan, the canonical virtual-M24
+solver, and the multiplicity decompositions of class-function families
+over the rationalized M23 table.  N_i holds the integer functions f on
+{1..8} for which f(ord g) is a virtual character of group i; by
+orthogonality that is sum_C |C| f(ord C) Psi(C) = 0 mod |G| orbit_size
+for every orbit row Psi, and N is cut out by all eleven tables'
+congruences together.  The decompositions run on ints: Table 2 sums
+|C| chi(g) times the integral expansions of the r_g and divides each sum
+once by |G| times the orbit size, and each m_chi is one integer
 combination of the r_g whose content is scaled once by the same factor.
 """
 
@@ -15,12 +19,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 from .chartab import CharacterTable
 from .cyclotomic import canonical_rational, exact_quotient
 from .lattice import (
-    IntegerLattice, hnf_basis, integer_kernel, snf_quotient, solve_in_lattice,
-    SolveResult,
+    IntegerLattice, congruence_lattice, hnf_basis, snf_quotient,
+    solve_in_lattice, SolveResult,
 )
 from .qpoly import RationalFunction, euler_phi, linear_combinations
 from .records import Record
@@ -85,59 +90,46 @@ def restricted_lattice(table: CharacterTable, labels) -> IntegerLattice:
 
 
 def order_lattice(table: CharacterTable) -> IntegerLattice:
-    """The lattice N_i in Z^8 attached to one maximal symplectic group.
+    """The lattice N_i in Z^8 attached to one maximal symplectic group:
+    the integer functions f on {1..8} for which f(ord g) is a virtual
+    character, cut out by the orthogonality congruences of its orbit rows.
 
-    Characters constant on classes of equal element order project to
-    functions on the occurring orders; N_i consists of all integer
-    functions on {1..8} whose restriction to those orders is in the
-    projected lattice.
+    Orders that no class has are unconstrained.  Raises ValueError for an
+    element order outside 1..8 or a table with fewer rows than classes.
     """
-    k = len(table.classes)
-    orders_present = sorted({c.order for c in table.classes})
-    if any(o not in ORDERS for o in orders_present):
-        raise ValueError(f"{table.group}: element order outside 1..8")
-    # conditions: equal values on classes of the same order
-    conditions = []
-    by_order: dict = {}
-    for idx, c in enumerate(table.classes):
-        by_order.setdefault(c.order, []).append(idx)
-    for order, idxs in by_order.items():
-        for a, b in zip(idxs, idxs[1:]):
-            conditions.append((a, b))
-    rows = []
-    for ch in table.characters:
-        rows.append([ch.values[a] - ch.values[b] for (a, b) in conditions]
-                    or [0])
-    if conditions:
-        kernel = integer_kernel(rows)
-    else:
-        kernel = [[1 if i == j else 0 for j in range(len(rows))]
-                  for i in range(len(rows))]
-    vecs = []
-    rep_of_order = {o: idxs[0] for o, idxs in by_order.items()}
-    for coeffs in kernel:
-        vec = [0] * 8
-        for o in orders_present:
-            idx = rep_of_order[o]
-            val = sum(c * ch.values[idx]
-                      for c, ch in zip(coeffs, table.characters))
-            vec[o - 1] = val
-        vecs.append(vec)
-    for o in ORDERS:
-        if o not in orders_present:
-            unit = [0] * 8
-            unit[o - 1] = 1
-            vecs.append(unit)
-    return hnf_basis(vecs, ambient=8)
+    return _virtual_character_lattice([table])
 
 
 def mukai_lattice_N(tables) -> tuple:
-    """Intersect the order lattices of the eleven maximal groups."""
-    lattices = [order_lattice(t) for t in tables]
-    n = lattices[0]
-    for lat in lattices[1:]:
-        n = n.intersect(lat)
-    return n, lattices
+    """(N, [N_i]): N, the intersection of the N_i, is cut out by the
+    congruences of all the tables' rows at once."""
+    return (_virtual_character_lattice(tables),
+            [order_lattice(t) for t in tables])
+
+
+def _virtual_character_lattice(tables) -> IntegerLattice:
+    """The f in Z^8 with f(ord g) a virtual character of every group.
+
+    By orthogonality over a full table that is, for each orbit row Psi,
+    sum_C |C| f(ord C) Psi(C) = 0 mod |G| orbit_size(Psi): one row, the
+    sums of |C| Psi(C) per element order, scaled to the lcm of the moduli.
+    """
+    congruences = []
+    for t in tables:
+        if any(c.order not in ORDERS for c in t.classes):
+            raise ValueError(f"{t.group}: element order outside 1..8")
+        if len(t.characters) < len(t.classes):
+            raise ValueError(f"{t.group}: {len(t.characters)} rows for "
+                             f"{len(t.classes)} classes, not a full table")
+        for ch in t.characters:
+            row = [0] * 8
+            for c, v in zip(t.classes, ch.values):
+                row[c.order - 1] += c.size * v
+            congruences.append((row, t.order * ch.orbit_size))
+    modulus = lcm(*(m for _, m in congruences))
+    return congruence_lattice(
+        [[modulus // m * x for x in row] for row, m in congruences],
+        modulus, 8)
 
 
 class LatticeReport(Record):
@@ -291,8 +283,8 @@ def m_chi_rational(table: CharacterTable, forms: dict):
 
 
 def first_nonintegral(series) -> tuple | None:
-    """(position, value) of the first non-integral coefficient, or None."""
+    """(position, value) of the first non-integral int or Fraction, or None."""
     for i, c in enumerate(series):
-        if Fraction(c).denominator != 1:
-            return i, Fraction(c)
+        if type(c) is not int and c.denominator != 1:
+            return i, c
     return None

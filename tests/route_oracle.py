@@ -73,6 +73,13 @@ the long way, as the library once did, and the tests compare the two:
     ``m_chi_rational_in_fractions``) and ``expand_in_fractions``: the
     rational kernels with Fraction coefficients in their loops, where the
     library carries each over one integer denominator and divides once.
+  * ``order_lattice_by_kernel``, ``intersect`` and
+    ``smith_normal_form_by_elimination``: N_i as the integer kernel of the
+    equal-order conditions projected to {1..8} plus the absent orders'
+    unit vectors, the intersection of two lattices through the kernel of
+    their stacked bases, and the Smith form by its own pivot search and
+    row and column xgcd steps, where the library cuts N_i and N out by
+    their orthogonality congruences and alternates Hermite forms.
 
 ``fixed_point_term`` is no replaced route but one fixed-point term,
 phi_{0,1}/12 + wp(u) phi_{-2,1} over Q(zeta_n), built on
@@ -83,7 +90,7 @@ division and product routes.
 
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import lcm
+from math import gcd, lcm
 
 from k3moonshine.chartab import format_rational
 from k3moonshine.cyclotomic import CyclotomicNumber, canonical_rational, zeta
@@ -91,6 +98,9 @@ from k3moonshine.genus import (
     CLASS_ORDER, FIXED_POINT_EIGENVALUES, UNIT_SUM_WEIGHTS, MoonshineReport,
     _columns, _wp_series, chi_sym_power, elliptic_genus, euler_phi,
     expand_product, fixed_point_count,
+)
+from k3moonshine.lattice import (
+    IntegerLattice, _integer_vector, _xgcd, hnf_basis, integer_kernel,
 )
 from k3moonshine.mckay import (
     CLASS_LEVEL, euler_character_value, f_series, k_layer_trace, m2_basis,
@@ -863,3 +873,103 @@ def expand_in_fractions(f, terms):
             acc -= den[j] * out[k - j]
         out.append(acc * den[0])
     return [f._c * x for x in out]
+
+
+# -- the lattice suite by kernels, intersections and a Smith elimination ------
+
+def order_lattice_by_kernel(table) -> IntegerLattice:
+    """N_i: the characters constant on classes of equal element order,
+    projected to the occurring orders, plus a unit vector per absent
+    order."""
+    by_order: dict = {}
+    for idx, c in enumerate(table.classes):
+        by_order.setdefault(c.order, []).append(idx)
+    conditions = [(a, b) for idxs in by_order.values()
+                  for a, b in zip(idxs, idxs[1:])]
+    chars = table.characters
+    if conditions:
+        kernel = integer_kernel([[ch.values[a] - ch.values[b]
+                                  for a, b in conditions] for ch in chars])
+    else:
+        kernel = [[int(i == j) for j in range(len(chars))]
+                  for i in range(len(chars))]
+    vecs = []
+    for coeffs in kernel:
+        vec = [0] * 8
+        for o, idxs in by_order.items():
+            vec[o - 1] = sum(c * ch.values[idxs[0]]
+                             for c, ch in zip(coeffs, chars))
+        vecs.append(vec)
+    vecs.extend([int(i == o - 1) for i in range(8)]
+                for o in range(1, 9) if o not in by_order)
+    return hnf_basis(vecs, ambient=8)
+
+
+def intersect(a: IntegerLattice, b: IntegerLattice) -> IntegerLattice:
+    """a meet b: the kernel of a's and b's stacked bases, read on a's."""
+    kern = integer_kernel([list(r) for r in a.basis + b.basis])
+    vecs = []
+    for x in kern:
+        vec = [0] * a.ambient
+        for c, row in zip(x, a.basis):
+            vec = [u + c * v for u, v in zip(vec, row)]
+        vecs.append(vec)
+    return IntegerLattice(a.ambient, vecs)
+
+
+def smith_normal_form_by_elimination(matrix):
+    """Invariant factors by pivot search and row and column xgcd steps."""
+    if not matrix or not matrix[0]:
+        return []
+    a = [_integer_vector(row) for row in matrix]
+    m, n = len(a), len(a[0])
+    factors = []
+    top = 0
+    while top < m and top < n:
+        piv = next(((i, j) for i in range(top, m) for j in range(top, n)
+                    if a[i][j]), None)
+        if piv is None:
+            break
+        i0, j0 = piv
+        a[top], a[i0] = a[i0], a[top]
+        for row in a:
+            row[top], row[j0] = row[j0], row[top]
+        while True:
+            for i in range(top + 1, m):
+                while a[i][top]:
+                    p, v = a[top][top], a[i][top]
+                    if v % p == 0:
+                        a[i] = [x - v // p * y for x, y in zip(a[i], a[top])]
+                    else:
+                        g, x, y = _xgcd(p, v)
+                        r_top, r_i = a[top], a[i]
+                        a[top] = [x * s + y * t for s, t in zip(r_top, r_i)]
+                        a[i] = [-(v // g) * s + (p // g) * t
+                                for s, t in zip(r_top, r_i)]
+            row_clear = True
+            for j in range(top + 1, n):
+                while a[top][j]:
+                    p, v = a[top][top], a[top][j]
+                    if v % p == 0:
+                        for row in a:
+                            row[j] -= v // p * row[top]
+                    else:
+                        g, x, y = _xgcd(p, v)
+                        for row in a:
+                            s, t = row[top], row[j]
+                            row[top] = x * s + y * t
+                            row[j] = -(v // g) * s + (p // g) * t
+                        row_clear = False
+            if row_clear and all(a[i][top] == 0 for i in range(top + 1, m)):
+                break
+        factors.append(abs(a[top][top]))
+        top += 1
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(factors) - 1):
+            x, y = factors[i], factors[i + 1]
+            if y % x:
+                factors[i], factors[i + 1] = gcd(x, y), x * y // gcd(x, y)
+                changed = True
+    return factors

@@ -1,12 +1,16 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from k3moonshine.lattice import (
-    AbelianQuotient, IntegerLattice, hermite_normal_form, hnf_basis,
-    integer_kernel, smith_normal_form, snf_quotient, solve_in_lattice,
+    AbelianQuotient, IntegerLattice, congruence_lattice, hermite_normal_form,
+    hnf_basis, integer_kernel, smith_normal_form, snf_quotient,
+    solve_in_lattice,
 )
+from route_oracle import smith_normal_form_by_elimination
 
 
 def brute_force_box_members(vectors, box=3):
@@ -135,11 +139,59 @@ def test_solve_is_canonical_under_generator_shuffle_consistency():
 
 
 def test_intersect():
-    a = hnf_basis([(2, 0), (0, 1)])
-    b = hnf_basis([(1, 0), (0, 3)])
-    c = a.intersect(b)
+    # 2Z x Z and Z x 3Z as congruences mod 6; their intersection is cut
+    # out by both rows at once
+    a = congruence_lattice([[3, 0]], 6, 2)
+    b = congruence_lattice([[0, 2]], 6, 2)
+    assert a == hnf_basis([(2, 0), (0, 1)])
+    assert b == hnf_basis([(1, 0), (0, 3)])
+    c = congruence_lattice([[3, 0], [0, 2]], 6, 2)
     assert c == hnf_basis([(2, 0), (0, 3)])
     assert c.index_in(IntegerLattice.full(2)) == 6
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_congruence_lattice_matches_brute_force_membership(data):
+    n = data.draw(st.integers(1, 3))
+    modulus = data.draw(st.integers(1, 12))
+    rows = data.draw(st.lists(st.lists(st.integers(-12, 12), min_size=n,
+                                       max_size=n), max_size=3))
+    lat = congruence_lattice(rows, modulus, n)
+    assert lat.rank == n
+    for x in product(range(-4, 5), repeat=n):
+        want = all(sum(r * v for r, v in zip(row, x)) % modulus == 0
+                   for row in rows)
+        assert lat.contains(x) == want, (rows, modulus, x)
+
+
+def test_congruence_lattice_without_rows_and_with_a_bad_modulus():
+    # no condition, or a modulus of 1, leaves all of Z^n
+    assert congruence_lattice([], 5, 3) == IntegerLattice.full(3)
+    assert congruence_lattice([[1, 2]], 1, 2) == IntegerLattice.full(2)
+    assert congruence_lattice([[5, 0, 0]], 5, 3) == IntegerLattice.full(3)
+    with pytest.raises(ValueError):
+        congruence_lattice([[1, 2]], 0, 2)
+    with pytest.raises(ValueError):
+        congruence_lattice([[1, 2, 3]], 4, 2)
+
+
+def test_smith_normal_form_matches_the_elimination():
+    rng = random.Random(7)
+    mats = [[], [[]], [[0, 0], [0, 0], [0, 0]], [[1, 2], [2, 4]],
+            [[2, 4, 6]], [[2], [4], [6]], [[0, 6, 0], [4, 0, 0]],
+            [[Fraction(4, 2), 0], [Fraction(6), Fraction(-9, 3)]]]
+    for _ in range(400):
+        m, n = rng.randint(1, 7), rng.randint(1, 7)
+        mats.append([[0 if rng.random() < 0.3 else rng.randint(-9, 9)
+                      for _ in range(n)] for _ in range(m)])
+    for mat in mats:
+        got = smith_normal_form(mat)
+        assert got == smith_normal_form_by_elimination(mat), mat
+        assert all(type(d) is int and d > 0 for d in got)
+    # the Hermite form checks the input: a ragged matrix is refused
+    with pytest.raises(ValueError):
+        smith_normal_form([[1], [2, 3]])
 
 
 # -- input: integral Fractions are ints, anything else non-integral raises ----

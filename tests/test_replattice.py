@@ -1,11 +1,13 @@
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gcd_oracle import m_chi_by_gcd
-from k3moonshine.chartab import CharacterTable
+from route_oracle import intersect, order_lattice_by_kernel
+from k3moonshine.chartab import CharacterTable, ClassEntry
 from k3moonshine.lattice import IntegerLattice, snf_quotient
 from k3moonshine.genus import rational_form, SYMPLECTIC_CLASSES
 from k3moonshine.qpoly import RationalFunction
@@ -55,6 +57,33 @@ def test_Ni_quotients(lattice_N):
         assert str(snf_quotient(N, lat)) == want
 
 
+def test_order_lattices_match_the_kernel_route(mukai_tables, lattice_N):
+    # each N_i against the projected kernel of its equal-order conditions,
+    # and N against the pairwise intersection of those
+    N, lattices = lattice_N
+    oracles = [order_lattice_by_kernel(t) for t in mukai_tables]
+    assert [order_lattice(t) for t in mukai_tables] == lattices == oracles
+    assert N == reduce(intersect, oracles)
+
+
+def test_order_lattices_refuse_an_incomplete_table(mukai_tables):
+    t = mukai_tables[2]
+    short = CharacterTable(t.group, t.order, t.classes, t.characters[:-1])
+    with pytest.raises(ValueError, match="rows for"):
+        order_lattice(short)
+    with pytest.raises(ValueError, match="rows for"):
+        mukai_lattice_N(mukai_tables[:2] + [short])
+
+
+def test_order_lattice_refuses_an_order_past_8(mukai_tables):
+    t = mukai_tables[0]
+    last = t.classes[-1]
+    classes = t.classes[:-1] + (
+        ClassEntry(last.label, 9, last.size, last.merged),)
+    with pytest.raises(ValueError, match="outside 1..8"):
+        order_lattice(CharacterTable(t.group, t.order, classes, t.characters))
+
+
 def test_h1_orders():
     t = load_mukai(1)
     assert sorted({c.order for c in t.classes}) == [1, 2, 3, 4, 7]
@@ -72,7 +101,7 @@ def _scan_from_scratch(lattices, N):
     def intersect_all(idxs):
         acc = IntegerLattice.full(8)
         for i in idxs:
-            acc = acc.intersect(lattices[i])
+            acc = intersect(acc, lattices[i])
         return acc
 
     four_ok = {}
@@ -282,6 +311,16 @@ def test_alternate_11ab_is_not_a_character():
     dec = decompose_family(m23, family)
     assert any(first_nonintegral(series) is not None
                for series in dec.values())
+
+
+def test_first_nonintegral_reads_values_as_they_are():
+    # an int and an integral Fraction pass; the first proper fraction is
+    # returned as it is
+    half = Fraction(5, 2)
+    assert first_nonintegral([3, Fraction(4, 2), -1]) is None
+    hit = first_nonintegral([3, Fraction(4, 2), half, Fraction(1, 3)])
+    assert hit == (2, half) and hit[1] is half
+    assert first_nonintegral([]) is None
 
 
 def test_m_chi_rational_pole_structure():
