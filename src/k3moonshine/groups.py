@@ -12,17 +12,17 @@ lookups alone.  Conjugation, class orbits, element orders and class
 matrices all run on these index tables.  Elements are still enumerated,
 sorted and given class representatives in their own representation.
 
-Character tables are computed by Dixon's method (common eigenvectors of the
-class matrices over GF(p) with p = 1 mod exp(G)).  A class matrix is built
-only when the splitting reaches it.  A class matrix that acts on a space
-as one scalar leaves it whole; otherwise the eigenvalues are the roots of
-the characteristic polynomial: in closed form for degree at most 2 (an
-Euler-criterion test of the discriminant, then a Tonelli-Shanks square
-root), else as gcd(f, x^p - x), split by gcds with (x + a)^((p-1)/2) - 1
-(Cantor-Zassenhaus) down to factors of degree at most 2.  The result is a
-validated ``chartab.CharacterTable`` in Galois-orbit-summed (rational)
-form: all values are integers, stored as ``int`` (the series rule), one
-character per rational class.
+Character tables are computed by Dixon's method over GF(p) with
+p = 1 mod exp(G): the central characters are the common eigenvectors of
+the class matrices, read off one combination A = sum_i j^i M_i with k
+distinct eigenvalues.  The Krylov vectors of the identity's unit vector
+under A give A's minimal polynomial as one null-space vector
+(``lattice.nullspace_mod``); its roots come from gcd(f, x^p - x), split by
+gcds with (x + a)^((p-1)/2) - 1 (Cantor-Zassenhaus) down to degree 1, and
+each eigenvector is the quotient f / (x - root) applied to the unit
+vector.  The result is a validated ``chartab.CharacterTable`` in
+Galois-orbit-summed (rational) form: all values are integers, stored as
+``int`` (the series rule), one character per rational class.
 """
 
 from __future__ import annotations
@@ -337,67 +337,69 @@ def _dixon_prime(order: int, exponent: int) -> int:
     return p
 
 
-def _class_matrices(data: ConjugacyData, inv_class: list):
-    """Class matrices in class order, each built when it is asked for.
+def _class_matrices(data: ConjugacyData, inv_class: list) -> list:
+    """The k class matrices, in class order.
 
     Entry [l][j] of matrix i counts the a in class i with a^-1 r_j in class
     l; the inverses a^-1 are the elements of the inverse class, and a r_j
-    is conjugate to r_j a, which the left table of r_j looks up.
+    is conjugate to r_j a, which the left table of r_j looks up.  So
+    (M_i w)_l = sum_j M_i[l][j] w_j, and M_i acts on a central character
+    omega as the scalar omega[i].
     """
     k = len(data.members)
     class_at = data.class_at
+    mats = []
     for i in range(k):
         mat = [[0] * k for _ in range(k)]
         members = data.members[inv_class[i]]
         for j, left in enumerate(data.rep_left):
             for a in members:
                 mat[class_at[left[a]]][j] += 1
-        yield mat
+        mats.append(mat)
+    return mats
 
 
-def _charpoly_roots(mat, p):
-    """Sorted distinct roots in GF(p) of det(x I - mat)."""
-    return _roots_mod(_charpoly_mod(mat, p), p)
+def _central_characters(mats: list, id_idx: int, p: int) -> list:
+    """The k central characters omega mod p, omega[id_idx] = 1, as
+    tuples in ascending order.
 
-
-def _charpoly_mod(mat, p):
-    """det(x I - mat) over GF(p), ascending coefficients: reduce to upper
-    Hessenberg form by similarity, then expand along the subdiagonal
-    (Cohen, A Course in Computational Algebraic Number Theory, Alg. 2.2.9)."""
-    n = len(mat)
-    h = [[x % p for x in row] for row in mat]
-    for m in range(1, n - 1):
-        piv = next((i for i in range(m, n) if h[i][m - 1]), None)
-        if piv is None:
-            continue
-        if piv != m:
-            h[m], h[piv] = h[piv], h[m]
-            for row in h:
-                row[m], row[piv] = row[piv], row[m]
-        inv = pow(h[m][m - 1], p - 2, p)
-        for i in range(m + 1, n):
-            u = h[i][m - 1] * inv % p
-            if u:
-                # row_i -= u row_m, then column_m += u column_i
-                h[i] = [(x - u * y) % p for x, y in zip(h[i], h[m])]
-                for row in h:
-                    row[m] = (row[m] + u * row[i]) % p
-    # polys[m] = characteristic polynomial of the leading m x m block
-    polys = [[1]]
-    for m in range(n):
-        prev = polys[m]
-        new = [0] + prev
-        for d, c in enumerate(prev):
-            new[d] = (new[d] - h[m][m] * c) % p
-        t = 1
-        for i in range(m - 1, -1, -1):
-            t = t * h[i + 1][i] % p
-            c = h[i][m] * t % p
-            if c:
-                for d, q in enumerate(polys[i]):
-                    new[d] = (new[d] - c * q) % p
-        polys.append(new)
-    return polys[n]
+    They are the common eigenvectors of the class matrices, and one
+    matrix A = sum_i j^i M_i has them as its eigenvectors once its k
+    eigenvalues sum_i j^i omega[i] are distinct.  The unit vector e at the
+    identity class is sum chi(1)^2 / |G| omega_chi, with every coefficient
+    nonzero mod p, so then e, A e, ..., A^k e have a one-vector kernel,
+    A's monic minimal polynomial f; otherwise the next j is tried (two
+    characters share an eigenvalue for at most k - 1 values of j).  For
+    each root mu of f, (f / (x - mu))(A) e is the mu-eigenvector.
+    Ascending order sorts by the eigenvalue of M_0, then of M_1 and so on;
+    it fixes the row names chi<n> of the tables.
+    """
+    k = len(mats)
+    for j in range(2, p):
+        weights = [pow(j, i, p) for i in range(k)]
+        a = [[sum(map(_mul, weights, col)) % p
+              for col in zip(*(m[r] for m in mats))] for r in range(k)]
+        krylov = [[int(i == id_idx) for i in range(k)]]
+        for _ in range(k):
+            krylov.append([sum(map(_mul, row, krylov[-1])) % p for row in a])
+        kernel = nullspace_mod([list(r) for r in zip(*krylov)], p)
+        if len(kernel) == 1:
+            break
+    else:
+        raise RuntimeError("no combination of class matrices has k "
+                           "distinct eigenvalues")
+    f = kernel[0]
+    out = []
+    for mu in _roots_mod(f, p):
+        # f / (x - mu) by synthetic division, from the top coefficient down
+        q = [0] * k
+        c = 0
+        for n in range(k, 0, -1):
+            c = q[n - 1] = (f[n] + mu * c) % p
+        w = [sum(map(_mul, q, col)) % p for col in zip(*krylov)]
+        scale = pow(w[id_idx], p - 2, p)
+        out.append(tuple(x * scale % p for x in w))
+    return sorted(out)
 
 
 # -- polynomials over GF(p): ascending coefficients, no trailing zeros ------
@@ -467,25 +469,21 @@ def _poly_gcd(a, b, p):
 def _roots_mod(f, p):
     """Sorted distinct roots in GF(p), p an odd prime, of the nonzero f.
 
-    An f of degree at most 2 is solved in closed form (``_small_roots``).
-    Otherwise g = gcd(f, x^p - x) is the product of the distinct linear
-    factors of f; gcd(h, (x + a)^((p-1)/2) - 1) splits a factor h by
-    whether r + a is a nonzero square at each root r, for a = 0, 1, ...
-    until it splits (Cantor and Zassenhaus, Math. Comp. 36, 1981), and a
-    factor of degree 2 is solved in closed form.
+    g = gcd(f, x^p - x) is the product of the distinct linear factors of
+    f; gcd(h, (x + a)^((p-1)/2) - 1) splits a factor h by whether r + a is
+    a nonzero square at each root r, for a = 0, 1, ... until it splits
+    (Cantor and Zassenhaus, Math. Comp. 36, 1981), down to degree 1.
     """
     f = _monic(_trim([c % p for c in f]), p)
-    if len(f) <= 3:
-        return _small_roots(f, p)
     x = [0, 1]
     todo = [_poly_gcd(f, _poly_sub(_linear_powmod(0, p, f, p), x, p), p)]
     roots = []
     a = 0
     while todo:
         h = todo.pop()
-        if len(h) <= 3:
-            roots += _small_roots(h, p)
-        else:
+        if len(h) == 2:
+            roots.append(-h[0] % p)
+        elif len(h) > 2:
             w = _poly_sub(_linear_powmod(a, (p - 1) // 2, h, p), [1], p)
             s = _poly_gcd(h, w, p)
             a += 1
@@ -496,101 +494,13 @@ def _roots_mod(f, p):
     return sorted(roots)
 
 
-def _small_roots(f, p):
-    """Distinct roots of the monic f of degree at most 2, p an odd prime.
-
-    x + c has the root -c.  x^2 + b x + c has the roots (-b +- r) / 2 with
-    r^2 = b^2 - 4c: one root when the discriminant is 0, none when it is a
-    non-square (Euler's criterion), two otherwise.
-    """
-    if len(f) < 3:
-        return [-f[0] % p] if len(f) == 2 else []
-    c, b = f[0], f[1]
-    disc = (b * b - 4 * c) % p
-    half = (p + 1) // 2                     # 1/2 mod p
-    if not disc:
-        return [-b * half % p]
-    if pow(disc, (p - 1) // 2, p) != 1:
-        return []
-    r = _sqrt_mod(disc, p)
-    return sorted({(-b + r) * half % p, (-b - r) * half % p})
-
-
-def _sqrt_mod(a, p):
-    """A square root of the nonzero square a mod the odd prime p.
-
-    Tonelli-Shanks: with p - 1 = q 2^e, q odd, and z a non-square, start
-    from r = a^((q+1)/2) and t = a^q, so r^2 = a t; each step multiplies r
-    by a power of z^q that lowers the 2-power order of t, until t = 1
-    (Cohen, A Course in Computational Algebraic Number Theory, Alg. 1.5.1).
-    """
-    q, e = p - 1, 0
-    while not q & 1:
-        q >>= 1
-        e += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    c = pow(z, q, p)
-    t = pow(a, q, p)
-    r = pow(a, (q + 1) // 2, p)
-    while t != 1:
-        # the least i with t^(2^i) = 1; then c^(2^(e-i-1)) fixes r
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (e - i - 1), p)
-        e, c = i, b * b % p
-        t, r = t * c % p, r * b % p
-    return r
-
-
-def _split_space(space, mat, p):
-    """Refine a subspace (rows spanning it) by eigenspaces of mat."""
-    if len(space) <= 1:
-        return [space]
-    # restrict mat to the subspace: the coordinates of each image over the
-    # rows, read off the null space of the columns [space | images]; the
-    # rows are independent and span an invariant subspace, so the free
-    # columns are exactly the m image columns
-    m = len(space)
-    images = [_mat_vec_t(mat, v, p) for v in space]
-    j = next(j for j, x in enumerate(space[0]) if x)
-    lam = images[0][j] * pow(space[0][j], p - 2, p) % p
-    if all(w == [lam * x % p for x in v] for v, w in zip(space, images)):
-        return [space]                  # mat is the scalar lam here
-    sub = [[-x % p for x in v[:m]]
-           for v in nullspace_mod([list(c) for c in zip(*space, *images)], p)]
-    out = []
-    for lam in _charpoly_roots(sub, p):
-        # left eigenvectors: c . sub = lam c, i.e. (sub^T - lam) c = 0
-        shifted = [[(sub[j][i] - (lam if i == j else 0)) % p
-                    for j in range(len(sub))] for i in range(len(sub))]
-        for v in nullspace_mod(shifted, p):
-            w = [0] * len(space[0])
-            for c, row in zip(v, space):
-                if c:
-                    w = [(wi + c * ri) % p for wi, ri in zip(w, row)]
-            out.append((lam, w))
-    groups: dict = {}
-    for lam, w in out:
-        groups.setdefault(lam, []).append(w)
-    return list(groups.values())
-
-
-def _mat_vec_t(m, v, p):
-    # v is a row vector of omega-values; class matrices act as (M v)_j
-    return [sum(map(_mul, row, v)) % p for row in m]
-
-
 def rational_character_table(name: str, g,
                              data: ConjugacyData | None = None) -> CharacterTable:
     """The validated rational character table of ``g``, titled ``name``.
 
     A rational class of element order o is labeled "o-k", k counting the
-    classes of order o so far; the n-th row, in the order the eigenspaces
-    come out, is named ``chi<n>``.
+    classes of order o so far; the n-th row, in the ascending order of the
+    central characters (``_central_characters``), is named ``chi<n>``.
     """
     if data is None:
         data = conjugacy_classes(g)
@@ -603,27 +513,18 @@ def rational_character_table(name: str, g,
     rep_powers = [[data.class_at[x] for x in _power_indices(left)]
                   for left in data.rep_left]
     inv_class = [pw[-1] for pw in rep_powers]
-    # common eigenvectors of the class matrices
-    mats = _class_matrices(data, inv_class)
-    spaces = [[[1 if i == j else 0 for j in range(k)] for i in range(k)]]
-    while any(len(s) > 1 for s in spaces):
-        mat = next(mats, None)
-        if mat is None:
-            raise RuntimeError("class matrices did not split the center")
-        spaces = [part for s in spaces for part in _split_space(s, mat, p)]
-    # normalize each eigenvector to character values mod p
+    # normalize each central character to character values mod p: the
+    # residue of chi(1)^2 is chi(1)^2 itself, as p > 4|G| >= 4 chi(1)^2
     inv_sizes = [pow(size, p - 2, p) for size in data.sizes]
-    id_idx = data.class_at[0]               # index 0 is the identity
     chars_mod_p = []
-    for s in spaces:
-        v = s[0]
-        # scale so that the identity-class entry is 1 (omega(1) = 1)
-        scale = pow(v[id_idx], p - 2, p)
-        v = [x * scale % p for x in v]
+    for v in _central_characters(_class_matrices(data, inv_class),
+                                 data.class_at[0], p):   # 0: the identity
         dot = sum(v[i] * v[inv_class[i]] * inv_sizes[i]
                   for i in range(k)) % p
         chi1_sq = order * pow(dot, p - 2, p) % p
-        chi1 = _sqrt_lift(chi1_sq, p, isqrt(order))
+        chi1 = isqrt(chi1_sq)
+        if chi1 * chi1 != chi1_sq:
+            raise RuntimeError("chi(1)^2 mod p is no square; prime too small?")
         row = [v[i] * chi1 % p * inv_sizes[i] % p for i in range(k)]
         chars_mod_p.append((chi1, row))
     # Galois orbits via power maps
@@ -677,11 +578,3 @@ def rational_character_table(name: str, g,
         chars.append(CharacterEntry(f"chi{n}", len(orbit), deg // len(orbit),
                                     tuple(values)))
     return CharacterTable(name, order, classes, chars).validate()
-
-
-def _sqrt_lift(x_sq: int, p: int, bound: int) -> int:
-    """The square root of x_sq mod p that lifts into [1, bound]."""
-    for r in range(1, bound + 1):
-        if r * r % p == x_sq:
-            return r
-    raise RuntimeError("no small square root; prime too small?")

@@ -8,8 +8,9 @@ is then extended through a classical basis of weight-2 forms for
 Gamma_0(level) (Eisenstein differences of ``modforms.eisenstein_e2`` and
 eta-product cusp forms), with the surplus low-order coefficients acting as
 consistency checks.  Both steps run on ints: the traces times eta^3 at
-scale 24, then the fit over the prefix's common denominator, solved
-fraction-free (Bareiss) and divided once by the determinant times that
+scale 24, then the fit over the prefix's common denominator, read off
+one integer kernel vector (x, D) of the basis rows and the prefix row
+(``lattice.integer_kernel``) and divided once by D times that
 denominator.  The factors eta(a tau) of the cusp forms are
 ``modforms.eta_scaled``, the pentagonal series, which this module
 re-exports as ``eta_scaled``.
@@ -39,6 +40,7 @@ from .series import TruncatedSeries, exact_quotient
 from .modforms import (
     eisenstein_e2, eta_power, eta_scaled, index_one_form, jacobi_form_columns,
 )
+from .lattice import integer_kernel
 from .mill import class_data
 from .tables import load_m24, data_dir
 from .chartab import format_rational
@@ -114,7 +116,14 @@ def _hecke_t2(f: TruncatedSeries, trunc24: int) -> TruncatedSeries:
 
 
 def m2_basis(level: int, trunc24: int) -> list:
-    """A basis of M_2(Gamma_0(level)) for the levels used here."""
+    """A basis of M_2(Gamma_0(level)) for a level of ``CLASS_LEVEL``.
+
+    Any other level raises ValueError: the Eisenstein differences and the
+    stored cusp forms need not span its space (at level 9 they give two
+    forms of three).
+    """
+    if level not in CLASS_LEVEL.values():
+        raise ValueError(f"no M_2 basis stored for level {level}")
     div = [d for d in range(2, level + 1) if level % d == 0]
     basis = [eisenstein_difference(d, trunc24) for d in div]
     if level in (11, 14, 15):
@@ -196,8 +205,10 @@ def fit_in_m2(prefix: list, level: int, trunc24: int) -> TruncatedSeries:
     The first dim coefficients pin the form; the remaining supplied
     coefficients must then agree (a genuine consistency check on both the
     prefix data and the basis).  The basis is integral, and the prefix is
-    taken over its common denominator P, so the dim x dim system is solved
-    fraction-free (``_bareiss``): integer x and D with sum_j x_j b_j =
+    taken over its common denominator P, so the fit is the integer kernel
+    (``lattice.integer_kernel``) of the rows (b_j(0), ..., b_j(dim - 1))
+    and -(P prefix)(0..dim-1): the basis is independent exactly when the
+    kernel is one vector (x, D) with D != 0, and then sum_j x_j b_j =
     D P f.  Each surplus coefficient is checked as x . row = D P prefix on
     ints, and the form is the integer combination divided once by D P.
     """
@@ -206,45 +217,20 @@ def fit_in_m2(prefix: list, level: int, trunc24: int) -> TruncatedSeries:
     if len(prefix) < dim + 1:
         raise ValueError(f"need more than {dim} coefficients at level {level}")
     wanted, P = _over_common_denominator(list(prefix))
-    rows = [[b.at(24 * n) for b in basis] for n in range(len(prefix))]
-    solved = _bareiss(rows[:dim], wanted[:dim])
-    if solved is None:
+    rows = [[b.at(24 * n) for n in range(len(prefix))] for b in basis]
+    kernel = integer_kernel([r[:dim] for r in rows]
+                            + [[-w for w in wanted[:dim]]])
+    if len(kernel) != 1 or not kernel[0][dim]:
         raise ArithmeticError(f"M_2 basis at level {level} is degenerate")
-    x, D = solved
+    *x, D = kernel[0]
     for n in range(dim, len(prefix)):
-        got = sum(c * r for c, r in zip(x, rows[n]))
+        got = sum(c * r[n] for c, r in zip(x, rows))
         if got != D * wanted[n]:
             raise ArithmeticError(
                 f"level-{level} fit fails at q^{n}: "
                 f"{exact_quotient(got, D * P)} != {prefix[n]}")
     return sum((b * c for c, b in zip(x, basis)),
                TruncatedSeries.zero(trunc24)).divide_scalar(D * P)
-
-
-def _bareiss(mat, vec):
-    """Solve mat x = D vec fraction-free for a square integer mat (Bareiss,
-    Math. Comp. 22, 1968): x and D integral, D = +-det(mat) the last pivot,
-    so x = D mat^-1 vec.  Every division is exact.  None if mat is singular.
-    """
-    n = len(vec)
-    m = [row[:] + [v] for row, v in zip(mat, vec)]
-    prev = 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if m[i][k]), None)
-        if piv is None:
-            return None
-        m[k], m[piv] = m[piv], m[k]
-        pk = m[k]
-        for i in range(k + 1, n):
-            mi = m[i]
-            m[i] = [0] * (k + 1) + [(pk[k] * mi[j] - mi[k] * pk[j]) // prev
-                                    for j in range(k + 1, n + 1)]
-        prev = pk[k]
-    x = [0] * n
-    for i in range(n - 1, -1, -1):
-        acc = prev * m[i][n] - sum(m[i][j] * x[j] for j in range(i + 1, n))
-        x[i] = acc // m[i][i]
-    return x, prev
 
 
 def f_series(label: str, trunc24: int) -> TruncatedSeries:

@@ -1,5 +1,6 @@
 from itertools import product
 from math import lcm
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,11 +9,13 @@ from dixon_oracle import (
     charpoly_roots_by_scan, class_matrices_by_products, class_sets,
     conjugacy_by_mul, enumerate_by_mul, inverse_by_powers, roots_by_scan,
 )
+from k3moonshine import groups
 from k3moonshine.groups import (
-    MatrixGroup, PermGroup, _Cayley, _charpoly_roots, _class_matrices,
-    _dixon_prime, _max_finite_order, _roots_mod, _sqrt_mod,
-    conjugacy_classes, enumerate_group, rational_character_table,
+    MatrixGroup, PermGroup, _Cayley, _central_characters, _class_matrices,
+    _dixon_prime, _max_finite_order, _roots_mod, conjugacy_classes,
+    enumerate_group, rational_character_table,
 )
+from k3moonshine.lattice import nullspace_mod
 from k3moonshine.mukai import MUKAI_GROUPS, build_group, mukai_table
 
 # the primes the Mukai tables are computed over
@@ -161,19 +164,6 @@ def test_roots_match_scan(p, factors, lead, with_quadratic):
     assert _roots_mod(f, p) == roots_by_scan(f, p)
 
 
-@ORACLE
-@given(st.sampled_from(DIXON_PRIMES), st.integers(1, 6), st.data())
-def test_charpoly_roots_match_scan(p, k, data):
-    small = st.integers(-3, 3)
-    entry = st.one_of(small, st.integers(0, p - 1))
-    mat = [[data.draw(entry) for _ in range(k)] for _ in range(k)]
-    if data.draw(st.booleans()):
-        # upper triangular: the eigenvalues are the diagonal
-        mat = [[x if j >= i else 0 for j, x in enumerate(row)]
-               for i, row in enumerate(mat)]
-    assert _charpoly_roots(mat, p) == charpoly_roots_by_scan(mat, p)
-
-
 ORACLE_GROUPS = ([(s.name, lambda i=s.index: build_group(i))
                   for s in MUKAI_GROUPS]
                  + [("S3", _s3), ("Q8", _q8), ("A4", _a4)])
@@ -236,6 +226,64 @@ def test_class_matrices_match_products(build):
         class_matrices_by_products(g, data)
 
 
+def _dixon_inputs(g):
+    """The class matrices, the identity's class and the Dixon prime of g,
+    the inverse classes found by ``g.mul``."""
+    data = conjugacy_classes(g)
+    _classes, class_of, reps = class_sets(g, data)
+    inv_class = [class_of[inverse_by_powers(g, r)] for r in reps]
+    p = _dixon_prime(len(data.elements), lcm(*data.orders))
+    return _class_matrices(data, inv_class), data.class_at[0], p
+
+
+@pytest.mark.parametrize("build", [b for _, b in INDEX_GROUPS],
+                         ids=[n for n, _ in INDEX_GROUPS])
+def test_central_characters_are_the_common_eigenvectors(build):
+    """k distinct sorted vectors, 1 at the identity, with M_i omega =
+    omega[i] omega for every class matrix, whose eigenvalues (by the
+    determinant scan) are exactly the omega[i]."""
+    mats, id_idx, p = _dixon_inputs(build())
+    omegas = _central_characters(mats, id_idx, p)
+    assert len(set(omegas)) == len(omegas) == len(mats)
+    assert omegas == sorted(omegas)
+    assert all(w[id_idx] == 1 for w in omegas)
+    for i, mat in enumerate(mats):
+        for w in omegas:
+            assert [sum(map(mul, row, w)) % p for row in mat] == \
+                [w[i] * x % p for x in w]
+        assert charpoly_roots_by_scan(mat, p) == sorted({w[i] for w in omegas})
+
+
+@pytest.mark.parametrize("spec", MUKAI_GROUPS, ids=lambda s: s.name)
+def test_central_characters_try_a_second_weight(spec, monkeypatch):
+    """sum_i 2^i M_i has k distinct eigenvalues for nine of the groups;
+    T192 and 2^4D12 take j = 3, one more kernel."""
+    calls = []
+
+    def counted(a, p):
+        calls.append(p)
+        return nullspace_mod(a, p)
+
+    monkeypatch.setattr(groups, "nullspace_mod", counted)
+    _central_characters(*_dixon_inputs(build_group(spec.index)))
+    assert len(calls) == (2 if spec.name in ("T192", "2^4D12") else 1)
+
+
+def test_central_characters_give_up_after_every_weight(monkeypatch):
+    # a kernel of two vectors at every j: j runs 2..p-1 and then raises
+    calls = []
+
+    def two_vectors(a, p):
+        calls.append(p)
+        return [[1] * len(a[0])] * 2
+
+    monkeypatch.setattr(groups, "nullspace_mod", two_vectors)
+    mats, id_idx, p = _dixon_inputs(_s3())
+    with pytest.raises(RuntimeError, match="distinct eigenvalues"):
+        _central_characters(mats, id_idx, p)
+    assert len(calls) == p - 2
+
+
 @pytest.mark.parametrize("p, degree", [(17, 3), (41, 2)])
 def test_roots_of_every_small_polynomial(p, degree):
     """Every monic polynomial of the degree mod p = 1 (mod 8), and a
@@ -247,13 +295,6 @@ def test_roots_of_every_small_polynomial(p, degree):
         want = roots_by_scan(f, p)
         assert _roots_mod(f, p) == want
         assert _roots_mod([3 * c for c in f], p) == want
-
-
-@pytest.mark.parametrize("p", DIXON_PRIMES)
-def test_sqrt_mod_of_every_square(p):
-    for a in {x * x % p for x in range(1, p)}:
-        r = _sqrt_mod(a, p)
-        assert r * r % p == a
 
 
 @pytest.mark.parametrize("index", [7, 11], ids=["T192", "T48"])

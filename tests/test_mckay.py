@@ -1,27 +1,26 @@
 import os
 import re
 from fractions import Fraction
-from itertools import permutations
-from math import prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from k3moonshine import mckay
 from k3moonshine.genus import (
     equivariant_elliptic_genus, fixed_point_count, jacobi_split,
 )
 from k3moonshine.mckay import (
-    CLASS_LEVEL, GEOMETRIC_CLASSES, MOONSHINE_CLASSES, _bareiss, cusp_form,
+    CLASS_LEVEL, GEOMETRIC_CLASSES, MOONSHINE_CLASSES, cusp_form,
     eisenstein_difference, euler_character_value, f_from_traces, f_series,
     fit_in_m2, k_layer_trace, m2_basis, read_fg_file, sigma_coefficients,
     twining_genus, twining_pair, write_fg_file,
 )
+from k3moonshine.lattice import integer_kernel
 from k3moonshine.n4char import twining_to_symtraces
 from k3moonshine.replattice import first_nonintegral
 from k3moonshine.series import TruncatedSeries
 from route_oracle import (
-    _solve_square, fit_in_m2_in_fractions,
-    twining_to_symtraces_by_decomposition,
+    fit_in_m2_in_fractions, twining_to_symtraces_by_decomposition,
 )
 
 
@@ -71,37 +70,16 @@ def test_m2_basis_dimensions():
         assert len(m2_basis(level, 3 * 24)) == d, level
 
 
-# -- the fraction-free fit ------------------------------------------------------
-
-def _det(mat):
-    """The determinant by the Leibniz sum."""
-    n = len(mat)
-    total = 0
-    for perm in permutations(range(n)):
-        inversions = sum(perm[i] > perm[j]
-                         for i in range(n) for j in range(i + 1, n))
-        total += (-1) ** inversions * prod(mat[i][perm[i]] for i in range(n))
-    return total
+@pytest.mark.parametrize("level", [9, 16, 20, 22, 36])
+def test_m2_basis_refuses_a_level_it_cannot_span(level):
+    # Eisenstein differences alone fall short of dim M_2(Gamma_0(level))
+    # here (2 of 3 forms at level 9, 8 of 12 at level 36)
+    with pytest.raises(ValueError, match=f"^no M_2 basis stored for level "
+                                         f"{level}$"):
+        m2_basis(level, 3 * 24)
 
 
-@pytest.mark.parametrize("mat, vec", [
-    ([[2, 3, 5], [7, 11, 13], [17, 19, 23]], [1, -2, 3]),
-    # a zero first pivot: the rows are swapped
-    ([[0, 2, 1], [3, 1, 4], [1, 5, 9]], [4, 0, -7]),
-    ([[4, 0, 2, 6], [2, 6, 1, 0], [0, 3, 5, 9], [8, 1, 0, 2]], [1, 1, 2, 3]),
-    ([[6]], [4]),
-])
-def test_bareiss_solves_with_the_determinant(mat, vec):
-    x, D = _bareiss(mat, vec)
-    assert abs(D) == abs(_det(mat))
-    want = _solve_square([list(map(Fraction, row)) for row in mat], list(vec))
-    assert [Fraction(v, D) for v in x] == want
-    assert all(type(v) is int for v in x)
-
-
-def test_bareiss_reports_a_singular_matrix():
-    assert _bareiss([[1, 2, 3], [2, 4, 6], [0, 1, 1]], [1, 2, 3]) is None
-
+# -- the integer-kernel fit -----------------------------------------------------
 
 def _patched_basis(monkeypatch, series):
     """m2_basis replaced by ``series``, each cut to the asked truncation."""
@@ -161,6 +139,43 @@ def test_fit_reports_a_failed_surplus_coefficient(label):
         bad[n] += shift
         assert _fit_outcome(fit_in_m2, bad, level) == \
             _fit_outcome(fit_in_m2_in_fractions, bad, level)
+
+
+_SMALL = st.integers(-4, 4)
+_RATIONAL = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 4), st.integers(1, 3), st.data())
+def test_fit_matches_the_fraction_fit_on_random_bases(dim, surplus, data):
+    """An integral basis of 1-4 forms and a rational prefix: fit_in_m2
+    gives the Fraction fit's coefficients and types, or its error text.
+    The prefix is a rational combination of the basis, at times with one
+    coefficient moved, so fits, surplus failures and degenerate bases
+    all occur."""
+    basis = [TruncatedSeries({(24 * n, 0): data.draw(_SMALL)
+                              for n in range(8)}, 8 * 24)
+             for _ in range(dim)]
+    weights = [data.draw(_RATIONAL) for _ in range(dim)]
+    f = sum((b * c for c, b in zip(weights, basis)),
+            TruncatedSeries.zero(8 * 24))
+    prefix = [f.coeff(n) for n in range(dim + surplus)]
+    if data.draw(st.booleans()):
+        prefix[data.draw(st.integers(0, dim + surplus - 1))] += \
+            data.draw(_RATIONAL)
+    # any nonzero multiple of the kernel vector (x, D) pins the same form:
+    # D < 0, or x and D with a common factor
+    scale = data.draw(st.sampled_from([1, -1, 3, -6]))
+    with pytest.MonkeyPatch.context() as mp:
+        _patched_basis(mp, basis)
+        mp.setattr(mckay, "integer_kernel", lambda rows: [
+            [scale * v for v in vec] for vec in integer_kernel(rows)])
+        got = _fit_outcome(fit_in_m2, prefix, 99)
+
+    def by_fractions(prefix, level, trunc24):
+        return fit_in_m2_in_fractions(prefix, level, trunc24, basis)
+
+    assert got == _fit_outcome(by_fractions, prefix, 99)
 
 
 def f_geometric(label: str, trunc24: int):
