@@ -28,8 +28,8 @@ from functools import lru_cache
 from math import gcd
 
 from .qpoly import (
-    _cyclotomic_coeffs, _over_common_denominator, canonical_rational,
-    euler_phi,
+    _cyclotomic_coeffs, _int_mul, _over_common_denominator,
+    canonical_rational, euler_phi,
 )
 
 __all__ = [
@@ -332,12 +332,7 @@ def _int_product(a, b, rows) -> list:
     the polynomial product first, then each power zeta^k, k >= phi, of it
     reduced once by its row."""
     phi = len(a)
-    full = [0] * (2 * phi - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    full[i + j] += x * y
+    full = _int_mul(a, b)
     high = _combine(rows[phi:], full[phi:], phi)
     return [u + v for u, v in zip(full, high)]
 

@@ -17,12 +17,12 @@ p = 1 mod exp(G): the central characters are the common eigenvectors of
 the class matrices, read off one combination A = sum_i j^i M_i with k
 distinct eigenvalues.  The Krylov vectors of the identity's unit vector
 under A give A's minimal polynomial as one null-space vector
-(``lattice.nullspace_mod``); its roots come from gcd(f, x^p - x), split by
-gcds with (x + a)^((p-1)/2) - 1 (Cantor-Zassenhaus) down to degree 1, and
-each eigenvector is the quotient f / (x - root) applied to the unit
-vector.  The result is a validated ``chartab.CharacterTable`` in
-Galois-orbit-summed (rational) form: all values are integers, stored as
-``int`` (the series rule), one character per rational class.
+(``lattice.nullspace_mod``); its roots come from a scan of GF(p), at a
+cost of O(p deg f) for any prime p, and each eigenvector is the quotient
+f / (x - root) applied to the unit vector.  The result is a validated
+``chartab.CharacterTable`` in Galois-orbit-summed (rational) form: all
+values are integers, stored as ``int`` (the series rule), one character
+per rational class.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from operator import is_, itemgetter, mul as _mul
 
 from .chartab import CharacterEntry, CharacterTable, ClassEntry
 from .lattice import IntegerLattice, nullspace_mod
-from .qpoly import euler_phi
+from .qpoly import _horner, euler_phi
 
 __all__ = [
     "PermGroup",
@@ -319,19 +319,10 @@ def conjugacy_classes(g) -> ConjugacyData:
 
 # -- Dixon's algorithm over GF(p) ----------------------------------------------
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for d in range(2, isqrt(n) + 1):
-        if n % d == 0:
-            return False
-    return True
-
-
 def _dixon_prime(order: int, exponent: int) -> int:
     # 1 % exponent, not 1: every p is 0 mod 1, so the trivial group needs it
     p = exponent + 1
-    while (p < 4 * order + 1 or not _is_prime(p)
+    while (p < 4 * order + 1 or euler_phi(p) != p - 1
            or p % exponent != 1 % exponent):
         p += exponent
     return p
@@ -370,7 +361,8 @@ def _central_characters(mats: list, id_idx: int, p: int) -> list:
     nonzero mod p, so then e, A e, ..., A^k e have a one-vector kernel,
     A's monic minimal polynomial f; otherwise the next j is tried (two
     characters share an eigenvalue for at most k - 1 values of j).  For
-    each root mu of f, (f / (x - mu))(A) e is the mu-eigenvector.
+    each root mu of f, found by a scan of GF(p) (``_roots_mod``, any
+    prime p), (f / (x - mu))(A) e is the mu-eigenvector.
     Ascending order sorts by the eigenvalue of M_0, then of M_1 and so on;
     it fixes the row names chi<n> of the tables.
     """
@@ -402,96 +394,10 @@ def _central_characters(mats: list, id_idx: int, p: int) -> list:
     return sorted(out)
 
 
-# -- polynomials over GF(p): ascending coefficients, no trailing zeros ------
-
-def _trim(a):
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
-def _monic(a, p):
-    inv = pow(a[-1], p - 2, p)
-    return [c * inv % p for c in a]
-
-
-def _poly_divmod(a, m, p):
-    """Quotient and remainder of a by the monic m."""
-    r = list(a)
-    d = len(m) - 1
-    q = [0] * max(len(r) - d, 0)
-    for i in range(len(r) - 1, d - 1, -1):
-        c = r[i]
-        if c:
-            q[i - d] = c
-            for j in range(d + 1):
-                r[i - d + j] = (r[i - d + j] - c * m[j]) % p
-    return q, _trim(r[:d])
-
-
-def _poly_mulmod(a, b, m, p):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _poly_divmod([c % p for c in out], m, p)[1]
-
-
-def _linear_powmod(a, e, m, p):
-    """(x + a)^e modulo the monic m, by left-to-right squaring."""
-    out = [1]
-    for bit in bin(e)[2:]:
-        out = _poly_mulmod(out, out, m, p)
-        if bit == "1" and out:
-            shifted = [0] + out
-            for i, c in enumerate(out):
-                shifted[i] = (shifted[i] + a * c) % p
-            out = _poly_divmod(shifted, m, p)[1]
-    return out
-
-
-def _poly_sub(a, b, p):
-    n = max(len(a), len(b))
-    a = a + [0] * (n - len(a))
-    b = b + [0] * (n - len(b))
-    return _trim([(x - y) % p for x, y in zip(a, b)])
-
-
-def _poly_gcd(a, b, p):
-    """Monic gcd of a and b."""
-    while b:
-        b = _monic(b, p)
-        a, b = b, _poly_divmod(a, b, p)[1]
-    return _monic(a, p) if a else a
-
-
 def _roots_mod(f, p):
-    """Sorted distinct roots in GF(p), p an odd prime, of the nonzero f.
-
-    g = gcd(f, x^p - x) is the product of the distinct linear factors of
-    f; gcd(h, (x + a)^((p-1)/2) - 1) splits a factor h by whether r + a is
-    a nonzero square at each root r, for a = 0, 1, ... until it splits
-    (Cantor and Zassenhaus, Math. Comp. 36, 1981), down to degree 1.
-    """
-    f = _monic(_trim([c % p for c in f]), p)
-    x = [0, 1]
-    todo = [_poly_gcd(f, _poly_sub(_linear_powmod(0, p, f, p), x, p), p)]
-    roots = []
-    a = 0
-    while todo:
-        h = todo.pop()
-        if len(h) == 2:
-            roots.append(-h[0] % p)
-        elif len(h) > 2:
-            w = _poly_sub(_linear_powmod(a, (p - 1) // 2, h, p), [1], p)
-            s = _poly_gcd(h, w, p)
-            a += 1
-            if 1 < len(s) < len(h):
-                todo += [s, _poly_divmod(h, s, p)[0]]
-            else:
-                todo.append(h)
-    return sorted(roots)
+    """Sorted distinct roots in GF(p), p prime, of the nonzero f: a scan
+    of GF(p) by Horner's rule, O(p deg f)."""
+    return [x for x in range(p) if not _horner(f, x) % p]
 
 
 def rational_character_table(name: str, g,

@@ -194,6 +194,63 @@ def test_smith_normal_form_matches_the_elimination():
         smith_normal_form([[1], [2, 3]])
 
 
+def _random_full_rank_lattices(rng, count, max_det):
+    """Full-rank lattices in Z^1..Z^4 of index at most ``max_det``: half
+    from dense small matrices, half as the rows d_i u_i of a diagonal
+    times a unimodular matrix, so that one prime often divides several
+    invariant factors."""
+    out = []
+    while len(out) < count:
+        n = rng.randint(1, 4)
+        if len(out) % 2:
+            rows = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+        else:
+            rows = [[int(i == j) for j in range(n)] for i in range(n)]
+            for _ in range(3 * (n - 1)):
+                i, j = rng.sample(range(n), 2)
+                c = rng.randint(-2, 2)
+                rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+            diag = [rng.choice((1, 2, 2, 3, 3, 5, 6, 7)) for _ in range(n)]
+            rows = [[d * a for a in row] for d, row in zip(diag, rows)]
+        lat = IntegerLattice(n, rows)
+        if lat.rank == n and lat.determinant <= max_det:
+            out.append(lat)
+    return out
+
+
+def test_prime_order_points_one_per_line_of_each_p_torsion():
+    """For each prime p dividing [Z^n : L], the points are one per F_p-line
+    of (Z^n / L)[p]: (p^r - 1) / (p - 1) of them, r the number of
+    invariant factors p divides, each outside L and of order p modulo L."""
+    rng = random.Random(13)
+    lattices = [IntegerLattice.full(3),
+                hnf_basis([(2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 6, 0),
+                           (0, 0, 0, 6)]),
+                hnf_basis([(3, 0, 0), (0, 3, 0), (0, 0, 3)])]
+    lattices += _random_full_rank_lattices(rng, 300, 400)
+    for lat in lattices:
+        factors = smith_normal_form(lat.basis)
+        det = lat.determinant
+        primes = [p for p in range(2, det + 1)
+                  if det % p == 0 and all(p % q for q in range(2, p))]
+        by_prime = {p: [] for p in primes}
+        for x in lat.prime_order_points():
+            assert not lat.contains(x), (lat.basis, x)
+            orders = [p for p in primes if lat.contains([p * v for v in x])]
+            assert len(orders) == 1, (lat.basis, x)
+            by_prime[orders[0]].append(x)
+        for p, xs in by_prime.items():
+            r = sum(d % p == 0 for d in factors)
+            assert len(xs) == (p ** r - 1) // (p - 1), (lat.basis, p)
+            for i, x in enumerate(xs):
+                for y in xs[:i]:
+                    assert not any(
+                        lat.contains([a * u - v for u, v in zip(x, y)])
+                        for a in range(1, p)), (lat.basis, x, y)
+    with pytest.raises(ValueError):
+        IntegerLattice(2, [(1, 0)]).prime_order_points()
+
+
 # -- input: integral Fractions are ints, anything else non-integral raises ----
 
 def test_non_integral_fraction_input_raises():
