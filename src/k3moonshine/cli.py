@@ -4,7 +4,9 @@ Deterministic, exact output: every rational is serialized as "a/b" (or a
 bare integer), never as a float.  Exit codes: 0 success, 1 verification
 mismatch, 2 usage error, 3 data error, 4 internal error (the traceback goes
 to stderr, and nothing to stdout but verify-all's criterion lines or, with
-``--format json``, its one JSON object).
+``--format json``, its one JSON object).  A stdout closed by its reader
+before the output is written, as by ``| head``, exits 4 with nothing on
+stderr.
 
 ``n4-decompose`` and ``genus-decompose`` print N=4 multiplicities in
 closed form (Table 3's row N, minus the genus's from H); criterion 7 of
@@ -297,6 +299,15 @@ def main(argv=None) -> int:
         os.environ["K3MOONSHINE_DATA"] = args.data_dir
     try:
         report, status = args.func(args)
+        if report is not None:
+            emit(report, args.format)
+        # written out here, so that a closed stdout raises in this try
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (as `| head` does): an internal error,
+        # reported by the exit code alone
+        _discard_stdout()
+        return EXIT_INTERNAL
     except (FileNotFoundError, TableFormatError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
@@ -312,9 +323,20 @@ def main(argv=None) -> int:
             os.environ.pop("K3MOONSHINE_DATA", None)
         else:
             os.environ["K3MOONSHINE_DATA"] = saved_data_dir
-    if report is not None:
-        emit(report, args.format)
     return status
+
+
+def _discard_stdout() -> None:
+    """Point stdout's file descriptor at the null device, so that the
+    interpreter's flush at exit drops what is still buffered instead of
+    printing "Exception ignored"."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return                              # not a file: nothing at exit
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 if __name__ == "__main__":

@@ -4,10 +4,12 @@ Groups are given by generators (permutations as tuples, or matrices as
 tuples-of-tuples over GF(p) / over Z); this is meant for groups of order a
 few thousand at most.  A matrix group acts through its permutations of the
 finite orbit of the standard basis vectors, which span the space, so the
-action is faithful.  One breadth-first closure over the generators'
-permutation images (composed with ``operator.itemgetter``) numbers the
-elements and records, per generator, the index of x s for every element
-x; the walk's spanning tree then gives the index of r x for any r by list
+action is faithful, and its degree, the number of points permuted, is at
+most 256.  One breadth-first closure over the generators' permutation
+images numbers the elements and records, per generator, the index of x s
+for every element x; it walks the inverses x^-1 as ``bytes``, so that
+(x s)^-1 = s^-1 x^-1 is one ``bytes.translate`` by the table of s^-1.
+The walk's spanning tree then gives the index of r x for any r by list
 lookups alone.  Conjugation, class orbits, element orders and class
 matrices all run on these index tables.  Elements are still enumerated,
 sorted and given class representatives in their own representation.
@@ -17,9 +19,10 @@ p = 1 mod exp(G): the central characters are the common eigenvectors of
 the class matrices, read off one combination A = sum_i j^i M_i with k
 distinct eigenvalues.  The Krylov vectors of the identity's unit vector
 under A give A's minimal polynomial as one null-space vector
-(``lattice.nullspace_mod``); its roots come from a scan of GF(p), at a
-cost of O(p deg f) for any prime p, and each eigenvector is the quotient
-f / (x - root) applied to the unit vector.  The result is a validated
+(``lattice.nullspace_mod``); its roots come from a scan of GF(p) by
+forward differences (Horner's rule at deg f + 1 points per block of
+``_SCAN_BLOCK``, then running sums), for any prime p, and each
+eigenvector is the quotient f / (x - root) applied to the unit vector.  The result is a validated
 ``chartab.CharacterTable`` in Galois-orbit-summed (rational) form: all
 values are integers, stored as ``int`` (the series rule), one character
 per rational class.
@@ -28,8 +31,8 @@ per rational class.
 from __future__ import annotations
 
 from math import gcd, isqrt, lcm
-from itertools import compress, repeat
-from operator import is_, itemgetter, mul as _mul
+from itertools import accumulate, compress, repeat
+from operator import is_, mul as _mul, not_
 
 from .chartab import CharacterEntry, CharacterTable, ClassEntry
 from .lattice import IntegerLattice, nullspace_mod
@@ -42,6 +45,16 @@ __all__ = [
 ]
 
 _MAX_ORDER = 200000
+# a permutation's images are the bytes of a ``bytes`` object
+_MAX_DEGREE = 256
+# points of GF(p) per block of the root scan's running sums
+_SCAN_BLOCK = 1024
+
+
+def _check_degree(degree: int) -> None:
+    if degree > _MAX_DEGREE:
+        raise ValueError(f"permutation degree {degree} exceeds "
+                         f"{_MAX_DEGREE}")
 
 
 # -- group containers ----------------------------------------------------------
@@ -49,12 +62,13 @@ _MAX_ORDER = 200000
 # Each container exposes its permutation action to the algorithms below:
 # ``perm_generators``, ``as_perm`` (element -> image tuple) and ``from_perm``
 # (image tuple -> element).  Image tuples compose as ``mul`` does: apply the
-# right factor first, so x s is ``_right_mul(s)(x)``.
+# right factor first, so (x s)[i] = x[s[i]].
 
 class PermGroup:
-    """Permutation group on range(n); elements are image tuples."""
+    """Permutation group on range(n), n <= 256; elements are image tuples."""
 
     def __init__(self, degree: int, generators):
+        _check_degree(degree)
         self.degree = degree
         self.generators = [tuple(g) for g in generators]
         for g in self.generators:
@@ -67,7 +81,7 @@ class PermGroup:
 
     def mul(self, a, b):
         # apply b first, then a
-        return _right_mul(b)(a)
+        return tuple(map(a.__getitem__, b))
 
     def as_perm(self, x):
         return x
@@ -86,7 +100,8 @@ class MatrixGroup:
     which lies in no finite group.  An integer generator of infinite order
     raises ``RuntimeError`` before the walk too: its powers miss the
     identity up to ``_max_finite_order(dim)``.  An orbit past the
-    enumeration limit raises ``RuntimeError``.
+    enumeration limit raises ``RuntimeError``, and one of more than 256
+    vectors, the degree of the permutation action, ``ValueError``.
     """
 
     def __init__(self, dim: int, generators, p: int = 0):
@@ -116,6 +131,7 @@ class MatrixGroup:
                     index[w] = len(orbit)
                     orbit.append(w)
                 img.append(index[w])
+        _check_degree(len(orbit))
         self.perm_generators = [tuple(img) for img in images]
         if any(len(set(s)) != len(s) for s in self.perm_generators):
             raise ValueError("generator is not invertible")
@@ -180,14 +196,6 @@ def _max_finite_order(n: int) -> int:
     return max(reach[n])
 
 
-def _right_mul(s):
-    """The map x -> x s on image tuples, as one C-level call."""
-    if len(s) > 1:
-        return itemgetter(*s)
-    # one index makes itemgetter return a bare item; s is the identity here
-    return tuple
-
-
 class _Cayley:
     """The elements of a group as indices, from one breadth-first closure
     over the generators.
@@ -200,23 +208,32 @@ class _Cayley:
     a block (s, [q, ...]) of ``tree``.  Left multiplication follows the
     right tables block by block, r x_i = (r x_q) s, with no product of
     images.
+
+    The walk keeps y = x^-1 as ``bytes``: (x s)^-1 = s^-1 y is
+    ``y.translate`` by the 256-byte table of s^-1, and the dictionary
+    hashes bytes.  Inversion is a bijection, so the indices are those of a
+    walk on the x themselves; ``perms`` holds the x, inverted back once at
+    the end.
     """
 
     __slots__ = ("perms", "right", "tree")
 
     def __init__(self, g):
-        ident = g.as_perm(g.identity())
-        perms = [ident]
+        ident = bytes(g.as_perm(g.identity()))
+        n = len(ident)
+        inverses = [ident]
         index = {ident: 0}
-        gens = [_right_mul(s) for s in g.perm_generators]
-        right = [[] for _ in gens]
+        # bytes.maketrans(s, ident) maps s[i] to i: the table of s^-1
+        tables = [bytes.maketrans(bytes(s), ident)
+                  for s in g.perm_generators]
+        right = [[] for _ in tables]
         tree = []
         lo = 0
-        while lo < len(perms):              # one level [lo, hi) per pass
-            hi = len(perms)
-            level = perms[lo:hi]
-            for s, (times_s, row) in enumerate(zip(gens, right)):
-                images = list(map(times_s, level))
+        while lo < len(inverses):           # one level [lo, hi) per pass
+            hi = len(inverses)
+            level = inverses[lo:hi]
+            for s, (table, row) in enumerate(zip(tables, right)):
+                images = list(map(bytes.translate, level, repeat(table)))
                 found = list(map(index.get, images))
                 parents = []
                 unseen = map(is_, found, repeat(None))
@@ -224,18 +241,18 @@ class _Cayley:
                     y = images[t]
                     j = index.get(y)        # reached earlier in this block?
                     if j is None:
-                        j = index[y] = len(perms)
+                        j = index[y] = len(inverses)
                         if j >= _MAX_ORDER:
                             raise RuntimeError(
                                 "group too large for enumeration")
-                        perms.append(y)
+                        inverses.append(y)
                         parents.append(lo + t)
                     found[t] = j
                 row += found
                 if parents:
                     tree.append((s, parents))
             lo = hi
-        self.perms = perms
+        self.perms = [tuple(bytes.maketrans(y, ident)[:n]) for y in inverses]
         self.right = right
         self.tree = tree
 
@@ -395,9 +412,30 @@ def _central_characters(mats: list, id_idx: int, p: int) -> list:
 
 
 def _roots_mod(f, p):
-    """Sorted distinct roots in GF(p), p prime, of the nonzero f: a scan
-    of GF(p) by Horner's rule, O(p deg f)."""
-    return [x for x in range(p) if not _horner(f, x) % p]
+    """Sorted distinct roots in GF(p), p prime, of the nonzero f (integer
+    coefficients, ascending): a scan of GF(p) in blocks of ``_SCAN_BLOCK``
+    points.
+
+    At the start x0 of each block, Horner's rule at x0, ..., x0 + k gives
+    the forward differences of f (degree at most k) there, reduced mod p.
+    The k-th difference is constant, so k running sums (``accumulate``)
+    give, for every t in the block, an integer congruent to f(x0 + t)
+    mod p.  The sums are lazy: no list of the block's values is made.
+    """
+    k = len(f) - 1
+    roots = []
+    for x0 in range(0, p, _SCAN_BLOCK):
+        diffs = [_horner(f, x) for x in range(x0, x0 + k + 1)]
+        for i in range(1, k + 1):
+            for j in range(k, i - 1, -1):
+                diffs[j] -= diffs[j - 1]
+        values = repeat(diffs[k] % p, _SCAN_BLOCK - k)
+        for d in reversed(diffs[:k]):
+            values = accumulate(values, initial=d % p)
+        # compress stops at the shorter input: past p, or past the block
+        roots += compress(range(x0, min(x0 + _SCAN_BLOCK, p)),
+                          map(not_, map(p.__rmod__, values)))
+    return roots
 
 
 def rational_character_table(name: str, g,

@@ -205,6 +205,20 @@ def test_internal_error_exit_code(exc, monkeypatch, capsys):
     assert "Traceback" in err and type(exc).__name__ in err
 
 
+def test_emit_error_is_internal(monkeypatch, capsys):
+    # a crash while the report is written is exit 4 too, not a mismatch
+    from k3moonshine import cli
+
+    def crash(report, fmt, stream=None):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "emit", crash)
+    assert main(["ellgenus", "--q-order", "1"]) == cli.EXIT_INTERNAL
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "Traceback" in err and "RuntimeError: boom" in err
+
+
 def test_verify_all_reports_a_crashed_criterion(monkeypatch, capsys):
     # a raising criterion is an internal error (exit 4), printed as [ERROR],
     # and the criteria after it still run
@@ -404,3 +418,26 @@ def test_cold_start_imports_no_dataclasses_inspect_or_json():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_stdout_closed_early_exits_4_quietly():
+    # the reader of a pipe stops after one line, as `| head -1` does; the
+    # output (about 360 kB) outgrows the pipe's buffer, so the CLI's writes
+    # fail: exit 4, no traceback and no "Exception ignored" at exit
+    import subprocess
+    import sys
+    import k3moonshine
+    from k3moonshine import cli
+    src = os.path.dirname(os.path.dirname(k3moonshine.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "k3moonshine.cli", "ellgenus",
+         "--q-order", "200"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == cli.EXIT_INTERNAL == 4
+    assert first == b"K3 elliptic genus (chi_{-y} convention)\n"
+    assert err == b""

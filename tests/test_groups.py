@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import count, product
 from math import lcm
 from operator import mul
 
@@ -17,10 +17,15 @@ from k3moonshine.groups import (
 )
 from k3moonshine.lattice import nullspace_mod
 from k3moonshine.mukai import MUKAI_GROUPS, build_group, mukai_table
+from k3moonshine.qpoly import euler_phi
 
 # the primes the Mukai tables are computed over
 DIXON_PRIMES = sorted({_dixon_prime(s.order, lcm(*s.element_orders))
                        for s in MUKAI_GROUPS})
+# the least prime past two blocks of the root scan, so that it runs into a
+# third block
+BLOCKS_PRIME = next(q for q in count(2 * groups._SCAN_BLOCK + 1)
+                    if euler_phi(q) == q - 1)
 ORACLE = settings(max_examples=60, deadline=None, derandomize=True,
                   database=None)
 
@@ -146,22 +151,57 @@ def test_matrix_group_rejects_foreign_matrix():
         g.as_perm(((0, 1), (1, 0)))
 
 
+def _times(f, g):
+    """The product of two polynomials (ascending coefficients)."""
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
 @ORACLE
-@given(st.sampled_from(DIXON_PRIMES),
+@given(st.sampled_from(DIXON_PRIMES + [2, 3, BLOCKS_PRIME]),
        st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(1, 3)),
                 max_size=8),
-       st.integers(1, 10 ** 6), st.booleans())
-def test_roots_match_scan(p, factors, lead, with_quadratic):
+       st.integers(1, 10 ** 6), st.booleans(),
+       st.lists(st.integers(-3, 3), max_size=30))
+def test_roots_match_scan(p, factors, lead, with_quadratic, shifts):
     """Distinct roots of lead * prod (x - r)^m, optionally times an
-    irreducible quadratic x^2 - c, equal the Horner scan's."""
+    irreducible quadratic, equal the Horner scan's, with the coefficients
+    shifted by multiples of p (some negative, some past p)."""
     f = [lead % p or 1]
     for r, m in factors:
         for _ in range(m):
-            f = [(a - r * b) % p for a, b in zip([0] + f, f + [0])]
+            f = [a % p for a in _times(f, [-r, 1])]
     if with_quadratic:
-        c = next(c for c in range(2, p) if pow(c, (p - 1) // 2, p) == p - 1)
-        f = [(a - c * b) % p for a, b in zip([0, 0] + f, f + [0, 0])]
+        if p == 2:
+            quad = [1, 1, 1]
+        else:
+            c = next(c for c in range(2, p)
+                     if pow(c, (p - 1) // 2, p) == p - 1)
+            quad = [-c, 0, 1]
+        f = [a % p for a in _times(f, quad)]
+    f = [a + p * s for a, s in zip(f, shifts + [0] * len(f))]
     assert _roots_mod(f, p) == roots_by_scan(f, p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 193, BLOCKS_PRIME])
+def test_roots_at_block_edges(p):
+    """Roots at the first and the last point of every block of the scan,
+    at 0 and p - 1, and the constants, against the Horner scan."""
+    block = groups._SCAN_BLOCK
+    edges = sorted({x for m in range(p // block + 1)
+                    for x in (m * block - 1, m * block, p - 1) if 0 <= x < p})
+    for roots in (edges, edges[:1], edges[-1:], edges[1::2]):
+        f = [1]
+        for r in roots:
+            f = _times(f, [-r, 1])
+        assert _roots_mod(f, p) == roots_by_scan(f, p) == roots
+        assert _roots_mod([-c for c in f], p) == roots
+    for const in (1, -7, p + 1, p):
+        assert _roots_mod([const], p) == roots_by_scan([const], p)
+    assert _roots_mod([1], p) == [] and _roots_mod([p], p) == list(range(p))
 
 
 ORACLE_GROUPS = ([(s.name, lambda i=s.index: build_group(i))
@@ -195,6 +235,8 @@ def test_index_tables_match_mul(build):
     left tables r x of the class representatives agree with ``g.mul``."""
     g = build()
     cayley = _Cayley(g)
+    # image tuples, for permutation and matrix groups alike
+    assert all(type(x) is tuple for x in cayley.perms)
     elems = [g.from_perm(x) for x in cayley.perms]
     assert elems[0] == g.identity()
     assert sorted(elems) == enumerate_by_mul(g)
@@ -284,17 +326,20 @@ def test_central_characters_give_up_after_every_weight(monkeypatch):
     assert len(calls) == p - 2
 
 
-@pytest.mark.parametrize("p, degree", [(17, 3), (41, 2)])
+@pytest.mark.parametrize("p, degree", [(17, 3), (41, 2), (2, 6), (3, 4)])
 def test_roots_of_every_small_polynomial(p, degree):
-    """Every monic polynomial of the degree mod p = 1 (mod 8), and a
-    non-monic multiple of it: split, repeated and irreducible factors,
-    against the Horner scan."""
-    assert p % 8 == 1
+    """Every monic polynomial of the degree mod p: split, repeated and
+    irreducible factors, against the Horner scan; also a non-monic integer
+    multiple of it by a unit mod p, and a copy with coefficients shifted
+    below 0."""
+    unit = 2 * p - 1                        # -1 mod p, and not 1
     for coeffs in product(range(p), repeat=degree):
         f = list(coeffs) + [1]
         want = roots_by_scan(f, p)
         assert _roots_mod(f, p) == want
-        assert _roots_mod([3 * c for c in f], p) == want
+        assert _roots_mod([unit * c for c in f], p) == want
+        assert _roots_mod([c - p * (i % 3) for i, c in enumerate(f)],
+                          p) == want
 
 
 @pytest.mark.parametrize("index", [7, 11], ids=["T192", "T48"])
@@ -341,3 +386,18 @@ def test_max_finite_order_of_gl_n_z():
     g = build_group(7)
     assert g.p == 0
     assert max(conjugacy_classes(g).orders) <= _max_finite_order(g.dim)
+
+
+def test_degree_bound():
+    """Images are bytes: degree 256 enumerates, and 257 is refused when
+    the group is built, for a permutation group and for the orbit of a
+    matrix group (GF(p)^*, of order p - 1, acting on p - 1 vectors)."""
+    cycle = tuple(range(1, 256)) + (0,)
+    assert len(enumerate_group(PermGroup(256, [cycle]))) == 256
+    with pytest.raises(ValueError, match="257"):
+        PermGroup(257, [tuple(range(1, 257)) + (0,)])
+    # 3 generates GF(257)^*, 5 generates GF(263)^*
+    g = MatrixGroup(1, [((3,),)], p=257)
+    assert len(enumerate_group(g)) == len(g.perm_generators[0]) == 256
+    with pytest.raises(ValueError, match="262"):
+        MatrixGroup(1, [((5,),)], p=263)
