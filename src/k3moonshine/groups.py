@@ -99,9 +99,9 @@ class MatrixGroup:
     generator whose determinant is not +-1 (its rows span less than Z^dim),
     which lies in no finite group.  An integer generator of infinite order
     raises ``RuntimeError`` before the walk too: its powers miss the
-    identity up to ``_max_finite_order(dim)``.  An orbit past the
-    enumeration limit raises ``RuntimeError``, and one of more than 256
-    vectors, the degree of the permutation action, ``ValueError``.
+    identity up to ``_max_finite_order(dim)``.  An orbit of more than 256
+    vectors, the degree of the permutation action, raises ``ValueError``
+    as soon as its 257th vector is found.
     """
 
     def __init__(self, dim: int, generators, p: int = 0):
@@ -120,18 +120,19 @@ class MatrixGroup:
                     "integer generator of infinite order: group too large "
                     "for enumeration")
         orbit = list(self.identity())       # e_j is row j of the identity
+        _check_degree(len(orbit))
         index = {v: j for j, v in enumerate(orbit)}
         images = [[] for _ in self.generators]
         for v in orbit:                     # the orbit grows as it is walked
             for m, img in zip(self.generators, images):
                 w = self._apply(m, v)
                 if w not in index:
-                    if len(orbit) >= _MAX_ORDER:
-                        raise RuntimeError("group too large for enumeration")
+                    if len(orbit) >= _MAX_DEGREE:
+                        raise ValueError("permutation degree more than "
+                                         f"{_MAX_DEGREE}")
                     index[w] = len(orbit)
                     orbit.append(w)
                 img.append(index[w])
-        _check_degree(len(orbit))
         self.perm_generators = [tuple(img) for img in images]
         if any(len(set(s)) != len(s) for s in self.perm_generators):
             raise ValueError("generator is not invertible")

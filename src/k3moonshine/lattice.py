@@ -4,8 +4,15 @@ membership, quotients.
 One elimination does the work, the row Hermite normal form.  Lattices are
 stored by a canonical Hermite basis (positive pivots, entries above a
 pivot reduced into [0, pivot)), so lattice equality is representation
-equality.  A lattice cut out by congruences is read off the Hermite form
-of its dual, and the Smith form alternates row and column Hermite forms.
+equality.  A lattice of full rank also carries its congruences: a modulus
+m and a residue echelon of a few rows r with x in L iff r . x = 0 mod m
+for each r, so membership is a few dot products (Domich, Kannan and
+Trotter, Math. Oper. Res. 12, 1987).  A lattice cut out by congruences
+keeps the echelon it was cut out by; one built from generators derives
+its echelon once, when first asked, from the columns of D B^-1 (B its
+basis, D = det B).  ``reduce`` is for coordinates over the basis (the
+Smith form of a quotient) and for membership in a lattice of lower rank.
+The Smith form alternates row and column Hermite forms.
 
 Input is checked once, where a vector enters (``_integer_vector``), never
 in the elimination loops: an integral ``Fraction`` is taken as its int, a
@@ -18,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
-from operator import index
+from operator import index, mul
 
 from .records import Record
 
@@ -145,34 +152,91 @@ def integer_kernel(rows):
 
 
 def nullspace_mod(a, p):
-    """Basis of {v : a v = 0 mod p} for a prime p, as lists over [0, p)."""
-    n_rows = len(a)
+    """Basis of {v : a v = 0 mod p} for a prime p, as lists over [0, p).
+
+    Forward elimination brings a to an echelon form with unit pivots; each
+    free column c gives the kernel vector with 1 at c, 0 at the other free
+    columns and the pivot coordinates by back substitution.  These are the
+    vectors read off the reduced echelon form, in the order of c.
+    """
     n_cols = len(a[0])
-    a = [list(row) for row in a]
-    pivots = []
-    r = 0
+    rows = [[x % p for x in row] for row in a]
+    echelon, pivots = [], []
     for c in range(n_cols):
-        piv = next((i for i in range(r, n_rows) if a[i][c] % p), None)
-        if piv is None:
+        k = next((i for i, row in enumerate(rows) if row[c]), None)
+        if k is None:
             continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = pow(a[r][c], p - 2, p)
-        a[r] = [x * inv % p for x in a[r]]
-        for i in range(n_rows):
-            if i != r and a[i][c] % p:
-                f = a[i][c]
-                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
+        row = rows.pop(k)
+        inv = pow(row[c], p - 2, p)
+        row = [x * inv % p for x in row]
+        rows = [[(x - r[c] * y) % p for x, y in zip(r, row)] if r[c] else r
+                for r in rows]
+        echelon.append(row)
         pivots.append(c)
-        r += 1
-    free = [c for c in range(n_cols) if c not in pivots]
+    pivot_set = set(pivots)
     basis = []
-    for fc in free:
+    for fc in range(n_cols):
+        if fc in pivot_set:
+            continue
         v = [0] * n_cols
         v[fc] = 1
-        for row_i, pc in enumerate(pivots):
-            v[pc] = (-a[row_i][fc]) % p
+        for row, pc in zip(reversed(echelon), reversed(pivots)):
+            v[pc] = -sum(map(mul, row[pc + 1:], v[pc + 1:])) % p
         basis.append(v)
     return basis
+
+
+def _residue_echelon(rows, modulus: int) -> list:
+    """Rows in echelon form whose span modulo ``modulus`` is that of
+    ``rows``: the rows are reduced mod ``modulus``, duplicates and zeros
+    dropped, and each column folded into one pivot row by unimodular
+    (xgcd) steps on pairs of rows."""
+    work = [list(r) for r in dict.fromkeys(tuple([x % modulus for x in r])
+                                           for r in rows) if any(r)]
+    echelon = []
+    col = 0
+    while work:
+        pivot, rest = None, []
+        for r in work:
+            b = r[col]
+            if not b:
+                rest.append(r)
+                continue
+            if pivot is None:
+                pivot = r
+                continue
+            a = pivot[col]
+            if b % a == 0:
+                q = b // a
+                r = [(x - q * y) % modulus for x, y in zip(r, pivot)]
+            else:
+                g, s, t = _xgcd(a, b)
+                ag, bg = a // g, b // g
+                pivot, r = (
+                    [(s * x + t * y) % modulus for x, y in zip(pivot, r)],
+                    [(ag * y - bg * x) % modulus for x, y in zip(pivot, r)])
+            if any(r):
+                rest.append(r)
+        if pivot is not None:
+            echelon.append(pivot)
+        work = rest
+        col += 1
+    return echelon
+
+
+def _scaled_inverse_columns(h, scale: int) -> list:
+    """The columns of scale * h^-1 for a square upper triangular h with
+    positive diagonal, by back substitution; exact when scale * Z^n lies
+    in the row span of h."""
+    n = len(h)
+    columns = []
+    for j in range(n):
+        x = [0] * n
+        x[j] = scale // h[j][j]
+        for i in range(j - 1, -1, -1):
+            x[i] = -sum(map(mul, h[i][i + 1:j + 1], x[i + 1:j + 1])) // h[i][i]
+        columns.append(x)
+    return columns
 
 
 def _prime_divisors(n: int) -> list:
@@ -247,9 +311,10 @@ class SolveResult(Record):
 
 class IntegerLattice:
     """Integer lattice given by its canonical HNF basis rows; ``pivots``
-    holds each row's pivot column, found once here."""
+    holds each row's pivot column, found once here.  A lattice of full
+    rank answers membership from its congruences (module docstring)."""
 
-    __slots__ = ("ambient", "basis", "pivots")
+    __slots__ = ("ambient", "basis", "pivots", "_congruences")
 
     def __init__(self, ambient: int, rows=()):
         self.ambient = ambient
@@ -260,6 +325,7 @@ class IntegerLattice:
         self.basis = [tuple(r) for r in hermite_normal_form(rows)]
         self.pivots = [next(j for j, x in enumerate(r) if x)
                        for r in self.basis]
+        self._congruences = None
 
     @staticmethod
     def full(n: int) -> "IntegerLattice":
@@ -285,9 +351,15 @@ class IntegerLattice:
     def __hash__(self):
         return hash((self.ambient, tuple(self.basis)))
 
+    def _vector(self, vec) -> list:
+        v = _integer_vector(vec)
+        if len(v) != self.ambient:
+            raise ValueError("vector length differs from ambient rank")
+        return v
+
     def reduce(self, vec):
         """Remainder of vec modulo the basis plus the coordinates used."""
-        v = _integer_vector(vec)
+        v = self._vector(vec)
         coords = []
         for row, col in zip(self.basis, self.pivots):
             q = v[col] // row[col]
@@ -296,9 +368,27 @@ class IntegerLattice:
                 v = [a - q * b for a, b in zip(v, row)]
         return v, coords
 
+    @property
+    def congruences(self) -> tuple:
+        """(m, rows): x lies in the lattice iff r . x = 0 mod m for every
+        row r, the rows a residue echelon.  Requires full rank."""
+        if self._congruences is None:
+            if len(self.basis) < self.ambient:
+                raise ValueError("lattice is not of full rank")
+            # x B^-1 is integral iff x . c = 0 mod D for each column c of
+            # D B^-1, the Hermite basis B being square upper triangular
+            d = self.determinant
+            self._congruences = (d, _residue_echelon(
+                _scaled_inverse_columns(self.basis, d), d))
+        return self._congruences
+
     def contains(self, vec) -> bool:
-        v, _ = self.reduce(vec)
-        return not any(v)
+        if len(self.basis) < self.ambient:
+            v, _ = self.reduce(vec)
+            return not any(v)
+        v = self._vector(vec)
+        modulus, echelon = self.congruences
+        return not any(sum(map(mul, r, v)) % modulus for r in echelon)
 
     def contains_lattice(self, other: "IntegerLattice") -> bool:
         return all(self.contains(row) for row in other.basis)
@@ -355,25 +445,26 @@ def hnf_basis(vectors, ambient=None) -> IntegerLattice:
 def congruence_lattice(rows, modulus: int, ambient: int) -> IntegerLattice:
     """{x in Z^ambient : r . x = 0 mod ``modulus`` for every row r}.
 
-    H, the Hermite form of [modulus I; rows], is upper triangular with
-    positive diagonal, and x satisfies the congruences iff H x lies in
-    modulus Z^ambient.  So the lattice is spanned by the columns of
-    modulus H^-1, found by back substitution; they are integral because
-    modulus Z^ambient lies in the row span of H.
+    The rows are folded into one residue echelon E mod ``modulus``, which
+    the lattice keeps for membership.  H, the Hermite form of
+    [modulus I; E], is upper triangular with positive diagonal, and x
+    satisfies the congruences iff H x lies in modulus Z^ambient, so the
+    lattice is spanned by the columns of modulus H^-1.  With coordinates
+    reversed, those columns, last first, are already an echelon basis.
     """
     if modulus < 1:
         raise ValueError(f"modulus {modulus} is not positive")
+    rows = [_integer_vector(r) for r in rows]
+    if any(len(r) != ambient for r in rows):
+        raise ValueError("vector length differs from ambient rank")
+    echelon = _residue_echelon([r[::-1] for r in rows], modulus)
     h = hermite_normal_form(
         [[modulus if i == j else 0 for j in range(ambient)]
-         for i in range(ambient)] + list(rows))
-    columns = []
-    for j in range(ambient):
-        x = [0] * ambient
-        x[j] = modulus // h[j][j]
-        for i in range(j - 1, -1, -1):
-            x[i] = -sum(h[i][k] * x[k] for k in range(i + 1, j + 1)) // h[i][i]
-        columns.append(x)
-    return IntegerLattice(ambient, columns)
+         for i in range(ambient)] + echelon)
+    columns = _scaled_inverse_columns(h, modulus)
+    lattice = IntegerLattice(ambient, [c[::-1] for c in reversed(columns)])
+    lattice._congruences = (modulus, [r[::-1] for r in echelon])
+    return lattice
 
 
 def snf_quotient(sub: IntegerLattice, sup: IntegerLattice) -> AbelianQuotient:

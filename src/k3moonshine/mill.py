@@ -22,6 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
+from operator import mul
 from types import MappingProxyType
 
 from .chartab import CharacterEntry, CharacterTable, ClassEntry
@@ -174,7 +175,7 @@ _ROUNDS = 8
 
 
 def _form(w, f, g) -> int:
-    return sum(c * a * b for c, a, b in zip(w, f, g))
+    return sum(map(mul, map(mul, w, f), g))
 
 
 def _adams(data: GroupClassData, f, k: int):

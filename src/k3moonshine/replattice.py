@@ -8,8 +8,8 @@ solver, and the multiplicity decompositions of class-function families
 over the rationalized M23 table.  N_i holds the integer functions f on
 {1..8} for which f(ord g) is a virtual character of group i; by
 orthogonality that is sum_C |C| f(ord C) Psi(C) = 0 mod |G| orbit_size
-for every orbit row Psi, and N is cut out by all eleven tables'
-congruences together.  The decompositions run on ints: Table 2 sums
+for every orbit row Psi, and N is cut out by the congruences of all
+eleven N_i together.  The decompositions run on ints: Table 2 sums
 |C| chi(g) times the integral expansions of the r_g and divides each sum
 once by |G| times the orbit size, and each m_chi is one integer
 combination of the r_g whose content is scaled once by the same factor.
@@ -94,38 +94,40 @@ def order_lattice(table: CharacterTable) -> IntegerLattice:
     the integer functions f on {1..8} for which f(ord g) is a virtual
     character, cut out by the orthogonality congruences of its orbit rows.
 
-    Orders that no class has are unconstrained.  Raises ValueError for an
-    element order outside 1..8 or a table with fewer rows than classes.
-    """
-    return _virtual_character_lattice([table])
-
-
-def mukai_lattice_N(tables) -> tuple:
-    """(N, [N_i]): N, the intersection of the N_i, is cut out by the
-    congruences of all the tables' rows at once."""
-    return (_virtual_character_lattice(tables),
-            [order_lattice(t) for t in tables])
-
-
-def _virtual_character_lattice(tables) -> IntegerLattice:
-    """The f in Z^8 with f(ord g) a virtual character of every group.
-
     By orthogonality over a full table that is, for each orbit row Psi,
     sum_C |C| f(ord C) Psi(C) = 0 mod |G| orbit_size(Psi): one row, the
     sums of |C| Psi(C) per element order, scaled to the lcm of the moduli.
+    Orders that no class has are unconstrained.  Raises ValueError for an
+    element order outside 1..8 or a table with fewer rows than classes.
     """
+    if any(c.order not in ORDERS for c in table.classes):
+        raise ValueError(f"{table.group}: element order outside 1..8")
+    if len(table.characters) < len(table.classes):
+        raise ValueError(f"{table.group}: {len(table.characters)} rows for "
+                         f"{len(table.classes)} classes, not a full table")
+    weights = [(c.order - 1, c.size) for c in table.classes]
     congruences = []
-    for t in tables:
-        if any(c.order not in ORDERS for c in t.classes):
-            raise ValueError(f"{t.group}: element order outside 1..8")
-        if len(t.characters) < len(t.classes):
-            raise ValueError(f"{t.group}: {len(t.characters)} rows for "
-                             f"{len(t.classes)} classes, not a full table")
-        for ch in t.characters:
-            row = [0] * 8
-            for c, v in zip(t.classes, ch.values):
-                row[c.order - 1] += c.size * v
-            congruences.append((row, t.order * ch.orbit_size))
+    for ch in table.characters:
+        row = [0] * 8
+        for (o, size), v in zip(weights, ch.values):
+            row[o] += size * v
+        congruences.append((row, table.order * ch.orbit_size))
+    return _congruence_union(congruences)
+
+
+def mukai_lattice_N(tables) -> tuple:
+    """(N, [N_i]): N, the intersection of the N_i, is cut out by all of
+    their congruences at once."""
+    lattices = [order_lattice(t) for t in tables]
+    return (_congruence_union(
+        (row, m) for m, rows in (lat.congruences for lat in lattices)
+        for row in rows), lattices)
+
+
+def _congruence_union(congruences) -> IntegerLattice:
+    """The f in Z^8 with row . f = 0 mod m for every (row, m): each row
+    scaled to the lcm of the moduli."""
+    congruences = list(congruences)
     modulus = lcm(*(m for _, m in congruences))
     return congruence_lattice(
         [[modulus // m * x for x in row] for row, m in congruences],

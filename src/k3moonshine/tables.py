@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import os
 from functools import lru_cache, wraps
+from operator import mul
 
 from .chartab import (
     CharacterTable, CharacterEntry, ClassEntry, TableFormatError,
@@ -73,7 +74,7 @@ def co0_restricted_rows() -> list:
         end = len(gens)
         for i in range(end):
             for j in range(max(i, fresh), end):
-                p = tuple(x * y for x, y in zip(gens[i], gens[j]))
+                p = tuple(map(mul, gens[i], gens[j]))
                 if not lattice.contains(p):
                     gens.append(p)
                     lattice = hnf_basis(

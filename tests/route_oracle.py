@@ -79,7 +79,14 @@ the long way, as the library once did, and the tests compare the two:
     unit vectors, the intersection of two lattices through the kernel of
     their stacked bases, and the Smith form by its own pivot search and
     row and column xgcd steps, where the library cuts N_i and N out by
-    their orthogonality congruences and alternates Hermite forms.
+    their orthogonality congruences and alternates Hermite forms;
+  * ``nullspace_mod_by_gauss_jordan``, ``congruence_lattice_by_hermite``
+    and ``contains_by_reduce``: the kernel mod p read off the reduced
+    echelon form, the congruence lattice from the Hermite form of
+    [m I; rows] and the columns of m H^-1 put into Hermite form again,
+    and membership as a zero remainder modulo the basis, where the
+    library eliminates forward and substitutes back, folds the rows into
+    one residue echelon first, and tests a few congruences.
 
 ``fixed_point_term`` is no replaced route but one fixed-point term,
 phi_{0,1}/12 + wp(u) phi_{-2,1} over Q(zeta_n), built on
@@ -100,7 +107,8 @@ from k3moonshine.genus import (
     expand_product, fixed_point_count,
 )
 from k3moonshine.lattice import (
-    IntegerLattice, _integer_vector, _xgcd, hnf_basis, integer_kernel,
+    IntegerLattice, _integer_vector, _xgcd, hermite_normal_form, hnf_basis,
+    integer_kernel,
 )
 from k3moonshine.mckay import (
     CLASS_LEVEL, euler_character_value, f_series, k_layer_trace, m2_basis,
@@ -973,3 +981,58 @@ def smith_normal_form_by_elimination(matrix):
                 factors[i], factors[i + 1] = gcd(x, y), x * y // gcd(x, y)
                 changed = True
     return factors
+
+
+def nullspace_mod_by_gauss_jordan(a, p):
+    """Basis of {v : a v = 0 mod p}, read off the reduced echelon form."""
+    n_rows = len(a)
+    n_cols = len(a[0])
+    a = [list(row) for row in a]
+    pivots = []
+    r = 0
+    for c in range(n_cols):
+        piv = next((i for i in range(r, n_rows) if a[i][c] % p), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = pow(a[r][c], p - 2, p)
+        a[r] = [x * inv % p for x in a[r]]
+        for i in range(n_rows):
+            if i != r and a[i][c] % p:
+                f = a[i][c]
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+    free = [c for c in range(n_cols) if c not in pivots]
+    basis = []
+    for fc in free:
+        v = [0] * n_cols
+        v[fc] = 1
+        for row_i, pc in enumerate(pivots):
+            v[pc] = (-a[row_i][fc]) % p
+        basis.append(v)
+    return basis
+
+
+def congruence_lattice_by_hermite(rows, modulus, ambient) -> IntegerLattice:
+    """{x : r . x = 0 mod modulus}: the columns of modulus H^-1 for H the
+    Hermite form of [modulus I; rows], by back substitution."""
+    if modulus < 1:
+        raise ValueError(f"modulus {modulus} is not positive")
+    h = hermite_normal_form(
+        [[modulus if i == j else 0 for j in range(ambient)]
+         for i in range(ambient)] + list(rows))
+    columns = []
+    for j in range(ambient):
+        x = [0] * ambient
+        x[j] = modulus // h[j][j]
+        for i in range(j - 1, -1, -1):
+            x[i] = -sum(h[i][k] * x[k] for k in range(i + 1, j + 1)) // h[i][i]
+        columns.append(x)
+    return IntegerLattice(ambient, columns)
+
+
+def contains_by_reduce(lattice: IntegerLattice, vec) -> bool:
+    """Membership as a zero remainder modulo the Hermite basis."""
+    v, _ = lattice.reduce(vec)
+    return not any(v)

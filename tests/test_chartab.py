@@ -266,3 +266,27 @@ def test_value_parser_matches_fraction(token):
 def _one_value_table(token):
     return ("group G\norder 1\nclasses 1\nclass 1-1 1 1 1\ncharacters 1\n"
             f"char chi1 1 1 {token}\nend\n")
+
+
+# whole rows: all plain ASCII integers (one check per row), and rows that
+# mix them with tokens only the token-by-token parser takes or refuses
+VALUE_ROWS = (("0", "-0", "007", "12", "-5"), ("+5", "1", "-2"),
+              ("3", "1_0", "-0"), ("-0", "\u0663", "007"), ("2/4", "1", "1"),
+              ("007", "5-3", "1"), ("-", "1", "2"), ("1", "2", "--3"),
+              ("-0", "+5", "1_0", "\u0663", "007", "-7"))
+
+
+@pytest.mark.parametrize("row", VALUE_ROWS, ids=" ".join)
+def test_value_rows_parse_as_their_tokens(row):
+    text = ("group G\norder 1\nclasses %d\n" % len(row)
+            + "".join(f"class {i}-1 1 1 1\n" for i in range(len(row)))
+            + "characters 1\nchar chi1 1 1 " + " ".join(row) + "\nend\n")
+    try:
+        want = tuple(map(_parse_value, row))
+    except TableFormatError as exc:
+        with pytest.raises(TableFormatError, match=re.escape(str(exc))):
+            CharacterTable.loads_unchecked(text)
+        return
+    got = CharacterTable.loads_unchecked(text).characters[0].values
+    assert got == want and all(map(is_canonical, got))
+    assert [type(x) for x in got] == [type(x) for x in want]

@@ -399,5 +399,24 @@ def test_degree_bound():
     # 3 generates GF(257)^*, 5 generates GF(263)^*
     g = MatrixGroup(1, [((3,),)], p=257)
     assert len(enumerate_group(g)) == len(g.perm_generators[0]) == 256
-    with pytest.raises(ValueError, match="262"):
+    with pytest.raises(ValueError, match="more than 256"):
         MatrixGroup(1, [((5,),)], p=263)
+
+
+def test_orbit_walk_stops_at_the_257th_vector(monkeypatch):
+    """The orbit of e_1, e_2, e_3 under these two generators over GF(47)
+    has 103,822 vectors; it is refused once 257 are found, after at most
+    257 applications of each generator."""
+    applied = []
+    apply = MatrixGroup._apply
+
+    def counted(self, m, v):
+        applied.append(v)
+        return apply(self, m, v)
+
+    monkeypatch.setattr(MatrixGroup, "_apply", counted)
+    gens = [((1, 1, 0), (0, 1, 0), (0, 0, 1)),
+            ((0, 1, 0), (0, 0, 1), (1, 0, 0))]
+    with pytest.raises(ValueError, match="more than 256"):
+        MatrixGroup(3, gens, p=47)
+    assert 0 < len(applied) <= 257 * len(gens)

@@ -7,10 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from k3moonshine.lattice import (
     AbelianQuotient, IntegerLattice, congruence_lattice, hermite_normal_form,
-    hnf_basis, integer_kernel, smith_normal_form, snf_quotient,
+    hnf_basis, integer_kernel, nullspace_mod, smith_normal_form, snf_quotient,
     solve_in_lattice,
 )
-from route_oracle import smith_normal_form_by_elimination
+from route_oracle import (
+    congruence_lattice_by_hermite, contains_by_reduce,
+    nullspace_mod_by_gauss_jordan, smith_normal_form_by_elimination,
+)
 
 
 def brute_force_box_members(vectors, box=3):
@@ -174,6 +177,136 @@ def test_congruence_lattice_without_rows_and_with_a_bad_modulus():
         congruence_lattice([[1, 2]], 0, 2)
     with pytest.raises(ValueError):
         congruence_lattice([[1, 2, 3]], 4, 2)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_congruence_lattice_matches_the_hermite_route(data):
+    """The residue echelon drops duplicate and zero rows and keeps the
+    span mod m; the lattice equals the [m I; rows] route's."""
+    n = data.draw(st.integers(1, 4))
+    modulus = data.draw(st.integers(1, 30))
+    rows = data.draw(st.lists(st.lists(st.integers(-40, 40), min_size=n,
+                                       max_size=n), max_size=4))
+    rows += [list(r) for r in rows[:2]]                    # duplicates
+    rows += [[0] * n, [modulus * x for x in range(n)]]    # zero mod m
+    rows += [[x + modulus for x in r] for r in rows[:1]]  # equal mod m
+    lat = congruence_lattice(rows, modulus, n)
+    assert lat == congruence_lattice_by_hermite(rows, modulus, n)
+    for x in product(range(-3, 4), repeat=n):
+        assert lat.contains(x) == contains_by_reduce(lat, x), (rows, x)
+
+
+def test_congruence_lattice_edge_cases():
+    for rows in ([], [[0, 0]], [[4, 8], [4, 8], [0, 0]], [[3, 5], [6, 10]]):
+        for modulus in (1, 4, 12):
+            assert congruence_lattice(rows, modulus, 2) == \
+                congruence_lattice_by_hermite(rows, modulus, 2)
+    assert congruence_lattice([[1, 1], [1, 1], [0, 0]], 1, 2) == \
+        IntegerLattice.full(2)
+    for bad in ([[1, 2], [1]], [[1], [1, 2]], [[1, 2, 3], [1, 2]]):
+        with pytest.raises(ValueError):
+            congruence_lattice(bad, 4, 2)
+        with pytest.raises(ValueError):
+            congruence_lattice_by_hermite(bad, 4, 2)
+
+
+def _lattice_and_vectors(data):
+    n = data.draw(st.integers(1, 4))
+    rows = data.draw(st.lists(st.lists(st.integers(-6, 6), min_size=n,
+                                       max_size=n), max_size=5))
+    if data.draw(st.booleans()):     # full rank: add a scaled unit basis
+        d = data.draw(st.integers(1, 6))
+        rows += [[d * (i == j) for j in range(n)] for i in range(n)]
+    vecs = data.draw(st.lists(st.lists(st.integers(-12, 12), min_size=n,
+                                       max_size=n), min_size=1, max_size=8))
+    return IntegerLattice(n, rows), vecs
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_contains_matches_reduce(data):
+    """Membership by congruences (full rank) or by remainder (lower rank)
+    agrees with the remainder modulo the basis, on the lattice's own
+    points and on others, for int and integral Fraction input; a
+    non-integral Fraction raises ValueError and a float TypeError."""
+    lat, vecs = _lattice_and_vectors(data)
+    vecs += [list(r) for r in lat.basis]
+    vecs += [[2 * a - b for a, b in zip(r, lat.basis[-1])]
+             for r in lat.basis]
+    for v in vecs:
+        want = contains_by_reduce(lat, v)
+        assert lat.contains(v) == want, (lat.basis, v)
+        assert lat.contains([Fraction(3 * x, 3) for x in v]) == want
+    v = vecs[0]
+    for bad, exc in ((Fraction(1, 2), ValueError), (0.0, TypeError)):
+        with pytest.raises(exc):
+            lat.contains([bad] + v[1:])
+        with pytest.raises(exc):
+            contains_by_reduce(lat, [bad] + v[1:])
+
+
+def test_congruences_cut_out_the_lattice():
+    """A lattice's congruences, derived from D B^-1 or kept from
+    ``congruence_lattice``, are an echelon that cuts out that lattice."""
+    rng = random.Random(17)
+    lattices = _random_full_rank_lattices(rng, 120, 400)
+    lattices += [congruence_lattice(lat.basis, lat.determinant, lat.ambient)
+                 for lat in lattices[:40]]
+    for lat in lattices:
+        modulus, rows = lat.congruences
+        assert len(rows) <= lat.ambient
+        assert all(0 <= x < modulus for r in rows for x in r)
+        assert congruence_lattice(rows, modulus, lat.ambient) == lat
+    with pytest.raises(ValueError, match="full rank"):
+        hnf_basis([[1, 2]], ambient=2).congruences
+
+
+def test_vector_length_is_checked():
+    """A vector of another length is refused, not cut to the ambient
+    rank by ``zip`` (or run past it)."""
+    lattices = [hnf_basis([[2, 0], [0, 3]]), hnf_basis([[2, 4]]),
+                congruence_lattice([[1, 1]], 2, 2), hnf_basis([], ambient=2)]
+    for lat in lattices:
+        assert lat.contains([2 * 3, 4 * 3]) == contains_by_reduce(lat, [6, 12])
+        for vec in ([2, 3, 5], [6, 12, 0], [2], []):
+            with pytest.raises(ValueError, match="length"):
+                lat.contains(vec)
+            with pytest.raises(ValueError, match="length"):
+                lat.reduce(vec)
+
+
+NULLSPACE_CASES = [
+    [[0, 0, 0], [0, 0, 0]],                   # the zero matrix
+    [[1, 0, 2], [0, 0, 0], [3, 0, 1]],        # a zero row and a zero column
+    [[1, 2], [3, 4], [5, 6]],                 # full column rank mod 5
+    [[1, 0], [0, 1]],                         # full column rank
+    [[1, 2, 3, 4, 5]],                        # more columns than rows
+    [[2, 4, 6, 8], [1, 2, 3, 4]],             # dependent rows
+    [[0, 3, 0, 6], [0, 0, 5, 0]],             # leading zero columns
+]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_nullspace_mod_matches_gauss_jordan_and_brute_force(p):
+    rng = random.Random(p)
+    cases = list(NULLSPACE_CASES)
+    for _ in range(150):
+        m, n = rng.randint(1, 4), rng.randint(1, 5)
+        cases.append([[rng.randint(-9, 9) if rng.random() < 0.6 else 0
+                       for _ in range(n)] for _ in range(m)])
+    for a in cases:
+        n = len(a[0])
+        basis = nullspace_mod(a, p)
+        assert basis == nullspace_mod_by_gauss_jordan(a, p), (a, p)
+        kernel = {v for v in product(range(p), repeat=n)
+                  if all(sum(x * y for x, y in zip(row, v)) % p == 0
+                         for row in a)}
+        span = {tuple(sum(c * v[i] for c, v in zip(cs, basis)) % p
+                      for i in range(n))
+                for cs in product(range(p), repeat=len(basis))}
+        assert span == kernel and len(kernel) == p ** len(basis), (a, p)
+        assert all(0 <= x < p for v in basis for x in v)
 
 
 def test_smith_normal_form_matches_the_elimination():
