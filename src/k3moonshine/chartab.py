@@ -25,7 +25,6 @@ and ``CharacterTable.loads`` run it.  Restricted slices are parsed with
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from operator import mul
 
@@ -171,11 +170,7 @@ class CharacterTable(Record):
                 raise TableFormatError(f"malformed char line: {parts}")
             name = parts[0]
             orbit, degree = (_parse(x, int) for x in parts[1:3])
-            tokens = parts[3:]
-            if _INT_ROW.fullmatch(" ".join(tokens)):
-                values = tuple(map(int, tokens))
-            else:
-                values = tuple(map(_parse_value, tokens))
+            values = tuple(map(_parse_value, parts[3:]))
             if len(values) != n_classes:
                 raise TableFormatError(f"row {name} has {len(values)} values")
             chars.append(CharacterEntry(name, orbit, degree, values))
@@ -197,11 +192,6 @@ def format_rational(x) -> str:
     """An exact rational as "a/b", or a bare integer when integral: the
     one text form of the tables, the f_g data file and the CLI."""
     return str(x) if type(x) is int else str(Fraction(x))
-
-
-# a row of plain integers, ASCII digits each with an optional leading '-':
-# one match per row, where ``_parse_value`` checks token by token
-_INT_ROW = re.compile(r"-?[0-9]+(?: -?[0-9]+)*")
 
 
 def _parse_value(s: str):

@@ -5,14 +5,15 @@ One elimination does the work, the row Hermite normal form.  Lattices are
 stored by a canonical Hermite basis (positive pivots, entries above a
 pivot reduced into [0, pivot)), so lattice equality is representation
 equality.  A lattice of full rank also carries its congruences: a modulus
-m and a residue echelon of a few rows r with x in L iff r . x = 0 mod m
-for each r, so membership is a few dot products (Domich, Kannan and
-Trotter, Math. Oper. Res. 12, 1987).  A lattice cut out by congruences
-keeps the echelon it was cut out by; one built from generators derives
-its echelon once, when first asked, from the columns of D B^-1 (B its
-basis, D = det B).  ``reduce`` is for coordinates over the basis (the
-Smith form of a quotient) and for membership in a lattice of lower rank.
-The Smith form alternates row and column Hermite forms.
+m and a few rows r with x in L iff r . x = 0 mod m for each r, so
+membership is a few dot products (Domich, Kannan and Trotter, Math. Oper.
+Res. 12, 1987).  The rows are those of the Hermite form of
+[congruences; m I] whose pivot is below m.  A lattice cut out by
+congruences keeps the rows of the form it was cut out by; one built from
+generators derives its rows once, when first asked, from the columns of
+D B^-1 (B its basis, D = det B).  ``reduce`` is for coordinates over the
+basis (the Smith form of a quotient) and for membership in a lattice of
+lower rank.  The Smith form alternates row and column Hermite forms.
 
 Input is checked once, where a vector enters (``_integer_vector``), never
 in the elimination loops: an integral ``Fraction`` is taken as its int, a
@@ -186,42 +187,22 @@ def nullspace_mod(a, p):
     return basis
 
 
-def _residue_echelon(rows, modulus: int) -> list:
-    """Rows in echelon form whose span modulo ``modulus`` is that of
-    ``rows``: the rows are reduced mod ``modulus``, duplicates and zeros
-    dropped, and each column folded into one pivot row by unimodular
-    (xgcd) steps on pairs of rows."""
-    work = [list(r) for r in dict.fromkeys(tuple([x % modulus for x in r])
-                                           for r in rows) if any(r)]
-    echelon = []
-    col = 0
-    while work:
-        pivot, rest = None, []
-        for r in work:
-            b = r[col]
-            if not b:
-                rest.append(r)
-                continue
-            if pivot is None:
-                pivot = r
-                continue
-            a = pivot[col]
-            if b % a == 0:
-                q = b // a
-                r = [(x - q * y) % modulus for x, y in zip(r, pivot)]
-            else:
-                g, s, t = _xgcd(a, b)
-                ag, bg = a // g, b // g
-                pivot, r = (
-                    [(s * x + t * y) % modulus for x, y in zip(pivot, r)],
-                    [(ag * y - bg * x) % modulus for x, y in zip(pivot, r)])
-            if any(r):
-                rest.append(r)
-        if pivot is not None:
-            echelon.append(pivot)
-        work = rest
-        col += 1
-    return echelon
+def _congruence_form(rows, modulus: int, n: int) -> list:
+    """The Hermite form H of [rows; modulus I], taken on the residues of
+    ``rows`` mod ``modulus`` with duplicates and zeros dropped: square,
+    upper triangular, each pivot a divisor of ``modulus`` and every other
+    entry in [0, modulus).  A row whose pivot is ``modulus`` lies, mod
+    ``modulus``, in the span of the rows below it."""
+    residues = dict.fromkeys(tuple([x % modulus for x in r]) for r in rows)
+    return hermite_normal_form(
+        [r for r in residues if any(r)]
+        + [[modulus if i == j else 0 for j in range(n)] for i in range(n)])
+
+
+def _congruence_rows(h, modulus: int) -> list:
+    """The rows of ``_congruence_form``'s H whose pivot is below
+    ``modulus``: they span the same residues mod ``modulus`` as all of H."""
+    return [r for i, r in enumerate(h) if r[i] < modulus]
 
 
 def _scaled_inverse_columns(h, scale: int) -> list:
@@ -312,11 +293,14 @@ class SolveResult(Record):
 class IntegerLattice:
     """Integer lattice given by its canonical HNF basis rows; ``pivots``
     holds each row's pivot column, found once here.  A lattice of full
-    rank answers membership from its congruences (module docstring)."""
+    rank answers membership from its congruences (module docstring):
+    ``congruences``, when given, is a pair (m, rows) known to cut the
+    lattice out, as ``congruence_lattice`` passes it; otherwise it is
+    derived on first use."""
 
     __slots__ = ("ambient", "basis", "pivots", "_congruences")
 
-    def __init__(self, ambient: int, rows=()):
+    def __init__(self, ambient: int, rows=(), congruences=None):
         self.ambient = ambient
         rows = list(rows)
         for r in rows:
@@ -325,7 +309,7 @@ class IntegerLattice:
         self.basis = [tuple(r) for r in hermite_normal_form(rows)]
         self.pivots = [next(j for j, x in enumerate(r) if x)
                        for r in self.basis]
-        self._congruences = None
+        self._congruences = congruences
 
     @staticmethod
     def full(n: int) -> "IntegerLattice":
@@ -371,15 +355,17 @@ class IntegerLattice:
     @property
     def congruences(self) -> tuple:
         """(m, rows): x lies in the lattice iff r . x = 0 mod m for every
-        row r, the rows a residue echelon.  Requires full rank."""
+        row r, the rows of a Hermite form with pivots below m.  Requires
+        full rank."""
         if self._congruences is None:
             if len(self.basis) < self.ambient:
                 raise ValueError("lattice is not of full rank")
             # x B^-1 is integral iff x . c = 0 mod D for each column c of
             # D B^-1, the Hermite basis B being square upper triangular
             d = self.determinant
-            self._congruences = (d, _residue_echelon(
-                _scaled_inverse_columns(self.basis, d), d))
+            h = _congruence_form(_scaled_inverse_columns(self.basis, d), d,
+                                 self.ambient)
+            self._congruences = (d, _congruence_rows(h, d))
         return self._congruences
 
     def contains(self, vec) -> bool:
@@ -387,8 +373,8 @@ class IntegerLattice:
             v, _ = self.reduce(vec)
             return not any(v)
         v = self._vector(vec)
-        modulus, echelon = self.congruences
-        return not any(sum(map(mul, r, v)) % modulus for r in echelon)
+        modulus, rows = self.congruences
+        return not any(sum(map(mul, r, v)) % modulus for r in rows)
 
     def contains_lattice(self, other: "IntegerLattice") -> bool:
         return all(self.contains(row) for row in other.basis)
@@ -445,26 +431,24 @@ def hnf_basis(vectors, ambient=None) -> IntegerLattice:
 def congruence_lattice(rows, modulus: int, ambient: int) -> IntegerLattice:
     """{x in Z^ambient : r . x = 0 mod ``modulus`` for every row r}.
 
-    The rows are folded into one residue echelon E mod ``modulus``, which
-    the lattice keeps for membership.  H, the Hermite form of
-    [modulus I; E], is upper triangular with positive diagonal, and x
-    satisfies the congruences iff H x lies in modulus Z^ambient, so the
-    lattice is spanned by the columns of modulus H^-1.  With coordinates
-    reversed, those columns, last first, are already an echelon basis.
+    H, the Hermite form of [rows; modulus I], is upper triangular with
+    positive diagonal, and x satisfies the congruences iff H x lies in
+    modulus Z^ambient, so the lattice is spanned by the columns of
+    modulus H^-1.
     """
     if modulus < 1:
         raise ValueError(f"modulus {modulus} is not positive")
     rows = [_integer_vector(r) for r in rows]
     if any(len(r) != ambient for r in rows):
         raise ValueError("vector length differs from ambient rank")
-    echelon = _residue_echelon([r[::-1] for r in rows], modulus)
-    h = hermite_normal_form(
-        [[modulus if i == j else 0 for j in range(ambient)]
-         for i in range(ambient)] + echelon)
+    # on reversed coordinates the columns of modulus H^-1, last first,
+    # are already an echelon, which the constructor's Hermite form only
+    # normalizes
+    h = _congruence_form([r[::-1] for r in rows], modulus, ambient)
     columns = _scaled_inverse_columns(h, modulus)
-    lattice = IntegerLattice(ambient, [c[::-1] for c in reversed(columns)])
-    lattice._congruences = (modulus, [r[::-1] for r in echelon])
-    return lattice
+    return IntegerLattice(
+        ambient, [c[::-1] for c in reversed(columns)],
+        congruences=(modulus, [r[::-1] for r in _congruence_rows(h, modulus)]))
 
 
 def snf_quotient(sub: IntegerLattice, sup: IntegerLattice) -> AbelianQuotient:

@@ -85,8 +85,9 @@ the long way, as the library once did, and the tests compare the two:
     echelon form, the congruence lattice from the Hermite form of
     [m I; rows] and the columns of m H^-1 put into Hermite form again,
     and membership as a zero remainder modulo the basis, where the
-    library eliminates forward and substitutes back, folds the rows into
-    one residue echelon first, and tests a few congruences.
+    library eliminates forward and substitutes back, takes the Hermite
+    form on the rows' distinct nonzero residues and on reversed
+    coordinates, and tests a few congruences.
 
 ``fixed_point_term`` is no replaced route but one fixed-point term,
 phi_{0,1}/12 + wp(u) phi_{-2,1} over Q(zeta_n), built on

@@ -268,8 +268,8 @@ def _one_value_table(token):
             f"char chi1 1 1 {token}\nend\n")
 
 
-# whole rows: all plain ASCII integers (one check per row), and rows that
-# mix them with tokens only the token-by-token parser takes or refuses
+# whole rows: all plain ASCII integers, and rows that mix them with tokens
+# that only the Fraction route takes, or that the parser refuses
 VALUE_ROWS = (("0", "-0", "007", "12", "-5"), ("+5", "1", "-2"),
               ("3", "1_0", "-0"), ("-0", "\u0663", "007"), ("2/4", "1", "1"),
               ("007", "5-3", "1"), ("-", "1", "2"), ("1", "2", "--3"),

@@ -182,8 +182,8 @@ def test_congruence_lattice_without_rows_and_with_a_bad_modulus():
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
 @given(st.data())
 def test_congruence_lattice_matches_the_hermite_route(data):
-    """The residue echelon drops duplicate and zero rows and keeps the
-    span mod m; the lattice equals the [m I; rows] route's."""
+    """Duplicate rows, rows that are zero mod m and rows equal mod m
+    leave the lattice as the [m I; rows] route builds it."""
     n = data.draw(st.integers(1, 4))
     modulus = data.draw(st.integers(1, 30))
     rows = data.draw(st.lists(st.lists(st.integers(-40, 40), min_size=n,
@@ -248,7 +248,8 @@ def test_contains_matches_reduce(data):
 
 def test_congruences_cut_out_the_lattice():
     """A lattice's congruences, derived from D B^-1 or kept from
-    ``congruence_lattice``, are an echelon that cuts out that lattice."""
+    ``congruence_lattice``, are at most ambient residues mod m that cut
+    out that lattice."""
     rng = random.Random(17)
     lattices = _random_full_rank_lattices(rng, 120, 400)
     lattices += [congruence_lattice(lat.basis, lat.determinant, lat.ambient)
