@@ -22,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
-from operator import mul
+from operator import add, mul, sub
 from types import MappingProxyType
 
 from .chartab import CharacterEntry, CharacterTable, ClassEntry
@@ -187,15 +187,14 @@ def exterior_powers(data: GroupClassData, f, kmax: int):
     lams = [tuple([1] * len(f))]
     psis = [None] + [_adams(data, f, k) for k in range(1, kmax + 1)]
     for k in range(1, kmax + 1):
-        vals = []
-        for i in range(len(f)):
-            acc = sum((1 if j % 2 else -1) * psis[j][i] * lams[k - j][i]
-                      for j in range(1, k + 1))
-            q, r = divmod(acc, k)
-            if r:
-                raise ArithmeticError("exterior power is not integral")
-            vals.append(q)
-        lams.append(tuple(vals))
+        # k lambda^k = sum_j (-1)^(j-1) psi^j lambda^(k-j), class by class
+        acc = [0] * len(f)
+        for j in range(1, k + 1):
+            acc = list(map(add if j % 2 else sub, acc,
+                           map(mul, psis[j], lams[k - j])))
+        if any(x % k for x in acc):
+            raise ArithmeticError("exterior power is not integral")
+        lams.append(tuple([x // k for x in acc]))
     return lams
 
 

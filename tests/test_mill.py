@@ -2,10 +2,12 @@ from fractions import Fraction
 from itertools import product
 from math import isqrt, prod
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from k3moonshine.lattice import hermite_normal_form, hnf_basis
-from k3moonshine.mill import _lll, _short_vectors
+from k3moonshine.mill import _lll, _short_vectors, class_data, exterior_powers
+from k3moonshine.tables import _det_one_plus_tp
 
 SMALL = settings(max_examples=60, deadline=None, derandomize=True,
                  database=None)
@@ -73,3 +75,20 @@ def test_short_vectors_match_brute_force(wb, bound):
     # each pair +-v exactly once, and nothing else
     assert len(set(signed)) == len(signed)
     assert set(signed) == want
+
+
+@pytest.mark.parametrize("group", ["M23", "M24"])
+def test_exterior_powers_of_the_permutation_character(group):
+    """lambda^k of the permutation character at g is the coefficient of
+    t^k in det(1 + t P_g), at every class and every k up to the degree;
+    Newton's identities on a class function that is no character leave a
+    remainder."""
+    data = class_data(group)
+    perm = data.permutation_character
+    lams = exterior_powers(data, perm, perm[0])
+    for i, c in enumerate(data.classes):
+        assert [lam[i] for lam in lams] == _det_one_plus_tp(c.cycle_type)
+    point = tuple([1] + [0] * (len(perm) - 1))
+    with pytest.raises(ArithmeticError, match="not integral"):
+        exterior_powers(data, point, 2)
+
