@@ -355,7 +355,7 @@ class IntegerLattice:
     @property
     def congruences(self) -> tuple:
         """(m, rows): x lies in the lattice iff r . x = 0 mod m for every
-        row r, the rows of a Hermite form with pivots below m.  Requires
+        row r; at most ``ambient`` rows, their entries in [0, m).  Requires
         full rank."""
         if self._congruences is None:
             if len(self.basis) < self.ambient:
