@@ -35,7 +35,7 @@ from itertools import accumulate, compress, repeat
 from operator import is_, mul as _mul, not_
 
 from .chartab import CharacterEntry, CharacterTable, ClassEntry
-from .lattice import IntegerLattice, nullspace_mod
+from .lattice import nullspace_mod
 from .qpoly import _horner, euler_phi
 
 __all__ = [
@@ -93,32 +93,22 @@ class PermGroup:
 class MatrixGroup:
     """Matrix group with entries in GF(p) (p prime) or exact integers (p=0).
 
-    The group acts on the orbit of the standard basis vectors by v -> m v.
-    A generator that does not permute that orbit is singular and raises
-    ``ValueError``, and so does, before the orbit is walked, an integer
-    generator whose determinant is not +-1 (its rows span less than Z^dim),
-    which lies in no finite group.  An integer generator of infinite order
-    raises ``RuntimeError`` before the walk too: its powers miss the
-    identity up to ``_max_finite_order(dim)``.  An orbit of more than 256
-    vectors, the degree of the permutation action, raises ``ValueError``
-    as soon as its 257th vector is found.
+    The group acts on the orbit O of the standard basis vectors by
+    v -> m v.  An orbit of more than 256 vectors, the degree of the
+    permutation action, raises ``ValueError`` as soon as its 257th vector
+    is found, and a generator that does not permute O is singular and
+    raises ``ValueError`` too.  Nothing else is checked: a generator that
+    permutes a finite O has a power fixing O, which spans the space, so it
+    has finite order and, over Z, determinant +-1.  An integer generator
+    of infinite order or of another determinant has an infinite orbit,
+    which the walk refuses after at most 257 applications of each
+    generator.
     """
 
     def __init__(self, dim: int, generators, p: int = 0):
         self.dim = dim
         self.p = p
         self.generators = [self._norm(g) for g in generators]
-        if not p:
-            if any(IntegerLattice(dim, m) != IntegerLattice.full(dim)
-                   for m in self.generators):
-                raise ValueError(
-                    "integer generator of determinant other than +-1")
-            bound = _max_finite_order(dim)
-            if any(not self._has_order_at_most(m, bound)
-                   for m in self.generators):
-                raise RuntimeError(
-                    "integer generator of infinite order: group too large "
-                    "for enumeration")
         orbit = list(self.identity())       # e_j is row j of the identity
         _check_degree(len(orbit))
         index = {v: j for j, v in enumerate(orbit)}
@@ -128,8 +118,11 @@ class MatrixGroup:
                 w = self._apply(m, v)
                 if w not in index:
                     if len(orbit) >= _MAX_DEGREE:
-                        raise ValueError("permutation degree more than "
-                                         f"{_MAX_DEGREE}")
+                        raise ValueError(
+                            f"permutation degree more than {_MAX_DEGREE}"
+                            + ("" if p else ": an integer generator of "
+                               "infinite order, or of determinant other "
+                               "than +-1, has an infinite orbit"))
                     index[w] = len(orbit)
                     orbit.append(w)
                 img.append(index[w])
@@ -138,15 +131,6 @@ class MatrixGroup:
             raise ValueError("generator is not invertible")
         self._orbit = orbit
         self._index = index
-
-    def _has_order_at_most(self, m, bound: int) -> bool:
-        ident = self.identity()
-        power = m
-        for _ in range(bound):
-            if power == ident:
-                return True
-            power = self.mul(power, m)
-        return False
 
     def _norm(self, m):
         if self.p:
@@ -177,24 +161,6 @@ class MatrixGroup:
     def from_perm(self, perm):
         """The matrix whose column j is the image of e_j."""
         return tuple(zip(*(self._orbit[perm[j]] for j in range(self.dim))))
-
-
-def _max_finite_order(n: int) -> int:
-    """The largest order of a finite-order element of GL_n(Z) is at most
-    the largest lcm of a set of m >= 2 with sum phi(m) <= n.
-
-    Such an element is diagonalizable with roots of unity as eigenvalues,
-    so its minimal polynomial is a product of distinct cyclotomic
-    polynomials Phi_m, of total degree at most n, and its order is the
-    lcm of the m.  A 0/1 knapsack over the m (phi(m) >= sqrt(m / 2), so
-    m <= 2 n^2) keeps every reachable lcm per degree.
-    """
-    reach = [{1} for _ in range(n + 1)]     # reach[b]: lcms of degree <= b
-    for m in range(2, 2 * n * n + 1):
-        deg = euler_phi(m)
-        for b in range(n, deg - 1, -1):
-            reach[b] |= {lcm(x, m) for x in reach[b - deg]}
-    return max(reach[n])
 
 
 class _Cayley:

@@ -15,10 +15,14 @@ D B^-1 (B its basis, D = det B).  ``reduce`` is for coordinates over the
 basis (the Smith form of a quotient) and for membership in a lattice of
 lower rank.  The Smith form alternates row and column Hermite forms.
 
-Input is checked once, where a vector enters (``_integer_vector``), never
-in the elimination loops: an integral ``Fraction`` is taken as its int, a
-non-integral one raises ValueError, and a float or any other non-integer
-raises TypeError.  Nothing is truncated to an integer.
+Input rows are checked once, where they enter (``hermite_normal_form``,
+``IntegerLattice(ambient, rows)``, ``congruence_lattice``,
+``smith_normal_form``, ``reduce``, ``contains``): an integral ``Fraction``
+is taken as its int, a non-integral one raises ValueError, a float or any
+other non-integer raises TypeError, and a row of the wrong length raises
+ValueError.  Nothing is truncated to an integer.  Rows the module builds
+itself take unchecked paths, and its lattices come through
+``IntegerLattice._of``.
 """
 
 from __future__ import annotations
@@ -72,6 +76,15 @@ def _integer_entry(x) -> int:
         raise TypeError(f"lattice entry {x!r} is not an integer") from None
 
 
+def _integer_rows(rows, n: int) -> list:
+    """``rows`` as lists of ints, by the input rule of the module
+    docstring; a row of length other than ``n`` raises ValueError."""
+    out = [_integer_vector(r) for r in rows]
+    if any(len(r) != n for r in out):
+        raise ValueError(f"rows must all have length {n}")
+    return out
+
+
 def hermite_normal_form(rows, track=False):
     """Canonical row HNF of the integer span of ``rows``.
 
@@ -79,13 +92,14 @@ def hermite_normal_form(rows, track=False):
     unimodular U (rows of coefficients over the inputs) with
     U * rows = [hnf rows; zero rows].
     """
-    if not rows:
-        return ([], []) if track else []
-    n = len(rows[0])
-    work = [_integer_vector(r) for r in rows]
-    if any(len(r) != n for r in work):
-        raise ValueError("rows must all have the same length")
+    return _hermite(_integer_rows(rows, len(rows[0]) if rows else 0), track)
+
+
+def _hermite(rows, track=False):
+    """``hermite_normal_form`` of rows of ints of one length, unchecked."""
+    work = list(map(list, rows))
     m = len(work)
+    n = len(work[0]) if work else 0
     u = [[1 if i == j else 0 for j in range(m)] for i in range(m)] if track else None
 
     pivot_row = 0
@@ -194,7 +208,7 @@ def _congruence_form(rows, modulus: int, n: int) -> list:
     entry in [0, modulus).  A row whose pivot is ``modulus`` lies, mod
     ``modulus``, in the span of the rows below it."""
     residues = dict.fromkeys(tuple([x % modulus for x in r]) for r in rows)
-    return hermite_normal_form(
+    return _hermite(
         [r for r in residues if any(r)]
         + [[modulus if i == j else 0 for j in range(n)] for i in range(n)])
 
@@ -244,9 +258,14 @@ def smith_normal_form(matrix):
     """
     if not matrix or not matrix[0]:
         return []
-    a = hermite_normal_form(matrix)
+    return _smith(_integer_rows(matrix, len(matrix[0])))
+
+
+def _smith(matrix) -> list:
+    """``smith_normal_form`` of a nonempty matrix of ints, unchecked."""
+    a = _hermite(matrix)
     while any(x for i, row in enumerate(a) for j, x in enumerate(row) if i != j):
-        a = hermite_normal_form(list(zip(*a)))
+        a = _hermite(list(zip(*a)))
     factors = [row[i] for i, row in enumerate(a)]
     changed = True
     while changed:
@@ -291,30 +310,37 @@ class SolveResult(Record):
 
 
 class IntegerLattice:
-    """Integer lattice given by its canonical HNF basis rows; ``pivots``
-    holds each row's pivot column, found once here.  A lattice of full
-    rank answers membership from its congruences (module docstring):
-    ``congruences``, when given, is a pair (m, rows) known to cut the
-    lattice out, as ``congruence_lattice`` passes it; otherwise it is
-    derived on first use."""
+    """Integer lattice spanned by ``rows`` in Z^ambient, stored by its
+    canonical HNF basis rows; ``pivots`` holds each row's pivot column,
+    found once here.  A lattice of full rank answers membership from its
+    congruences (module docstring), derived on first use unless the
+    lattice was cut out by them."""
 
     __slots__ = ("ambient", "basis", "pivots", "_congruences")
 
-    def __init__(self, ambient: int, rows=(), congruences=None):
+    def __init__(self, ambient: int, rows=()):
+        self._set(ambient, _integer_rows(rows, ambient), None)
+
+    @classmethod
+    def _of(cls, ambient: int, rows, congruences=None) -> "IntegerLattice":
+        """From rows of ints of length ``ambient``, without checks;
+        ``congruences``, when given, is a pair (m, rows) known to cut the
+        lattice out."""
+        self = object.__new__(cls)
+        self._set(ambient, rows, congruences)
+        return self
+
+    def _set(self, ambient: int, rows, congruences) -> None:
         self.ambient = ambient
-        rows = list(rows)
-        for r in rows:
-            if len(r) != ambient:
-                raise ValueError("vector length differs from ambient rank")
-        self.basis = [tuple(r) for r in hermite_normal_form(rows)]
+        self.basis = [tuple(r) for r in _hermite(rows)]
         self.pivots = [next(j for j, x in enumerate(r) if x)
                        for r in self.basis]
         self._congruences = congruences
 
     @staticmethod
     def full(n: int) -> "IntegerLattice":
-        return IntegerLattice(n, [[1 if i == j else 0 for j in range(n)]
-                                  for i in range(n)])
+        return IntegerLattice._of(n, [[1 if i == j else 0 for j in range(n)]
+                                      for i in range(n)])
 
     @property
     def rank(self) -> int:
@@ -343,7 +369,10 @@ class IntegerLattice:
 
     def reduce(self, vec):
         """Remainder of vec modulo the basis plus the coordinates used."""
-        v = self._vector(vec)
+        return self._reduce(self._vector(vec))
+
+    def _reduce(self, v):
+        """``reduce`` of a vector of ints of length ``ambient``, unchecked."""
         coords = []
         for row, col in zip(self.basis, self.pivots):
             q = v[col] // row[col]
@@ -369,15 +398,19 @@ class IntegerLattice:
         return self._congruences
 
     def contains(self, vec) -> bool:
+        return self._contains(self._vector(vec))
+
+    def _contains(self, v) -> bool:
+        """``contains`` of a vector of ints of length ``ambient``, unchecked."""
         if len(self.basis) < self.ambient:
-            v, _ = self.reduce(vec)
-            return not any(v)
-        v = self._vector(vec)
+            return not any(self._reduce(v)[0])
         modulus, rows = self.congruences
         return not any(sum(map(mul, r, v)) % modulus for r in rows)
 
     def contains_lattice(self, other: "IntegerLattice") -> bool:
-        return all(self.contains(row) for row in other.basis)
+        if other.ambient != self.ambient:
+            raise ValueError("ambient ranks differ")
+        return all(map(self._contains, other.basis))
 
     def prime_order_points(self) -> list:
         """One x in Z^n per F_p-line of (Z^n / self)[p], for each prime p
@@ -438,15 +471,13 @@ def congruence_lattice(rows, modulus: int, ambient: int) -> IntegerLattice:
     """
     if modulus < 1:
         raise ValueError(f"modulus {modulus} is not positive")
-    rows = [_integer_vector(r) for r in rows]
-    if any(len(r) != ambient for r in rows):
-        raise ValueError("vector length differs from ambient rank")
+    rows = _integer_rows(rows, ambient)
     # on reversed coordinates the columns of modulus H^-1, last first,
     # are already an echelon, which the constructor's Hermite form only
     # normalizes
     h = _congruence_form([r[::-1] for r in rows], modulus, ambient)
     columns = _scaled_inverse_columns(h, modulus)
-    return IntegerLattice(
+    return IntegerLattice._of(
         ambient, [c[::-1] for c in reversed(columns)],
         congruences=(modulus, [r[::-1] for r in _congruence_rows(h, modulus)]))
 
@@ -457,14 +488,14 @@ def snf_quotient(sub: IntegerLattice, sup: IntegerLattice) -> AbelianQuotient:
         raise ValueError("ambient ranks differ")
     coords = []
     for row in sub.basis:
-        v, c = sup.reduce(row)
+        v, c = sup._reduce(row)
         if any(v):
             raise ValueError("sub is not contained in sup")
         coords.append(c)
     deficit = sup.rank - sub.rank
     if not coords:
         return AbelianQuotient((), rank_deficit=deficit)
-    factors = smith_normal_form(coords)
+    factors = _smith(coords)
     return AbelianQuotient(tuple(d for d in factors if d != 1),
                            rank_deficit=deficit)
 

@@ -12,7 +12,7 @@ from dixon_oracle import (
 from k3moonshine import groups
 from k3moonshine.groups import (
     MatrixGroup, PermGroup, _Cayley, _central_characters, _class_matrices,
-    _dixon_prime, _max_finite_order, _roots_mod, conjugacy_classes,
+    _dixon_prime, _roots_mod, conjugacy_classes,
     enumerate_group, rational_character_table,
 )
 from k3moonshine.lattice import nullspace_mod
@@ -355,37 +355,46 @@ def test_permutation_image_is_faithful(index):
             assert g.as_perm(g.mul(a, b)) == tuple(pa[i] for i in pb)
 
 
-def test_non_unimodular_integer_generator_rejected_promptly():
-    import signal
+def _counting_apply(monkeypatch) -> list:
+    """Record each ``MatrixGroup._apply`` call from now on."""
+    applied = []
+    apply = MatrixGroup._apply
 
-    def timed_out(signum, frame):
-        raise TimeoutError("MatrixGroup did not fail within 10 s")
+    def counted(self, m, v):
+        applied.append(v)
+        return apply(self, m, v)
 
-    previous = signal.signal(signal.SIGALRM, timed_out)
-    signal.alarm(10)
-    try:
-        # det 2: an orbit walk would double e_1 until the enumeration limit
-        with pytest.raises(ValueError, match="determinant"):
-            MatrixGroup(2, [((2, 0), (0, 1))], p=0)
-        # det 1 but of infinite order, with linearly and with exponentially
-        # growing entries: no power up to the order bound is the identity
-        for gen in (((1, 1), (0, 1)), ((2, 1), (1, 1))):
-            with pytest.raises(RuntimeError, match="too large"):
-                MatrixGroup(2, [gen], p=0)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
+    monkeypatch.setattr(MatrixGroup, "_apply", counted)
+    return applied
 
 
-def test_max_finite_order_of_gl_n_z():
-    # the largest lcm of a set of m >= 2 with sum phi(m) <= n (OEIS A005417)
-    assert [_max_finite_order(n) for n in range(1, 11)] == \
-        [2, 6, 6, 12, 12, 30, 30, 60, 60, 120]
-    # the integral model of T192 passes the bound check, and its element
-    # orders stay within the bound
-    g = build_group(7)
-    assert g.p == 0
-    assert max(conjugacy_classes(g).orders) <= _max_finite_order(g.dim)
+@pytest.mark.parametrize("gens, match", [
+    pytest.param([((2, 0), (0, 1))], "more than 256", id="det-2"),
+    # det 1, of infinite order: entries grow linearly, and exponentially
+    pytest.param([((1, 1), (0, 1))], "more than 256", id="linear"),
+    pytest.param([((2, 1), (1, 1))], "more than 256", id="exponential"),
+    pytest.param([((0, 0), (0, 1))], "not invertible", id="singular"),
+    pytest.param([((0, 1), (1, 0)), ((2, 0), (0, 1))], "more than 256",
+                 id="pair-det-2"),
+])
+def test_integer_generator_outside_a_finite_group_refused_by_the_walk(
+        monkeypatch, gens, match):
+    """An integer generator of infinite order or of determinant other than
+    +-1 has an infinite orbit, and a singular one does not permute its
+    orbit: the orbit walk alone refuses each, after at most 257
+    applications of each generator."""
+    applied = _counting_apply(monkeypatch)
+    with pytest.raises(ValueError, match=match) as err:
+        MatrixGroup(2, gens, p=0)
+    assert 0 < len(applied) <= 257 * len(gens)
+    if match == "more than 256":
+        assert "infinite orbit" in str(err.value)
+
+
+def test_integer_reflection_builds():
+    g = MatrixGroup(2, [((-1, 0), (0, 1))], p=0)
+    assert len(g.perm_generators[0]) == 3       # e_1, e_2, -e_1
+    assert len(enumerate_group(g)) == 2
 
 
 def test_degree_bound():
@@ -407,14 +416,7 @@ def test_orbit_walk_stops_at_the_257th_vector(monkeypatch):
     """The orbit of e_1, e_2, e_3 under these two generators over GF(47)
     has 103,822 vectors; it is refused once 257 are found, after at most
     257 applications of each generator."""
-    applied = []
-    apply = MatrixGroup._apply
-
-    def counted(self, m, v):
-        applied.append(v)
-        return apply(self, m, v)
-
-    monkeypatch.setattr(MatrixGroup, "_apply", counted)
+    applied = _counting_apply(monkeypatch)
     gens = [((1, 1, 0), (0, 1, 0), (0, 0, 1)),
             ((0, 1, 0), (0, 0, 1), (1, 0, 0))]
     with pytest.raises(ValueError, match="more than 256"):

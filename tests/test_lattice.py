@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from k3moonshine import lattice
 from k3moonshine.lattice import (
     AbelianQuotient, IntegerLattice, congruence_lattice, hermite_normal_form,
     hnf_basis, integer_kernel, nullspace_mod, smith_normal_form, snf_quotient,
@@ -264,8 +265,8 @@ def test_congruences_cut_out_the_lattice():
 
 
 def test_vector_length_is_checked():
-    """A vector of another length is refused, not cut to the ambient
-    rank by ``zip`` (or run past it)."""
+    """A vector, or a lattice, of another length is refused, not cut to
+    the ambient rank by ``zip`` (or run past it)."""
     lattices = [hnf_basis([[2, 0], [0, 3]]), hnf_basis([[2, 4]]),
                 congruence_lattice([[1, 1]], 2, 2), hnf_basis([], ambient=2)]
     for lat in lattices:
@@ -275,6 +276,8 @@ def test_vector_length_is_checked():
                 lat.contains(vec)
             with pytest.raises(ValueError, match="length"):
                 lat.reduce(vec)
+        with pytest.raises(ValueError, match="ambient"):
+            lat.contains_lattice(hnf_basis([[1, 2, 3]]))
 
 
 NULLSPACE_CASES = [
@@ -425,3 +428,77 @@ def test_integral_fraction_input_is_its_int():
     assert all(type(x) is int for x in got.coords)
     assert hermite_normal_form([[Fraction(3), 6]]) == [[3, 6]]
     assert smith_normal_form([[Fraction(2), 0], [0, Fraction(3)]]) == [1, 6]
+
+
+# the public entries, each taking a list of rows; the last four take rows
+# of the ambient rank, 2
+_FULL = IntegerLattice(2, [[2, 0], [0, 3]])
+_LOWER = IntegerLattice(2, [[2, 4]])
+PUBLIC_ENTRIES = {
+    "hermite_normal_form": hermite_normal_form,
+    "smith_normal_form": smith_normal_form,
+    "hnf_basis": hnf_basis,
+    "integer_kernel": integer_kernel,
+    "solve_in_lattice": lambda rows: solve_in_lattice([2, 0], rows),
+    "IntegerLattice": lambda rows: IntegerLattice(2, rows),
+    "congruence_lattice": lambda rows: congruence_lattice(rows, 6, 2),
+    "reduce": lambda rows: [lat.reduce(r) for lat in (_FULL, _LOWER)
+                            for r in rows],
+    "contains": lambda rows: [lat.contains(r) for lat in (_FULL, _LOWER)
+                              for r in rows],
+}
+AMBIENT_ENTRIES = {"IntegerLattice", "congruence_lattice", "reduce",
+                   "contains"}
+
+
+@pytest.mark.parametrize("name", sorted(PUBLIC_ENTRIES))
+def test_input_rule_at_every_public_entry(name):
+    """Integral Fractions are their ints; a non-integral Fraction raises
+    ValueError, a float TypeError, and ragged or wrong-length rows
+    ValueError."""
+    enter = PUBLIC_ENTRIES[name]
+    assert enter([[Fraction(4, 2), Fraction(-3)], [0, Fraction(12, 2)]]) \
+        == enter([[2, -3], [0, 6]])
+    with pytest.raises(ValueError):
+        enter([[Fraction(1, 2), 0], [0, 1]])
+    with pytest.raises(TypeError):
+        enter([[1, 0], [0, 1.0]])
+    for ragged in ([[1, 2], [3]], [[1], [2, 3]]):
+        with pytest.raises(ValueError):
+            enter(ragged)
+    if name in AMBIENT_ENTRIES:
+        with pytest.raises(ValueError):
+            enter([[1, 2, 3], [4, 5, 6]])
+
+
+def test_each_row_is_checked_once_where_it_enters(monkeypatch):
+    """The public entries check each row once; the rows the module builds
+    itself (congruences, Smith transposes, quotient coordinates) are not
+    checked again."""
+    checked = []
+    check = lattice._integer_vector
+
+    def counted(vec):
+        checked.append(vec)
+        return check(vec)
+
+    monkeypatch.setattr(lattice, "_integer_vector", counted)
+    rows = [[2, 4, 6], [Fraction(3), 0, 9], [0, 0, 5], [2, 4, 6]]
+    for enter in (hermite_normal_form, smith_normal_form,
+                  lambda r: IntegerLattice(3, r),
+                  lambda r: congruence_lattice(r, 12, 3)):
+        checked.clear()
+        enter(rows)
+        assert len(checked) == len(rows)
+    full = IntegerLattice(3, rows)
+    lower = IntegerLattice(3, rows[:1])
+    pairs = [(full, IntegerLattice(3, rows + [[1, 2, 3]])),
+             (lower, IntegerLattice(3, [[1, 2, 3]])),
+             (congruence_lattice(rows, 12, 3), IntegerLattice.full(3))]
+    checked.clear()
+    for sub, sup in pairs:
+        assert sup.contains_lattice(sub)
+        assert snf_quotient(sub, sup).order == sub.index_in(sup)
+    assert full.congruences[0] == full.determinant == 60
+    assert pairs[2][0].congruences[0] == 12
+    assert checked == []
