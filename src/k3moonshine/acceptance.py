@@ -13,14 +13,15 @@ from __future__ import annotations
 import sys
 import time
 from fractions import Fraction
+from math import gcd
 
 from .qpoly import RationalFunction
 from .records import Record
 from .modforms import euler_specialization, jacobi_theta
 from .genus import (
-    SYMPLECTIC_CLASSES, chern_root_elliptic_genus, chi_symt_series,
-    elliptic_genus, equivariant_elliptic_genus, fixed_point_count, jacobi_split,
-    rational_form, weighted_equivariant_genus,
+    FIXED_POINT_EIGENVALUES, SYMPLECTIC_CLASSES, UNIT_SUM_WEIGHTS,
+    chern_root_elliptic_genus, chi_symt_series, elliptic_genus,
+    equivariant_elliptic_genus, fixed_point_count, jacobi_split, rational_form,
 )
 from .n4char import (
     _atypical_coefficient, _genus_multiplicities, _typical_row, ch_v_product,
@@ -160,11 +161,15 @@ def check_4_theorem_split(q_order: int = 6, **_) -> tuple:
         for n, c in enumerate(f_from_traces(label)):
             if 24 * n < h.trunc24 and h.coeff(n) != c:
                 return False, f"{label}: split f_g and trace f_g differ at q^{n}"
-    for label in SYMPLECTIC_CLASSES[1:]:
-        lhs = equivariant_elliptic_genus(label, t)
-        rhs = weighted_equivariant_genus(label, t)
-        if lhs != rhs:
-            return False, f"{label}: weighted form mismatch"
+    # the genera are w_n times a trace, which is the Table-1 sum of real
+    # conjugates exactly when mult(a) + mult(-a) = 2 w_n for every unit a
+    for n, pairs in FIXED_POINT_EIGENVALUES.items():
+        mult = [0] * n
+        for a, m in pairs:
+            mult[a % n] += m
+        if any(mult[a] + mult[-a % n] != 2 * UNIT_SUM_WEIGHTS[n]
+               for a in range(1, n) if gcd(a, n) == 1):
+            return False, f"order {n}: weighted form mismatch"
     return True, "split constants and the weighted unit-sum form"
 
 

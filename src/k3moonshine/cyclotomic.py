@@ -5,15 +5,20 @@ Elements are represented by their coordinates in the power basis
 n-th cyclotomic polynomial.  A coordinate is a Python ``int`` exactly
 when it is integral and a ``fractions.Fraction`` otherwise
 (``canonical_rational``; a float raises ``TypeError``), so arithmetic on
-integral elements, the usual case, runs on ints.  A product or a Galois
-sum of elements with Fraction coordinates runs on ints too: each operand
-is brought over one common denominator, and each output coordinate is
-divided once by the product of the denominators (``exact_quotient``).
-``inverse`` stays on ints as well: it multiplies the Galois conjugates
-sigma_a(x), a != 1, on integer coordinates and divides once by the norm,
-the rational x * prod sigma_a(x).  Phi_n's integer coefficients,
-Euler's phi and the canonical-rational rule come from ``qpoly``; this
-module keeps no polynomial code.
+integral elements, the usual case, runs on ints.  A product of elements
+with Fraction coordinates runs on ints too: each operand is brought over
+one common denominator, and each output coordinate is divided once by
+the product of the denominators (``exact_quotient``).  ``inverse`` stays
+on ints as well: it multiplies the Galois conjugates sigma_a(x), a != 1,
+on integer coordinates and divides once by the norm, the rational
+x * prod sigma_a(x).  Phi_n's integer coefficients, Euler's phi and the
+canonical-rational rule come from ``qpoly``; this module keeps no
+polynomial code.
+
+No route of the library computes in Q(zeta_n): the genera read the
+traces of ``genus._traces`` instead.  The class is the exact field the
+tests check those routes against, and ``TruncatedSeries`` takes its
+elements as coefficients.
 
 Every operation works in one field: operands with different conductors
 raise ``DomainError``.  Rationals embed into any field, and ``==`` compares
@@ -106,36 +111,6 @@ def _galois_rows(n: int, a: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows[k * a % n] for k in range(euler_phi(n)))
 
 
-@lru_cache(maxsize=None)
-def _galois_sum_rows(n: int, weights: tuple) -> tuple[tuple[int, ...], ...]:
-    """The map sum_(a, w) w * sigma_a on the power basis, for integer
-    weights w: row k is the image of zeta^k, an integer matrix."""
-    phi = euler_phi(n)
-    out = [[0] * phi for _ in range(phi)]
-    for a, w in weights:
-        if gcd(a, n) != 1:
-            raise DomainError(f"{a} is not a unit modulo {n}")
-        for row, image in zip(out, _galois_rows(n, a % n)):
-            for j, x in enumerate(image):
-                row[j] += w * x
-    return tuple(map(tuple, out))
-
-
-@lru_cache(maxsize=None)
-def _zeta_traces(n: int) -> tuple[int, ...]:
-    """Trace of zeta_n^k over Q for k = 0..phi(n)-1.
-
-    zeta_n^k has order d = n / gcd(n, k), and its trace is
-    mu(d) * phi(n) / phi(d), an integer since phi(d) divides phi(n).
-    """
-    phi = euler_phi(n)
-    out = []
-    for k in range(phi):
-        d = n // gcd(n, k)
-        out.append(moebius(d) * phi // euler_phi(d))
-    return tuple(out)
-
-
 class CyclotomicNumber:
     """An element of Q(zeta_n) in the power basis modulo Phi_n.
 
@@ -172,6 +147,8 @@ class CyclotomicNumber:
 
     @staticmethod
     def zeta_power(n: int, k: int) -> "CyclotomicNumber":
+        if n < 1:
+            raise DomainError("conductor must be positive")
         phi = euler_phi(n)
         k %= n
         if k < phi:
@@ -179,12 +156,6 @@ class CyclotomicNumber:
             c[k] = 1
             return CyclotomicNumber(n, c)
         return CyclotomicNumber(n, _power_reduction(n)[k])
-
-    @staticmethod
-    def from_root_counts(n: int, counts) -> "CyclotomicNumber":
-        """sum_k counts[k] * zeta_n^k for integer counts, k = 0..n-1."""
-        return CyclotomicNumber(n, _combine(_power_reduction(n), counts,
-                                            euler_phi(n)))
 
     # -- ring operations ---------------------------------------------------
 
@@ -279,28 +250,6 @@ class CyclotomicNumber:
 
     def is_rational(self) -> bool:
         return not any(self.c[1:])
-
-    def rational_value(self):
-        if not self.is_rational():
-            raise DomainError(f"{self!r} is not rational")
-        return self.c[0]
-
-    def galois_sum(self, weights: tuple) -> "CyclotomicNumber":
-        """sum w * sigma_a(self) over the pairs (a, w) of ``weights``, a
-        tuple of units a modulo n with integer weights w: one product with
-        the memoized integer matrix of the whole sum, on the coordinates
-        over one common denominator, which divides each output once."""
-        c, d = _over_common_denominator(self.c)
-        out = _combine(_galois_sum_rows(self.n, weights), c, len(c))
-        if d != 1:
-            out = [exact_quotient(v, d) for v in out]
-        return CyclotomicNumber(self.n, out)
-
-    def trace(self):
-        """Trace to Q (sum of all Galois conjugates), in canonical form."""
-        traces = _zeta_traces(self.n)
-        return canonical_rational(
-            sum(ck * tk for ck, tk in zip(self.c, traces)))
 
     def __eq__(self, other):
         if (isinstance(other, CyclotomicNumber) and other.is_rational()

@@ -7,10 +7,14 @@ fixed-point formula.  All of them are weak Jacobi forms of index 1, each
 a phi_{0,1} + F phi_{-2,1} built on its y^0 and y^1 columns
 (``modforms.jacobi_form_columns``): the elliptic genus is 2 phi_{0,1},
 and a fixed-point term is phi_{0,1}/12 + wp(u) phi_{-2,1}, with wp(u) a
-q-series over Q(zeta_n) from a divisor sieve, so the Table-1 Galois sums
-and the traces run on the coefficients of one q-series.  Their values,
-with a, are taken over one common denominator d, the columns are built
-on ints, and each column coefficient is divided once by d.
+q-series over Q(zeta_n).  Every number these routes sum is real, and
+Table 1 gives each pair {a, -a} of units the same weight w_n, so each
+Table-1 Galois sum is w_n times a trace to Q.  The traces come from two
+integer tables per conductor (``_traces``): those of the roots of unity
+and, times 12, of the roots divided by the fixed-point denominator
+(1 - zeta_n)(1 - zeta_n^-1).  So no route here computes in Q(zeta_n):
+the values are taken over one common denominator, the columns and sums
+are built on ints, and each coefficient is divided once.
 ``jacobi_split`` and ``verify_moonshine_class`` compare columns at scale
 12, on ints for an integral genus, and the split divides h by 12 once.
 The Chern-root product of the elliptic genus is kept as
@@ -35,10 +39,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .chartab import format_rational
-from .cyclotomic import CyclotomicNumber, DomainError, euler_phi, zeta
-from .qpoly import (
-    RationalFunction, _over_common_denominator, reconstruct_rational,
-)
+from .cyclotomic import euler_phi, moebius
+from .qpoly import RationalFunction, reconstruct_rational
 from .records import Record
 from .series import NotInSpanError, TruncatedSeries, exact_quotient
 from .modforms import (
@@ -59,7 +61,6 @@ __all__ = [
     "chern_root_elliptic_genus",
     "expand_product",
     "equivariant_elliptic_genus",
-    "weighted_equivariant_genus",
     "jacobi_split",
     "MoonshineReport",
     "verify_moonshine_class",
@@ -83,8 +84,9 @@ FIXED_POINT_EIGENVALUES = {
     8: ((1, 1), (3, 1)),
 }
 
-# Lemma-style weights m(N) turning the sum over all units of Z/N into the
-# Table-1 fixed-point multiset.
+# The weight w_n that Table 1 gives each pair {a, -a} of units mod n: a
+# Table-1 sum of the conjugates of a real number is w_n times its trace
+# (acceptance criterion 4 checks the two tables against each other).
 UNIT_SUM_WEIGHTS = {
     2: 8, 3: 3, 4: 2, 5: 1, 6: 1, 7: Fraction(1, 2), 8: Fraction(1, 2),
 }
@@ -108,35 +110,39 @@ def chi_sym_power(n: int) -> int:
 
 
 def chi_symt_series(label: str, terms: int) -> list[Fraction]:
-    """Equivariant chi(g; X, S_t T) as a t-series for a nontrivial class."""
+    """Equivariant chi(g; X, S_t T) as a t-series for a nontrivial class:
+    at t^k, w_n sum_(i <= k) U_n((2i - k) mod n), the Table-1 sum of the
+    real sum_(i <= k) zeta_n^(2i - k) / ((1 - zeta_n)(1 - zeta_n^-1)),
+    summed on the ints 12 U_n of ``_traces`` and divided once."""
     n = CLASS_ORDER[label]
     if n == 1:
         return [chi_sym_power(k) for k in range(terms)]
-    # the pair of zeta_n^a contributes sigma_a of the zeta_n term, so each
-    # coefficient is one Table-1 Galois sum of that term; the inverse
-    # denominator is taken over its common denominator d, so the products
-    # and sums run on ints and each coefficient is divided once by d
-    pairs = FIXED_POINT_EIGENVALUES[n]
-    num, d = _over_common_denominator(_inverse_denominator(n).c)
-    dnum = CyclotomicNumber(n, num)
-    out = []
-    for k in range(terms):
-        # sum_i zeta_n^(2i - k), as counts of n-th roots
-        counts = [0] * n
-        for i in range(k + 1):
-            counts[(2 * i - k) % n] += 1
-        term = dnum * CyclotomicNumber.from_root_counts(n, counts)
-        out.append(exact_quotient(term.galois_sum(pairs).rational_value(), d))
-    return out
+    u12 = _traces(n)[1]
+    w = Fraction(UNIT_SUM_WEIGHTS[n])
+    return [exact_quotient(
+        w.numerator * sum(u12[(2 * i - k) % n] for i in range(k + 1)),
+        12 * w.denominator) for k in range(terms)]
 
 
 @lru_cache(maxsize=None)
-def _inverse_denominator(n: int) -> CyclotomicNumber:
-    """1/((1 - zeta_n)(1 - zeta_n^-1)), the inverse denominator of a
-    fixed point with eigenvalues (zeta_n, zeta_n^-1), which both
-    ``chi_symt_series`` and ``_wp_series`` read.  Memoized per process on
-    the conductor (the number is read-only)."""
-    return ((1 - zeta(n, 1)) * (1 - zeta(n, -1))).inverse()
+def _traces(n: int) -> tuple:
+    """The traces to Q of zeta_n^k and, times 12, of
+    zeta_n^k / ((1 - zeta_n)(1 - zeta_n^-1)), for k = 0..n-1: two integer
+    tables.
+
+    The first is the Ramanujan sum c_n(k) = sum_(m | gcd(n, k)) mu(n/m) m.
+    The second is the Moebius inversion of the same quotient summed over
+    all m-th roots of unity but 1, m | n, which is
+    (m^2 - 1)/12 - r (m - r)/2 with r = k mod m:
+    12 U_n(k) = sum_(m | n) mu(n/m) (m^2 - 1 - 6 r (m - r)).  Memoized per
+    process on the conductor (the tables are read-only).
+    """
+    divisors = [m for m in range(1, n + 1) if n % m == 0]
+    ramanujan = tuple(sum(moebius(n // m) * m for m in divisors if k % m == 0)
+                      for k in range(n))
+    u12 = tuple(sum(moebius(n // m) * (m * m - 1 - 6 * (k % m) * (m - k % m))
+                    for m in divisors) for k in range(n))
+    return ramanujan, u12
 
 
 # Exponent maps {d: e} of the cyclotomic denominators prod Phi_d^e.
@@ -251,88 +257,39 @@ def chern_root_elliptic_genus(trunc24: int) -> TruncatedSeries:
 
 
 @lru_cache(maxsize=None)
-def _wp_series(n: int, trunc24: int) -> TruncatedSeries:
-    """The q-series wp(u) of one fixed-point term over Q(zeta_n).
-
-    The term, with eigenvalues (zeta_n, zeta_n^-1) in chi_{-y} form, is the
-    holomorphic Lefschetz quotient -theta1(z+u) theta1(z-u) / theta1(u)^2
-    with e(u) = lam = zeta_n.  As a function of z it is an index-1 form
-    with Euler value 1, so it equals phi_{0,1}/12 + wp(u) phi_{-2,1} with
-    wp(u) the Weierstrass function up to a constant and a factor:
-        wp(u) = 1/12 - 1/((1 - lam)(1 - lam^-1))
-                + sum_(m>=1) sum_(d | m) d (lam^d - 2 + lam^-d) q^m,
-    whose divisor sums come from one sieve.  The eigenvalue pair of
-    zeta_n^a contributes the Galois conjugate sigma_a.  Memoized per
-    process on the exact arguments (the series is read-only).
-    """
-    top = (trunc24 - 1) // 24          # the last integral q-order below
-    counts = [[0] * n for _ in range(top + 1)]
-    for d in range(1, top + 1):
-        for m in range(d, top + 1, d):
-            counts[m][d % n] += d
-            counts[m][-d % n] += d
-            counts[m][0] -= 2 * d
-    lead = Fraction(1, 12) - _inverse_denominator(n)
-    terms = {(0, 0): lead}
-    for m in range(1, top + 1):
-        terms[(24 * m, 0)] = CyclotomicNumber.from_root_counts(n, counts[m])
-    return TruncatedSeries(terms, trunc24)
-
-
-def _fixed_point_sum(n: int, trunc24: int, a, value,
-                     weight=1) -> TruncatedSeries:
-    """weight (a phi_{0,1} + F phi_{-2,1}), F the series of the rational
-    value(c) on the coefficients c of wp(u).  a and the values of F are
-    brought over their common denominator d, so the column products run
-    on ints, and each column coefficient is divided once, by d over the
-    weight."""
-    wp = _wp_series(n, trunc24)
-    w = Fraction(weight)
-    nums, d = _over_common_denominator([a, *map(value, wp.terms.values())])
-    a_num, *f_nums = (w.numerator * x for x in nums)
-    f = TruncatedSeries(dict(zip(wp.terms, f_nums)), trunc24)
-    return index_one_form(*(
-        column.divide_scalar(d * w.denominator)
-        for column in jacobi_form_columns(a_num, f, trunc24)))
-
-
-@lru_cache(maxsize=None)
 def equivariant_elliptic_genus(label: str, trunc24: int) -> TruncatedSeries:
     """chi_{-y}(g; q, LX) from the fixed-point formula over Table-1 data.
 
-    The sum of mult * sigma_a(term) over the Table-1 eigenvalue pairs is
-    e(g)/12 phi_{0,1} + F phi_{-2,1}, F the same sum of the conjugates of
-    wp(u): each coefficient of wp(u) goes once through the integer matrix
-    of the whole sum, and every non-rational coordinate of the result must
-    vanish.  Memoized per process on the exact arguments (the series is
-    read-only).
+    A fixed point with eigenvalues (lam, lam^-1), lam = zeta_n, contributes
+    the holomorphic Lefschetz quotient -theta1(z+u) theta1(z-u) / theta1(u)^2
+    with e(u) = lam.  As a function of z it is an index-1 form with Euler
+    value 1, so it equals phi_{0,1}/12 + wp(u) phi_{-2,1} with wp(u) the
+    Weierstrass function up to a constant and a factor:
+        wp(u) = 1/12 - 1/((1 - lam)(1 - lam^-1))
+                + sum_(m>=1) sum_(d | m) d (lam^d - 2 + lam^-d) q^m.
+    Its coefficients are real, so the Table-1 sum is w_n times the trace:
+    w_n phi(n)/12 phi_{0,1} + F phi_{-2,1}, F_0 = w_n (phi(n)/12 - U_n(0))
+    and F_m = w_n sum_(d | m) 2 d (c_n(d) - phi(n)) by one divisor sieve.
+    The columns are built on the ints 12 F / w_n and divided once.
+    Memoized per process on the exact arguments (the series is read-only).
     """
     n = CLASS_ORDER[label]
     if n == 1:
         return elliptic_genus(trunc24)
-    pairs = FIXED_POINT_EIGENVALUES[n]
-    try:
-        return _fixed_point_sum(
-            n, trunc24, exact_quotient(fixed_point_count(label), 12),
-            lambda c: c.galois_sum(pairs).rational_value())
-    except DomainError as exc:  # pragma: no cover - corrupted data guard
-        raise ArithmeticError(
-            f"fixed-point sum for {label} is not rational: {exc}") from exc
-
-
-def weighted_equivariant_genus(label: str, trunc24: int) -> TruncatedSeries:
-    """The m(N)-weighted sum over all units of Z/N (shifted-phi quotients).
-
-    The sum of sigma_a(term) over all units a is
-    phi(N)/12 phi_{0,1} + Tr(wp(u)) phi_{-2,1}, the field trace taken
-    coefficient by coefficient on wp(u); the weight m(N) joins the one
-    division of ``_fixed_point_sum``.
-    """
-    n = CLASS_ORDER[label]
-    if n == 1:
-        raise ValueError("weighted form applies to nontrivial classes")
-    return _fixed_point_sum(n, trunc24, Fraction(euler_phi(n), 12),
-                            CyclotomicNumber.trace, UNIT_SUM_WEIGHTS[n])
+    ramanujan, u12 = _traces(n)
+    phi = ramanujan[0]
+    top = (trunc24 - 1) // 24          # the last integral q-order below
+    f12 = [phi - u12[0]] + [0] * top
+    for d in range(1, top + 1):
+        v = 24 * d * (ramanujan[d % n] - phi)
+        for m in range(d, top + 1, d):
+            f12[m] += v
+    w = Fraction(UNIT_SUM_WEIGHTS[n])
+    f = TruncatedSeries({(24 * m, 0): w.numerator * x
+                         for m, x in enumerate(f12)}, trunc24)
+    return index_one_form(*(
+        column.divide_scalar(12 * w.denominator)
+        for column in jacobi_form_columns(w.numerator * phi, f, trunc24)))
 
 
 # -- decomposition against the weak Jacobi basis ------------------------------

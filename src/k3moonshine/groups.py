@@ -35,7 +35,7 @@ from itertools import accumulate, compress, repeat
 from operator import is_, mul as _mul, not_
 
 from .chartab import CharacterEntry, CharacterTable, ClassEntry
-from .lattice import nullspace_mod
+from .lattice import _integer_vector, nullspace_mod
 from .qpoly import _horner, euler_phi
 
 __all__ = [
@@ -93,11 +93,13 @@ class PermGroup:
 class MatrixGroup:
     """Matrix group with entries in GF(p) (p prime) or exact integers (p=0).
 
+    Entries are read by ``lattice``'s input rule before they are reduced
+    mod p: a float raises TypeError and a non-integral Fraction ValueError.
     The group acts on the orbit O of the standard basis vectors by
     v -> m v.  An orbit of more than 256 vectors, the degree of the
     permutation action, raises ``ValueError`` as soon as its 257th vector
     is found, and a generator that does not permute O is singular and
-    raises ``ValueError`` too.  Nothing else is checked: a generator that
+    raises ``ValueError`` too.  Nothing more is checked: a generator that
     permutes a finite O has a power fixing O, which spans the space, so it
     has finite order and, over Z, determinant +-1.  An integer generator
     of infinite order or of another determinant has an infinite orbit,
@@ -133,9 +135,10 @@ class MatrixGroup:
         self._index = index
 
     def _norm(self, m):
+        rows = map(_integer_vector, m)
         if self.p:
-            return tuple(tuple(x % self.p for x in row) for row in m)
-        return tuple(tuple(int(x) for x in row) for row in m)
+            return tuple(tuple(x % self.p for x in row) for row in rows)
+        return tuple(map(tuple, rows))
 
     def _apply(self, m, v):
         if self.p:

@@ -511,6 +511,9 @@ def solve_in_lattice(vec, generators) -> SolveResult:
     gens = list(generators)
     if not gens:
         return SolveResult(None, "no generators")
+    if len(v) != len(gens[0]):
+        raise ValueError(f"vector of length {len(v)} against generators "
+                         f"of length {len(gens[0])}")
     hnf, u = hermite_normal_form(gens, track=True)
     coords_h = [0] * len(hnf)
     for i, row in enumerate(hnf):

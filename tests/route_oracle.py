@@ -1,16 +1,17 @@
 """The full-division and per-pair routes of the library, kept as oracles.
 
-The library reads its y-free quotients off one column and sums Galois
-conjugates through one integer matrix.  The routes here do the same work
-the long way, as the library once did, and the tests compare the two:
+The library reads its y-free quotients off one column and its Galois
+sums off two integer trace tables.  The routes here do the same work the
+long way, as the library once did, and the tests compare the two:
 
   * ``decompose_two_divisions``: s * eta^3 divided twice by theta3, and
     the full polar_part / theta3 quotient subtracted;
   * ``jacobi_split_by_division``: the bivariate division by phi_{-2,1},
     whose lead -(y - 2 + 1/y) only ``division_oracle`` divides by;
   * ``galois_conjugate`` and ``table1_sum``: sigma_a applied to every
-    coefficient, pair by pair;
-  * ``chi_symt_per_pair``: one inverse and one root-count sum per pair;
+    coefficient, pair by pair, over Q(zeta_n);
+  * ``chi_symt_per_pair``: one inverse and one root-count sum per pair,
+    over Q(zeta_n);
   * ``pole_coefficient_in_fractions``: Horner evaluation in Fractions;
   * ``weak_jacobi_phi_by_products``, ``fixed_point_term_by_division``,
     ``equivariant_genus_by_division``, ``weighted_genus_by_division``,
@@ -91,9 +92,9 @@ the long way, as the library once did, and the tests compare the two:
 
 ``fixed_point_term`` is no replaced route but one fixed-point term,
 phi_{0,1}/12 + wp(u) phi_{-2,1} over Q(zeta_n), built on
-``fixed_point_sum_in_fractions`` from ``genus._wp_series``: the library
-only sums its conjugates, and the tests compare the single term with the
-division and product routes.
+``fixed_point_sum_in_fractions`` from ``wp_series``: the library only
+reads the traces of its coefficients, and the tests compare the single
+term with the division and product routes.
 """
 
 from fractions import Fraction
@@ -104,8 +105,8 @@ from k3moonshine.chartab import format_rational
 from k3moonshine.cyclotomic import CyclotomicNumber, canonical_rational, zeta
 from k3moonshine.genus import (
     CLASS_ORDER, FIXED_POINT_EIGENVALUES, UNIT_SUM_WEIGHTS, MoonshineReport,
-    _columns, _wp_series, chi_sym_power, elliptic_genus, euler_phi,
-    expand_product, fixed_point_count,
+    _columns, chi_sym_power, elliptic_genus, euler_phi, expand_product,
+    fixed_point_count,
 )
 from k3moonshine.lattice import (
     IntegerLattice, _integer_vector, _xgcd, hermite_normal_form, hnf_basis,
@@ -134,7 +135,10 @@ from k3moonshine.series import (
     exact_quotient,
 )
 from division_oracle import divide_by_slices
-from series_tools import as_rational, galois, geometric_factor, theta4, theta_s
+from series_tools import (
+    as_rational, galois, galois_sum, geometric_factor, rational_value,
+    root_sum, theta4, theta_s, trace,
+)
 
 
 def decompose_two_divisions(s):
@@ -192,6 +196,28 @@ def galois_conjugate(s, a):
 
 
 @lru_cache(maxsize=None)
+def wp_series(n, trunc24):
+    """The q-series wp(u) of one fixed-point term over Q(zeta_n):
+        wp(u) = 1/12 - 1/((1 - lam)(1 - lam^-1))
+                + sum_(m>=1) sum_(d | m) d (lam^d - 2 + lam^-d) q^m
+    at lam = zeta_n (``genus.equivariant_elliptic_genus``), the divisor
+    sums as root counts from one sieve.  Memoized on the exact arguments
+    (the series is read-only)."""
+    top = (trunc24 - 1) // 24
+    counts = [[0] * n for _ in range(top + 1)]
+    for d in range(1, top + 1):
+        for m in range(d, top + 1, d):
+            counts[m][d % n] += d
+            counts[m][-d % n] += d
+            counts[m][0] -= 2 * d
+    lead = Fraction(1, 12) - ((1 - zeta(n, 1)) * (1 - zeta(n, -1))).inverse()
+    terms = {(0, 0): lead}
+    for m in range(1, top + 1):
+        terms[(24 * m, 0)] = root_sum(n, counts[m])
+    return TruncatedSeries(terms, trunc24)
+
+
+@lru_cache(maxsize=None)
 def fixed_point_term(n, trunc24):
     """One fixed-point term as a (q, y) series over Q(zeta_n).  Memoized on
     the exact arguments (the series is read-only)."""
@@ -223,8 +249,8 @@ def chi_symt_per_pair(label, terms):
             counts = [0] * n
             for i in range(k + 1):
                 counts[a * (2 * i - k) % n] += 1
-            total = total + weight * CyclotomicNumber.from_root_counts(n, counts)
-        out.append(total.rational_value())
+            total = total + weight * root_sum(n, counts)
+        out.append(rational_value(total))
     return out
 
 
@@ -327,11 +353,9 @@ def fixed_point_term_by_division(n, trunc24):
             num.setdefault((q24, j + jj), [0] * n)[e] += sign
             den.setdefault(q24, [0] * n)[e] += sign
     numerator = TruncatedSeries(
-        {key: CyclotomicNumber.from_root_counts(n, c)
-         for key, c in num.items()}, top)
+        {key: root_sum(n, c) for key, c in num.items()}, top)
     theta1_u_sq = TruncatedSeries(
-        {(q24, 0): CyclotomicNumber.from_root_counts(n, c)
-         for q24, c in den.items()}, top)
+        {(q24, 0): root_sum(n, c) for q24, c in den.items()}, top)
     return numerator.divide_exact(theta1_u_sq)
 
 
@@ -346,12 +370,12 @@ def equivariant_genus_by_division(label, trunc24):
         return weak_jacobi_phi_by_products(0, trunc24) * 2
     pairs = FIXED_POINT_EIGENVALUES[CLASS_ORDER[label]]
     return _on_the_term(
-        label, trunc24, lambda c: c.galois_sum(pairs).rational_value())
+        label, trunc24, lambda c: rational_value(galois_sum(c, pairs)))
 
 
 def weighted_genus_by_division(label, trunc24):
     weight = UNIT_SUM_WEIGHTS[CLASS_ORDER[label]]
-    return _on_the_term(label, trunc24, CyclotomicNumber.trace) * weight
+    return _on_the_term(label, trunc24, trace) * weight
 
 
 def twining_genus_by_products(label, trunc24):
@@ -730,7 +754,7 @@ def chern_root_elliptic_genus_z_graded(trunc24: int) -> TruncatedSeries:
 def fixed_point_sum_in_fractions(n, trunc24, a, value):
     """a phi_{0,1} + F phi_{-2,1}, F the series of value(c) on the
     coefficients c of wp(u), the products on the values as they come."""
-    wp = _wp_series(n, trunc24)
+    wp = wp_series(n, trunc24)
     f = TruncatedSeries({k: value(c) for k, c in wp.terms.items()}, trunc24)
     return index_one_form(*jacobi_form_columns(a, f, trunc24))
 
@@ -740,14 +764,13 @@ def equivariant_genus_in_fractions(label, trunc24):
     pairs = FIXED_POINT_EIGENVALUES[n]
     return fixed_point_sum_in_fractions(
         n, trunc24, exact_quotient(fixed_point_count(label), 12),
-        lambda c: c.galois_sum(pairs).rational_value())
+        lambda c: rational_value(galois_sum(c, pairs)))
 
 
 def weighted_genus_in_fractions(label, trunc24):
     n = CLASS_ORDER[label]
     return fixed_point_sum_in_fractions(
-        n, trunc24, Fraction(euler_phi(n), 12),
-        CyclotomicNumber.trace) * UNIT_SUM_WEIGHTS[n]
+        n, trunc24, Fraction(euler_phi(n), 12), trace) * UNIT_SUM_WEIGHTS[n]
 
 
 def jacobi_split_in_fractions(s):

@@ -7,8 +7,13 @@ computed series and numbers:
     ``modforms.euler_specialization``;
   * ``is_y_symmetric``: the y <-> 1/y symmetry of every Jacobi form;
   * ``q_slice``: the y-terms at one q-order;
-  * ``as_rational``: rational coefficients read off a cyclotomic series;
-  * ``galois``: one automorphism sigma_a, against the defining sum;
+  * ``rational_value`` and ``as_rational``: rational numbers and
+    coefficients read off cyclotomic ones;
+  * ``root_sum``, ``galois``, ``galois_sum`` and ``trace``: sums of roots
+    of unity, one automorphism sigma_a by the defining sum
+    sum_k c_k zeta^(k a), weighted sums of the sigma_a and the trace to Q,
+    all built on ``zeta`` powers (the library reads its Galois sums off
+    ``genus._traces``);
   * ``theta_s``, ``theta1`` and ``theta4``: the theta functions the
     library does not build (it builds theta2 and theta3);
   * ``geometric_factor`` and ``binomial_factor``: the factors of the
@@ -16,7 +21,7 @@ computed series and numbers:
     product cross-checks multiply theirs out on plain dicts).
 """
 
-from math import comb
+from math import comb, gcd
 
 from k3moonshine.cyclotomic import CyclotomicNumber, DomainError, zeta
 from k3moonshine.series import (
@@ -55,16 +60,45 @@ def q_slice(s, q24):
     return {y2: c for (e, y2), c in s.terms.items() if e == q24}
 
 
+def rational_value(x):
+    """x as a rational; an irrational cyclotomic number raises."""
+    if not isinstance(x, CyclotomicNumber):
+        return x
+    if not x.is_rational():
+        raise DomainError(f"{x!r} is not rational")
+    return x.c[0]
+
+
 def as_rational(s):
     """All coefficients as rationals; an irrational one raises."""
-    return TruncatedSeries(
-        {k: c.rational_value() if isinstance(c, CyclotomicNumber) else c
-         for k, c in s.terms.items()}, s.trunc24, _clean=True)
+    return TruncatedSeries({k: rational_value(c) for k, c in s.terms.items()},
+                           s.trunc24, _clean=True)
+
+
+def root_sum(n, counts):
+    """sum_k counts[k] zeta_n^k."""
+    return sum((zeta(n, k) * c for k, c in enumerate(counts) if c),
+               CyclotomicNumber.from_rational(n, 0))
 
 
 def galois(x, a: int):
     """The automorphism zeta -> zeta^a applied to x, gcd(a, n) = 1."""
-    return x.galois_sum(((a, 1),))
+    if gcd(a, x.n) != 1:
+        raise DomainError(f"{a} is not a unit modulo {x.n}")
+    return sum((zeta(x.n, k * a) * c for k, c in enumerate(x.c) if c),
+               CyclotomicNumber.from_rational(x.n, 0))
+
+
+def galois_sum(x, weights):
+    """sum w sigma_a(x) over the pairs (a, w) of ``weights``."""
+    return sum((galois(x, a) * w for a, w in weights),
+               CyclotomicNumber.from_rational(x.n, 0))
+
+
+def trace(x):
+    """The trace of x to Q, the sum of sigma_a(x) over the units a."""
+    units = [(a, 1) for a in range(1, x.n + 1) if gcd(a, x.n) == 1]
+    return rational_value(galois_sum(x, units))
 
 
 def theta_s(trunc24):

@@ -14,16 +14,13 @@ import k3moonshine
 SAMPLE_ARGS = {
     "cyclotomic._power_reduction": (5,),
     "cyclotomic._galois_rows": (5, 2),
-    "cyclotomic._galois_sum_rows": (5, ((1, 2), (2, 2))),
-    "cyclotomic._zeta_traces": (5,),
     "qpoly._cyclotomic_coeffs": (6,),
     "modforms.eta_power": (-3, 48),
     "modforms.eisenstein_e2": (48,),
     "modforms.weak_jacobi_columns": (-2, 48),
     "modforms.weak_jacobi_phi": (0, 48),
     "genus.rational_form": ("5A",),
-    "genus._inverse_denominator": (5,),
-    "genus._wp_series": (3, 48),
+    "genus._traces": (5,),
     "genus.equivariant_elliptic_genus": ("3A", 48),
     "n4char.g_sum": (1, 48),
     "n4char.h_series": (2, 48),

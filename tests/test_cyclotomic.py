@@ -7,10 +7,11 @@ from hypothesis import given, settings, strategies as st
 from k3moonshine.cyclotomic import (
     CyclotomicNumber, DomainError, euler_phi, moebius, zeta,
 )
+from k3moonshine.genus import _traces
 from k3moonshine.qpoly import _cyclotomic_coeffs
 from canonical import is_canonical
 from gcd_oracle import Poly
-from series_tools import galois
+from series_tools import galois, trace
 
 
 def test_phi_and_moebius():
@@ -83,11 +84,20 @@ def test_compositum_cap():
 def test_trace_of_orbit_sum_is_integer():
     # full orbit sum of primitive 7th roots traces to an integer
     s = sum((zeta(7, k) for k in range(1, 7)), CyclotomicNumber.from_rational(7, 0))
-    assert s.trace() == Fraction(-6)
-    # trace of zeta_7 itself
-    assert zeta(7).trace() == Fraction(-1)
+    assert trace(s) == Fraction(-6)
+    # trace of zeta_7 itself, also the Ramanujan sum c_7(1)
+    assert trace(zeta(7)) == Fraction(-1) == _traces(7)[0][1]
     # trace of a rational r in Q(zeta_n) is phi(n) * r
-    assert CyclotomicNumber.from_rational(7, Fraction(1, 2)).trace() == Fraction(3)
+    assert trace(CyclotomicNumber.from_rational(7, Fraction(1, 2))) == Fraction(3)
+
+
+def test_zeta_refuses_a_conductor_below_one():
+    # refused before any arithmetic, by the constructor's rule
+    for n in (0, -3):
+        with pytest.raises(DomainError, match="conductor must be positive"):
+            zeta(n)
+        with pytest.raises(DomainError, match="conductor must be positive"):
+            CyclotomicNumber.zeta_power(n, 2)
 
 
 def _zeta_power_by_products(n, k):
@@ -102,7 +112,7 @@ def _galois_by_zeta_powers(x, a):
     """The defining sum sigma_a(x) = sum_k c_k zeta^(k a), as an oracle.
 
     zeta^(k a) comes from repeated multiplication, not from the reduction
-    table that galois_sum and zeta_power read.
+    table that zeta_power reads.
     """
     out = CyclotomicNumber.from_rational(x.n, 0)
     for k, ck in enumerate(x.c):
@@ -129,11 +139,16 @@ def test_galois_differential(data, n):
     assert galois(x, a + 3 * n) == galois(x, a)
     assert galois(galois(x, b), a) == galois(x, a * b % n)
     orbit = [galois(x, u) for u in units]
-    assert sum(orbit, CyclotomicNumber.from_rational(n, 0)) == x.trace()
+    # the trace, off the Ramanujan sums of genus._traces: on the power-basis
+    # coordinates and on a sum of roots
+    ramanujan = _traces(n)[0]
+    assert sum(orbit, CyclotomicNumber.from_rational(n, 0)) == sum(
+        c * t for c, t in zip(x.c, ramanujan))
     counts = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
-    assert CyclotomicNumber.from_root_counts(n, counts) == sum(
+    roots = sum(
         (_zeta_power_by_products(n, k) * c for k, c in enumerate(counts)),
         CyclotomicNumber.from_rational(n, 0))
+    assert trace(roots) == sum(map(int.__mul__, counts, ramanujan))
 
 
 # -- int coordinates against a Fraction-coordinate reference ------------------
@@ -193,7 +208,9 @@ def test_int_coordinates_match_fraction_reference(data, n):
     assert all(type(c) is int for c in conj.c)
     orbit = [sum(cs) for cs in zip(*(_ref_galois(fa, v, n) for v in units))]
     assert orbit[1:] == [0] * (phi - 1)
-    assert x.trace() == orbit[0] and type(x.trace()) is int
+    # the trace of the power-basis coordinates, off the Ramanujan sums
+    tr = sum(map(int.__mul__, a, _traces(n)[0]))
+    assert tr == orbit[0] and type(tr) is int
     if x:
         inv = x.inverse()
         assert list(inv.c) == _ref_inverse(fa, n)
@@ -239,11 +256,12 @@ def test_fixed_point_denominator_is_rational_after_orbit_sum():
         den = (1 - zeta(5, a)) * (1 - zeta(5, -a))
         total = total + den.inverse()
     assert total.is_rational()
-    # sum_{a=1}^{n-1} 1/(4 sin^2(pi a/n)) = (n^2-1)/12, here n=5 -> 2
-    assert total.rational_value() == Fraction(2)
+    # sum_{a=1}^{n-1} 1/(4 sin^2(pi a/n)) = (n^2-1)/12, here n=5 -> 2, and
+    # 12 times it is the table entry 12 U_5(0)
+    assert total.c[0] == Fraction(2) and 12 * total.c[0] == _traces(5)[1][0]
     # cross-check numerically
     import cmath
     approx = sum(1 / ((1 - cmath.exp(2j * cmath.pi * a / 5))
                       * (1 - cmath.exp(-2j * cmath.pi * a / 5)))
                  for a in range(1, 5))
-    assert abs(approx.real - float(total.rational_value())) < 1e-9
+    assert abs(approx.real - float(total.c[0])) < 1e-9

@@ -12,12 +12,13 @@ from k3moonshine.genus import (
     CLASS_ORDER, FIXED_POINT_EIGENVALUES, SYMPLECTIC_CLASSES, UNIT_SUM_WEIGHTS,
     chern_root_elliptic_genus,
     chi_sym_power, chi_symt_series, elliptic_genus, equivariant_elliptic_genus, fixed_point_count,
-    MoonshineReport, jacobi_split, rational_form, verify_moonshine_class,
-    weighted_equivariant_genus,
+    MoonshineReport, _traces, jacobi_split, rational_form,
+    verify_moonshine_class,
 )
-from route_oracle import fixed_point_term, galois_conjugate
+from route_oracle import fixed_point_term, galois_conjugate, table1_sum
 from series_tools import (
-    as_rational, binomial_factor, geometric_factor, is_y_symmetric,
+    as_rational, binomial_factor, geometric_factor, is_y_symmetric, root_sum,
+    trace,
 )
 
 T5 = 5 * 24
@@ -160,10 +161,24 @@ def test_equivariant_genus_is_memoized():
 
 
 def test_weighted_form_matches_fixed_point_formula():
+    # the genus, w_n times a trace, against the Table-1 sum pair by pair
     for label in ("2A", "5A", "7AB", "8A"):
         a = equivariant_elliptic_genus(label, 3 * 24)
-        b = weighted_equivariant_genus(label, 3 * 24)
+        b = table1_sum(label, 3 * 24)
         assert a == b, label
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_trace_tables_match_the_unit_sums(n):
+    # the sum of sigma_a(x) over the units a, on zeta powers, for
+    # x = zeta_n^k and zeta_n^k / ((1 - zeta_n)(1 - zeta_n^-1)), every k
+    ramanujan, u12 = _traces(n)
+    dinv = ((1 - zeta(n)) * (1 - zeta(n, -1))).inverse()
+    assert len(ramanujan) == len(u12) == n
+    for k in range(n):
+        root = root_sum(n, [int(j == k) for j in range(n)])
+        assert ramanujan[k] == trace(root) and type(ramanujan[k]) is int
+        assert u12[k] == 12 * trace(root * dinv) and type(u12[k]) is int
 
 
 @pytest.mark.parametrize("n", sorted(FIXED_POINT_EIGENVALUES))
@@ -187,7 +202,7 @@ def test_public_genera_match_product_sums(t):
         units = TruncatedSeries.zero(t)
         for a in _units(n):
             units = units + product_fixed_point_term(n, a, t)
-        assert _same(weighted_equivariant_genus(label, t),
+        assert _same(equivariant_elliptic_genus(label, t),
                      as_rational(units * UNIT_SUM_WEIGHTS[n])), label
 
 
@@ -258,10 +273,8 @@ def test_moonshine_report_prints_exact_q_orders(report, text):
 
 
 def test_corrupted_fixed_point_data_detected(monkeypatch):
-    import k3moonshine.genus as genus_mod
-    broken = dict(genus_mod.FIXED_POINT_EIGENVALUES)
-    broken[5] = ((1, 2), (2, 1))   # drops one eigenvalue pair: sum stays
-    monkeypatch.setattr(genus_mod, "FIXED_POINT_EIGENVALUES", broken)
-    genus_mod.equivariant_elliptic_genus.cache_clear()
-    with pytest.raises(ArithmeticError):
-        genus_mod.equivariant_elliptic_genus("5A", 2 * 24)
+    # the genus reads w_n alone, so Table 1 is checked against it by
+    # acceptance criterion 4: one fixed point of 5A dropped
+    from k3moonshine.acceptance import check_4_theorem_split
+    monkeypatch.setitem(FIXED_POINT_EIGENVALUES, 5, ((1, 2), (2, 1)))
+    assert check_4_theorem_split(q_order=1) == (False, "5A: a = 1/3")

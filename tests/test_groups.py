@@ -1,3 +1,4 @@
+from fractions import Fraction
 from itertools import count, product
 from math import lcm
 from operator import mul
@@ -143,6 +144,20 @@ def test_singular_matrix_generator_rejected():
         MatrixGroup(2, [((1, 1), (0, 1)), ((2, 4), (1, 2))], p=5)
     with pytest.raises(ValueError):
         MatrixGroup(2, [((0, 1), (0, 0))], p=0)
+
+
+@pytest.mark.parametrize("p", (0, 7))
+def test_matrix_generator_entries_read_by_the_integer_rule(p):
+    # a float or a non-integral Fraction once built the swap group (p = 0)
+    # or failed on the orbit's size (p = 7); an integral Fraction is its int
+    with pytest.raises(TypeError, match="not an integer"):
+        MatrixGroup(2, [((0.9, 1), (1, 0))], p=p)
+    with pytest.raises(ValueError, match="non-integral"):
+        MatrixGroup(2, [((Fraction(1, 2), 1), (1, 0))], p=p)
+    g = MatrixGroup(2, [((Fraction(0), Fraction(8, 8)), (1, 0))], p=p)
+    assert g.generators == [((0, 1), (1, 0))]
+    assert all(type(x) is int for row in g.generators[0] for x in row)
+    assert len(enumerate_group(g)) == 2
 
 
 def test_matrix_group_rejects_foreign_matrix():

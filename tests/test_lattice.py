@@ -134,6 +134,14 @@ def test_solve_in_lattice():
     assert "modulo pivot 2" in res2.certificate
 
 
+@pytest.mark.parametrize("vec", ([2, 0, 5], [3]), ids=("longer", "shorter"))
+def test_solve_in_lattice_refuses_a_vector_of_another_length(vec):
+    # the longer vector once solved on its first two entries, the shorter
+    # one raised IndexError
+    with pytest.raises(ValueError, match=f"length {len(vec)} .* length 2"):
+        solve_in_lattice(vec, [[1, 0], [0, 2]])
+
+
 def test_solve_is_canonical_under_generator_shuffle_consistency():
     # same generator list always gives the same answer (determinism)
     gens = [(2, 1), (1, 2), (3, 3)]

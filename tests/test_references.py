@@ -33,6 +33,9 @@ ALLOWED = {
         "the canonical virtual-M24 solver the README documents",
     "lattice.SolveResult.solved":
         "the verdict of solve_in_lattice's result record",
+    "cyclotomic.zeta":
+        "the exported root of unity the README documents; the tests build "
+        "their cyclotomic oracles on it",
     "lattice.IntegerLattice.reduce":
         "the checked entry for coordinates over a basis that the lattice "
         "docstring documents; the module's own rows take _reduce",
