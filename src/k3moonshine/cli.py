@@ -43,9 +43,7 @@ def emit(report: dict, fmt: str, stream=None) -> None:
     columns = report.get("columns", [])
     rows = report.get("rows", [])
     if fmt == "csv":
-        if columns:
-            stream.write(",".join(str(c) for c in columns) + "\n")
-        for row in rows:
+        for row in (columns, *rows) if columns else ():
             stream.write(",".join(str(c) for c in row) + "\n")
         return
     if title:
@@ -54,18 +52,12 @@ def emit(report: dict, fmt: str, stream=None) -> None:
         if key in ("title", "columns", "rows"):
             continue
         stream.write(f"{key}: {value}\n")
-    if columns or rows:
+    if columns:  # every report with rows names its columns
         widths = [max([len(str(c))] + [len(str(r[i])) for r in rows])
-                  for i, c in enumerate(columns)] if columns else None
-        if columns:
+                  for i, c in enumerate(columns)]
+        for row in (columns, *rows):
             stream.write("  ".join(str(c).rjust(w)
-                                   for c, w in zip(columns, widths)) + "\n")
-        for row in rows:
-            if widths:
-                stream.write("  ".join(str(c).rjust(w)
-                                       for c, w in zip(row, widths)) + "\n")
-            else:
-                stream.write("  ".join(str(c) for c in row) + "\n")
+                                   for c, w in zip(row, widths)) + "\n")
 
 
 def _over(n: int, d: int) -> str:

@@ -16,7 +16,8 @@ and, times 12, of the roots divided by the fixed-point denominator
 the values are taken over one common denominator, the columns and sums
 are built on ints, and each coefficient is divided once.
 ``jacobi_split`` and ``verify_moonshine_class`` compare columns at scale
-12, on ints for an integral genus, and the split divides h by 12 once.
+12, on ints for an integral genus, and the split divides h by 12 once;
+the latter reads e(g) from M24 (``mckay``, imported on call).
 The Chern-root product of the elliptic genus is kept as
 ``chern_root_elliptic_genus``, the cross-check of acceptance criterion 3,
 which so tests the elliptic law instead of assuming it.  It multiplies
@@ -350,16 +351,18 @@ class MoonshineReport(Record):
 
 def verify_moonshine_class(label: str, f_g: TruncatedSeries,
                            trunc24: int) -> MoonshineReport:
-    """Compare the fixed-point genus with e(g)/12 phi_{0,1} + f_g phi_{-2,1}.
+    """Compare the fixed-point genus with e(g)/12 phi_{0,1} + f_g phi_{-2,1},
+    e(g) the fixed points of the M24 class (``mckay.euler_character_value``).
 
     Both sides are index-1 forms, so they agree wherever their y^0 and y^1
     columns agree, and the first column mismatch is the first mismatch.
     The columns are compared at scale 12, 12 times the genus's against
     those of e(g) phi_{0,1} + 12 f_g phi_{-2,1}, so nothing is divided.
     """
+    from .mckay import euler_character_value  # the M24 tables, on demand
     genus = equivariant_elliptic_genus(label, trunc24)
     lhs = [c * 12 for c in _columns(genus)]
-    rhs = jacobi_form_columns(fixed_point_count(label), f_g * 12, trunc24)
+    rhs = jacobi_form_columns(euler_character_value(label), f_g * 12, trunc24)
     diffs = [left - right for left, right in zip(lhs, rhs)]
     t = min(d.trunc24 for d in diffs)
     bad = [d.min_q24 for d in diffs if d.terms]

@@ -12,9 +12,11 @@ Every r_g(t) is a Molien-type series whose denominator is a product of
 cyclotomic polynomials, and ``RationalFunction`` supports only such
 denominators.  It stores c * N(t) / prod_d Phi_d(t)^e_d as three fields:
 one rational content c, a primitive integer numerator N with positive
-leading coefficient, and the exponent map {d: e_d}.  Distinct Phi_d are
-coprime, so no gcd is ever needed: a sum lifts both numerators to the
-exponent-wise maximum of the two maps with int x int products, and every
+leading coefficient, and the exponent map {d: e_d}.  A form is a value:
+it is built, compared, expanded, read at a pole and scaled by a rational,
+and ``linear_combinations`` alone sums forms.  Distinct Phi_d are
+coprime, so no gcd is ever needed: a sum lifts the numerators to the
+exponent-wise maximum of their maps with int x int products, and every
 result is reduced by exact trial division of N by each Phi_d in its map.
 The form is canonical, so ``==`` compares fields, and the pole order at
 t = 1 is the exponent of Phi_1; a constant equals its scalar and hashes
@@ -217,11 +219,17 @@ class RationalFunction:
         """``num`` is a rational or an ascending sequence of rationals,
         ``den`` the exponent map {d: e} of the denominator prod Phi_d^e
         (None for 1).  Every coefficient goes through
-        ``canonical_rational``, so a float raises TypeError."""
+        ``canonical_rational``, so a float raises TypeError, as does a d or
+        an e that is not an int."""
         exps = {} if den is None else den
-        if not isinstance(exps, Mapping) or any(
-                d < 1 or e < 0 for d, e in exps.items()):
+        if not isinstance(exps, Mapping):
             raise ValueError(f"bad cyclotomic exponent map {den!r}")
+        for d, e in exps.items():
+            if type(d) is not int or type(e) is not int:
+                raise TypeError(f"exponent map entry {d!r}: {e!r} is not "
+                                "a pair of ints")
+            if d < 1 or e < 0:
+                raise ValueError(f"bad cyclotomic exponent map {den!r}")
         coeffs = num if isinstance(num, Sequence) else (num,)
         self._set(*_canonical(
             _ONE, [canonical_rational(c) for c in coeffs], exps))
@@ -267,33 +275,11 @@ class RationalFunction:
             return hash(self._c)
         return hash((self._c, self._n, self._e))
 
-    def __add__(self, other):
-        other = other if isinstance(other, RationalFunction) else RationalFunction(other)
-        return linear_combinations((self, other), ((1, 1),))[0]
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RationalFunction._of(-self._c, self._n, self._e)
-
-    def __sub__(self, other):
-        other = other if isinstance(other, RationalFunction) else RationalFunction(other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
-        if not isinstance(other, RationalFunction):
-            other = canonical_rational(other)
-            if not other:
-                return RationalFunction(0)
-            return RationalFunction._of(self._c * other, self._n, self._e)
-        exps = dict(self._e)
-        for d, e in other._e:
-            exps[d] = exps.get(d, 0) + e
-        return RationalFunction._of(*_canonical(
-            self._c * other._c, _int_mul(self._n, other._n), exps))
+        other = canonical_rational(other)
+        if not other:
+            return RationalFunction(0)
+        return RationalFunction._of(self._c * other, self._n, self._e)
 
     __rmul__ = __mul__
 

@@ -318,19 +318,11 @@ class TruncatedSeries:
             step = lo + (m0 - lo) % 24
             trunc = min(q24 - abs(s24_per_y2) * y2_bound(q24) + extra_q24
                         for q24 in (lo, step))
+        # the map of keys is injective: no two terms land on one key
         for (q24, y2), c in self.terms.items():
             nq = q24 + s24_per_y2 * y2 + extra_q24
-            if nq >= trunc:
-                continue
-            key = (nq, y2 + extra_y2)
-            if key in out:
-                s = out[key] + c
-                if not s:
-                    del out[key]
-                else:
-                    out[key] = s
-            else:
-                out[key] = c
+            if nq < trunc:
+                out[nq, y2 + extra_y2] = c
         return TruncatedSeries(out, trunc, _clean=True)
 
     def spectral_flow(self, direction: int = 1) -> "TruncatedSeries":

@@ -39,9 +39,6 @@ class Poly:
         return Poly([self[i] + other[i]
                      for i in range(max(len(self.c), len(other.c)))])
 
-    def __neg__(self):
-        return Poly([-x for x in self.c])
-
     def __mul__(self, other):
         if not isinstance(other, Poly):
             return Poly([x * other for x in self.c])
@@ -99,12 +96,6 @@ class GcdRationalFunction:
     def __add__(self, other):
         return GcdRationalFunction(self.num * other.den + other.num * self.den,
                                    self.den * other.den)
-
-    def __neg__(self):
-        return GcdRationalFunction(-self.num, self.den)
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __mul__(self, other):
         return GcdRationalFunction(self.num * other, self.den)

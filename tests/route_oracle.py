@@ -388,7 +388,7 @@ def twining_genus_by_products(label, trunc24):
 
 def moonshine_report_by_series(label, f_g, trunc24):
     lhs = equivariant_genus_by_division(label, trunc24)
-    a = exact_quotient(fixed_point_count(label), 12)
+    a = exact_quotient(euler_character_value(label), 12)
     rhs = (weak_jacobi_phi_by_products(0, trunc24) * a
            + f_g * weak_jacobi_phi_by_products(-2, trunc24))
     t = min(lhs.trunc24, rhs.trunc24)

@@ -277,4 +277,20 @@ def test_corrupted_fixed_point_data_detected(monkeypatch):
     # acceptance criterion 4: one fixed point of 5A dropped
     from k3moonshine.acceptance import check_4_theorem_split
     monkeypatch.setitem(FIXED_POINT_EIGENVALUES, 5, ((1, 2), (2, 1)))
-    assert check_4_theorem_split(q_order=1) == (False, "5A: a = 1/3")
+    assert check_4_theorem_split(q_order=1) == \
+        (False, "order 5: weighted form mismatch")
+
+
+def test_moonshine_comparisons_read_e_from_m24(monkeypatch):
+    # the genus is compared with e(g) of the M24 class, not with Table 1's
+    # count, which it carries itself: a wrong e(g) for 7AB is caught at
+    # q^0 by verify_moonshine_class and by criterion 4's split constant
+    from k3moonshine import mckay
+    from k3moonshine.acceptance import check_4_theorem_split
+    f = mckay.f_series("7AB", 5 * 24)
+    e = mckay.euler_character_value
+    monkeypatch.setattr(mckay, "euler_character_value",
+                        lambda label: 2 if label == "7AB" else e(label))
+    report = verify_moonshine_class("7AB", f, 5 * 24)
+    assert (report.ok, report.first_mismatch_q24) == (False, 0)
+    assert check_4_theorem_split(q_order=1) == (False, "7AB: a = 1/4")

@@ -274,9 +274,10 @@ INDEX_ONE_BUILDERS = {
     **{f"genus-{label}": (partial(equivariant_elliptic_genus, label),
                           partial(equivariant_genus_by_division, label))
        for label in SYMPLECTIC_CLASSES},
-    # the genus again, against the trace form of the division route
-    **{f"weighted-{label}": (partial(equivariant_elliptic_genus, label),
-                             partial(weighted_genus_by_division, label))
+    # the trace form of the division route against the genus, so that
+    # its truncation is checked here too, not the genus's a second time
+    **{f"weighted-{label}": (partial(weighted_genus_by_division, label),
+                             partial(equivariant_elliptic_genus, label))
        for label in SYMPLECTIC_CLASSES[1:]},
     **{f"twining-{label}": (partial(twining_genus, label),
                             partial(twining_genus_by_products, label))
