@@ -1,16 +1,15 @@
 """The acceptance battery: one callable per criterion, exact tolerances.
 
 Each check returns (ok, detail).  ``run_criteria`` yields one
-``CriterionResult`` per criterion; ``run_acceptance`` prints one line per
-criterion and returns overall success.  A criterion that raises is printed
-as [ERROR]; the remaining criteria still run, and then the first exception
-is re-raised, so that a crash never reads as a mismatch.  All comparisons
-are exact.
+``CriterionResult`` per criterion as it ends; a criterion that raises is
+an ERROR holding its exception, and the remaining criteria still run.
+``cli verify-all`` prints the results and then re-raises the first
+exception, so that a crash never reads as a mismatch.  All comparisons
+are exact.  The lattice suite's published values are ``replattice``'s.
 """
 
 from __future__ import annotations
 
-import sys
 import time
 from fractions import Fraction
 from math import gcd
@@ -26,8 +25,7 @@ from .genus import (
 from .n4char import (
     _atypical_coefficient, _genus_multiplicities, _typical_row, ch_v_product,
     ch_vn_closed, ch_vn_extract, g_series, genus_A_coefficients, h_series,
-    polar_part, symmetric_power_crosscheck, twining_to_symtraces,
-    twining_truncation,
+    polar_part, symmetric_power_crosscheck, twining_truncation,
 )
 
 # -- frozen published values ----------------------------------------------------
@@ -94,10 +92,6 @@ M24_EXTRA_FORMS = {
     "2B": RationalFunction((2, 8, 2), {2: 2, 4: 1}),
     "4A-M24": RationalFunction((2, 6, 12, 12, 6, 2), {2: 1, 4: 1, 8: 1}),
 }
-
-NI_OVER_N = ("4 x 12 x 480", "4 x 4 x 672", "2 x 4 x 672", "12 x 168",
-             "3 x 420", "2 x 280", "2 x 840", "2 x 840", "2 x 4 x 1120",
-             "4 x 4 x 3360", "2 x 1680")
 
 
 # -- criterion checks --------------------------------------------------------------
@@ -221,20 +215,11 @@ def check_7_genus_decomposition(**_) -> tuple:
 
 def check_8_lattices(**_) -> tuple:
     from .tables import fixture_lattice_report
-    from .replattice import sufficiency_scan
+    from .replattice import compare_with_published
     rep = fixture_lattice_report()
-    if str(rep.M_over_N) != "2 x 4 x 24 x 40320":
-        return False, "M/N"
-    for i, quotient in enumerate(rep.Ni_over_N):
-        if str(quotient) != NI_OVER_N[i]:
-            return False, f"N_{i+1}/N"
-    if not rep.K_equals_N:
-        return False, "K != N"
-    if not rep.Kp_equals_N:
-        return False, "K' != N"
-    four, triples = sufficiency_scan(list(rep.N_i), rep.N)
-    if not all(four.values()) or triples:
-        return False, "sufficiency scan"
+    failure = compare_with_published(rep)[2]
+    if failure:
+        return False, failure
     idx = rep.Kdp_index_in_N
     if idx != 2:
         return False, (f"[N : K''] = {idx}, not 2: the restricted "
@@ -269,16 +254,14 @@ def check_9_table2(t_order: int = 21, **_) -> tuple:
 
 
 def check_10_audit(**_) -> tuple:
-    from .mckay import twining_pair
+    from .mckay import AUDITED_CLASSES, symmetric_traces
     from .replattice import first_nonintegral
-    for label, (pos, value) in AUDIT_FIRST_NONINTEGRAL.items():
-        hit = first_nonintegral(
-            twining_to_symtraces(*twining_pair(label, 24 * 6), 6))
-        if hit != (pos, value):
+    for label in AUDITED_CLASSES:
+        hit = first_nonintegral(symmetric_traces(label, 6))
+        if hit != AUDIT_FIRST_NONINTEGRAL[label]:
             return False, f"{label}: first non-integral {hit}"
     for label, form in M24_EXTRA_FORMS.items():
-        cs = twining_to_symtraces(*twining_pair(label, 24 * 20), 20)
-        if cs != form.expand(21):
+        if symmetric_traces(label, 20) != form.expand(21):
             return False, f"{label}: series vs rational form"
     return True, "non-integral coefficients and the 2B/4A closed forms"
 
@@ -316,22 +299,3 @@ def run_criteria(q_order: int = 6, t_order: int = 21):
             ok, detail, status = False, f"exception: {exc!r}", "ERROR"
         yield CriterionResult(name, status, bool(ok), str(detail),
                               time.perf_counter() - t0, error)
-
-
-def run_acceptance(q_order: int = 6, t_order: int = 21, stream=None) -> bool:
-    stream = stream or sys.stdout
-    results = []
-    for r in run_criteria(q_order, t_order):
-        results.append(r)
-        stream.write(f"[{r.status}] criterion {r.criterion} ({r.seconds:.1f}s)"
-                     f"{'' if r.ok else ' -- ' + r.detail}\n")
-    raise_first_error(results)
-    return all(r.ok for r in results)
-
-
-def raise_first_error(results) -> None:
-    """Re-raise the first criterion exception, so a crash never reads as
-    a mismatch."""
-    for r in results:
-        if r.error is not None:
-            raise r.error

@@ -146,17 +146,10 @@ def _traces(n: int) -> tuple:
     return ramanujan, u12
 
 
-# Exponent maps {d: e} of the cyclotomic denominators prod Phi_d^e.
-RATIONAL_FORM_DENOMINATORS = {
-    "1A": {1: 4},
-    "2A": {2: 2},
-    "3A": {3: 1},
-    "4A": {4: 1},
-    "5A": {5: 1},
-    "6A": {6: 1},
-    "7AB": {7: 1},
-    "8A": {8: 1},
-}
+# Exponent maps {d: e} of the cyclotomic denominators prod Phi_d^e: a class
+# of order n has Phi_n, to the power 4 at 1A and 2 at 2A.
+RATIONAL_FORM_DENOMINATORS = {label: {n: {1: 4, 2: 2}.get(n, 1)}
+                              for label, n in CLASS_ORDER.items()}
 
 
 @lru_cache(maxsize=None)

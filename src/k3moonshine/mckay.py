@@ -42,7 +42,9 @@ from .modforms import (
 )
 from .lattice import integer_kernel
 from .mill import class_data
-from .tables import load_m24, data_dir
+from .genus import CLASS_ORDER, SYMPLECTIC_CLASSES as GEOMETRIC_CLASSES
+from .n4char import twining_to_symtraces
+from .tables import M24_LABEL, load_m24, data_dir
 from .chartab import format_rational
 from .records import Record
 
@@ -50,26 +52,20 @@ __all__ = [
     "eisenstein_difference", "eta_scaled", "cusp_form", "m2_basis",
     "euler_character_value", "k_layer_trace", "sigma_coefficients",
     "f_from_traces", "fit_in_m2", "f_series", "twining_pair",
-    "twining_genus", "FgRecord", "write_fg_file", "read_fg_file",
-    "MOONSHINE_CLASSES", "GEOMETRIC_CLASSES", "CLASS_LEVEL",
+    "twining_genus", "symmetric_traces", "FgRecord", "write_fg_file",
+    "read_fg_file", "AUDITED_CLASSES", "MOONSHINE_CLASSES",
+    "GEOMETRIC_CLASSES", "CLASS_LEVEL",
 ]
 
-GEOMETRIC_CLASSES = ("1A", "2A", "3A", "4A", "5A", "6A", "7AB", "8A")
-MOONSHINE_CLASSES = ("11A", "14AB", "15AB", "23AB", "2B", "4A-M24")
+# the classes of the integrality audit (``audit-integrality`` and
+# acceptance criterion 10); their M24 labels are ``tables.M24_LABEL``'s
+AUDITED_CLASSES = ("11A", "14AB", "15AB", "23AB")
+MOONSHINE_CLASSES = AUDITED_CLASSES + ("2B", "4A-M24")
 
-# geometric classes carry the symplectic (M23-style) labels; inside M24 the
-# order-4 symplectic class is 4B and the extra audited order-4 class is 4A
-M24_LABEL = {
-    "1A": "1A", "2A": "2A", "3A": "3A", "4A": "4B", "5A": "5A", "6A": "6A",
-    "7AB": "7AB", "8A": "8A", "11A": "11A", "14AB": "14AB", "15AB": "15AB",
-    "23AB": "23AB", "2B": "2B", "4A-M24": "4A",
-}
-
-# Gamma_0 level of f_g (order times the moonshine multiplier).
-CLASS_LEVEL = {
-    "1A": 1, "2A": 2, "3A": 3, "4A": 4, "5A": 5, "6A": 6, "7AB": 7, "8A": 8,
-    "2B": 4, "4A-M24": 8, "11A": 11, "14AB": 14, "15AB": 15, "23AB": 23,
-}
+# Gamma_0 level of f_g (order times the moonshine multiplier, which is 1
+# on the geometric classes).
+CLASS_LEVEL = {**CLASS_ORDER, "2B": 4, "4A-M24": 8, "11A": 11, "14AB": 14,
+               "15AB": 15, "23AB": 23}
 
 # Module layers K_n for n = 1..5: orbit degree and number of copies.
 _K_LAYERS = {1: (45, 2), 2: (231, 2), 3: (770, 2), 4: (2277, 2), 5: (5796, 2)}
@@ -244,6 +240,12 @@ def twining_pair(label: str, trunc24: int) -> tuple:
     """(e(g)/12, f_g), the twining genus's pair as a phi_{0,1} + f phi_{-2,1}."""
     return (exact_quotient(euler_character_value(label), 12),
             f_series(label, trunc24))
+
+
+def symmetric_traces(label: str, t_order: int) -> list:
+    """c_0..c_t_order of the class's symmetric-power traces, from its
+    ``twining_pair`` to q^t_order (``n4char.twining_to_symtraces``)."""
+    return twining_to_symtraces(*twining_pair(label, 24 * t_order), t_order)
 
 
 def twining_genus(label: str, trunc24: int) -> TruncatedSeries:

@@ -306,10 +306,14 @@ class RationalFunction:
         rational roots of a cyclotomic product are t = 1 (Phi_1) and
         t = -1 (Phi_2), so the order is read off the exponent map.  The
         integer polynomials are evaluated by Horner's rule, on ints when
-        ``at`` is an integer.
+        ``at`` is an integer.  ``at`` is read by ``canonical_rational`` and
+        ``order`` is an int >= 0 (order 0 reads the value at a non-pole).
         """
-        x = Fraction(at)
-        x = x.numerator if x.denominator == 1 else x
+        x = canonical_rational(at)
+        if type(order) is not int:
+            raise TypeError(f"pole order must be an int, got {order!r}")
+        if order < 0:
+            raise ValueError(f"pole order must be nonnegative, got {order}")
         d = {1: 1, -1: 2}.get(x)
         exps = dict(self._e)
         if order > exps.get(d, 0):
@@ -335,6 +339,7 @@ def linear_combinations(forms, rows) -> list[RationalFunction]:
     are k_i / L over their common denominator L.  Each row of weights,
     taken over its own common denominator m, then costs one integer
     weighted sum and one trial-division reduction of content 1/(L m).
+    A row holds one weight per form, each read by ``canonical_rational``.
     """
     forms = list(forms)
     common: dict = {}
@@ -349,7 +354,10 @@ def linear_combinations(forms, rows) -> list[RationalFunction]:
     width = max(map(len, lifted), default=0)
     out = []
     for row in rows:
-        weights, m = _over_common_denominator(list(row))
+        row = [canonical_rational(w) for w in row]
+        if len(row) != len(forms):
+            raise ValueError(f"{len(row)} weights for {len(forms)} forms")
+        weights, m = _over_common_denominator(row)
         acc = [0] * width
         for w, coeffs in zip(weights, lifted):
             if w:

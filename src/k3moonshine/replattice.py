@@ -27,6 +27,7 @@ from .lattice import (
     IntegerLattice, congruence_lattice, hnf_basis, snf_quotient,
     solve_in_lattice, SolveResult,
 )
+from .mill import class_data
 from .qpoly import RationalFunction, euler_phi, linear_combinations
 from .records import Record
 
@@ -45,6 +46,9 @@ __all__ = [
     "first_nonintegral",
     "LatticeReport",
     "build_lattice_report",
+    "M_OVER_N",
+    "NI_OVER_N",
+    "compare_with_published",
 ]
 
 ORDERS = tuple(range(1, 9))
@@ -64,10 +68,10 @@ CHOSEN_FORM_NUMERATORS = {
 
 def chosen_rational_form(label: str) -> RationalFunction:
     """The shipped closed form r_label for 11AB/14AB/15AB/23AB over
-    Phi_order, its numerator tuple verified palindromic of degree
-    phi(order) - 2, with integral expansion."""
-    order = int("".join(ch for ch in label if ch.isdigit()))
+    Phi_order (the M23 class's element order), its numerator tuple verified
+    palindromic of degree phi(order) - 2, with integral expansion."""
     num = CHOSEN_FORM_NUMERATORS[label]
+    order = {c.label: c.order for c in class_data("M23").classes}[label]
     phi = euler_phi(order)
     if num != num[::-1] or len(num) != phi - 1:
         raise ValueError(f"{label}: numerator fails the shape constraints")
@@ -155,6 +159,26 @@ def build_lattice_report(mukai_tables, m24_table, m23_table, co0_table,
         Kp_equals_N=Kp == N,
         Kdp_index_in_N=Kdp.index_in(N) if N.contains_lattice(Kdp) else None,
     )
+
+
+# The published lattice suite: Z^8 / N and each N_i / N as invariant factors.
+M_OVER_N = "2 x 4 x 24 x 40320"
+NI_OVER_N = ("4 x 12 x 480", "4 x 4 x 672", "2 x 4 x 672", "12 x 168",
+             "3 x 420", "2 x 280", "2 x 840", "2 x 840", "2 x 4 x 1120",
+             "4 x 4 x 3360", "2 x 1680")
+
+
+def compare_with_published(report: LatticeReport) -> tuple:
+    """(four_ok, triples_reaching, failure): the sufficiency scan, and the
+    first check that fails against the published suite, in criterion 8's
+    order and words (M/N, N_i/N, K, K', the scan), or None."""
+    four, triples = sufficiency_scan(list(report.N_i), report.N)
+    checks = [("M/N", str(report.M_over_N) == M_OVER_N)]
+    checks += [(f"N_{i + 1}/N", str(q) == want) for i, (q, want)
+               in enumerate(zip(report.Ni_over_N, NI_OVER_N))]
+    checks += [("K != N", report.K_equals_N), ("K' != N", report.Kp_equals_N),
+               ("sufficiency scan", all(four.values()) and not triples)]
+    return four, triples, next((name for name, ok in checks if not ok), None)
 
 
 def sufficiency_scan(lattices, N: IntegerLattice):

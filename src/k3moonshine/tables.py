@@ -21,6 +21,7 @@ from operator import mul
 from .chartab import (
     CharacterTable, CharacterEntry, ClassEntry, TableFormatError,
 )
+from .genus import CLASS_ORDER, SYMPLECTIC_CLASSES as SYMPLECTIC_M23_LABELS
 from .mill import class_data, exterior_powers, mill_rational_table
 from .mukai import MUKAI_GROUPS, mukai_table
 from .lattice import hnf_basis
@@ -28,11 +29,15 @@ from .lattice import hnf_basis
 __all__ = [
     "data_dir", "load_m23", "load_m24", "load_mukai", "load_co0_restricted",
     "validate_co0_restricted", "fixture_lattice_report", "generate_all",
-    "SYMPLECTIC_M24_LABELS", "SYMPLECTIC_M23_LABELS", "CO0_ORDER",
+    "SYMPLECTIC_M24_LABELS", "SYMPLECTIC_M23_LABELS", "M24_LABEL",
+    "CO0_ORDER",
 ]
 
-SYMPLECTIC_M24_LABELS = ("1A", "2A", "3A", "4B", "5A", "6A", "7AB", "8A")
-SYMPLECTIC_M23_LABELS = ("1A", "2A", "3A", "4A", "5A", "6A", "7AB", "8A")
+# Classes carry M23 labels (``genus``, ``mckay``); M24 calls the symplectic
+# 4A its 4B and ``mckay``'s 4A-M24 its 4A, and every other label as is.
+M24_LABEL = {"4A": "4B", "4A-M24": "4A"}
+SYMPLECTIC_M24_LABELS = tuple(M24_LABEL.get(lab, lab)
+                              for lab in SYMPLECTIC_M23_LABELS)
 CO0_CLASS_LABELS = ("1A+", "2A+", "3B+", "4C+", "5B+", "6E+", "7B+", "8E+")
 CO0_ORDER = 8315553613086720000
 
@@ -143,7 +148,7 @@ def validate_co0_restricted(table: CharacterTable) -> CharacterTable:
 def _co0_to_table() -> CharacterTable:
     rows = co0_restricted_rows()
     classes = [ClassEntry(lab, order, 0, 1)
-               for lab, order in zip(CO0_CLASS_LABELS, (1, 2, 3, 4, 5, 6, 7, 8))]
+               for lab, order in zip(CO0_CLASS_LABELS, CLASS_ORDER.values())]
     chars = [CharacterEntry(f"gen{i}", 1, r[0], r) for i, r in enumerate(rows)]
     return validate_co0_restricted(
         CharacterTable("Co0", CO0_ORDER, classes, chars))

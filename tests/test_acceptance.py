@@ -16,6 +16,8 @@ published number; it does not claim that this lattice is the paper's K''.
 ``check_8_lattices`` still reports the published 2 as not reproduced.
 """
 
+import contextlib
+import io
 import json
 import os
 import random
@@ -370,19 +372,60 @@ def test_criterion_8_lattice_suite_without_conway_index():
     from k3moonshine.tables import (load_m23, load_m24, load_mukai,
                                     SYMPLECTIC_M23_LABELS,
                                     SYMPLECTIC_M24_LABELS)
-    from k3moonshine.replattice import (restricted_lattice, mukai_lattice_N,
-                                        sufficiency_scan)
+    from k3moonshine.replattice import (NI_OVER_N, restricted_lattice,
+                                        mukai_lattice_N, sufficiency_scan)
     from k3moonshine.lattice import IntegerLattice, snf_quotient
     tables = [load_mukai(i) for i in range(1, 12)]
     N, lattices = mukai_lattice_N(tables)
     assert str(snf_quotient(N, IntegerLattice.full(8))) == "2 x 4 x 24 x 40320"
     for i, lat in enumerate(lattices):
-        assert str(snf_quotient(N, lat)) == acc.NI_OVER_N[i], f"N_{i+1}"
+        assert str(snf_quotient(N, lat)) == NI_OVER_N[i], f"N_{i+1}"
     assert restricted_lattice(load_m24(), SYMPLECTIC_M24_LABELS) == N
     assert restricted_lattice(load_m23(), SYMPLECTIC_M23_LABELS) == N
     four, triples = sufficiency_scan(lattices, N)
     assert all(four.values()) and len(four) == 3
     assert triples == []
+
+
+@pytest.mark.parametrize("k", [1, 7, 11])
+def test_one_published_quotient_decides_criterion_8_and_lattice_check(
+        k, monkeypatch):
+    # criterion 8 and lattice-check read one comparison, so a wrong
+    # published N_k/N fails both (lattice-check exits 1, with its bytes)
+    from k3moonshine import replattice
+    from k3moonshine.cli import main
+    wrong = list(replattice.NI_OVER_N)
+    wrong[k - 1] = "2 x " + wrong[k - 1]
+    monkeypatch.setattr(replattice, "NI_OVER_N", tuple(wrong))
+    assert acc.check_8_lattices() == (False, f"N_{k}/N")
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                           "goldens", "cli.json")) as fh:
+        want = json.load(fh)["lattice-check"]["stdout"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["lattice-check"]) == 1
+    assert out.getvalue() == want
+
+
+def test_published_lattice_checks_run_in_criterion_8s_order(monkeypatch):
+    from k3moonshine import replattice
+    from k3moonshine.tables import fixture_lattice_report
+    rep = fixture_lattice_report()
+    assert replattice.compare_with_published(rep)[2] is None
+    monkeypatch.setattr(replattice, "NI_OVER_N", ("1",) * 11)
+    assert replattice.compare_with_published(rep)[2] == "N_1/N"
+    monkeypatch.setattr(replattice, "M_OVER_N", "1")
+    assert replattice.compare_with_published(rep)[2] == "M/N"
+    monkeypatch.undo()
+    monkeypatch.setattr(replattice, "sufficiency_scan",
+                        lambda lattices, N: ({(1, 2, 5, 6): False}, []))
+    assert replattice.compare_with_published(rep)[2] == "sufficiency scan"
+    fields = {name: getattr(rep, name) for name in rep.__slots__}
+    for field, detail in (("Kp_equals_N", "K' != N"),
+                          ("K_equals_N", "K != N")):
+        fields[field] = False
+        assert replattice.compare_with_published(
+            replattice.LatticeReport(**fields))[2] == detail
 
 
 def _det_one_plus_tp(cycle_type):

@@ -363,6 +363,65 @@ def test_csv_format():
     assert lines[1] == "0,2"
 
 
+def test_csv_of_a_report_without_a_table_writes_its_fields():
+    # the verdict is not lost: each field is a key,value line
+    status, out = run(["--format", "csv", "moonshine-verify", "--class", "3A",
+                       "--q-order", "2"])
+    assert status == 0
+    assert out == ("title,twining genus versus McKay-Thompson prediction\n"
+                   "class,3A\nagree,True\nfirst_mismatch,none\n")
+    buf = io.StringIO()
+    emit({"title": "t", "columns": ["a"], "rows": [[1]], "extra": 2}, "csv",
+         buf)
+    assert buf.getvalue() == "a\n1\n"     # a table keeps its bytes
+
+
+@pytest.mark.parametrize("fmt", [[], ["--format", "json"]],
+                         ids=["text", "json"])
+def test_verify_all_runs_each_check_once(fmt, monkeypatch):
+    from k3moonshine import acceptance
+    calls = []
+
+    def check(n):
+        def fn(**_):
+            calls.append(n)
+            return n != 2, f"check {n}"
+        return fn
+
+    monkeypatch.setattr(acceptance, "CHECKS",
+                        tuple((f"{n} check", check(n)) for n in (1, 2, 3)))
+    status, out = run([*fmt, "verify-all"])
+    assert status == 1
+    assert calls == [1, 2, 3]
+    if fmt:
+        assert [c["status"] for c in json.loads(out)["criteria"]] == \
+            ["PASS", "FAIL", "PASS"]
+    else:
+        assert [ln.split("]")[0] for ln in out.splitlines()] == \
+            ["[PASS", "[FAIL", "[PASS"]
+
+
+def test_audited_classes_are_one_tuple(monkeypatch):
+    # audit-integrality's rows and criterion 10's loop both follow
+    # mckay.AUDITED_CLASSES and read their series through symmetric_traces
+    from k3moonshine import acceptance, mckay
+    monkeypatch.setattr(mckay, "AUDITED_CLASSES", ("15AB", "11A"))
+    read = []
+    series = mckay.symmetric_traces
+
+    def recording(label, t_order):
+        read.append((label, t_order))
+        return series(label, t_order)
+
+    monkeypatch.setattr(mckay, "symmetric_traces", recording)
+    report = _report(["audit-integrality", "--t-order", "5"])
+    assert [row[0] for row in report["rows"]] == ["15AB", "11A"]
+    assert read == [("15AB", 5), ("11A", 5)]
+    read.clear()
+    assert acceptance.check_10_audit()[0]
+    assert read == [("15AB", 6), ("11A", 6), ("2B", 20), ("4A-M24", 20)]
+
+
 def test_emit_empty_report():
     buf = io.StringIO()
     emit({"title": "empty", "columns": [], "rows": []}, "text", buf)

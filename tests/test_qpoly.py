@@ -149,6 +149,30 @@ def test_pole_coefficient():
     assert f.pole_coefficient(Fraction(1), 4) == 5
 
 
+@pytest.mark.parametrize("at, order, error", [
+    (1.0, 4, TypeError), (1, 4.0, TypeError), (1, True, TypeError),
+    (1, Fraction(4), TypeError), (1, -1, ValueError)])
+def test_pole_coefficient_refuses_a_float_point_and_a_bad_order(
+        at, order, error):
+    # each of these read as -24, the coefficient at (1, 4), or failed late
+    r = RationalFunction((2, -28, 2), {1: 4})
+    assert r.pole_coefficient(1, 4) == -24
+    with pytest.raises(error):
+        r.pole_coefficient(at, order)
+
+
+def test_linear_combinations_refuses_a_short_row_and_a_float_weight():
+    r = RationalFunction((2, -28, 2), {1: 4})
+    with pytest.raises(ValueError, match="1 weights for 2 forms"):
+        linear_combinations([r, r], [(1,)])
+    with pytest.raises(ValueError, match="3 weights for 2 forms"):
+        linear_combinations([r, r], [(1, 1, 1)])
+    with pytest.raises(TypeError):
+        linear_combinations([r, r], [(1, 0.5)])
+    assert linear_combinations([r, r], [(1, Fraction(1, 2))]) == \
+        [r * Fraction(3, 2)]
+
+
 @pytest.mark.parametrize("den", [(2, 1), (1, 2), (1, 0, 1, 1),
                                  tuple(_int_mul(_cyclotomic_coeffs(5), (1, 3)))])
 def test_non_cyclotomic_denominator_is_rejected(den):

@@ -9,6 +9,7 @@ from gcd_oracle import m_chi_by_gcd
 from route_oracle import intersect, order_lattice_by_kernel
 from k3moonshine.chartab import CharacterTable, ClassEntry
 from k3moonshine.lattice import IntegerLattice, snf_quotient
+from k3moonshine.mill import class_data
 from k3moonshine.genus import rational_form, SYMPLECTIC_CLASSES
 from k3moonshine.qpoly import RationalFunction
 from k3moonshine.replattice import (
@@ -418,3 +419,28 @@ def test_solve_virtual_m24_chi_of_structure_sheaf():
     # chi(g; X, O) = 2 for every class: the constant vector lies in K
     res = solve_virtual_m24((2,) * 8, load_m24(), SYMPLECTIC_M24_LABELS)
     assert res.solved
+
+
+def test_symplectic_labels_are_stated_once():
+    # one tuple of the eight classes; M24's labels are the relabel map's
+    from k3moonshine import genus, mckay, tables
+    assert tables.SYMPLECTIC_M23_LABELS is genus.SYMPLECTIC_CLASSES
+    assert mckay.GEOMETRIC_CLASSES is genus.SYMPLECTIC_CLASSES
+    assert SYMPLECTIC_M24_LABELS == tuple(
+        tables.M24_LABEL.get(lab, lab) for lab in SYMPLECTIC_CLASSES)
+    assert SYMPLECTIC_M24_LABELS == \
+        ("1A", "2A", "3A", "4B", "5A", "6A", "7AB", "8A")
+    # the relabelled classes have the orders of the classes they name
+    m24 = {c.label: c.order for c in class_data("M24").classes}
+    for label in mckay.GEOMETRIC_CLASSES + mckay.MOONSHINE_CLASSES:
+        order = m24[tables.M24_LABEL.get(label, label)]
+        assert mckay.CLASS_LEVEL[label] % order == 0, label
+    assert [m24[lab] for lab in SYMPLECTIC_M24_LABELS] == list(range(1, 9))
+
+
+def test_chosen_forms_read_the_order_from_the_m23_class_data():
+    from k3moonshine.qpoly import _cyclotomic_coeffs
+    m23 = {c.label: c.order for c in class_data("M23").classes}
+    for label in ("11AB", "14AB", "15AB", "23AB"):
+        assert chosen_rational_form(label).den == \
+            _cyclotomic_coeffs(m23[label]), label
