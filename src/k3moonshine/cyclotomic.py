@@ -11,19 +11,20 @@ one common denominator, and each output coordinate is divided once by
 the product of the denominators (``exact_quotient``).  ``inverse`` stays
 on ints as well: it multiplies the Galois conjugates sigma_a(x), a != 1,
 on integer coordinates and divides once by the norm, the rational
-x * prod sigma_a(x).  Phi_n's integer coefficients, Euler's phi and the
-canonical-rational rule come from ``qpoly``; this module keeps no
-polynomial code.
+x * prod sigma_a(x).  Phi_n's integer coefficients and every scalar
+rule (Euler's phi, ``canonical_rational``, ``exact_quotient``) come from
+``qpoly``; this module keeps no polynomial code.
 
 No route of the library computes in Q(zeta_n): the genera read the
 traces of ``genus._traces`` instead.  The class is the exact field the
-tests check those routes against, and ``TruncatedSeries`` takes its
-elements as coefficients.
+tests check those routes against; of the library only ``series`` imports
+it, as ``TruncatedSeries`` takes its elements as coefficients.
 
 Every operation works in one field: operands with different conductors
-raise ``DomainError``.  Rationals embed into any field, and ``==`` compares
-two rational elements by value whatever their conductors (so it agrees
-with ``__hash__``); with an irrational operand it raises too.
+raise ``DomainError``, which nothing outside this field raises.
+Rationals embed into any field, and ``==`` compares two rational
+elements by value whatever their conductors (so it agrees with
+``__hash__``); with an irrational operand it raises too.
 """
 
 from __future__ import annotations
@@ -34,49 +35,13 @@ from math import gcd
 
 from .qpoly import (
     _cyclotomic_coeffs, _int_mul, _over_common_denominator,
-    canonical_rational, euler_phi,
+    canonical_rational, euler_phi, exact_quotient, require_int,
 )
 
-__all__ = [
-    "CyclotomicNumber",
-    "DomainError",
-    "zeta",
-    "euler_phi",
-    "moebius",
-    "canonical_rational",
-    "exact_quotient",
-]
+__all__ = ["CyclotomicNumber", "DomainError", "zeta"]
 
 class DomainError(ValueError):
     """Incompatible coefficient domains (e.g. two different conductors)."""
-
-
-def exact_quotient(a, b):
-    """a / b exactly, in canonical form; never a float.
-
-    One int divided by another is an ``int`` when the division is even and
-    a ``Fraction`` when it is not; any other operands divide by their own
-    ``/`` (Fraction or cyclotomic arithmetic).
-    """
-    if type(a) is int and type(b) is int:
-        q, r = divmod(a, b)
-        return Fraction(a, b) if r else q
-    q = a / b
-    return q if type(q) is CyclotomicNumber else canonical_rational(q)
-
-
-def moebius(n: int) -> int:
-    result, m, p = 1, n, 2
-    while p * p <= m:
-        if m % p == 0:
-            m //= p
-            if m % p == 0:
-                return 0
-            result = -result
-        p += 1
-    if m > 1:
-        result = -result
-    return result
 
 
 @lru_cache(maxsize=None)
@@ -231,8 +196,8 @@ class CyclotomicNumber:
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-            return CyclotomicNumber(self.n, [x / f for x in self.c])
+            return CyclotomicNumber(
+                self.n, [exact_quotient(x, other) for x in self.c])
         if isinstance(other, CyclotomicNumber):
             return self * other.inverse()
         return NotImplemented
@@ -299,4 +264,4 @@ def _combine(rows, weights, phi: int) -> list:
 
 def zeta(n: int, k: int = 1) -> CyclotomicNumber:
     """The root of unity zeta_n^k as an exact cyclotomic number."""
-    return CyclotomicNumber.zeta_power(n, k)
+    return CyclotomicNumber.zeta_power(n, require_int("k", k))

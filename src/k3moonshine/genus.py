@@ -40,10 +40,11 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .chartab import format_rational
-from .cyclotomic import euler_phi, moebius
-from .qpoly import RationalFunction, reconstruct_rational
+from .qpoly import (
+    RationalFunction, euler_phi, exact_quotient, moebius, reconstruct_rational,
+)
 from .records import Record
-from .series import NotInSpanError, TruncatedSeries, exact_quotient
+from .series import NotInSpanError, TruncatedSeries
 from .modforms import (
     euler_specialization, index_one_form, jacobi_form_columns,
     weak_jacobi_columns, weak_jacobi_phi,

@@ -34,9 +34,8 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 
-from .cyclotomic import canonical_rational
-from .qpoly import _over_common_denominator
-from .series import TruncatedSeries, exact_quotient
+from .qpoly import _over_common_denominator, canonical_rational, exact_quotient
+from .series import TruncatedSeries
 from .modforms import (
     eisenstein_e2, eta_power, eta_scaled, index_one_form, jacobi_form_columns,
 )

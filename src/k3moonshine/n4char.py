@@ -45,12 +45,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .cyclotomic import canonical_rational
-from .qpoly import _over_common_denominator
-from .series import (
-    InsufficientPrecisionError, NotInSpanError, TruncatedSeries,
-    exact_quotient,
+from .qpoly import (
+    _over_common_denominator, canonical_rational, exact_quotient, require_int,
 )
+from .series import InsufficientPrecisionError, NotInSpanError, TruncatedSeries
 from .modforms import eisenstein_e2, eta_power, jacobi_theta
 from .genus import chi_sym_power, expand_product
 from .records import Record
@@ -438,6 +436,7 @@ def twining_truncation(tmax: int) -> int:
     """The least genus trunc24 = 24 m for A_0 .. A_(tmax - 1): the flow back
     from q^0, whose y-envelope costs 6 m + 18, reaches
     ``decomposition_truncation(tmax)``."""
+    require_int("tmax", tmax, 0)
     return 24 * -(-(decomposition_truncation(tmax) + 18) // 18)
 
 
@@ -504,8 +503,10 @@ def twining_to_symtraces(a, f: TruncatedSeries, tmax: int) -> list:
     each d's sum from its multiples, and each beta_d is one exact division
     by d D: integrality is not assumed.  f must start at q^0 or later, or
     ValueError, and reach 24 max(tmax, 1) - 23, or
-    InsufficientPrecisionError.
+    InsufficientPrecisionError; ``a`` is exact and ``tmax`` an int >= 0.
     """
+    a = canonical_rational(a, "a")
+    require_int("tmax", tmax, 0)
     if f.terms and f.min_q24 < 0:
         raise ValueError("f must start at q^0 or later")
     n = max(tmax, 1)

@@ -2,11 +2,11 @@
 
 Used for the symmetric-power generating series chi(X, S_t T), the
 per-class rational forms r_g(t) and the multiplicity functions m_chi(t).
-The cyclotomic fields read only Phi_n's integer coefficients
-(``_cyclotomic_coeffs``), Euler's phi and the two rules of exact
-rationals from here: ``canonical_rational`` (an int exactly when
-integral) and ``_over_common_denominator`` (rationals as ints over one
-denominator), which every layer above uses.
+The exact scalar rules are defined here alone, and every layer imports
+them from here: ``canonical_rational`` (an int exactly when integral),
+``exact_quotient`` (a / b in that form, never a float),
+``_over_common_denominator`` (rationals as ints over one denominator),
+``require_int`` (an int, not a bool), ``euler_phi`` and ``moebius``.
 
 Every r_g(t) is a Molien-type series whose denominator is a product of
 cyclotomic polynomials, and ``RationalFunction`` supports only such
@@ -41,7 +41,7 @@ from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from numbers import Rational
+from numbers import Number, Rational
 
 __all__ = ["RationalFunction", "euler_phi", "linear_combinations"]
 
@@ -61,6 +61,20 @@ def euler_phi(n: int) -> int:
         p += 1
     if m > 1:
         result *= m - 1
+    return result
+
+
+def moebius(n: int) -> int:
+    result, m, p = 1, n, 2
+    while p * p <= m:
+        if m % p == 0:
+            m //= p
+            if m % p == 0:
+                return 0
+            result = -result
+        p += 1
+    if m > 1:
+        result = -result
     return result
 
 
@@ -126,11 +140,12 @@ def _product_coeffs(exps) -> list[int]:
     return out
 
 
-def canonical_rational(x):
+def canonical_rational(x, name: str = ""):
     """The exact rational ``x`` as an ``int`` when integral, else a Fraction.
 
-    Raises TypeError for anything that is not an exact rational, floats
-    included, so an inexact value fails loudly instead of rounding.
+    Raises TypeError, naming the argument ``name`` if given, for anything
+    that is not an exact rational, floats included, so an inexact value
+    fails loudly instead of rounding.
     """
     if type(x) is int:
         return x
@@ -138,7 +153,29 @@ def canonical_rational(x):
         return x.numerator if x.denominator == 1 else x
     if isinstance(x, Rational):
         return canonical_rational(Fraction(x))
-    raise TypeError(f"exact rational expected, got {type(x).__name__} {x!r}")
+    raise TypeError(f"exact rational expected{name and ' for ' + name}, "
+                    f"got {type(x).__name__} {x!r}")
+
+
+def require_int(name: str, value, least=None) -> int:
+    """``value`` if it is an ``int`` (not a ``bool``) and not below
+    ``least``; else TypeError, or ValueError, naming the argument."""
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an int, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return value
+
+
+def exact_quotient(a, b):
+    """a / b exactly, never a float: an int or a Fraction for two ints, a
+    numeric quotient through ``canonical_rational`` and any other one (in
+    the tests' cyclotomic field) as it is."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    q = a / b
+    return canonical_rational(q) if isinstance(q, Number) else q
 
 
 def _over_common_denominator(coords) -> tuple[list, int]:
@@ -310,10 +347,7 @@ class RationalFunction:
         ``order`` is an int >= 0 (order 0 reads the value at a non-pole).
         """
         x = canonical_rational(at)
-        if type(order) is not int:
-            raise TypeError(f"pole order must be an int, got {order!r}")
-        if order < 0:
-            raise ValueError(f"pole order must be nonnegative, got {order}")
+        require_int("pole order", order, 0)
         d = {1: 1, -1: 2}.get(x)
         exps = dict(self._e)
         if order > exps.get(d, 0):

@@ -22,13 +22,15 @@ from itertools import combinations
 from math import lcm
 
 from .chartab import CharacterTable
-from .cyclotomic import canonical_rational, exact_quotient
 from .lattice import (
     IntegerLattice, congruence_lattice, hnf_basis, snf_quotient,
     solve_in_lattice, SolveResult,
 )
 from .mill import class_data
-from .qpoly import RationalFunction, euler_phi, linear_combinations
+from .qpoly import (
+    RationalFunction, canonical_rational, euler_phi, exact_quotient,
+    linear_combinations,
+)
 from .records import Record
 
 __all__ = [

@@ -14,12 +14,14 @@ constructor enforces the form in one pass over the values and raises
 have one code path: Python's numeric tower runs them on ints for the
 integral series the paper computes, and on Fractions or cyclotomic
 numbers only where those occur.  Every division of coefficients goes
-through ``exact_quotient``, which never returns a float.  Exact division
-takes a divisor whose lowest q-slice is one term c y^a (eta^3, theta3
-and phi_{-2,1}'s y^0 column, lead 2, are the divisors the library has)
-and divides each quotient coefficient by c alone, so an integral divisor
-with a non-unit lead keeps the remainders integral wherever the quotient
-is.
+through ``qpoly.exact_quotient`` (``divide_scalar`` for a whole series),
+which never returns a float, and ``substitute_y_sign`` raises
+``ValueError`` on a half-integral y-power.  Exact division takes a
+divisor whose lowest q-slice is one term c y^a (eta^3, theta3 and
+phi_{-2,1}'s y^0 column, lead 2, are the divisors the library has) and
+divides each quotient coefficient by c alone, so an integral divisor
+with a non-unit lead keeps the remainders integral wherever the
+quotient is.
 Rationals embed into any cyclotomic field on demand.  Every series
 carries a truncation order: all stored q-exponents are strictly below
 it, and arithmetic propagates the guaranteed-valid truncation.
@@ -30,16 +32,11 @@ from __future__ import annotations
 from fractions import Fraction
 from types import MappingProxyType
 
-from .cyclotomic import (
-    CyclotomicNumber, DomainError, canonical_rational, exact_quotient,
-)
+from .cyclotomic import CyclotomicNumber
+from .qpoly import canonical_rational, exact_quotient, require_int
 
 __all__ = [
-    "TruncatedSeries",
-    "InsufficientPrecisionError",
-    "NotInSpanError",
-    "INF24",
-    "exact_quotient",
+    "TruncatedSeries", "InsufficientPrecisionError", "NotInSpanError", "INF24",
 ]
 
 # Sentinel truncation for exactly-known series (constants, monomials).
@@ -67,16 +64,24 @@ class TruncatedSeries:
     without aliasing bugs.  With ``_clean`` the caller hands over a dict of
     nonzero terms below ``trunc24`` that it built for this series and no
     longer touches; its values are brought to canonical form in place.
+    ``trunc24``, and each key's parts without ``_clean``, must be ints.
     """
 
     __slots__ = ("terms", "trunc24")
 
     def __init__(self, terms: dict, trunc24: int, *, _clean: bool = False):
+        require_int("trunc24", trunc24)
         if not _clean:
-            terms = {k: v for k, v in terms.items() if k[0] < trunc24 and v}
+            kept = {}
+            for (q24, y2), v in terms.items():
+                if type(q24) is not int or type(y2) is not int:
+                    raise TypeError(f"series key {q24, y2} is not two ints")
+                if q24 < trunc24 and v:
+                    kept[q24, y2] = v
+            terms = kept
         for k, v in terms.items():
-            if type(v) is not int:
-                terms[k] = _canonical(v)
+            if type(v) is not int and type(v) is not CyclotomicNumber:
+                terms[k] = canonical_rational(v)
         object.__setattr__(self, "terms", MappingProxyType(terms))
         object.__setattr__(self, "trunc24", trunc24)
 
@@ -336,7 +341,7 @@ class TruncatedSeries:
         out = {}
         for (q24, y2), c in self.terms.items():
             if y2 % 2:
-                raise DomainError("cannot flip sign of half-integral y-power")
+                raise ValueError("cannot flip sign of half-integral y-power")
             out[(q24, y2)] = -c if (y2 // 2) % 2 else c
         return TruncatedSeries(out, self.trunc24, _clean=True)
 
@@ -361,11 +366,8 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         t = min(self.trunc24, other.trunc24)
-        a = {k: v for k, v in self.terms.items() if k[0] < t}
-        b = {k: v for k, v in other.terms.items() if k[0] < t}
-        if set(a) != set(b):
-            return False
-        return not any(a[k] - b[k] for k in a)
+        return ({k: v for k, v in self.terms.items() if k[0] < t}
+                == {k: v for k, v in other.terms.items() if k[0] < t})
 
     __hash__ = None
 
@@ -384,13 +386,6 @@ class TruncatedSeries:
         more = "" if len(self.terms) <= 8 else f" + ... ({len(self.terms)} terms)"
         tail = f" + O(q^{Fraction(self.trunc24, 24)})" if self.trunc24 < INF24 else ""
         return " + ".join(parts) + more + tail
-
-
-def _canonical(v):
-    """A coefficient in canonical form (see the module docstring)."""
-    if type(v) is CyclotomicNumber:
-        return v
-    return canonical_rational(v)
 
 
 def _to_units(x, scale: int, name: str) -> int:

@@ -9,7 +9,8 @@ one-term lowest slice, where this recurrence reduces to its own, and the
 tests compare the two term by term.
 """
 
-from k3moonshine.series import NotInSpanError, TruncatedSeries, exact_quotient
+from k3moonshine.qpoly import exact_quotient
+from k3moonshine.series import NotInSpanError, TruncatedSeries
 
 
 def _grouped(s):

@@ -102,11 +102,10 @@ from functools import lru_cache, partial
 from math import gcd, lcm
 
 from k3moonshine.chartab import format_rational
-from k3moonshine.cyclotomic import CyclotomicNumber, canonical_rational, zeta
+from k3moonshine.cyclotomic import CyclotomicNumber, zeta
 from k3moonshine.genus import (
     CLASS_ORDER, FIXED_POINT_EIGENVALUES, UNIT_SUM_WEIGHTS, MoonshineReport,
-    _columns, chi_sym_power, elliptic_genus, euler_phi, expand_product,
-    fixed_point_count,
+    _columns, chi_sym_power, elliptic_genus, expand_product, fixed_point_count,
 )
 from k3moonshine.lattice import (
     IntegerLattice, _integer_vector, _xgcd, hermite_normal_form, hnf_basis,
@@ -128,11 +127,11 @@ from k3moonshine.n4char import (
 )
 from k3moonshine.qpoly import (
     RationalFunction, _canonical, _cyclotomic_coeffs, _horner, _int_divexact,
-    _int_mul, _over_common_denominator, _product_coeffs,
+    _int_mul, _over_common_denominator, _product_coeffs, canonical_rational,
+    euler_phi, exact_quotient,
 )
 from k3moonshine.series import (
     InsufficientPrecisionError, NotInSpanError, TruncatedSeries,
-    exact_quotient,
 )
 from division_oracle import divide_by_slices
 from series_tools import (

@@ -24,8 +24,9 @@ computed series and numbers:
 from math import comb, gcd
 
 from k3moonshine.cyclotomic import CyclotomicNumber, DomainError, zeta
+from k3moonshine.qpoly import exact_quotient
 from k3moonshine.series import (
-    INF24, InsufficientPrecisionError, TruncatedSeries, exact_quotient,
+    INF24, InsufficientPrecisionError, TruncatedSeries,
 )
 
 

@@ -29,7 +29,7 @@ from math import gcd, prod
 import pytest
 
 from k3moonshine import acceptance as acc
-from k3moonshine.cyclotomic import euler_phi
+from k3moonshine.qpoly import euler_phi
 from canonical import is_canonical
 
 

@@ -4,11 +4,9 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from k3moonshine.cyclotomic import (
-    CyclotomicNumber, DomainError, euler_phi, moebius, zeta,
-)
+from k3moonshine.cyclotomic import CyclotomicNumber, DomainError, zeta
 from k3moonshine.genus import _traces
-from k3moonshine.qpoly import _cyclotomic_coeffs
+from k3moonshine.qpoly import _cyclotomic_coeffs, euler_phi, moebius
 from canonical import is_canonical
 from gcd_oracle import Poly
 from series_tools import galois, trace

@@ -54,3 +54,62 @@ def test_scan_finds_an_unused_import():
 def test_no_unused_imports(path):
     with open(os.path.join(ROOT, path)) as fh:
         assert unused_imports(fh.read()) == []
+
+
+# -- one home for the exact scalar rules --------------------------------------
+
+PACKAGE = os.path.join(ROOT, "src", "k3moonshine")
+SCALAR_RULES = ("canonical_rational", "euler_phi", "exact_quotient",
+                "moebius", "require_int")
+
+
+def _package_modules() -> dict:
+    trees = {}
+    for name in sorted(os.listdir(PACKAGE)):
+        if name.endswith(".py"):
+            with open(os.path.join(PACKAGE, name)) as fh:
+                trees[name] = ast.parse(fh.read())
+    return trees
+
+
+def _imports_from(tree) -> list:
+    """(module, names) of each ``from`` import, relative ones resolved."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:
+                module = "k3moonshine." + module
+            found.append((module, [alias.name for alias in node.names]))
+        elif isinstance(node, ast.Import):
+            found += [(alias.name, []) for alias in node.names]
+    return found
+
+
+def test_only_series_imports_the_tests_field():
+    importers = {
+        name: names for name, tree in _package_modules().items()
+        for module, names in _imports_from(tree)
+        if module == "k3moonshine.cyclotomic"}
+    assert sorted(importers) == ["__init__.py", "series.py"]
+    assert importers["series.py"] == ["CyclotomicNumber"]
+
+
+def test_each_scalar_rule_has_one_home():
+    modules = _package_modules()
+    defined = {rule: sorted(
+        name for name, tree in modules.items() for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == rule)
+        for rule in SCALAR_RULES}
+    assert defined == {rule: ["qpoly.py"] for rule in SCALAR_RULES}
+    # imported from qpoly alone, so no other module re-exports one
+    for name, tree in modules.items():
+        for module, names in _imports_from(tree):
+            assert module == "k3moonshine.qpoly" or \
+                not set(names) & set(SCALAR_RULES), (name, module)
+    exact_quotient, = (
+        node for node in ast.walk(modules["qpoly.py"])
+        if isinstance(node, ast.FunctionDef) and node.name == "exact_quotient")
+    assert "CyclotomicNumber" not in {
+        node.id for node in ast.walk(exact_quotient)
+        if isinstance(node, ast.Name)}

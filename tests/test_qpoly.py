@@ -8,10 +8,14 @@ from hypothesis import given, settings, strategies as st
 
 from canonical import is_canonical
 from gcd_oracle import GcdRationalFunction, Poly
+from k3moonshine.cyclotomic import zeta
+from k3moonshine.n4char import twining_to_symtraces, twining_truncation
 from k3moonshine.qpoly import (
     RationalFunction, _cyclotomic_coeffs, _horner, _int_divexact, _int_mul,
     _phi_divides, _product_coeffs, linear_combinations, reconstruct_rational,
+    require_int,
 )
+from k3moonshine.series import TruncatedSeries
 
 
 def test_cyclotomic_polys():
@@ -159,6 +163,41 @@ def test_pole_coefficient_refuses_a_float_point_and_a_bad_order(
     assert r.pole_coefficient(1, 4) == -24
     with pytest.raises(error):
         r.pole_coefficient(at, order)
+
+
+# each of these returned a value or failed deep inside
+_F = TruncatedSeries.zero(24 * 4)
+INTEGER_ARGUMENT_PROBES = {
+    "twining_truncation float": (lambda: twining_truncation(6.5), "tmax"),
+    "twining_truncation bool": (lambda: twining_truncation(True), "tmax"),
+    "twining_truncation negative": (lambda: twining_truncation(-1), "tmax"),
+    "twining_to_symtraces float a": (
+        lambda: twining_to_symtraces(0.5, _F, 3), "for a,"),
+    "twining_to_symtraces float tmax": (
+        lambda: twining_to_symtraces(1, _F, 3.0), "tmax"),
+    "twining_to_symtraces bool tmax": (
+        lambda: twining_to_symtraces(1, _F, True), "tmax"),
+    "twining_to_symtraces negative tmax": (
+        lambda: twining_to_symtraces(1, _F, -1), "tmax"),
+    "zeta float k": (lambda: zeta(4, 1.0), "k"),
+    "zeta bool k": (lambda: zeta(4, True), "k"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INTEGER_ARGUMENT_PROBES))
+def test_an_integer_argument_is_an_int(name):
+    probe, argument = INTEGER_ARGUMENT_PROBES[name]
+    with pytest.raises((TypeError, ValueError), match=re.escape(argument)):
+        probe()
+
+
+def test_the_integer_argument_rule():
+    assert require_int("n", 3) == 3 and require_int("n", -3) == -3
+    for value in (True, 3.0, Fraction(3), "3", None):
+        with pytest.raises(TypeError,
+                           match=re.escape(f"n must be an int, got {value!r}")):
+            require_int("n", value)
+    assert twining_truncation(0) == 48 and zeta(4, 5) == zeta(4)
 
 
 def test_linear_combinations_refuses_a_short_row_and_a_float_weight():

@@ -55,10 +55,11 @@ from k3moonshine.n4char import (
     ch_vn_closed, ch_vn_h_form, decompose_into_n4, decomposition_truncation,
     g_series, g_sum, h_series, mathieu_h, polar_part, ramond_basis_character, twining_to_symtraces, twining_truncation,
 )
-from k3moonshine.qpoly import RationalFunction, linear_combinations
+from k3moonshine.qpoly import (
+    RationalFunction, exact_quotient, linear_combinations,
+)
 from k3moonshine.series import (
     InsufficientPrecisionError, NotInSpanError, TruncatedSeries,
-    exact_quotient,
 )
 from route_oracle import (
     chern_root_elliptic_genus_z_graded, chi_symt_per_pair,

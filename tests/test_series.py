@@ -5,18 +5,23 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from k3moonshine.cyclotomic import CyclotomicNumber, euler_phi, zeta
-from k3moonshine.modforms import euler_specialization, jacobi_theta
+from k3moonshine.cyclotomic import CyclotomicNumber, zeta
+from k3moonshine.genus import elliptic_genus
+from k3moonshine.modforms import (
+    eta_power, euler_specialization, jacobi_theta, weak_jacobi_phi,
+)
+from k3moonshine.n4char import h_series
+from k3moonshine.qpoly import euler_phi, exact_quotient
 from k3moonshine.series import (
     INF24,
     InsufficientPrecisionError,
     NotInSpanError,
     TruncatedSeries,
-    exact_quotient,
 )
 from canonical import all_canonical
 from division_oracle import divide_by_slices
 from series_tools import binomial_factor, geometric_factor, substitute_y_value
+from test_caches import _cached_builders
 
 T = TruncatedSeries
 
@@ -262,6 +267,45 @@ def test_float_coefficient_is_rejected():
         geometric_factor(0.5, 24, 0, 3 * 24)
     with pytest.raises(TypeError):
         T.const(1, 2 * 24) * 0.5
+
+
+# each of these returned a series with a float, bool or Fraction trunc24,
+# kept a float key, or failed deep inside
+TRUNCATION_PROBES = {
+    "float trunc24": lambda: T({(0, 0): 1}, 24.5),
+    "float key": lambda: T({(0.0, 0): 1}, 24),
+    "elliptic_genus float": lambda: elliptic_genus(216.0),
+    "weak_jacobi_phi float": lambda: weak_jacobi_phi(0, 72.0),
+    "eta_power bool": lambda: eta_power(3, True),
+    "h_series bool": lambda: h_series(2, True),
+    "elliptic_genus Fraction": lambda: elliptic_genus(Fraction(49, 2)),
+    "jacobi_theta float": lambda: jacobi_theta(3, 24.5),
+}
+
+
+@pytest.fixture
+def cold_builders():
+    # a memoized builder serves an equal key's series before any check
+    # (72.0 == 72 and True == 1 hash alike), so each probe starts cold and
+    # leaves nothing it built behind
+    for builder in _cached_builders().values():
+        builder.cache_clear()
+    yield
+    for builder in _cached_builders().values():
+        builder.cache_clear()
+
+
+@pytest.mark.parametrize("name", sorted(TRUNCATION_PROBES))
+def test_a_truncation_is_an_int(name, cold_builders):
+    with pytest.raises(TypeError, match=r"^(trunc24 must be an int|series key)"):
+        TRUNCATION_PROBES[name]()
+
+
+def test_y_sign_of_a_half_integral_power_is_a_value_error():
+    # a plain ValueError: the tests' field alone raises DomainError
+    with pytest.raises(ValueError, match="half-integral") as info:
+        T({(0, 1): 1}, 24).substitute_y_sign()
+    assert type(info.value) is ValueError
 
 
 # -- differential tests of the exact-division route ---------------------------
