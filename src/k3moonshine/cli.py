@@ -11,6 +11,10 @@ stderr.
 ``--format csv`` writes a table as its column and row lines, and a report
 without one as a key,value line per field.
 
+The command line is read in one pass over two tables, with no argparse:
+``GLOBAL_OPTIONS`` before the subcommand, and ``COMMANDS``, each
+subcommand's handler and options after it.
+
 ``n4-decompose`` and ``genus-decompose`` print N=4 multiplicities in
 closed form (Table 3's row N, minus the genus's from H); criterion 7 of
 ``verify-all`` checks a decomposition of the genus against H.
@@ -20,11 +24,11 @@ JSON object after all, and then the first exception is re-raised.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from fractions import Fraction
 from math import gcd
+from types import SimpleNamespace
 
 from .chartab import TableFormatError, format_rational
 from .genus import SYMPLECTIC_CLASSES
@@ -223,58 +227,214 @@ def cmd_verify_all(args):
     return None, (EXIT_OK if ok else EXIT_MISMATCH)
 
 
+class UsageError(Exception):
+    """A command line that the parser refuses (exit 2)."""
+
+
 def _positive(text: str) -> int:
     value = int(text)
     if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+        raise UsageError(f"must be positive, got {value}")
     return value
 
 
 def _nonnegative(text: str) -> int:
     value = int(text)
     if value < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+        raise UsageError(f"must be nonnegative, got {value}")
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="k3moonshine",
-        description="Exact computations for K3 elliptic genera, N=4 "
-                    "characters, and Mathieu-group character lattices")
-    p.add_argument("--data-dir", help="character-table fixture directory "
-                   "(also via K3MOONSHINE_DATA)")
-    p.add_argument("--format", choices=("json", "csv", "text"),
-                   default="text")
-    sub = p.add_subparsers(dest="command", required=True)
+# The command line: each subcommand's handler, by name, and its options as a
+# table flag -> (dest, converter, default).  A converter is a function of the
+# value's text, a tuple of the values allowed, or None for a switch that
+# takes no value; a default of _REQUIRED makes the flag required.  The
+# global options come before the subcommand.
+PROG = "k3moonshine"
+_REQUIRED = object()
+GLOBAL_OPTIONS = {
+    "--data-dir": ("data_dir", str, None),
+    "--format": ("format", ("json", "csv", "text"), "text"),
+}
+_CLASS = ("cls", SYMPLECTIC_CLASSES, _REQUIRED)
+COMMANDS = {
+    "ellgenus": ("cmd_ellgenus", {"--q-order": ("q_order", _positive, 6)}),
+    "equivariant": ("cmd_equivariant", {
+        "--q-order": ("q_order", _positive, 4), "--class": _CLASS}),
+    "symt": ("cmd_symt", {
+        "--terms": ("terms", _positive, 8), "--class": _CLASS,
+        "--rational": ("rational", None, False)}),
+    "n4-decompose": ("cmd_n4_decompose", {
+        "--n": ("n", _nonnegative, 0), "--q-order": ("q_order", _positive, 6),
+        "--sector": ("sector", ("NS", "R"), "NS")}),
+    "genus-decompose": ("cmd_genus_decompose", {
+        "--q-order": ("q_order", _positive, 5)}),
+    "lattice-check": ("cmd_lattice_check", {}),
+    "m23-table": ("cmd_m23_table", {"--t-order": ("t_order", _positive, 21)}),
+    "moonshine-verify": ("cmd_moonshine_verify", {
+        "--q-order": ("q_order", _positive, 5), "--class": _CLASS}),
+    "audit-integrality": ("cmd_audit_integrality", {
+        "--t-order": ("t_order", _positive, 6)}),
+    "verify-all": ("cmd_verify_all", {
+        "--q-order": ("q_order", _positive, 6),
+        "--t-order": ("t_order", _positive, 21)}),
+}
+DESCRIPTION = ("Exact computations for K3 elliptic genera, N=4 characters,\n"
+               "and Mathieu-group character lattices.  --data-dir names the\n"
+               "character-table fixture directory (also via K3MOONSHINE_DATA)."
+               "\n\ncommands (COMMAND -h lists the options of one):\n  "
+               + "\n  ".join(COMMANDS))
 
-    def add(name, fn, *options):
-        sp = sub.add_parser(name)
-        for flag, opts in options:
-            sp.add_argument(flag, **opts)
-        sp.set_defaults(func=fn)
 
-    def positive(flag, default):
-        return flag, dict(type=_positive, default=default,
-                          dest=flag[2:].replace("-", "_"))
+def _word(flag: str, dest: str, convert) -> str:
+    """The flag and its value as the usage line writes them."""
+    if convert is None:
+        return flag
+    if isinstance(convert, tuple):
+        return f"{flag} {{{','.join(convert)}}}"
+    return f"{flag} {dest.upper()}"
 
-    cls = ("--class", dict(dest="cls", required=True,
-                           choices=SYMPLECTIC_CLASSES))
-    add("ellgenus", cmd_ellgenus, positive("--q-order", 6))
-    add("equivariant", cmd_equivariant, positive("--q-order", 4), cls)
-    add("symt", cmd_symt, positive("--terms", 8), cls,
-        ("--rational", dict(action="store_true")))
-    add("n4-decompose", cmd_n4_decompose,
-        ("--n", dict(type=_nonnegative, default=0)), positive("--q-order", 6),
-        ("--sector", dict(choices=("NS", "R"), default="NS")))
-    add("genus-decompose", cmd_genus_decompose, positive("--q-order", 5))
-    add("lattice-check", cmd_lattice_check)
-    add("m23-table", cmd_m23_table, positive("--t-order", 21))
-    add("moonshine-verify", cmd_moonshine_verify, positive("--q-order", 5), cls)
-    add("audit-integrality", cmd_audit_integrality, positive("--t-order", 6))
-    add("verify-all", cmd_verify_all, positive("--q-order", 6),
-        positive("--t-order", 21))
-    return p
+
+def _usage(prog: str, options: dict) -> str:
+    words = ["usage:", prog, "[-h]"]
+    for flag, (dest, convert, default) in options.items():
+        word = _word(flag, dest, convert)
+        words.append(word if default is _REQUIRED else f"[{word}]")
+    return " ".join(words + (["COMMAND ..."] if prog == PROG else []))
+
+
+def _help(prog: str, options: dict) -> str:
+    lines = [_usage(prog, options), ""]
+    if prog == PROG:
+        lines += [DESCRIPTION, ""]
+    for flag, (dest, convert, default) in options.items():
+        note = ("required" if default is _REQUIRED else ""
+                if convert is None or default is None else f"default {default}")
+        lines.append(f"  {_word(flag, dest, convert):<26} {note}".rstrip())
+    return "\n".join(lines) + "\n"
+
+
+def _is_flag(token: str) -> bool:
+    """A token is a flag if it starts with '-', unless it is '-' alone, a
+    negative number (-4, -1.5, -.5) or holds a space."""
+    if len(token) < 2 or token[0] != "-" or " " in token:
+        return False
+    whole, dot, fraction = token[1:].partition(".")
+    return not (whole.isdecimal() and not dot or fraction.isdecimal()
+                and (not whole or whole.isdecimal()))
+
+
+def _match(flag: str, options: dict):
+    """The option ``flag`` names, exactly or as the unique prefix of a long
+    flag; "--help" for a request for help, None for no option."""
+    if flag in options or flag == "-h":
+        return "--help" if flag == "-h" else flag
+    if not flag.startswith("--"):
+        return None
+    hits = [name for name in (*options, "--help") if name.startswith(flag)]
+    if len(hits) > 1:
+        raise UsageError(f"ambiguous option: {flag} could match "
+                         + ", ".join(hits))
+    return hits[0] if hits else None
+
+
+def _read(argv: list, i: int, prog: str, options: dict, args: dict,
+          unknown: list) -> int:
+    """Read the flags of ``options`` from ``argv[i:]`` into ``args``, up to
+    the first token that is not a flag, and return its index.  A flag of no
+    option goes to ``unknown``; -h prints the help and exits 0.  '--'
+    ends the flags."""
+    while i < len(argv) and _is_flag(argv[i]) and argv[i] != "--":
+        flag, eq, text = argv[i].partition("=")
+        i += 1
+        name = _match(flag, options)
+        if name is None:
+            unknown.append(argv[i - 1])
+            continue
+        dest, convert, _ = options.get(name, (None, None, None))
+        if eq and convert is None:
+            raise UsageError(f"argument {name}: ignored explicit argument "
+                             f"{text!r}")
+        if name == "--help":
+            sys.stdout.write(_help(prog, options))
+            raise SystemExit(EXIT_OK)
+        if convert is None:
+            args[dest] = True
+            continue
+        if not eq:
+            if i == len(argv) or _is_flag(argv[i]):
+                raise UsageError(f"argument {name}: expected one argument")
+            text = argv[i]
+            i += 1
+        if isinstance(convert, tuple):
+            if text not in convert:
+                raise UsageError(f"argument {name}: invalid choice: {text!r} "
+                                 f"(choose from {', '.join(convert)})")
+            args[dest] = text
+            continue
+        try:
+            args[dest] = convert(text)
+        except UsageError as exc:
+            raise UsageError(f"argument {name}: {exc}") from None
+        except ValueError:
+            raise UsageError(f"argument {name}: invalid {convert.__name__} "
+                             f"value: {text!r}") from None
+    return i
+
+
+class Parser:
+    """The command line read in one pass over the tables above: the global
+    options, the subcommand, then its options in any order.  Flags take
+    their value as the next token or after '=', may be shortened to a
+    unique prefix, and the last of a repeated flag wins."""
+
+    def parse_args(self, argv=None) -> SimpleNamespace:
+        """The namespace of ``argv``'s options, ``func`` the handler of its
+        subcommand; a usage error prints to stderr and exits 2, -h prints
+        the help and exits 0."""
+        argv = sys.argv[1:] if argv is None else list(argv)
+        args = {dest: default for dest, _, default in GLOBAL_OPTIONS.values()}
+        prog, options, unknown = PROG, GLOBAL_OPTIONS, []
+        try:
+            i = _read(argv, 0, prog, options, args, unknown)
+            if i == len(argv):
+                raise UsageError("argument COMMAND: required")
+            command = argv[i]
+            if command not in COMMANDS:
+                raise UsageError(f"argument COMMAND: invalid choice: "
+                                 f"{command!r} (choose from "
+                                 f"{', '.join(COMMANDS)})")
+            handler, options = COMMANDS[command]
+            prog = f"{PROG} {command}"
+            # the handler is looked up by name when parsing, so that a
+            # replaced one is the one that runs
+            args.update(command=command, func=globals()[handler])
+            args.update((dest, default)
+                        for dest, _, default in options.values())
+            i += 1
+            while i < len(argv):
+                i = _read(argv, i, prog, options, args, unknown)
+                # a word that is no flag; from '--' on, every token is one
+                end = len(argv) if argv[i:i + 1] == ["--"] else i + 1
+                unknown += argv[i:end]
+                i = end
+            for flag, (dest, _, _) in options.items():
+                if args[dest] is _REQUIRED:
+                    raise UsageError(f"argument {flag}: required")
+            if unknown:
+                hint = ("a global option goes before the subcommand"
+                        if unknown[0].partition("=")[0] in GLOBAL_OPTIONS
+                        else "unrecognized")
+                raise UsageError(f"argument {unknown[0]}: {hint}")
+        except UsageError as exc:
+            sys.stderr.write(f"{_usage(prog, options)}\n{prog}: error: "
+                             f"{exc}\n")
+            raise SystemExit(EXIT_USAGE) from None
+        return SimpleNamespace(**args)
+
+
+def build_parser() -> Parser:
+    return Parser()
 
 
 def main(argv=None) -> int:

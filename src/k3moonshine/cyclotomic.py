@@ -85,7 +85,7 @@ class CyclotomicNumber:
     __slots__ = ("n", "c")
 
     def __init__(self, n: int, coeffs):
-        if n < 1:
+        if require_int("conductor", n) < 1:
             raise DomainError("conductor must be positive")
         phi = euler_phi(n)
         c = list(coeffs)
@@ -112,7 +112,7 @@ class CyclotomicNumber:
 
     @staticmethod
     def zeta_power(n: int, k: int) -> "CyclotomicNumber":
-        if n < 1:
+        if require_int("conductor", n) < 1:
             raise DomainError("conductor must be positive")
         phi = euler_phi(n)
         k %= n

@@ -41,7 +41,8 @@ from functools import lru_cache
 
 from .chartab import format_rational
 from .qpoly import (
-    RationalFunction, euler_phi, exact_quotient, moebius, reconstruct_rational,
+    RationalFunction, euler_phi, exact_quotient, memoized, moebius,
+    reconstruct_rational,
 )
 from .records import Record
 from .series import NotInSpanError, TruncatedSeries
@@ -251,7 +252,7 @@ def chern_root_elliptic_genus(trunc24: int) -> TruncatedSeries:
                            trunc24)
 
 
-@lru_cache(maxsize=None)
+@memoized
 def equivariant_elliptic_genus(label: str, trunc24: int) -> TruncatedSeries:
     """chi_{-y}(g; q, LX) from the fixed-point formula over Table-1 data.
 

@@ -46,8 +46,7 @@ Conventions (the single source of truth for signs):
 
 from __future__ import annotations
 
-from functools import lru_cache
-
+from .qpoly import memoized
 from .series import TruncatedSeries
 
 __all__ = [
@@ -78,7 +77,7 @@ def eta_scaled(a: int, trunc24: int) -> TruncatedSeries:
     return TruncatedSeries(terms, trunc24, _clean=True)
 
 
-@lru_cache(maxsize=None)
+@memoized
 def eta_power(power: int, trunc24: int) -> TruncatedSeries:
     """eta(q)^power below trunc24, for any integer power.
 
@@ -128,7 +127,7 @@ def jacobi_theta(kind: int, trunc24: int) -> TruncatedSeries:
     return TruncatedSeries(terms, trunc24, _clean=True)
 
 
-@lru_cache(maxsize=None)
+@memoized
 def eisenstein_e2(trunc24: int) -> TruncatedSeries:
     """E_2 = 1 - 24 sum_(n>=1) sigma_1(n) q^n below trunc24, with the
     divisor sums sigma_1 from one sieve.  Memoized per process on the
@@ -167,7 +166,7 @@ def index_one_form(y0: TruncatedSeries, y1: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(out, t, _clean=True)
 
 
-@lru_cache(maxsize=None)
+@memoized
 def weak_jacobi_columns(weight: int, trunc24: int) -> tuple:
     """The y^0 and y^1 columns of phi_{0,1} (weight=0) or phi_{-2,1}
     (weight=-2), as a pair of series in q.
@@ -216,7 +215,7 @@ def jacobi_form_columns(a, f: TruncatedSeries, trunc24: int) -> list:
     return columns
 
 
-@lru_cache(maxsize=None)
+@memoized
 def weak_jacobi_phi(weight: int, trunc24: int) -> TruncatedSeries:
     """The weak Jacobi forms phi_{0,1} (weight=0) and phi_{-2,1}
     (weight=-2), rebuilt from their columns.  Memoized per process on the

@@ -46,7 +46,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .qpoly import (
-    _over_common_denominator, canonical_rational, exact_quotient, require_int,
+    _over_common_denominator, canonical_rational, exact_quotient, memoized,
+    require_int,
 )
 from .series import InsufficientPrecisionError, NotInSpanError, TruncatedSeries
 from .modforms import eisenstein_e2, eta_power, jacobi_theta
@@ -116,7 +117,7 @@ def ch_vn_extract(N: int, product: dict) -> TruncatedSeries:
 
 # -- Appell-Lerch machinery ----------------------------------------------------
 
-@lru_cache(maxsize=None)
+@memoized
 def g_sum(N: int, trunc24: int) -> TruncatedSeries:
     """sum_m 1/((1 + y q^(m-1/2)) (1 + y^(-1) q^(N-m-1/2))).
 
@@ -168,7 +169,7 @@ def g_series(N: int, trunc24: int) -> TruncatedSeries:
     return _theta3_over_eta3(trunc24) * g_sum(N, trunc24 + _ETA3_LEAD)
 
 
-@lru_cache(maxsize=None)
+@memoized
 def h_series(N: int, trunc24: int) -> TruncatedSeries:
     """The Fourier coefficient h_N(q) of g_N = theta3 h_N (plus the polar
     part at N = 1), a pure q-series read off ``_h_column``.  Memoized per
@@ -451,7 +452,7 @@ def _typical_row(N: int, ncols: int) -> tuple:
     return tuple(map(sum, zip(*scaled)))
 
 
-@lru_cache(maxsize=None)
+@memoized
 def mathieu_h(trunc24: int) -> TruncatedSeries:
     """Mathieu moonshine's H = 2 q^(-1/8) (-1 + 45 q + 231 q^2 + ...) in
     closed form: H = (-2 E_2 + 48 F_2) / eta^3 = 24 h_1 - 2 E_2 / eta^3,

@@ -6,7 +6,8 @@ The exact scalar rules are defined here alone, and every layer imports
 them from here: ``canonical_rational`` (an int exactly when integral),
 ``exact_quotient`` (a / b in that form, never a float),
 ``_over_common_denominator`` (rationals as ints over one denominator),
-``require_int`` (an int, not a bool), ``euler_phi`` and ``moebius``.
+``require_int`` (an int, not a bool), ``euler_phi`` and ``moebius``;
+``memoized`` caches the builders on arguments read by ``require_int``.
 
 Every r_g(t) is a Molien-type series whose denominator is a product of
 cyclotomic polynomials, and ``RationalFunction`` supports only such
@@ -39,7 +40,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 from math import gcd, lcm
 from numbers import Number, Rational
 
@@ -165,6 +166,28 @@ def require_int(name: str, value, least=None) -> int:
     if least is not None and value < least:
         raise ValueError(f"{name} must be >= {least}, got {value}")
     return value
+
+
+def memoized(fn, context=None):
+    """``lru_cache(maxsize=None)`` over ``fn``, keyed on ``context()`` as
+    well when one is given, that reads each argument but a ``str`` through
+    ``require_int`` before it asks the cache: an equal float or bool hashes
+    as the int, and the cache would serve it the int's entry.  Keeps
+    ``cache_info``, ``cache_clear`` and ``__wrapped__``."""
+    names = fn.__code__.co_varnames[:fn.__code__.co_argcount]
+    cached = lru_cache(maxsize=None)(
+        fn if context is None else lambda key, *args: fn(*args))
+
+    @wraps(fn)
+    def wrapper(*args):
+        for name, value in zip(names, args):
+            if type(value) is not str:
+                require_int(name, value)
+        return cached(*args) if context is None else cached(context(), *args)
+
+    wrapper.cache_info = cached.cache_info
+    wrapper.cache_clear = cached.cache_clear
+    return wrapper
 
 
 def exact_quotient(a, b):

@@ -390,9 +390,11 @@ class TruncatedSeries:
 
 def _to_units(x, scale: int, name: str) -> int:
     """The exact rational exponent x in units of 1/scale; TypeError on a
-    float or any other inexact value, as the constructor raises."""
-    if isinstance(x, int):
+    float, a bool or any other inexact value, as the constructor raises."""
+    if type(x) is int:
         return x * scale
+    if isinstance(x, bool):     # a Rational to canonical_rational
+        raise TypeError(f"exact rational expected for {name}, got bool {x!r}")
     f = Fraction(canonical_rational(x)) * scale
     if f.denominator != 1:
         raise ValueError(f"{name}-exponent {x} not in (1/{scale})Z")

@@ -15,7 +15,6 @@ the full tables through the same validator, the Co0 slice through
 from __future__ import annotations
 
 import os
-from functools import lru_cache, wraps
 from operator import mul
 
 from .chartab import (
@@ -25,6 +24,7 @@ from .genus import CLASS_ORDER, SYMPLECTIC_CLASSES as SYMPLECTIC_M23_LABELS
 from .mill import class_data, exterior_powers, mill_rational_table
 from .mukai import MUKAI_GROUPS, mukai_table
 from .lattice import hnf_basis
+from .qpoly import memoized
 
 __all__ = [
     "data_dir", "load_m23", "load_m24", "load_mukai", "load_co0_restricted",
@@ -197,19 +197,9 @@ def _cached_per_directory(load):
 
     The directory is resolved on every call, so a changed
     ``K3MOONSHINE_DATA`` is never served tables read from another
-    directory.  The wrapper keeps ``lru_cache``'s ``cache_info`` and
-    ``cache_clear``.
+    directory.
     """
-    cached = lru_cache(maxsize=None)(
-        lambda directory, *args: load(*args))
-
-    @wraps(load)
-    def wrapper(*args):
-        return cached(os.path.abspath(data_dir()), *args)
-
-    wrapper.cache_info = cached.cache_info
-    wrapper.cache_clear = cached.cache_clear
-    return wrapper
+    return memoized(load, context=lambda: os.path.abspath(data_dir()))
 
 
 @_cached_per_directory

@@ -72,3 +72,34 @@ def test_cached_builder_serves_one_read_only_object(name):
     first = builder(*SAMPLE_ARGS[name])
     assert builder(*SAMPLE_ARGS[name]) is first
     _assert_read_only(first)
+
+
+# The public builders with int arguments read them through require_int
+# before their caches: a float or a bool hashes as the int it equals, so a
+# warm cache would serve it that int's entry.
+CHECKED = sorted(name for name, args in SAMPLE_ARGS.items()
+                 if not name.split(".")[1].startswith("_")
+                 and any(type(a) is int for a in args))
+
+
+@pytest.mark.parametrize("name", CHECKED)
+def test_a_warm_cache_refuses_a_float(name):
+    builder, args = _cached_builders()[name], SAMPLE_ARGS[name]
+    builder(*args)
+    for i, value in enumerate(args):
+        if type(value) is int:
+            with pytest.raises(TypeError, match="must be an int"):
+                builder(*args[:i], float(value), *args[i + 1:])
+
+
+@pytest.mark.parametrize("name,args", [
+    ("modforms.weak_jacobi_phi", (0, 48)),
+    ("n4char.g_sum", (1, 48)),
+    ("n4char.h_series", (1, 48)),
+    ("tables.load_mukai", (1,)),
+])
+def test_a_warm_cache_refuses_a_bool(name, args):
+    builder = _cached_builders()[name]
+    builder(*args)
+    with pytest.raises(TypeError, match="must be an int"):
+        builder(bool(args[0]), *args[1:])

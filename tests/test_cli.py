@@ -500,3 +500,413 @@ def test_stdout_closed_early_exits_4_quietly():
     assert proc.wait(timeout=120) == cli.EXIT_INTERNAL == 4
     assert first == b"K3 elliptic genus (chi_{-y} convention)\n"
     assert err == b""
+
+
+def test_cold_start_imports_no_argparse_gettext_or_locale():
+    import subprocess
+    import sys
+    import k3moonshine
+    src = os.path.dirname(os.path.dirname(k3moonshine.__file__))
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import k3moonshine.cli; "
+            "print(sorted({'argparse', 'gettext', 'locale'} "
+            "& set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code, src],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+# -- the command-line parser ------------------------------------------------
+
+def _parse(argv):
+    from k3moonshine.cli import build_parser
+    return vars(build_parser().parse_args(argv))
+
+
+def test_golden_requests_parse_to_their_namespaces():
+    # every request of perfbench/goldens/cli.json, against the namespace
+    # that argparse gave it (written out below); data_dir is None in all
+    from k3moonshine import cli
+    with open(Path(__file__).parent.parent / "perfbench" / "goldens"
+              / "cli.json") as fh:
+        requests = list(json.load(fh))
+    assert sorted(requests) == sorted(GOLDEN_NAMESPACES)
+    for request in requests:
+        want = GOLDEN_NAMESPACES[request]
+        handler = getattr(cli, HANDLERS[want["command"]])
+        assert _parse(request.split()) == \
+            {"data_dir": None, **want, "func": handler}, request
+
+
+def test_spellings_argparse_accepted():
+    equal = [
+        (["ellgenus", "--q-order=3"], ["ellgenus", "--q-order", "3"]),
+        (["ellgenus", "--q", "3"], ["ellgenus", "--q-order", "3"]),
+        (["ellgenus", "--q-o=3"], ["ellgenus", "--q-order", "3"]),
+        (["--f", "csv", "--d=fixtures", "ellgenus"],
+         ["--format", "csv", "--data-dir", "fixtures", "ellgenus"]),
+        (["symt", "--rat", "--cl", "2A", "--te=3"],
+         ["symt", "--class", "2A", "--terms", "3", "--rational"]),
+        (["n4-decompose", "--sector", "R", "--n", "2", "--q-order", "1"],
+         ["n4-decompose", "--q-order", "1", "--n", "2", "--sector", "R"]),
+        (["verify-all", "--t-order", "2", "--q-order", "9", "--t-order", "4"],
+         ["verify-all", "--q-order", "9", "--t-order", "4"]),
+    ]
+    for spelled, plain in equal:
+        assert _parse(spelled) == _parse(plain), spelled
+    assert _parse(["ellgenus", "--q", "3"])["q_order"] == 3
+    assert _parse(["--data-dir", "-", "ellgenus"])["data_dir"] == "-"
+    assert _parse(["symt", "--class", "2A"])["rational"] is False
+
+
+@pytest.mark.parametrize("argv,first", [
+    (["-h"], "usage: k3moonshine [-h]"),
+    (["--help", "ellgenus"], "usage: k3moonshine [-h]"),
+    (["--he"], "usage: k3moonshine [-h]"),
+    (["ellgenus", "-h"], "usage: k3moonshine ellgenus [-h] [--q-order"),
+    (["equivariant", "--help"], "usage: k3moonshine equivariant [-h]"),
+    (["lattice-check", "--bogus", "-h"], "usage: k3moonshine lattice-check"),
+])
+def test_help_exits_0(argv, first, capsys):
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith(first) and err == ""
+
+
+def test_help_lists_each_option_with_its_default(capsys):
+    assert main(["n4-decompose", "-h"]) == 0
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert ["--n", "N", "default", "0"] in lines
+    assert ["--q-order", "Q_ORDER", "default", "6"] in lines
+    assert ["--sector", "{NS,R}", "default", "NS"] in lines
+    assert main(["symt", "--help"]) == 0
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert ["--class", "{1A,2A,3A,4A,5A,6A,7AB,8A}", "required"] in lines
+    assert ["--rational"] in lines
+
+
+@pytest.mark.parametrize("argv,error", [
+    (["ellgenus", "--bogus"], "argument --bogus: unrecognized"),
+    (["ellgenus", "--q-order", "2", "3"], "argument 3: unrecognized"),
+    (["-x", "ellgenus"], "argument -x: unrecognized"),
+    (["equivariant"], "argument --class: required"),
+    (["symt", "--terms", "2"], "argument --class: required"),
+    (["ellgenus", "--format", "json"],
+     "argument --format: a global option goes before the subcommand"),
+    (["lattice-check", "--data-dir=fixtures"],
+     "argument --data-dir=fixtures: a global option goes before"),
+    ([], "argument COMMAND: required"),
+    (["--format", "json"], "argument COMMAND: required"),
+    (["--format", "xml", "ellgenus"], "argument --format: invalid choice"),
+    (["n4-decompose", "--sector", "X"], "argument --sector: invalid choice"),
+    (["ellgenus", "--q-order", "x"], "argument --q-order: invalid"),
+    (["ellgenus", "--q-order"], "argument --q-order: expected one argument"),
+    (["ellgenus", "--q-order", "-h"], "argument --q-order: expected one"),
+    (["--data-dir", "--format", "json", "ellgenus"],
+     "argument --data-dir: expected one argument"),
+    (["symt", "--class", "2A", "--rational=yes"],
+     "argument --rational: ignored explicit argument 'yes'"),
+    (["ellgenus", "--q-order", "0", "-h"], "argument --q-order: must be"),
+    # a negative number is a value, refused by the option's converter
+    (["n4-decompose", "--n", "-4"], "argument --n: must be nonnegative"),
+    (["n4-decompose", "--n=-2"], "argument --n: must be nonnegative"),
+    (["ellgenus", "--q-order", "-.5"], "argument --q-order: invalid"),
+    (["ellgenus", "--", "--q-order", "3"], "argument --: unrecognized"),
+    (["--", "ellgenus"], "argument COMMAND: invalid choice: '--'"),
+])
+def test_usage_errors_exit_2(argv, error, capsys):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: k3moonshine")
+    assert f"error: {error}" in err
+
+
+# The handler of each subcommand, and the namespace argparse gave each
+# golden request (vars(args) without data_dir, None throughout, and func).
+HANDLERS = {
+    "ellgenus": "cmd_ellgenus", "equivariant": "cmd_equivariant",
+    "symt": "cmd_symt", "n4-decompose": "cmd_n4_decompose",
+    "genus-decompose": "cmd_genus_decompose",
+    "lattice-check": "cmd_lattice_check", "m23-table": "cmd_m23_table",
+    "moonshine-verify": "cmd_moonshine_verify",
+    "audit-integrality": "cmd_audit_integrality",
+}
+GOLDEN_NAMESPACES = {
+    "--format csv ellgenus --q-order 1":
+        dict(format="csv", command="ellgenus", q_order=1),
+    "--format csv ellgenus --q-order 6":
+        dict(format="csv", command="ellgenus", q_order=6),
+    "--format csv lattice-check": dict(format="csv", command="lattice-check"),
+    "--format csv m23-table --t-order 1":
+        dict(format="csv", command="m23-table", t_order=1),
+    "--format csv m23-table --t-order 21":
+        dict(format="csv", command="m23-table", t_order=21),
+    "--format json ellgenus --q-order 1":
+        dict(format="json", command="ellgenus", q_order=1),
+    "--format json ellgenus --q-order 6":
+        dict(format="json", command="ellgenus", q_order=6),
+    "--format json lattice-check":
+        dict(format="json", command="lattice-check"),
+    "--format json m23-table --t-order 1":
+        dict(format="json", command="m23-table", t_order=1),
+    "--format json m23-table --t-order 21":
+        dict(format="json", command="m23-table", t_order=21),
+    "audit-integrality --t-order 1":
+        dict(format="text", command="audit-integrality", t_order=1),
+    "audit-integrality --t-order 6":
+        dict(format="text", command="audit-integrality", t_order=6),
+    "ellgenus --q-order 1": dict(format="text", command="ellgenus", q_order=1),
+    "ellgenus --q-order 6": dict(format="text", command="ellgenus", q_order=6),
+    "equivariant --class 1A --q-order 1":
+        dict(format="text", command="equivariant", q_order=1, cls="1A"),
+    "equivariant --class 1A --q-order 4":
+        dict(format="text", command="equivariant", q_order=4, cls="1A"),
+    "equivariant --class 2A --q-order 1":
+        dict(format="text", command="equivariant", q_order=1, cls="2A"),
+    "equivariant --class 2A --q-order 4":
+        dict(format="text", command="equivariant", q_order=4, cls="2A"),
+    "equivariant --class 3A --q-order 1":
+        dict(format="text", command="equivariant", q_order=1, cls="3A"),
+    "equivariant --class 3A --q-order 4":
+        dict(format="text", command="equivariant", q_order=4, cls="3A"),
+    "equivariant --class 4A --q-order 1":
+        dict(format="text", command="equivariant", q_order=1, cls="4A"),
+    "equivariant --class 4A --q-order 4":
+        dict(format="text", command="equivariant", q_order=4, cls="4A"),
+    "equivariant --class 5A --q-order 1":
+        dict(format="text", command="equivariant", q_order=1, cls="5A"),
+    "equivariant --class 5A --q-order 4":
+        dict(format="text", command="equivariant", q_order=4, cls="5A"),
+    "equivariant --class 6A --q-order 1":
+        dict(format="text", command="equivariant", q_order=1, cls="6A"),
+    "equivariant --class 6A --q-order 4":
+        dict(format="text", command="equivariant", q_order=4, cls="6A"),
+    "equivariant --class 7AB --q-order 1":
+        dict(format="text", command="equivariant", q_order=1, cls="7AB"),
+    "equivariant --class 7AB --q-order 4":
+        dict(format="text", command="equivariant", q_order=4, cls="7AB"),
+    "equivariant --class 8A --q-order 1":
+        dict(format="text", command="equivariant", q_order=1, cls="8A"),
+    "equivariant --class 8A --q-order 4":
+        dict(format="text", command="equivariant", q_order=4, cls="8A"),
+    "genus-decompose --q-order 1":
+        dict(format="text", command="genus-decompose", q_order=1),
+    "genus-decompose --q-order 5":
+        dict(format="text", command="genus-decompose", q_order=5),
+    "lattice-check": dict(format="text", command="lattice-check"),
+    "m23-table --t-order 1":
+        dict(format="text", command="m23-table", t_order=1),
+    "m23-table --t-order 21":
+        dict(format="text", command="m23-table", t_order=21),
+    "moonshine-verify --class 1A --q-order 1":
+        dict(format="text", command="moonshine-verify", q_order=1, cls="1A"),
+    "moonshine-verify --class 1A --q-order 5":
+        dict(format="text", command="moonshine-verify", q_order=5, cls="1A"),
+    "moonshine-verify --class 2A --q-order 1":
+        dict(format="text", command="moonshine-verify", q_order=1, cls="2A"),
+    "moonshine-verify --class 2A --q-order 5":
+        dict(format="text", command="moonshine-verify", q_order=5, cls="2A"),
+    "moonshine-verify --class 3A --q-order 1":
+        dict(format="text", command="moonshine-verify", q_order=1, cls="3A"),
+    "moonshine-verify --class 3A --q-order 5":
+        dict(format="text", command="moonshine-verify", q_order=5, cls="3A"),
+    "moonshine-verify --class 4A --q-order 1":
+        dict(format="text", command="moonshine-verify", q_order=1, cls="4A"),
+    "moonshine-verify --class 4A --q-order 5":
+        dict(format="text", command="moonshine-verify", q_order=5, cls="4A"),
+    "moonshine-verify --class 5A --q-order 1":
+        dict(format="text", command="moonshine-verify", q_order=1, cls="5A"),
+    "moonshine-verify --class 5A --q-order 5":
+        dict(format="text", command="moonshine-verify", q_order=5, cls="5A"),
+    "moonshine-verify --class 6A --q-order 1":
+        dict(format="text", command="moonshine-verify", q_order=1, cls="6A"),
+    "moonshine-verify --class 6A --q-order 5":
+        dict(format="text", command="moonshine-verify", q_order=5, cls="6A"),
+    "moonshine-verify --class 7AB --q-order 1":
+        dict(format="text", command="moonshine-verify", q_order=1, cls="7AB"),
+    "moonshine-verify --class 7AB --q-order 5":
+        dict(format="text", command="moonshine-verify", q_order=5, cls="7AB"),
+    "moonshine-verify --class 8A --q-order 1":
+        dict(format="text", command="moonshine-verify", q_order=1, cls="8A"),
+    "moonshine-verify --class 8A --q-order 5":
+        dict(format="text", command="moonshine-verify", q_order=5, cls="8A"),
+    "n4-decompose --n 0 --sector NS --q-order 1":
+        dict(format="text", command="n4-decompose",
+             n=0, q_order=1, sector="NS"),
+    "n4-decompose --n 0 --sector NS --q-order 6":
+        dict(format="text", command="n4-decompose",
+             n=0, q_order=6, sector="NS"),
+    "n4-decompose --n 0 --sector R --q-order 1":
+        dict(format="text", command="n4-decompose",
+             n=0, q_order=1, sector="R"),
+    "n4-decompose --n 0 --sector R --q-order 6":
+        dict(format="text", command="n4-decompose",
+             n=0, q_order=6, sector="R"),
+    "n4-decompose --n 1 --sector NS --q-order 1":
+        dict(format="text", command="n4-decompose",
+             n=1, q_order=1, sector="NS"),
+    "n4-decompose --n 1 --sector NS --q-order 6":
+        dict(format="text", command="n4-decompose",
+             n=1, q_order=6, sector="NS"),
+    "n4-decompose --n 1 --sector R --q-order 1":
+        dict(format="text", command="n4-decompose",
+             n=1, q_order=1, sector="R"),
+    "n4-decompose --n 1 --sector R --q-order 6":
+        dict(format="text", command="n4-decompose",
+             n=1, q_order=6, sector="R"),
+    "n4-decompose --n 10 --sector R --q-order 1":
+        dict(format="text", command="n4-decompose",
+             n=10, q_order=1, sector="R"),
+    "n4-decompose --n 10 --sector R --q-order 6":
+        dict(format="text", command="n4-decompose",
+             n=10, q_order=6, sector="R"),
+    "n4-decompose --n 2 --sector NS --q-order 1":
+        dict(format="text", command="n4-decompose",
+             n=2, q_order=1, sector="NS"),
+    "n4-decompose --n 2 --sector NS --q-order 6":
+        dict(format="text", command="n4-decompose",
+             n=2, q_order=6, sector="NS"),
+    "n4-decompose --n 2 --sector R --q-order 1":
+        dict(format="text", command="n4-decompose",
+             n=2, q_order=1, sector="R"),
+    "n4-decompose --n 2 --sector R --q-order 6":
+        dict(format="text", command="n4-decompose",
+             n=2, q_order=6, sector="R"),
+    "n4-decompose --n 3 --sector NS --q-order 1":
+        dict(format="text", command="n4-decompose",
+             n=3, q_order=1, sector="NS"),
+    "n4-decompose --n 3 --sector NS --q-order 6":
+        dict(format="text", command="n4-decompose",
+             n=3, q_order=6, sector="NS"),
+    "n4-decompose --n 3 --sector R --q-order 1":
+        dict(format="text", command="n4-decompose",
+             n=3, q_order=1, sector="R"),
+    "n4-decompose --n 3 --sector R --q-order 6":
+        dict(format="text", command="n4-decompose",
+             n=3, q_order=6, sector="R"),
+    "n4-decompose --n 4 --sector NS --q-order 1":
+        dict(format="text", command="n4-decompose",
+             n=4, q_order=1, sector="NS"),
+    "n4-decompose --n 4 --sector NS --q-order 6":
+        dict(format="text", command="n4-decompose",
+             n=4, q_order=6, sector="NS"),
+    "n4-decompose --n 4 --sector R --q-order 1":
+        dict(format="text", command="n4-decompose",
+             n=4, q_order=1, sector="R"),
+    "n4-decompose --n 4 --sector R --q-order 6":
+        dict(format="text", command="n4-decompose",
+             n=4, q_order=6, sector="R"),
+    "n4-decompose --n 5 --sector NS --q-order 6":
+        dict(format="text", command="n4-decompose",
+             n=5, q_order=6, sector="NS"),
+    "n4-decompose --n 5 --sector R --q-order 1":
+        dict(format="text", command="n4-decompose",
+             n=5, q_order=1, sector="R"),
+    "n4-decompose --n 5 --sector R --q-order 6":
+        dict(format="text", command="n4-decompose",
+             n=5, q_order=6, sector="R"),
+    "n4-decompose --n 6 --sector NS --q-order 6":
+        dict(format="text", command="n4-decompose",
+             n=6, q_order=6, sector="NS"),
+    "n4-decompose --n 6 --sector R --q-order 1":
+        dict(format="text", command="n4-decompose",
+             n=6, q_order=1, sector="R"),
+    "n4-decompose --n 6 --sector R --q-order 6":
+        dict(format="text", command="n4-decompose",
+             n=6, q_order=6, sector="R"),
+    "n4-decompose --n 7 --sector NS --q-order 6":
+        dict(format="text", command="n4-decompose",
+             n=7, q_order=6, sector="NS"),
+    "n4-decompose --n 7 --sector R --q-order 1":
+        dict(format="text", command="n4-decompose",
+             n=7, q_order=1, sector="R"),
+    "n4-decompose --n 7 --sector R --q-order 6":
+        dict(format="text", command="n4-decompose",
+             n=7, q_order=6, sector="R"),
+    "n4-decompose --n 8 --sector NS --q-order 6":
+        dict(format="text", command="n4-decompose",
+             n=8, q_order=6, sector="NS"),
+    "n4-decompose --n 8 --sector R --q-order 1":
+        dict(format="text", command="n4-decompose",
+             n=8, q_order=1, sector="R"),
+    "n4-decompose --n 8 --sector R --q-order 6":
+        dict(format="text", command="n4-decompose",
+             n=8, q_order=6, sector="R"),
+    "n4-decompose --n 9 --sector NS --q-order 6":
+        dict(format="text", command="n4-decompose",
+             n=9, q_order=6, sector="NS"),
+    "n4-decompose --n 9 --sector R --q-order 1":
+        dict(format="text", command="n4-decompose",
+             n=9, q_order=1, sector="R"),
+    "n4-decompose --n 9 --sector R --q-order 6":
+        dict(format="text", command="n4-decompose",
+             n=9, q_order=6, sector="R"),
+    "symt --class 1A --terms 1":
+        dict(format="text", command="symt", terms=1, cls="1A", rational=False),
+    "symt --class 1A --terms 1 --rational":
+        dict(format="text", command="symt", terms=1, cls="1A", rational=True),
+    "symt --class 1A --terms 8":
+        dict(format="text", command="symt", terms=8, cls="1A", rational=False),
+    "symt --class 1A --terms 8 --rational":
+        dict(format="text", command="symt", terms=8, cls="1A", rational=True),
+    "symt --class 2A --terms 1":
+        dict(format="text", command="symt", terms=1, cls="2A", rational=False),
+    "symt --class 2A --terms 1 --rational":
+        dict(format="text", command="symt", terms=1, cls="2A", rational=True),
+    "symt --class 2A --terms 8":
+        dict(format="text", command="symt", terms=8, cls="2A", rational=False),
+    "symt --class 2A --terms 8 --rational":
+        dict(format="text", command="symt", terms=8, cls="2A", rational=True),
+    "symt --class 3A --terms 1":
+        dict(format="text", command="symt", terms=1, cls="3A", rational=False),
+    "symt --class 3A --terms 1 --rational":
+        dict(format="text", command="symt", terms=1, cls="3A", rational=True),
+    "symt --class 3A --terms 8":
+        dict(format="text", command="symt", terms=8, cls="3A", rational=False),
+    "symt --class 3A --terms 8 --rational":
+        dict(format="text", command="symt", terms=8, cls="3A", rational=True),
+    "symt --class 4A --terms 1":
+        dict(format="text", command="symt", terms=1, cls="4A", rational=False),
+    "symt --class 4A --terms 1 --rational":
+        dict(format="text", command="symt", terms=1, cls="4A", rational=True),
+    "symt --class 4A --terms 8":
+        dict(format="text", command="symt", terms=8, cls="4A", rational=False),
+    "symt --class 4A --terms 8 --rational":
+        dict(format="text", command="symt", terms=8, cls="4A", rational=True),
+    "symt --class 5A --terms 1":
+        dict(format="text", command="symt", terms=1, cls="5A", rational=False),
+    "symt --class 5A --terms 1 --rational":
+        dict(format="text", command="symt", terms=1, cls="5A", rational=True),
+    "symt --class 5A --terms 8":
+        dict(format="text", command="symt", terms=8, cls="5A", rational=False),
+    "symt --class 5A --terms 8 --rational":
+        dict(format="text", command="symt", terms=8, cls="5A", rational=True),
+    "symt --class 6A --terms 1":
+        dict(format="text", command="symt", terms=1, cls="6A", rational=False),
+    "symt --class 6A --terms 1 --rational":
+        dict(format="text", command="symt", terms=1, cls="6A", rational=True),
+    "symt --class 6A --terms 8":
+        dict(format="text", command="symt", terms=8, cls="6A", rational=False),
+    "symt --class 6A --terms 8 --rational":
+        dict(format="text", command="symt", terms=8, cls="6A", rational=True),
+    "symt --class 7AB --terms 1":
+        dict(format="text", command="symt",
+             terms=1, cls="7AB", rational=False),
+    "symt --class 7AB --terms 1 --rational":
+        dict(format="text", command="symt", terms=1, cls="7AB", rational=True),
+    "symt --class 7AB --terms 8":
+        dict(format="text", command="symt",
+             terms=8, cls="7AB", rational=False),
+    "symt --class 7AB --terms 8 --rational":
+        dict(format="text", command="symt", terms=8, cls="7AB", rational=True),
+    "symt --class 8A --terms 1":
+        dict(format="text", command="symt", terms=1, cls="8A", rational=False),
+    "symt --class 8A --terms 1 --rational":
+        dict(format="text", command="symt", terms=1, cls="8A", rational=True),
+    "symt --class 8A --terms 8":
+        dict(format="text", command="symt", terms=8, cls="8A", rational=False),
+    "symt --class 8A --terms 8 --rational":
+        dict(format="text", command="symt", terms=8, cls="8A", rational=True),
+}

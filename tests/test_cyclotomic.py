@@ -89,6 +89,17 @@ def test_trace_of_orbit_sum_is_integer():
     assert trace(CyclotomicNumber.from_rational(7, Fraction(1, 2))) == Fraction(3)
 
 
+def test_a_conductor_is_an_int():
+    # 4.0 was accepted as a conductor (printed z4.0), or failed as a list
+    # index; True read as the conductor 1
+    for build in (lambda: CyclotomicNumber(4.0, [0, 1]),
+                  lambda: CyclotomicNumber(True, [1]),
+                  lambda: CyclotomicNumber.zeta_power(4.0, 1),
+                  lambda: zeta(4.0)):
+        with pytest.raises(TypeError, match="conductor must be an int"):
+            build()
+
+
 def test_zeta_refuses_a_conductor_below_one():
     # refused before any arithmetic, by the constructor's rule
     for n in (0, -3):

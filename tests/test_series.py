@@ -285,9 +285,9 @@ TRUNCATION_PROBES = {
 
 @pytest.fixture
 def cold_builders():
-    # a memoized builder serves an equal key's series before any check
-    # (72.0 == 72 and True == 1 hash alike), so each probe starts cold and
-    # leaves nothing it built behind
+    # each probe starts cold and leaves nothing it built behind, so the
+    # check it meets is the series' own (test_caches probes the checks the
+    # memoized builders make before their caches, warm)
     for builder in _cached_builders().values():
         builder.cache_clear()
     yield
@@ -299,6 +299,15 @@ def cold_builders():
 def test_a_truncation_is_an_int(name, cold_builders):
     with pytest.raises(TypeError, match=r"^(trunc24 must be an int|series key)"):
         TRUNCATION_PROBES[name]()
+
+
+def test_an_exponent_is_not_a_bool():
+    # True == 1 would read the q^1 coefficient
+    s = T({(0, 0): 1, (24, 0): 5}, 48)
+    assert s.coeff(1) == 5
+    for q, y in ((True, 0), (0, False)):
+        with pytest.raises(TypeError, match="got bool"):
+            s.coeff(q, y)
 
 
 def test_y_sign_of_a_half_integral_power_is_a_value_error():
