@@ -12,15 +12,14 @@ from __future__ import annotations
 
 import time
 from fractions import Fraction
-from math import gcd
 
 from .qpoly import RationalFunction
 from .records import Record
 from .modforms import euler_specialization, jacobi_theta
 from .genus import (
-    FIXED_POINT_EIGENVALUES, SYMPLECTIC_CLASSES, UNIT_SUM_WEIGHTS,
-    chern_root_elliptic_genus, chi_symt_series, elliptic_genus,
-    equivariant_elliptic_genus, fixed_point_count, jacobi_split, rational_form,
+    SYMPLECTIC_CLASSES, chern_root_elliptic_genus, chi_symt_series,
+    elliptic_genus, equivariant_elliptic_genus, fixed_point_count,
+    fixed_point_types, jacobi_split, rational_form,
 )
 from .n4char import (
     _atypical_coefficient, _genus_multiplicities, _typical_row, ch_v_product,
@@ -29,6 +28,14 @@ from .n4char import (
 )
 
 # -- frozen published values ----------------------------------------------------
+
+# Table 1: an automorphism of order n has ``multiplicity`` isolated fixed
+# points with tangent eigenvalues (zeta_n^a, zeta_n^-a), as pairs
+# (a, multiplicity), one per pair {a, -a} of units mod n.
+TABLE1_FIXED_POINTS = {
+    2: ((1, 8),), 3: ((1, 6),), 4: ((1, 4),), 5: ((1, 2), (2, 2)),
+    6: ((1, 2),), 7: ((1, 1), (2, 1), (3, 1)), 8: ((1, 1), (3, 1)),
+}
 
 R1A_SERIES = (2, -20, -90, -232, -470, -828, -1330)
 
@@ -152,15 +159,11 @@ def check_4_theorem_split(q_order: int = 6, **_) -> tuple:
         for n, c in enumerate(f_from_traces(label)):
             if 24 * n < h.trunc24 and h.coeff(n) != c:
                 return False, f"{label}: split f_g and trace f_g differ at q^{n}"
-    # the genera are w_n times a trace, which is the Table-1 sum of real
-    # conjugates exactly when mult(a) + mult(-a) = 2 w_n for every unit a
-    for n, pairs in FIXED_POINT_EIGENVALUES.items():
-        mult = [0] * n
-        for a, m in pairs:
-            mult[a % n] += m
-        if any(mult[a] + mult[-a % n] != 2 * UNIT_SUM_WEIGHTS[n]
-               for a in range(1, n) if gcd(a, n) == 1):
-            return False, f"order {n}: weighted form mismatch"
+    # the genera read Table 1 as the types that chi(g, O_X) = 2 gives
+    for n, pairs in TABLE1_FIXED_POINTS.items():
+        derived = fixed_point_types(n)
+        if derived != pairs:
+            return False, f"order {n}: Table 1 {pairs}, derived {derived}"
     return True, "split constants and the weighted unit-sum form"
 
 

@@ -30,12 +30,11 @@ elements by value whatever their conductors (so it agrees with
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd
 
 from .qpoly import (
     _cyclotomic_coeffs, _int_mul, _over_common_denominator,
-    canonical_rational, euler_phi, exact_quotient, require_int,
+    canonical_rational, euler_phi, exact_quotient, memoized, require_int,
 )
 
 __all__ = ["CyclotomicNumber", "DomainError", "zeta"]
@@ -44,7 +43,7 @@ class DomainError(ValueError):
     """Incompatible coefficient domains (e.g. two different conductors)."""
 
 
-@lru_cache(maxsize=None)
+@memoized
 def _power_reduction(n: int) -> tuple[tuple[int, ...], ...]:
     """Power-basis vectors of zeta^k for k = 0..max(2*phi(n)-2, n-1).
 
@@ -67,13 +66,6 @@ def _power_reduction(n: int) -> tuple[tuple[int, ...], ...]:
         cur = nxt
         rows.append(tuple(cur))
     return tuple(rows)
-
-
-@lru_cache(maxsize=None)
-def _galois_rows(n: int, a: int) -> tuple[tuple[int, ...], ...]:
-    """The map zeta -> zeta^a on the power basis: row k is sigma_a(zeta^k)."""
-    rows = _power_reduction(n)
-    return tuple(rows[k * a % n] for k in range(euler_phi(n)))
 
 
 class CyclotomicNumber:
@@ -189,8 +181,9 @@ class CyclotomicNumber:
         rows = _power_reduction(n)
         p = [1] + [0] * (phi - 1)
         for a in range(2, n):
-            if gcd(a, n) == 1:
-                p = _int_product(p, _combine(_galois_rows(n, a), x, phi), rows)
+            if gcd(a, n) == 1:      # sigma_a(X) from the sigma_a(zeta^k)
+                sigma = (rows[k * a % n] for k in range(phi))
+                p = _int_product(p, _combine(sigma, x, phi), rows)
         norm = _int_product(x, p, rows)[0]
         return CyclotomicNumber(n, [exact_quotient(d * v, norm) for v in p])
 

@@ -8,13 +8,13 @@ a phi_{0,1} + F phi_{-2,1} built on its y^0 and y^1 columns
 (``modforms.jacobi_form_columns``): the elliptic genus is 2 phi_{0,1},
 and a fixed-point term is phi_{0,1}/12 + wp(u) phi_{-2,1}, with wp(u) a
 q-series over Q(zeta_n).  Every number these routes sum is real, and
-Table 1 gives each pair {a, -a} of units the same weight w_n, so each
-Table-1 Galois sum is w_n times a trace to Q.  The traces come from two
-integer tables per conductor (``_traces``): those of the roots of unity
-and, times 12, of the roots divided by the fixed-point denominator
-(1 - zeta_n)(1 - zeta_n^-1).  So no route here computes in Q(zeta_n):
-the values are taken over one common denominator, the columns and sums
-are built on ints, and each coefficient is divided once.
+chi(g, O_X) = 2 gives every unit the same weight w_n (``unit_weight``,
+Table 1 derived), so each Table-1 Galois sum is w_n times a trace to Q.
+The traces come from two integer tables per conductor (``_traces``):
+those of the roots of unity and, times 12, of the roots divided by the
+fixed-point denominator (1 - zeta_n)(1 - zeta_n^-1).  So no route here
+computes in Q(zeta_n): the columns and sums are built on ints over one
+denominator, and each coefficient is divided once.
 ``jacobi_split`` and ``verify_moonshine_class`` compare columns at scale
 12, on ints for an integral genus, and the split divides h by 12 once;
 the latter reads e(g) from M24 (``mckay``, imported on call).
@@ -37,12 +37,12 @@ this convention (the chi_y bookkeeping calls the same point y = -1).
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from math import gcd
 
 from .chartab import format_rational
 from .qpoly import (
-    RationalFunction, euler_phi, exact_quotient, memoized, moebius,
-    reconstruct_rational,
+    RationalFunction, canonical_rational, euler_phi, exact_quotient,
+    memoized, moebius, reconstruct_rational, require_int,
 )
 from .records import Record
 from .series import NotInSpanError, TruncatedSeries
@@ -54,7 +54,8 @@ from .modforms import (
 __all__ = [
     "SYMPLECTIC_CLASSES",
     "CLASS_ORDER",
-    "FIXED_POINT_EIGENVALUES",
+    "unit_weight",
+    "fixed_point_types",
     "fixed_point_count",
     "chi_sym_power",
     "chi_symt_series",
@@ -74,32 +75,35 @@ CLASS_ORDER = {
 }
 SYMPLECTIC_CLASSES = tuple(CLASS_ORDER)
 
-# Isolated fixed points of a symplectic automorphism of order n: pairs
-# (a, multiplicity) meaning ``multiplicity`` fixed points with tangent
-# eigenvalues (zeta_n^a, zeta_n^-a).
-FIXED_POINT_EIGENVALUES = {
-    2: ((1, 8),),
-    3: ((1, 6),),
-    4: ((1, 4),),
-    5: ((1, 2), (2, 2)),
-    6: ((1, 2),),
-    7: ((1, 1), (2, 1), (3, 1)),
-    8: ((1, 1), (3, 1)),
-}
 
-# The weight w_n that Table 1 gives each pair {a, -a} of units mod n: a
-# Table-1 sum of the conjugates of a real number is w_n times its trace
-# (acceptance criterion 4 checks the two tables against each other).
-UNIT_SUM_WEIGHTS = {
-    2: 8, 3: 3, 4: 2, 5: 1, 6: 1, 7: Fraction(1, 2), 8: Fraction(1, 2),
-}
+def unit_weight(n: int) -> Fraction:
+    """w_n, the fixed points of a symplectic g of order n per unit a mod n.
+
+    g acts trivially on H^(0,2), so the holomorphic Lefschetz formula is
+    chi(g, O_X) = sum 1/((1 - zeta_n^a)(1 - zeta_n^-a)) = 2 over its fixed
+    points, of types (zeta_n^a, zeta_n^-a).  The units permute the types,
+    and the uniform weight w_n U_n(0) = 2 solves it: w_n = 24 / 12 U_n(0).
+    """
+    return Fraction(24, _traces(require_int("n", n, 2))[1][0])
+
+
+def fixed_point_types(n: int) -> tuple:
+    """Table 1 for order n: a pair (a, 2 w_n) for each pair {a, -a} of
+    units mod n, a < n/2, meaning 2 w_n fixed points of type
+    (zeta_n^a, zeta_n^-a); (1, w_n) at n = 2.  ValueError when 2 w_n is
+    not an integer, as for every n > 8 (Nikulin)."""
+    mult = unit_weight(n) * (1 if n == 2 else 2)
+    if mult.denominator != 1:
+        raise ValueError(f"no symplectic automorphism of order {n}: "
+                         f"{mult} fixed points of each type")
+    return tuple((a, mult.numerator) for a in range(1, n // 2 + 1)
+                 if gcd(a, n) == 1)
 
 
 def fixed_point_count(label: str) -> int:
+    """The fixed points of the class: 24 at 1A, else w_n phi(n)."""
     n = CLASS_ORDER[label]
-    if n == 1:
-        return 24
-    return sum(mult for _, mult in FIXED_POINT_EIGENVALUES[n])
+    return 24 if n == 1 else canonical_rational(unit_weight(n) * euler_phi(n))
 
 
 def chi_sym_power(n: int) -> int:
@@ -121,13 +125,13 @@ def chi_symt_series(label: str, terms: int) -> list[Fraction]:
     if n == 1:
         return [chi_sym_power(k) for k in range(terms)]
     u12 = _traces(n)[1]
-    w = Fraction(UNIT_SUM_WEIGHTS[n])
+    w = unit_weight(n)
     return [exact_quotient(
         w.numerator * sum(u12[(2 * i - k) % n] for i in range(k + 1)),
         12 * w.denominator) for k in range(terms)]
 
 
-@lru_cache(maxsize=None)
+@memoized
 def _traces(n: int) -> tuple:
     """The traces to Q of zeta_n^k and, times 12, of
     zeta_n^k / ((1 - zeta_n)(1 - zeta_n^-1)), for k = 0..n-1: two integer
@@ -154,7 +158,7 @@ RATIONAL_FORM_DENOMINATORS = {label: {n: {1: 4, 2: 2}.get(n, 1)}
                               for label, n in CLASS_ORDER.items()}
 
 
-@lru_cache(maxsize=None)
+@memoized
 def rational_form(label: str) -> RationalFunction:
     """Fit chi(g; X, S_t T) to its cyclotomic-denominator closed form.
 
@@ -280,7 +284,7 @@ def equivariant_elliptic_genus(label: str, trunc24: int) -> TruncatedSeries:
         v = 24 * d * (ramanujan[d % n] - phi)
         for m in range(d, top + 1, d):
             f12[m] += v
-    w = Fraction(UNIT_SUM_WEIGHTS[n])
+    w = unit_weight(n)
     f = TruncatedSeries({(24 * m, 0): w.numerator * x
                          for m, x in enumerate(f12)}, trunc24)
     return index_one_form(*(

@@ -20,13 +20,13 @@ operations to read.  The milled table is returned as a
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, isqrt, lcm
 from operator import add, mul, sub
 from types import MappingProxyType
 
 from .chartab import CharacterEntry, CharacterTable, ClassEntry
 from .lattice import hermite_normal_form, integer_kernel
+from .qpoly import memoized
 from .records import Record
 
 __all__ = [
@@ -131,7 +131,7 @@ def _power_type(cycle_type: tuple, k: int) -> tuple:
     return tuple(sorted(powered.items()))
 
 
-@lru_cache(maxsize=None)
+@memoized
 def class_data(name: str) -> GroupClassData:
     """The checked class data of M23 or M24.
 

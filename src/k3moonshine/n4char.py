@@ -43,7 +43,6 @@ A_0 = -2 and atypical multiplicity 24 and frozen in the tests.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
 from .qpoly import (
     _over_common_denominator, canonical_rational, exact_quotient, memoized,
@@ -157,7 +156,7 @@ def _fermion_terms(exp2: int, y2: int, trunc24: int) -> list:
             for j, q24 in enumerate(range(first * step, trunc24, step))]
 
 
-@lru_cache(maxsize=None)
+@memoized
 def _theta3_over_eta3(trunc24: int) -> TruncatedSeries:
     """theta3/eta^3, the prefactor of g_N, atypical_ns and ch_vn_closed.
     Memoized per process on the truncation (the series is read-only)."""
@@ -223,7 +222,7 @@ def _f2_column(ncols: int) -> list:
     return f2
 
 
-@lru_cache(maxsize=None)
+@memoized
 def _h_column(N: int, ncols: int) -> tuple:
     """h_N at q^(k - 1/8) for k < ncols (the last at q24 = 24 ncols - 27),
     memoized per process: every reader of h_N's coefficients goes through
@@ -298,7 +297,7 @@ def _v_combo(part, N: int, trunc24: int) -> TruncatedSeries:
     return sum(terms[1:], terms[0])
 
 
-@lru_cache(maxsize=None)
+@memoized
 def _typical_prefactor(trunc24: int) -> TruncatedSeries:
     """theta3^2 / eta^3, the shape of every typical NS character.
     Memoized per process on the truncation (the series is read-only)."""
@@ -441,7 +440,7 @@ def twining_truncation(tmax: int) -> int:
     return 24 * -(-(decomposition_truncation(tmax) + 18) // 18)
 
 
-@lru_cache(maxsize=None)
+@memoized
 def _typical_row(N: int, ncols: int) -> tuple:
     """Row N of Table 3, ch_{V_N}'s typical multiplicities at h = 1/4 + k,
     k < ncols (the last at q24 = 24 ncols - 27), memoized per process:
@@ -467,7 +466,7 @@ def mathieu_h(trunc24: int) -> TruncatedSeries:
     return body * eta_power(-3, trunc24)
 
 
-@lru_cache(maxsize=None)
+@memoized
 def _genus_multiplicities(ncols: int) -> tuple:
     """The elliptic genus's massless multiplicity, then its typical ones at
     h = 1/4 + k for k < ncols, memoized per process.  The massive

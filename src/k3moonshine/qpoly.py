@@ -7,7 +7,8 @@ them from here: ``canonical_rational`` (an int exactly when integral),
 ``exact_quotient`` (a / b in that form, never a float),
 ``_over_common_denominator`` (rationals as ints over one denominator),
 ``require_int`` (an int, not a bool), ``euler_phi`` and ``moebius``;
-``memoized`` caches the builders on arguments read by ``require_int``.
+``memoized`` is the package's one cache, on arguments read by
+``require_int``.
 
 Every r_g(t) is a Molien-type series whose denominator is a product of
 cyclotomic polynomials, and ``RationalFunction`` supports only such
@@ -79,6 +80,56 @@ def moebius(n: int) -> int:
     return result
 
 
+def canonical_rational(x, name: str = ""):
+    """The exact rational ``x`` as an ``int`` when integral, else a Fraction.
+
+    Raises TypeError, naming the argument ``name`` if given, for anything
+    that is not an exact rational, floats and bools included, so an
+    inexact value fails loudly instead of rounding and a flag is not
+    read as 0 or 1.
+    """
+    if type(x) is int:
+        return x
+    if type(x) is Fraction:
+        return x.numerator if x.denominator == 1 else x
+    if isinstance(x, Rational) and type(x) is not bool:
+        return canonical_rational(Fraction(x))
+    raise TypeError(f"exact rational expected{name and ' for ' + name}, "
+                    f"got {type(x).__name__} {x!r}")
+
+
+def require_int(name: str, value, least=None) -> int:
+    """``value`` if it is an ``int`` (not a ``bool``) and not below
+    ``least``; else TypeError, or ValueError, naming the argument."""
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an int, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return value
+
+
+def memoized(fn, context=None):
+    """``lru_cache(maxsize=None)`` over ``fn``, keyed on ``context()`` as
+    well when one is given, that reads each argument but a ``str`` through
+    ``require_int`` before it asks the cache: an equal float or bool hashes
+    as the int, and the cache would serve it the int's entry.  Keeps
+    ``cache_info``, ``cache_clear`` and ``__wrapped__``."""
+    names = fn.__code__.co_varnames[:fn.__code__.co_argcount]
+    cached = lru_cache(maxsize=None)(
+        fn if context is None else lambda key, *args: fn(*args))
+
+    @wraps(fn)
+    def wrapper(*args):
+        for name, value in zip(names, args):
+            if type(value) is not str:
+                require_int(name, value)
+        return cached(*args) if context is None else cached(context(), *args)
+
+    wrapper.cache_info = cached.cache_info
+    wrapper.cache_clear = cached.cache_clear
+    return wrapper
+
+
 def _int_mul(a, b) -> list[int]:
     """Product of two integer coefficient lists (ascending)."""
     if not a or not b:
@@ -119,7 +170,7 @@ def _horner(coeffs, x):
     return acc
 
 
-@lru_cache(maxsize=None)
+@memoized
 def _cyclotomic_coeffs(n: int) -> tuple[int, ...]:
     """Integer coefficients (ascending) of Phi_n, cached per process.
 
@@ -139,55 +190,6 @@ def _product_coeffs(exps) -> list[int]:
         for _ in range(e):
             out = _int_mul(out, _cyclotomic_coeffs(d))
     return out
-
-
-def canonical_rational(x, name: str = ""):
-    """The exact rational ``x`` as an ``int`` when integral, else a Fraction.
-
-    Raises TypeError, naming the argument ``name`` if given, for anything
-    that is not an exact rational, floats included, so an inexact value
-    fails loudly instead of rounding.
-    """
-    if type(x) is int:
-        return x
-    if type(x) is Fraction:
-        return x.numerator if x.denominator == 1 else x
-    if isinstance(x, Rational):
-        return canonical_rational(Fraction(x))
-    raise TypeError(f"exact rational expected{name and ' for ' + name}, "
-                    f"got {type(x).__name__} {x!r}")
-
-
-def require_int(name: str, value, least=None) -> int:
-    """``value`` if it is an ``int`` (not a ``bool``) and not below
-    ``least``; else TypeError, or ValueError, naming the argument."""
-    if type(value) is not int:
-        raise TypeError(f"{name} must be an int, got {value!r}")
-    if least is not None and value < least:
-        raise ValueError(f"{name} must be >= {least}, got {value}")
-    return value
-
-
-def memoized(fn, context=None):
-    """``lru_cache(maxsize=None)`` over ``fn``, keyed on ``context()`` as
-    well when one is given, that reads each argument but a ``str`` through
-    ``require_int`` before it asks the cache: an equal float or bool hashes
-    as the int, and the cache would serve it the int's entry.  Keeps
-    ``cache_info``, ``cache_clear`` and ``__wrapped__``."""
-    names = fn.__code__.co_varnames[:fn.__code__.co_argcount]
-    cached = lru_cache(maxsize=None)(
-        fn if context is None else lambda key, *args: fn(*args))
-
-    @wraps(fn)
-    def wrapper(*args):
-        for name, value in zip(names, args):
-            if type(value) is not str:
-                require_int(name, value)
-        return cached(*args) if context is None else cached(context(), *args)
-
-    wrapper.cache_info = cached.cache_info
-    wrapper.cache_clear = cached.cache_clear
-    return wrapper
 
 
 def exact_quotient(a, b):

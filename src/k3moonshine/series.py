@@ -81,7 +81,7 @@ class TruncatedSeries:
             terms = kept
         for k, v in terms.items():
             if type(v) is not int and type(v) is not CyclotomicNumber:
-                terms[k] = canonical_rational(v)
+                terms[k] = canonical_rational(v, "coefficient")
         object.__setattr__(self, "terms", MappingProxyType(terms))
         object.__setattr__(self, "trunc24", trunc24)
 
@@ -393,9 +393,7 @@ def _to_units(x, scale: int, name: str) -> int:
     float, a bool or any other inexact value, as the constructor raises."""
     if type(x) is int:
         return x * scale
-    if isinstance(x, bool):     # a Rational to canonical_rational
-        raise TypeError(f"exact rational expected for {name}, got bool {x!r}")
-    f = Fraction(canonical_rational(x)) * scale
+    f = Fraction(canonical_rational(x, name)) * scale
     if f.denominator != 1:
         raise ValueError(f"{name}-exponent {x} not in (1/{scale})Z")
     return f.numerator

@@ -10,6 +10,10 @@ long way, as the library once did, and the tests compare the two:
     whose lead -(y - 2 + 1/y) only ``division_oracle`` divides by;
   * ``galois_conjugate`` and ``table1_sum``: sigma_a applied to every
     coefficient, pair by pair, over Q(zeta_n);
+  * ``table1_weight``: the weight w_n of each unit, read off the paper's
+    Table 1 (``acceptance.TABLE1_FIXED_POINTS``), which every Table-1
+    route here reads instead of the library's derivation from
+    chi(g, O_X) = 2;
   * ``chi_symt_per_pair``: one inverse and one root-count sum per pair,
     over Q(zeta_n);
   * ``pole_coefficient_in_fractions``: Horner evaluation in Fractions;
@@ -101,11 +105,12 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from math import gcd, lcm
 
+from k3moonshine.acceptance import TABLE1_FIXED_POINTS
 from k3moonshine.chartab import format_rational
 from k3moonshine.cyclotomic import CyclotomicNumber, zeta
 from k3moonshine.genus import (
-    CLASS_ORDER, FIXED_POINT_EIGENVALUES, UNIT_SUM_WEIGHTS, MoonshineReport,
-    _columns, chi_sym_power, elliptic_genus, expand_product, fixed_point_count,
+    CLASS_ORDER, MoonshineReport,
+    _columns, chi_sym_power, elliptic_genus, expand_product,
 )
 from k3moonshine.lattice import (
     IntegerLattice, _integer_vector, _xgcd, hermite_normal_form, hnf_basis,
@@ -224,11 +229,16 @@ def fixed_point_term(n, trunc24):
     return fixed_point_sum_in_fractions(n, trunc24, twelfth, lambda c: c)
 
 
+def table1_weight(n):
+    """w_n from the published Table 1: its fixed points over phi(n)."""
+    return Fraction(sum(m for _, m in TABLE1_FIXED_POINTS[n]), euler_phi(n))
+
+
 def table1_sum(label, trunc24):
     n = CLASS_ORDER[label]
     term = fixed_point_term(n, trunc24)
     total = TruncatedSeries.zero(trunc24)
-    for a, mult in FIXED_POINT_EIGENVALUES[n]:
+    for a, mult in TABLE1_FIXED_POINTS[n]:
         total = total + galois_conjugate(term, a) * mult
     return as_rational(total)
 
@@ -238,7 +248,7 @@ def chi_symt_per_pair(label, terms):
     if n == 1:
         return [chi_sym_power(k) for k in range(terms)]
     pieces = []
-    for a, mult in FIXED_POINT_EIGENVALUES[n]:
+    for a, mult in TABLE1_FIXED_POINTS[n]:
         dinv = ((1 - zeta(n, a)) * (1 - zeta(n, n - a))).inverse()
         pieces.append((a, dinv * mult))
     out = []
@@ -367,13 +377,13 @@ def _on_the_term(label, trunc24, value):
 def equivariant_genus_by_division(label, trunc24):
     if CLASS_ORDER[label] == 1:
         return weak_jacobi_phi_by_products(0, trunc24) * 2
-    pairs = FIXED_POINT_EIGENVALUES[CLASS_ORDER[label]]
+    pairs = TABLE1_FIXED_POINTS[CLASS_ORDER[label]]
     return _on_the_term(
         label, trunc24, lambda c: rational_value(galois_sum(c, pairs)))
 
 
 def weighted_genus_by_division(label, trunc24):
-    weight = UNIT_SUM_WEIGHTS[CLASS_ORDER[label]]
+    weight = table1_weight(CLASS_ORDER[label])
     return _on_the_term(label, trunc24, trace) * weight
 
 
@@ -760,16 +770,16 @@ def fixed_point_sum_in_fractions(n, trunc24, a, value):
 
 def equivariant_genus_in_fractions(label, trunc24):
     n = CLASS_ORDER[label]
-    pairs = FIXED_POINT_EIGENVALUES[n]
+    pairs = TABLE1_FIXED_POINTS[n]
     return fixed_point_sum_in_fractions(
-        n, trunc24, exact_quotient(fixed_point_count(label), 12),
+        n, trunc24, exact_quotient(sum(m for _, m in pairs), 12),
         lambda c: rational_value(galois_sum(c, pairs)))
 
 
 def weighted_genus_in_fractions(label, trunc24):
     n = CLASS_ORDER[label]
     return fixed_point_sum_in_fractions(
-        n, trunc24, Fraction(euler_phi(n), 12), trace) * UNIT_SUM_WEIGHTS[n]
+        n, trunc24, Fraction(euler_phi(n), 12), trace) * table1_weight(n)
 
 
 def jacobi_split_in_fractions(s):

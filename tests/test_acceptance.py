@@ -351,13 +351,12 @@ def test_criterion_4_catches_a_wrong_trace_coefficient(monkeypatch):
 
 
 def test_criterion_4_catches_table1_off_its_unit_weight(monkeypatch):
-    # 5A's four fixed points moved between its eigenvalue pairs: the count,
-    # and so every split constant, stays, but the unit 1 carries 3 of them
-    # where w_5 = 1 asks for 2 on each pair {a, -a}
-    from k3moonshine.genus import FIXED_POINT_EIGENVALUES
-    monkeypatch.setitem(FIXED_POINT_EIGENVALUES, 5, ((1, 3), (2, 1)))
+    # 5A's four fixed points moved between the eigenvalue pairs of the
+    # published Table 1: the count, and so every split constant, stays, but
+    # the unit 1 carries 3 of them where w_5 = 1 asks for 2 on each pair
+    monkeypatch.setitem(acc.TABLE1_FIXED_POINTS, 5, ((1, 3), (2, 1)))
     assert acc.check_4_theorem_split(q_order=6) == (
-        False, "order 5: weighted form mismatch")
+        False, "order 5: Table 1 ((1, 3), (2, 1)), derived ((1, 2), (2, 2))")
 
 
 def test_criterion_7_catches_a_wrong_module_layer(monkeypatch):

@@ -1,6 +1,7 @@
-"""Every ``lru_cache``d builder in the package serves one shared, read-only
-object: a repeat call returns the same object, and that object refuses
-attribute assignment, so no caller can change what later callers get."""
+"""Every cached builder in the package goes through ``qpoly.memoized`` and
+serves one shared, read-only object: a repeat call returns the same
+object, and that object refuses attribute assignment, so no caller can
+change what later callers get."""
 
 import importlib
 import pkgutil
@@ -8,12 +9,12 @@ import pkgutil
 import pytest
 
 import k3moonshine
+from k3moonshine.qpoly import memoized
 
 # One small argument tuple per memoized builder; a builder missing here
 # fails ``test_every_cached_builder_is_listed``.
 SAMPLE_ARGS = {
     "cyclotomic._power_reduction": (5,),
-    "cyclotomic._galois_rows": (5, 2),
     "qpoly._cyclotomic_coeffs": (6,),
     "modforms.eta_power": (-3, 48),
     "modforms.eisenstein_e2": (48,),
@@ -66,6 +67,13 @@ def test_every_cached_builder_is_listed():
     assert sorted(_cached_builders()) == sorted(SAMPLE_ARGS)
 
 
+def test_every_cache_is_memoized():
+    # one cache rule: each builder is the wrapper memoized returns
+    wrapper = memoized(lambda: None).__code__
+    assert [name for name, builder in _cached_builders().items()
+            if getattr(builder, "__code__", None) is not wrapper] == []
+
+
 @pytest.mark.parametrize("name", sorted(SAMPLE_ARGS))
 def test_cached_builder_serves_one_read_only_object(name):
     builder = _cached_builders()[name]
@@ -74,12 +82,11 @@ def test_cached_builder_serves_one_read_only_object(name):
     _assert_read_only(first)
 
 
-# The public builders with int arguments read them through require_int
-# before their caches: a float or a bool hashes as the int it equals, so a
-# warm cache would serve it that int's entry.
+# The builders with int arguments, private helpers included, read them
+# through require_int before their caches: a float or a bool hashes as the
+# int it equals, so a warm cache would serve it that int's entry.
 CHECKED = sorted(name for name, args in SAMPLE_ARGS.items()
-                 if not name.split(".")[1].startswith("_")
-                 and any(type(a) is int for a in args))
+                 if any(type(a) is int for a in args))
 
 
 @pytest.mark.parametrize("name", CHECKED)

@@ -4,21 +4,24 @@ from math import gcd
 
 import pytest
 
+from k3moonshine.acceptance import TABLE1_FIXED_POINTS
 from k3moonshine.cyclotomic import zeta
 from k3moonshine.qpoly import RationalFunction
 from k3moonshine.series import NotInSpanError, TruncatedSeries
 from k3moonshine.modforms import euler_specialization, weak_jacobi_phi
 from k3moonshine.genus import (
-    CLASS_ORDER, FIXED_POINT_EIGENVALUES, SYMPLECTIC_CLASSES, UNIT_SUM_WEIGHTS,
-    chern_root_elliptic_genus,
+    CLASS_ORDER, SYMPLECTIC_CLASSES, chern_root_elliptic_genus,
     chi_sym_power, chi_symt_series, elliptic_genus, equivariant_elliptic_genus, fixed_point_count,
-    MoonshineReport, _traces, jacobi_split, rational_form,
-    verify_moonshine_class,
+    fixed_point_types, MoonshineReport, _traces, jacobi_split, rational_form,
+    unit_weight, verify_moonshine_class,
 )
-from route_oracle import fixed_point_term, galois_conjugate, table1_sum
+from k3moonshine.qpoly import euler_phi
+from route_oracle import (
+    fixed_point_term, galois_conjugate, table1_sum, table1_weight,
+)
 from series_tools import (
-    as_rational, binomial_factor, geometric_factor, is_y_symmetric, root_sum,
-    trace,
+    as_rational, binomial_factor, galois, geometric_factor, is_y_symmetric,
+    root_sum, trace,
 )
 
 T5 = 5 * 24
@@ -181,7 +184,65 @@ def test_trace_tables_match_the_unit_sums(n):
         assert u12[k] == 12 * trace(root * dinv) and type(u12[k]) is int
 
 
-@pytest.mark.parametrize("n", sorted(FIXED_POINT_EIGENVALUES))
+def _unique_solution(columns, rhs):
+    """The one x with sum_j x_j columns[j] = rhs, over Q, or None when the
+    system has no solution or more than one (Gauss-Jordan elimination)."""
+    rows = [[Fraction(c[i]) for c in columns] + [Fraction(rhs[i])]
+            for i in range(len(rhs))]
+    k, rank = len(columns), 0
+    for j in range(k):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][j]), None)
+        if pivot is None:
+            return None
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        lead = rows[rank]
+        lead[:] = [v / lead[j] for v in lead]
+        for r, row in enumerate(rows):
+            if r != rank and row[j]:
+                row[:] = [v - row[j] * w for v, w in zip(row, lead)]
+        rank += 1
+    if any(row[k] for row in rows[rank:]):
+        return None
+    return [rows[j][k] for j in range(k)]
+
+
+@pytest.mark.parametrize("n", range(2, 31))
+def test_lefschetz_formula_has_the_uniform_weight_alone(n):
+    # chi(g, O_X) = 2: sum_a m_a / ((1 - zeta^a)(1 - zeta^-a)) = 2 over the
+    # units, m_a = m_-a, solved in the coordinates of Q(zeta_n); a type
+    # {a, -a} with m_a fixed points per unit enters for a and -a, but once
+    # at n = 2, where a = -a
+    x = ((1 - zeta(n)) * (1 - zeta(n, -1))).inverse()
+    reps = [a for a in _units(n) if 2 * a <= n]
+    columns = [(galois(x, a) * (1 if 2 * a == n else 2)).c for a in reps]
+    two = [2] + [0] * (euler_phi(n) - 1)
+    assert _unique_solution(columns, two) == [unit_weight(n)] * len(reps)
+
+
+def test_the_seven_orders_are_derived():
+    # 2 w_n fixed points of each type is an integer for the orders of the
+    # seven classes and for no other n <= 30 (Nikulin's bound n <= 8)
+    orders = {n for n in CLASS_ORDER.values() if n > 1}
+    assert {n for n in range(2, 31)
+            if (2 * unit_weight(n)).denominator == 1} == orders
+    for n in set(range(2, 31)) - orders:
+        with pytest.raises(ValueError, match=f"order {n}"):
+            fixed_point_types(n)
+
+
+@pytest.mark.parametrize("label", SYMPLECTIC_CLASSES[1:])
+def test_derived_fixed_points_match_table1_and_m24(label):
+    # the derived types are the published Table 1, and w_n phi(n) fixed
+    # points are the 1-cycles of the class's M24 cycle shape
+    from k3moonshine.mckay import euler_character_value
+    n = CLASS_ORDER[label]
+    assert fixed_point_types(n) == TABLE1_FIXED_POINTS[n]
+    assert unit_weight(n) == table1_weight(n)
+    assert unit_weight(n) * euler_phi(n) == fixed_point_count(label) \
+        == euler_character_value(label)
+
+
+@pytest.mark.parametrize("n", sorted(TABLE1_FIXED_POINTS))
 def test_fixed_point_term_matches_product_oracle(n):
     for t in (24, 2 * 24, 4 * 24, 6 * 24, 12 * 24):
         term = fixed_point_term(n, t)
@@ -195,7 +256,7 @@ def test_public_genera_match_product_sums(t):
     for label in SYMPLECTIC_CLASSES[1:]:
         n = CLASS_ORDER[label]
         table1 = TruncatedSeries.zero(t)
-        for a, mult in FIXED_POINT_EIGENVALUES[n]:
+        for a, mult in TABLE1_FIXED_POINTS[n]:
             table1 = table1 + product_fixed_point_term(n, a, t) * mult
         assert _same(equivariant_elliptic_genus(label, t),
                      as_rational(table1)), label
@@ -203,13 +264,13 @@ def test_public_genera_match_product_sums(t):
         for a in _units(n):
             units = units + product_fixed_point_term(n, a, t)
         assert _same(equivariant_elliptic_genus(label, t),
-                     as_rational(units * UNIT_SUM_WEIGHTS[n])), label
+                     as_rational(units * table1_weight(n))), label
 
 
 @pytest.mark.parametrize("t", (24, 5 * 24, 8 * 24))
 def test_fixed_point_term_truncation_is_sound(t):
     # the term built with one more q-order agrees below the stated trunc24
-    for n in FIXED_POINT_EIGENVALUES:
+    for n in TABLE1_FIXED_POINTS:
         term = fixed_point_term(n, t)
         assert term.trunc24 == t
         assert dict(fixed_point_term(n, t + 24).truncate(t).terms) == \
@@ -273,12 +334,13 @@ def test_moonshine_report_prints_exact_q_orders(report, text):
 
 
 def test_corrupted_fixed_point_data_detected(monkeypatch):
-    # the genus reads w_n alone, so Table 1 is checked against it by
-    # acceptance criterion 4: one fixed point of 5A dropped
+    # the genus reads the derived w_n alone, so acceptance criterion 4
+    # checks the published Table 1 against the derivation: one fixed point
+    # of 5A dropped from the published entry
     from k3moonshine.acceptance import check_4_theorem_split
-    monkeypatch.setitem(FIXED_POINT_EIGENVALUES, 5, ((1, 2), (2, 1)))
-    assert check_4_theorem_split(q_order=1) == \
-        (False, "order 5: weighted form mismatch")
+    monkeypatch.setitem(TABLE1_FIXED_POINTS, 5, ((1, 2), (2, 1)))
+    assert check_4_theorem_split(q_order=1) == (False, (
+        "order 5: Table 1 ((1, 2), (2, 1)), derived ((1, 2), (2, 2))"))
 
 
 def test_moonshine_comparisons_read_e_from_m24(monkeypatch):

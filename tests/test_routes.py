@@ -36,9 +36,9 @@ from functools import partial
 import pytest
 
 from canonical import all_canonical
-from k3moonshine.acceptance import run_criteria
+from k3moonshine.acceptance import TABLE1_FIXED_POINTS, run_criteria
 from k3moonshine.genus import (
-    FIXED_POINT_EIGENVALUES, SYMPLECTIC_CLASSES, chern_root_elliptic_genus,
+    SYMPLECTIC_CLASSES, chern_root_elliptic_genus,
     chi_symt_series, elliptic_genus, equivariant_elliptic_genus, jacobi_split,
     verify_moonshine_class,
 )
@@ -271,7 +271,7 @@ INDEX_ONE_BUILDERS = {
                  partial(weak_jacobi_phi_by_products, -2)),
     **{f"term-{n}": (partial(fixed_point_term, n),
                      partial(fixed_point_term_by_division, n))
-       for n in FIXED_POINT_EIGENVALUES},
+       for n in TABLE1_FIXED_POINTS},
     **{f"genus-{label}": (partial(equivariant_elliptic_genus, label),
                           partial(equivariant_genus_by_division, label))
        for label in SYMPLECTIC_CLASSES},

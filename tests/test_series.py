@@ -11,7 +11,7 @@ from k3moonshine.modforms import (
     eta_power, euler_specialization, jacobi_theta, weak_jacobi_phi,
 )
 from k3moonshine.n4char import h_series
-from k3moonshine.qpoly import euler_phi, exact_quotient
+from k3moonshine.qpoly import canonical_rational, euler_phi, exact_quotient
 from k3moonshine.series import (
     INF24,
     InsufficientPrecisionError,
@@ -308,6 +308,16 @@ def test_an_exponent_is_not_a_bool():
     for q, y in ((True, 0), (0, False)):
         with pytest.raises(TypeError, match="got bool"):
             s.coeff(q, y)
+
+
+@pytest.mark.parametrize("value", (True, False))
+def test_a_coefficient_is_not_a_bool(value):
+    # a bool is a Rational to isinstance, so it would be stored as 1 or 0
+    with pytest.raises(TypeError, match=f"^exact rational expected for c, "
+                                        f"got bool {value}$"):
+        canonical_rational(value, "c")
+    with pytest.raises(TypeError, match="for coefficient, got bool True"):
+        T({(0, 0): 1, (24, 0): True}, 48)
 
 
 def test_y_sign_of_a_half_integral_power_is_a_value_error():
