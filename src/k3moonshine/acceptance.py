@@ -14,12 +14,13 @@ import time
 from fractions import Fraction
 
 from .qpoly import RationalFunction
+from .chartab import SYMPLECTIC_CLASSES, format_rational
 from .records import Record
 from .modforms import euler_specialization, jacobi_theta
 from .genus import (
-    SYMPLECTIC_CLASSES, chern_root_elliptic_genus, chi_symt_series,
-    elliptic_genus, equivariant_elliptic_genus, fixed_point_count,
-    fixed_point_types, jacobi_split, rational_form,
+    chern_root_elliptic_genus, chi_symt_series, elliptic_genus,
+    equivariant_elliptic_genus, fixed_point_count, fixed_point_types,
+    jacobi_split, rational_form,
 )
 from .n4char import (
     _atypical_coefficient, _genus_multiplicities, _typical_row, ch_v_product,
@@ -232,7 +233,6 @@ def check_8_lattices(**_) -> tuple:
 
 
 def check_9_table2(t_order: int = 21, **_) -> tuple:
-    from .chartab import format_rational
     from .tables import load_m23
     from .replattice import m23_table2, m_chi_rational
     m23 = load_m23()

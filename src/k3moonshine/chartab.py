@@ -30,7 +30,14 @@ from operator import mul
 
 from .records import Record
 
-__all__ = ["CharacterTable", "TableFormatError", "format_rational"]
+__all__ = ["CharacterTable", "TableFormatError", "format_rational",
+           "CLASS_ORDER", "SYMPLECTIC_CLASSES"]
+
+# The symplectic classes, the M23 classes of element order <= 8: label: order
+CLASS_ORDER = {
+    "1A": 1, "2A": 2, "3A": 3, "4A": 4, "5A": 5, "6A": 6, "7AB": 7, "8A": 8,
+}
+SYMPLECTIC_CLASSES = tuple(CLASS_ORDER)
 
 
 class TableFormatError(ValueError):
@@ -132,16 +139,12 @@ class CharacterTable(Record):
         return "\n".join(lines) + "\n"
 
     @staticmethod
+    def loads(text: str) -> "CharacterTable":
+        return CharacterTable.loads_unchecked(text).validate()
+
+    @staticmethod
     def loads_unchecked(text: str) -> "CharacterTable":
         """Parse without the full-table validation (restricted slices)."""
-        return CharacterTable._parse_text(text)
-
-    @staticmethod
-    def loads(text: str) -> "CharacterTable":
-        return CharacterTable._parse_text(text).validate()
-
-    @staticmethod
-    def _parse_text(text: str) -> "CharacterTable":
         lines = [ln.strip() for ln in text.splitlines()
                  if ln.strip() and not ln.startswith("#")]
         it = iter(lines)
@@ -191,7 +194,9 @@ class CharacterTable(Record):
 def format_rational(x) -> str:
     """An exact rational as "a/b", or a bare integer when integral: the
     one text form of the tables, the f_g data file and the CLI."""
-    return str(x) if type(x) is int else str(Fraction(x))
+    if type(x) is not int and type(x) is not Fraction:
+        raise TypeError(f"exact rational expected, got {x!r}")
+    return str(x)
 
 
 def _parse_value(s: str):

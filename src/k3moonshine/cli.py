@@ -30,8 +30,7 @@ from fractions import Fraction
 from math import gcd
 from types import SimpleNamespace
 
-from .chartab import TableFormatError, format_rational
-from .genus import SYMPLECTIC_CLASSES
+from .chartab import SYMPLECTIC_CLASSES, TableFormatError, format_rational
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1

@@ -39,7 +39,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .chartab import format_rational
+from .chartab import CLASS_ORDER, SYMPLECTIC_CLASSES, format_rational
 from .qpoly import (
     RationalFunction, canonical_rational, euler_phi, exact_quotient,
     memoized, moebius, reconstruct_rational, require_int,
@@ -69,11 +69,6 @@ __all__ = [
     "MoonshineReport",
     "verify_moonshine_class",
 ]
-
-CLASS_ORDER = {
-    "1A": 1, "2A": 2, "3A": 3, "4A": 4, "5A": 5, "6A": 6, "7AB": 7, "8A": 8,
-}
-SYMPLECTIC_CLASSES = tuple(CLASS_ORDER)
 
 
 def unit_weight(n: int) -> Fraction:
@@ -111,8 +106,7 @@ def chi_sym_power(n: int) -> int:
 
     Td * ch evaluates each summand e^(m x) of ch(S^n T) to 2 - 12 m^2.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    require_int("n", n, 0)
     return 2 * (n + 1) - 12 * sum((n - 2 * i) ** 2 for i in range(n + 1))
 
 
@@ -122,6 +116,7 @@ def chi_symt_series(label: str, terms: int) -> list[Fraction]:
     real sum_(i <= k) zeta_n^(2i - k) / ((1 - zeta_n)(1 - zeta_n^-1)),
     summed on the ints 12 U_n of ``_traces`` and divided once."""
     n = CLASS_ORDER[label]
+    require_int("terms", terms, 0)
     if n == 1:
         return [chi_sym_power(k) for k in range(terms)]
     u12 = _traces(n)[1]

@@ -18,10 +18,10 @@ lower rank.  The Smith form alternates row and column Hermite forms.
 Input rows are checked once, where they enter (``hermite_normal_form``,
 ``IntegerLattice(ambient, rows)``, ``congruence_lattice``,
 ``smith_normal_form``, ``reduce``, ``contains``): an integral ``Fraction``
-is taken as its int, a non-integral one raises ValueError, a float or any
-other non-integer raises TypeError, and a row of the wrong length raises
-ValueError.  Nothing is truncated to an integer.  Rows the module builds
-itself take unchecked paths, and its lattices come through
+is taken as its int, a non-integral one raises ValueError, a float, a
+bool or any other non-integer raises TypeError, and a row of the wrong
+length raises ValueError.  Nothing is truncated to an integer.  Rows the
+module builds itself take unchecked paths, and its lattices come through
 ``IntegerLattice._of``.
 """
 
@@ -70,10 +70,9 @@ def _integer_entry(x) -> int:
         if x.denominator != 1:
             raise ValueError(f"non-integral lattice entry {x}")
         return x.numerator
-    try:
-        return index(x)
-    except TypeError:
-        raise TypeError(f"lattice entry {x!r} is not an integer") from None
+    if type(x) is bool or not hasattr(type(x), "__index__"):
+        raise TypeError(f"lattice entry {x!r} is not an integer")
+    return index(x)
 
 
 def _integer_rows(rows, n: int) -> list:

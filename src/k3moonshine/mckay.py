@@ -12,8 +12,7 @@ scale 24, then the fit over the prefix's common denominator, read off
 one integer kernel vector (x, D) of the basis rows and the prefix row
 (``lattice.integer_kernel``) and divided once by D times that
 denominator.  The factors eta(a tau) of the cusp forms are
-``modforms.eta_scaled``, the pentagonal series, which this module
-re-exports as ``eta_scaled``.
+``modforms.eta_scaled``, the pentagonal series.
 
 Each twining genus e(g)/12 phi_{0,1} + f_g phi_{-2,1} is its pair
 (``twining_pair``), and ``twining_genus`` builds the weak Jacobi form on its
@@ -34,21 +33,24 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 
-from .qpoly import _over_common_denominator, canonical_rational, exact_quotient
+from .qpoly import (
+    _over_common_denominator, canonical_rational, exact_quotient, require_int,
+)
 from .series import TruncatedSeries
 from .modforms import (
     eisenstein_e2, eta_power, eta_scaled, index_one_form, jacobi_form_columns,
 )
 from .lattice import integer_kernel
 from .mill import class_data
-from .genus import CLASS_ORDER, SYMPLECTIC_CLASSES as GEOMETRIC_CLASSES
 from .n4char import twining_to_symtraces
 from .tables import M24_LABEL, load_m24, data_dir
-from .chartab import format_rational
+from .chartab import (
+    CLASS_ORDER, SYMPLECTIC_CLASSES as GEOMETRIC_CLASSES, format_rational,
+)
 from .records import Record
 
 __all__ = [
-    "eisenstein_difference", "eta_scaled", "cusp_form", "m2_basis",
+    "eisenstein_difference", "cusp_form", "m2_basis",
     "euler_character_value", "k_layer_trace", "sigma_coefficients",
     "f_from_traces", "fit_in_m2", "f_series", "twining_pair",
     "twining_genus", "symmetric_traces", "FgRecord", "write_fg_file",
@@ -117,7 +119,7 @@ def m2_basis(level: int, trunc24: int) -> list:
     stored cusp forms need not span its space (at level 9 they give two
     forms of three).
     """
-    if level not in CLASS_LEVEL.values():
+    if require_int("level", level) not in CLASS_LEVEL.values():
         raise ValueError(f"no M_2 basis stored for level {level}")
     div = [d for d in range(2, level + 1) if level % d == 0]
     basis = [eisenstein_difference(d, trunc24) for d in div]
@@ -151,7 +153,7 @@ def _orbit_row(table, degree: int, orbit: int):
 
 def k_layer_trace(n: int, label: str) -> int:
     """Tr(g | K_n) for n = 0..5 evaluated at an M24 class."""
-    if n == 0:
+    if require_int("n", n) == 0:
         return -2
     degree, copies = _K_LAYERS[n]
     table = load_m24()

@@ -46,7 +46,7 @@ Conventions (the single source of truth for signs):
 
 from __future__ import annotations
 
-from .qpoly import memoized
+from .qpoly import memoized, require_int
 from .series import TruncatedSeries
 
 __all__ = [
@@ -68,6 +68,7 @@ def eta_scaled(a: int, trunc24: int) -> TruncatedSeries:
     eta(a tau) = sum_m (-1)^m q^(a (6m - 1)^2 / 24): O(sqrt(trunc24 / a))
     terms, in increasing q-order.
     """
+    require_int("a", a, 1)
     terms = {}
     j = 1                        # j = |6m - 1| runs over 1, 5, 7, 11, 13, ...
     while a * j * j < trunc24:
@@ -117,7 +118,7 @@ def _over_eta3(s: TruncatedSeries, times: int) -> TruncatedSeries:
 def jacobi_theta(kind: int, trunc24: int) -> TruncatedSeries:
     """theta2 (kind 2) or theta3 (kind 3) as a (y, q) series: the sum of
     y^n q^(n^2/2) over n in Z + 1/2 or n in Z, on j = 2n."""
-    if kind not in (2, 3):
+    if require_int("kind", kind) not in (2, 3):
         raise ValueError("theta kind must be 2 or 3")
     terms = {}
     j = 1 if kind == 2 else 0

@@ -280,6 +280,7 @@ _V_WEIGHTS = ((0, 1), (1, -2), (3, 2), (4, -1))
 
 def ch_vn_closed(N: int, trunc24: int) -> TruncatedSeries:
     """ch_{V_N} = (theta3/eta^3)(g_N - 2 g_(N+1) + 2 g_(N+3) - g_(N+4))."""
+    require_int("N", N)
     pref = _theta3_over_eta3(trunc24 + _ETA3_LEAD)
     return (pref * pref) * _v_combo(g_sum, N, trunc24 + 2 * _ETA3_LEAD)
 
@@ -429,7 +430,7 @@ def decomposition_truncation(ncols: int) -> int:
     """The least trunc24 at which ``decompose_into_n4`` reads, from an NS
     ch_{V_N} (from q^(-1/4) on), the massless multiplicity (q24 = 9) and
     the columns k < ncols (to 24 ncols - 27) below its trunc24 + 3."""
-    return max(24 * ncols - 27, 9) - 2
+    return max(24 * require_int("ncols", ncols, 0) - 27, 9) - 2
 
 
 def twining_truncation(tmax: int) -> int:

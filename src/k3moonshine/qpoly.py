@@ -353,7 +353,7 @@ class RationalFunction:
         d0 = den[0]  # +-1: Phi_1(0) = -1 and Phi_d(0) = 1 for d > 1
         num = self._n
         out = []
-        for k in range(terms):
+        for k in range(require_int("terms", terms, 0)):
             acc = num[k] if k < len(num) else 0
             for j in range(1, min(k, len(den) - 1) + 1):
                 acc -= den[j] * out[k - j]

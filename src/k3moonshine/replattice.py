@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
-from .chartab import CharacterTable
+from .chartab import SYMPLECTIC_CLASSES, CharacterTable
 from .lattice import (
     IntegerLattice, congruence_lattice, hnf_basis, snf_quotient,
     solve_in_lattice, SolveResult,
@@ -280,7 +280,7 @@ def m23_table2(table: CharacterTable, t_order: int) -> tuple:
     t^0..t^(t_order - 1) multiplicities, one column per complex
     irreducible.
     """
-    from .genus import SYMPLECTIC_CLASSES, rational_form
+    from .genus import rational_form
     forms = {lab: rational_form(lab) for lab in SYMPLECTIC_CLASSES}
     for lab in CHOSEN_FORM_NUMERATORS:
         forms[lab] = chosen_rational_form(lab)
@@ -313,6 +313,6 @@ def m_chi_rational(table: CharacterTable, forms: dict):
 def first_nonintegral(series) -> tuple | None:
     """(position, value) of the first non-integral int or Fraction, or None."""
     for i, c in enumerate(series):
-        if type(c) is not int and c.denominator != 1:
+        if type(canonical_rational(c, "value")) is Fraction:
             return i, c
     return None

@@ -76,12 +76,15 @@ class TruncatedSeries:
             for (q24, y2), v in terms.items():
                 if type(q24) is not int or type(y2) is not int:
                     raise TypeError(f"series key {q24, y2} is not two ints")
+                if type(v) is not int and type(v) is not CyclotomicNumber:
+                    v = canonical_rational(v, "coefficient")
                 if q24 < trunc24 and v:
                     kept[q24, y2] = v
             terms = kept
-        for k, v in terms.items():
-            if type(v) is not int and type(v) is not CyclotomicNumber:
-                terms[k] = canonical_rational(v, "coefficient")
+        else:
+            for k, v in terms.items():
+                if type(v) is not int and type(v) is not CyclotomicNumber:
+                    terms[k] = canonical_rational(v, "coefficient")
         object.__setattr__(self, "terms", MappingProxyType(terms))
         object.__setattr__(self, "trunc24", trunc24)
 

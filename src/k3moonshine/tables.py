@@ -18,9 +18,9 @@ import os
 from operator import mul
 
 from .chartab import (
-    CharacterTable, CharacterEntry, ClassEntry, TableFormatError,
+    CLASS_ORDER, SYMPLECTIC_CLASSES as SYMPLECTIC_M23_LABELS, CharacterTable,
+    CharacterEntry, ClassEntry, TableFormatError,
 )
-from .genus import CLASS_ORDER, SYMPLECTIC_CLASSES as SYMPLECTIC_M23_LABELS
 from .mill import class_data, exterior_powers, mill_rational_table
 from .mukai import MUKAI_GROUPS, mukai_table
 from .lattice import hnf_basis
@@ -33,7 +33,7 @@ __all__ = [
     "CO0_ORDER",
 ]
 
-# Classes carry M23 labels (``genus``, ``mckay``); M24 calls the symplectic
+# Classes carry M23 labels (``chartab``, ``mckay``); M24 calls the symplectic
 # 4A its 4B and ``mckay``'s 4A-M24 its 4A, and every other label as is.
 M24_LABEL = {"4A": "4B", "4A-M24": "4A"}
 SYMPLECTIC_M24_LABELS = tuple(M24_LABEL.get(lab, lab)

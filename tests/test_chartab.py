@@ -6,7 +6,10 @@ from math import gcd
 import pytest
 
 from k3moonshine import tables
-from k3moonshine.chartab import CharacterTable, TableFormatError, _parse_value
+from k3moonshine.chartab import (
+    CLASS_ORDER, SYMPLECTIC_CLASSES, CharacterTable, TableFormatError,
+    _parse_value,
+)
 from k3moonshine.mill import class_data, mill_rational_table
 from k3moonshine.tables import (
     load_co0_restricted, load_m23, load_m24, load_mukai,
@@ -290,3 +293,12 @@ def test_value_rows_parse_as_their_tokens(row):
     got = CharacterTable.loads_unchecked(text).characters[0].values
     assert got == want and all(map(is_canonical, got))
     assert [type(x) for x in got] == [type(x) for x in want]
+
+
+def test_symplectic_classes_are_the_m23_classes_of_order_at_most_8():
+    # the labels and orders stated in chartab are the mill's M23 classes
+    # of element order <= 8, in its order, so the two cannot drift apart
+    m23 = class_data("M23").classes
+    assert list(CLASS_ORDER.items()) == \
+        [(c.label, c.order) for c in m23 if c.order <= 8]
+    assert SYMPLECTIC_CLASSES == tuple(CLASS_ORDER)

@@ -91,7 +91,7 @@ def test_only_series_imports_the_tests_field():
         name: names for name, tree in _package_modules().items()
         for module, names in _imports_from(tree)
         if module == "k3moonshine.cyclotomic"}
-    assert sorted(importers) == ["__init__.py", "series.py"]
+    assert sorted(importers) == ["series.py"]
     assert importers["series.py"] == ["CyclotomicNumber"]
 
 
@@ -113,3 +113,42 @@ def test_each_scalar_rule_has_one_home():
     assert "CyclotomicNumber" not in {
         node.id for node in ast.walk(exact_quotient)
         if isinstance(node, ast.Name)}
+
+
+# -- each layer loads only what it uses ---------------------------------------
+
+SERIES_STACK = ("series", "cyclotomic", "modforms", "genus", "n4char")
+
+
+def _loaded_by(module: str) -> list:
+    """The package modules a fresh ``python -S`` has after one import."""
+    import subprocess
+    import sys
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            f"import {module}; "
+            "print(' '.join(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'k3moonshine')))")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code, os.path.join(ROOT, "src")],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+def test_package_root_imports_nothing():
+    with open(os.path.join(PACKAGE, "__init__.py")) as fh:
+        tree = ast.parse(fh.read())
+    assert [type(node) for node in tree.body] == [ast.Expr]
+    assert _loaded_by("k3moonshine") == ["k3moonshine"]
+
+
+def test_cli_import_loads_cli_chartab_and_records():
+    assert _loaded_by("k3moonshine.cli") == [
+        "k3moonshine", "k3moonshine.chartab", "k3moonshine.cli",
+        "k3moonshine.records"]
+
+
+def test_fixture_layer_loads_no_series_module():
+    loaded = _loaded_by("k3moonshine.tables")
+    assert "k3moonshine.tables" in loaded
+    assert not {f"k3moonshine.{name}" for name in SERIES_STACK} & set(loaded)

@@ -471,6 +471,8 @@ def test_input_rule_at_every_public_entry(name):
         enter([[Fraction(1, 2), 0], [0, 1]])
     with pytest.raises(TypeError):
         enter([[1, 0], [0, 1.0]])
+    with pytest.raises(TypeError):
+        enter([[True, 0], [0, 1]])
     for ragged in ([[1, 2], [3]], [[1], [2, 3]]):
         with pytest.raises(ValueError):
             enter(ragged)

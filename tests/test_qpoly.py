@@ -9,7 +9,13 @@ from hypothesis import given, settings, strategies as st
 from canonical import is_canonical
 from gcd_oracle import GcdRationalFunction, Poly
 from k3moonshine.cyclotomic import zeta
-from k3moonshine.n4char import twining_to_symtraces, twining_truncation
+from k3moonshine.genus import chi_sym_power, chi_symt_series
+from k3moonshine.mckay import k_layer_trace, m2_basis
+from k3moonshine.modforms import eta_scaled, jacobi_theta
+from k3moonshine.n4char import (
+    ch_vn_closed, decomposition_truncation, twining_to_symtraces,
+    twining_truncation,
+)
 from k3moonshine.qpoly import (
     RationalFunction, _cyclotomic_coeffs, _horner, _int_divexact, _int_mul,
     _phi_divides, _product_coeffs, linear_combinations, reconstruct_rational,
@@ -181,6 +187,29 @@ INTEGER_ARGUMENT_PROBES = {
         lambda: twining_to_symtraces(1, _F, -1), "tmax"),
     "zeta float k": (lambda: zeta(4, 1.0), "k"),
     "zeta bool k": (lambda: zeta(4, True), "k"),
+    # each of these read a bool as 0 or 1, took a float or a negative size,
+    # failed unnamed or, for eta_scaled(0, 24), never returned
+    "chi_symt_series bool terms": (
+        lambda: chi_symt_series("2A", True), "terms"),
+    "chi_symt_series float terms": (
+        lambda: chi_symt_series("2A", 2.0), "terms"),
+    "chi_symt_series negative terms": (
+        lambda: chi_symt_series("2A", -3), "terms"),
+    "chi_sym_power bool": (lambda: chi_sym_power(True), "n"),
+    "eta_scaled bool a": (lambda: eta_scaled(True, 24), "a"),
+    "eta_scaled zero a": (lambda: eta_scaled(0, 24), "a"),
+    "ch_vn_closed bool N": (lambda: ch_vn_closed(True, 24), "N"),
+    "decomposition_truncation bool": (
+        lambda: decomposition_truncation(True), "ncols"),
+    "decomposition_truncation negative": (
+        lambda: decomposition_truncation(-5), "ncols"),
+    "k_layer_trace bool n": (lambda: k_layer_trace(True, "2A"), "n"),
+    "m2_basis bool level": (lambda: m2_basis(True, 48), "level"),
+    "RationalFunction.expand bool": (
+        lambda: RationalFunction((1,), {1: 1}).expand(True), "terms"),
+    "RationalFunction.expand negative": (
+        lambda: RationalFunction((1,), {1: 1}).expand(-2), "terms"),
+    "jacobi_theta float kind": (lambda: jacobi_theta(3.0, 24), "kind"),
 }
 
 

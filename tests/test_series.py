@@ -5,6 +5,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from k3moonshine.chartab import format_rational
 from k3moonshine.cyclotomic import CyclotomicNumber, zeta
 from k3moonshine.genus import elliptic_genus
 from k3moonshine.modforms import (
@@ -12,6 +13,7 @@ from k3moonshine.modforms import (
 )
 from k3moonshine.n4char import h_series
 from k3moonshine.qpoly import canonical_rational, euler_phi, exact_quotient
+from k3moonshine.replattice import first_nonintegral
 from k3moonshine.series import (
     INF24,
     InsufficientPrecisionError,
@@ -261,12 +263,21 @@ def test_float_coefficient_is_rejected():
     # a float must fail loudly, never round its way into a verdict
     with pytest.raises(TypeError):
         T({(0, 0): 0.5}, 2 * 24)
+    # checked before a zero or a term past trunc24 is dropped
+    for terms in ({(0, 0): 0.0, (24, 0): 1}, {(48, 0): 0.5}):
+        with pytest.raises(TypeError, match="for coefficient, got float"):
+            T(terms, 24)
     with pytest.raises(TypeError):
         T.monomial(1.5, q24=24)
     with pytest.raises(TypeError):
         geometric_factor(0.5, 24, 0, 3 * 24)
     with pytest.raises(TypeError):
         T.const(1, 2 * 24) * 0.5
+    # the text form of every output, and the audit's integrality scan
+    with pytest.raises(TypeError, match="got 0.5"):
+        format_rational(0.5)
+    with pytest.raises(TypeError, match="got float 0.5"):
+        first_nonintegral([1, 0.5])
 
 
 # each of these returned a series with a float, bool or Fraction trunc24,
@@ -316,8 +327,16 @@ def test_a_coefficient_is_not_a_bool(value):
     with pytest.raises(TypeError, match=f"^exact rational expected for c, "
                                         f"got bool {value}$"):
         canonical_rational(value, "c")
-    with pytest.raises(TypeError, match="for coefficient, got bool True"):
-        T({(0, 0): 1, (24, 0): True}, 48)
+    # checked before a zero or a term past trunc24 is dropped
+    for terms, trunc24 in (({(0, 0): 1, (24, 0): value}, 48),
+                           ({(0, 0): value}, 24), ({(48, 0): value}, 24)):
+        with pytest.raises(TypeError,
+                           match=f"for coefficient, got bool {value}"):
+            T(terms, trunc24)
+    with pytest.raises(TypeError, match=f"got {value}"):
+        format_rational(value)
+    with pytest.raises(TypeError, match=f"got bool {value}"):
+        first_nonintegral([value])
 
 
 def test_y_sign_of_a_half_integral_power_is_a_value_error():
