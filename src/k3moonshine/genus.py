@@ -42,7 +42,7 @@ from math import gcd
 from .chartab import CLASS_ORDER, SYMPLECTIC_CLASSES, format_rational
 from .qpoly import (
     RationalFunction, canonical_rational, euler_phi, exact_quotient,
-    memoized, moebius, reconstruct_rational, require_int,
+    memoized, moebius, reconstruct_rational, require_int, require_key,
 )
 from .records import Record
 from .series import NotInSpanError, TruncatedSeries
@@ -115,7 +115,7 @@ def chi_symt_series(label: str, terms: int) -> list[Fraction]:
     at t^k, w_n sum_(i <= k) U_n((2i - k) mod n), the Table-1 sum of the
     real sum_(i <= k) zeta_n^(2i - k) / ((1 - zeta_n)(1 - zeta_n^-1)),
     summed on the ints 12 U_n of ``_traces`` and divided once."""
-    n = CLASS_ORDER[label]
+    n = require_key("label", label, CLASS_ORDER)
     require_int("terms", terms, 0)
     if n == 1:
         return [chi_sym_power(k) for k in range(terms)]
@@ -163,7 +163,7 @@ def rational_form(label: str) -> RationalFunction:
     checked on its coefficient tuple.  Memoized per process on the label
     (the result is read-only).
     """
-    exps = RATIONAL_FORM_DENOMINATORS[label]
+    exps = require_key("label", label, RATIONAL_FORM_DENOMINATORS)
     degree = sum(euler_phi(d) * e for d, e in exps.items())
     num = reconstruct_rational(chi_symt_series(label, 2 * degree + 4), exps)
     if num is None:
@@ -268,7 +268,7 @@ def equivariant_elliptic_genus(label: str, trunc24: int) -> TruncatedSeries:
     The columns are built on the ints 12 F / w_n and divided once.
     Memoized per process on the exact arguments (the series is read-only).
     """
-    n = CLASS_ORDER[label]
+    n = require_key("label", label, CLASS_ORDER)
     if n == 1:
         return elliptic_genus(trunc24)
     ramanujan, u12 = _traces(n)

@@ -14,15 +14,14 @@ lookups alone.  Conjugation, class orbits, element orders and class
 matrices all run on these index tables.  Elements are still enumerated,
 sorted and given class representatives in their own representation.
 
-Character tables are computed by Dixon's method over GF(p) with
-p = 1 mod exp(G): the central characters are the common eigenvectors of
-the class matrices, read off one combination A = sum_i j^i M_i with k
-distinct eigenvalues.  The Krylov vectors of the identity's unit vector
-under A give A's minimal polynomial as one null-space vector
-(``lattice.nullspace_mod``); its roots come from a scan of GF(p) by
-forward differences (Horner's rule at deg f + 1 points per block of
-``_SCAN_BLOCK``, then running sums), for any prime p, and each
-eigenvector is the quotient f / (x - root) applied to the unit vector.  The result is a validated
+Character tables are computed by Dixon's method over GF(p), p the least
+prime = 1 mod exp(G) above 2|G| (``_dixon_prime``): the central
+characters are the common eigenvectors of the class matrices, read off
+one combination A = sum_i j^i M_i with k distinct eigenvalues.  The
+Krylov vectors of the identity's unit vector under A give A's minimal
+polynomial f as one null-space vector (``lattice.nullspace_mod``); its
+roots come from one Horner pass over GF(p), and each eigenvector is
+f / (x - root) applied to the unit vector.  The result is a validated
 ``chartab.CharacterTable`` in Galois-orbit-summed (rational) form: all
 values are integers, stored as ``int`` (the series rule), one character
 per rational class.
@@ -31,8 +30,8 @@ per rational class.
 from __future__ import annotations
 
 from math import gcd, isqrt, lcm
-from itertools import accumulate, compress, repeat
-from operator import is_, mul as _mul, not_
+from itertools import compress, repeat
+from operator import is_, mul as _mul
 
 from .chartab import CharacterEntry, CharacterTable, ClassEntry
 from .lattice import _integer_vector, nullspace_mod
@@ -47,8 +46,6 @@ __all__ = [
 _MAX_ORDER = 200000
 # a permutation's images are the bytes of a ``bytes`` object
 _MAX_DEGREE = 256
-# points of GF(p) per block of the root scan's running sums
-_SCAN_BLOCK = 1024
 
 
 def _check_degree(degree: int) -> None:
@@ -307,9 +304,14 @@ def conjugacy_classes(g) -> ConjugacyData:
 # -- Dixon's algorithm over GF(p) ----------------------------------------------
 
 def _dixon_prime(order: int, exponent: int) -> int:
+    """The least prime p = 1 mod ``exponent`` with p > 2 ``order``, which
+    serves any finite G: p does not divide |G|; chi(1)^2 <= |G| < p is
+    read exactly; and a Galois orbit of o characters of degree d has
+    o d^2 <= |G|, so its degree o d and every orbit-sum value lie within
+    |G| <= (p - 1)/2 and lift exactly."""
     # 1 % exponent, not 1: every p is 0 mod 1, so the trivial group needs it
     p = exponent + 1
-    while (p < 4 * order + 1 or euler_phi(p) != p - 1
+    while (p < 2 * order + 1 or euler_phi(p) != p - 1
            or p % exponent != 1 % exponent):
         p += exponent
     return p
@@ -348,8 +350,8 @@ def _central_characters(mats: list, id_idx: int, p: int) -> list:
     nonzero mod p, so then e, A e, ..., A^k e have a one-vector kernel,
     A's monic minimal polynomial f; otherwise the next j is tried (two
     characters share an eigenvalue for at most k - 1 values of j).  For
-    each root mu of f, found by a scan of GF(p) (``_roots_mod``, any
-    prime p), (f / (x - mu))(A) e is the mu-eigenvector.
+    each root mu of f (``_roots_mod``), (f / (x - mu))(A) e is the
+    mu-eigenvector.
     Ascending order sorts by the eigenvalue of M_0, then of M_1 and so on;
     it fixes the row names chi<n> of the tables.
     """
@@ -383,29 +385,8 @@ def _central_characters(mats: list, id_idx: int, p: int) -> list:
 
 def _roots_mod(f, p):
     """Sorted distinct roots in GF(p), p prime, of the nonzero f (integer
-    coefficients, ascending): a scan of GF(p) in blocks of ``_SCAN_BLOCK``
-    points.
-
-    At the start x0 of each block, Horner's rule at x0, ..., x0 + k gives
-    the forward differences of f (degree at most k) there, reduced mod p.
-    The k-th difference is constant, so k running sums (``accumulate``)
-    give, for every t in the block, an integer congruent to f(x0 + t)
-    mod p.  The sums are lazy: no list of the block's values is made.
-    """
-    k = len(f) - 1
-    roots = []
-    for x0 in range(0, p, _SCAN_BLOCK):
-        diffs = [_horner(f, x) for x in range(x0, x0 + k + 1)]
-        for i in range(1, k + 1):
-            for j in range(k, i - 1, -1):
-                diffs[j] -= diffs[j - 1]
-        values = repeat(diffs[k] % p, _SCAN_BLOCK - k)
-        for d in reversed(diffs[:k]):
-            values = accumulate(values, initial=d % p)
-        # compress stops at the shorter input: past p, or past the block
-        roots += compress(range(x0, min(x0 + _SCAN_BLOCK, p)),
-                          map(not_, map(p.__rmod__, values)))
-    return roots
+    coefficients, ascending): Horner's rule at every point of GF(p)."""
+    return [x for x in range(p) if not _horner(f, x) % p]
 
 
 def rational_character_table(name: str, g,
@@ -428,7 +409,7 @@ def rational_character_table(name: str, g,
                   for left in data.rep_left]
     inv_class = [pw[-1] for pw in rep_powers]
     # normalize each central character to character values mod p: the
-    # residue of chi(1)^2 is chi(1)^2 itself, as p > 4|G| >= 4 chi(1)^2
+    # residue of chi(1)^2 is chi(1)^2 itself, as p > 2|G| >= 2 chi(1)^2
     inv_sizes = [pow(size, p - 2, p) for size in data.sizes]
     chars_mod_p = []
     for v in _central_characters(_class_matrices(data, inv_class),

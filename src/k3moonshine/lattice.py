@@ -20,9 +20,9 @@ Input rows are checked once, where they enter (``hermite_normal_form``,
 ``smith_normal_form``, ``reduce``, ``contains``): an integral ``Fraction``
 is taken as its int, a non-integral one raises ValueError, a float, a
 bool or any other non-integer raises TypeError, and a row of the wrong
-length raises ValueError.  Nothing is truncated to an integer.  Rows the
-module builds itself take unchecked paths, and its lattices come through
-``IntegerLattice._of``.
+length raises ValueError; an ambient rank or a modulus must be an ``int``.
+Nothing is truncated to an integer.  Rows the module builds itself take
+unchecked paths, and its lattices come through ``IntegerLattice._of``.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from itertools import product
 from math import gcd, lcm
 from operator import index, mul
 
+from .qpoly import require_int
 from .records import Record
 
 __all__ = [
@@ -318,6 +319,7 @@ class IntegerLattice:
     __slots__ = ("ambient", "basis", "pivots", "_congruences")
 
     def __init__(self, ambient: int, rows=()):
+        require_int("ambient", ambient, 0)
         self._set(ambient, _integer_rows(rows, ambient), None)
 
     @classmethod
@@ -468,9 +470,8 @@ def congruence_lattice(rows, modulus: int, ambient: int) -> IntegerLattice:
     modulus Z^ambient, so the lattice is spanned by the columns of
     modulus H^-1.
     """
-    if modulus < 1:
-        raise ValueError(f"modulus {modulus} is not positive")
-    rows = _integer_rows(rows, ambient)
+    require_int("modulus", modulus, 1)
+    rows = _integer_rows(rows, require_int("ambient", ambient, 0))
     # on reversed coordinates the columns of modulus H^-1, last first,
     # are already an echelon, which the constructor's Hermite form only
     # normalizes

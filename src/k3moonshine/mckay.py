@@ -35,6 +35,7 @@ from fractions import Fraction
 
 from .qpoly import (
     _over_common_denominator, canonical_rational, exact_quotient, require_int,
+    require_key,
 )
 from .series import TruncatedSeries
 from .modforms import (
@@ -134,14 +135,18 @@ def m2_basis(level: int, trunc24: int) -> list:
 
 # -- traces through the derived M24 table ---------------------------------------
 
+def _m24_class(label: str):
+    """The class of ``mill.class_data("M24")`` that ``label`` names."""
+    m24_label = M24_LABEL.get(label, label)
+    for c in class_data("M24").classes:
+        if c.label == m24_label:
+            return c
+    raise ValueError(f"label must be an M24 class, got {label!r}")
+
+
 def euler_character_value(label: str) -> int:
     """e(g): fixed points of the class on 24 letters (cycle-type data)."""
-    m24_label = M24_LABEL.get(label, label)
-    data = class_data("M24")
-    for c in data.classes:
-        if c.label == m24_label:
-            return dict(c.cycle_type).get(1, 0)
-    raise KeyError(label)
+    return dict(_m24_class(label).cycle_type).get(1, 0)
 
 
 def _orbit_row(table, degree: int, orbit: int):
@@ -153,11 +158,14 @@ def _orbit_row(table, degree: int, orbit: int):
 
 def k_layer_trace(n: int, label: str) -> int:
     """Tr(g | K_n) for n = 0..5 evaluated at an M24 class."""
-    if require_int("n", n) == 0:
+    m24_label = _m24_class(label).label
+    if require_int("n", n, 0) > len(_K_LAYERS):
+        raise ValueError(f"n must be <= {len(_K_LAYERS)}, got {n}")
+    if n == 0:
         return -2
     degree, copies = _K_LAYERS[n]
     table = load_m24()
-    col = table.class_index(M24_LABEL.get(label, label))
+    col = table.class_index(m24_label)
     if copies == 2 and degree in (45, 231, 770):
         ch = _orbit_row(table, degree, 2)    # conjugate pair, orbit sum
         return ch.values[col]
@@ -232,9 +240,10 @@ def fit_in_m2(prefix: list, level: int, trunc24: int) -> TruncatedSeries:
 
 def f_series(label: str, trunc24: int) -> TruncatedSeries:
     """f_g as a q-series to the requested truncation (any supported class)."""
+    level = require_key("label", label, CLASS_LEVEL)
     if label == "1A":
         return TruncatedSeries.zero(trunc24)
-    return fit_in_m2(f_from_traces(label), CLASS_LEVEL[label], trunc24)
+    return fit_in_m2(f_from_traces(label), level, trunc24)
 
 
 def twining_pair(label: str, trunc24: int) -> tuple:

@@ -108,6 +108,14 @@ def require_int(name: str, value, least=None) -> int:
     return value
 
 
+def require_key(name: str, value, table):
+    """``table[value]``, or ValueError naming the argument and the value."""
+    if value not in table:
+        raise ValueError(f"{name} must be one of {', '.join(map(str, table))}"
+                         f", got {value!r}")
+    return table[value]
+
+
 def memoized(fn, context=None):
     """``lru_cache(maxsize=None)`` over ``fn``, keyed on ``context()`` as
     well when one is given, that reads each argument but a ``str`` through

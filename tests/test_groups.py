@@ -1,6 +1,6 @@
 from fractions import Fraction
 from itertools import count, product
-from math import lcm
+from math import isqrt, lcm
 from operator import mul
 
 import pytest
@@ -23,10 +23,10 @@ from k3moonshine.qpoly import euler_phi
 # the primes the Mukai tables are computed over
 DIXON_PRIMES = sorted({_dixon_prime(s.order, lcm(*s.element_orders))
                        for s in MUKAI_GROUPS})
-# the least prime past two blocks of the root scan, so that it runs into a
-# third block
-BLOCKS_PRIME = next(q for q in count(2 * groups._SCAN_BLOCK + 1)
-                    if euler_phi(q) == q - 1)
+# roots at the edges of 1024-point blocks of GF(p), over the least prime
+# past two blocks, so that three blocks are reached
+BLOCK = 1024
+BLOCKS_PRIME = next(q for q in count(2 * BLOCK + 1) if euler_phi(q) == q - 1)
 ORACLE = settings(max_examples=60, deadline=None, derandomize=True,
                   database=None)
 
@@ -203,11 +203,10 @@ def test_roots_match_scan(p, factors, lead, with_quadratic, shifts):
 
 @pytest.mark.parametrize("p", [2, 3, 193, BLOCKS_PRIME])
 def test_roots_at_block_edges(p):
-    """Roots at the first and the last point of every block of the scan,
+    """Roots at the first and the last point of every block of 1024 points,
     at 0 and p - 1, and the constants, against the Horner scan."""
-    block = groups._SCAN_BLOCK
-    edges = sorted({x for m in range(p // block + 1)
-                    for x in (m * block - 1, m * block, p - 1) if 0 <= x < p})
+    edges = sorted({x for m in range(p // BLOCK + 1)
+                    for x in (m * BLOCK - 1, m * BLOCK, p - 1) if 0 <= x < p})
     for roots in (edges, edges[:1], edges[-1:], edges[1::2]):
         f = [1]
         for r in roots:
@@ -313,8 +312,10 @@ def test_central_characters_are_the_common_eigenvectors(build):
 
 @pytest.mark.parametrize("spec", MUKAI_GROUPS, ids=lambda s: s.name)
 def test_central_characters_try_a_second_weight(spec, monkeypatch):
-    """sum_i 2^i M_i has k distinct eigenvalues for nine of the groups;
-    T192 and 2^4D12 take j = 3, one more kernel."""
+    """sum_i 2^i M_i has k distinct eigenvalues for every group at its
+    Dixon prime, one kernel.  Over GF(769) T192's j = 2 repeats an
+    eigenvalue, so j = 3 takes a second kernel, and its k vectors are
+    still common eigenvectors."""
     calls = []
 
     def counted(a, p):
@@ -322,8 +323,49 @@ def test_central_characters_try_a_second_weight(spec, monkeypatch):
         return nullspace_mod(a, p)
 
     monkeypatch.setattr(groups, "nullspace_mod", counted)
-    _central_characters(*_dixon_inputs(build_group(spec.index)))
-    assert len(calls) == (2 if spec.name in ("T192", "2^4D12") else 1)
+    mats, id_idx, p = _dixon_inputs(build_group(spec.index))
+    _central_characters(mats, id_idx, p)
+    assert calls == [p]
+    if spec.name == "T192":
+        omegas = _central_characters(mats, id_idx, 769)
+        assert calls == [p, 769, 769]
+        assert len(set(omegas)) == len(mats)
+        for i, mat in enumerate(mats):
+            assert all([sum(map(mul, row, w)) % 769 for row in mat] ==
+                       [w[i] * x % 769 for x in w] for w in omegas)
+
+
+def _is_prime(q):
+    return q > 1 and all(q % d for d in range(2, isqrt(q) + 1))
+
+
+SMALL_GROUPS = {"S3": _s3, "Q8": _q8, "A4": _a4,
+                "trivial": lambda: TRIVIAL_GROUPS["S1"]}
+
+
+@pytest.mark.parametrize("name", [s.name for s in MUKAI_GROUPS]
+                         + list(SMALL_GROUPS))
+def test_dixon_prime_is_the_least_past_twice_the_order(name):
+    """p is the least prime = 1 mod exp(G) with p >= 2|G| + 1, by trial
+    division.  At it, each Mukai table has chi(1)^2 < p, and every orbit
+    degree and orbit-sum value lies within (p - 1)/2, so the residues
+    lift to Z."""
+    spec = next((s for s in MUKAI_GROUPS if s.name == name), None)
+    if spec is None:
+        data = conjugacy_classes(SMALL_GROUPS[name]())
+        order, exponent = len(data.elements), lcm(*data.orders)
+    else:
+        order, exponent = spec.order, lcm(*spec.element_orders)
+    p = _dixon_prime(order, exponent)
+    assert p == next(q for q in count(2 * order + 1)
+                     if q % exponent == 1 % exponent and _is_prime(q))
+    if spec is not None:
+        table = mukai_table(spec.index)
+        half = (p - 1) // 2
+        for ch in table.characters:
+            assert ch.degree ** 2 < p
+            assert ch.orbit_size * ch.degree <= half
+            assert all(abs(v) <= half for v in ch.values)
 
 
 def test_central_characters_give_up_after_every_weight(monkeypatch):

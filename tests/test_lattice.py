@@ -457,13 +457,28 @@ PUBLIC_ENTRIES = {
 }
 AMBIENT_ENTRIES = {"IntegerLattice", "congruence_lattice", "reduce",
                    "contains"}
+# the ambient rank and the modulus, each refused with its name
+ARGUMENT_CASES = {
+    "IntegerLattice": [
+        (lambda: IntegerLattice([[1, 0], [0, 1]]), TypeError, "ambient"),
+        (lambda: IntegerLattice(2.0, [[1, 0]]), TypeError, "ambient"),
+        (lambda: IntegerLattice(True, [[1]]), TypeError, "ambient"),
+        (lambda: IntegerLattice(-1), ValueError, "ambient")],
+    "congruence_lattice": [
+        (lambda: congruence_lattice([[1, 1]], 2.0, 2), TypeError, "modulus"),
+        (lambda: congruence_lattice([[1, 1]], True, 2), TypeError, "modulus"),
+        (lambda: congruence_lattice([[1, 1]], 0, 2), ValueError, "modulus"),
+        (lambda: congruence_lattice([[1, 1]], 2, 2.0), TypeError, "ambient"),
+        (lambda: congruence_lattice([[1, 1]], 2, True), TypeError, "ambient")],
+}
 
 
 @pytest.mark.parametrize("name", sorted(PUBLIC_ENTRIES))
 def test_input_rule_at_every_public_entry(name):
     """Integral Fractions are their ints; a non-integral Fraction raises
     ValueError, a float TypeError, and ragged or wrong-length rows
-    ValueError."""
+    ValueError.  An ambient rank or a modulus that is not an int raises
+    TypeError, and one below its least value ValueError."""
     enter = PUBLIC_ENTRIES[name]
     assert enter([[Fraction(4, 2), Fraction(-3)], [0, Fraction(12, 2)]]) \
         == enter([[2, -3], [0, 6]])
@@ -479,6 +494,9 @@ def test_input_rule_at_every_public_entry(name):
     if name in AMBIENT_ENTRIES:
         with pytest.raises(ValueError):
             enter([[1, 2, 3], [4, 5, 6]])
+    for call, error, argument in ARGUMENT_CASES.get(name, ()):
+        with pytest.raises(error, match=argument):
+            call()
 
 
 def test_each_row_is_checked_once_where_it_enters(monkeypatch):

@@ -9,8 +9,12 @@ from hypothesis import given, settings, strategies as st
 from canonical import is_canonical
 from gcd_oracle import GcdRationalFunction, Poly
 from k3moonshine.cyclotomic import zeta
-from k3moonshine.genus import chi_sym_power, chi_symt_series
-from k3moonshine.mckay import k_layer_trace, m2_basis
+from k3moonshine.genus import (
+    chi_sym_power, chi_symt_series, equivariant_elliptic_genus, rational_form,
+)
+from k3moonshine.mckay import (
+    euler_character_value, f_series, k_layer_trace, m2_basis,
+)
 from k3moonshine.modforms import eta_scaled, jacobi_theta
 from k3moonshine.n4char import (
     ch_vn_closed, decomposition_truncation, twining_to_symtraces,
@@ -19,9 +23,11 @@ from k3moonshine.n4char import (
 from k3moonshine.qpoly import (
     RationalFunction, _cyclotomic_coeffs, _horner, _int_divexact, _int_mul,
     _phi_divides, _product_coeffs, linear_combinations, reconstruct_rational,
-    require_int,
+    require_int, require_key,
 )
+from k3moonshine.replattice import decompose_family
 from k3moonshine.series import TruncatedSeries
+from k3moonshine.tables import load_m23
 
 
 def test_cyclotomic_polys():
@@ -227,6 +233,49 @@ def test_the_integer_argument_rule():
                            match=re.escape(f"n must be an int, got {value!r}")):
             require_int("n", value)
     assert twining_truncation(0) == 48 and zeta(4, 5) == zeta(4)
+
+
+# a class label or a layer outside its table once raised a bare KeyError
+LABEL_ARGUMENT_PROBES = {
+    "chi_symt_series": (lambda: chi_symt_series("9Z", 3), "label", "'9Z'"),
+    "equivariant_elliptic_genus": (
+        lambda: equivariant_elliptic_genus("9Z", 24), "label", "'9Z'"),
+    "rational_form": (lambda: rational_form("9Z"), "label", "'9Z'"),
+    "f_series": (lambda: f_series("9Z", 24), "label", "'9Z'"),
+    # an M24 class with no f_g level
+    "f_series M24 class": (lambda: f_series("3B", 24), "label", "'3B'"),
+    "euler_character_value": (
+        lambda: euler_character_value("9Z"), "label", "'9Z'"),
+    "k_layer_trace label": (lambda: k_layer_trace(1, "9Z"), "label", "'9Z'"),
+    "k_layer_trace label at n = 0": (
+        lambda: k_layer_trace(0, "9Z"), "label", "'9Z'"),
+    "k_layer_trace layer": (lambda: k_layer_trace(6, "2A"), "n", "6"),
+    "k_layer_trace negative layer": (
+        lambda: k_layer_trace(-1, "2A"), "n", "-1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LABEL_ARGUMENT_PROBES))
+def test_an_unknown_label_or_layer_is_a_value_error(name):
+    probe, argument, value = LABEL_ARGUMENT_PROBES[name]
+    with pytest.raises(ValueError,
+                       match=f"^{re.escape(argument)} .*{re.escape(value)}$"):
+        probe()
+
+
+def test_the_key_argument_rule():
+    table = {"a": 1, 2: "b"}
+    assert require_key("x", "a", table) == 1
+    assert require_key("x", 2, table) == "b"
+    with pytest.raises(ValueError,
+                       match=re.escape("x must be one of a, 2, got 'c'")):
+        require_key("x", "c", table)
+    # the lookups by a table's own labels keep their documented KeyError
+    m23 = load_m23()
+    with pytest.raises(KeyError):
+        m23.class_index("9Z")
+    with pytest.raises(KeyError, match="family missing class"):
+        decompose_family(m23, {"1A": [1]})
 
 
 def test_linear_combinations_refuses_a_short_row_and_a_float_weight():
