@@ -97,7 +97,7 @@ def fixed_point_types(n: int) -> tuple:
 
 def fixed_point_count(label: str) -> int:
     """The fixed points of the class: 24 at 1A, else w_n phi(n)."""
-    n = CLASS_ORDER[label]
+    n = require_key("label", label, CLASS_ORDER)
     return 24 if n == 1 else canonical_rational(unit_weight(n) * euler_phi(n))
 
 
@@ -190,7 +190,7 @@ def expand_product(lead: tuple, fermions: list, bosons: list,
     >= 0 and every boson's a > 0, so the terms below the truncation are
     exact after each factor.
     """
-    terms = {lead: 1} if lead[0] < trunc24 else {}
+    terms = {lead: 1} if lead[0] < require_int("trunc24", trunc24) else {}
     # the coefficients of the powers k = 0, 1, ... of q^a y^b z^f: 1 + x,
     # and (k + 1) x^k as far as any term below trunc24 can reach
     factors = [((a, b, f), (1, c)) for c, a, b, f in fermions]

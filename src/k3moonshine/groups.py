@@ -11,8 +11,10 @@ for every element x; it walks the inverses x^-1 as ``bytes``, so that
 (x s)^-1 = s^-1 x^-1 is one ``bytes.translate`` by the table of s^-1.
 The walk's spanning tree then gives the index of r x for any r by list
 lookups alone.  Conjugation, class orbits, element orders and class
-matrices all run on these index tables.  Elements are still enumerated,
-sorted and given class representatives in their own representation.
+matrices all run on these index tables, and one orbit walk (``_orbits``)
+finds the classes, the Galois orbits of the rows and the rational
+classes.  Elements are still enumerated, sorted and given class
+representatives in their own representation.
 
 Character tables are computed by Dixon's method over GF(p), p the least
 prime = 1 mod exp(G) above 2|G| (``_dixon_prime``): the central
@@ -35,7 +37,8 @@ from operator import is_, mul as _mul
 
 from .chartab import CharacterEntry, CharacterTable, ClassEntry
 from .lattice import _integer_vector, nullspace_mod
-from .qpoly import _horner, euler_phi
+from .qpoly import _horner, euler_phi, require_int
+from .records import Record
 
 __all__ = [
     "PermGroup",
@@ -48,10 +51,11 @@ _MAX_ORDER = 200000
 _MAX_DEGREE = 256
 
 
-def _check_degree(degree: int) -> None:
+def _check_degree(degree: int) -> int:
     if degree > _MAX_DEGREE:
         raise ValueError(f"permutation degree {degree} exceeds "
                          f"{_MAX_DEGREE}")
+    return degree
 
 
 # -- group containers ----------------------------------------------------------
@@ -62,12 +66,13 @@ def _check_degree(degree: int) -> None:
 # right factor first, so (x s)[i] = x[s[i]].
 
 class PermGroup:
-    """Permutation group on range(n), n <= 256; elements are image tuples."""
+    """Permutation group on range(n), 1 <= n <= 256; elements are image
+    tuples.  The degree is an int and each entry is read by ``lattice``'s
+    input rule."""
 
     def __init__(self, degree: int, generators):
-        _check_degree(degree)
-        self.degree = degree
-        self.generators = [tuple(g) for g in generators]
+        self.degree = _check_degree(require_int("degree", degree, 1))
+        self.generators = [tuple(_integer_vector(g)) for g in generators]
         for g in self.generators:
             if sorted(g) != list(range(degree)):
                 raise ValueError("generator is not a permutation")
@@ -90,6 +95,7 @@ class PermGroup:
 class MatrixGroup:
     """Matrix group with entries in GF(p) (p prime) or exact integers (p=0).
 
+    ``dim`` >= 1 and ``p`` are ints, and a generator must be dim x dim.
     Entries are read by ``lattice``'s input rule before they are reduced
     mod p: a float raises TypeError and a non-integral Fraction ValueError.
     The group acts on the orbit O of the standard basis vectors by
@@ -105,8 +111,10 @@ class MatrixGroup:
     """
 
     def __init__(self, dim: int, generators, p: int = 0):
-        self.dim = dim
-        self.p = p
+        self.dim = require_int("dim", dim, 1)
+        self.p = require_int("p", p, 0)
+        if p and euler_phi(p) != p - 1:
+            raise ValueError(f"p must be 0 or a prime, got {p}")
         self.generators = [self._norm(g) for g in generators]
         orbit = list(self.identity())       # e_j is row j of the identity
         _check_degree(len(orbit))
@@ -132,7 +140,9 @@ class MatrixGroup:
         self._index = index
 
     def _norm(self, m):
-        rows = map(_integer_vector, m)
+        rows = [_integer_vector(row) for row in m]
+        if len(rows) != self.dim or any(len(r) != self.dim for r in rows):
+            raise ValueError(f"generator is not {self.dim} x {self.dim}")
         if self.p:
             return tuple(tuple(x % self.p for x in row) for row in rows)
         return tuple(map(tuple, rows))
@@ -254,51 +264,53 @@ def enumerate_group(g) -> list:
     return sorted(map(g.from_perm, _Cayley(g).perms))
 
 
-class ConjugacyData:
+class ConjugacyData(Record):
+    """The sorted elements, and per class (in their order) its element
+    order and size; then the same data on the indices of a ``_Cayley``
+    closure (identity 0): ``class_at`` (index -> class), ``members``
+    (class -> its indices) and ``rep_left`` (class -> the left table of
+    its representative)."""
+
     __slots__ = ("elements", "orders", "sizes", "class_at", "members",
                  "rep_left")
 
-    def __init__(self, elements: list, orders: list, sizes: list,
-                 class_at: list, members: list, rep_left: list):
-        self.elements = elements
-        self.orders = orders
-        self.sizes = sizes
-        # the same data on the indices of a _Cayley closure (identity 0)
-        self.class_at = class_at    # index -> class index
-        self.members = members      # class -> its indices
-        self.rep_left = rep_left    # class -> left table of its rep
+
+def _orbits(points, maps) -> list:
+    """The orbits, on indices, of the group that the index ``maps``
+    generate, in the order of their first point in ``points``; each starts
+    at that point and lists the rest in the order the walk reaches them."""
+    seen = set()
+    out = []
+    for x in points:
+        if x not in seen:
+            seen.add(x)
+            orbit = [x]
+            for y in orbit:                 # grows as it is walked
+                for m in maps:
+                    z = m[y]
+                    if z not in seen:
+                        seen.add(z)
+                        orbit.append(z)
+            out.append(orbit)
+    return out
 
 
 def conjugacy_classes(g) -> ConjugacyData:
     """Classes in the order of their least elements, each represented by it."""
     cayley = _Cayley(g)
-    perms = cayley.perms
-    elems = [g.from_perm(x) for x in perms]
+    elems = [g.from_perm(x) for x in cayley.perms]
     conj = [cayley.conjugation(s) for s in range(len(cayley.right))]
-    ordered = sorted(range(len(perms)), key=elems.__getitem__)
-    class_at = [-1] * len(perms)
-    members = []
-    rep_idx = []
-    for x in ordered:
-        if class_at[x] >= 0:
-            continue
-        idx = len(members)
-        class_at[x] = idx
-        orbit = [x]
-        for y in orbit:                     # grows as it is walked
-            for c in conj:
-                z = c[y]
-                if class_at[z] < 0:
-                    class_at[z] = idx
-                    orbit.append(z)
-        members.append(orbit)
-        rep_idx.append(x)
-    rep_left = [cayley.left(r) for r in rep_idx]
+    ordered = sorted(range(len(elems)), key=elems.__getitem__)
+    members = _orbits(ordered, conj)
+    class_at = [0] * len(elems)
+    for c, orbit in enumerate(members):
+        for x in orbit:
+            class_at[x] = c
+    rep_left = [cayley.left(orbit[0]) for orbit in members]
     return ConjugacyData(
         [elems[x] for x in ordered],
         [len(_power_indices(left)) for left in rep_left],
-        [len(orbit) for orbit in members],
-        class_at, members, rep_left)
+        [len(orbit) for orbit in members], class_at, members, rep_left)
 
 
 # -- Dixon's algorithm over GF(p) ----------------------------------------------
@@ -389,6 +401,12 @@ def _roots_mod(f, p):
     return [x for x in range(p) if not _horner(f, x) % p]
 
 
+def _lift(x: int, p: int) -> int:
+    """The residue of x mod p in (-p/2, p/2]."""
+    x %= p
+    return x - p if x > p // 2 else x
+
+
 def rational_character_table(name: str, g,
                              data: ConjugacyData | None = None) -> CharacterTable:
     """The validated rational character table of ``g``, titled ``name``.
@@ -411,7 +429,7 @@ def rational_character_table(name: str, g,
     # normalize each central character to character values mod p: the
     # residue of chi(1)^2 is chi(1)^2 itself, as p > 2|G| >= 2 chi(1)^2
     inv_sizes = [pow(size, p - 2, p) for size in data.sizes]
-    chars_mod_p = []
+    degs, rows = [], []
     for v in _central_characters(_class_matrices(data, inv_class),
                                  data.class_at[0], p):   # 0: the identity
         dot = sum(v[i] * v[inv_class[i]] * inv_sizes[i]
@@ -421,40 +439,19 @@ def rational_character_table(name: str, g,
         if chi1 * chi1 != chi1_sq:
             raise RuntimeError("chi(1)^2 mod p is no square; prime too small?")
         row = [v[i] * chi1 % p * inv_sizes[i] % p for i in range(k)]
-        chars_mod_p.append((chi1, row))
-    # Galois orbits via power maps
-    pow_maps = {a: [pw[a % len(pw)] for pw in rep_powers]
-                for a in range(1, exponent) if gcd(a, exponent) == 1}
-    rows = [row for _, row in chars_mod_p]
-    degs = [d for d, _ in chars_mod_p]
-    # the rows are distinct: each is chi(1) times its own eigenvector
+        degs.append(chi1)
+        rows.append(row)
+    # the power maps x -> x^a, a a unit mod exp(G), act on the classes and,
+    # through chi^a(x) = chi(x^a), on the rows, which are distinct (each is
+    # chi(1) times its own eigenvector): their orbits are the rational
+    # classes and the Galois orbits
+    pow_maps = [[pw[a % len(pw)] for pw in rep_powers]
+                for a in range(1, exponent) if gcd(a, exponent) == 1]
     row_index = {tuple(row): i for i, row in enumerate(rows)}
-    assigned = [False] * k
-    orbit_of: list = []
-    for i in range(k):
-        if assigned[i]:
-            continue
-        orbit = {i}
-        for a, pm in pow_maps.items():
-            j = row_index.get(tuple(map(rows[i].__getitem__, pm)))
-            if j is not None and not assigned[j]:
-                orbit.add(j)
-        for j in orbit:
-            assigned[j] = True
-        orbit_of.append(sorted(orbit))
-    # rational classes: merge classes under the power maps
-    cls_assigned = [False] * k
-    rational_classes = []
-    for i in range(k):
-        if cls_assigned[i]:
-            continue
-        merged = {i}
-        for a, pm in pow_maps.items():
-            merged.add(pm[i])
-        for j in merged:
-            cls_assigned[j] = True
-        rational_classes.append(sorted(merged))
-    half = p // 2
+    row_maps = [[row_index[tuple(map(row.__getitem__, pm))] for row in rows]
+                for pm in pow_maps]
+    orbit_of = [sorted(o) for o in _orbits(range(k), row_maps)]
+    rational_classes = [sorted(o) for o in _orbits(range(k), pow_maps)]
     classes = []
     seen: dict = {}
     for rc in rational_classes:
@@ -464,12 +461,9 @@ def rational_character_table(name: str, g,
                                   sum(data.sizes[j] for j in rc), len(rc)))
     chars = []
     for n, orbit in enumerate(orbit_of, 1):
-        deg_mod = sum(degs[i] for i in orbit) % p
-        deg = deg_mod if deg_mod <= half else deg_mod - p
-        values = []
-        for rc in rational_classes:
-            val = sum(rows[i][rc[0]] for i in orbit) % p
-            values.append(val if val <= half else val - p)
+        deg = _lift(sum(degs[i] for i in orbit), p)
+        values = tuple(_lift(sum(rows[i][rc[0]] for i in orbit), p)
+                       for rc in rational_classes)
         chars.append(CharacterEntry(f"chi{n}", len(orbit), deg // len(orbit),
-                                    tuple(values)))
+                                    values))
     return CharacterTable(name, order, classes, chars).validate()

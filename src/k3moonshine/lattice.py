@@ -32,7 +32,7 @@ from itertools import product
 from math import gcd, lcm
 from operator import index, mul
 
-from .qpoly import require_int
+from .qpoly import euler_phi, require_int
 from .records import Record
 
 __all__ = [
@@ -167,13 +167,16 @@ def integer_kernel(rows):
 
 
 def nullspace_mod(a, p):
-    """Basis of {v : a v = 0 mod p} for a prime p, as lists over [0, p).
+    """Basis of {v : a v = 0 mod p} for a prime int p, as lists over [0, p);
+    any other p raises TypeError or ValueError naming it.
 
     Forward elimination brings a to an echelon form with unit pivots; each
     free column c gives the kernel vector with 1 at c, 0 at the other free
     columns and the pivot coordinates by back substitution.  These are the
     vectors read off the reduced echelon form, in the order of c.
     """
+    if euler_phi(require_int("p", p, 2)) != p - 1:
+        raise ValueError(f"p must be a prime, got {p}")
     n_cols = len(a[0])
     rows = [[x % p for x in row] for row in a]
     echelon, pivots = [], []

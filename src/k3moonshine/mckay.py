@@ -75,6 +75,7 @@ _K_LAYERS = {1: (45, 2), 2: (231, 2), 3: (770, 2), 4: (2277, 2), 5: (5796, 2)}
 
 def eisenstein_difference(d: int, trunc24: int) -> TruncatedSeries:
     """B_d = d E_2(d tau) - E_2(tau), a weight-2 form for Gamma_0(d)."""
+    require_int("d", d, 1)
     e2 = eisenstein_e2(trunc24)
     terms = {k: -c for k, c in e2.terms.items()}
     for (q24, _y2), c in e2.terms.items():
@@ -94,10 +95,10 @@ _CUSP_ETA_PRODUCTS = {
 
 def cusp_form(level: int, trunc24: int) -> TruncatedSeries:
     """The eta-product newform of weight 2 for Gamma_0(level)."""
-    if level not in _CUSP_ETA_PRODUCTS:
-        raise ValueError(f"no eta-product cusp form stored for level {level}")
+    factors = require_key("level", require_int("level", level),
+                          _CUSP_ETA_PRODUCTS)
     s = TruncatedSeries.const(1, trunc24)
-    for a, power in _CUSP_ETA_PRODUCTS[level]:
+    for a, power in factors:
         for _ in range(power):
             s = s * eta_scaled(a, trunc24)
     return s.truncate(trunc24)
@@ -221,7 +222,8 @@ def fit_in_m2(prefix: list, level: int, trunc24: int) -> TruncatedSeries:
     dim = len(basis)
     if len(prefix) < dim + 1:
         raise ValueError(f"need more than {dim} coefficients at level {level}")
-    wanted, P = _over_common_denominator(list(prefix))
+    wanted, P = _over_common_denominator(
+        [canonical_rational(x, "prefix") for x in prefix])
     rows = [[b.at(24 * n) for n in range(len(prefix))] for b in basis]
     kernel = integer_kernel([r[:dim] for r in rows]
                             + [[-w for w in wanted[:dim]]])

@@ -26,7 +26,7 @@ from types import MappingProxyType
 
 from .chartab import CharacterEntry, CharacterTable, ClassEntry
 from .lattice import hermite_normal_form, integer_kernel
-from .qpoly import memoized
+from .qpoly import memoized, require_key
 from .records import Record
 
 __all__ = [
@@ -137,7 +137,8 @@ def class_data(name: str) -> GroupClassData:
 
     Memoized per process on the group name; the result is immutable.
     """
-    raw, order = {"M23": (_M23_RAW, M23_ORDER), "M24": (_M24_RAW, M24_ORDER)}[name]
+    raw, order = require_key("name", name, {"M23": (_M23_RAW, M23_ORDER),
+                                            "M24": (_M24_RAW, M24_ORDER)})
     classes = []
     total = 0
     for label, elt_order, spec, cent, merged in raw:

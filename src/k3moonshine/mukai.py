@@ -12,6 +12,7 @@ from .chartab import CharacterTable
 from .groups import (
     MatrixGroup, PermGroup, conjugacy_classes, rational_character_table,
 )
+from .qpoly import require_int, require_key
 from .records import Record
 
 __all__ = ["MUKAI_GROUPS", "MukaiGroupSpec", "build_group", "mukai_table"]
@@ -205,14 +206,15 @@ _BUILDERS = {
 
 
 def build_group(index: int):
-    """The concrete model of Mukai group no. ``index`` (1-based)."""
-    return _BUILDERS[index]()
+    """The concrete model of Mukai group no. ``index``, an int in 1..11;
+    any other index raises TypeError or ValueError naming it."""
+    return require_key("index", require_int("index", index), _BUILDERS)()
 
 
 def mukai_table(index: int) -> CharacterTable:
     """Rational character table of Mukai group no. ``index``, validated."""
-    spec = MUKAI_GROUPS[index - 1]
     g = build_group(index)
+    spec = MUKAI_GROUPS[index - 1]
     data = conjugacy_classes(g)
     if len(data.elements) != spec.order:
         raise RuntimeError(

@@ -110,6 +110,7 @@ def ch_vn_extract(N: int, product: dict) -> TruncatedSeries:
     """ch_{V_N} as the z^N minus z^(N+2) coefficient of ``product``, the
     ``ch_v_product`` slices; a power of z that they lack is zero below
     their truncation."""
+    require_int("N", N)
     zero = TruncatedSeries.zero(product[0].trunc24)
     return product.get(N, zero) - product.get(N + 2, zero)
 
@@ -307,6 +308,7 @@ def _typical_prefactor(trunc24: int) -> TruncatedSeries:
 
 def ch_vn_h_form(N: int, trunc24: int) -> TruncatedSeries:
     """ch_{V_N} assembled from the Fourier parts h_N and the polar part."""
+    require_int("N", N)
     t = trunc24 + _ETA3_LEAD
     out = _typical_prefactor(t) * _v_combo(h_series, N, t)
     a = _atypical_coefficient(N)
@@ -398,6 +400,7 @@ class GenusDecomposition(Record):
 def genus_A_coefficients(nmax: int, genus: TruncatedSeries) -> GenusDecomposition:
     """Decompose the K3 elliptic genus: 24 massless + sum A_n ch^R_(1/4+n).
     It pairs with the fermion-parity-signed flow: flow back, undo y's sign."""
+    require_int("nmax", nmax, 0)
     dec = decompose_into_n4(genus.spectral_flow(-1).substitute_y_sign())
     a_list = [-m for m in dec.table_row(range(nmax + 1))]
     return GenusDecomposition(-dec.atypical, a_list)

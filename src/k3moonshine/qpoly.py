@@ -52,7 +52,7 @@ _ONE = Fraction(1)
 
 
 def euler_phi(n: int) -> int:
-    result, m, p = 1, n, 2
+    result, m, p = 1, require_int("n", n, 1), 2
     while p * p <= m:
         if m % p == 0:
             result *= p - 1
@@ -67,7 +67,7 @@ def euler_phi(n: int) -> int:
 
 
 def moebius(n: int) -> int:
-    result, m, p = 1, n, 2
+    result, m, p = 1, require_int("n", n, 1), 2
     while p * p <= m:
         if m % p == 0:
             m //= p

@@ -29,7 +29,7 @@ from .lattice import (
 from .mill import class_data
 from .qpoly import (
     RationalFunction, canonical_rational, euler_phi, exact_quotient,
-    linear_combinations,
+    linear_combinations, require_key,
 )
 from .records import Record
 
@@ -72,7 +72,7 @@ def chosen_rational_form(label: str) -> RationalFunction:
     """The shipped closed form r_label for 11AB/14AB/15AB/23AB over
     Phi_order (the M23 class's element order), its numerator tuple verified
     palindromic of degree phi(order) - 2, with integral expansion."""
-    num = CHOSEN_FORM_NUMERATORS[label]
+    num = require_key("label", label, CHOSEN_FORM_NUMERATORS)
     order = {c.label: c.order for c in class_data("M23").classes}[label]
     phi = euler_phi(order)
     if num != num[::-1] or len(num) != phi - 1:

@@ -107,6 +107,8 @@ class TruncatedSeries:
     @staticmethod
     def monomial(value, q24: int = 0, y2: int = 0,
                  trunc24: int = INF24) -> "TruncatedSeries":
+        require_int("q24", q24)
+        require_int("y2", y2)
         if not value or q24 >= trunc24:
             return TruncatedSeries.zero(trunc24)
         return TruncatedSeries({(q24, y2): value}, trunc24, _clean=True)
@@ -128,6 +130,8 @@ class TruncatedSeries:
     def at(self, q24: int, y2: int = 0):
         """Exact coefficient at the grid key (q24, y2), q^(q24/24) y^(y2/2);
         InsufficientPrecisionError at or past trunc24."""
+        require_int("q24", q24)
+        require_int("y2", y2)
         if q24 >= self.trunc24:
             raise InsufficientPrecisionError(
                 f"coefficient at q24={q24} beyond truncation {self.trunc24}")
@@ -335,7 +339,7 @@ class TruncatedSeries:
 
     def spectral_flow(self, direction: int = 1) -> "TruncatedSeries":
         """NS <-> Ramond flow: ch(y;q) -> q^(1/4) y^(dir) ch(y q^(dir/2); q)."""
-        if direction not in (1, -1):
+        if require_int("direction", direction) not in (1, -1):
             raise ValueError("direction must be +1 or -1")
         return self.substitute_q_shift(6 * direction, 6, 2 * direction)
 
@@ -350,6 +354,7 @@ class TruncatedSeries:
 
     def y_coefficient(self, y2: int) -> "TruncatedSeries":
         """The coefficient of y^(y2/2), a series in q."""
+        require_int("y2", y2)
         return TruncatedSeries(
             {(q24, 0): c for (q24, yy), c in self.terms.items() if yy == y2},
             self.trunc24, _clean=True)

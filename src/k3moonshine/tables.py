@@ -24,7 +24,7 @@ from .chartab import (
 from .mill import class_data, exterior_powers, mill_rational_table
 from .mukai import MUKAI_GROUPS, mukai_table
 from .lattice import hnf_basis
-from .qpoly import memoized
+from .qpoly import memoized, require_key
 
 __all__ = [
     "data_dir", "load_m23", "load_m24", "load_mukai", "load_co0_restricted",
@@ -159,9 +159,10 @@ _FIXTURES = {
     "m24.tbl": lambda: mill_rational_table("M24"),
     "co0_restricted.tbl": _co0_to_table,
 }
-for _spec in MUKAI_GROUPS:
-    _FIXTURES[f"mukai_{_spec.index:02d}.tbl"] = (
-        lambda i=_spec.index: mukai_table(i))
+_MUKAI_FILES = {spec.index: f"mukai_{spec.index:02d}.tbl"
+                for spec in MUKAI_GROUPS}
+for _index, _fname in _MUKAI_FILES.items():
+    _FIXTURES[_fname] = lambda i=_index: mukai_table(i)
 
 
 def generate_all(directory=None, force=False):
@@ -214,7 +215,9 @@ def load_m24() -> CharacterTable:
 
 @_cached_per_directory
 def load_mukai(index: int) -> CharacterTable:
-    return _load(f"mukai_{index:02d}.tbl")
+    """Fixture no. ``index``, an int in 1..11 (else TypeError or ValueError
+    naming it)."""
+    return _load(require_key("index", index, _MUKAI_FILES))
 
 
 @_cached_per_directory

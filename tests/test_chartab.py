@@ -1,4 +1,5 @@
 import os
+import pathlib
 import re
 from fractions import Fraction
 from math import gcd
@@ -228,6 +229,34 @@ def test_fixture_matches_builder(fname):
     assert _int_valued(built)
     with open(os.path.join(COMMITTED, fname)) as fh:
         assert built.dumps() == fh.read()
+
+
+def test_generate_all_writes_the_fixtures_the_loaders_read(tmp_path,
+                                                          monkeypatch):
+    """A first call writes all 14 fixtures, byte for byte the committed
+    ones, and names them; a second writes nothing; ``force`` rewrites every
+    one.  The loaders read exactly those files, and a Mukai index with no
+    fixture is a ValueError naming it, not a file to generate."""
+    committed = {p.name: p.read_bytes()
+                 for p in sorted(pathlib.Path(COMMITTED).glob("*.tbl"))}
+    names = list(committed)
+    assert len(names) == 14
+
+    def files():
+        return {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+    assert sorted(tables.generate_all(str(tmp_path))) == names
+    assert files() == committed
+    for n in names:
+        (tmp_path / n).write_bytes(b"stale")
+    assert tables.generate_all(str(tmp_path)) == []
+    assert files() == dict.fromkeys(names, b"stale")
+    assert sorted(tables.generate_all(str(tmp_path), force=True)) == names
+    assert files() == committed
+    monkeypatch.setenv("K3MOONSHINE_DATA", str(tmp_path))
+    assert load_mukai(11).dumps().encode() == committed["mukai_11.tbl"]
+    with pytest.raises(ValueError, match="^index .*got 12$"):
+        load_mukai(12)
 
 
 @pytest.mark.parametrize("fname", tables._FIXTURES)

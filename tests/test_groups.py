@@ -160,6 +160,83 @@ def test_matrix_generator_entries_read_by_the_integer_rule(p):
     assert len(enumerate_group(g)) == 2
 
 
+# each of these was accepted, or refused with a message naming no argument
+CONSTRUCTOR_PROBES = {
+    "perm float entry": (lambda: PermGroup(3, [(0, 1, 2.0)]), TypeError,
+                         "not an integer"),
+    "perm bool entry": (lambda: PermGroup(3, [(0, True, 2)]), TypeError,
+                        "not an integer"),
+    "perm bool degree": (lambda: PermGroup(True, [(0,)]), TypeError,
+                         "degree"),
+    "perm float degree": (lambda: PermGroup(3.0, [(0, 1, 2)]), TypeError,
+                          "degree"),
+    "perm degree 0": (lambda: PermGroup(0, []), ValueError, "degree"),
+    "matrix p 4": (lambda: MatrixGroup(2, [((0, 1), (1, 0))], p=4),
+                   ValueError, "p must"),
+    "matrix p 1": (lambda: MatrixGroup(2, [((0, 1), (1, 0))], p=1),
+                   ValueError, "p must"),
+    "matrix float p": (lambda: MatrixGroup(2, [((0, 1), (1, 0))], p=2.0),
+                       TypeError, "p must"),
+    "matrix 2x3": (lambda: MatrixGroup(2, [((1, 0, 0), (0, 1, 0))]),
+                   ValueError, "2 x 2"),
+    "matrix 3x2": (lambda: MatrixGroup(2, [((1, 0), (0, 1), (0, 0))], p=5),
+                   ValueError, "2 x 2"),
+    "matrix float dim": (lambda: MatrixGroup(2.0, [((0, 1), (1, 0))]),
+                         TypeError, "dim"),
+    "matrix dim 0": (lambda: MatrixGroup(0, []), ValueError, "dim"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONSTRUCTOR_PROBES))
+def test_group_constructors_read_their_arguments_as_ints(name):
+    """A permutation group's degree and entries, and a matrix group's dim
+    and p, are ints (p 0 or a prime), and a matrix generator is dim x dim."""
+    build, error, argument = CONSTRUCTOR_PROBES[name]
+    with pytest.raises(error, match=argument):
+        build()
+
+
+def test_permutation_entries_read_by_the_integer_rule():
+    g = PermGroup(3, [(Fraction(1), 2, 0)])
+    assert g.generators == [(1, 2, 0)]
+    assert all(type(x) is int for x in g.generators[0])
+    assert len(enumerate_group(g)) == 3
+
+
+def test_orbits_come_in_first_point_order():
+    """Each orbit starts at its first point in ``points`` and lists the
+    rest as the walk reaches them, in generator order from each point."""
+    cycle = [1, 2, 0, 3, 4, 5]                # (0 1 2)
+    swaps = [0, 1, 2, 4, 3, 5]                # (3 4)
+    assert groups._orbits([5, 2, 4, 0, 1, 3], [cycle, swaps]) == \
+        [[5], [2, 0, 1], [4, 3]]
+    assert groups._orbits(range(6), []) == [[i] for i in range(6)]
+    assert groups._orbits(range(6), [[1, 0, 3, 2, 5, 4], cycle]) == \
+        [[0, 1, 2, 3], [4, 5]]
+
+
+def test_every_orbit_is_one_routine(monkeypatch):
+    """The classes walk the conjugation tables once; the table walks the
+    power maps twice, on the rows (Galois orbits) and on the classes
+    (rational classes)."""
+    calls = []
+    orbits = groups._orbits
+
+    def counted(points, maps):
+        out = orbits(points, maps)
+        calls.append(out)
+        return out
+
+    monkeypatch.setattr(groups, "_orbits", counted)
+    data = conjugacy_classes(_a4())
+    assert calls == [data.members]
+    t = rational_character_table("A4", _a4(), data)
+    galois, rational = calls[1:]
+    assert len(calls) == 3
+    assert [len(o) for o in galois] == [ch.orbit_size for ch in t.characters]
+    assert [len(o) for o in rational] == [c.merged for c in t.classes]
+
+
 def test_matrix_group_rejects_foreign_matrix():
     g = MatrixGroup(2, [((1, 1), (0, 1))], p=5)
     with pytest.raises(ValueError):

@@ -499,6 +499,16 @@ def test_input_rule_at_every_public_entry(name):
             call()
 
 
+def test_nullspace_mod_takes_a_prime_int():
+    # p = 4 once returned [[0, 1]], which misses (2, 0), and p = True the
+    # whole space
+    assert nullspace_mod([[2, 0]], 5) == [[0, 1]]
+    for p, error in ((4, ValueError), (1, ValueError), (True, TypeError),
+                     (5.0, TypeError)):
+        with pytest.raises(error, match="^p must"):
+            nullspace_mod([[2, 0]], p)
+
+
 def test_each_row_is_checked_once_where_it_enters(monkeypatch):
     """The public entries check each row once; the rows the module builds
     itself (congruences, Smith transposes, quotient coordinates) are not

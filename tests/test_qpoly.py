@@ -10,24 +10,29 @@ from canonical import is_canonical
 from gcd_oracle import GcdRationalFunction, Poly
 from k3moonshine.cyclotomic import zeta
 from k3moonshine.genus import (
-    chi_sym_power, chi_symt_series, equivariant_elliptic_genus, rational_form,
+    chi_sym_power, chi_symt_series, elliptic_genus, equivariant_elliptic_genus,
+    expand_product, fixed_point_count, rational_form,
 )
 from k3moonshine.mckay import (
-    euler_character_value, f_series, k_layer_trace, m2_basis,
+    cusp_form, eisenstein_difference, euler_character_value, f_series,
+    fit_in_m2, k_layer_trace, m2_basis,
 )
+from k3moonshine.mill import class_data, mill_rational_table
 from k3moonshine.modforms import eta_scaled, jacobi_theta
+from k3moonshine.mukai import build_group, mukai_table
 from k3moonshine.n4char import (
-    ch_vn_closed, decomposition_truncation, twining_to_symtraces,
+    ch_vn_closed, ch_vn_extract, decomposition_truncation,
+    genus_A_coefficients, ramond_basis_character, twining_to_symtraces,
     twining_truncation,
 )
 from k3moonshine.qpoly import (
     RationalFunction, _cyclotomic_coeffs, _horner, _int_divexact, _int_mul,
-    _phi_divides, _product_coeffs, linear_combinations, reconstruct_rational,
-    require_int, require_key,
+    _phi_divides, _product_coeffs, euler_phi, linear_combinations, moebius,
+    reconstruct_rational, require_int, require_key,
 )
-from k3moonshine.replattice import decompose_family
+from k3moonshine.replattice import chosen_rational_form, decompose_family
 from k3moonshine.series import TruncatedSeries
-from k3moonshine.tables import load_m23
+from k3moonshine.tables import load_m23, load_mukai
 
 
 def test_cyclotomic_polys():
@@ -216,6 +221,38 @@ INTEGER_ARGUMENT_PROBES = {
     "RationalFunction.expand negative": (
         lambda: RationalFunction((1,), {1: 1}).expand(-2), "terms"),
     "jacobi_theta float kind": (lambda: jacobi_theta(3.0, 24), "kind"),
+    # each of these returned a value (the float 2.0, 1 for n <= 0, a series
+    # or L2(7)'s group) or, for a float in the prefix, an AttributeError
+    "euler_phi float": (lambda: euler_phi(6.0), "n"),
+    "euler_phi zero": (lambda: euler_phi(0), "n"),
+    "euler_phi negative": (lambda: euler_phi(-5), "n"),
+    "moebius zero": (lambda: moebius(0), "n"),
+    "eisenstein_difference bool d": (
+        lambda: eisenstein_difference(True, 48), "d"),
+    "eisenstein_difference zero d": (
+        lambda: eisenstein_difference(0, 48), "d"),
+    "eisenstein_difference negative d": (
+        lambda: eisenstein_difference(-2, 48), "d"),
+    "cusp_form float level": (lambda: cusp_form(11.0, 48), "level"),
+    "fit_in_m2 float prefix": (
+        lambda: fit_in_m2([1.0, 24, 24, 96], 2, 96), "prefix"),
+    "TruncatedSeries.monomial bool q24": (
+        lambda: TruncatedSeries.monomial(1, True), "q24"),
+    "TruncatedSeries.at float q24": (lambda: _F.at(0.0), "q24"),
+    "TruncatedSeries.at bool q24": (lambda: _F.at(True), "q24"),
+    "TruncatedSeries.y_coefficient float": (
+        lambda: _F.y_coefficient(1.0), "y2"),
+    "TruncatedSeries.spectral_flow bool": (
+        lambda: _F.spectral_flow(True), "direction"),
+    "ch_vn_extract bool N": (lambda: ch_vn_extract(True, {0: _F}), "N"),
+    "ramond_basis_character bool N": (
+        lambda: ramond_basis_character(True, 24), "N"),
+    "genus_A_coefficients bool nmax": (
+        lambda: genus_A_coefficients(True, elliptic_genus(96)), "nmax"),
+    "expand_product float trunc24": (
+        lambda: expand_product((0, 0, 0), [], [], 24.0), "trunc24"),
+    "mukai_table bool index": (lambda: mukai_table(True), "index"),
+    "build_group float index": (lambda: build_group(1.0), "index"),
 }
 
 
@@ -252,6 +289,17 @@ LABEL_ARGUMENT_PROBES = {
     "k_layer_trace layer": (lambda: k_layer_trace(6, "2A"), "n", "6"),
     "k_layer_trace negative layer": (
         lambda: k_layer_trace(-1, "2A"), "n", "-1"),
+    "fixed_point_count": (lambda: fixed_point_count("9Z"), "label", "'9Z'"),
+    "chosen_rational_form": (
+        lambda: chosen_rational_form("9Z"), "label", "'9Z'"),
+    "class_data": (lambda: class_data("M22"), "name", "'M22'"),
+    "mill_rational_table": (
+        lambda: mill_rational_table("M22"), "name", "'M22'"),
+    # index 0 read T48's spec and 12 raised IndexError; load_mukai(12)
+    # asked for a file that generate_all never writes
+    "mukai_table index 0": (lambda: mukai_table(0), "index", "0"),
+    "mukai_table index 12": (lambda: mukai_table(12), "index", "12"),
+    "load_mukai index 12": (lambda: load_mukai(12), "index", "12"),
 }
 
 

@@ -15,6 +15,7 @@ import pytest
 from k3moonshine.acceptance import CriterionResult
 from k3moonshine.chartab import CharacterEntry, CharacterTable, ClassEntry
 from k3moonshine.genus import MoonshineReport
+from k3moonshine.groups import ConjugacyData
 from k3moonshine.lattice import AbelianQuotient, SolveResult
 from k3moonshine.mckay import FgRecord
 from k3moonshine.mill import ClassInfo, GroupClassData
@@ -26,6 +27,7 @@ RECORDS = (
     ClassEntry, CharacterEntry, CharacterTable, AbelianQuotient, SolveResult,
     N4Multiplicities, GenusDecomposition, MoonshineReport, ClassInfo,
     GroupClassData, MukaiGroupSpec, FgRecord, LatticeReport, CriterionResult,
+    ConjugacyData,
 )
 
 
